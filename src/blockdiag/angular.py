@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,13 @@ class AngularPair:
     @property
     def n1(self) -> int:
         return self.X0.shape[0]
+
+    @cached_property
+    def singular_values_X0(self) -> np.ndarray:
+        """Read-only singular values of ``X0``, descending, computed once."""
+        s = np.linalg.svd(self.X0, compute_uv=False) if self.X0.size else np.zeros(0)
+        s.flags.writeable = False
+        return s
 
     @property
     def Y(self) -> np.ndarray:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -21,15 +23,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import angular, criteria, dirac, riccati, subordinated, transform
-from .core import (
-    BlockMatrix,
-    is_hermitian,
-    is_symmetric_offdiag,
-    operator_norm,
-)
+from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag, operator_norm
 from .errors import (
     BlockdiagError,
     HypothesisError,
+    NotAGraphError,
     NumericError,
     StructuralError,
 )
@@ -67,15 +65,15 @@ def _parse_complex(text: str) -> complex:
 
 def choose_split_mu(b: BlockMatrix) -> float:
     """Threshold between the n0-th and (n0+1)-th eigenvalue (by real part)."""
-    w = eigenvalues(b.assemble(), hermitian=is_hermitian(b.assemble()))
+    w = eigenvalues(b.full, hermitian=b.hermitian)
     re = np.sort(w.real)
     return float(0.5 * (re[b.n0 - 1] + re[b.n0]))
 
 
 def _spectral_route(b: BlockMatrix, mu: float) -> angular.AngularPair:
     """Angular pair from the invariant subspaces on both sides of mu."""
-    full = b.assemble()
-    hermitian = is_hermitian(full)
+    full = b.full
+    hermitian = b.hermitian
     below = invariant_subspace_by_region(
         full, lambda z: z.real < mu, hermitian=hermitian
     ).with_partition(b.n0)
@@ -102,9 +100,8 @@ def _resolve_mu(args, problem) -> float:
 
 def _sample_shifts(b: BlockMatrix, count: int, seed: int) -> list[complex]:
     """Deterministic shifts kept away from the spectrum of B."""
-    full = b.assemble()
-    spec = eigenvalues(full)
-    scale = max(operator_norm(full), 1.0)
+    spec = b.eigvals
+    scale = max(b.norm, 1.0)
     rng = np.random.default_rng(seed)
     shifts: list[complex] = []
     for _ in range(1000):
@@ -159,8 +156,8 @@ def cmd_check(args) -> tuple[Report, int]:
         worst_res = 0.0
         g0 = angular.GraphSubspace(base=angular.GraphBase.H0, X=pair.X0)
         g1 = angular.GraphSubspace(base=angular.GraphBase.H1, X=pair.X1)
-        full = b.assemble()
-        scale = max(operator_norm(full), 1.0)
+        full = b.full
+        scale = max(b.norm, 1.0)
         eye = np.eye(full.shape[0], dtype=np.complex128)
         for lam in _sample_shifts(b, args.lambdas, args.seed):
             # defect relative to the resolvent magnitude, so the entry is
@@ -191,13 +188,13 @@ def cmd_check(args) -> tuple[Report, int]:
             "spectral_identity_right": ident.right_distance / scale,
         }
     )
-    report.spectra["B"] = eigenvalues(b.assemble())
+    report.spectra["B"] = b.eigvals
     report.spectra["diag_left"] = np.concatenate(
         [eigenvalues(left.diag_blocks[0]), eigenvalues(left.diag_blocks[1])]
     )
     report.flags.update(
         {
-            "hermitian": is_hermitian(b.assemble()),
+            "hermitian": b.hermitian,
             "symmetric_offdiag": is_symmetric_offdiag(b),
             "complementary": comp.complementary,
             "spectral_identity_ok": ident.ok,
@@ -285,11 +282,11 @@ def cmd_riccati_solve(args) -> tuple[Report, int]:
         "trace": trace.iterates,
     }
     report.flags["converged"] = trace.converged
-    if is_hermitian(b.assemble()):
+    if b.hermitian:
         mu = _resolve_mu(args, problem)
         with _timed(report.timings, "spectral_crosscheck"):
             pair = _spectral_route(b, mu)
-        delta = operator_norm(x - pair.X0) / (1.0 + operator_norm(pair.X0))
+        delta = frobenius_norm(x - pair.X0) / (1.0 + operator_norm(pair.X0))
         report.residuals["newton_vs_spectral"] = delta
     _summary("riccati-solve", report, ok=trace.converged)
     return report, 0 if trace.converged else 1
@@ -332,7 +329,7 @@ def cmd_subordinated(args) -> tuple[Report, int]:
         }
     )
     # informational: finite-dimensional relative-bound sweep alongside
-    scale = max(operator_norm(b.assemble()), 1.0)
+    scale = max(b.norm, 1.0)
     taus = [scale * 10.0**k for k in range(0, 7)]
     rb = criteria.estimate_relative_bound(b, taus)
     report.certificates["relative_bound"] = {"a": rb.a, "b_star": rb.b_star}
@@ -513,6 +510,31 @@ def _summary(command: str, report: Report, ok: bool) -> None:
         print(f"  {key:28s} {value}")
 
 
+def _checked(convert, ok, requirement: str):
+    """Argument type that converts and validates at parse time (exit 3)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _checked(float, lambda v: v > 0.0, "> 0")
+_nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_out_path = _checked(
+    str,
+    lambda v: os.path.isdir(os.path.dirname(os.path.abspath(v))),
+    "a path in an existing directory",
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # route usage errors through the exit-code contract (3)
@@ -527,12 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_mu=True):
-        p.add_argument("--tol", type=float, default=CHECK_TOL,
+        p.add_argument("--tol", type=_positive_float, default=CHECK_TOL,
                        help="pass/fail threshold for relative residuals")
         if with_mu:
             p.add_argument("--mu", type=float, default=None,
                            help="spectral splitting threshold (defaults to the file's)")
-        p.add_argument("--out", default=None, help="write the JSON report here")
+        p.add_argument("--out", type=_out_path, default=None,
+                       help="write the JSON report here")
 
     p = sub.add_parser("random", help="generate a seeded random problem file")
     p.add_argument("--n0", type=int, required=True)
@@ -541,13 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel-dim", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("check", help="full verification pipeline on a problem file")
     p.add_argument("file")
     common(p)
-    p.add_argument("--lambdas", type=int, default=3,
+    p.add_argument("--lambdas", type=_positive_int, default=3,
                    help="number of sampled resolvent shifts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb-x0", type=float, default=0.0,
@@ -566,10 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati-solve", help="Newton solve of the H0 graph equation")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=25)
-    p.add_argument("--out", default=None)
+    p.add_argument("--max-iter", type=_nonnegative_int, default=25)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_riccati_solve)
 
     p = sub.add_parser("subordinated", help="subordinated-spectra decomposition")
@@ -589,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=1.0)
     p.add_argument("--tau-max", type=float, default=1e6)
     p.add_argument("--tau-count", type=int, default=13)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_relbound)
 
     p = sub.add_parser("dirac", help="discrete Dirac impurity demonstration")
@@ -601,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default=None, metavar="X,Y")
     p.add_argument("--seed", type=int, default=0,
                    help="reserved; the built-in profiles are deterministic")
-    p.add_argument("--tol", type=float, default=CHECK_TOL)
-    p.add_argument("--out", default=None)
+    p.add_argument("--tol", type=_positive_float, default=CHECK_TOL)
+    p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--emit-data", default=None, metavar="DIR")
     p.set_defaults(func=cmd_dirac)
 
@@ -617,13 +640,12 @@ def main(argv=None) -> int:
         report, code = args.func(args)
     except BlockdiagError as exc:
         code = _exit_code_for(exc)
-        error_obj = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": code,
-            }
-        }
+        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if isinstance(exc, NumericError):
+            error["diagnostics"] = {k: _plain(v) for k, v in exc.diagnostics.items()}
+        if isinstance(exc, NotAGraphError):
+            error["sigma_min"] = _plain(exc.sigma_min)
+        error_obj = {"error": error}
         print(json.dumps(error_obj))
         out = getattr(args, "out", None)
         if out:
@@ -633,6 +655,15 @@ def main(argv=None) -> int:
     if out and report is not None:
         write_json_atomic(out, report.to_obj())
     return code
+
+
+def _plain(value):
+    """JSON-safe diagnostic value: numpy scalars unwrapped, non-finite as text."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 def _exit_code_for(exc: BlockdiagError) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _readonly(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 def operator_norm(m) -> float:
     """Largest singular value of ``m`` (0.0 for empty matrices)."""
     m = np.asarray(m, dtype=np.complex128)
@@ -58,13 +64,43 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def frobenius_norm(m) -> float:
+    """Frobenius norm of ``m``: an upper bound on its 2-norm, used by gates."""
+    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
+
+
+def norm_lower_bound(m) -> float:
+    """``norm_F(m) / sqrt(min(shape))``: a lower bound on the 2-norm of ``m``.
+
+    Gates scale their tolerances by the exact norm or by this bound, never
+    by an upper bound, so a cheap gate is never looser than the exact one.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.size == 0:
+        return 0.0
+    return frobenius_norm(m) / np.sqrt(min(m.shape))
+
+
+def _norm_2(m: np.ndarray) -> float:
+    """Exact 2-norm; bitwise-Hermitian input takes the cheaper ``eigvalsh``."""
+    if m.size and np.array_equal(m, m.conj().T):
+        w = np.linalg.eigvalsh(m)
+        return float(max(abs(w[0]), abs(w[-1])))
+    return operator_norm(m)
+
+
 def is_hermitian(m, tol: float | None = None) -> bool:
-    """Whether ``m`` equals its conjugate transpose up to ``tol * norm``."""
+    """Whether ``m`` equals its conjugate transpose up to ``tol * norm``.
+
+    The defect is measured in the Frobenius norm and the scale is a lower
+    bound on the 2-norm, so this never passes where the exact 2-norm test
+    fails.
+    """
     m = np.asarray(m, dtype=np.complex128)
     if tol is None:
         tol = default_tol()
-    scale = operator_norm(m)
-    return operator_norm(m - m.conj().T) <= tol * max(scale, 1.0)
+    scale = norm_lower_bound(m)
+    return frobenius_norm(m - m.conj().T) <= tol * max(scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +109,10 @@ class BlockMatrix:
 
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
-    Instances are immutable; all derived matrices are fresh arrays.
+    Instances are immutable. The expensive derived quantities (``full``,
+    ``hermitian``, ``eigh``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``)
+    are computed on first use and cached, arrays read-only; the ``*_part``
+    and ``assemble`` methods return fresh arrays.
     """
 
     A0: np.ndarray
@@ -113,7 +152,59 @@ class BlockMatrix:
 
     def assemble(self) -> np.ndarray:
         """Full ``(n0+n1) x (n0+n1)`` matrix ``[[A0, W1], [W0, A1]]``."""
-        return assemble(self)
+        return self.full.copy()
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """Read-only assembled matrix, shared by every caller."""
+        return _readonly(assemble(self))
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """:func:`is_hermitian` of the assembled matrix at the default tolerance."""
+        return is_hermitian(self.full)
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(w, v)`` of ``numpy.linalg.eigh`` of the assembled matrix.
+
+        Like ``eigh`` itself this reads the lower triangle only; it is the
+        eigendecomposition of B when B is Hermitian.
+        """
+        w, v = np.linalg.eigh(self.full)
+        return _readonly(w), _readonly(v)
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        """Read-only general eigenvalues of the assembled matrix, (Re, Im) sorted."""
+        w = np.linalg.eigvals(self.full)
+        return _readonly(w[np.lexsort((w.imag, w.real))])
+
+    @cached_property
+    def norm(self) -> float:
+        """Exact 2-norm of the assembled matrix.
+
+        For bitwise-Hermitian B it is the largest eigenvalue magnitude,
+        read off the cached ``eigh`` when that exists; otherwise one SVD.
+        """
+        full = self.full
+        if "eigh" in self.__dict__ and np.array_equal(full, full.conj().T):
+            w = self.eigh[0]
+            return float(max(abs(w[0]), abs(w[-1])))
+        return _norm_2(full)
+
+    @cached_property
+    def norm_A(self) -> float:
+        """Exact ``norm(diag(A0, A1)) = max(norm(A0), norm(A1))``."""
+        return max(_norm_2(self.A0), _norm_2(self.A1))
+
+    @cached_property
+    def norm_V(self) -> float:
+        """Exact ``norm([[0, W1], [W0, 0]]) = max(norm(W0), norm(W1))``."""
+        norm_w1 = operator_norm(self.W1)
+        if np.array_equal(self.W0, self.W1.conj().T):
+            return norm_w1
+        return max(operator_norm(self.W0), norm_w1)
 
     def diagonal_part(self) -> np.ndarray:
         """Full matrix of the diagonal part ``A = diag(A0, A1)``."""
@@ -161,11 +252,15 @@ def split(m, n0: int) -> BlockMatrix:
 
 
 def is_symmetric_offdiag(b: BlockMatrix, tol: float | None = None) -> bool:
-    """Whether the coupling is symmetric, ``W0 = W1*`` up to tolerance."""
+    """Whether the coupling is symmetric, ``W0 = W1*`` up to tolerance.
+
+    Frobenius defect against a lower bound on ``norm(W1)``, so never looser
+    than the exact 2-norm test.
+    """
     if tol is None:
         tol = default_tol()
-    defect = operator_norm(b.W0 - b.W1.conj().T)
-    return defect <= tol * (1.0 + operator_norm(b.W1))
+    defect = frobenius_norm(b.W0 - b.W1.conj().T)
+    return defect <= tol * (1.0 + norm_lower_bound(b.W1))
 
 
 @dataclass(frozen=True)

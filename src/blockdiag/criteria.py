@@ -68,7 +68,7 @@ def resolvent_norm(b: BlockMatrix, lam: complex) -> float:
     a = b.diagonal_part()
     v = b.offdiagonal_part()
     spec_a = eigenvalues(a)
-    scale = operator_norm(a)
+    scale = b.norm_A
     dist = float(np.min(np.abs(spec_a - lam)))
     if dist < 1e-10 * max(scale, 1.0):
         raise ResolventError(
@@ -101,7 +101,7 @@ def neumann_certificate(b: BlockMatrix, p: AngularPair, lam: complex) -> Neumann
         eye = np.eye(a.shape[0], dtype=np.complex128)
         sigma_a = float(np.linalg.svd(a - lam * eye, compute_uv=False)[-1])
         sigma_b = float(
-            np.linalg.svd(b.assemble() - lam * eye, compute_uv=False)[-1]
+            np.linalg.svd(b.full - lam * eye, compute_uv=False)[-1]
         )
         sigma_ayv = float(
             np.linalg.svd(a - y @ v - lam * eye, compute_uv=False)[-1]
@@ -173,7 +173,7 @@ def estimate_relative_bound(
         )
         growth.append((lam, abs(lam) * inv_norm))
     b_star = min(r for _, r in sweep)
-    a_const = operator_norm(v)
+    a_const = b.norm_V
     rng = np.random.default_rng(seed)
     worst = 0.0
     n = a.shape[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockMatrix, operator_norm, split
+from .core import BlockMatrix, frobenius_norm, split
 from .errors import HypothesisError, NumericError, SingularSymbolError, StructuralError
 from .spectral import Subspace, principal_angles
 from .subordinated import TheoremResult, run_theorem
@@ -263,9 +263,9 @@ def build_free_dirac(grid: GridSpec) -> np.ndarray:
 
 
 def fw_unitarity_residual(ops: DiracOperators) -> float:
-    """``norm(T T* - I)`` of the spinor rotation."""
+    """``norm_F(T T* - I)`` of the spinor rotation (bounds the 2-norm defect)."""
     t = ops.t_fw
-    return operator_norm(t @ t.conj().T - np.eye(t.shape[0]))
+    return frobenius_norm(t @ t.conj().T - np.eye(t.shape[0]))
 
 
 def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
@@ -295,7 +295,10 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
 
 
 def check_subordination_split(
-    problem: DiracProblem, bm: BlockMatrix | None = None, tol: float = 1e-10
+    problem: DiracProblem,
+    bm: BlockMatrix | None = None,
+    tol: float = 1e-10,
+    ops: DiracOperators | None = None,
 ) -> DiracSplitReport:
     """Measure the averaged split identities and subordination at zero.
 
@@ -305,33 +308,37 @@ def check_subordination_split(
     the unhalved combination, and the extreme block eigenvalues; the
     subordination flag comes from the eigensolve, while the reported
     margin ``k_min - 2 u_inf`` is a sufficient but conservative bound.
+    Residuals are Frobenius norms over ``norm(S) + u_inf``, where
+    ``norm(S)`` is the largest momentum magnitude on the grid. Pass the
+    ``ops`` of the problem when they are already built.
     Never raises on a failing flag; residuals and margins tell the story.
     """
-    ops = build_operators(problem)
+    if ops is None:
+        ops = build_operators(problem)
     if bm is None:
         bm = _fw_block_matrix(ops)
     s = ops.sqrt_lap
     theta = ops.theta_op
     u = np.diag(ops.potential_values).astype(np.complex128)
-    scale = max(operator_norm(s) + float(np.max(np.abs(ops.potential_values), initial=0.0)), 1.0)
+    u_inf = float(np.max(np.abs(ops.potential_values), initial=0.0))
+    scale = max(float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf, 1.0)
 
     def averaged(mat):
         return 0.5 * (mat + theta @ mat @ theta.conj().T)
 
     block_res = max(
-        operator_norm(np.asarray(bm.A0) - averaged(s + u)),
-        operator_norm(np.asarray(bm.A1) - averaged(-s + u)),
+        frobenius_norm(bm.A0 - averaged(s + u)),
+        frobenius_norm(bm.A1 - averaged(-s + u)),
     ) / scale
     theta_u_theta = theta @ u @ theta.conj().T
     display_res = max(
-        operator_norm((s + u + theta_u_theta) - averaged(s + 2.0 * u)),
-        operator_norm((-s + u + theta_u_theta) - averaged(-s + 2.0 * u)),
+        frobenius_norm((s + u + theta_u_theta) - averaged(s + 2.0 * u)),
+        frobenius_norm((-s + u + theta_u_theta) - averaged(-s + 2.0 * u)),
     ) / scale
     sup_a1 = float(np.linalg.eigvalsh(bm.A1)[-1])
     inf_a0 = float(np.linalg.eigvalsh(bm.A0)[0])
     band = tol * scale
     subordinated = sup_a1 <= band and inf_a0 >= -band
-    u_inf = float(np.max(np.abs(ops.potential_values), initial=0.0))
     k_min = problem.grid.k_min
     return DiracSplitReport(
         block_identity_residual=block_res,
@@ -366,14 +373,13 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
             diagnostics={"unitarity_residual": unitarity},
         )
     bm = _fw_block_matrix(ops)
-    report = check_subordination_split(problem, bm)
+    report = check_subordination_split(problem, bm, ops=ops)
     if not report.subordinated:
         raise HypothesisError(
             f"rotated blocks are not subordinated at 0: sup spec(A1) = "
             f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}"
         )
-    swapped = bm.swapped()
-    theorem = run_theorem(swapped, mu=0.0, tol=tol)
+    theorem = run_theorem(bm.swapped(), mu=0.0, tol=tol)
     points = problem.grid.points
     # swapped coordinates list the negative block first; undo the swap
     perm = np.concatenate([np.arange(points, 2 * points), np.arange(points)])

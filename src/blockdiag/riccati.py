@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .angular import AngularPair
-from .core import BlockMatrix, as_matrix, operator_norm
+from .core import BlockMatrix, as_matrix, frobenius_norm, norm_lower_bound
 from .errors import NumericError, StructuralError, SylvesterSingularError
 
 #: Relative spectra separation below which a Sylvester equation is
@@ -28,8 +28,10 @@ SYLVESTER_SEPARATION_TOL = 1e-10
 class RiccatiResidual:
     """Residual matrix with a scale-aware relative norm.
 
-    ``rel_norm = norm(residual) / ((norm(A) + norm(V)) (1 + norm(X))^2)``
+    ``rel_norm = norm_F(residual) / ((norm(A) + norm(V)) (1 + n(X))^2)``
     so the same tolerance is meaningful for small and large solutions.
+    ``norm(A)`` and ``norm(V)`` are exact 2-norms and ``n(X)`` a lower bound
+    on ``norm(X)``: the gate is never looser than the all-2-norm quotient.
     """
 
     residual: np.ndarray
@@ -49,10 +51,8 @@ class NewtonTrace:
 
 
 def _rel_norm(residual, b: BlockMatrix, x) -> float:
-    scale_a = operator_norm(b.diagonal_part())
-    scale_v = operator_norm(b.offdiagonal_part())
-    denom = (scale_a + scale_v) * (1.0 + operator_norm(x)) ** 2
-    r = operator_norm(residual)
+    denom = (b.norm_A + b.norm_V) * (1.0 + norm_lower_bound(x)) ** 2
+    r = frobenius_norm(residual)
     if denom == 0.0:
         return 0.0 if r == 0.0 else float("inf")
     return r / denom
@@ -100,7 +100,10 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
 
     Raises :class:`SylvesterSingularError` when the spectra of P and Q are
     closer than ``SYLVESTER_SEPARATION_TOL`` relative to their norms, and
-    verifies the residual of the computed solution.
+    verifies the residual of the computed solution. Both tests use
+    Frobenius norms where that makes them stricter: the separation is
+    measured against upper bounds of the coefficient norms, and the
+    residual against a lower bound of the right-hand side's norm.
     """
     p = as_matrix(P, "P")
     q = as_matrix(Q, "Q")
@@ -114,7 +117,7 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     eig_p = np.linalg.eigvals(p)
     eig_q = np.linalg.eigvals(q)
     sep = float(np.min(np.abs(eig_p[:, None] - eig_q[None, :])))
-    scale = operator_norm(p) + operator_norm(q)
+    scale = frobenius_norm(p) + frobenius_norm(q)
     if sep < SYLVESTER_SEPARATION_TOL * max(scale, 1.0):
         raise SylvesterSingularError(
             f"spectra of P and Q overlap numerically (separation {sep:.3e}, "
@@ -124,11 +127,12 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         z = scipy.linalg.solve_sylvester(p, -q, c)
     except np.linalg.LinAlgError as exc:
         raise SylvesterSingularError(f"Sylvester solve failed: {exc}") from exc
-    resid = operator_norm(p @ z - z @ q - c)
-    if resid > 1e-9 * max(operator_norm(c), 1e-300):
+    resid = frobenius_norm(p @ z - z @ q - c)
+    rhs_scale = norm_lower_bound(c)
+    if resid > 1e-9 * max(rhs_scale, 1e-300):
         raise NumericError(
             "Sylvester solution residual beyond guarantee",
-            diagnostics={"residual": resid, "rhs_norm": operator_norm(c)},
+            diagnostics={"residual": resid, "rhs_norm_lower_bound": rhs_scale},
         )
     return z
 

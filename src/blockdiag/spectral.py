@@ -14,7 +14,14 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import BlockMatrix, as_matrix, default_tol, is_hermitian, operator_norm
+from .core import (
+    BlockMatrix,
+    as_matrix,
+    default_tol,
+    frobenius_norm,
+    is_hermitian,
+    operator_norm,
+)
 from .errors import ContractError, IllPosedRegionError, NumericError, StructuralError
 
 #: Relative gap below which an eigenvalue-region selector is ill-posed,
@@ -63,7 +70,7 @@ class Subspace:
             raise StructuralError(f"basis has more columns than rows: {q.shape}")
         if q.shape[1] > 0:
             gram = q.conj().T @ q
-            defect = operator_norm(gram - np.eye(q.shape[1]))
+            defect = frobenius_norm(gram - np.eye(q.shape[1]))
             if defect > _ORTHO_TOL:
                 raise StructuralError(
                     f"basis columns not orthonormal (defect {defect:.3e})"
@@ -151,11 +158,10 @@ def spectral_subspace_below(
     """
     if tol is None:
         tol = default_tol()
-    full = b.assemble()
-    if not is_hermitian(full):
+    if not b.hermitian:
         raise ContractError("spectral_subspace_below requires a Hermitian matrix")
-    w, v = np.linalg.eigh(full)
-    band = tol * operator_norm(full)
+    w, v = b.eigh
+    band = tol * b.norm
     mask = w < mu - band if strict else w <= mu + band
     return Subspace(basis=v[:, mask], n0=b.n0)
 
@@ -183,7 +189,9 @@ def null_space_basis(m, tol: float | None = None) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
+    # the trailing rows of vh span the null space; U is never needed, and
+    # the thin factorization still returns all of vh when rows >= cols
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     scale = s[0] if s.size else 0.0
     thresh = tol * scale if scale > 0.0 else tol
     # pad: singular values beyond min(rows, cols) are implicitly zero
@@ -246,13 +254,16 @@ def _check_region_gap(selected, unselected, scale: float) -> None:
 
 
 def invariance_residual(m, sub: Subspace) -> float:
-    """``norm((I - QQ*) m Q)``; zero iff the span of Q is invariant for m."""
+    """``norm_F((I - QQ*) m Q)``; zero iff the span of Q is invariant for m.
+
+    Frobenius norm: an upper bound on the 2-norm defect, for gates.
+    """
     m = np.asarray(m, dtype=np.complex128)
     q = sub.basis
     if q.shape[1] == 0:
         return 0.0
     mq = m @ q
-    return operator_norm(mq - q @ (q.conj().T @ mq))
+    return frobenius_norm(mq - q @ (q.conj().T @ mq))
 
 
 def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:

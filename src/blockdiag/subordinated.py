@@ -19,9 +19,9 @@ from .angular import GraphBase, GraphSubspace, form_pair, from_graph, to_graph
 from .core import (
     BlockMatrix,
     default_tol,
+    frobenius_norm,
     is_hermitian,
     is_symmetric_offdiag,
-    operator_norm,
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
 from .spectral import (
@@ -90,12 +90,18 @@ class TheoremResult:
 
 
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
-    """Evaluate ``sup spec(A0) <= mu <= inf spec(A1)`` with a tolerance band."""
+    """Evaluate ``sup spec(A0) <= mu <= inf spec(A1)`` with a tolerance band.
+
+    The band scales with ``max(norm(A0), norm(A1))``, read off the extreme
+    eigenvalues of the (Hermitian) blocks.
+    """
     if not is_hermitian(b.A0) or not is_hermitian(b.A1):
         raise HypothesisError("diagonal blocks must be Hermitian")
-    sup0 = float(np.linalg.eigvalsh(b.A0)[-1])
-    inf1 = float(np.linalg.eigvalsh(b.A1)[0])
-    scale = max(operator_norm(b.A0), operator_norm(b.A1), 1.0)
+    w0 = np.linalg.eigvalsh(b.A0)
+    w1 = np.linalg.eigvalsh(b.A1)
+    sup0 = float(w0[-1])
+    inf1 = float(w1[0])
+    scale = max(abs(w0[0]), abs(w0[-1]), abs(w1[0]), abs(w1[-1]), 1.0)
     band = default_tol() * scale
     subordinated = (sup0 <= mu + band) and (mu <= inf1 + band)
     return SubordinationCheck(
@@ -132,10 +138,9 @@ def _require_hypotheses(b: BlockMatrix, mu: float) -> SubordinationCheck:
 
 
 def _eigh_classified(b: BlockMatrix, mu: float):
-    """Single eigendecomposition of B with eigenvalues classified vs mu."""
-    full = b.assemble()
-    w, v = np.linalg.eigh(full)
-    band = MU_BAND_TOL * operator_norm(full)
+    """The cached eigendecomposition of B, eigenvalues classified vs mu."""
+    w, v = b.eigh
+    band = MU_BAND_TOL * b.norm
     below = w < mu - band
     at = np.abs(w - mu) <= band
     above = w > mu + band
@@ -150,10 +155,15 @@ def verify_kernel_split(
     Both constituents are computed as stacked-matrix null spaces; equality
     with the direct sum is measured by a projection residual, and the
     containment in the kernel of the diagonal part is checked as well.
+    Both residuals are Frobenius norms (upper bounds on the 2-norms).
     """
+    _require_hypotheses(b, mu)
+    return _kernel_split(b, mu, tol)
+
+
+def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitReport:
     if tol is None:
         tol = 1e-8
-    _require_hypotheses(b, mu)
     _, v, _, at, _ = _eigh_classified(b, mu)
     k_basis = v[:, at]
     dim_k = k_basis.shape[1]
@@ -168,15 +178,15 @@ def verify_kernel_split(
     direct[b.n0:, dim_k0:] = k1
     if dim_k == dim_k0 + dim_k1 and dim_k > 0:
         proj = direct @ (direct.conj().T @ k_basis)
-        split_residual = operator_norm(k_basis - proj)
+        split_residual = frobenius_norm(k_basis - proj)
     elif dim_k == dim_k0 + dim_k1:
         split_residual = 0.0
     else:
         split_residual = float("inf")
-    a = b.diagonal_part()
     if dim_k > 0:
-        scale = max(operator_norm(a), 1.0)
-        diag_containment = operator_norm((a - mu * np.eye(b.dim)) @ k_basis) / scale
+        a = b.diagonal_part()
+        scale = max(b.norm_A, 1.0)
+        diag_containment = frobenius_norm((a - mu * np.eye(b.dim)) @ k_basis) / scale
     else:
         diag_containment = 0.0
     ok = (
@@ -202,11 +212,15 @@ def build_L(b: BlockMatrix, mu: float | None = None, tol: float | None = None) -
     columns whose H1 component vanishes to ``tol``; the splitting property
     guarantees such a rotation exists. The result must have dimension n0.
     """
-    if tol is None:
-        tol = default_tol()
     if mu is None:
         mu = choose_mu(b)
     _require_hypotheses(b, mu)
+    return _reducing_subspace(b, mu, tol)
+
+
+def _reducing_subspace(b: BlockMatrix, mu: float, tol: float | None) -> Subspace:
+    if tol is None:
+        tol = default_tol()
     _, v, below, at, _ = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]
@@ -239,12 +253,15 @@ def run_theorem(
     the skew pair ``(X, -X*)``, verifies the kernel splitting, invariance
     of the subspace and its complement, runs both block diagonalizations,
     and measures the mutual-adjointness defect of the two diagonal forms.
+    The hypotheses are checked once, and one eigendecomposition of B
+    serves both the kernel split and the reducing subspace. Residuals are
+    Frobenius norms over the exact ``norm(B)``; ``norm_X`` is exact.
     """
     if mu is None:
         mu = choose_mu(b)
     _require_hypotheses(b, mu)
-    split_report = verify_kernel_split(b, mu)
-    sub = build_L(b, mu)
+    split_report = _kernel_split(b, mu, None)
+    sub = _reducing_subspace(b, mu, None)
     try:
         graph = to_graph(sub, GraphBase.H0)
     except NotAGraphError as exc:
@@ -252,14 +269,16 @@ def run_theorem(
             f"reducing subspace is not a graph over H0: {exc}"
         ) from exc
     x = graph.X
-    norm_x = operator_norm(x)
+    pair = form_pair(x, -x.conj().T)
+    # one SVD of X serves norm(X) here and kappa(I -/+ Y) in the transforms
+    sv = pair.singular_values_X0
+    norm_x = float(sv[0]) if sv.size else 0.0
     if norm_x > 1.0 + CONTRACTION_SLACK:
         raise TheoremViolationError(
             f"angular operator is not a contraction: norm(X) = {norm_x:.12g}"
         )
-    pair = form_pair(x, -x.conj().T)
-    full = b.assemble()
-    scale = max(operator_norm(full), 1e-300)
+    full = b.full
+    scale = max(b.norm, 1e-300)
     res_l = invariance_residual(full, sub) / scale
     complement = from_graph(GraphSubspace(base=GraphBase.H1, X=pair.X1))
     res_perp = invariance_residual(full, complement) / scale
@@ -268,7 +287,7 @@ def run_theorem(
     right = diagonalize_right(b, pair)
     a_plus_vy = _block_diag(right.diag_blocks)
     a_minus_yv = _block_diag(left.diag_blocks)
-    adjointness = operator_norm(a_plus_vy.conj().T - a_minus_yv) / scale
+    adjointness = frobenius_norm(a_plus_vy.conj().T - a_minus_yv) / scale
     return TheoremResult(
         L=sub,
         X=x,

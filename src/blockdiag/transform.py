@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import AngularPair, GraphSubspace, from_graph
-from .core import BlockMatrix, as_matrix, operator_norm, split
+from .core import BlockMatrix, as_matrix, frobenius_norm, split
 from .errors import (
     NotComplementaryError,
     ResolventError,
@@ -38,6 +38,8 @@ class DiagonalizationResult:
     ``diag_blocks`` holds the closed-form diagonal blocks computed directly
     from the inputs (not read off the conjugation), so the off-diagonal
     defect and the block mismatch can be judged independently.
+    ``offdiag_rel_norm`` is a Frobenius residual over the exact ``norm(B)``;
+    ``conditioning`` is the exact 2-norm condition number of ``I -/+ Y``.
     """
 
     transformed: np.ndarray
@@ -83,6 +85,22 @@ def _condition(t: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
+def _pair_condition(p: AngularPair, t: np.ndarray) -> float:
+    """Condition number of ``t = I -/+ Y``, in closed form for a skew pair.
+
+    For ``X1 = -X0*`` the operator Y is skew-Hermitian, so ``I -/+ Y`` is
+    normal with singular values ``sqrt(1 + s^2)`` over the singular values
+    s of X0, plus 1 for each of the ``|n0 - n1|`` null directions of Y.
+    """
+    if not np.array_equal(p.X1, -p.X0.conj().T):
+        return _condition(t)
+    s = p.singular_values_X0
+    if s.size == 0:
+        return 1.0
+    s_min = s[-1] if p.n0 == p.n1 else 0.0
+    return float(np.sqrt((1.0 + s[0] ** 2) / (1.0 + s_min**2)))
+
+
 def diagonalize_left(b: BlockMatrix, p: AngularPair) -> DiagonalizationResult:
     """Conjugate by ``I - Y`` from the left: ``(I - Y) B (I - Y)^{-1}``.
 
@@ -108,7 +126,7 @@ def _diagonalize(b, p, left: bool, blocks) -> DiagonalizationResult:
         raise StructuralError(
             f"pair dimensions {(p.n0, p.n1)} do not match blocks {(b.n0, b.n1)}"
         )
-    full = b.assemble()
+    full = b.full
     eye = np.eye(full.shape[0], dtype=np.complex128)
     t = eye - p.Y if left else eye + p.Y
     try:
@@ -120,27 +138,26 @@ def _diagonalize(b, p, left: bool, blocks) -> DiagonalizationResult:
         sign = "-" if left else "+"
         raise NotComplementaryError(f"I {sign} Y is numerically singular") from exc
     parts = split(transformed, b.n0)
-    off = np.zeros_like(transformed)
-    off[: b.n0, b.n0:] = parts.W1
-    off[b.n0:, : b.n0] = parts.W0
-    scale = operator_norm(full)
-    rel = operator_norm(off) / scale if scale > 0.0 else operator_norm(off)
+    off = np.hypot(frobenius_norm(parts.W0), frobenius_norm(parts.W1))
+    scale = b.norm
+    rel = off / scale if scale > 0.0 else off
     return DiagonalizationResult(
         transformed=transformed,
         offdiag_rel_norm=rel,
         diag_blocks=tuple(np.asarray(x) for x in blocks),
-        conditioning=_condition(t),
+        conditioning=_pair_condition(p, t),
     )
 
 
 def verify_extended_identity(b: BlockMatrix, p: AngularPair) -> ExtendedIdentityResiduals:
     """Compare the right conjugation with the ``(I - Y^2)``-scaled left form.
 
-    Both residuals are relative to ``norm(B)``; in exact arithmetic with a
-    vanishing graph-equation residual both are zero, and the second one
-    certifies that the scaled left form reproduces ``A + V Y``.
+    Both residuals are Frobenius norms relative to the exact ``norm(B)``; in
+    exact arithmetic with a vanishing graph-equation residual both are
+    zero, and the second one certifies that the scaled left form
+    reproduces ``A + V Y``.
     """
-    full = b.assemble()
+    full = b.full
     eye = np.eye(full.shape[0], dtype=np.complex128)
     y = p.Y
     a = b.diagonal_part()
@@ -152,9 +169,9 @@ def verify_extended_identity(b: BlockMatrix, p: AngularPair) -> ExtendedIdentity
         rhs = np.linalg.solve(m, (a - y @ v) @ m)
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I + Y or I - Y^2 is numerically singular") from exc
-    scale = max(operator_norm(full), 1e-300)
-    identity = operator_norm(lhs - rhs) / scale
-    right_form = operator_norm(rhs - (a + v @ y)) / scale
+    scale = max(b.norm, 1e-300)
+    identity = frobenius_norm(lhs - rhs) / scale
+    right_form = frobenius_norm(rhs - (a + v @ y)) / scale
     return ExtendedIdentityResiduals(identity=identity, right_form=right_form)
 
 
@@ -163,21 +180,22 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
 
     The result has diagonal blocks ``(A0 + W1 X0, A1 - X0 W1)``, upper
     right block ``W1``, and lower left block equal to the graph-equation
-    residual of ``X0`` as an exact algebraic identity.
+    residual of ``X0`` as an exact algebraic identity. Its relative norm is
+    a Frobenius residual over the exact ``norm(B)``.
     """
     x = as_matrix(X0, "X0")
     if x.shape != (b.n1, b.n0):
         raise StructuralError(f"X0 must have shape {(b.n1, b.n0)}, got {x.shape}")
-    full = b.assemble()
+    full = b.full
     n = b.n0 + b.n1
     lower = np.eye(n, dtype=np.complex128)
     lower[b.n0:, : b.n0] = -x
     inverse = np.eye(n, dtype=np.complex128)
     inverse[b.n0:, : b.n0] = x
     transformed = lower @ full @ inverse
-    scale = operator_norm(full)
-    lower_left = transformed[b.n0:, : b.n0]
-    rel = operator_norm(lower_left) / scale if scale > 0.0 else operator_norm(lower_left)
+    scale = b.norm
+    lower_left = frobenius_norm(transformed[b.n0:, : b.n0])
+    rel = lower_left / scale if scale > 0.0 else lower_left
     return TriangularizationResult(
         transformed=transformed,
         lower_left_rel_norm=rel,
@@ -186,16 +204,16 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
 
 
 def verify_resolvent_invariance(b: BlockMatrix, g: GraphSubspace, lam: complex) -> float:
-    """``norm((I - P_G) (B - lam)^{-1} Q_G)`` for the graph subspace.
+    """``norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for the graph subspace.
 
     Zero exactly when the graph is invariant under the resolvent at
     ``lam``. The shift must keep a relative distance of 1e-8 from the
     spectrum of the assembled matrix.
     """
-    full = b.assemble()
+    full = b.full
     lam = complex(lam)
-    spec = eigenvalues(full)
-    scale = operator_norm(full)
+    spec = b.eigvals
+    scale = b.norm
     dist = float(np.min(np.abs(spec - lam))) if spec.size else float("inf")
     if dist < 1e-8 * max(scale, 1.0):
         raise ResolventError(
@@ -205,7 +223,7 @@ def verify_resolvent_invariance(b: BlockMatrix, g: GraphSubspace, lam: complex) 
     q = sub.basis
     shifted = full - lam * np.eye(full.shape[0], dtype=np.complex128)
     resolvent_q = np.linalg.solve(shifted, q)
-    return operator_norm(resolvent_q - q @ (q.conj().T @ resolvent_q))
+    return frobenius_norm(resolvent_q - q @ (q.conj().T @ resolvent_q))
 
 
 @dataclass(frozen=True)
@@ -246,9 +264,8 @@ def verify_spectral_identity(
     b: BlockMatrix, p: AngularPair, tol: float
 ) -> SpectralIdentityReport:
     """Check spec(B) against the unions of both block-diagonal spectra."""
-    full = b.assemble()
-    spec_b = eigenvalues(full)
-    scale = operator_norm(full)
+    spec_b = b.eigvals
+    scale = b.norm
     left = np.concatenate(
         [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
     )

@@ -292,3 +292,65 @@ def test_cli_error_object_is_machine_readable(tmp_path, capsys):
     assert code == 3
     assert obj["error"]["type"] == "StructuralError"
     assert obj["error"]["exit_code"] == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["riccati-solve", "{path}", "--max-iter", "-1"],
+        ["check", "{path}", "--tol", "0"],
+        ["check", "{path}", "--tol", "-1"],
+        ["check", "{path}", "--tol", "nan"],
+        ["check", "{path}", "--lambdas", "0"],
+        ["check", "{path}", "--lambdas", "-1"],
+        ["dirac", "--tol", "-1e-8"],
+        ["check", "{path}", "--out", "{missing}"],
+        ["riccati-solve", "{path}", "--out", "{missing}"],
+        ["random", "--n0", "2", "--n1", "2", "--out", "{missing}"],
+    ],
+)
+def test_cli_invalid_arguments_exit_3(tmp_path, capsys, args):
+    path = _write_fixture(tmp_path, mu=1.0)
+    missing = str(tmp_path / "no_such_dir" / "out.json")
+    argv = [a.format(path=path, missing=missing) for a in args]
+    assert main(argv) == 3
+    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert not (tmp_path / "no_such_dir").exists()
+
+
+def test_cli_max_iter_zero_is_valid(tmp_path):
+    path = _write_fixture(tmp_path, mu=1.0)
+    # zero steps from X = 0 cannot converge: a tolerance failure, not a crash
+    assert main(["riccati-solve", path, "--max-iter", "0"]) == 1
+
+
+def test_cli_error_json_carries_numeric_diagnostics(tmp_path, capsys, monkeypatch):
+    from blockdiag import riccati
+    from blockdiag.errors import NumericError
+
+    def failing(*args, **kwargs):
+        raise NumericError(
+            "solver blew up",
+            diagnostics={"residual": np.float64(2.5), "defective": np.bool_(True)},
+        )
+
+    monkeypatch.setattr(riccati, "solve_newton_X0", failing)
+    path = _write_fixture(tmp_path, mu=1.0)
+    out = tmp_path / "err.json"
+    assert main(["riccati-solve", path, "--out", str(out)]) == 1
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    for obj in (printed, json.loads(out.read_text())):
+        assert obj["error"]["type"] == "NumericError"
+        assert obj["error"]["diagnostics"] == {"residual": 2.5, "defective": True}
+
+
+def test_cli_error_json_carries_sigma_min(tmp_path, capsys):
+    # the eigenvector below mu = 0 lies in H1, so it is no graph over H0
+    block = BlockMatrix([1.0], [-1.0], [0.0], [0.0])
+    path = tmp_path / "flipped.json"
+    save_problem(path, ProblemFile(block=block, mu=0.0))
+    assert main(["check", str(path)]) == 2
+    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "NotAGraphError"
+    assert obj["error"]["sigma_min"] == 0.0

@@ -88,6 +88,13 @@ def test_kernel_split_requires_symmetric_coupling():
         verify_kernel_split(b, 0.0)
 
 
+def test_build_L_requires_symmetric_coupling():
+    # run_theorem checks the hypotheses once; the public step still does
+    b = BlockMatrix([-1.0], [1.0], [0.5], [0.2])
+    with pytest.raises(HypothesisError):
+        build_L(b, 0.0)
+
+
 def test_build_L_analytic(analytic):
     sub = build_L(analytic, 1.0)
     assert sub.dim == 1
