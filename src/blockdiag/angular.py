@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_matrix, operator_norm
+from .core import as_matrix
 from .errors import NotAGraphError, NumericError, StructuralError
 from .spectral import Subspace
 
@@ -47,6 +47,11 @@ class GraphSubspace:
     def __post_init__(self):
         object.__setattr__(self, "base", GraphBase(self.base))
         object.__setattr__(self, "X", as_matrix(self.X, "X"))
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        """Orthonormal basis of the graph (:func:`from_graph`), computed once."""
+        return from_graph(self)
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,27 @@ class AngularPair:
     @cached_property
     def singular_values_X0(self) -> np.ndarray:
         """Read-only singular values of ``X0``, descending, computed once."""
-        s = np.linalg.svd(self.X0, compute_uv=False) if self.X0.size else np.zeros(0)
-        s.flags.writeable = False
-        return s
+        return _singular_values(self.X0)
+
+    @cached_property
+    def singular_values_I_plus_Y(self) -> np.ndarray:
+        """Read-only singular values of ``I + Y``, descending, computed once.
+
+        ``I - Y = J (I + Y) J`` with the unitary ``J = diag(I, -I)``, so they
+        are the singular values of ``I - Y`` as well.
+        """
+        return _singular_values(np.eye(self.n0 + self.n1) + self.Y)
+
+    @cached_property
+    def norm_Y(self) -> float:
+        """Exact ``norm(Y) = max(norm(X0), norm(X1))``.
+
+        Y is block anti-diagonal; ``norm(X0)`` comes from
+        ``singular_values_X0`` and ``norm(X1)`` from one SVD of X1.
+        """
+        s0 = self.singular_values_X0
+        s1 = _singular_values(self.X1)
+        return float(max(s0[0] if s0.size else 0.0, s1[0] if s1.size else 0.0))
 
     @property
     def Y(self) -> np.ndarray:
@@ -93,6 +116,12 @@ class AngularPair:
         y[:n0, n0:] = self.X1
         y[n0:, :n0] = self.X0
         return y
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    s.flags.writeable = False
+    return s
 
 
 @dataclass(frozen=True)
@@ -170,11 +199,11 @@ def check_complementary(p: AngularPair, tol: float = GRAPH_SIGMA_TOL) -> Complem
     ``I + Y`` and ``I - Y`` are unitarily similar (conjugation by the
     signature J), so either one decides. A contraction ``norm(Y) < 1``
     forces complementarity; this consistency is re-asserted numerically.
+    The singular values of ``I + Y`` are cached on the pair, where the
+    condition numbers of ``I -/+ Y`` read them too.
     """
-    y = p.Y
-    eye = np.eye(y.shape[0], dtype=np.complex128)
-    smin = float(np.linalg.svd(eye + y, compute_uv=False)[-1])
-    norm_y = operator_norm(y)
+    smin = float(p.singular_values_I_plus_Y[-1])
+    norm_y = p.norm_Y
     complementary = smin > tol
     if norm_y < 1.0 - tol and not complementary:
         raise NumericError(

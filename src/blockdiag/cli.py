@@ -8,6 +8,7 @@ runs a pipeline, prints a short summary, optionally writes a JSON report
     1  numeric-tolerance failure
     2  hypothesis / well-posedness failure
     3  input or parse error
+    4  internal error (an exception outside the toolkit's own hierarchy)
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,10 +42,13 @@ from .io import (
     write_json_atomic,
 )
 from .fixtures import random_case
-from .spectral import eigenvalues, invariant_subspace_by_region
+from .spectral import eigenbasis_subspace, eigenvalues, invariant_subspace_by_region
 
 #: Default pass/fail threshold for relative residuals reported by commands.
 CHECK_TOL = 1e-8
+
+#: Exit code of an exception outside :class:`BlockdiagError` (a crash).
+INTERNAL_ERROR = 4
 
 
 @contextmanager
@@ -65,21 +70,31 @@ def _parse_complex(text: str) -> complex:
 
 def choose_split_mu(b: BlockMatrix) -> float:
     """Threshold between the n0-th and (n0+1)-th eigenvalue (by real part)."""
-    w = eigenvalues(b.full, hermitian=b.hermitian)
-    re = np.sort(w.real)
+    re = np.sort(b.eigvals.real)
     return float(0.5 * (re[b.n0 - 1] + re[b.n0]))
 
 
 def _spectral_route(b: BlockMatrix, mu: float) -> angular.AngularPair:
-    """Angular pair from the invariant subspaces on both sides of mu."""
+    """Angular pair from the invariant subspaces on both sides of mu.
+
+    A Hermitian B takes both subspaces from its one cached ``eigh``, scaled
+    by ``norm(B)``; other input takes a sorted Schur form per side. Either
+    way each subspace passes the region-gap and invariance guarantees of
+    :func:`~blockdiag.spectral.invariant_subspace_by_region`.
+    """
     full = b.full
-    hermitian = b.hermitian
-    below = invariant_subspace_by_region(
-        full, lambda z: z.real < mu, hermitian=hermitian
-    ).with_partition(b.n0)
-    above = invariant_subspace_by_region(
-        full, lambda z: z.real >= mu, hermitian=hermitian
-    ).with_partition(b.n0)
+    if b.hermitian:
+        w, v = b.eigh
+        mask = w < mu
+        below = eigenbasis_subspace(full, w, v, mask, b.norm).with_partition(b.n0)
+        above = eigenbasis_subspace(full, w, v, ~mask, b.norm).with_partition(b.n0)
+    else:
+        below = invariant_subspace_by_region(
+            full, lambda z: z.real < mu
+        ).with_partition(b.n0)
+        above = invariant_subspace_by_region(
+            full, lambda z: z.real >= mu
+        ).with_partition(b.n0)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "
@@ -156,15 +171,11 @@ def cmd_check(args) -> tuple[Report, int]:
         worst_res = 0.0
         g0 = angular.GraphSubspace(base=angular.GraphBase.H0, X=pair.X0)
         g1 = angular.GraphSubspace(base=angular.GraphBase.H1, X=pair.X1)
-        full = b.full
         scale = max(b.norm, 1.0)
-        eye = np.eye(full.shape[0], dtype=np.complex128)
         for lam in _sample_shifts(b, args.lambdas, args.seed):
             # defect relative to the resolvent magnitude, so the entry is
             # dimensionless like the rest of the report
-            resolvent_scale = 1.0 / float(
-                np.linalg.svd(full - lam * eye, compute_uv=False)[-1]
-            )
+            resolvent_scale = 1.0 / b.sigma_min_shifted(lam)
             for g in (g0, g1):
                 worst_res = max(
                     worst_res,
@@ -189,9 +200,8 @@ def cmd_check(args) -> tuple[Report, int]:
         }
     )
     report.spectra["B"] = b.eigvals
-    report.spectra["diag_left"] = np.concatenate(
-        [eigenvalues(left.diag_blocks[0]), eigenvalues(left.diag_blocks[1])]
-    )
+    # the spectral identity computed the spectra of left.diag_blocks already
+    report.spectra["diag_left"] = ident.left_spectrum
     report.flags.update(
         {
             "hermitian": b.hermitian,
@@ -638,6 +648,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = args.func(args)
+        out = getattr(args, "out", None)
+        if out and report is not None:
+            # inside the contract: an unwritable report is an error, not a crash
+            write_json_atomic(out, report.to_obj())
     except BlockdiagError as exc:
         code = _exit_code_for(exc)
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
@@ -646,15 +660,25 @@ def main(argv=None) -> int:
         if isinstance(exc, NotAGraphError):
             error["sigma_min"] = _plain(exc.sigma_min)
         error_obj = {"error": error}
-        print(json.dumps(error_obj))
-        out = getattr(args, "out", None)
-        if out:
-            write_json_atomic(out, error_obj)
+        _emit_error(args, error_obj)
         return code
-    out = getattr(args, "out", None)
-    if out and report is not None:
-        write_json_atomic(out, report.to_obj())
+    except Exception as exc:
+        # a crash must never read as a tolerance failure (exit 1)
+        traceback.print_exc(file=sys.stderr)
+        code = INTERNAL_ERROR
+        error_obj = {
+            "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+        }
+        _emit_error(args, error_obj)
+        return code
     return code
+
+
+def _emit_error(args, error_obj: dict) -> None:
+    print(json.dumps(error_obj))
+    out = getattr(args, "out", None)
+    if out:
+        write_json_atomic(out, error_obj)
 
 
 def _plain(value):

@@ -7,6 +7,7 @@ which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,8 +66,20 @@ def operator_norm(m) -> float:
 
 
 def frobenius_norm(m) -> float:
-    """Frobenius norm of ``m``: an upper bound on its 2-norm, used by gates."""
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
+    """Frobenius norm of ``m``: an upper bound on its 2-norm, used by gates.
+
+    The plain sum of squares overflows once entries pass about 1e154; only
+    then is the norm recomputed over ``m / max|m|``, so finite input gets a
+    finite norm whenever the norm itself is representable.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(m))
+    if math.isinf(value):
+        peak = float(np.max(np.abs(m)))
+        if math.isfinite(peak):
+            value = peak * float(np.linalg.norm(m / peak))
+    return value
 
 
 def norm_lower_bound(m) -> float:
@@ -81,12 +94,25 @@ def norm_lower_bound(m) -> float:
     return frobenius_norm(m) / np.sqrt(min(m.shape))
 
 
+def _bitwise_hermitian(m: np.ndarray) -> bool:
+    """Bitwise equality with the conjugate transpose: the fast-path test."""
+    return bool(m.size) and np.array_equal(m, m.conj().T)
+
+
+def _extreme_magnitude(w: np.ndarray) -> float:
+    """Largest magnitude of an ascending real eigenvalue list."""
+    return float(max(abs(w[0]), abs(w[-1])))
+
+
 def _norm_2(m: np.ndarray) -> float:
     """Exact 2-norm; bitwise-Hermitian input takes the cheaper ``eigvalsh``."""
-    if m.size and np.array_equal(m, m.conj().T):
-        w = np.linalg.eigvalsh(m)
-        return float(max(abs(w[0]), abs(w[-1])))
+    if _bitwise_hermitian(m):
+        return _extreme_magnitude(np.linalg.eigvalsh(m))
     return operator_norm(m)
+
+
+def _sigma_min(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def is_hermitian(m, tol: float | None = None) -> bool:
@@ -110,9 +136,14 @@ class BlockMatrix:
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
     Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian``, ``eigh``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``)
-    are computed on first use and cached, arrays read-only; the ``*_part``
-    and ``assemble`` methods return fresh arrays.
+    ``hermitian``, ``bitwise_hermitian``, ``eigh``, ``eigh_A``, ``eigvals``,
+    ``norm``, ``norm_A``, ``norm_V``) are computed on first use and cached,
+    arrays read-only; the ``*_part`` and ``assemble`` methods return fresh
+    arrays.
+
+    Fast paths that rely on normality run only on bitwise-Hermitian input
+    (``np.array_equal(m, m.conj().T)``); every other input takes the
+    general factorization.
     """
 
     A0: np.ndarray
@@ -175,8 +206,38 @@ class BlockMatrix:
         return _readonly(w), _readonly(v)
 
     @cached_property
+    def bitwise_hermitian(self) -> bool:
+        """Whether the assembled matrix equals its conjugate transpose exactly."""
+        return _bitwise_hermitian(self.full)
+
+    @cached_property
+    def eigh_A(self) -> tuple | None:
+        """Read-only ``((w0, Q0), (w1, Q1))`` of ``eigh`` of A0 and A1.
+
+        ``None`` unless both diagonal blocks are bitwise Hermitian.
+        """
+        if not (_bitwise_hermitian(self.A0) and _bitwise_hermitian(self.A1)):
+            return None
+        return tuple(
+            (_readonly(w), _readonly(q))
+            for w, q in (np.linalg.eigh(self.A0), np.linalg.eigh(self.A1))
+        )
+
+    @cached_property
     def eigvals(self) -> np.ndarray:
-        """Read-only general eigenvalues of the assembled matrix, (Re, Im) sorted."""
+        """Read-only eigenvalues of the assembled matrix, complex, (Re, Im) sorted.
+
+        A bitwise-Hermitian B reads them off the cached ``eigh`` when that
+        exists and otherwise takes ``eigvalsh``; they are then real (zero
+        imaginary parts) and ascending. Other input takes the general
+        ``eigvals``.
+        """
+        if self.bitwise_hermitian:
+            if "eigh" in self.__dict__:
+                w = self.eigh[0]
+            else:
+                w = np.linalg.eigvalsh(self.full)
+            return _readonly(w.astype(np.complex128))
         w = np.linalg.eigvals(self.full)
         return _readonly(w[np.lexsort((w.imag, w.real))])
 
@@ -185,13 +246,35 @@ class BlockMatrix:
         """Exact 2-norm of the assembled matrix.
 
         For bitwise-Hermitian B it is the largest eigenvalue magnitude,
-        read off the cached ``eigh`` when that exists; otherwise one SVD.
+        read off the cached eigenvalues; otherwise one SVD.
         """
-        full = self.full
-        if "eigh" in self.__dict__ and np.array_equal(full, full.conj().T):
-            w = self.eigh[0]
-            return float(max(abs(w[0]), abs(w[-1])))
-        return _norm_2(full)
+        if self.bitwise_hermitian:
+            return _extreme_magnitude(self.eigvals.real)
+        return operator_norm(self.full)
+
+    def sigma_min_shifted(self, lam: complex) -> float:
+        """Smallest singular value of ``B - lam``.
+
+        B normal makes it the distance of ``lam`` from spec(B), so a
+        bitwise-Hermitian B reads it off the cached eigenvalues; other
+        input takes one SVD.
+        """
+        lam = complex(lam)
+        if self.bitwise_hermitian:
+            return float(np.min(np.abs(self.eigvals - lam)))
+        return _sigma_min(self.full - lam * np.eye(self.dim))
+
+    def sigma_min_shifted_A(self, lam: complex) -> float:
+        """Smallest singular value of ``A - lam`` for ``A = diag(A0, A1)``.
+
+        With ``eigh_A`` available it is the distance of ``lam`` from
+        ``spec(A0) ∪ spec(A1)``; otherwise one SVD.
+        """
+        lam = complex(lam)
+        if self.eigh_A is not None:
+            (w0, _), (w1, _) = self.eigh_A
+            return float(np.min(np.abs(np.concatenate([w0, w1]) - lam)))
+        return _sigma_min(self.diagonal_part() - lam * np.eye(self.dim))
 
     @cached_property
     def norm_A(self) -> float:

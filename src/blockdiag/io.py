@@ -31,7 +31,7 @@ def matrix_to_obj(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.column_stack([flat.real, flat.imag]).tolist(),
     }
 
 
@@ -42,21 +42,40 @@ def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
+        length = len(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"{name}: malformed matrix object: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
+    if rows < 0 or cols < 0 or length != rows * cols:
         raise StructuralError(
-            f"{name}: data length {len(data)} does not match {rows}x{cols}"
+            f"{name}: data length {length} does not match {rows}x{cols}"
         )
+    if rows * cols == 0:
+        return np.zeros((rows, cols), dtype=np.complex128)
+    try:
+        pairs = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != (rows * cols, 2) or not np.all(np.isfinite(pairs)):
+        _raise_bad_entry(data, name)
+    # through .real/.imag, not re + 1j*im, which turns -0.0 parts into +0.0
     values = np.empty(rows * cols, dtype=np.complex128)
+    values.real = pairs[:, 0]
+    values.imag = pairs[:, 1]
+    return values.reshape(rows, cols)
+
+
+def _raise_bad_entry(data, name: str) -> None:
+    """Name the first entry that is not a finite ``[re, im]`` pair."""
     for i, entry in enumerate(data):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise StructuralError(f"{name}: entry {i} is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructuralError(f"{name}: entry {i} is not a number pair: {exc}") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise StructuralError(f"{name}: entry {i} is not finite")
-        values[i] = complex(re, im)
-    return values.reshape(rows, cols)
+    raise StructuralError(f"{name}: data is not a list of [re, im] pairs")
 
 
 @dataclass(frozen=True)
@@ -116,7 +135,7 @@ class ProblemFile:
 
 
 def save_problem(path, problem: ProblemFile) -> None:
-    write_json_atomic(path, problem.to_obj())
+    write_json_atomic(path, problem.to_obj(), compact=True)
 
 
 def load_problem(path) -> ProblemFile:
@@ -194,11 +213,19 @@ def digest_obj(obj) -> str:
     )
 
 
-def write_json_atomic(path, obj) -> None:
-    """Serialize to a sibling temp file and rename into place."""
+def write_json_atomic(path, obj, compact: bool = False) -> None:
+    """Serialize to a sibling temp file and rename into place.
+
+    Reports are indented for reading. Problem files are ``compact``: the
+    indented form falls back to the pure-Python encoder, which dominates
+    saving a large matrix.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    payload = json.dumps(obj, indent=2) + "\n"
+    if compact:
+        payload = json.dumps(obj, separators=(",", ":")) + "\n"
+    else:
+        payload = json.dumps(obj, indent=2) + "\n"
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -138,12 +138,9 @@ def eigendecompose(m, hermitian: bool) -> tuple[Spectrum, np.ndarray]:
     return spectrum, v
 
 
-def eigenvalues(m, hermitian: bool = False) -> np.ndarray:
-    """Plain eigenvalue list (ascending for Hermitian input)."""
-    m = np.asarray(m, dtype=np.complex128)
-    if hermitian:
-        return np.linalg.eigvalsh(m).astype(np.complex128)
-    w = np.linalg.eigvals(m)
+def eigenvalues(m) -> np.ndarray:
+    """Plain general eigenvalue list, sorted by (Re, Im)."""
+    w = np.linalg.eigvals(np.asarray(m, dtype=np.complex128))
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -219,20 +216,34 @@ def invariant_subspace_by_region(
         if not is_hermitian(m):
             raise ContractError("hermitian flag set but matrix is not Hermitian")
         w, v = np.linalg.eigh(m)
-        mask = np.array([bool(selector(complex(x))) for x in w])
-        _check_region_gap(w[mask], w[~mask], scale)
-        basis = v[:, mask]
-    else:
-        try:
-            t, z, sdim = scipy.linalg.schur(
-                m, output="complex", sort=lambda lam: bool(selector(complex(lam)))
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"Schur factorization failed: {exc}") from exc
-        diag = np.diag(t)
-        _check_region_gap(diag[:sdim], diag[sdim:], scale)
-        basis = z[:, :sdim]
-    sub = Subspace(basis=basis)
+        mask = np.array([bool(selector(complex(x))) for x in w], dtype=bool)
+        return eigenbasis_subspace(m, w, v, mask, scale)
+    try:
+        t, z, sdim = scipy.linalg.schur(
+            m, output="complex", sort=lambda lam: bool(selector(complex(lam)))
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Schur factorization failed: {exc}") from exc
+    diag = np.diag(t)
+    _check_region_gap(diag[:sdim], diag[sdim:], scale)
+    return _guaranteed_invariant(m, Subspace(basis=z[:, :sdim]), scale)
+
+
+def eigenbasis_subspace(
+    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float
+) -> Subspace:
+    """Span of the eigenvectors ``v[:, mask]`` of a Hermitian ``m``.
+
+    ``(w, v)`` is an ``eigh`` of ``m`` and ``scale`` its 2-norm. The same
+    guarantees as :func:`invariant_subspace_by_region` hold: the selected
+    eigenvalues keep a relative gap of ``REGION_GAP_TOL`` from the others,
+    and the invariance residual stays within ``REGION_GAP_TOL * scale``.
+    """
+    _check_region_gap(w[mask], w[~mask], scale)
+    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale)
+
+
+def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:
     resid = invariance_residual(m, sub)
     if resid > REGION_GAP_TOL * max(scale, 1.0):
         raise NumericError(

@@ -11,12 +11,12 @@ and spectral cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .angular import AngularPair, GraphSubspace, from_graph
+from .angular import AngularPair, GraphSubspace
 from .core import BlockMatrix, as_matrix, frobenius_norm, split
 from .errors import (
     NotComplementaryError,
@@ -78,22 +78,18 @@ def _solve_right(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(t.T, m.T).T
 
 
-def _condition(t: np.ndarray) -> float:
-    s = np.linalg.svd(t, compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+def _pair_condition(p: AngularPair) -> float:
+    """Condition number of ``I - Y`` and of ``I + Y``, which share it.
 
-
-def _pair_condition(p: AngularPair, t: np.ndarray) -> float:
-    """Condition number of ``t = I -/+ Y``, in closed form for a skew pair.
-
-    For ``X1 = -X0*`` the operator Y is skew-Hermitian, so ``I -/+ Y`` is
-    normal with singular values ``sqrt(1 + s^2)`` over the singular values
-    s of X0, plus 1 for each of the ``|n0 - n1|`` null directions of Y.
+    For a skew pair ``X1 = -X0*`` the operator Y is skew-Hermitian, so
+    ``I -/+ Y`` is normal with singular values ``sqrt(1 + s^2)`` over the
+    singular values s of X0, plus 1 for each of the ``|n0 - n1|`` null
+    directions of Y. Any other pair reads the cached singular values of
+    ``I + Y`` (those of ``I - Y = J (I + Y) J`` too).
     """
     if not np.array_equal(p.X1, -p.X0.conj().T):
-        return _condition(t)
+        s = p.singular_values_I_plus_Y
+        return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
     s = p.singular_values_X0
     if s.size == 0:
         return 1.0
@@ -145,7 +141,7 @@ def _diagonalize(b, p, left: bool, blocks) -> DiagonalizationResult:
         transformed=transformed,
         offdiag_rel_norm=rel,
         diag_blocks=tuple(np.asarray(x) for x in blocks),
-        conditioning=_pair_condition(p, t),
+        conditioning=_pair_condition(p),
     )
 
 
@@ -208,7 +204,8 @@ def verify_resolvent_invariance(b: BlockMatrix, g: GraphSubspace, lam: complex) 
 
     Zero exactly when the graph is invariant under the resolvent at
     ``lam``. The shift must keep a relative distance of 1e-8 from the
-    spectrum of the assembled matrix.
+    spectrum of the assembled matrix. ``Q_G`` is the basis cached on
+    ``g``, so a sweep over shifts orthonormalizes each graph once.
     """
     full = b.full
     lam = complex(lam)
@@ -219,8 +216,7 @@ def verify_resolvent_invariance(b: BlockMatrix, g: GraphSubspace, lam: complex) 
         raise ResolventError(
             f"shift {lam} is within {dist:.3e} of the spectrum (norm {scale:.3e})"
         )
-    sub = from_graph(g)
-    q = sub.basis
+    q = g.subspace.basis
     shifted = full - lam * np.eye(full.shape[0], dtype=np.complex128)
     resolvent_q = np.linalg.solve(shifted, q)
     return frobenius_norm(resolvent_q - q @ (q.conj().T @ resolvent_q))
@@ -234,12 +230,16 @@ class SpectralIdentityReport:
     ``right_distance`` against ``diag(A0 + W1 X0, A1 + W0 X1)``; both are
     greedy matching distances after lexicographic (Re, Im) sort, adequate
     for well-separated spectra (documented limitation for clusters).
+    ``left_spectrum`` and ``right_spectrum`` are the block spectra compared,
+    block 0 first, for callers that report them.
     """
 
     ok: bool
     left_distance: float
     right_distance: float
     tolerance: float
+    left_spectrum: np.ndarray = field(repr=False, compare=False)
+    right_spectrum: np.ndarray = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -281,4 +281,6 @@ def verify_spectral_identity(
         left_distance=left_distance,
         right_distance=right_distance,
         tolerance=threshold,
+        left_spectrum=left,
+        right_spectrum=right,
     )

@@ -24,6 +24,49 @@ def test_matrix_json_roundtrip_bitexact(seed):
     assert np.array_equal(back, m)
 
 
+def _entry_loop(data):
+    """The per-entry conversion that the vectorized one replaced."""
+    return np.array([complex(float(re), float(im)) for re, im in data])
+
+
+def test_matrix_json_roundtrip_keeps_signed_zeros(tmp_path):
+    m = np.array(
+        [[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 5e-324 - 1e308j]]
+    )
+    obj = json.loads(json.dumps(matrix_to_obj(m)))
+    assert obj["data"][0] == [-0.0, 0.0] and str(obj["data"][0][0]) == "-0.0"
+    back = matrix_from_obj(obj)
+    assert np.array_equal(back, m)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(back)), np.signbit(part(m)))
+    np.testing.assert_array_equal(back.ravel(), _entry_loop(obj["data"]))
+    block = BlockMatrix(m, m, m, m)
+    path = tmp_path / "zeros.json"
+    save_problem(path, ProblemFile(block=block))
+    loaded = load_problem(path).block
+    assert np.array_equal(np.signbit(loaded.A0.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(loaded.W1.imag), np.signbit(m.imag))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[1.0], [1.0, "x"], [None, 0.0], [[1.0], [2.0]], [float("nan"), 0.0], "ab", 7],
+)
+def test_matrix_obj_names_the_bad_entry(bad):
+    data = [[0.0, 0.0], bad, [1.0, 1.0]]
+    with pytest.raises(StructuralError, match="entry 1"):
+        matrix_from_obj({"rows": 1, "cols": 3, "data": data})
+
+
+def test_save_problem_is_compact_and_reports_are_indented(tmp_path):
+    path = _write_fixture(tmp_path, mu=1.0)
+    text = open(path, encoding="utf-8").read()
+    assert text.count("\n") == 1 and ", " not in text
+    out = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(out)]) == 0
+    assert out.read_text().startswith('{\n  "schema"')
+
+
 def test_matrix_obj_validation():
     with pytest.raises(StructuralError):
         matrix_from_obj({"rows": 2, "cols": 2, "data": [[0, 0]]})
@@ -343,6 +386,80 @@ def test_cli_error_json_carries_numeric_diagnostics(tmp_path, capsys, monkeypatc
     for obj in (printed, json.loads(out.read_text())):
         assert obj["error"]["type"] == "NumericError"
         assert obj["error"]["diagnostics"] == {"residual": 2.5, "defective": True}
+
+
+def test_cli_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    from blockdiag import riccati
+
+    def crashing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(riccati, "solve_newton_X0", crashing)
+    path = _write_fixture(tmp_path, mu=1.0)
+    out = tmp_path / "crash.json"
+    assert main(["riccati-solve", path, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    printed = json.loads(captured.out.strip().splitlines()[-1])
+    for obj in (printed, json.loads(out.read_text())):
+        assert obj["error"] == {
+            "type": "LinAlgError",
+            "message": "SVD did not converge",
+            "exit_code": 4,
+        }
+    assert "Traceback" in captured.err
+
+
+def test_cli_unwritable_report_is_an_input_error(tmp_path, capsys, monkeypatch):
+    from blockdiag import cli
+
+    def overflowing(args):
+        report = Report(command="check", inputs_digest="00")
+        report.certificates["margin"] = float("-inf")
+        return report, 0
+
+    monkeypatch.setattr(cli, "cmd_check", overflowing)
+    path = _write_fixture(tmp_path, mu=1.0)
+    out = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(out)]) == 3
+    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert json.loads(out.read_text()) == obj
+
+
+SCALED_COMMANDS = [
+    ["check"],
+    ["diagonalize"],
+    ["triangularize"],
+    ["riccati-solve"],
+    ["subordinated"],
+    ["neumann", "--lambda", "0,{s}"],
+    ["relbound", "--tau-grid", "{s},{s100}"],
+]
+
+
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e300])
+def test_cli_commands_invariant_under_scaling(tmp_path, s):
+    from blockdiag import run_theorem, solve_newton_X0
+    from blockdiag.cli import _spectral_route
+
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    scaled = BlockMatrix(s * b.A0, s * b.A1, s * b.W0, s * b.W1)
+    path = tmp_path / "scaled.json"
+    save_problem(path, ProblemFile(block=scaled, mu=0.0))
+    for command in SCALED_COMMANDS:
+        argv = [a.format(s=s, s100=100 * s) for a in command[1:]]
+        assert main([command[0], str(path)] + argv) == 0, command[0]
+
+    def rel(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    pair, pair_s = _spectral_route(b, 0.0), _spectral_route(scaled, 0.0)
+    assert rel(pair_s.X0, pair.X0) <= 1e-10
+    assert rel(pair_s.X1, pair.X1) <= 1e-10
+    assert rel(run_theorem(scaled, mu=0.0).X, run_theorem(b, mu=0.0).X) <= 1e-10
+    x_s, trace = solve_newton_X0(scaled, tol=1e-12)
+    assert trace.converged
+    assert rel(x_s, solve_newton_X0(b, tol=1e-12)[0]) <= 1e-10
 
 
 def test_cli_error_json_carries_sigma_min(tmp_path, capsys):
