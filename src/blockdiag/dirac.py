@@ -19,13 +19,14 @@ operator.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BlockMatrix, frobenius_norm, split
 from .errors import HypothesisError, NumericError, SingularSymbolError, StructuralError
-from .spectral import Subspace, principal_angles
+from .spectral import Subspace, containment_residual
 from .subordinated import TheoremResult, run_theorem
 from .angular import GraphBase, GraphSubspace, from_graph
 
@@ -191,6 +192,23 @@ class DiracPipelineResult:
     norm_X: float
 
 
+@contextmanager
+def _overflow_is_input_error(quantity: str):
+    """Raise an overflow or invalid value inside the block as an input error.
+
+    Usable as a decorator. A potential too large for the grid makes the
+    named quantity overflow; that is a property of the input (exit code 3),
+    not a failed subordination check.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise StructuralError(
+            f"{quantity} not representable ({exc}); the potential is too large"
+        ) from exc
+
+
 def _dft_matrix(grid: GridSpec) -> np.ndarray:
     """Unitary 1-d transform from positions to (possibly shifted) momenta."""
     k = grid.momenta()
@@ -208,6 +226,7 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+@_overflow_is_input_error("Dirac operators")
 def build_operators(problem: DiracProblem) -> DiracOperators:
     """Assemble all dense operators for a problem instance."""
     grid = problem.grid
@@ -268,6 +287,7 @@ def fw_unitarity_residual(ops: DiracOperators) -> float:
     return frobenius_norm(t @ t.conj().T - np.eye(t.shape[0]))
 
 
+@_overflow_is_input_error("spinor-rotated Hamiltonian T H T*")
 def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
     transformed = _hermitize(ops.t_fw @ ops.h_full @ ops.t_fw.conj().T)
     points = ops.sqrt_lap.shape[0]
@@ -294,6 +314,7 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
     return _fw_block_matrix(ops)
 
 
+@_overflow_is_input_error("split-identity residuals")
 def check_subordination_split(
     problem: DiracProblem,
     bm: BlockMatrix | None = None,
@@ -423,5 +444,5 @@ def _max_angle(u: Subspace, v: Subspace) -> float:
     # dimension mismatch cannot be an angle; report the worst possible one
     if u.dim != v.dim:
         return float(np.pi / 2.0)
-    angles = principal_angles(u, v)
-    return float(angles[0]) if angles.size else 0.0
+    # for equal dimensions, sin of the largest angle is norm((I - P_v) Q_u)
+    return float(np.arcsin(min(1.0, containment_residual(u, v))))

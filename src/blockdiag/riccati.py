@@ -4,8 +4,12 @@ The graph of ``X0`` over H0 is invariant for the assembled block matrix
 exactly when ``A1 X0 - X0 A0 - X0 W1 X0 + W0 = 0``; the mirrored equation
 characterizes graphs over H1, and both combine into a single quadratic
 equation for the off-diagonal operator Y. The Newton iteration solves the
-H0 equation independently of any eigensolver and serves as a mutual
-oracle for the spectral route.
+H0 equation without an eigensolve of the assembled matrix and serves as a
+mutual oracle for the spectral route. Each Newton step is a Sylvester
+equation, solved by Bartels-Stewart on one triangular form per
+coefficient: ``eigh`` for a bitwise-Hermitian coefficient, the complex
+Schur form otherwise. The spectra separation gate reads the diagonals of
+those forms, so no coefficient is factored twice.
 """
 
 from __future__ import annotations
@@ -14,14 +18,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .angular import AngularPair
-from .core import BlockMatrix, as_matrix, frobenius_norm, norm_lower_bound
+from .core import (
+    BlockMatrix,
+    _bitwise_hermitian,
+    as_matrix,
+    frobenius_norm,
+    norm_lower_bound,
+)
 from .errors import NumericError, StructuralError, SylvesterSingularError
 
 #: Relative spectra separation below which a Sylvester equation is
 #: treated as singular.
 SYLVESTER_SEPARATION_TOL = 1e-10
+
+#: Largest side of a triangular Sylvester block handed to ``ztrsyl``.
+TRSYL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,15 +109,58 @@ def residual_block(b: BlockMatrix, p: AngularPair) -> RiccatiResidual:
     return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, b, p.Y))
 
 
-def solve_sylvester(P, Q, C) -> np.ndarray:
-    """Solve ``P Z - Z Q = C`` by Schur-based back-substitution.
+def _triangular_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``m = U T U*`` (T upper triangular, U unitary).
 
-    Raises :class:`SylvesterSingularError` when the spectra of P and Q are
-    closer than ``SYLVESTER_SEPARATION_TOL`` relative to their norms, and
-    verifies the residual of the computed solution. Both tests use
-    Frobenius norms where that makes them stricter: the separation is
-    measured against upper bounds of the coefficient norms, and the
-    residual against a lower bound of the right-hand side's norm.
+    A bitwise-Hermitian ``m`` takes ``eigh``, whose T is diagonal and real;
+    any other ``m`` takes the complex Schur decomposition.
+    """
+    if _bitwise_hermitian(m):
+        w, u = np.linalg.eigh(m)
+        return np.diag(w.astype(np.complex128)), u
+    return scipy.linalg.schur(m, output="complex")
+
+
+def _solve_triangular_sylvester(tp, tq, c) -> np.ndarray:
+    """Solve ``Tp Y - Y Tq = C`` for upper-triangular ``Tp``, ``Tq``.
+
+    ``ztrsyl`` works one entry at a time, so larger problems are halved
+    along their larger side first: the half solved first feeds the other
+    through one matrix product, and ``ztrsyl`` only sees blocks of at most
+    :data:`TRSYL_BLOCK` rows and columns.
+    """
+    m, n = c.shape
+    if max(m, n) <= TRSYL_BLOCK:
+        y, scale, info = scipy.linalg.lapack.ztrsyl(tp, tq, c, isgn=-1)
+        if info != 0:
+            raise SylvesterSingularError(
+                f"triangular Sylvester solve failed (info {info})"
+            )
+        return y / scale
+    if m >= n:
+        h = m // 2
+        y2 = _solve_triangular_sylvester(tp[h:, h:], tq, c[h:])
+        y1 = _solve_triangular_sylvester(tp[:h, :h], tq, c[:h] - tp[:h, h:] @ y2)
+        return np.vstack([y1, y2])
+    h = n // 2
+    y1 = _solve_triangular_sylvester(tp, tq[:h, :h], c[:, :h])
+    y2 = _solve_triangular_sylvester(tp, tq[h:, h:], c[:, h:] + y1 @ tq[:h, h:])
+    return np.hstack([y1, y2])
+
+
+def solve_sylvester(P, Q, C) -> np.ndarray:
+    """Solve ``P Z - Z Q = C`` by Bartels-Stewart on one Schur form each.
+
+    With ``P = Up Tp Up*`` and ``Q = Uq Tq Uq*`` the equation becomes the
+    triangular ``Tp Y - Y Tq = Up* C Uq``, solved by LAPACK ``ztrsyl``, and
+    ``Z = Up Y Uq*``. Raises :class:`SylvesterSingularError` when the
+    spectra of P and Q, read off the diagonals of Tp and Tq, are closer
+    than ``SYLVESTER_SEPARATION_TOL`` relative to their norms, or when
+    ``ztrsyl`` reports close eigenvalues; verifies the residual of the
+    computed solution. Both tests use Frobenius norms where that makes
+    them stricter: the separation is measured against upper bounds of the
+    coefficient norms, and the residual against a lower bound of the
+    right-hand side's norm.
     """
     p = as_matrix(P, "P")
     q = as_matrix(Q, "Q")
@@ -114,19 +171,17 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         raise StructuralError(
             f"right-hand side must have shape {(p.shape[0], q.shape[0])}, got {c.shape}"
         )
-    eig_p = np.linalg.eigvals(p)
-    eig_q = np.linalg.eigvals(q)
-    sep = float(np.min(np.abs(eig_p[:, None] - eig_q[None, :])))
+    tp, up = _triangular_form(p)
+    tq, uq = _triangular_form(q)
+    sep = float(np.min(np.abs(np.diag(tp)[:, None] - np.diag(tq)[None, :])))
     scale = frobenius_norm(p) + frobenius_norm(q)
     if sep < SYLVESTER_SEPARATION_TOL * max(scale, 1.0):
         raise SylvesterSingularError(
             f"spectra of P and Q overlap numerically (separation {sep:.3e}, "
             f"scale {scale:.3e})"
         )
-    try:
-        z = scipy.linalg.solve_sylvester(p, -q, c)
-    except np.linalg.LinAlgError as exc:
-        raise SylvesterSingularError(f"Sylvester solve failed: {exc}") from exc
+    y = _solve_triangular_sylvester(tp, tq, up.conj().T @ c @ uq)
+    z = up @ y @ uq.conj().T
     resid = frobenius_norm(p @ z - z @ q - c)
     rhs_scale = norm_lower_bound(c)
     if resid > 1e-9 * max(rhs_scale, 1e-300):

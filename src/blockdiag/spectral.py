@@ -277,13 +277,6 @@ def invariance_residual(m, sub: Subspace) -> float:
     return frobenius_norm(mq - q @ (q.conj().T @ mq))
 
 
-def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces (radians, descending)."""
-    if u.dim == 0 or v.dim == 0:
-        return np.zeros(0)
-    return scipy.linalg.subspace_angles(u.basis, v.basis)
-
-
 def containment_residual(inner: Subspace, outer: Subspace) -> float:
     """``norm((I - P_outer) Q_inner)``; zero iff inner is contained in outer."""
     if inner.dim == 0:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blockdiag import (
     DiracProblem,
@@ -10,8 +11,9 @@ from blockdiag import (
     fw_transform,
     run_dirac_pipeline,
 )
-from blockdiag.dirac import build_operators, fw_unitarity_residual
+from blockdiag.dirac import _max_angle, build_operators, fw_unitarity_residual
 from blockdiag.errors import SingularSymbolError, StructuralError
+from blockdiag.spectral import Subspace
 from blockdiag.transform import match_spectra
 
 
@@ -238,3 +240,28 @@ def test_potential_profiles():
         ImpurityPotential(amplitude=-1.0)
     with pytest.raises(StructuralError):
         ImpurityPotential(amplitude=1.0, profile="box")
+
+
+def test_split_overflow_names_the_quantity():
+    with pytest.raises(StructuralError, match="split-identity residuals"):
+        check_subordination_split(_problem(n=4, amplitude=1e308))
+    with pytest.raises(StructuralError, match="spinor-rotated Hamiltonian"):
+        fw_transform(_problem(n=16, amplitude=1e308))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_angle_matches_subspace_angles(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 12, 1 + seed
+
+    def subspace(m):
+        return Subspace(basis=np.linalg.qr(m)[0])
+
+    u = subspace(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    near = u.basis + 10.0 ** (-seed) * rng.standard_normal((n, k))
+    for v in (subspace(near), subspace(rng.standard_normal((n, k)))):
+        reference = scipy.linalg.subspace_angles(u.basis, v.basis)[0]
+        assert _max_angle(u, v) == pytest.approx(reference, rel=1e-9, abs=1e-14)
+    orthogonal = Subspace(basis=np.eye(n)[:, :k])
+    assert _max_angle(Subspace(basis=np.eye(n)[:, k : 2 * k]), orthogonal) == np.pi / 2
+    assert _max_angle(orthogonal, orthogonal) == 0.0

@@ -22,6 +22,7 @@ from blockdiag import (
     random_case,
     resolvent_norm,
     save_problem,
+    solve_newton_X0,
 )
 from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import _spectral_route, main
@@ -295,3 +296,21 @@ def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeyp
     assert (nearly.dim, nearly.dim) not in calls["eigvals"]
     assert calls["eigvals"].count((5, 5)) == len(taus)
     assert calls["eigh"] == []
+
+
+@pytest.mark.parametrize("nearly", [False, True])
+def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=2).block
+    if nearly:
+        b = BlockMatrix(b.A0 + 1e-15j * np.eye(6), b.A1, b.W0, b.W1)
+    calls = _kernels(monkeypatch)
+    eigh, schur, eigvals = calls["eigh"], calls["schur"], calls["eigvals"]
+    sylvester = _record_shapes(monkeypatch, scipy.linalg, "solve_sylvester")
+    _, trace = solve_newton_X0(b)
+    assert trace.converged and trace.iterations >= 2
+    assert eigvals == [] and sylvester == []
+    assert len(eigh) + len(schur) == 2 * trace.iterations
+    # the first step's coefficients are A1 and A0 themselves; eigh only
+    # for a bitwise-Hermitian one
+    assert eigh == ([(5, 5)] if nearly else [(5, 5), (6, 6)])
+    assert schur.count((6, 6)) == trace.iterations - (0 if nearly else 1)

@@ -471,3 +471,23 @@ def test_cli_error_json_carries_sigma_min(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert obj["error"]["type"] == "NotAGraphError"
     assert obj["error"]["sigma_min"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "args, quantity",
+    [
+        (["--n", "4"], "split-identity residuals"),
+        (["--n", "4", "--out", "{out}"], "split-identity residuals"),
+        ([], "spinor-rotated Hamiltonian"),
+    ],
+)
+def test_cli_dirac_overflow_is_an_input_error(tmp_path, capsys, args, quantity):
+    """An overflowing potential exits 3 with or without ``--out``, at any grid."""
+    out = tmp_path / "report.json"
+    argv = ["dirac", "--amplitude", "1e308"] + [a.format(out=out) for a in args]
+    assert main(argv) == 3
+    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert quantity in obj["error"]["message"]
+    if "--out" in args:
+        assert json.loads(out.read_text()) == obj

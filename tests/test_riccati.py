@@ -1,6 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockdiag import riccati
 from blockdiag import (
     BlockMatrix,
     form_pair,
@@ -213,3 +220,173 @@ def test_riccati_invariance_correspondence(analytic):
         else:
             assert inv_res >= 1e-3
             assert ric >= 1e-3
+
+
+# --- Bartels-Stewart solver ------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 7)
+#: bitwise Hermitian, Hermitian up to a rounding-size defect (the bitwise
+#: test fails), generic complex
+kinds = st.sampled_from(["hermitian", "nearly", "general"])
+
+
+def _cmat(rng, r, c):
+    return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+
+def _coefficient(rng, n, kind, shift):
+    m = _cmat(rng, n, n)
+    if kind != "general":
+        m = 0.5 * (m + m.conj().T)
+    m = m + shift * np.eye(n)
+    if kind == "nearly":
+        m = m + 1e-15 * _cmat(rng, n, n)
+    assert np.array_equal(m, m.conj().T) == (kind == "hermitian")
+    return m
+
+
+def _rel_dist(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def _eigvals_separation(p, q):
+    return np.min(np.abs(np.linalg.eigvals(p)[:, None] - np.linalg.eigvals(q)[None, :]))
+
+
+@PROPERTY
+@given(
+    seeds, dims, dims, kinds, kinds, st.floats(-3.0, 3.0), st.sampled_from([1, 2, 3, 64])
+)
+def test_sylvester_matches_scipy(seed, n0, n1, kind_p, kind_q, log_scale, block):
+    """Equal to ``scipy.linalg.solve_sylvester`` for every coefficient kind,
+    also when the triangular solve is split into small blocks."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    p = scale * _coefficient(rng, n1, kind_p, 10.0)
+    q = scale * _coefficient(rng, n0, kind_q, -10.0)
+    c = scale * _cmat(rng, n1, n0)
+    with mock.patch.object(riccati, "TRSYL_BLOCK", block):
+        z = solve_sylvester(p, q, c)
+    assert _rel_dist(z, scipy.linalg.solve_sylvester(p, -q, c)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(65, 3), (3, 130), (100, 70)])
+def test_sylvester_blocked_solve_matches_scipy(shape):
+    rng = np.random.default_rng(sum(shape))
+    n1, n0 = shape
+    p = _coefficient(rng, n1, "general", 30.0)
+    q = _coefficient(rng, n0, "hermitian", -30.0)
+    c = _cmat(rng, n1, n0)
+    z = solve_sylvester(p, q, c)
+    assert _rel_dist(z, scipy.linalg.solve_sylvester(p, -q, c)) <= 1e-10
+
+
+@PROPERTY
+@given(seeds, dims, dims, kinds, kinds, st.floats(-3.0, 3.0))
+def test_separation_off_triangular_diagonals_matches_eigvals(
+    seed, n0, n1, kind_p, kind_q, log_scale
+):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    p = scale * _coefficient(rng, n1, kind_p, 1.0)
+    q = scale * _coefficient(rng, n0, kind_q, -1.0)
+    (tp, _), (tq, _) = riccati._triangular_form(p), riccati._triangular_form(q)
+    sep = np.min(np.abs(np.diag(tp)[:, None] - np.diag(tq)[None, :]))
+    norms = np.linalg.norm(p) + np.linalg.norm(q)
+    assert abs(sep - _eigvals_separation(p, q)) <= 1e-12 * norms
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "general"])
+@pytest.mark.parametrize("delta", [1e-13, 1e-12])
+def test_sylvester_near_overlapping_spectra_rejected(kind, delta):
+    """One eigenvalue of Q within ``delta`` (relative) of one of P's."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(_cmat(rng, 4, 4))
+    d = np.array([1.0, 2.0, 3.0, 4.0])
+    upper = np.triu(_cmat(rng, 4, 4), 1) if kind == "general" else 0.0
+    p = u @ (np.diag(d) + upper) @ u.conj().T
+    if kind == "hermitian":
+        p = 0.5 * (p + p.conj().T)
+    q = np.diag([2.0 + delta * np.linalg.norm(p), -5.0])
+    assert _eigvals_separation(p, q) < riccati.SYLVESTER_SEPARATION_TOL
+    with pytest.raises(SylvesterSingularError, match="overlap"):
+        solve_sylvester(p, q, np.ones((4, 2)))
+
+
+def test_sylvester_trsyl_failure_raises(monkeypatch):
+    def failing(a, b, c, **kwargs):
+        return c, 1.0, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", failing)
+    with pytest.raises(SylvesterSingularError, match="info 1"):
+        solve_sylvester(np.diag([1.0, 2.0]), np.diag([-1.0]), np.ones((2, 1)))
+
+
+# --- Newton metamorphic properties -------------------------------------------
+
+
+def _gapped_block(rng, n0, n1, kind, coupling):
+    """Spectra of A0 near -2 and of A1 near +2, coupled by ``coupling``."""
+    if kind == "hermitian":
+        a0 = _coefficient(rng, n0, "hermitian", 0.0) / np.sqrt(8 * n0) - 2.0 * np.eye(n0)
+        a1 = _coefficient(rng, n1, "hermitian", 0.0) / np.sqrt(8 * n1) + 2.0 * np.eye(n1)
+        w1 = coupling * _cmat(rng, n0, n1) / np.sqrt(2 * max(n0, n1))
+        return BlockMatrix(a0, a1, w1.conj().T, w1)
+    g = np.sqrt(8 * max(n0, n1))
+    return BlockMatrix(
+        _cmat(rng, n0, n0) / g - 2.0 * np.eye(n0),
+        _cmat(rng, n1, n1) / g + 2.0 * np.eye(n1),
+        coupling * _cmat(rng, n1, n0) / g,
+        coupling * _cmat(rng, n0, n1) / g,
+    )
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_cmat(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@PROPERTY
+@given(
+    seeds, dims, dims, st.sampled_from(["hermitian", "general"]),
+    st.floats(0.05, 0.5), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+)
+def test_newton_invariant_under_diagonal_shift(seed, n0, n1, kind, coupling, re, im):
+    """``A0 + sI``, ``A1 + sI`` leave the graph equation, hence every Newton
+    iterate, unchanged. The stopping test is relative to ``norm(A) +
+    norm(V)``, which the shift does change, so the shifted run's tolerance
+    is rescaled to stop at the same absolute residual."""
+    b = _gapped_block(np.random.default_rng(seed), n0, n1, kind, coupling)
+    s = complex(re, im)
+    shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
+    tol = 1e-12
+    tol_s = tol * (b.norm_A + b.norm_V) / (shifted.norm_A + shifted.norm_V)
+    x, trace = solve_newton_X0(b, tol=tol)
+    x_s, trace_s = solve_newton_X0(shifted, tol=tol_s)
+    assert trace.converged and trace_s.converged
+    assert trace_s.iterations == trace.iterations
+    assert np.linalg.norm(x_s - x) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
+
+
+@PROPERTY
+@given(
+    seeds, dims, dims, st.sampled_from(["hermitian", "general"]), st.floats(0.05, 0.5)
+)
+def test_newton_covariant_under_block_unitary_basis_change(seed, n0, n1, kind, coupling):
+    """``diag(U0, U1)`` conjugation maps the Newton solution to ``U1 X U0*``."""
+    rng = np.random.default_rng(seed)
+    b = _gapped_block(rng, n0, n1, kind, coupling)
+    u0, u1 = _unitary(rng, n0), _unitary(rng, n1)
+    rotated = BlockMatrix(
+        u0 @ b.A0 @ u0.conj().T,
+        u1 @ b.A1 @ u1.conj().T,
+        u1 @ b.W0 @ u0.conj().T,
+        u0 @ b.W1 @ u1.conj().T,
+    )
+    x, trace = solve_newton_X0(b)
+    x_r, trace_r = solve_newton_X0(rotated)
+    assert trace.converged and trace_r.converged
+    expected = u1 @ x @ u0.conj().T
+    assert np.linalg.norm(x_r - expected) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
