@@ -8,9 +8,7 @@ angular operators, and the similarity transforms they induce.
 
 from .core import (
     BlockMatrix,
-    SignatureJ,
     assemble,
-    default_tol,
     is_hermitian,
     is_symmetric_offdiag,
     operator_norm,
@@ -27,11 +25,8 @@ from .angular import (
     to_graph,
 )
 from .spectral import (
-    Spectrum,
     Subspace,
-    eigendecompose,
     invariant_subspace_by_region,
-    kernel,
     spectral_subspace_below,
 )
 from .riccati import (
@@ -59,7 +54,6 @@ from .criteria import (
     estimate_relative_bound,
     neumann_certificate,
     resolvent_norm,
-    sweep_resolvent_norms,
 )
 from .subordinated import (
     SubordinationCheck,
@@ -74,7 +68,6 @@ from .dirac import (
     DiracProblem,
     GridSpec,
     ImpurityPotential,
-    build_free_dirac,
     check_subordination_split,
     fw_transform,
     run_dirac_pipeline,
@@ -84,67 +77,3 @@ from .io import ProblemFile, Report, load_problem, save_problem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngularPair",
-    "BlockMatrix",
-    "ComplementarityReport",
-    "DiagonalizationResult",
-    "DiracProblem",
-    "GraphBase",
-    "GraphSubspace",
-    "GridSpec",
-    "ImpurityPotential",
-    "NeumannCertificate",
-    "NewtonTrace",
-    "ProblemFile",
-    "RelativeBoundEstimate",
-    "Report",
-    "RiccatiResidual",
-    "SignatureJ",
-    "Spectrum",
-    "SubordinationCheck",
-    "Subspace",
-    "TheoremResult",
-    "TriangularizationResult",
-    "assemble",
-    "build_free_dirac",
-    "build_L",
-    "check_complementary",
-    "check_subordination",
-    "check_subordination_split",
-    "choose_mu",
-    "default_tol",
-    "diagonalize_left",
-    "diagonalize_right",
-    "eigendecompose",
-    "estimate_relative_bound",
-    "form_pair",
-    "from_graph",
-    "fw_transform",
-    "invariant_subspace_by_region",
-    "is_hermitian",
-    "is_symmetric_offdiag",
-    "kernel",
-    "load_problem",
-    "neumann_certificate",
-    "operator_norm",
-    "random_case",
-    "residual_block",
-    "residual_X0",
-    "residual_X1",
-    "resolvent_norm",
-    "run_dirac_pipeline",
-    "run_theorem",
-    "save_problem",
-    "solve_newton_X0",
-    "solve_sylvester",
-    "spectral_subspace_below",
-    "split",
-    "sweep_resolvent_norms",
-    "to_graph",
-    "triangularize",
-    "verify_extended_identity",
-    "verify_kernel_split",
-    "verify_resolvent_invariance",
-    "verify_spectral_identity",
-]

@@ -9,6 +9,11 @@ runs a pipeline, prints a short summary, optionally writes a JSON report
     2  hypothesis / well-posedness failure
     3  input or parse error
     4  internal error (an exception outside the toolkit's own hierarchy)
+
+Every command is one entry of :data:`COMMANDS`. Its run function only
+fills the report and returns its verdict; :func:`main` loads the problem
+file, prints the summary, maps the verdict to the exit code and writes
+the report. An error is one JSON object on stderr (and in ``--out``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,16 +63,6 @@ def _timed(timings: dict, name: str):
     start = time.perf_counter()
     yield
     timings[name] = (time.perf_counter() - start) * 1e3
-
-
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise StructuralError(f"expected 're,im', got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise StructuralError(f"cannot parse complex number {text!r}: {exc}") from exc
 
 
 def choose_split_mu(b: BlockMatrix) -> float:
@@ -106,7 +103,7 @@ def _spectral_route(b: BlockMatrix, mu: float) -> angular.AngularPair:
 
 
 def _resolve_mu(args, problem) -> float:
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         return float(args.mu)
     if problem.mu is not None:
         return float(problem.mu)
@@ -130,25 +127,24 @@ def _sample_shifts(b: BlockMatrix, count: int, seed: int) -> list[complex]:
     return shifts
 
 
-def cmd_random(args) -> tuple[Report | None, int]:
-    problem = random_case(
-        n0=args.n0,
-        n1=args.n1,
-        gap=args.gap,
-        coupling=args.coupling,
-        seed=args.seed,
-        kernel_dim=args.kernel_dim,
+def _random(args, report, problem) -> None:
+    save_problem(
+        args.out,
+        random_case(
+            n0=args.n0,
+            n1=args.n1,
+            gap=args.gap,
+            coupling=args.coupling,
+            seed=args.seed,
+            kernel_dim=args.kernel_dim,
+        ),
     )
-    save_problem(args.out, problem)
     print(f"wrote {args.out} (sha256 {digest_file(args.out)[:16]}...)")
-    return None, 0
 
 
-def cmd_check(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _check(args, report, problem) -> bool:
     b = problem.block
     tol = args.tol
-    report = Report(command="check", inputs_digest=digest_file(args.file))
     timings = report.timings
     mu = _resolve_mu(args, problem)
     with _timed(timings, "spectral_route"):
@@ -214,19 +210,15 @@ def cmd_check(args) -> tuple[Report, int]:
         "sigma_min": comp.sigma_min,
         "norm_Y": comp.norm_Y,
     }
-    numeric_ok = (
+    return (
         all(v <= tol for v in report.residuals.values())
         and comp.complementary
         and ident.ok
     )
-    _summary("check", report, ok=numeric_ok)
-    return report, 0 if numeric_ok else 1
 
 
-def cmd_diagonalize(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _diagonalize(args, report, problem) -> bool:
     b = problem.block
-    report = Report(command="diagonalize", inputs_digest=digest_file(args.file))
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = _spectral_route(b, mu)
@@ -253,15 +245,11 @@ def cmd_diagonalize(args) -> tuple[Report, int]:
         "left": left.conditioning,
         "right": right.conditioning,
     }
-    ok = max(left.offdiag_rel_norm, right.offdiag_rel_norm) <= args.tol
-    _summary("diagonalize", report, ok=ok)
-    return report, 0 if ok else 1
+    return max(left.offdiag_rel_norm, right.offdiag_rel_norm) <= args.tol
 
 
-def cmd_triangularize(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _triangularize(args, report, problem) -> bool:
     b = problem.block
-    report = Report(command="triangularize", inputs_digest=digest_file(args.file))
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = _spectral_route(b, mu)
@@ -273,15 +261,11 @@ def cmd_triangularize(args) -> tuple[Report, int]:
             "block1": eigenvalues(tri.diag_blocks[1]),
         }
     )
-    ok = tri.lower_left_rel_norm <= args.tol
-    _summary("triangularize", report, ok=ok)
-    return report, 0 if ok else 1
+    return tri.lower_left_rel_norm <= args.tol
 
 
-def cmd_riccati_solve(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _riccati_solve(args, report, problem) -> bool:
     b = problem.block
-    report = Report(command="riccati-solve", inputs_digest=digest_file(args.file))
     with _timed(report.timings, "newton"):
         x, trace = riccati.solve_newton_X0(
             b, tol=args.tol, max_iter=args.max_iter
@@ -298,18 +282,15 @@ def cmd_riccati_solve(args) -> tuple[Report, int]:
             pair = _spectral_route(b, mu)
         delta = frobenius_norm(x - pair.X0) / (1.0 + operator_norm(pair.X0))
         report.residuals["newton_vs_spectral"] = delta
-    _summary("riccati-solve", report, ok=trace.converged)
-    return report, 0 if trace.converged else 1
+    return trace.converged
 
 
-def cmd_subordinated(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _subordinated(args, report, problem) -> bool:
     b = problem.block
-    report = Report(command="subordinated", inputs_digest=digest_file(args.file))
     mu = args.mu if args.mu is not None else problem.mu
-    check = subordinated.check_subordination(
-        b, mu if mu is not None else subordinated.choose_mu(b)
-    )
+    with _timed(report.timings, "pipeline"):
+        result = subordinated.run_theorem(b, mu=mu, tol=args.tol)
+    check = result.check
     report.certificates["subordination"] = {
         "mu": check.mu,
         "sup_spec_A0": check.sup_spec_A0,
@@ -319,8 +300,6 @@ def cmd_subordinated(args) -> tuple[Report, int]:
     report.flags.update(
         {"subordinated": check.subordinated, "symmetric_offdiag": check.symmetric_V}
     )
-    with _timed(report.timings, "pipeline"):
-        result = subordinated.run_theorem(b, mu=mu, tol=args.tol)
     report.residuals.update(
         {
             "adjointness": result.adjointness_residual,
@@ -343,24 +322,19 @@ def cmd_subordinated(args) -> tuple[Report, int]:
     taus = [scale * 10.0**k for k in range(0, 7)]
     rb = criteria.estimate_relative_bound(b, taus)
     report.certificates["relative_bound"] = {"a": rb.a, "b_star": rb.b_star}
-    ok = (
+    return (
         result.reduces_ok
         and result.kernel_split_ok
         and all(v <= args.tol for v in report.residuals.values())
     )
-    _summary("subordinated", report, ok=ok)
-    return report, 0 if ok else 1
 
 
-def cmd_neumann(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
+def _neumann(args, report, problem) -> bool:
     b = problem.block
-    report = Report(command="neumann", inputs_digest=digest_file(args.file))
-    lam = _parse_complex(args.lam)
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = _spectral_route(b, mu)
-        cert = criteria.neumann_certificate(b, pair, lam)
+        cert = criteria.neumann_certificate(b, pair, complex(*args.lam))
     report.certificates["neumann"] = {
         "lambda": cert.lam,
         "norm_V_resolvent": cert.norm_V_resolvent,
@@ -370,46 +344,26 @@ def cmd_neumann(args) -> tuple[Report, int]:
         "sigma_min_AYV": cert.sigma_min_AYV,
     }
     report.flags["holds"] = cert.holds
-    _summary("neumann", report, ok=cert.holds)
-    return report, 0 if cert.holds else 1
+    return cert.holds
 
 
-def cmd_relbound(args) -> tuple[Report, int]:
-    problem = load_problem(args.file)
-    b = problem.block
-    report = Report(command="relbound", inputs_digest=digest_file(args.file))
-    if args.tau_grid:
-        try:
-            taus = [float(t) for t in args.tau_grid.split(",")]
-        except ValueError as exc:
-            raise StructuralError(f"cannot parse tau grid {args.tau_grid!r}: {exc}") from exc
-    else:
-        taus = list(
-            np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.tau_count)
-        )
+def _relbound(args, report, problem) -> bool:
+    taus = args.tau_grid or np.logspace(
+        np.log10(args.tau_min), np.log10(args.tau_max), args.tau_count
+    )
     with _timed(report.timings, "sweep"):
-        rb = criteria.estimate_relative_bound(b, taus)
+        rb = criteria.estimate_relative_bound(problem.block, taus)
     report.certificates["relative_bound"] = {
         "a": rb.a,
-        "b": rb.b,
         "b_star": rb.b_star,
         "sweep": [[lam, val] for lam, val in rb.lambda_sweep],
         "resolvent_growth": [[lam, val] for lam, val in rb.resolvent_growth],
     }
     report.residuals["validation_violation"] = rb.validation_max_violation
-    _summary("relbound", report, ok=True)
-    return report, 0
+    return True
 
 
-def cmd_dirac(args) -> tuple[Report, int]:
-    grid = dirac.GridSpec(n=args.n, length=args.box, shifted=True)
-    potential = dirac.ImpurityPotential(
-        amplitude=args.amplitude,
-        profile=args.profile,
-        radius=args.radius,
-        center=_parse_center(args.center) if args.center else None,
-    )
-    problem = dirac.DiracProblem(grid=grid, potential=potential)
+def _dirac(args, report, problem) -> bool | int:
     params = {
         "n": args.n,
         "box": args.box,
@@ -418,7 +372,16 @@ def cmd_dirac(args) -> tuple[Report, int]:
         "radius": args.radius,
         "center": args.center,
     }
-    report = Report(command="dirac", inputs_digest=digest_obj(params))
+    report.inputs_digest = digest_obj(params)
+    problem = dirac.DiracProblem(
+        grid=dirac.GridSpec(n=args.n, length=args.box),
+        potential=dirac.ImpurityPotential(
+            amplitude=args.amplitude,
+            profile=args.profile,
+            radius=args.radius,
+            center=args.center,
+        ),
+    )
     try:
         with _timed(report.timings, "pipeline"):
             result = dirac.run_dirac_pipeline(problem, tol=args.tol)
@@ -426,8 +389,7 @@ def cmd_dirac(args) -> tuple[Report, int]:
         split = dirac.check_subordination_split(problem)
         report.flags["subordinated"] = False
         report.certificates["subordination"] = _split_obj(split)
-        _summary("dirac", report, ok=False)
-        return report, 2
+        return 2
     split = result.split
     report.flags.update(
         {
@@ -459,22 +421,10 @@ def cmd_dirac(args) -> tuple[Report, int]:
     )
     if args.emit_data:
         _emit_dirac_data(args.emit_data, problem, result)
-    ok = (
+    return (
         all(v <= args.tol for v in report.residuals.values())
         and result.norm_X < 1.0
     )
-    _summary("dirac", report, ok=ok)
-    return report, 0 if ok else 1
-
-
-def _parse_center(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise StructuralError(f"expected 'x,y', got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise StructuralError(f"cannot parse center {text!r}: {exc}") from exc
 
 
 def _split_obj(split: dirac.DiracSplitReport) -> dict:
@@ -485,13 +435,10 @@ def _split_obj(split: dirac.DiracSplitReport) -> dict:
         "u_inf": split.u_inf,
         "k_min": split.k_min,
         "block_identity_residual": split.block_identity_residual,
-        "display_identity_residual": split.display_identity_residual,
     }
 
 
 def _emit_dirac_data(directory: str, problem: dirac.DiracProblem, result) -> None:
-    import os
-
     os.makedirs(directory, exist_ok=True)
     kx, ky = problem.grid.momentum_mesh()
     with open(os.path.join(directory, "momenta.csv"), "w", encoding="utf-8") as fh:
@@ -512,14 +459,6 @@ def _emit_dirac_data(directory: str, problem: dirac.DiracProblem, result) -> Non
             fh.write(",".join(cols) + "\n")
 
 
-def _summary(command: str, report: Report, ok: bool) -> None:
-    print(f"[{command}] {'PASS' if ok else 'FAIL'}")
-    for key, value in sorted(report.residuals.items()):
-        print(f"  {key:28s} {value:.3e}")
-    for key, value in sorted(report.flags.items()):
-        print(f"  {key:28s} {value}")
-
-
 def _checked(convert, ok, requirement: str):
     """Argument type that converts and validates at parse time (exit 3)."""
 
@@ -535,14 +474,132 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
+
+
 _positive_float = _checked(float, lambda v: v > 0.0, "> 0")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_pair = _checked(_floats, lambda v: len(v) == 2, "two comma-separated numbers")
 _out_path = _checked(
     str,
     lambda v: os.path.isdir(os.path.dirname(os.path.abspath(v))),
     "a path in an existing directory",
 )
+
+
+def _opt(*flags, **kwargs) -> tuple:
+    """One ``add_argument`` call of a command: its flags and keywords."""
+    return flags, kwargs
+
+
+_TOL = _opt("--tol", type=_positive_float, default=CHECK_TOL,
+            help="pass/fail threshold for relative residuals")
+_MU = _opt("--mu", type=float, default=None,
+           help="spectral splitting threshold (defaults to the file's)")
+_OUT = _opt("--out", type=_out_path, default=None, help="write the JSON report here")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command.
+
+    ``run(args, report, problem)`` fills ``report`` and returns its verdict:
+    true (pass, exit 0), false (tolerance failure, exit 1) or an ``int``
+    exit code; ``None`` means it writes no report. ``problem`` is the loaded
+    problem file when ``reads_file`` is set (the command then takes a
+    ``file`` argument), else ``None``.
+    """
+
+    run: Callable
+    help: str
+    options: tuple
+    reads_file: bool = True
+
+
+COMMANDS = {
+    "random": Command(
+        _random,
+        "generate a seeded random problem file",
+        (
+            _opt("--n0", type=int, required=True),
+            _opt("--n1", type=int, required=True),
+            _opt("--gap", type=float, default=1.0),
+            _opt("--coupling", type=float, default=0.5),
+            _opt("--seed", type=int, default=0),
+            _opt("--kernel-dim", type=int, default=0),
+            _opt("--out", type=_out_path, required=True),
+        ),
+        reads_file=False,
+    ),
+    "check": Command(
+        _check,
+        "full verification pipeline on a problem file",
+        (
+            _TOL,
+            _MU,
+            _OUT,
+            _opt("--lambdas", type=_positive_int, default=3,
+                 help="number of sampled resolvent shifts"),
+            _opt("--seed", type=int, default=0),
+            _opt("--perturb-x0", type=float, default=0.0,
+                 help="corrupt the extracted angular operator (negative control)"),
+        ),
+    ),
+    "diagonalize": Command(_diagonalize, "run both block diagonalizations", (_TOL, _MU, _OUT)),
+    "triangularize": Command(_triangularize, "run the block triangularization", (_TOL, _MU, _OUT)),
+    "riccati-solve": Command(
+        _riccati_solve,
+        "Newton solve of the H0 graph equation",
+        (
+            _opt("--tol", type=_positive_float, default=1e-12,
+                 help="Newton stopping tolerance"),
+            _MU,
+            _opt("--max-iter", type=_nonnegative_int, default=25),
+            _OUT,
+        ),
+    ),
+    "subordinated": Command(_subordinated, "subordinated-spectra decomposition", (_TOL, _MU, _OUT)),
+    "neumann": Command(
+        _neumann,
+        "resolvent-intersection certificate",
+        (
+            _opt("--lambda", dest="lam", type=_pair, required=True, metavar="RE,IM"),
+            _TOL,
+            _MU,
+            _OUT,
+        ),
+    ),
+    "relbound": Command(
+        _relbound,
+        "relative-bound sweep along the imaginary axis",
+        (
+            _opt("--tau-grid", type=_floats, default=None,
+                 help="comma-separated shift magnitudes"),
+            _opt("--tau-min", type=float, default=1.0),
+            _opt("--tau-max", type=float, default=1e6),
+            _opt("--tau-count", type=int, default=13),
+            _OUT,
+        ),
+    ),
+    "dirac": Command(
+        _dirac,
+        "discrete Dirac impurity demonstration",
+        (
+            _opt("--n", type=int, default=16, help="grid points per axis (even)"),
+            _opt("--box", type=float, default=2.0 * np.pi, help="box side length"),
+            _opt("--amplitude", type=float, default=0.0),
+            _opt("--profile", choices=("disk", "gaussian"), default="disk"),
+            _opt("--radius", type=float, default=1.0),
+            _opt("--center", type=_pair, default=None, metavar="X,Y"),
+            _TOL,
+            _OUT,
+            _opt("--emit-data", default=None, metavar="DIR"),
+        ),
+        reads_file=False,
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -557,128 +614,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block 2x2 operator-matrix decomposition toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_mu=True):
-        p.add_argument("--tol", type=_positive_float, default=CHECK_TOL,
-                       help="pass/fail threshold for relative residuals")
-        if with_mu:
-            p.add_argument("--mu", type=float, default=None,
-                           help="spectral splitting threshold (defaults to the file's)")
-        p.add_argument("--out", type=_out_path, default=None,
-                       help="write the JSON report here")
-
-    p = sub.add_parser("random", help="generate a seeded random problem file")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel-dim", type=int, default=0)
-    p.add_argument("--out", type=_out_path, required=True)
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("check", help="full verification pipeline on a problem file")
-    p.add_argument("file")
-    common(p)
-    p.add_argument("--lambdas", type=_positive_int, default=3,
-                   help="number of sampled resolvent shifts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb-x0", type=float, default=0.0,
-                   help="corrupt the extracted angular operator (negative control)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("diagonalize", help="run both block diagonalizations")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_diagonalize)
-
-    p = sub.add_parser("triangularize", help="run the block triangularization")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_triangularize)
-
-    p = sub.add_parser("riccati-solve", help="Newton solve of the H0 graph equation")
-    p.add_argument("file")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--max-iter", type=_nonnegative_int, default=25)
-    p.add_argument("--out", type=_out_path, default=None)
-    p.set_defaults(func=cmd_riccati_solve)
-
-    p = sub.add_parser("subordinated", help="subordinated-spectra decomposition")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_subordinated)
-
-    p = sub.add_parser("neumann", help="resolvent-intersection certificate")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="RE,IM")
-    common(p)
-    p.set_defaults(func=cmd_neumann)
-
-    p = sub.add_parser("relbound", help="relative-bound sweep along the imaginary axis")
-    p.add_argument("file")
-    p.add_argument("--tau-grid", default=None, help="comma-separated shift magnitudes")
-    p.add_argument("--tau-min", type=float, default=1.0)
-    p.add_argument("--tau-max", type=float, default=1e6)
-    p.add_argument("--tau-count", type=int, default=13)
-    p.add_argument("--out", type=_out_path, default=None)
-    p.set_defaults(func=cmd_relbound)
-
-    p = sub.add_parser("dirac", help="discrete Dirac impurity demonstration")
-    p.add_argument("--n", type=int, default=16, help="grid points per axis (even)")
-    p.add_argument("--box", type=float, default=2.0 * np.pi, help="box side length")
-    p.add_argument("--amplitude", type=float, default=0.0)
-    p.add_argument("--profile", choices=("disk", "gaussian"), default="disk")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--center", default=None, metavar="X,Y")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; the built-in profiles are deterministic")
-    p.add_argument("--tol", type=_positive_float, default=CHECK_TOL)
-    p.add_argument("--out", type=_out_path, default=None)
-    p.add_argument("--emit-data", default=None, metavar="DIR")
-    p.set_defaults(func=cmd_dirac)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.reads_file:
+            p.add_argument("file")
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
+def _run(args) -> int:
+    """Run one parsed command: load, run, print the summary, write the report."""
+    command = COMMANDS[args.command]
+    problem = load_problem(args.file) if command.reads_file else None
+    report = Report(
+        command=args.command,
+        inputs_digest=digest_file(args.file) if command.reads_file else "",
+    )
+    verdict = command.run(args, report, problem)
+    if verdict is None:
+        return 0
+    # an int is an exit code; any other verdict (bool, numpy bool) passes or fails
+    code = verdict if type(verdict) is int else int(not verdict)
+    print(f"[{args.command}] {'PASS' if code == 0 else 'FAIL'}")
+    for key, value in sorted(report.residuals.items()):
+        print(f"  {key:28s} {value:.3e}")
+    for key, value in sorted(report.flags.items()):
+        print(f"  {key:28s} {value}")
+    if args.out:
+        # inside the contract: an unwritable report is an error, not a crash
+        write_json_atomic(args.out, report.to_obj())
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
-        report, code = args.func(args)
-        out = getattr(args, "out", None)
-        if out and report is not None:
-            # inside the contract: an unwritable report is an error, not a crash
-            write_json_atomic(out, report.to_obj())
-    except BlockdiagError as exc:
-        code = _exit_code_for(exc)
+        args = build_parser().parse_args(argv)
+        return _run(args)
+    except Exception as exc:
+        if isinstance(exc, StructuralError):
+            code = 3
+        elif isinstance(exc, NumericError):
+            code = 1
+        elif isinstance(exc, BlockdiagError):
+            code = 2
+        else:
+            # a crash must never read as a tolerance failure (exit 1)
+            traceback.print_exc(file=sys.stderr)
+            code = INTERNAL_ERROR
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, NumericError):
             error["diagnostics"] = {k: _plain(v) for k, v in exc.diagnostics.items()}
         if isinstance(exc, NotAGraphError):
             error["sigma_min"] = _plain(exc.sigma_min)
         error_obj = {"error": error}
-        _emit_error(args, error_obj)
+        print(json.dumps(error_obj), file=sys.stderr)
+        out = getattr(args, "out", None)
+        if out:
+            write_json_atomic(out, error_obj)
         return code
-    except Exception as exc:
-        # a crash must never read as a tolerance failure (exit 1)
-        traceback.print_exc(file=sys.stderr)
-        code = INTERNAL_ERROR
-        error_obj = {
-            "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
-        }
-        _emit_error(args, error_obj)
-        return code
-    return code
-
-
-def _emit_error(args, error_obj: dict) -> None:
-    print(json.dumps(error_obj))
-    out = getattr(args, "out", None)
-    if out:
-        write_json_atomic(out, error_obj)
 
 
 def _plain(value):
@@ -688,14 +683,6 @@ def _plain(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
-
-
-def _exit_code_for(exc: BlockdiagError) -> int:
-    if isinstance(exc, StructuralError):
-        return 3
-    if isinstance(exc, NumericError):
-        return 1
-    return 2
 
 
 def entry_point() -> None:

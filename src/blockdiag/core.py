@@ -8,7 +8,6 @@ which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,22 +17,6 @@ from .errors import StructuralError
 
 #: Baseline tolerance used for rank decisions and spectral bands.
 DEFAULT_TOL = 1e-10
-
-_TOL_ENV = "BLOCKDIAG_DEFAULT_TOL"
-
-
-def default_tol() -> float:
-    """Baseline numeric tolerance, overridable via ``BLOCKDIAG_DEFAULT_TOL``."""
-    raw = os.environ.get(_TOL_ENV)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise StructuralError(f"{_TOL_ENV} is not a number: {raw!r}") from exc
-    if not (0.0 < value < 1.0):
-        raise StructuralError(f"{_TOL_ENV} must lie in (0, 1), got {value}")
-    return value
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -115,7 +98,7 @@ def _sigma_min(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
+def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``m`` equals its conjugate transpose up to ``tol * norm``.
 
     The defect is measured in the Frobenius norm and the scale is a lower
@@ -123,8 +106,6 @@ def is_hermitian(m, tol: float | None = None) -> bool:
     fails.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if tol is None:
-        tol = default_tol()
     scale = norm_lower_bound(m)
     return frobenius_norm(m - m.conj().T) <= tol * max(scale, 1.0)
 
@@ -334,43 +315,11 @@ def split(m, n0: int) -> BlockMatrix:
     )
 
 
-def is_symmetric_offdiag(b: BlockMatrix, tol: float | None = None) -> bool:
+def is_symmetric_offdiag(b: BlockMatrix, tol: float = DEFAULT_TOL) -> bool:
     """Whether the coupling is symmetric, ``W0 = W1*`` up to tolerance.
 
     Frobenius defect against a lower bound on ``norm(W1)``, so never looser
     than the exact 2-norm test.
     """
-    if tol is None:
-        tol = default_tol()
     defect = frobenius_norm(b.W0 - b.W1.conj().T)
     return defect <= tol * (1.0 + norm_lower_bound(b.W1))
-
-
-@dataclass(frozen=True)
-class SignatureJ:
-    """The unitary involution ``J = diag(I_{n0}, -I_{n1})``."""
-
-    n0: int
-    n1: int
-
-    def __post_init__(self):
-        if self.n0 < 0 or self.n1 < 0:
-            raise StructuralError("SignatureJ dimensions must be non-negative")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        d = np.ones(self.n0 + self.n1, dtype=np.complex128)
-        d[self.n0:] = -1.0
-        return np.diag(d)
-
-    def conjugate(self, m) -> np.ndarray:
-        """``J m J``, computed exactly by flipping off-diagonal block signs."""
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (self.n0 + self.n1,) * 2:
-            raise StructuralError(
-                f"matrix shape {m.shape} does not match J of size {self.n0 + self.n1}"
-            )
-        out = m.copy()
-        out[: self.n0, self.n0:] *= -1.0
-        out[self.n0:, : self.n0] *= -1.0
-        return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularPair
-from .core import BlockMatrix, default_tol, frobenius_norm, is_hermitian, operator_norm
+from .core import BlockMatrix, frobenius_norm, is_hermitian, operator_norm
 from .errors import ContractError, NumericError, ResolventError, StructuralError
 from .spectral import eigenvalues
 
@@ -46,16 +46,16 @@ class NeumannCertificate:
 class RelativeBoundEstimate:
     """Sweep-based estimate of the relative bound of V against A.
 
-    ``b_star`` is the smallest resolvent norm seen on the sweep, ``(a, b)``
-    is the certified pair (norm(V), b_star), ``lambda_sweep`` records
-    (shift, resolvent norm) samples and ``resolvent_growth`` the products
+    ``b_star`` is the smallest resolvent norm seen on the sweep,
+    ``(a, b_star)`` is the certified pair (norm(V), b_star),
+    ``lambda_sweep`` records (shift, resolvent norm) samples and
+    ``resolvent_growth`` the products
     ``|shift| * norm((A - shift)^{-1})`` on the same sweep (informational:
     boundedness of those products is the regularity half of the zero-bound
     criterion, which is automatic at finite dimension).
     """
 
     a: float
-    b: float
     b_star: float
     lambda_sweep: list = field(default_factory=list)
     resolvent_growth: list = field(default_factory=list)
@@ -144,19 +144,6 @@ def neumann_certificate(b: BlockMatrix, p: AngularPair, lam: complex) -> Neumann
     )
 
 
-def sweep_resolvent_norms(b: BlockMatrix, shifts) -> list:
-    """``(shift, norm(V (A - shift)^{-1}))`` samples for arbitrary shifts.
-
-    Escape hatch for diagonal parts that are not Hermitian (e.g.
-    m-accretive): the caller supplies the shift list instead of an
-    imaginary-axis grid.
-    """
-    shifts = [complex(s) for s in shifts]
-    if not shifts:
-        raise StructuralError("shift list must not be empty")
-    return [(lam, resolvent_norm(b, lam)) for lam in shifts]
-
-
 def estimate_relative_bound(
     b: BlockMatrix, tau_grid, samples: int = 32, seed: int = 0
 ) -> RelativeBoundEstimate:
@@ -174,7 +161,7 @@ def estimate_relative_bound(
     ):
         raise StructuralError("tau_grid must be positive and strictly ascending")
     a = b.diagonal_part()
-    if not is_hermitian(a, default_tol()):
+    if not is_hermitian(a):
         raise ContractError("relative-bound sweep requires a Hermitian diagonal part")
     v = b.offdiagonal_part()
     sweep = []
@@ -201,7 +188,6 @@ def estimate_relative_bound(
         )
     return RelativeBoundEstimate(
         a=a_const,
-        b=b_star,
         b_star=b_star,
         lambda_sweep=sweep,
         resolvent_growth=growth,

@@ -19,13 +19,14 @@ operator.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BlockMatrix, frobenius_norm, split
-from .errors import HypothesisError, NumericError, SingularSymbolError, StructuralError
+from .errors import HypothesisError, NumericError, StructuralError
 from .spectral import Subspace, containment_residual
 from .subordinated import TheoremResult, run_theorem
 from .angular import GraphBase, GraphSubspace, from_graph
@@ -38,25 +39,25 @@ FW_UNITARITY_TOL = 1e-10
 class GridSpec:
     """Square periodic grid: ``n`` points per axis on a box of side ``length``.
 
-    ``shifted`` selects the half-integer momentum offset; the plain integer
-    grid contains k = 0 and is rejected by every spinor-phase construction.
+    Momenta carry the half-integer offset, so k = 0 is never on the grid.
     """
 
     n: int
     length: float = 2.0 * np.pi
-    shifted: bool = True
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise StructuralError(f"grid size must be even and >= 4, got {self.n}")
-        if self.length <= 0:
-            raise StructuralError(f"box length must be positive, got {self.length}")
+        # an infinite box would put k = 0 on the grid
+        if not 0.0 < self.length < math.inf:
+            raise StructuralError(
+                f"box length must be positive and finite, got {self.length}"
+            )
 
     def momenta(self) -> np.ndarray:
         """1-d momentum values, ascending."""
-        offset = 0.5 if self.shifted else 0.0
         j = np.arange(-self.n // 2, self.n // 2)
-        return (2.0 * np.pi / self.length) * (j + offset)
+        return (2.0 * np.pi / self.length) * (j + 0.5)
 
     def positions(self) -> np.ndarray:
         """1-d grid positions, ascending from 0."""
@@ -122,20 +123,7 @@ class DiracProblem:
     def theta(self) -> np.ndarray:
         """Unimodular spinor phase ``|k| / (k_x - i k_y)`` per momentum."""
         kx, ky = self.grid.momentum_mesh()
-        denom = kx - 1j * ky
-        if np.any(denom == 0):
-            raise SingularSymbolError(
-                "momentum grid contains k = 0; use a shifted grid"
-            )
-        return np.hypot(kx, ky) / denom
-
-    def h0_multiplier(self) -> np.ndarray:
-        """Per-momentum 2x2 blocks ``sigma . k`` (shape points x 2 x 2)."""
-        kx, ky = self.grid.momentum_mesh()
-        blocks = np.zeros((kx.size, 2, 2), dtype=np.complex128)
-        blocks[:, 0, 1] = kx - 1j * ky
-        blocks[:, 1, 0] = kx + 1j * ky
-        return blocks
+        return np.hypot(kx, ky) / (kx - 1j * ky)
 
 
 @dataclass(frozen=True)
@@ -157,16 +145,13 @@ class DiracSplitReport:
     """Split-identity residuals and subordination margins of the FW blocks.
 
     ``block_identity_residual`` measures the actual diagonal blocks against
-    the averaged form ``((+-S + U) + Theta (+-S + U) Theta*) / 2``;
-    ``display_identity_residual`` checks the same averaging identity for
-    the unhalved combination ``+-S + U + Theta U Theta*`` (pure multiplier
-    algebra, independent of the conjugation). ``margin`` is the sufficient
-    condition ``k_min - 2 u_inf`` for subordination at zero, conservative
-    for the actual blocks; the flag itself comes from the eigensolve.
+    the averaged form ``((+-S + U) + Theta (+-S + U) Theta*) / 2``.
+    ``margin`` is the sufficient condition ``k_min - 2 u_inf`` for
+    subordination at zero, conservative for the actual blocks; the flag
+    itself comes from the eigensolve.
     """
 
     block_identity_residual: float
-    display_identity_residual: float
     sup_spec_A1: float
     inf_spec_A0: float
     subordinated: bool
@@ -264,27 +249,26 @@ def build_operators(problem: DiracProblem) -> DiracOperators:
     )
 
 
-def build_free_dirac(grid: GridSpec) -> np.ndarray:
-    """Position-space matrix of the free operator ``sigma . k``."""
-    problem = DiracProblem(grid=grid, potential=ImpurityPotential(amplitude=0.0))
-    if not grid.shifted:
-        # the free operator itself needs no spinor phase; build it directly
-        f1 = _dft_matrix(grid)
-        fourier = np.kron(f1, f1)
-        kx, ky = grid.momentum_mesh()
-        minus = _multiplier(fourier, (kx - 1j * ky).astype(np.complex128))
-        points = grid.points
-        h = np.zeros((2 * points, 2 * points), dtype=np.complex128)
-        h[:points, points:] = minus
-        h[points:, :points] = minus.conj().T
-        return h
-    return build_operators(problem).h_free
-
-
 def fw_unitarity_residual(ops: DiracOperators) -> float:
     """``norm_F(T T* - I)`` of the spinor rotation (bounds the 2-norm defect)."""
     t = ops.t_fw
     return frobenius_norm(t @ t.conj().T - np.eye(t.shape[0]))
+
+
+def _unitary_operators(problem: DiracProblem) -> tuple[DiracOperators, float]:
+    """:func:`build_operators` with the rotation's unitarity verified.
+
+    Returns the operators and their unitarity residual, which must stay
+    within :data:`FW_UNITARITY_TOL`.
+    """
+    ops = build_operators(problem)
+    resid = fw_unitarity_residual(ops)
+    if resid > FW_UNITARITY_TOL:
+        raise NumericError(
+            "spinor rotation lost unitarity",
+            diagnostics={"unitarity_residual": resid},
+        )
+    return ops, resid
 
 
 @_overflow_is_input_error("spinor-rotated Hamiltonian T H T*")
@@ -300,18 +284,7 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
     The output is exactly Hermitian with ``W0 = W1*``; the rotation's
     unitarity is verified to :data:`FW_UNITARITY_TOL`.
     """
-    if not problem.grid.shifted:
-        raise SingularSymbolError(
-            "spinor phase undefined at k = 0; use a shifted grid"
-        )
-    ops = build_operators(problem)
-    resid = fw_unitarity_residual(ops)
-    if resid > FW_UNITARITY_TOL:
-        raise NumericError(
-            "spinor rotation lost unitarity",
-            diagnostics={"unitarity_residual": resid},
-        )
-    return _fw_block_matrix(ops)
+    return _fw_block_matrix(_unitary_operators(problem)[0])
 
 
 @_overflow_is_input_error("split-identity residuals")
@@ -325,10 +298,10 @@ def check_subordination_split(
 
     Reports the residual of the transformed diagonal blocks against the
     average of ``+-S + U`` and its phase conjugate (S the momentum
-    magnitude multiplier), the residual of the same averaging applied to
-    the unhalved combination, and the extreme block eigenvalues; the
+    magnitude multiplier) and the extreme block eigenvalues; the
     subordination flag comes from the eigensolve, while the reported
-    margin ``k_min - 2 u_inf`` is a sufficient but conservative bound.
+    margin ``k_min - 2 u_inf`` is a sufficient but conservative bound,
+    and a margin that overflows is an input error.
     Residuals are Frobenius norms over ``norm(S) + u_inf``, where
     ``norm(S)`` is the largest momentum magnitude on the grid. Pass the
     ``ops`` of the problem when they are already built.
@@ -342,6 +315,14 @@ def check_subordination_split(
     theta = ops.theta_op
     u = np.diag(ops.potential_values).astype(np.complex128)
     u_inf = float(np.max(np.abs(ops.potential_values), initial=0.0))
+    k_min = problem.grid.k_min
+    margin = k_min - 2.0 * u_inf
+    if not math.isfinite(margin):
+        # Python float arithmetic, which no numpy error state sees
+        raise StructuralError(
+            f"subordination margin k_min - 2 u_inf not representable "
+            f"(u_inf = {u_inf:.3e}); the potential is too large"
+        )
     scale = max(float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf, 1.0)
 
     def averaged(mat):
@@ -351,23 +332,16 @@ def check_subordination_split(
         frobenius_norm(bm.A0 - averaged(s + u)),
         frobenius_norm(bm.A1 - averaged(-s + u)),
     ) / scale
-    theta_u_theta = theta @ u @ theta.conj().T
-    display_res = max(
-        frobenius_norm((s + u + theta_u_theta) - averaged(s + 2.0 * u)),
-        frobenius_norm((-s + u + theta_u_theta) - averaged(-s + 2.0 * u)),
-    ) / scale
     sup_a1 = float(np.linalg.eigvalsh(bm.A1)[-1])
     inf_a0 = float(np.linalg.eigvalsh(bm.A0)[0])
     band = tol * scale
     subordinated = sup_a1 <= band and inf_a0 >= -band
-    k_min = problem.grid.k_min
     return DiracSplitReport(
         block_identity_residual=block_res,
-        display_identity_residual=display_res,
         sup_spec_A1=sup_a1,
         inf_spec_A0=inf_a0,
         subordinated=subordinated,
-        margin=k_min - 2.0 * u_inf,
+        margin=margin,
         u_inf=u_inf,
         k_min=k_min,
     )
@@ -382,17 +356,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     and measures their principal angles against the negative/positive
     spectral subspaces of the position-space operator.
     """
-    if not problem.grid.shifted:
-        raise SingularSymbolError(
-            "spinor phase undefined at k = 0; use a shifted grid"
-        )
-    ops = build_operators(problem)
-    unitarity = fw_unitarity_residual(ops)
-    if unitarity > FW_UNITARITY_TOL:
-        raise NumericError(
-            "spinor rotation lost unitarity",
-            diagnostics={"unitarity_residual": unitarity},
-        )
+    ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
     report = check_subordination_split(problem, bm, ops=ops)
     if not report.subordinated:

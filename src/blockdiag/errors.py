@@ -61,7 +61,3 @@ class TheoremViolationError(BlockdiagError):
     breaks a property those hypotheses imply; signals numerical breakdown
     (or a hypothesis check that was too lax) and is itself a finding.
     """
-
-
-class SingularSymbolError(StructuralError):
-    """Momentum grid contains k = 0, where the spinor phase is undefined."""

@@ -198,19 +198,14 @@ class Report:
         }
 
 
-def digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def digest_file(path) -> str:
     with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def digest_obj(obj) -> str:
-    return digest_bytes(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_json_atomic(path, obj, compact: bool = False) -> None:

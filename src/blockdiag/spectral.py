@@ -1,9 +1,9 @@
-"""Spectral decompositions, spectral subspaces, and numerical kernels.
+"""Spectral subspaces, invariant subspaces and null-space bases.
 
 Hermitian matrices go through ``eigh`` and yield orthonormal eigenbases;
-general matrices use either ``eig`` (full decomposition) or a sorted
-complex Schur factorization (invariant subspaces for an eigenvalue
-region). Rank decisions are SVD-based with a relative tolerance.
+general matrices use a sorted complex Schur factorization (invariant
+subspaces for an eigenvalue region). Rank decisions are SVD-based with a
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    DEFAULT_TOL,
     BlockMatrix,
     as_matrix,
-    default_tol,
     frobenius_norm,
     is_hermitian,
     operator_norm,
@@ -29,26 +29,6 @@ from .errors import ContractError, IllPosedRegionError, NumericError, Structural
 REGION_GAP_TOL = 1e-8
 
 _ORTHO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue list of a matrix, with provenance flags.
-
-    ``defective`` marks a (non-Hermitian) eigenvector matrix that is
-    numerically rank deficient, i.e. the eigenbasis is unreliable.
-    """
-
-    eigenvalues: np.ndarray
-    is_hermitian_input: bool
-    defective: bool = False
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=np.complex128).ravel()
-        if self.is_hermitian_input:
-            ev = ev.real.astype(np.complex128)
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
 
 
 @dataclass(frozen=True)
@@ -87,55 +67,8 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector ``Q Q*`` onto the subspace."""
-        return self.basis @ self.basis.conj().T
-
     def with_partition(self, n0: int) -> "Subspace":
         return replace(self, n0=n0)
-
-
-def eigendecompose(m, hermitian: bool) -> tuple[Spectrum, np.ndarray]:
-    """Eigenvalues and eigenvectors of a square matrix.
-
-    The Hermitian path returns real eigenvalues in ascending order with an
-    orthonormal eigenvector matrix. The general path sorts eigenpairs
-    lexicographically by (Re, Im) and flags defective eigenbases. Each
-    eigenpair satisfies ``m v = lambda v`` to ``1e-10 * norm(m)``.
-    """
-    m = as_matrix(m, "matrix")
-    if m.shape[0] != m.shape[1]:
-        raise StructuralError(f"eigendecompose needs a square matrix, got {m.shape}")
-    scale = operator_norm(m)
-    if hermitian:
-        if not is_hermitian(m):
-            raise ContractError("matrix is not Hermitian to tolerance")
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
-        spectrum = Spectrum(eigenvalues=w, is_hermitian_input=True)
-        defective = False
-    else:
-        try:
-            w, v = np.linalg.eig(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed: {exc}") from exc
-        order = np.lexsort((w.imag, w.real))
-        w, v = w[order], v[:, order]
-        # columns of v are unit vectors; rank deficiency marks a defective basis
-        sv = np.linalg.svd(v, compute_uv=False)
-        defective = bool(sv[-1] <= 1e-8)
-        spectrum = Spectrum(
-            eigenvalues=w, is_hermitian_input=False, defective=defective
-        )
-    residual = operator_norm(m @ v - v * spectrum.eigenvalues[np.newaxis, :])
-    if residual > 1e-10 * max(scale, 1.0):
-        raise NumericError(
-            "eigendecomposition residual beyond guarantee",
-            diagnostics={"residual": residual, "scale": scale, "defective": defective},
-        )
-    return spectrum, v
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -145,7 +78,7 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def spectral_subspace_below(
-    b: BlockMatrix, mu: float, strict: bool = True, tol: float | None = None
+    b: BlockMatrix, mu: float, strict: bool = True, tol: float = DEFAULT_TOL
 ) -> Subspace:
     """Span of eigenvectors of the assembled matrix below the threshold.
 
@@ -153,8 +86,6 @@ def spectral_subspace_below(
     ``<= mu + tol*norm`` are included. Eigenvalues inside the band around
     ``mu`` count as equal to ``mu``: the strict subspace never claims them.
     """
-    if tol is None:
-        tol = default_tol()
     if not b.hermitian:
         raise ContractError("spectral_subspace_below requires a Hermitian matrix")
     w, v = b.eigh
@@ -163,23 +94,12 @@ def spectral_subspace_below(
     return Subspace(basis=v[:, mask], n0=b.n0)
 
 
-def kernel(m, mu: complex = 0.0, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the numerical null space of ``m - mu I``.
+def null_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """SVD null-space basis of a (possibly rectangular) matrix.
 
-    Singular vectors with ``sigma <= tol * norm(m - mu I)`` are kept, with
-    ``tol`` as an absolute floor when the shifted matrix vanishes.
+    Singular vectors with ``sigma <= tol * sigma_max`` are kept, with
+    ``tol`` as an absolute floor when the matrix vanishes.
     """
-    m = as_matrix(m, "matrix")
-    if m.shape[0] != m.shape[1]:
-        raise StructuralError(f"kernel needs a square matrix, got {m.shape}")
-    shifted = m - mu * np.eye(m.shape[0], dtype=np.complex128)
-    return Subspace(basis=null_space_basis(shifted, tol=tol))
-
-
-def null_space_basis(m, tol: float | None = None) -> np.ndarray:
-    """SVD null-space basis of a (possibly rectangular) matrix."""
-    if tol is None:
-        tol = default_tol()
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
     if cols == 0:

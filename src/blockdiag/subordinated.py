@@ -17,8 +17,8 @@ import numpy as np
 
 from .angular import GraphBase, GraphSubspace, form_pair, from_graph, to_graph
 from .core import (
+    DEFAULT_TOL,
     BlockMatrix,
-    default_tol,
     frobenius_norm,
     is_hermitian,
     is_symmetric_offdiag,
@@ -76,7 +76,10 @@ class KernelSplitReport:
 
 @dataclass(frozen=True)
 class TheoremResult:
-    """Everything produced by the subordinated decomposition pipeline."""
+    """Everything produced by the subordinated decomposition pipeline.
+
+    ``check`` is the subordination check the pipeline ran at ``mu``.
+    """
 
     L: Subspace
     X: np.ndarray
@@ -87,6 +90,7 @@ class TheoremResult:
     diag_results: tuple[DiagonalizationResult, DiagonalizationResult]
     mu: float
     invariance_residuals: tuple[float, float]
+    check: SubordinationCheck
 
 
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
@@ -102,7 +106,7 @@ def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
     sup0 = float(w0[-1])
     inf1 = float(w1[0])
     scale = max(abs(w0[0]), abs(w0[-1]), abs(w1[0]), abs(w1[-1]), 1.0)
-    band = default_tol() * scale
+    band = DEFAULT_TOL * scale
     subordinated = (sup0 <= mu + band) and (mu <= inf1 + band)
     return SubordinationCheck(
         mu=float(mu),
@@ -204,7 +208,7 @@ def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitRe
     )
 
 
-def build_L(b: BlockMatrix, mu: float | None = None, tol: float | None = None) -> Subspace:
+def build_L(b: BlockMatrix, mu: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
     """Reducing subspace: strictly-below eigenvectors plus kernel ∩ H0.
 
     The part of the kernel of ``B - mu`` inside H0 is extracted by
@@ -218,9 +222,7 @@ def build_L(b: BlockMatrix, mu: float | None = None, tol: float | None = None) -
     return _reducing_subspace(b, mu, tol)
 
 
-def _reducing_subspace(b: BlockMatrix, mu: float, tol: float | None) -> Subspace:
-    if tol is None:
-        tol = default_tol()
+def _reducing_subspace(b: BlockMatrix, mu: float, tol: float = DEFAULT_TOL) -> Subspace:
     _, v, below, at, _ = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]
@@ -259,9 +261,9 @@ def run_theorem(
     """
     if mu is None:
         mu = choose_mu(b)
-    _require_hypotheses(b, mu)
+    check = _require_hypotheses(b, mu)
     split_report = _kernel_split(b, mu, None)
-    sub = _reducing_subspace(b, mu, None)
+    sub = _reducing_subspace(b, mu)
     try:
         graph = to_graph(sub, GraphBase.H0)
     except NotAGraphError as exc:
@@ -298,6 +300,7 @@ def run_theorem(
         diag_results=(left, right),
         mu=float(mu),
         invariance_residuals=(res_l, res_perp),
+        check=check,
     )
 
 

@@ -6,13 +6,12 @@ from blockdiag import (
     DiracProblem,
     GridSpec,
     ImpurityPotential,
-    build_free_dirac,
     check_subordination_split,
     fw_transform,
     run_dirac_pipeline,
 )
 from blockdiag.dirac import _max_angle, build_operators, fw_unitarity_residual
-from blockdiag.errors import SingularSymbolError, StructuralError
+from blockdiag.errors import StructuralError
 from blockdiag.spectral import Subspace
 from blockdiag.transform import match_spectra
 
@@ -32,8 +31,9 @@ def test_grid_validation():
         GridSpec(n=3)
     with pytest.raises(StructuralError):
         GridSpec(n=2)
-    with pytest.raises(StructuralError):
-        GridSpec(n=4, length=0.0)
+    for length in (0.0, np.inf, np.nan):
+        with pytest.raises(StructuralError):
+            GridSpec(n=4, length=length)
 
 
 def test_momenta_shifted_n4():
@@ -54,28 +54,9 @@ def test_theta_unimodular():
     np.testing.assert_allclose(np.abs(theta), 1.0, atol=1e-14)
 
 
-def test_theta_undefined_on_unshifted_grid():
-    grid = GridSpec(n=4, shifted=False)
-    problem = DiracProblem(grid=grid, potential=ImpurityPotential(amplitude=0.0))
-    with pytest.raises(SingularSymbolError):
-        problem.theta()
-    with pytest.raises(SingularSymbolError):
-        fw_transform(problem)
-
-
-def test_h0_multiplier_blocks():
-    problem = _problem(n=4)
-    blocks = problem.h0_multiplier()
-    kx, ky = problem.grid.momentum_mesh()
-    assert blocks.shape == (16, 2, 2)
-    np.testing.assert_allclose(blocks[:, 0, 1], kx - 1j * ky, atol=1e-14)
-    np.testing.assert_allclose(blocks[:, 1, 0], kx + 1j * ky, atol=1e-14)
-    assert np.all(blocks[:, 0, 0] == 0) and np.all(blocks[:, 1, 1] == 0)
-
-
 def test_free_dirac_spectrum_matches_momenta():
     grid = GridSpec(n=4, length=2 * np.pi)
-    h0 = build_free_dirac(grid)
+    h0 = build_operators(_problem(n=4)).h_free
     assert np.linalg.norm(h0 - h0.conj().T, 2) <= 1e-12
     kx, ky = grid.momentum_mesh()
     magnitudes = np.hypot(kx, ky)
@@ -155,7 +136,6 @@ def test_split_identities_zero_potential():
     report = check_subordination_split(_problem(n=4))
     assert report.subordinated
     assert report.block_identity_residual <= 1e-10
-    assert report.display_identity_residual <= 1e-10
     assert report.margin == pytest.approx(GridSpec(n=4).k_min)
     assert report.u_inf == 0.0
 
@@ -243,7 +223,7 @@ def test_potential_profiles():
 
 
 def test_split_overflow_names_the_quantity():
-    with pytest.raises(StructuralError, match="split-identity residuals"):
+    with pytest.raises(StructuralError, match="subordination margin"):
         check_subordination_split(_problem(n=4, amplitude=1e308))
     with pytest.raises(StructuralError, match="spinor-rotated Hamiltonian"):
         fw_transform(_problem(n=16, amplitude=1e308))

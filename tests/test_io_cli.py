@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -331,7 +332,7 @@ def test_cli_error_object_is_machine_readable(tmp_path, capsys):
     bad.write_text('{"schema": "nope"}')
     code = main(["check", str(bad)])
     captured = capsys.readouterr()
-    obj = json.loads(captured.out.strip().splitlines()[-1])
+    obj = json.loads(captured.err.strip().splitlines()[-1])
     assert code == 3
     assert obj["error"]["type"] == "StructuralError"
     assert obj["error"]["exit_code"] == 3
@@ -357,7 +358,7 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, args):
     missing = str(tmp_path / "no_such_dir" / "out.json")
     argv = [a.format(path=path, missing=missing) for a in args]
     assert main(argv) == 3
-    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert obj["error"]["type"] == "StructuralError"
     assert not (tmp_path / "no_such_dir").exists()
 
@@ -382,7 +383,7 @@ def test_cli_error_json_carries_numeric_diagnostics(tmp_path, capsys, monkeypatc
     path = _write_fixture(tmp_path, mu=1.0)
     out = tmp_path / "err.json"
     assert main(["riccati-solve", path, "--out", str(out)]) == 1
-    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    printed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     for obj in (printed, json.loads(out.read_text())):
         assert obj["error"]["type"] == "NumericError"
         assert obj["error"]["diagnostics"] == {"residual": 2.5, "defective": True}
@@ -399,7 +400,7 @@ def test_cli_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "crash.json"
     assert main(["riccati-solve", path, "--out", str(out)]) == 4
     captured = capsys.readouterr()
-    printed = json.loads(captured.out.strip().splitlines()[-1])
+    printed = json.loads(captured.err.strip().splitlines()[-1])
     for obj in (printed, json.loads(out.read_text())):
         assert obj["error"] == {
             "type": "LinAlgError",
@@ -412,16 +413,16 @@ def test_cli_internal_error_exit_4(tmp_path, capsys, monkeypatch):
 def test_cli_unwritable_report_is_an_input_error(tmp_path, capsys, monkeypatch):
     from blockdiag import cli
 
-    def overflowing(args):
-        report = Report(command="check", inputs_digest="00")
+    def overflowing(args, report, problem):
         report.certificates["margin"] = float("-inf")
-        return report, 0
+        return True
 
-    monkeypatch.setattr(cli, "cmd_check", overflowing)
+    overflowing_check = dataclasses.replace(cli.COMMANDS["check"], run=overflowing)
+    monkeypatch.setitem(cli.COMMANDS, "check", overflowing_check)
     path = _write_fixture(tmp_path, mu=1.0)
     out = tmp_path / "report.json"
     assert main(["check", path, "--out", str(out)]) == 3
-    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert obj["error"]["type"] == "StructuralError"
     assert json.loads(out.read_text()) == obj
 
@@ -468,7 +469,7 @@ def test_cli_error_json_carries_sigma_min(tmp_path, capsys):
     path = tmp_path / "flipped.json"
     save_problem(path, ProblemFile(block=block, mu=0.0))
     assert main(["check", str(path)]) == 2
-    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert obj["error"]["type"] == "NotAGraphError"
     assert obj["error"]["sigma_min"] == 0.0
 
@@ -476,8 +477,8 @@ def test_cli_error_json_carries_sigma_min(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, quantity",
     [
-        (["--n", "4"], "split-identity residuals"),
-        (["--n", "4", "--out", "{out}"], "split-identity residuals"),
+        (["--n", "4"], "subordination margin"),
+        (["--n", "4", "--out", "{out}"], "subordination margin"),
         ([], "spinor-rotated Hamiltonian"),
     ],
 )
@@ -486,7 +487,7 @@ def test_cli_dirac_overflow_is_an_input_error(tmp_path, capsys, args, quantity):
     out = tmp_path / "report.json"
     argv = ["dirac", "--amplitude", "1e308"] + [a.format(out=out) for a in args]
     assert main(argv) == 3
-    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert obj["error"]["type"] == "StructuralError"
     assert quantity in obj["error"]["message"]
     if "--out" in args:

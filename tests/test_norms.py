@@ -21,6 +21,8 @@ from blockdiag import (
     triangularize,
 )
 from blockdiag import dirac, subordinated
+from blockdiag.cli import main
+from blockdiag.io import ProblemFile, save_problem
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import invariance_residual
 from conftest import random_block
@@ -281,6 +283,23 @@ def test_run_theorem_factors_once(monkeypatch, kernel_dim, gap, mu):
     assert result.kernel_split_ok and result.reduces_ok
     assert len(eigh_calls) == 1
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "kernel_dim,gap,mu_args", [(0, 1.0, []), (4, 0.0, []), (0, 1.0, ["--mu", "0"])]
+)
+def test_subordinated_command_checks_subordination_once(
+    tmp_path, monkeypatch, capsys, kernel_dim, gap, mu_args
+):
+    b = random_case(6, 6, gap=gap, coupling=0.5, seed=2, kernel_dim=kernel_dim).block
+    path = tmp_path / "problem.json"
+    # no mu in the file, so without --mu the command chooses one
+    save_problem(path, ProblemFile(block=b))
+    checks = _count_calls(monkeypatch, subordinated, "check_subordination")
+    choices = _count_calls(monkeypatch, subordinated, "choose_mu")
+    assert main(["subordinated", str(path), *mu_args]) == 0
+    assert len(checks) == 1
+    assert len(choices) == (0 if mu_args else 1)
 
 
 def test_dirac_pipeline_builds_operators_once(monkeypatch):
