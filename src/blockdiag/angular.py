@@ -148,7 +148,8 @@ def to_graph(
 
     Requires ``u`` to carry its H0/H1 partition and to have the dimension
     of the base block. Raises :class:`NotAGraphError` when the base-block
-    component of the basis is (numerically) singular.
+    component of the basis is (numerically) singular. One SVD of that
+    component gives both the gate value sigma_min and X.
     """
     base = GraphBase(base)
     if u.n0 is None:
@@ -166,15 +167,16 @@ def to_graph(
         q_base, q_other = u.basis[n0:, :], u.basis[:n0, :]
     if base_dim == 0:
         return GraphSubspace(base=base, X=np.zeros((u.ambient_dim, 0)))
-    smin = float(np.linalg.svd(q_base, compute_uv=False)[-1])
+    u_base, s, vh = np.linalg.svd(q_base)
+    smin = float(s[-1])
     if smin <= tol:
         raise NotAGraphError(
             f"subspace is not a graph over {base.value}: sigma_min({base.value} "
             f"component) = {smin:.3e} <= {tol:.0e}",
             sigma_min=smin,
         )
-    # least-squares solve of X q_base = q_other, for conditioning
-    x = np.linalg.lstsq(q_base.T, q_other.T, rcond=None)[0].T
+    # X q_base = q_other with q_base = U S V*, so X = (q_other V) S^-1 U*
+    x = ((q_other @ vh.conj().T) / s) @ u_base.conj().T
     return GraphSubspace(base=base, X=x)
 
 

@@ -385,8 +385,10 @@ def _dirac(args, report, problem) -> bool | int:
     try:
         with _timed(report.timings, "pipeline"):
             result = dirac.run_dirac_pipeline(problem, tol=args.tol)
-    except HypothesisError:
-        split = dirac.check_subordination_split(problem)
+    except HypothesisError as exc:
+        split = exc.report
+        if split is None:
+            split = dirac.check_subordination_split(problem)
         report.flags["subordinated"] = False
         report.certificates["subordination"] = _split_obj(split)
         return 2

@@ -87,13 +87,6 @@ def _extreme_magnitude(w: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def _norm_2(m: np.ndarray) -> float:
-    """Exact 2-norm; bitwise-Hermitian input takes the cheaper ``eigvalsh``."""
-    if _bitwise_hermitian(m):
-        return _extreme_magnitude(np.linalg.eigvalsh(m))
-    return operator_norm(m)
-
-
 def _sigma_min(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
@@ -117,10 +110,10 @@ class BlockMatrix:
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
     Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian``, ``bitwise_hermitian``, ``eigh``, ``eigh_A``, ``eigvals``,
-    ``norm``, ``norm_A``, ``norm_V``) are computed on first use and cached,
-    arrays read-only; the ``*_part`` and ``assemble`` methods return fresh
-    arrays.
+    ``hermitian``, ``bitwise_hermitian``, ``eigh``, ``eigh_A``,
+    ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``) are
+    computed on first use and cached, arrays read-only; the ``*_part`` and
+    ``assemble`` methods return fresh arrays.
 
     Fast paths that rely on normality run only on bitwise-Hermitian input
     (``np.array_equal(m, m.conj().T)``); every other input takes the
@@ -192,17 +185,35 @@ class BlockMatrix:
         return _bitwise_hermitian(self.full)
 
     @cached_property
+    def bitwise_hermitian_A(self) -> bool:
+        """Whether A0 and A1 both equal their conjugate transposes exactly."""
+        return _bitwise_hermitian(self.A0) and _bitwise_hermitian(self.A1)
+
+    @cached_property
     def eigh_A(self) -> tuple | None:
         """Read-only ``((w0, Q0), (w1, Q1))`` of ``eigh`` of A0 and A1.
 
         ``None`` unless both diagonal blocks are bitwise Hermitian.
         """
-        if not (_bitwise_hermitian(self.A0) and _bitwise_hermitian(self.A1)):
+        if not self.bitwise_hermitian_A:
             return None
         return tuple(
             (_readonly(w), _readonly(q))
             for w, q in (np.linalg.eigh(self.A0), np.linalg.eigh(self.A1))
         )
+
+    @cached_property
+    def eigvalsh_A(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues ``(w0, w1)`` of A0 and A1.
+
+        Values only: read off ``eigh_A`` when that is cached, otherwise one
+        ``eigvalsh`` per block. Like ``eigvalsh`` this reads the lower
+        triangles, so it is the spectra of A0 and A1 when they are
+        Hermitian; callers gate on :func:`is_hermitian` first.
+        """
+        if self.__dict__.get("eigh_A") is not None:
+            return tuple(w for w, _ in self.eigh_A)
+        return tuple(_readonly(np.linalg.eigvalsh(a)) for a in (self.A0, self.A1))
 
     @cached_property
     def eigvals(self) -> np.ndarray:
@@ -259,8 +270,14 @@ class BlockMatrix:
 
     @cached_property
     def norm_A(self) -> float:
-        """Exact ``norm(diag(A0, A1)) = max(norm(A0), norm(A1))``."""
-        return max(_norm_2(self.A0), _norm_2(self.A1))
+        """Exact ``norm(diag(A0, A1)) = max(norm(A0), norm(A1))``.
+
+        Bitwise-Hermitian blocks read it off ``eigvalsh_A``; other blocks
+        take one SVD each.
+        """
+        if self.bitwise_hermitian_A:
+            return max(_extreme_magnitude(w) for w in self.eigvalsh_A)
+        return max(operator_norm(self.A0), operator_norm(self.A1))
 
     @cached_property
     def norm_V(self) -> float:
@@ -287,8 +304,14 @@ class BlockMatrix:
         return v
 
     def swapped(self) -> "BlockMatrix":
-        """Exchange the roles of H0 and H1 (permutation similarity)."""
-        return BlockMatrix(A0=self.A1, A1=self.A0, W0=self.W1, W1=self.W0)
+        """Exchange the roles of H0 and H1 (permutation similarity).
+
+        Block spectra already computed carry over, exchanged.
+        """
+        out = BlockMatrix(A0=self.A1, A1=self.A0, W0=self.W1, W1=self.W0)
+        if "eigvalsh_A" in self.__dict__:
+            out.__dict__["eigvalsh_A"] = self.eigvalsh_A[::-1]
+        return out
 
 
 def assemble(b: BlockMatrix) -> np.ndarray:

@@ -130,8 +130,6 @@ class DiracProblem:
 class DiracOperators:
     """Dense realizations of all operator ingredients on one grid."""
 
-    fourier: np.ndarray
-    theta_values: np.ndarray
     theta_op: np.ndarray
     sqrt_lap: np.ndarray
     potential_values: np.ndarray
@@ -238,8 +236,6 @@ def build_operators(problem: DiracProblem) -> DiracOperators:
     t_fw[points:, points:] = -eye
     t_fw /= np.sqrt(2.0)
     return DiracOperators(
-        fourier=fourier,
-        theta_values=theta_values,
         theta_op=theta_op,
         sqrt_lap=sqrt_lap,
         potential_values=u,
@@ -332,8 +328,9 @@ def check_subordination_split(
         frobenius_norm(bm.A0 - averaged(s + u)),
         frobenius_norm(bm.A1 - averaged(-s + u)),
     ) / scale
-    sup_a1 = float(np.linalg.eigvalsh(bm.A1)[-1])
-    inf_a0 = float(np.linalg.eigvalsh(bm.A0)[0])
+    w0, w1 = bm.eigvalsh_A
+    sup_a1 = float(w1[-1])
+    inf_a0 = float(w0[0])
     band = tol * scale
     subordinated = sup_a1 <= band and inf_a0 >= -band
     return DiracSplitReport(
@@ -362,7 +359,8 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     if not report.subordinated:
         raise HypothesisError(
             f"rotated blocks are not subordinated at 0: sup spec(A1) = "
-            f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}"
+            f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}",
+            report=report,
         )
     theorem = run_theorem(bm.swapped(), mu=0.0, tol=tol)
     points = problem.grid.points
@@ -389,10 +387,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         angle_minus=angle_minus,
         angle_plus=angle_plus,
         h_eigenvalues=w,
-        block_eigenvalues=(
-            np.linalg.eigvalsh(bm.A0),
-            np.linalg.eigvalsh(bm.A1),
-        ),
+        block_eigenvalues=bm.eigvalsh_A,
         norm_X=theorem.norm_X,
     )
 

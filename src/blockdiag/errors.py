@@ -19,7 +19,15 @@ class ContractError(BlockdiagError):
 
 
 class HypothesisError(ContractError):
-    """A mathematical hypothesis required by a pipeline fails on the data."""
+    """A mathematical hypothesis required by a pipeline fails on the data.
+
+    ``report`` is the report of the check that failed, when the pipeline
+    has one, so that a caller can show it without running the check again.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NumericError(BlockdiagError):

@@ -1,12 +1,18 @@
 """JSON serialization of problems and reports.
 
-Matrices are stored row-major as ``[re, im]`` pairs of decimal doubles;
-Python's float formatting is shortest-round-trip, so a save/load cycle is
-bit-exact. Problem files carry the schema tag ``blockdiag/1``.
+Problem files carry the schema tag ``blockdiag/2``: each matrix is an
+object ``{"rows", "cols", "b64"}`` whose ``b64`` is the base64 text of its
+entries as little-endian complex128, row-major, 16 bytes per entry. The
+bytes are the doubles themselves, so a save/load cycle is bit-exact.
+Files of the earlier schema ``blockdiag/1``, whose matrices carry ``data``,
+a row-major list of ``[re, im]`` pairs of decimal doubles, still load. A
+file's matrices must all use its schema's form.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import math
@@ -19,32 +25,52 @@ import numpy as np
 from .core import BlockMatrix
 from .errors import StructuralError
 
-PROBLEM_SCHEMA = "blockdiag/1"
+PROBLEM_SCHEMA = "blockdiag/2"
 REPORT_SCHEMA = "blockdiag-report/1"
+
+#: The matrix payload key of each problem schema the reader accepts.
+_PAYLOAD_KEYS = {"blockdiag/1": "data", PROBLEM_SCHEMA: "b64"}
+
+#: Byte order, type and size of one entry of a ``b64`` payload.
+_ENTRY = np.dtype("<c16")
 
 
 def matrix_to_obj(m) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m, dtype=_ENTRY)
     if m.ndim != 2:
         raise StructuralError(f"can only serialize 2-d matrices, got shape {m.shape}")
-    flat = m.ravel(order="C")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": np.column_stack([flat.real, flat.imag]).tolist(),
+        "b64": base64.b64encode(m.tobytes(order="C")).decode("ascii"),
     }
 
 
-def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
+def matrix_from_obj(obj, name: str = "matrix", key: str | None = None) -> np.ndarray:
+    """Decode a matrix object whose payload is under ``key``.
+
+    ``key`` is ``"b64"`` or ``"data"``, as the file's schema requires; by
+    default it is whichever of the two the object carries. An object that
+    also carries the other key is malformed.
+    """
     if not isinstance(obj, dict):
         raise StructuralError(f"{name}: expected an object, got {type(obj).__name__}")
+    if key is None:
+        key = "b64" if "b64" in obj else "data"
+    other = "data" if key == "b64" else "b64"
+    if other in obj:
+        raise StructuralError(
+            f"{name}: malformed matrix object: carries {other!r}, expected {key!r}"
+        )
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        data = obj["data"]
-        length = len(data)
+        payload = obj[key]
+        length = len(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"{name}: malformed matrix object: {exc}") from exc
+    if key == "b64":
+        return _matrix_from_b64(payload, rows, cols, name)
     if rows < 0 or cols < 0 or length != rows * cols:
         raise StructuralError(
             f"{name}: data length {length} does not match {rows}x{cols}"
@@ -52,15 +78,34 @@ def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     if rows * cols == 0:
         return np.zeros((rows, cols), dtype=np.complex128)
     try:
-        pairs = np.asarray(data, dtype=np.float64)
+        pairs = np.asarray(payload, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         pairs = None
     if pairs is None or pairs.shape != (rows * cols, 2) or not np.all(np.isfinite(pairs)):
-        _raise_bad_entry(data, name)
+        _raise_bad_entry(payload, name)
     # through .real/.imag, not re + 1j*im, which turns -0.0 parts into +0.0
     values = np.empty(rows * cols, dtype=np.complex128)
     values.real = pairs[:, 0]
     values.imag = pairs[:, 1]
+    return values.reshape(rows, cols)
+
+
+def _matrix_from_b64(text, rows: int, cols: int, name: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise StructuralError(f"{name}: b64 is not valid base64: {exc}") from exc
+    if rows < 0 or cols < 0 or len(raw) != _ENTRY.itemsize * rows * cols:
+        raise StructuralError(
+            f"{name}: b64 payload of {len(raw)} bytes does not match {rows}x{cols} "
+            f"entries of {_ENTRY.itemsize} bytes"
+        )
+    values = np.frombuffer(raw, dtype=_ENTRY).astype(np.complex128)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise StructuralError(
+            f"{name}: entry {int(np.argmin(finite))} is not finite"
+        )
     return values.reshape(rows, cols)
 
 
@@ -105,15 +150,17 @@ class ProblemFile:
         if not isinstance(obj, dict):
             raise StructuralError("problem file must contain a JSON object")
         schema = obj.get("schema")
-        if schema != PROBLEM_SCHEMA:
+        key = _PAYLOAD_KEYS.get(schema) if isinstance(schema, str) else None
+        if key is None:
             raise StructuralError(
-                f"unsupported problem schema {schema!r} (expected {PROBLEM_SCHEMA!r})"
+                f"unsupported problem schema {schema!r} "
+                f"(expected one of {', '.join(map(repr, _PAYLOAD_KEYS))})"
             )
         block = BlockMatrix(
-            A0=matrix_from_obj(obj.get("A0"), "A0"),
-            A1=matrix_from_obj(obj.get("A1"), "A1"),
-            W0=matrix_from_obj(obj.get("W0"), "W0"),
-            W1=matrix_from_obj(obj.get("W1"), "W1"),
+            **{
+                name: matrix_from_obj(obj.get(name), name, key)
+                for name in ("A0", "A1", "W0", "W1")
+            }
         )
         if "n0" in obj and int(obj["n0"]) != block.n0:
             raise StructuralError(

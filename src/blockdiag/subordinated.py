@@ -97,12 +97,11 @@ def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
     """Evaluate ``sup spec(A0) <= mu <= inf spec(A1)`` with a tolerance band.
 
     The band scales with ``max(norm(A0), norm(A1))``, read off the extreme
-    eigenvalues of the (Hermitian) blocks.
+    eigenvalues of the (Hermitian) blocks, which ``b`` caches.
     """
     if not is_hermitian(b.A0) or not is_hermitian(b.A1):
         raise HypothesisError("diagonal blocks must be Hermitian")
-    w0 = np.linalg.eigvalsh(b.A0)
-    w1 = np.linalg.eigvalsh(b.A1)
+    w0, w1 = b.eigvalsh_A
     sup0 = float(w0[-1])
     inf1 = float(w1[0])
     scale = max(abs(w0[0]), abs(w0[-1]), abs(w1[0]), abs(w1[-1]), 1.0)
@@ -122,8 +121,9 @@ def choose_mu(b: BlockMatrix) -> float:
     """Midpoint of the gap between the diagonal spectra (or the touch point)."""
     if not is_hermitian(b.A0) or not is_hermitian(b.A1):
         raise HypothesisError("diagonal blocks must be Hermitian")
-    sup0 = float(np.linalg.eigvalsh(b.A0)[-1])
-    inf1 = float(np.linalg.eigvalsh(b.A1)[0])
+    w0, w1 = b.eigvalsh_A
+    sup0 = float(w0[-1])
+    inf1 = float(w1[0])
     if inf1 > sup0:
         return 0.5 * (sup0 + inf1)
     return sup0

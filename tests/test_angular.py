@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdiag import (
     check_complementary,
@@ -9,9 +11,9 @@ from blockdiag import (
     spectral_subspace_below,
     to_graph,
 )
-from blockdiag.angular import GraphBase, GraphSubspace
+from blockdiag.angular import GRAPH_SIGMA_TOL, GraphBase, GraphSubspace
 from blockdiag.errors import NotAGraphError, StructuralError
-from blockdiag.spectral import Subspace
+from blockdiag.spectral import Subspace, containment_residual
 
 
 def _basis_of(columns, n0):
@@ -45,6 +47,66 @@ def test_to_graph_dimension_mismatch():
     u = _basis_of(np.vstack([np.eye(2), np.zeros((3, 2))]), n0=2)
     with pytest.raises(StructuralError):
         to_graph(u, GraphBase.H1)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _graph_basis(rng, n0, n1, base, sigma_min):
+    """Orthonormal basis of a graph over ``base`` with a prescribed gate value.
+
+    The base-block component is ``U diag(c) W*`` with ``min(c) = sigma_min``
+    and the other component ``U' diag(sqrt(1 - c^2)) W*``, so the columns
+    are orthonormal and the angular operator has norm
+    ``sqrt(1 - sigma_min^2) / sigma_min``.
+    """
+    k, m = (n0, n1) if base is GraphBase.H0 else (n1, n0)
+    r = min(k, m)
+    c = np.ones(k)
+    c[:r] = np.exp(rng.uniform(np.log(sigma_min), 0.0, r))
+    c[0] = sigma_min
+    w = _unitary(rng, k)
+    q_base = (_unitary(rng, k) * c) @ w.conj().T
+    q_other = (_unitary(rng, m)[:, :r] * np.sqrt(1.0 - c[:r] ** 2)) @ w[:, :r].conj().T
+    parts = [q_base, q_other] if base is GraphBase.H0 else [q_other, q_base]
+    return Subspace(basis=np.vstack(parts), n0=n0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(list(GraphBase)),
+    st.floats(-6.0, 0.0),
+)
+def test_to_graph_matches_lstsq_and_spans_the_input(seed, n0, n1, base, log_sigma):
+    sigma_min = 10.0**log_sigma
+    u = _graph_basis(np.random.default_rng(seed), n0, n1, base, sigma_min)
+    g = to_graph(u, base)
+    if base is GraphBase.H0:
+        q_base, q_other = u.basis[:n0], u.basis[n0:]
+    else:
+        q_base, q_other = u.basis[n0:], u.basis[:n0]
+    ref = np.linalg.lstsq(q_base.T, q_other.T, rcond=None)[0].T
+    # both solves are backward stable, so they differ like eps * cond(q_base)
+    # = eps / sigma_min: the 1e-12 bound scales by 0.1 / sigma_min below 0.1
+    tol = 1e-12 * max(1.0, 0.1 / sigma_min)
+    assert np.linalg.norm(g.X - ref) <= tol * np.linalg.norm(ref)
+    assert containment_residual(g.subspace, u) <= tol
+
+
+@pytest.mark.parametrize("base", list(GraphBase))
+def test_to_graph_gate_at_the_tolerance(base):
+    rng = np.random.default_rng(7)
+    below = _graph_basis(rng, 3, 4, base, 0.5 * GRAPH_SIGMA_TOL)
+    with pytest.raises(NotAGraphError) as info:
+        to_graph(below, base)
+    assert info.value.sigma_min == pytest.approx(0.5 * GRAPH_SIGMA_TOL, rel=1e-6)
+    g = to_graph(_graph_basis(rng, 3, 4, base, 2.0 * GRAPH_SIGMA_TOL), base)
+    assert np.linalg.norm(g.X, 2) == pytest.approx(0.5 / GRAPH_SIGMA_TOL, rel=1e-6)
 
 
 def test_from_graph_zero_operator():

@@ -21,9 +21,11 @@ from blockdiag import (
     form_pair,
     random_case,
     resolvent_norm,
+    run_theorem,
     save_problem,
     solve_newton_X0,
 )
+from blockdiag import angular, dirac, subordinated
 from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import _spectral_route, main
 from blockdiag.errors import IllPosedRegionError
@@ -296,6 +298,46 @@ def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeyp
     assert (nearly.dim, nearly.dim) not in calls["eigvals"]
     assert calls["eigvals"].count((5, 5)) == len(taus)
     assert calls["eigh"] == []
+
+
+def _graph_extractions(monkeypatch):
+    """SVDs per :func:`to_graph` call, and every ``lstsq`` call."""
+    svds, per_call, lstsq = [], [], []
+    svd, extract = np.linalg.svd, angular.to_graph
+
+    def recorded_svd(*args, **kwargs):
+        svds.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    def counted_extract(*args, **kwargs):
+        before = len(svds)
+        result = extract(*args, **kwargs)
+        per_call.append(len(svds) - before)
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq.append(a))
+    for owner in (angular, subordinated):
+        monkeypatch.setattr(owner, "to_graph", counted_extract)
+    return per_call, lstsq
+
+
+@pytest.mark.parametrize("entry", ["check", "run_theorem", "run_dirac_pipeline"])
+def test_graph_extraction_runs_one_svd_and_no_lstsq(tmp_path, monkeypatch, entry):
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    path = _check_file(tmp_path, b)
+    per_call, lstsq = _graph_extractions(monkeypatch)
+    if entry == "check":
+        assert main(["check", path, "--lambdas", "2"]) == 0
+    elif entry == "run_theorem":
+        assert run_theorem(b, mu=0.0).reduces_ok
+    else:
+        problem = dirac.DiracProblem(
+            grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
+        )
+        dirac.run_dirac_pipeline(problem)
+    assert per_call == [1] * (2 if entry == "check" else 1)
+    assert lstsq == []
 
 
 @pytest.mark.parametrize("nearly", [False, True])

@@ -1,5 +1,8 @@
+import base64
 import dataclasses
 import json
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -30,23 +33,135 @@ def _entry_loop(data):
     return np.array([complex(float(re), float(im)) for re, im in data])
 
 
+def _b64_entry_loop(text):
+    """Per-entry decoding of a ``b64`` payload, independent of numpy."""
+    raw = base64.b64decode(text)
+    return np.array(
+        [complex(*struct.unpack_from("<2d", raw, 16 * i)) for i in range(len(raw) // 16)]
+    )
+
+
+def _v1_obj(m) -> dict:
+    """A matrix object in the ``blockdiag/1`` form: ``[re, im]`` pairs."""
+    m = np.asarray(m, dtype=complex)
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "data": [[z.real, z.imag] for z in m.ravel().tolist()],
+    }
+
+
+def _v1_file(pf: ProblemFile) -> dict:
+    """A problem file object in the ``blockdiag/1`` schema."""
+    obj = pf.to_obj()
+    obj["schema"] = "blockdiag/1"
+    for name in ("A0", "A1", "W0", "W1"):
+        obj[name] = _v1_obj(getattr(pf.block, name))
+    return obj
+
+
 def test_matrix_json_roundtrip_keeps_signed_zeros(tmp_path):
     m = np.array(
         [[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 5e-324 - 1e308j]]
     )
-    obj = json.loads(json.dumps(matrix_to_obj(m)))
-    assert obj["data"][0] == [-0.0, 0.0] and str(obj["data"][0][0]) == "-0.0"
-    back = matrix_from_obj(obj)
-    assert np.array_equal(back, m)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(back)), np.signbit(part(m)))
-    np.testing.assert_array_equal(back.ravel(), _entry_loop(obj["data"]))
-    block = BlockMatrix(m, m, m, m)
-    path = tmp_path / "zeros.json"
-    save_problem(path, ProblemFile(block=block))
-    loaded = load_problem(path).block
-    assert np.array_equal(np.signbit(loaded.A0.real), np.signbit(m.real))
-    assert np.array_equal(np.signbit(loaded.W1.imag), np.signbit(m.imag))
+    v1 = json.loads(json.dumps(_v1_obj(m)))
+    assert v1["data"][0] == [-0.0, 0.0] and str(v1["data"][0][0]) == "-0.0"
+    v2 = json.loads(json.dumps(matrix_to_obj(m)))
+    assert set(v2) == {"rows", "cols", "b64"}
+    for obj, entries in ((v1, _entry_loop(v1["data"])), (v2, _b64_entry_loop(v2["b64"]))):
+        back = matrix_from_obj(obj)
+        assert np.array_equal(back, m)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(back)), np.signbit(part(m)))
+        np.testing.assert_array_equal(back.ravel(), entries)
+    pf = ProblemFile(block=BlockMatrix(m, m, m, m))
+    v2_path = tmp_path / "zeros.json"
+    save_problem(v2_path, pf)
+    v1_path = tmp_path / "zeros_v1.json"
+    v1_path.write_text(json.dumps(_v1_file(pf)))
+    for path in (v1_path, v2_path):
+        loaded = load_problem(path).block
+        assert np.array_equal(np.signbit(loaded.A0.real), np.signbit(m.real))
+        assert np.array_equal(np.signbit(loaded.W1.imag), np.signbit(m.imag))
+
+
+def test_parent_v1_file_loads_bitexactly(tmp_path):
+    # written by `blockdiag random --n0 3 --n1 2 --gap 0.7 --coupling 0.3
+    # --seed 5` before the b64 payload existed
+    path = pathlib.Path(__file__).parent / "data" / "random_v1.json"
+    assert json.loads(path.read_text())["schema"] == "blockdiag/1"
+    pf = random_case(3, 2, gap=0.7, coupling=0.3, seed=5)
+    loaded = load_problem(path)
+    for name in ("A0", "A1", "W0", "W1"):
+        assert getattr(loaded.block, name).tobytes() == getattr(pf.block, name).tobytes()
+    assert loaded.mu == pf.mu and loaded.metadata == pf.metadata
+    resaved = tmp_path / "resaved.json"
+    save_problem(resaved, loaded)
+    assert json.loads(resaved.read_text())["schema"] == "blockdiag/2"
+    assert load_problem(resaved).block.A0.tobytes() == pf.block.A0.tobytes()
+
+
+def test_b64_roundtrip_is_bitexact(tmp_path):
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]
+    values = [complex(re, im) for re in extremes for im in extremes]
+    m = np.array(values[:48], dtype=complex).reshape(6, 8)
+    back = matrix_from_obj(json.loads(json.dumps(matrix_to_obj(m))))
+    assert back.dtype == np.complex128 and back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+    pf = ProblemFile(block=BlockMatrix(m[:, :6], m[:2, :2], m[:2, :6], m[:, :2]), mu=0.5)
+    first = tmp_path / "first.json"
+    save_problem(first, pf)
+    loaded = load_problem(first)
+    for name in ("A0", "A1", "W0", "W1"):
+        assert getattr(loaded.block, name).tobytes() == getattr(pf.block, name).tobytes()
+    second = tmp_path / "second.json"
+    save_problem(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _b64_obj(rows, cols, payload: bytes) -> dict:
+    return {"rows": rows, "cols": cols, "b64": base64.b64encode(payload).decode("ascii")}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": 1, "cols": 1, "b64": "not base64!"},
+        {"rows": 1, "cols": 1, "b64": "AAAA*AAA"},
+        {"rows": 1, "cols": 1, "b64": [0.0, 0.0]},
+        _b64_obj(2, 2, bytes(16 * 4 - 1)),
+        _b64_obj(2, 3, bytes(16 * 4)),
+        _b64_obj(3, 2, bytes(16 * 4)),
+        _b64_obj(-1, -4, bytes(16 * 4)),
+        {"rows": 2, "cols": 2, "b64": "", "data": []},
+    ],
+)
+def test_b64_matrix_obj_validation(obj):
+    with pytest.raises(StructuralError):
+        matrix_from_obj(obj, "W0")
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_b64_matrix_obj_names_the_nonfinite_entry(part, bad):
+    m = np.ones((2, 3), dtype=complex)
+    getattr(m, part)[1, 0] = bad
+    obj = _b64_obj(2, 3, m.astype("<c16").tobytes())
+    with pytest.raises(StructuralError, match="^W0: entry 3 is not finite$"):
+        matrix_from_obj(obj, "W0")
+
+
+@pytest.mark.parametrize("schema,key", [("blockdiag/2", "data"), ("blockdiag/1", "b64")])
+def test_problem_matrices_must_use_the_schema_form(tmp_path, schema, key):
+    pf = random_case(2, 2, gap=1.0, coupling=0.1, seed=0)
+    obj = pf.to_obj() if schema == "blockdiag/2" else _v1_file(pf)
+    other = _v1_obj(pf.block.W1) if key == "data" else matrix_to_obj(pf.block.W1)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({**obj, "W1": other}))
+    with pytest.raises(StructuralError, match="W1: malformed matrix object"):
+        load_problem(path)
+    path.write_text(json.dumps(obj))
+    assert np.array_equal(load_problem(path).block.W1, pf.block.W1)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 cached quantities are exact, and each expensive quantity is computed once.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,9 +299,13 @@ def test_subordinated_command_checks_subordination_once(
     save_problem(path, ProblemFile(block=b))
     checks = _count_calls(monkeypatch, subordinated, "check_subordination")
     choices = _count_calls(monkeypatch, subordinated, "choose_mu")
+    spectra = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert main(["subordinated", str(path), *mu_args]) == 0
     assert len(checks) == 1
     assert len(choices) == (0 if mu_args else 1)
+    # one values-only spectrum per block serves choose_mu, the subordination
+    # check and norm(A)
+    assert len(spectra) <= 2
 
 
 def test_dirac_pipeline_builds_operators_once(monkeypatch):
@@ -311,3 +317,37 @@ def test_dirac_pipeline_builds_operators_once(monkeypatch):
     assert len(calls) == 1
     direct = dirac.check_subordination_split(problem)
     assert direct == result.split
+
+
+def test_dirac_pipeline_reads_each_block_spectrum_once(monkeypatch):
+    problem = dirac.DiracProblem(
+        grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
+    )
+    spectra = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    result = dirac.run_dirac_pipeline(problem)
+    assert len(spectra) == 2
+    bm = dirac.fw_transform(problem)
+    for got, block in zip(result.block_eigenvalues, (bm.A0, bm.A1)):
+        assert np.array_equal(got, np.linalg.eigvalsh(block))
+
+
+def test_dirac_subordination_failure_builds_operators_once(tmp_path, monkeypatch):
+    problem = dirac.DiracProblem(
+        grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=5.0)
+    )
+    expected = dirac.check_subordination_split(problem)
+    assert not expected.subordinated
+    calls = _count_calls(monkeypatch, dirac, "build_operators")
+    out = tmp_path / "report.json"
+    assert main(["dirac", "--n", "4", "--amplitude", "5", "--out", str(out)]) == 2
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert report["flags"] == {"subordinated": False}
+    assert report["certificates"]["subordination"] == {
+        "sup_spec_A1": expected.sup_spec_A1,
+        "inf_spec_A0": expected.inf_spec_A0,
+        "margin": expected.margin,
+        "u_inf": expected.u_inf,
+        "k_min": expected.k_min,
+        "block_identity_residual": expected.block_identity_residual,
+    }

@@ -1,5 +1,6 @@
 """The README's library quick start runs as written."""
 
+import json
 import re
 from pathlib import Path
 
@@ -18,3 +19,15 @@ def test_readme_quick_start_runs():
     expected = [[1.0 - np.sqrt(2.0)]]
     np.testing.assert_allclose(namespace["x0"], expected, atol=1e-12)
     np.testing.assert_allclose(namespace["x0_newton"], expected, atol=1e-12)
+
+
+def test_readme_schema_examples_load():
+    from blockdiag.io import ProblemFile
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Problem file schemas", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(examples) == 2
+    for example in examples:
+        block = ProblemFile.from_obj(json.loads(example)).block
+        np.testing.assert_array_equal(block.full, [[0.0, 1.0], [1.0, 2.0]])
