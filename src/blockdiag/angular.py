@@ -15,13 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_matrix
+from .core import as_matrix, from_blocks
 from .errors import NotAGraphError, NumericError, StructuralError
 from .spectral import Subspace
 
-#: Default lower bound on sigma_min of the base-block component of a basis.
-#: Below this, forming X amplifies relative error by more than 1e8 and the
-#: graph representation is numerically meaningless.
+#: Lower bound on sigma_min of the base-block component of a basis, and on
+#: sigma_min(I + Y) of a complementary pair. Below this, forming X amplifies
+#: relative error by more than 1e8 and the graph representation is
+#: numerically meaningless.
 GRAPH_SIGMA_TOL = 1e-8
 
 
@@ -111,11 +112,7 @@ class AngularPair:
 
     @property
     def Y(self) -> np.ndarray:
-        n0, n1 = self.n0, self.n1
-        y = np.zeros((n0 + n1, n0 + n1), dtype=np.complex128)
-        y[:n0, n0:] = self.X1
-        y[n0:, :n0] = self.X0
-        return y
+        return from_blocks(None, self.X1, self.X0, None)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -132,23 +129,19 @@ class ComplementarityReport:
     sigma_min: float
     norm_Y: float
 
-    def __bool__(self) -> bool:
-        return self.complementary
-
 
 def form_pair(X0, X1) -> AngularPair:
     """Pair two angular operators of conformable shapes."""
     return AngularPair(X0=X0, X1=X1)
 
 
-def to_graph(
-    u: Subspace, base: GraphBase | str, tol: float = GRAPH_SIGMA_TOL
-) -> GraphSubspace:
+def to_graph(u: Subspace, base: GraphBase | str) -> GraphSubspace:
     """Extract the angular operator of a subspace over a coordinate block.
 
     Requires ``u`` to carry its H0/H1 partition and to have the dimension
     of the base block. Raises :class:`NotAGraphError` when the base-block
-    component of the basis is (numerically) singular. One SVD of that
+    component of the basis is (numerically) singular, that is when its
+    sigma_min is at most :data:`GRAPH_SIGMA_TOL`. One SVD of that
     component gives both the gate value sigma_min and X.
     """
     base = GraphBase(base)
@@ -169,10 +162,10 @@ def to_graph(
         return GraphSubspace(base=base, X=np.zeros((u.ambient_dim, 0)))
     u_base, s, vh = np.linalg.svd(q_base)
     smin = float(s[-1])
-    if smin <= tol:
+    if smin <= GRAPH_SIGMA_TOL:
         raise NotAGraphError(
             f"subspace is not a graph over {base.value}: sigma_min({base.value} "
-            f"component) = {smin:.3e} <= {tol:.0e}",
+            f"component) = {smin:.3e} <= {GRAPH_SIGMA_TOL:.0e}",
             sigma_min=smin,
         )
     # X q_base = q_other with q_base = U S V*, so X = (q_other V) S^-1 U*
@@ -195,8 +188,8 @@ def from_graph(g: GraphSubspace) -> Subspace:
     return Subspace(basis=q, n0=n0)
 
 
-def check_complementary(p: AngularPair, tol: float = GRAPH_SIGMA_TOL) -> ComplementarityReport:
-    """Decide complementarity of the graph pair via sigma_min(I + Y).
+def check_complementary(p: AngularPair) -> ComplementarityReport:
+    """Complementarity of the graph pair: sigma_min(I + Y) > GRAPH_SIGMA_TOL.
 
     ``I + Y`` and ``I - Y`` are unitarily similar (conjugation by the
     signature J), so either one decides. A contraction ``norm(Y) < 1``
@@ -206,8 +199,8 @@ def check_complementary(p: AngularPair, tol: float = GRAPH_SIGMA_TOL) -> Complem
     """
     smin = float(p.singular_values_I_plus_Y[-1])
     norm_y = p.norm_Y
-    complementary = smin > tol
-    if norm_y < 1.0 - tol and not complementary:
+    complementary = smin > GRAPH_SIGMA_TOL
+    if norm_y < 1.0 - GRAPH_SIGMA_TOL and not complementary:
         raise NumericError(
             "contractive Y reported non-complementary; numeric inconsistency",
             diagnostics={"sigma_min": smin, "norm_Y": norm_y},

@@ -289,19 +289,11 @@ class BlockMatrix:
 
     def diagonal_part(self) -> np.ndarray:
         """Full matrix of the diagonal part ``A = diag(A0, A1)``."""
-        n0, n1 = self.n0, self.n1
-        a = np.zeros((n0 + n1, n0 + n1), dtype=np.complex128)
-        a[:n0, :n0] = self.A0
-        a[n0:, n0:] = self.A1
-        return a
+        return from_blocks(self.A0, None, None, self.A1)
 
     def offdiagonal_part(self) -> np.ndarray:
         """Full matrix of the coupling part ``V = [[0, W1], [W0, 0]]``."""
-        n0, n1 = self.n0, self.n1
-        v = np.zeros((n0 + n1, n0 + n1), dtype=np.complex128)
-        v[:n0, n0:] = self.W1
-        v[n0:, :n0] = self.W0
-        return v
+        return from_blocks(None, self.W1, self.W0, None)
 
     def swapped(self) -> "BlockMatrix":
         """Exchange the roles of H0 and H1 (permutation similarity).
@@ -314,15 +306,26 @@ class BlockMatrix:
         return out
 
 
+def from_blocks(a, b, c, d) -> np.ndarray:
+    """Fresh dense complex matrix ``[[a, b], [c, d]]``.
+
+    ``None`` stands for a zero block. Every block row and every block
+    column must hold one given block, whose shape fixes its size.
+    """
+    grid = ((a, b), (c, d))
+    rows = [next(m.shape[0] for m in row if m is not None) for row in grid]
+    cols = [next(r[j].shape[1] for r in grid if r[j] is not None) for j in (0, 1)]
+    out = np.zeros((sum(rows), sum(cols)), dtype=np.complex128)
+    for rs, row in zip((np.s_[: rows[0]], np.s_[rows[0]:]), grid):
+        for cs, m in zip((np.s_[: cols[0]], np.s_[cols[0]:]), row):
+            if m is not None:
+                out[rs, cs] = m
+    return out
+
+
 def assemble(b: BlockMatrix) -> np.ndarray:
     """Assemble the four blocks into the full dense matrix."""
-    n0, n1 = b.n0, b.n1
-    m = np.empty((n0 + n1, n0 + n1), dtype=np.complex128)
-    m[:n0, :n0] = b.A0
-    m[:n0, n0:] = b.W1
-    m[n0:, :n0] = b.W0
-    m[n0:, n0:] = b.A1
-    return m
+    return from_blocks(b.A0, b.W1, b.W0, b.A1)
 
 
 def split(m, n0: int) -> BlockMatrix:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockMatrix, frobenius_norm, split
+from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, split
 from .errors import HypothesisError, NumericError, StructuralError
 from .spectral import Subspace, containment_residual
 from .subordinated import TheoremResult, run_theorem
@@ -157,9 +157,6 @@ class DiracSplitReport:
     u_inf: float
     k_min: float
 
-    def __bool__(self) -> bool:
-        return self.subordinated
-
 
 @dataclass(frozen=True)
 class DiracPipelineResult:
@@ -220,20 +217,13 @@ def build_operators(problem: DiracProblem) -> DiracOperators:
     theta_op = _multiplier(fourier, theta_values)
     sqrt_lap = _hermitize(_multiplier(fourier, np.hypot(kx, ky).astype(np.complex128)))
     minus = _multiplier(fourier, (kx - 1j * ky).astype(np.complex128))
-    points = grid.points
-    h_free = np.zeros((2 * points, 2 * points), dtype=np.complex128)
-    h_free[:points, points:] = minus
-    h_free[points:, :points] = minus.conj().T
+    h_free = from_blocks(None, minus, minus.conj().T, None)
     u = problem.potential.sample(grid)
     h_full = h_free.copy()
-    idx = np.arange(2 * points)
+    idx = np.arange(2 * grid.points)
     h_full[idx, idx] += np.concatenate([u, u])
-    t_fw = np.zeros((2 * points, 2 * points), dtype=np.complex128)
-    eye = np.eye(points, dtype=np.complex128)
-    t_fw[:points, :points] = theta_op
-    t_fw[:points, points:] = eye
-    t_fw[points:, :points] = theta_op
-    t_fw[points:, points:] = -eye
+    eye = np.eye(grid.points, dtype=np.complex128)
+    t_fw = from_blocks(theta_op, eye, theta_op, -eye)
     t_fw /= np.sqrt(2.0)
     return DiracOperators(
         theta_op=theta_op,
@@ -287,7 +277,6 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
 def check_subordination_split(
     problem: DiracProblem,
     bm: BlockMatrix | None = None,
-    tol: float = 1e-10,
     ops: DiracOperators | None = None,
 ) -> DiracSplitReport:
     """Measure the averaged split identities and subordination at zero.
@@ -299,8 +288,9 @@ def check_subordination_split(
     margin ``k_min - 2 u_inf`` is a sufficient but conservative bound,
     and a margin that overflows is an input error.
     Residuals are Frobenius norms over ``norm(S) + u_inf``, where
-    ``norm(S)`` is the largest momentum magnitude on the grid. Pass the
-    ``ops`` of the problem when they are already built.
+    ``norm(S)`` is the largest momentum magnitude on the grid, and the
+    subordination flag allows a band of ``DEFAULT_TOL`` times that scale.
+    Pass the ``ops`` of the problem when they are already built.
     Never raises on a failing flag; residuals and margins tell the story.
     """
     if ops is None:
@@ -331,7 +321,7 @@ def check_subordination_split(
     w0, w1 = bm.eigvalsh_A
     sup_a1 = float(w1[-1])
     inf_a0 = float(w0[0])
-    band = tol * scale
+    band = DEFAULT_TOL * scale
     subordinated = sup_a1 <= band and inf_a0 >= -band
     return DiracSplitReport(
         block_identity_residual=block_res,

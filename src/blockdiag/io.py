@@ -46,17 +46,14 @@ def matrix_to_obj(m) -> dict:
     }
 
 
-def matrix_from_obj(obj, name: str = "matrix", key: str | None = None) -> np.ndarray:
-    """Decode a matrix object whose payload is under ``key``.
+def matrix_from_obj(obj, name: str, key: str) -> np.ndarray:
+    """Decode the matrix object ``name`` whose payload is under ``key``.
 
-    ``key`` is ``"b64"`` or ``"data"``, as the file's schema requires; by
-    default it is whichever of the two the object carries. An object that
-    also carries the other key is malformed.
+    ``key`` is ``"b64"`` or ``"data"``, as the file's schema requires. An
+    object that also carries the other key is malformed.
     """
     if not isinstance(obj, dict):
         raise StructuralError(f"{name}: expected an object, got {type(obj).__name__}")
-    if key is None:
-        key = "b64" if "b64" in obj else "data"
     other = "data" if key == "b64" else "b64"
     if other in obj:
         raise StructuralError(
@@ -260,7 +257,8 @@ def write_json_atomic(path, obj, compact: bool = False) -> None:
 
     Reports are indented for reading. Problem files are ``compact``: the
     indented form falls back to the pure-Python encoder, which dominates
-    saving a large matrix.
+    saving a large matrix. The file gets the mode a plain ``open`` would
+    give it, ``0o666`` less the umask, not the temp file's ``0o600``.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -268,10 +266,15 @@ def write_json_atomic(path, obj, compact: bool = False) -> None:
         payload = json.dumps(obj, separators=(",", ":")) + "\n"
     else:
         payload = json.dumps(obj, indent=2) + "\n"
+    # the umask can only be read by setting it: set the strictest one
+    # for that instant, then restore it
+    umask = os.umask(0o077)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

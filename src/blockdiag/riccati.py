@@ -26,6 +26,7 @@ from .core import (
     _bitwise_hermitian,
     as_matrix,
     frobenius_norm,
+    from_blocks,
     norm_lower_bound,
 )
 from .errors import NumericError, StructuralError, SylvesterSingularError
@@ -102,10 +103,9 @@ def residual_block(b: BlockMatrix, p: AngularPair) -> RiccatiResidual:
         raise StructuralError(
             f"pair dimensions {(p.n0, p.n1)} do not match blocks {(b.n0, b.n1)}"
         )
-    n0, n1 = b.n0, b.n1
-    res = np.zeros((n0 + n1, n0 + n1), dtype=np.complex128)
-    res[n0:, :n0] = residual_X0(b, p.X0).residual
-    res[:n0, n0:] = residual_X1(b, p.X1).residual
+    res = from_blocks(
+        None, residual_X1(b, p.X1).residual, residual_X0(b, p.X0).residual, None
+    )
     return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, b, p.Y))
 
 
@@ -193,25 +193,16 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
 
 
 def solve_newton_X0(
-    b: BlockMatrix,
-    X0_init=None,
-    tol: float = 1e-12,
-    max_iter: int = 25,
+    b: BlockMatrix, tol: float = 1e-12, max_iter: int = 25
 ) -> tuple[np.ndarray, NewtonTrace]:
-    """Newton iteration on the H0 graph equation.
+    """Newton iteration on the H0 graph equation, from ``X = 0``.
 
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
     ``X <- X + D``. Non-convergence within ``max_iter`` steps is reported
     in the trace, not raised; singular Newton steps propagate
     :class:`SylvesterSingularError`.
     """
-    x = (
-        np.zeros((b.n1, b.n0), dtype=np.complex128)
-        if X0_init is None
-        else as_matrix(X0_init, "X0_init")
-    )
-    if x.shape != (b.n1, b.n0):
-        raise StructuralError(f"X0_init must have shape {(b.n1, b.n0)}, got {x.shape}")
+    x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     history: list[float] = []
     for iteration in range(max_iter + 1):
         f = residual_X0(b, x)

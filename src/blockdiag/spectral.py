@@ -94,11 +94,11 @@ def spectral_subspace_below(
     return Subspace(basis=v[:, mask], n0=b.n0)
 
 
-def null_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def null_space_basis(m) -> np.ndarray:
     """SVD null-space basis of a (possibly rectangular) matrix.
 
-    Singular vectors with ``sigma <= tol * sigma_max`` are kept, with
-    ``tol`` as an absolute floor when the matrix vanishes.
+    Singular vectors with ``sigma <= DEFAULT_TOL * sigma_max`` are kept,
+    with ``DEFAULT_TOL`` as an absolute floor when the matrix vanishes.
     """
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
@@ -110,7 +110,7 @@ def null_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     # the thin factorization still returns all of vh when rows >= cols
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     scale = s[0] if s.size else 0.0
-    thresh = tol * scale if scale > 0.0 else tol
+    thresh = DEFAULT_TOL * scale if scale > 0.0 else DEFAULT_TOL
     # pad: singular values beyond min(rows, cols) are implicitly zero
     nkeep = int(np.sum(s > thresh))
     return vh[nkeep:].conj().T

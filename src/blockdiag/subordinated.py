@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_TOL,
     BlockMatrix,
     frobenius_norm,
+    from_blocks,
     is_hermitian,
     is_symmetric_offdiag,
 )
@@ -38,6 +39,9 @@ MU_BAND_TOL = 1e-9
 #: Allowed overshoot of the contraction bound norm(X) <= 1.
 CONTRACTION_SLACK = 1e-9
 
+#: Bound on both kernel-split residuals for the split to hold.
+KERNEL_SPLIT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SubordinationCheck:
@@ -49,9 +53,6 @@ class SubordinationCheck:
     subordinated: bool
     symmetric_V: bool
     gap: float
-
-    def __bool__(self) -> bool:
-        return self.subordinated and self.symmetric_V
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,6 @@ class KernelSplitReport:
     dim_k1: int
     split_residual: float
     diag_containment_residual: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -151,23 +149,20 @@ def _eigh_classified(b: BlockMatrix, mu: float):
     return w, v, below, at, above
 
 
-def verify_kernel_split(
-    b: BlockMatrix, mu: float, tol: float | None = None
-) -> KernelSplitReport:
+def verify_kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     """Verify that the kernel of ``B - mu`` splits along H0 and H1.
 
     Both constituents are computed as stacked-matrix null spaces; equality
     with the direct sum is measured by a projection residual, and the
     containment in the kernel of the diagonal part is checked as well.
-    Both residuals are Frobenius norms (upper bounds on the 2-norms).
+    Both residuals are Frobenius norms (upper bounds on the 2-norms), and
+    the split holds when both are at most :data:`KERNEL_SPLIT_TOL`.
     """
     _require_hypotheses(b, mu)
-    return _kernel_split(b, mu, tol)
+    return _kernel_split(b, mu)
 
 
-def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitReport:
-    if tol is None:
-        tol = 1e-8
+def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     _, v, _, at, _ = _eigh_classified(b, mu)
     k_basis = v[:, at]
     dim_k = k_basis.shape[1]
@@ -177,9 +172,7 @@ def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitRe
     k1 = null_space_basis(np.vstack([b.A1 - mu * eye1, b.W1]))
     dim_k0 = k0.shape[1]
     dim_k1 = k1.shape[1]
-    direct = np.zeros((b.dim, dim_k0 + dim_k1), dtype=np.complex128)
-    direct[: b.n0, :dim_k0] = k0
-    direct[b.n0:, dim_k0:] = k1
+    direct = from_blocks(k0, None, None, k1)
     if dim_k == dim_k0 + dim_k1 and dim_k > 0:
         proj = direct @ (direct.conj().T @ k_basis)
         split_residual = frobenius_norm(k_basis - proj)
@@ -195,8 +188,8 @@ def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitRe
         diag_containment = 0.0
     ok = (
         dim_k == dim_k0 + dim_k1
-        and split_residual <= tol
-        and diag_containment <= tol
+        and split_residual <= KERNEL_SPLIT_TOL
+        and diag_containment <= KERNEL_SPLIT_TOL
     )
     return KernelSplitReport(
         ok=ok,
@@ -208,21 +201,20 @@ def _kernel_split(b: BlockMatrix, mu: float, tol: float | None) -> KernelSplitRe
     )
 
 
-def build_L(b: BlockMatrix, mu: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
+def build_L(b: BlockMatrix, mu: float) -> Subspace:
     """Reducing subspace: strictly-below eigenvectors plus kernel ∩ H0.
 
     The part of the kernel of ``B - mu`` inside H0 is extracted by
     rotating the kernel basis (SVD of its H1 components) and keeping the
-    columns whose H1 component vanishes to ``tol``; the splitting property
-    guarantees such a rotation exists. The result must have dimension n0.
+    columns whose H1 component is at most ``DEFAULT_TOL``; the splitting
+    property guarantees such a rotation exists. The result must have
+    dimension n0.
     """
-    if mu is None:
-        mu = choose_mu(b)
     _require_hypotheses(b, mu)
-    return _reducing_subspace(b, mu, tol)
+    return _reducing_subspace(b, mu)
 
 
-def _reducing_subspace(b: BlockMatrix, mu: float, tol: float = DEFAULT_TOL) -> Subspace:
+def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
     _, v, below, at, _ = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]
@@ -232,7 +224,7 @@ def _reducing_subspace(b: BlockMatrix, mu: float, tol: float = DEFAULT_TOL) -> S
         rotated = k_basis @ wh.conj().T
         sigma = np.zeros(k_basis.shape[1])
         sigma[: s.size] = s
-        keep = sigma <= tol
+        keep = sigma <= DEFAULT_TOL
         pieces.append(rotated[:, keep])
     stacked = np.hstack(pieces)
     if stacked.shape[1] != b.n0:
@@ -262,7 +254,7 @@ def run_theorem(
     if mu is None:
         mu = choose_mu(b)
     check = _require_hypotheses(b, mu)
-    split_report = _kernel_split(b, mu, None)
+    split_report = _kernel_split(b, mu)
     sub = _reducing_subspace(b, mu)
     try:
         graph = to_graph(sub, GraphBase.H0)
@@ -287,8 +279,8 @@ def run_theorem(
     reduces_ok = res_l <= tol and res_perp <= tol
     left = diagonalize_left(b, pair)
     right = diagonalize_right(b, pair)
-    a_plus_vy = _block_diag(right.diag_blocks)
-    a_minus_yv = _block_diag(left.diag_blocks)
+    a_plus_vy = from_blocks(right.diag_blocks[0], None, None, right.diag_blocks[1])
+    a_minus_yv = from_blocks(left.diag_blocks[0], None, None, left.diag_blocks[1])
     adjointness = frobenius_norm(a_plus_vy.conj().T - a_minus_yv) / scale
     return TheoremResult(
         L=sub,
@@ -302,13 +294,3 @@ def run_theorem(
         invariance_residuals=(res_l, res_perp),
         check=check,
     )
-
-
-def _block_diag(blocks) -> np.ndarray:
-    b0, b1 = blocks
-    n0 = b0.shape[0]
-    n1 = b1.shape[0]
-    out = np.zeros((n0 + n1, n0 + n1), dtype=np.complex128)
-    out[:n0, :n0] = b0
-    out[n0:, n0:] = b1
-    return out

@@ -145,28 +145,27 @@ def _diagonalize(b, p, left: bool, blocks) -> DiagonalizationResult:
     )
 
 
-def verify_extended_identity(b: BlockMatrix, p: AngularPair) -> ExtendedIdentityResiduals:
+def verify_extended_identity(
+    b: BlockMatrix, p: AngularPair, right: DiagonalizationResult
+) -> ExtendedIdentityResiduals:
     """Compare the right conjugation with the ``(I - Y^2)``-scaled left form.
 
-    Both residuals are Frobenius norms relative to the exact ``norm(B)``; in
-    exact arithmetic with a vanishing graph-equation residual both are
-    zero, and the second one certifies that the scaled left form
-    reproduces ``A + V Y``.
+    ``right`` is :func:`diagonalize_right` of the same ``b`` and ``p``; its
+    ``transformed`` is the right conjugation. Both residuals are Frobenius
+    norms relative to the exact ``norm(B)``; in exact arithmetic with a
+    vanishing graph-equation residual both are zero, and the second one
+    certifies that the scaled left form reproduces ``A + V Y``.
     """
-    full = b.full
-    eye = np.eye(full.shape[0], dtype=np.complex128)
     y = p.Y
     a = b.diagonal_part()
     v = b.offdiagonal_part()
-    t_plus = eye + y
-    m = eye - y @ y
+    m = np.eye(b.dim, dtype=np.complex128) - y @ y
     try:
-        lhs = np.linalg.solve(t_plus, full @ t_plus)
         rhs = np.linalg.solve(m, (a - y @ v) @ m)
     except np.linalg.LinAlgError as exc:
-        raise NotComplementaryError("I + Y or I - Y^2 is numerically singular") from exc
+        raise NotComplementaryError("I - Y^2 is numerically singular") from exc
     scale = max(b.norm, 1e-300)
-    identity = frobenius_norm(lhs - rhs) / scale
+    identity = frobenius_norm(right.transformed - rhs) / scale
     right_form = frobenius_norm(rhs - (a + v @ y)) / scale
     return ExtendedIdentityResiduals(identity=identity, right_form=right_form)
 
@@ -240,9 +239,6 @@ class SpectralIdentityReport:
     tolerance: float
     left_spectrum: np.ndarray = field(repr=False, compare=False)
     right_spectrum: np.ndarray = field(repr=False, compare=False)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def match_spectra(a, b) -> float:

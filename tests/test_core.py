@@ -8,7 +8,7 @@ from blockdiag import (
     is_symmetric_offdiag,
     split,
 )
-from blockdiag.core import as_matrix
+from blockdiag.core import as_matrix, from_blocks
 from blockdiag.errors import StructuralError
 from conftest import random_block
 
@@ -26,6 +26,24 @@ def test_assemble_identity_blocks():
 def test_assemble_zero():
     b = BlockMatrix(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((2, 3)))
     assert not assemble(b).any()
+
+
+@pytest.mark.parametrize("n0,n1,k0,k1", [(1, 1, 1, 1), (2, 3, 4, 1), (3, 2, 0, 2)])
+def test_from_blocks_places_blocks_and_zeros(n0, n1, k0, k1):
+    rng = np.random.default_rng(n0 + 10 * k0)
+    a, b, c, d = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in ((n0, k0), (n0, k1), (n1, k0), (n1, k1))
+    )
+    np.testing.assert_array_equal(from_blocks(a, b, c, d), np.block([[a, b], [c, d]]))
+    zero_b, zero_c = np.zeros_like(b), np.zeros_like(c)
+    diagonal = from_blocks(a, None, None, d)
+    np.testing.assert_array_equal(diagonal, np.block([[a, zero_b], [zero_c, d]]))
+    assert diagonal.dtype == np.complex128
+    anti = from_blocks(None, b, c, None)
+    np.testing.assert_array_equal(
+        anti, np.block([[np.zeros_like(a), b], [c, np.zeros_like(d)]])
+    )
 
 
 def test_split_identity():

@@ -1,7 +1,9 @@
 import base64
 import dataclasses
 import json
+import os
 import pathlib
+import stat
 import struct
 
 import numpy as np
@@ -24,7 +26,7 @@ def test_matrix_json_roundtrip_bitexact(seed):
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     m[0, 0] = 1.0 / 3.0 + 1e-17j
     payload = json.dumps(matrix_to_obj(m))
-    back = matrix_from_obj(json.loads(payload))
+    back = matrix_from_obj(json.loads(payload), "m", "b64")
     assert np.array_equal(back, m)
 
 
@@ -68,8 +70,11 @@ def test_matrix_json_roundtrip_keeps_signed_zeros(tmp_path):
     assert v1["data"][0] == [-0.0, 0.0] and str(v1["data"][0][0]) == "-0.0"
     v2 = json.loads(json.dumps(matrix_to_obj(m)))
     assert set(v2) == {"rows", "cols", "b64"}
-    for obj, entries in ((v1, _entry_loop(v1["data"])), (v2, _b64_entry_loop(v2["b64"]))):
-        back = matrix_from_obj(obj)
+    for key, obj, entries in (
+        ("data", v1, _entry_loop(v1["data"])),
+        ("b64", v2, _b64_entry_loop(v2["b64"])),
+    ):
+        back = matrix_from_obj(obj, "m", key)
         assert np.array_equal(back, m)
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(back)), np.signbit(part(m)))
@@ -105,7 +110,7 @@ def test_b64_roundtrip_is_bitexact(tmp_path):
     extremes = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]
     values = [complex(re, im) for re in extremes for im in extremes]
     m = np.array(values[:48], dtype=complex).reshape(6, 8)
-    back = matrix_from_obj(json.loads(json.dumps(matrix_to_obj(m))))
+    back = matrix_from_obj(json.loads(json.dumps(matrix_to_obj(m))), "m", "b64")
     assert back.dtype == np.complex128 and back.shape == m.shape
     assert back.tobytes() == m.tobytes()
     pf = ProblemFile(block=BlockMatrix(m[:, :6], m[:2, :2], m[:2, :6], m[:, :2]), mu=0.5)
@@ -138,7 +143,7 @@ def _b64_obj(rows, cols, payload: bytes) -> dict:
 )
 def test_b64_matrix_obj_validation(obj):
     with pytest.raises(StructuralError):
-        matrix_from_obj(obj, "W0")
+        matrix_from_obj(obj, "W0", "b64")
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])
@@ -148,7 +153,7 @@ def test_b64_matrix_obj_names_the_nonfinite_entry(part, bad):
     getattr(m, part)[1, 0] = bad
     obj = _b64_obj(2, 3, m.astype("<c16").tobytes())
     with pytest.raises(StructuralError, match="^W0: entry 3 is not finite$"):
-        matrix_from_obj(obj, "W0")
+        matrix_from_obj(obj, "W0", "b64")
 
 
 @pytest.mark.parametrize("schema,key", [("blockdiag/2", "data"), ("blockdiag/1", "b64")])
@@ -171,7 +176,7 @@ def test_problem_matrices_must_use_the_schema_form(tmp_path, schema, key):
 def test_matrix_obj_names_the_bad_entry(bad):
     data = [[0.0, 0.0], bad, [1.0, 1.0]]
     with pytest.raises(StructuralError, match="entry 1"):
-        matrix_from_obj({"rows": 1, "cols": 3, "data": data})
+        matrix_from_obj({"rows": 1, "cols": 3, "data": data}, "W0", "data")
 
 
 def test_save_problem_is_compact_and_reports_are_indented(tmp_path):
@@ -185,11 +190,11 @@ def test_save_problem_is_compact_and_reports_are_indented(tmp_path):
 
 def test_matrix_obj_validation():
     with pytest.raises(StructuralError):
-        matrix_from_obj({"rows": 2, "cols": 2, "data": [[0, 0]]})
+        matrix_from_obj({"rows": 2, "cols": 2, "data": [[0, 0]]}, "W0", "data")
     with pytest.raises(StructuralError):
-        matrix_from_obj({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]})
+        matrix_from_obj({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}, "W0", "data")
     with pytest.raises(StructuralError):
-        matrix_from_obj([1, 2, 3])
+        matrix_from_obj([1, 2, 3], "W0", "data")
 
 
 def test_problem_roundtrip_bitexact(tmp_path):
@@ -435,6 +440,53 @@ def test_cli_dirac_subordination_failure_exit_2(tmp_path):
     report = json.loads(out.read_text())
     assert report["flags"]["subordinated"] is False
     assert report["certificates"]["subordination"]["margin"] < 0
+
+
+@pytest.mark.parametrize("flag", ["kernel_split_ok", "reduces_ok"])
+def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
+    from blockdiag import dirac
+
+    run = dirac.run_dirac_pipeline
+
+    def failing(problem, tol):
+        result = run(problem, tol=tol)
+        theorem = dataclasses.replace(result.theorem, **{flag: False})
+        return dataclasses.replace(result, theorem=theorem)
+
+    monkeypatch.setattr(dirac, "run_dirac_pipeline", failing)
+    out = tmp_path / "dirac.json"
+    assert main(["dirac", "--n", "4", "--amplitude", "0.03", "--out", str(out)]) == 1
+    assert "[dirac] FAIL" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["flags"][flag] is False
+    assert all(v <= 1e-8 for v in report["residuals"].values())
+
+
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct
+)
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    problem = tmp_path / "gen.json"
+    report = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert main(
+            ["random", "--n0", "2", "--n1", "2", "--out", str(problem)]
+        ) == 0
+        assert main(["check", str(problem), "--out", str(report)]) == 0
+    finally:
+        os.umask(old)
+    for path in (problem, report):
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+
+
+def test_relbound_default_grid(tmp_path):
+    path = _write_fixture(tmp_path)
+    out = tmp_path / "relbound.json"
+    assert main(["relbound", path, "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())["certificates"]["relative_bound"]["sweep"]
+    # each entry is [[re, im], value] of the shift i tau
+    assert [lam for lam, _ in sweep] == [[0.0, t] for t in np.logspace(0, 6, 13)]
 
 
 def test_cli_usage_error_exit_3():

@@ -1,7 +1,8 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and CLI commands run as written."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -31,3 +32,19 @@ def test_readme_schema_examples_load():
     for example in examples:
         block = ProblemFile.from_obj(json.loads(example)).block
         np.testing.assert_array_equal(block.full, [[0.0, 1.0], [1.0, 2.0]])
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    from blockdiag.cli import main
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\nCommands:\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("blockdiag ")
+    ]
+    assert len(commands) == 9
+    # the commands read and write their files relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

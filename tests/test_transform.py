@@ -82,13 +82,15 @@ def test_left_right_spectra_agree(seed):
 def test_extended_identity_zero_pair():
     # Y = 0 solves the block equation only when V = 0; then both sides are A
     b = BlockMatrix(np.diag([1.0]), np.diag([2.0]), [[0.0]], [[0.0]])
-    res = verify_extended_identity(b, _zero_pair(1, 1))
+    p = _zero_pair(1, 1)
+    res = verify_extended_identity(b, p, diagonalize_right(b, p))
     assert res.identity == 0.0
     assert res.right_form == 0.0
 
 
 def test_extended_identity_analytic(analytic):
-    res = verify_extended_identity(analytic, SKEW_ANALYTIC)
+    right = diagonalize_right(analytic, SKEW_ANALYTIC)
+    res = verify_extended_identity(analytic, SKEW_ANALYTIC, right)
     assert res.identity <= 1e-12
     assert res.right_form <= 1e-12
 
@@ -103,7 +105,7 @@ def test_extended_identity_tracks_riccati_residual(seed):
     from blockdiag.riccati import residual_block
 
     r = residual_block(b, p).rel_norm
-    res = verify_extended_identity(b, p)
+    res = verify_extended_identity(b, p, diagonalize_right(b, p))
     assert res.identity <= 1e2 * max(r, 1e-15)
     assert res.right_form <= 1e2 * max(r, 1e-15)
 
@@ -194,7 +196,7 @@ def test_resolvent_invariance_shift_independent(seed):
 def test_spectral_identity_decoupled():
     b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([5.0]), np.zeros((1, 2)), np.zeros((2, 1)))
     rep = verify_spectral_identity(b, _zero_pair(2, 1), tol=1e-10)
-    assert rep
+    assert rep.ok
     assert rep.left_distance == 0.0
 
 
@@ -210,13 +212,13 @@ def test_spectral_identity_random_gapped(seed):
     pf = random_case(6, 6, gap=1.0, coupling=0.5, seed=seed)
     result = run_theorem(pf.block, mu=0.0)
     pair = form_pair(result.X, -result.X.conj().T)
-    assert verify_spectral_identity(pf.block, pair, tol=1e-8)
+    assert verify_spectral_identity(pf.block, pair, tol=1e-8).ok
 
 
 def test_spectral_identity_detects_wrong_pair(analytic):
     wrong = form_pair([[0.3]], [[0.1]])
     rep = verify_spectral_identity(analytic, wrong, tol=1e-8)
-    assert not rep
+    assert not rep.ok
 
 
 def test_match_spectra_sorted_pairs():
@@ -266,7 +268,7 @@ def test_non_hermitian_route_end_to_end(seed):
     assert residual_X1(b, pair.X1).rel_norm <= 1e-12
     assert diagonalize_left(b, pair).offdiag_rel_norm <= 1e-12
     assert diagonalize_right(b, pair).offdiag_rel_norm <= 1e-12
-    assert verify_spectral_identity(b, pair, tol=1e-8)
+    assert verify_spectral_identity(b, pair, tol=1e-8).ok
 
 
 def test_zero_offdiag_forces_invariance():
