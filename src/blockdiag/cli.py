@@ -161,7 +161,7 @@ def _check(args, report, problem) -> bool:
     with _timed(timings, "riccati"):
         r0 = riccati.residual_X0(b, pair.X0)
         r1 = riccati.residual_X1(b, pair.X1)
-        rb = riccati.residual_block(b, pair)
+        rb = riccati.assemble_residual_block(b, pair, r0, r1)
     with _timed(timings, "diagonalize"):
         left = transform.diagonalize_left(b, pair)
         right = transform.diagonalize_right(b, pair)
@@ -476,14 +476,25 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _split_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-_positive_float = _checked(float, lambda v: v > 0.0, "> 0")
+def _all_finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+# float() accepts "nan" and "inf"; no option means either
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_pair = _checked(_floats, lambda v: len(v) == 2, "two comma-separated numbers")
+_floats = _checked(_split_floats, _all_finite, "comma-separated finite numbers")
+_pair = _checked(
+    _split_floats,
+    lambda v: len(v) == 2 and _all_finite(v),
+    "two comma-separated finite numbers",
+)
 _out_path = _checked(
     str,
     lambda v: os.path.isdir(os.path.dirname(os.path.abspath(v))),
@@ -498,7 +509,7 @@ def _opt(*flags, **kwargs) -> tuple:
 
 _TOL = _opt("--tol", type=_positive_float, default=CHECK_TOL,
             help="pass/fail threshold for relative residuals")
-_MU = _opt("--mu", type=float, default=None,
+_MU = _opt("--mu", type=_finite_float, default=None,
            help="spectral splitting threshold (defaults to the file's)")
 _OUT = _opt("--out", type=_out_path, default=None, help="write the JSON report here")
 
@@ -527,8 +538,8 @@ COMMANDS = {
         (
             _opt("--n0", type=int, required=True),
             _opt("--n1", type=int, required=True),
-            _opt("--gap", type=float, default=1.0),
-            _opt("--coupling", type=float, default=0.5),
+            _opt("--gap", type=_finite_float, default=1.0),
+            _opt("--coupling", type=_finite_float, default=0.5),
             _opt("--seed", type=int, default=0),
             _opt("--kernel-dim", type=int, default=0),
             _opt("--out", type=_out_path, required=True),
@@ -545,7 +556,7 @@ COMMANDS = {
             _opt("--lambdas", type=_positive_int, default=3,
                  help="number of sampled resolvent shifts"),
             _opt("--seed", type=int, default=0),
-            _opt("--perturb-x0", type=float, default=0.0,
+            _opt("--perturb-x0", type=_finite_float, default=0.0,
                  help="corrupt the extracted angular operator (negative control)"),
         ),
     ),
@@ -588,10 +599,10 @@ COMMANDS = {
         "discrete Dirac impurity demonstration",
         (
             _opt("--n", type=int, default=16, help="grid points per axis (even)"),
-            _opt("--box", type=float, default=2.0 * np.pi, help="box side length"),
-            _opt("--amplitude", type=float, default=0.0),
+            _opt("--box", type=_finite_float, default=2.0 * np.pi, help="box side length"),
+            _opt("--amplitude", type=_finite_float, default=0.0),
             _opt("--profile", choices=("disk", "gaussian"), default="disk"),
-            _opt("--radius", type=float, default=1.0),
+            _opt("--radius", type=_finite_float, default=1.0),
             _opt("--center", type=_pair, default=None, metavar="X,Y"),
             _TOL,
             _OUT,

@@ -10,6 +10,8 @@ to a Hermitian A.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +77,8 @@ def resolvent_norm(b: BlockMatrix, lam: complex) -> float:
     blocks. Other blocks take one solve per half.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise StructuralError(f"shift {lam} is not finite")
     if b.eigh_A is not None:
         (w0, q0), (w1, q1) = b.eigh_A
         spec_a = np.concatenate([w0, w1])
@@ -149,7 +153,7 @@ def neumann_certificate(b: BlockMatrix, p: AngularPair, lam: complex) -> Neumann
 def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
     """Estimate the relative bound of V against a Hermitian A.
 
-    Sweeps shifts ``i tau`` over the (positive, ascending) grid; the
+    Sweeps shifts ``i tau`` over the (finite, positive, ascending) grid; the
     smallest resolvent norm is the reported bound. The certified pair
     ``(norm(V), b_star)`` is validated on :data:`RELBOUND_SAMPLES` random
     unit vectors drawn from :data:`RELBOUND_SEED`.
@@ -157,10 +161,13 @@ def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
     taus = [float(t) for t in tau_grid]
     if not taus:
         raise StructuralError("tau_grid must not be empty")
-    if any(t <= 0 for t in taus) or any(
+    # comparisons with NaN are false, so finiteness is tested as 0 < t < inf
+    if not all(0.0 < t < math.inf for t in taus) or any(
         t2 <= t1 for t1, t2 in zip(taus, taus[1:])
     ):
-        raise StructuralError("tau_grid must be positive and strictly ascending")
+        raise StructuralError(
+            "tau_grid must be finite, positive and strictly ascending"
+        )
     a = b.diagonal_part()
     if not is_hermitian(a):
         raise ContractError("relative-bound sweep requires a Hermitian diagonal part")

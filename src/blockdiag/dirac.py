@@ -29,7 +29,6 @@ from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, split
 from .errors import HypothesisError, NumericError, StructuralError
 from .spectral import Subspace, containment_residual
 from .subordinated import TheoremResult, run_theorem
-from .angular import GraphBase, GraphSubspace, from_graph
 
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
 FW_UNITARITY_TOL = 1e-10
@@ -90,12 +89,20 @@ class ImpurityPotential:
     center: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise StructuralError("potential amplitude must be non-negative")
+        # written so that NaN, for which every comparison is false, fails
+        if not 0.0 <= self.amplitude < math.inf:
+            raise StructuralError(
+                f"potential amplitude must be finite and non-negative, "
+                f"got {self.amplitude}"
+            )
         if self.profile not in ("disk", "gaussian"):
             raise StructuralError(f"unknown potential profile {self.profile!r}")
-        if self.radius <= 0:
-            raise StructuralError("potential radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise StructuralError(
+                f"potential radius must be finite and positive, got {self.radius}"
+            )
+        if self.center is not None and not all(map(math.isfinite, self.center)):
+            raise StructuralError(f"potential center must be finite, got {self.center}")
 
     def sample(self, grid: GridSpec) -> np.ndarray:
         """Potential values on the flattened 2-d position grid."""
@@ -358,10 +365,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     perm = np.concatenate([np.arange(points, 2 * points), np.arange(points)])
     invperm = np.argsort(perm)
     minus_fw = theorem.L.basis[invperm, :]
-    complement = from_graph(
-        GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T)
-    )
-    plus_fw = complement.basis[invperm, :]
+    plus_fw = theorem.L_perp.basis[invperm, :]
     t = ops.t_fw
     minus_pos = Subspace(basis=_orthonormalize(t.conj().T @ minus_fw))
     plus_pos = Subspace(basis=_orthonormalize(t.conj().T @ plus_fw))

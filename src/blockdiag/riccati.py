@@ -103,9 +103,17 @@ def residual_block(b: BlockMatrix, p: AngularPair) -> RiccatiResidual:
         raise StructuralError(
             f"pair dimensions {(p.n0, p.n1)} do not match blocks {(b.n0, b.n1)}"
         )
-    res = from_blocks(
-        None, residual_X1(b, p.X1).residual, residual_X0(b, p.X0).residual, None
+    return assemble_residual_block(
+        b, p, residual_X0(b, p.X0), residual_X1(b, p.X1)
     )
+
+
+def assemble_residual_block(
+    b: BlockMatrix, p: AngularPair, r0: RiccatiResidual, r1: RiccatiResidual
+) -> RiccatiResidual:
+    """:func:`residual_block` from ``r0 = residual_X0(b, p.X0)`` and
+    ``r1 = residual_X1(b, p.X1)``, for callers that report those as well."""
+    res = from_blocks(None, r1.residual, r0.residual, None)
     return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, b, p.Y))
 
 

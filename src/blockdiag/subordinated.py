@@ -19,6 +19,7 @@ from .angular import GraphBase, GraphSubspace, form_pair, from_graph, to_graph
 from .core import (
     DEFAULT_TOL,
     BlockMatrix,
+    _extreme_magnitude,
     frobenius_norm,
     from_blocks,
     is_hermitian,
@@ -41,6 +42,12 @@ CONTRACTION_SLACK = 1e-9
 
 #: Bound on both kernel-split residuals for the split to hold.
 KERNEL_SPLIT_TOL = 1e-8
+
+#: Multiple of ``n * eps`` that the spectrum proof of an empty kernel piece
+#: leaves for rounding in ``eigvalsh`` and the SVD it stands in for.
+KERNEL_PROOF_ROUNDING = 16.0
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,12 @@ class KernelSplitReport:
 class TheoremResult:
     """Everything produced by the subordinated decomposition pipeline.
 
-    ``check`` is the subordination check the pipeline ran at ``mu``.
+    ``check`` is the subordination check the pipeline ran at ``mu``, and
+    ``L_perp`` the orthonormal basis of the complement, graph(-X*) over H1.
     """
 
     L: Subspace
+    L_perp: Subspace
     X: np.ndarray
     norm_X: float
     kernel_split_ok: bool
@@ -162,14 +171,49 @@ def verify_kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     return _kernel_split(b, mu)
 
 
+def _kernel_piece(
+    b: BlockMatrix, a: np.ndarray, w: np.ndarray, coupling: np.ndarray, mu: float
+) -> np.ndarray:
+    """Basis of ``Ker(a - mu) ∩ Ker(coupling)``, as :func:`null_space_basis`.
+
+    ``w`` is the cached spectrum of the diagonal block ``a``. With
+    bitwise-Hermitian blocks an empty piece is proved from it, without the
+    SVD. For ``m = [a - mu; coupling]``,
+    ``sigma_min(m) >= sigma_min(a - mu) = dist(mu, spec a)`` and
+    ``sigma_max(m) <= norm_F(m)``. So when ``dist(mu, w)`` minus a rounding
+    slack exceeds ``DEFAULT_TOL * norm_F(m)``, every singular value of ``m``
+    clears the threshold of :func:`null_space_basis`, which would return
+    the same n x 0 basis.
+
+    The slack is ``KERNEL_PROOF_ROUNDING * r * eps * (max|w| + norm_F(m))``,
+    r the row count of ``m``. It covers the rounding the proof skips:
+    ``eigvalsh`` is backward stable, so each ``w`` lies within
+    ``O(r eps) norm(a)`` of the exact spectrum; forming the real diagonal
+    of ``a - mu`` moves it by at most ``eps norm(m)``; and the computed
+    singular values of ``m``, ``sigma_max`` included, lie within
+    ``O(r eps) norm(m)`` of the exact ones. Every other input, and every
+    ``dist`` that does not clear the bound, takes the SVD, so the decision
+    is always the one the SVD makes.
+    """
+    m = np.vstack([a - mu * np.eye(a.shape[0], dtype=np.complex128), coupling])
+    if b.bitwise_hermitian_A:
+        norm_m = frobenius_norm(m)
+        dist = float(np.min(np.abs(w - mu)))
+        slack = KERNEL_PROOF_ROUNDING * m.shape[0] * _EPS * (
+            _extreme_magnitude(w) + norm_m
+        )
+        if dist - slack > DEFAULT_TOL * (norm_m or 1.0):
+            return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    return null_space_basis(m)
+
+
 def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     _, v, _, at, _ = _eigh_classified(b, mu)
     k_basis = v[:, at]
     dim_k = k_basis.shape[1]
-    eye0 = np.eye(b.n0, dtype=np.complex128)
-    eye1 = np.eye(b.n1, dtype=np.complex128)
-    k0 = null_space_basis(np.vstack([b.A0 - mu * eye0, b.W1.conj().T]))
-    k1 = null_space_basis(np.vstack([b.A1 - mu * eye1, b.W1]))
+    w0, w1 = b.eigvalsh_A
+    k0 = _kernel_piece(b, b.A0, w0, b.W1.conj().T, mu)
+    k1 = _kernel_piece(b, b.A1, w1, b.W1, mu)
     dim_k0 = k0.shape[1]
     dim_k1 = k1.shape[1]
     direct = from_blocks(k0, None, None, k1)
@@ -226,16 +270,14 @@ def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
         sigma[: s.size] = s
         keep = sigma <= DEFAULT_TOL
         pieces.append(rotated[:, keep])
+    # eigenvectors of B and a unitary rotation inside its mu-eigenspace:
+    # orthonormal already, which the Subspace Gram gate checks
     stacked = np.hstack(pieces)
     if stacked.shape[1] != b.n0:
         raise TheoremViolationError(
             f"reducing subspace has dimension {stacked.shape[1]}, expected n0 = {b.n0}"
         )
-    if stacked.shape[1] > 0:
-        q, _ = np.linalg.qr(stacked)
-    else:
-        q = stacked
-    return Subspace(basis=q, n0=b.n0)
+    return Subspace(basis=stacked, n0=b.n0)
 
 
 def run_theorem(
@@ -284,6 +326,7 @@ def run_theorem(
     adjointness = frobenius_norm(a_plus_vy.conj().T - a_minus_yv) / scale
     return TheoremResult(
         L=sub,
+        L_perp=complement,
         X=x,
         norm_X=norm_x,
         kernel_split_ok=split_report.ok,

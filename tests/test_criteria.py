@@ -153,3 +153,19 @@ def test_sweep_accepts_non_hermitian_diagonal():
     values = [resolvent_norm(b, lam) for lam in (-1.0, -10.0, -100.0)]
     assert values[0] > values[-1]
     assert values[-1] <= 0.5 / 100.0 * (1 + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "grid", [[float("nan")], [1.0, float("nan")], [float("inf")], [1.0, float("inf")]]
+)
+def test_relative_bound_refuses_non_finite_shifts(grid):
+    b = BlockMatrix(np.diag([1.0, -1.0]), np.diag([2.0]), np.ones((1, 2)), np.ones((2, 1)))
+    with pytest.raises(StructuralError, match="finite"):
+        estimate_relative_bound(b, grid)
+
+
+@pytest.mark.parametrize("lam", [complex(float("nan"), 0.0), complex(0.0, float("inf"))])
+def test_resolvent_norm_refuses_non_finite_shifts(lam):
+    b = BlockMatrix(np.diag([1.0, -1.0]), np.diag([2.0]), np.ones((1, 2)), np.ones((2, 1)))
+    with pytest.raises(StructuralError, match="not finite"):
+        resolvent_norm(b, lam)

@@ -245,3 +245,28 @@ def test_max_angle_matches_subspace_angles(seed):
     orthogonal = Subspace(basis=np.eye(n)[:, :k])
     assert _max_angle(Subspace(basis=np.eye(n)[:, k : 2 * k]), orthogonal) == np.pi / 2
     assert _max_angle(orthogonal, orthogonal) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"amplitude": float("nan")},
+        {"amplitude": float("inf")},
+        {"amplitude": 1.0, "radius": float("nan")},
+        {"amplitude": 1.0, "radius": float("inf")},
+        {"amplitude": 1.0, "radius": 0.0},
+        {"amplitude": 1.0, "center": (float("nan"), 0.0)},
+    ],
+)
+def test_potential_refuses_non_finite_parameters(kwargs):
+    with pytest.raises(StructuralError, match="finite"):
+        ImpurityPotential(**kwargs)
+
+
+def test_pipeline_complement_is_the_theorems_complement():
+    from blockdiag.angular import GraphBase, GraphSubspace, from_graph
+
+    result = run_dirac_pipeline(_problem(n=4, amplitude=0.3))
+    theorem = result.theorem
+    rebuilt = from_graph(GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T))
+    np.testing.assert_array_equal(theorem.L_perp.basis, rebuilt.basis)

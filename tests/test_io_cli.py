@@ -530,6 +530,38 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, args):
     assert not (tmp_path / "no_such_dir").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["relbound", "{path}", "--tau-grid", "nan"],
+        ["relbound", "{path}", "--tau-grid", "1,nan"],
+        ["relbound", "{path}", "--tau-grid", "inf"],
+        ["relbound", "{path}", "--tau-grid", "1,inf"],
+        ["neumann", "{path}", "--lambda", "nan,0"],
+        ["subordinated", "{path}", "--mu", "nan"],
+        ["check", "{path}", "--mu", "nan"],
+        ["check", "{path}", "--perturb-x0", "inf"],
+        ["check", "{path}", "--tol", "inf"],
+        ["random", "--n0", "2", "--n1", "2", "--gap", "nan", "--out", "{out}"],
+        ["random", "--n0", "2", "--n1", "2", "--coupling", "inf", "--out", "{out}"],
+        ["dirac", "--n", "4", "--radius", "nan"],
+        ["dirac", "--n", "4", "--amplitude", "nan"],
+        ["dirac", "--n", "4", "--box", "inf"],
+        ["dirac", "--n", "4", "--center", "nan,0"],
+    ],
+)
+def test_cli_non_finite_numbers_exit_3(tmp_path, capsys, args):
+    path = tmp_path / "gapped.json"
+    save_problem(path, random_case(4, 4, gap=1.0, coupling=0.5, seed=0))
+    out = tmp_path / "written.json"
+    argv = [a.format(path=path, out=out) for a in args]
+    assert main(argv) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert "finite" in obj["error"]["message"]
+    assert not out.exists()
+
+
 def test_cli_max_iter_zero_is_valid(tmp_path):
     path = _write_fixture(tmp_path, mu=1.0)
     # zero steps from X = 0 cannot converge: a tolerance failure, not a crash

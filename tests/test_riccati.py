@@ -390,3 +390,37 @@ def test_newton_covariant_under_block_unitary_basis_change(seed, n0, n1, kind, c
     assert trace.converged and trace_r.converged
     expected = u1 @ x @ u0.conj().T
     assert np.linalg.norm(x_r - expected) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assembled_residual_block_is_residual_block(seed):
+    rng = np.random.default_rng(90 + seed)
+    b = random_block(rng, 2, 3)
+    p = form_pair(
+        rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
+        rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+    )
+    r0, r1 = residual_X0(b, p.X0), residual_X1(b, p.X1)
+    assembled = riccati.assemble_residual_block(b, p, r0, r1)
+    direct = residual_block(b, p)
+    np.testing.assert_array_equal(assembled.residual, direct.residual)
+    assert assembled.rel_norm == direct.rel_norm
+
+
+def test_check_computes_each_graph_residual_once(tmp_path, monkeypatch):
+    from blockdiag import random_case, save_problem
+    from blockdiag.cli import main
+
+    path = tmp_path / "problem.json"
+    save_problem(path, random_case(4, 3, gap=1.0, coupling=0.5, seed=2))
+    calls = []
+    for name in ("residual_X0", "residual_X1"):
+        original = getattr(riccati, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(riccati, name, counted)
+    assert main(["check", str(path), "--lambdas", "1"]) == 0
+    assert sorted(calls) == ["residual_X0", "residual_X1"]
