@@ -276,6 +276,7 @@ def _riccati_solve(args, report, problem) -> bool:
     report.residuals["final"] = trace.iterates[-1]
     report.certificates["newton"] = {
         "iterations": trace.iterations,
+        "schur_steps": trace.schur_steps,
         "trace": trace.iterates,
     }
     report.flags["converged"] = trace.converged

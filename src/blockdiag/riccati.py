@@ -5,11 +5,19 @@ exactly when ``A1 X0 - X0 A0 - X0 W1 X0 + W0 = 0``; the mirrored equation
 characterizes graphs over H1, and both combine into a single quadratic
 equation for the off-diagonal operator Y. The Newton iteration solves the
 H0 equation without an eigensolve of the assembled matrix and serves as a
-mutual oracle for the spectral route. Each Newton step is a Sylvester
-equation, solved by Bartels-Stewart on one triangular form per
-coefficient: ``eigh`` for a bitwise-Hermitian coefficient, the complex
-Schur form otherwise. The spectra separation gate reads the diagonals of
-those forms, so no coefficient is factored twice.
+mutual oracle for the spectral route.
+
+Each Newton step is the Sylvester equation ``P D - D Q = -F`` with
+``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input (bitwise
+Hermitian A0, A1 and ``W0 = W1*`` bitwise) it is solved in the graph frame:
+P and Q are similar, up to terms of the size of F, to the Hermitian
+compressions of B onto graph(X) and its orthogonal complement, so two
+generalized ``eigh`` and a few contracting sweeps solve it exactly. Every
+other input, and every step that route declines, takes Bartels-Stewart
+(:func:`solve_sylvester`) on one triangular form per coefficient: ``eigh``
+for a bitwise-Hermitian coefficient, the complex Schur form otherwise. Both
+routes read the spectra separation gate off the factorizations they made
+and check the same residual gate.
 """
 
 from __future__ import annotations
@@ -38,15 +46,34 @@ SYLVESTER_SEPARATION_TOL = 1e-10
 #: Largest side of a triangular Sylvester block handed to ``ztrsyl``.
 TRSYL_BLOCK = 64
 
+#: Bound on a Sylvester solution's residual, relative to a lower bound on
+#: the norm of the right-hand side.
+SYLVESTER_RESIDUAL_TOL = 1e-9
+
+#: Largest contraction factor of the graph-frame sweeps at which a Newton
+#: step on Hermitian input is solved by them.
+GRAPH_FRAME_CONTRACTION_MAX = 0.5
+
+#: Relative change of the graph-frame solution at which the sweeps stop.
+GRAPH_FRAME_SWEEP_TOL = 1e-15
+
+#: Sweeps after which a graph-frame solve that has not met
+#: :data:`GRAPH_FRAME_SWEEP_TOL` is abandoned for the Schur route.
+GRAPH_FRAME_MAX_SWEEPS = 64
+
 
 @dataclass(frozen=True)
 class RiccatiResidual:
     """Residual matrix with a scale-aware relative norm.
 
-    ``rel_norm = norm_F(residual) / ((norm(A) + norm(V)) (1 + n(X))^2)``
-    so the same tolerance is meaningful for small and large solutions.
-    ``norm(A)`` and ``norm(V)`` are exact 2-norms and ``n(X)`` a lower bound
-    on ``norm(X)``: the gate is never looser than the all-2-norm quotient.
+    ``rel_norm = norm_F(residual) / ((a + norm(V)) (1 + n(X))^2)`` so the
+    same tolerance is meaningful for small and large solutions. ``norm(V)``
+    is the exact 2-norm, ``n(X)`` a lower bound on ``norm(X)``, and
+    ``a = norm_F(A - cI) / sqrt(n0 + n1)`` with ``A = diag(A0, A1)`` and
+    ``c = tr(A) / (n0 + n1)``. A diagonal shift ``A0, A1 + sI`` leaves the
+    graph equations, and ``a``, unchanged, and
+    ``a <= min_s norm(A - s) <= norm(A)``: the gate is never looser than
+    the all-2-norm quotient.
     """
 
     residual: np.ndarray
@@ -58,15 +85,38 @@ class RiccatiResidual:
 
 @dataclass(frozen=True)
 class NewtonTrace:
-    """Relative residual history of a Newton run."""
+    """Relative residual history of a Newton run.
+
+    ``schur_steps`` counts the steps solved by :func:`solve_sylvester`:
+    every step on non-Hermitian input, and the steps the graph-frame route
+    declined on Hermitian input.
+    """
 
     iterates: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    schur_steps: int = 0
+
+
+def _centred_norm_lower_bound_A(b: BlockMatrix) -> float:
+    """``norm_F(A - cI) / sqrt(dim)`` for ``A = diag(A0, A1)``, ``c = tr(A) / dim``.
+
+    c is the scalar nearest A in the Frobenius norm, so this is at most
+    ``norm_F(A - sI) / sqrt(dim) <= norm(A - sI)`` for every s, and a shift
+    ``A + sI`` moves c by s and leaves the bound as it is.
+    """
+    diagonal = np.concatenate([np.diag(b.A0), np.diag(b.A1)])
+    c = np.sum(diagonal / b.dim)
+    spread = np.hypot(
+        frobenius_norm(b.A0 - c * np.eye(b.n0)), frobenius_norm(b.A1 - c * np.eye(b.n1))
+    )
+    return float(spread) / np.sqrt(b.dim)
 
 
 def _rel_norm(residual, b: BlockMatrix, x) -> float:
-    denom = (b.norm_A + b.norm_V) * (1.0 + norm_lower_bound(x)) ** 2
+    denom = (_centred_norm_lower_bound_A(b) + b.norm_V) * (
+        1.0 + norm_lower_bound(x)
+    ) ** 2
     r = frobenius_norm(residual)
     if denom == 0.0:
         return 0.0 if r == 0.0 else float("inf")
@@ -190,14 +240,133 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         )
     y = _solve_triangular_sylvester(tp, tq, up.conj().T @ c @ uq)
     z = up @ y @ uq.conj().T
-    resid = frobenius_norm(p @ z - z @ q - c)
-    rhs_scale = norm_lower_bound(c)
-    if resid > 1e-9 * max(rhs_scale, 1e-300):
+    diagnostics = _sylvester_residual_failure(p, q, z, c)
+    if diagnostics is not None:
         raise NumericError(
-            "Sylvester solution residual beyond guarantee",
-            diagnostics={"residual": resid, "rhs_norm_lower_bound": rhs_scale},
+            "Sylvester solution residual beyond guarantee", diagnostics=diagnostics
         )
     return z
+
+
+def _sylvester_residual_failure(p, q, z, c) -> dict | None:
+    """Diagnostics when ``P Z - Z Q = C`` misses its residual gate, else None.
+
+    The gate is ``norm_F(P Z - Z Q - C) <= SYLVESTER_RESIDUAL_TOL * n(C)``
+    with n(C) a lower bound on the 2-norm of C.
+    """
+    resid = frobenius_norm(p @ z - z @ q - c)
+    rhs_scale = norm_lower_bound(c)
+    if resid <= SYLVESTER_RESIDUAL_TOL * max(rhs_scale, 1e-300):
+        return None
+    return {"residual": resid, "rhs_norm_lower_bound": rhs_scale}
+
+
+def _graph_frame(b: BlockMatrix, x, f, xw, wx):
+    """The Newton equation ``P D - D Q = -F`` on Hermitian input, diagonalized.
+
+    ``xw = X W1`` and ``wx = W1 X``, so ``P = A1 - xw`` and ``Q = A0 + wx``.
+    With ``G = [I; X]``, ``K = [-X*; I]``, ``S0 = I + X* X`` and
+    ``S1 = I + X X*``, the compressions ``H0 = G* B G`` and ``H1 = K* B K``
+    are Hermitian, and ``B G = G Q + [0; F]``, ``K* B = P K* + [F, 0]``
+    give ``Q = S0^-1 (H0 - X* F)`` and ``P = (H1 + F X*) S1^-1``. The
+    generalized eigendecompositions ``H0 V0 = S0 V0 L0`` and
+    ``H1 V1 = S1 V1 L1`` (``V* S V = I``) bring the coefficients to
+    ``V1* P (S1 V1) = L1 + E1`` and ``(V0* S0) Q V0 = L0 - E0`` with
+    ``E1 = (V1* F)(X* V1)`` and ``E0 = (X V0)* (F V0)``. So
+    ``D = (S1 V1) Z (V0* S0)`` where ``L1 Z - Z L0 = -C - E1 Z - Z E0`` and
+    ``C = V1* F V0``. At X = 0 the compressions are A0 and A1, read off
+    ``b.eigh_A``, and E vanishes.
+
+    Returns ``(delta, C, E1, E0, S1 V1, V0* S0)`` with
+    ``delta[i, j] = l1_i - l0_j`` (E1 and E0 None at X = 0), or None when a
+    generalized ``eigh`` fails.
+    """
+    if not x.any():
+        (lam0, v0), (lam1, v1) = b.eigh_A
+        c = v1.conj().T @ f @ v0
+        return lam1[:, None] - lam0[None, :], c, None, None, v1, v0.conj().T
+    xh = x.conj().T
+    try:
+        lam0, v0 = scipy.linalg.eigh(
+            b.A0 + wx + wx.conj().T + xh @ (b.A1 @ x),
+            xh @ x + np.eye(b.n0),
+            overwrite_a=True,
+            overwrite_b=True,
+        )
+        lam1, v1 = scipy.linalg.eigh(
+            b.A1 - xw - xw.conj().T + x @ (b.A0 @ xh),
+            x @ xh + np.eye(b.n1),
+            overwrite_a=True,
+            overwrite_b=True,
+        )
+    except (np.linalg.LinAlgError, ValueError):
+        # S not numerically positive definite, or a compression that
+        # overflowed (refused as non-finite)
+        return None
+    x_v0, xh_v1 = x @ v0, xh @ v1
+    v1h_f = v1.conj().T @ f
+    return (
+        lam1[:, None] - lam0[None, :],
+        v1h_f @ v0,
+        v1h_f @ xh_v1,
+        x_v0.conj().T @ (f @ v0),
+        v1 + x @ xh_v1,
+        v0.conj().T + x_v0.conj().T @ x,
+    )
+
+
+def _graph_frame_step(b: BlockMatrix, x, f, xw, wx) -> np.ndarray | None:
+    """Newton step D with ``P D - D Q = -F`` on Hermitian input, or None.
+
+    In the frame of :func:`_graph_frame` the equation is solved by the
+    sweeps ``Z <- (-C - E1 Z - Z E0) / (l1_i - l0_j)``, which contract by
+    at most ``r = (norm_F(E1) + norm_F(E0)) / min|l1_i - l0_j|``. By
+    Bauer-Fike, ``min|l1_i - l0_j| - norm_F(E1) - norm_F(E0)`` is a lower
+    bound on the separation of the spectra of P and Q.
+
+    The step is declined (None) when that bound fails the
+    :data:`SYLVESTER_SEPARATION_TOL` test of :func:`solve_sylvester`, when
+    ``r > GRAPH_FRAME_CONTRACTION_MAX``, when a generalized ``eigh`` fails,
+    when the sweeps do not converge within :data:`GRAPH_FRAME_MAX_SWEEPS`,
+    or when D misses the residual gate of :func:`solve_sylvester`. The
+    sweeps have converged when their change is at most
+    :data:`GRAPH_FRAME_SWEEP_TOL` relative to Z, or when it no longer
+    shrinks, which exact sweeps with ``r <= 1/2`` cannot do: what is left
+    is rounding.
+    """
+    frame = _graph_frame(b, x, f, xw, wx)
+    if frame is None:
+        return None
+    delta, c, e1, e0, t1, v0_inv = frame
+    p, q = b.A1 - xw, b.A0 + wx
+    gap = float(np.min(np.abs(delta)))
+    perturbation = 0.0 if e1 is None else frobenius_norm(e1) + frobenius_norm(e0)
+    scale = frobenius_norm(p) + frobenius_norm(q)
+    if (
+        gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
+        or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
+    ):
+        return None
+    z = -c / delta
+    if perturbation:
+        previous = np.inf
+        for _ in range(GRAPH_FRAME_MAX_SWEEPS):
+            swept = (-c - e1 @ z - z @ e0) / delta
+            change = frobenius_norm(swept - z)
+            z = swept
+            # exact sweeps at least halve the change: one that does not
+            # shrink is rounding
+            if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or (
+                change >= previous
+            ):
+                break
+            previous = change
+        else:
+            return None
+    d = t1 @ z @ v0_inv
+    if _sylvester_residual_failure(p, q, d, -f) is not None:
+        return None
+    return d
 
 
 def solve_newton_X0(
@@ -206,23 +375,35 @@ def solve_newton_X0(
     """Newton iteration on the H0 graph equation, from ``X = 0``.
 
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
-    ``X <- X + D``. Non-convergence within ``max_iter`` steps is reported
+    ``X <- X + D``. On Hermitian input (A0 and A1 bitwise Hermitian,
+    ``W0 = W1*`` bitwise) the step is solved in the graph frame
+    (:func:`_graph_frame_step`); every other input, and every step that
+    route declines, takes :func:`solve_sylvester`, counted in
+    ``schur_steps``. Non-convergence within ``max_iter`` steps is reported
     in the trace, not raised; singular Newton steps propagate
     :class:`SylvesterSingularError`.
     """
+    hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     history: list[float] = []
+    schur_steps = 0
     for iteration in range(max_iter + 1):
         f = residual_X0(b, x)
         history.append(f.rel_norm)
-        if f.rel_norm <= tol:
-            return x, NewtonTrace(
-                iterates=history, converged=True, iterations=iteration
-            )
-        if iteration == max_iter:
+        if f.rel_norm <= tol or iteration == max_iter:
             break
-        coeff_left = b.A1 - x @ b.W1
-        coeff_right = b.A0 + b.W1 @ x
-        dx = solve_sylvester(coeff_left, coeff_right, -f.residual)
+        xw, wx = x @ b.W1, b.W1 @ x
+        dx = None
+        # a non-finite F goes to solve_sylvester, which refuses it
+        if hermitian and np.isfinite(f.rel_norm):
+            dx = _graph_frame_step(b, x, f.residual, xw, wx)
+        if dx is None:
+            dx = solve_sylvester(b.A1 - xw, b.A0 + wx, -f.residual)
+            schur_steps += 1
         x = x + dx
-    return x, NewtonTrace(iterates=history, converged=False, iterations=max_iter)
+    return x, NewtonTrace(
+        iterates=history,
+        converged=bool(history[-1] <= tol),
+        iterations=iteration,
+        schur_steps=schur_steps,
+    )

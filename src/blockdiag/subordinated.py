@@ -149,9 +149,19 @@ def _require_hypotheses(b: BlockMatrix, mu: float) -> SubordinationCheck:
 
 
 def _eigh_classified(b: BlockMatrix, mu: float):
-    """The cached eigendecomposition of B, eigenvalues classified vs mu."""
+    """The cached eigendecomposition of B, eigenvalues classified vs mu.
+
+    An eigenvalue counts as equal to mu within the band
+    ``max(MU_BAND_TOL * norm(B - mu), KERNEL_PROOF_ROUNDING * dim * eps * norm(B))``:
+    ``norm(B - mu) = max|w - mu|`` is read off the eigenvalues, so a
+    diagonal shift of B and mu together leaves the first term as it is, and
+    the second is the rounding floor of the computed eigenvalues.
+    """
     w, v = b.eigh
-    band = MU_BAND_TOL * b.norm
+    band = max(
+        MU_BAND_TOL * _extreme_magnitude(w - mu),
+        KERNEL_PROOF_ROUNDING * b.dim * _EPS * b.norm,
+    )
     below = w < mu - band
     at = np.abs(w - mu) <= band
     above = w > mu + band

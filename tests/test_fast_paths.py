@@ -348,11 +348,58 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     calls = _kernels(monkeypatch)
     eigh, schur, eigvals = calls["eigh"], calls["schur"], calls["eigvals"]
     sylvester = _record_shapes(monkeypatch, scipy.linalg, "solve_sylvester")
+    generalized = _record_shapes(monkeypatch, scipy.linalg, "eigh")
     _, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
-    assert len(eigh) + len(schur) == 2 * trace.iterations
-    # the first step's coefficients are A1 and A0 themselves; eigh only
-    # for a bitwise-Hermitian one
-    assert eigh == ([(5, 5)] if nearly else [(5, 5), (6, 6)])
-    assert schur.count((6, 6)) == trace.iterations - (0 if nearly else 1)
+    if nearly:
+        # one triangular form per coefficient and step; the first step's
+        # coefficients are A1 and A0 themselves, eigh for the bitwise-
+        # Hermitian A1
+        assert trace.schur_steps == trace.iterations
+        assert generalized == []
+        assert eigh == [(5, 5)]
+        assert schur.count((6, 6)) == trace.iterations
+        assert schur.count((5, 5)) == trace.iterations - 1
+    else:
+        # the first step reads eigh_A, every later one takes one
+        # generalized eigh per compression of B
+        assert trace.schur_steps == 0 and schur == []
+        assert eigh == [(6, 6), (5, 5)]
+        assert generalized == [(6, 6), (5, 5)] * (trace.iterations - 1)
+
+
+def test_newton_on_hermitian_input_takes_no_schur_step():
+    _, trace = solve_newton_X0(random_case(8, 8, gap=1.0, coupling=0.5, seed=0).block)
+    assert trace.converged and trace.iterations >= 3
+    assert trace.schur_steps == 0
+
+
+@pytest.mark.parametrize("kind", ["nearly", "general"])
+def test_newton_on_non_hermitian_input_takes_schur_steps(kind):
+    b = random_case(8, 8, gap=1.0, coupling=0.5, seed=0).block
+    if kind == "nearly":
+        b = BlockMatrix(b.A0, b.A1, b.W0 + 1e-15, b.W1)
+    else:
+        b = BlockMatrix(b.A0 + 0.1j * np.eye(8), b.A1, b.W0, b.W1)
+    _, trace = solve_newton_X0(b)
+    assert trace.converged and trace.iterations >= 3
+    assert trace.schur_steps == trace.iterations
+
+
+# --- metamorphic properties of the spectral route ---------------------------
+
+
+@PROPERTY
+@given(seeds, dims, dims, st.floats(0.05, 2.0), st.floats(-0.4, 0.4))
+def test_spectral_route_of_negated_swapped_problem(seed, n0, n1, coupling, mu):
+    """``-B`` with H0 and H1 exchanged, split at ``-mu``, has the angular pair
+    ``(X1, X0)``: its eigenvectors below ``-mu`` are B's above mu."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    assume(np.min(np.abs(b.eigh[0] - mu)) >= 0.05)
+    pair = _spectral_route(b, mu)
+    mirrored = BlockMatrix(-b.A1, -b.A0, -b.W1, -b.W0)
+    mirrored_pair = _spectral_route(mirrored, -mu)
+    scale = 1.0 + _norm2(pair.Y)
+    assert np.linalg.norm(mirrored_pair.X0 - pair.X1) <= 1e-12 * scale
+    assert np.linalg.norm(mirrored_pair.X1 - pair.X0) <= 1e-12 * scale

@@ -92,6 +92,7 @@ SHAPES = {
     ]),
     ("gapped", ("riccati-solve",)): (0, [
         "certificates.newton.iterations",
+        "certificates.newton.schur_steps",
         "certificates.newton.trace",
         "flags.converged",
         "residuals.final",

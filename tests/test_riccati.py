@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockdiag import riccati
 from blockdiag import (
     BlockMatrix,
     form_pair,
+    random_case,
     residual_block,
     residual_X0,
     residual_X1,
@@ -155,7 +156,12 @@ def test_newton_analytic(analytic):
 
 
 def test_newton_degenerate_raises():
+    """The graph frame declines the overlapping spectra, and the Schur
+    solve it falls back to raises."""
     b = BlockMatrix([0.0], [0.0], [1.0], [1.0])
+    x = np.zeros((1, 1), dtype=np.complex128)
+    f = residual_X0(b, x).residual
+    assert riccati._graph_frame_step(b, x, f, x, x) is None
     with pytest.raises(SylvesterSingularError):
         solve_newton_X0(b)
 
@@ -353,18 +359,18 @@ def _unitary(rng, n):
     seeds, dims, dims, st.sampled_from(["hermitian", "general"]),
     st.floats(0.05, 0.5), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
 )
+# a norm(A) scale put the third step at 1.04e-12 unshifted and 9.8e-13
+# shifted, on either side of the tolerance
+@example(seed=1310414, n0=3, n1=3, kind="hermitian", coupling=0.347, re=0.0, im=1.0)
 def test_newton_invariant_under_diagonal_shift(seed, n0, n1, kind, coupling, re, im):
     """``A0 + sI``, ``A1 + sI`` leave the graph equation, hence every Newton
-    iterate, unchanged. The stopping test is relative to ``norm(A) +
-    norm(V)``, which the shift does change, so the shifted run's tolerance
-    is rescaled to stop at the same absolute residual."""
+    iterate, unchanged, and the stopping test's scale with them: both runs
+    stop after the same number of steps at the same tolerance."""
     b = _gapped_block(np.random.default_rng(seed), n0, n1, kind, coupling)
     s = complex(re, im)
     shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
-    tol = 1e-12
-    tol_s = tol * (b.norm_A + b.norm_V) / (shifted.norm_A + shifted.norm_V)
-    x, trace = solve_newton_X0(b, tol=tol)
-    x_s, trace_s = solve_newton_X0(shifted, tol=tol_s)
+    x, trace = solve_newton_X0(b, tol=1e-12)
+    x_s, trace_s = solve_newton_X0(shifted, tol=1e-12)
     assert trace.converged and trace_s.converged
     assert trace_s.iterations == trace.iterations
     assert np.linalg.norm(x_s - x) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
@@ -424,3 +430,156 @@ def test_check_computes_each_graph_residual_once(tmp_path, monkeypatch):
         monkeypatch.setattr(riccati, name, counted)
     assert main(["check", str(path), "--lambdas", "1"]) == 0
     assert sorted(calls) == ["residual_X0", "residual_X1"]
+
+
+def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
+    rng = np.random.default_rng(11)
+    b = _gapped_block(rng, 4, 3, "general", 0.3)
+    scale = riccati._centred_norm_lower_bound_A(b)
+    assert 0.0 < scale <= np.linalg.norm(b.diagonal_part(), 2)
+    for s in (1.0, -2.5j, 1e6 + 1e6j):
+        shifted = BlockMatrix(b.A0 + s * np.eye(4), b.A1 + s * np.eye(3), b.W0, b.W1)
+        assert riccati._centred_norm_lower_bound_A(shifted) == pytest.approx(
+            scale, rel=1e-15 * (1.0 + abs(s))
+        )
+
+
+# --- Newton steps in the graph frame -----------------------------------------
+
+
+def _schur_newton_steps(b, tol=1e-12, max_iter=25):
+    """Newton with every step solved by :func:`solve_sylvester`.
+
+    Yields ``(x, f, xw, wx, d)`` per step; the generator's return value is
+    the final X.
+    """
+    x = np.zeros((b.n1, b.n0), dtype=np.complex128)
+    for _ in range(max_iter):
+        f = residual_X0(b, x)
+        if f.rel_norm <= tol:
+            return x
+        xw, wx = x @ b.W1, b.W1 @ x
+        d = solve_sylvester(b.A1 - xw, b.A0 + wx, -f.residual)
+        yield x, f.residual, xw, wx, d
+        x = x + d
+    raise AssertionError("reference Newton run did not converge")
+
+
+def _schur_newton(b):
+    steps = _schur_newton_steps(b)
+    count = 0
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value, count
+        count += 1
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 9), st.integers(1, 9),
+    st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
+)
+def test_graph_frame_step_matches_sylvester_solve(seed, n0, n1, coupling):
+    """Each graph-frame step equals the Bartels-Stewart step, and whole runs
+    take the same number of steps to the same X."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    x_ref, count = _schur_newton(b)
+    for x, f, xw, wx, d_ref in _schur_newton_steps(b):
+        d = riccati._graph_frame_step(b, x, f, xw, wx)
+        if d is not None:
+            assert _rel_dist(d, d_ref) <= 1e-10
+    x, trace = solve_newton_X0(b)
+    assert trace.converged and trace.iterations == count
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
+
+
+def _frame_from_assembled(b, x):
+    """Gap, perturbation and coefficients of the graph frame at X.
+
+    Independent of :func:`riccati._graph_frame_step`: the compressions are
+    taken of the assembled B, and the perturbations are read off the
+    similarity transforms of P and Q themselves.
+    """
+    xh = x.conj().T
+    g = np.vstack([np.eye(b.n0), x])
+    k = np.vstack([-xh, np.eye(b.n1)])
+    s0, s1 = g.conj().T @ g, k.conj().T @ k
+    lam0, v0 = scipy.linalg.eigh(g.conj().T @ b.full @ g, s0)
+    lam1, v1 = scipy.linalg.eigh(k.conj().T @ b.full @ k, s1)
+    p, q = b.A1 - x @ b.W1, b.A0 + b.W1 @ x
+    e1 = v1.conj().T @ p @ s1 @ v1 - np.diag(lam1)
+    e0 = np.diag(lam0) - v0.conj().T @ s0 @ q @ v0
+    gap = np.min(np.abs(lam1[:, None] - lam0[None, :]))
+    return gap, np.linalg.norm(e1) + np.linalg.norm(e0), p, q
+
+
+def _second_step(b):
+    """``(x, f, xw, wx)`` after one Newton step from X = 0."""
+    steps = _schur_newton_steps(b)
+    next(steps)
+    x, f, xw, wx, _ = next(steps)
+    return x, f, xw, wx
+
+
+def test_graph_frame_declines_at_the_contraction_bound():
+    b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
+    x, f, xw, wx = _second_step(b)
+    gap, perturbation, _, _ = _frame_from_assembled(b, x)
+    ratio = perturbation / gap
+    assert 1e-3 < ratio < riccati.GRAPH_FRAME_CONTRACTION_MAX
+    with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 - 1e-6)):
+        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+    with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + 1e-6)):
+        assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+
+
+def test_graph_frame_declines_where_only_the_schur_gate_passes():
+    """A separation tolerance between the Bauer-Fike bound and the
+    separation of the computed spectra: the graph frame declines and the
+    Schur solve goes ahead."""
+    b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
+    x, f, xw, wx = _second_step(b)
+    gap, perturbation, p, q = _frame_from_assembled(b, x)
+    sep = _eigvals_separation(p, q)
+    bound = gap - perturbation
+    assert 0 < bound < min(sep, gap)
+    scale = np.linalg.norm(p) + np.linalg.norm(q)
+    between = 0.5 * (bound + min(sep, gap)) / scale
+    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", between):
+        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+        solve_sylvester(p, q, -f)
+    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", bound * (1 - 1e-6) / scale):
+        assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+
+
+def test_graph_frame_declines_a_step_that_misses_the_residual_gate():
+    b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
+    x, f, xw, wx = _second_step(b)
+    assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+    with mock.patch.object(riccati, "SYLVESTER_RESIDUAL_TOL", 0.0):
+        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+
+
+def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
+    x_ref, count = _schur_newton(b)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    x, trace = solve_newton_X0(b)
+    # only the first step, which reads eigh_A, stays in the graph frame
+    assert trace.iterations == count and trace.schur_steps == count - 1
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_strong_coupling_falls_back_step_by_step():
+    """Steps whose sweeps would not contract take the Schur solve; the run
+    is the all-Schur run."""
+    b = random_case(6, 7, gap=1.0, coupling=4.0, seed=1).block
+    x_ref, count = _schur_newton(b)
+    x, trace = solve_newton_X0(b)
+    assert 0 < trace.schur_steps < trace.iterations == count
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)

@@ -210,3 +210,17 @@ def test_build_L_dimension_failure_detected():
     b = BlockMatrix(np.diag([-2.0, -1.0]), np.diag([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises((TheoremViolationError, HypothesisError)):
         build_L(b, -10.0)
+
+
+@pytest.mark.parametrize("s", [1e6, 1e8, 1e9, 1e10])
+def test_run_theorem_invariant_under_diagonal_shift(s):
+    """``A0, A1 + sI`` at ``mu = s`` is the same problem. The band that
+    classifies eigenvalues as equal to mu scales with ``norm(B - mu)``, not
+    with ``norm(B)``, so a large shift keeps the kernel split and X, up to
+    the rounding of an ``eigh`` at scale s."""
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    x = run_theorem(b, mu=0.0).X
+    shifted = BlockMatrix(b.A0 + s * np.eye(4), b.A1 + s * np.eye(4), b.W0, b.W1)
+    result = run_theorem(shifted, mu=s)
+    assert result.kernel_split_ok and result.reduces_ok
+    assert np.linalg.norm(result.X - x) <= 4e-15 * s

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdiag import (
     BlockMatrix,
@@ -133,6 +135,29 @@ def test_triangularize_lower_left_is_riccati_residual(seed):
     expected = residual_X0(b, x0).residual
     scale = np.linalg.norm(b.assemble(), 2) * (1 + np.linalg.norm(x0, 2)) ** 2
     assert np.max(np.abs(res.transformed[3:, :3] - expected)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+)
+def test_triangularize_lower_left_is_riccati_residual_for_any_x(
+    seed, n0, n1, log_scale_b, log_scale_x
+):
+    """The lower-left block of the unipotent conjugation is the H0 graph
+    residual of X as an identity, for any X, not only at solutions."""
+    rng = np.random.default_rng(seed)
+    b = random_block(rng, n0, n1, 10.0**log_scale_b)
+    x = 10.0**log_scale_x * (
+        rng.standard_normal((n1, n0)) + 1j * rng.standard_normal((n1, n0))
+    )
+    lower_left = triangularize(b, x).transformed[n0:, :n0]
+    expected = residual_X0(b, x).residual
+    norm_b = np.linalg.norm(b.assemble(), 2)
+    rounding = 8 * (n0 + n1) * np.finfo(float).eps
+    bound = rounding * norm_b * (1 + np.linalg.norm(x, 2)) ** 2
+    assert np.linalg.norm(lower_left - expected) <= bound
 
 
 @pytest.mark.parametrize("seed", range(6))
