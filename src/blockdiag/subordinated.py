@@ -152,14 +152,16 @@ def _eigh_classified(b: BlockMatrix, mu: float):
     """The cached eigendecomposition of B, eigenvalues classified vs mu.
 
     An eigenvalue counts as equal to mu within the band
-    ``max(MU_BAND_TOL * norm(B - mu), KERNEL_PROOF_ROUNDING * dim * eps * norm(B))``:
-    ``norm(B - mu) = max|w - mu|`` is read off the eigenvalues, so a
-    diagonal shift of B and mu together leaves the first term as it is, and
-    the second is the rounding floor of the computed eigenvalues.
+    ``max(MU_BAND_TOL * min(norm(B - mu), norm(B)), r)`` with the rounding
+    floor ``r = KERNEL_PROOF_ROUNDING * dim * eps * norm(B)`` of the computed
+    eigenvalues. ``norm(B - mu) = max|w - mu|`` is read off the eigenvalues,
+    so a diagonal shift of B and mu together leaves it as it is; the
+    minimum keeps the band no wider than ``MU_BAND_TOL * norm(B)`` while r
+    is below that, for ``dim <= MU_BAND_TOL / (16 eps)``, about 2.8e5.
     """
     w, v = b.eigh
     band = max(
-        MU_BAND_TOL * _extreme_magnitude(w - mu),
+        MU_BAND_TOL * min(_extreme_magnitude(w - mu), b.norm),
         KERNEL_PROOF_ROUNDING * b.dim * _EPS * b.norm,
     )
     below = w < mu - band

@@ -353,17 +353,15 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
     if nearly:
-        # one triangular form per coefficient and step; the first step's
-        # coefficients are A1 and A0 themselves, eigh for the bitwise-
-        # Hermitian A1
+        # one complex Schur form per coefficient and step: centring by the
+        # complex mean of the diagonal leaves neither block Hermitian
         assert trace.schur_steps == trace.iterations
-        assert generalized == []
-        assert eigh == [(5, 5)]
+        assert generalized == [] and eigh == []
         assert schur.count((6, 6)) == trace.iterations
-        assert schur.count((5, 5)) == trace.iterations - 1
+        assert schur.count((5, 5)) == trace.iterations
     else:
-        # the first step reads eigh_A, every later one takes one
-        # generalized eigh per compression of B
+        # the first step reads eigh_A of the centred blocks, every later one
+        # takes one generalized eigh per compression of B
         assert trace.schur_steps == 0 and schur == []
         assert eigh == [(6, 6), (5, 5)]
         assert generalized == [(6, 6), (5, 5)] * (trace.iterations - 1)

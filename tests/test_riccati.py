@@ -362,6 +362,8 @@ def _unitary(rng, n):
 # a norm(A) scale put the third step at 1.04e-12 unshifted and 9.8e-13
 # shifted, on either side of the tolerance
 @example(seed=1310414, n0=3, n1=3, kind="hermitian", coupling=0.347, re=0.0, im=1.0)
+# the uncentred Sylvester residual gate refused a step at this shift
+@example(seed=0, n0=3, n1=3, kind="hermitian", coupling=0.3, re=1e6, im=0.0)
 def test_newton_invariant_under_diagonal_shift(seed, n0, n1, kind, coupling, re, im):
     """``A0 + sI``, ``A1 + sI`` leave the graph equation, hence every Newton
     iterate, unchanged, and the stopping test's scale with them: both runs
@@ -374,6 +376,24 @@ def test_newton_invariant_under_diagonal_shift(seed, n0, n1, kind, coupling, re,
     assert trace.converged and trace_s.converged
     assert trace_s.iterations == trace.iterations
     assert np.linalg.norm(x_s - x) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "general"])
+@pytest.mark.parametrize("s", [1e8, 1e10])
+def test_newton_and_residual_under_large_diagonal_shift(kind, s):
+    """Newton runs on the centred blocks and the residual is formed from
+    them, so a shift far beyond the problem's spread changes neither the
+    step count nor the residual of an accurate X; X moves only by the
+    rounding of the shifted diagonal, about eps * s."""
+    b = _gapped_block(np.random.default_rng(4), 5, 4, kind, 0.4)
+    shifted = BlockMatrix(b.A0 + s * np.eye(5), b.A1 + s * np.eye(4), b.W0, b.W1)
+    x, trace = solve_newton_X0(b)
+    x_s, trace_s = solve_newton_X0(shifted)
+    assert trace_s.converged and trace_s.iterations == trace.iterations
+    assert trace_s.schur_steps == trace.schur_steps
+    assert np.linalg.norm(x_s - x) <= 1e-16 * s * np.linalg.norm(x)
+    # the Riccati gate of `check` (1e-8) passes an accurate X at any shift
+    assert residual_X0(shifted, x_s).rel_norm <= 1e-12
 
 
 @PROPERTY
@@ -435,12 +455,16 @@ def test_check_computes_each_graph_residual_once(tmp_path, monkeypatch):
 def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
     rng = np.random.default_rng(11)
     b = _gapped_block(rng, 4, 3, "general", 0.3)
-    scale = riccati._centred_norm_lower_bound_A(b)
-    assert 0.0 < scale <= np.linalg.norm(b.diagonal_part(), 2)
+    a0, a1 = riccati._centred_A(b)
+    scale = riccati._riccati_scale(b, a0, a1)
+    assert b.norm_V < scale <= np.linalg.norm(b.diagonal_part(), 2) + b.norm_V
     for s in (1.0, -2.5j, 1e6 + 1e6j):
         shifted = BlockMatrix(b.A0 + s * np.eye(4), b.A1 + s * np.eye(3), b.W0, b.W1)
-        assert riccati._centred_norm_lower_bound_A(shifted) == pytest.approx(
-            scale, rel=1e-15 * (1.0 + abs(s))
+        s0, s1 = riccati._centred_A(shifted)
+        rounding = 1e-15 * (1.0 + abs(s))
+        assert np.abs(s0 - a0).max() <= rounding and np.abs(s1 - a1).max() <= rounding
+        assert riccati._riccati_scale(shifted, s0, s1) == pytest.approx(
+            scale, rel=rounding
         )
 
 

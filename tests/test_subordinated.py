@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockdiag import subordinated
 from blockdiag import (
     BlockMatrix,
     build_L,
@@ -224,3 +225,15 @@ def test_run_theorem_invariant_under_diagonal_shift(s):
     result = run_theorem(shifted, mu=s)
     assert result.kernel_split_ok and result.reduces_ok
     assert np.linalg.norm(result.X - x) <= 4e-15 * s
+
+
+def test_mu_band_no_wider_than_norm_b_near_the_spectrum_end():
+    """With mu near the top of the spectrum ``norm(B - mu)`` is nearly
+    ``2 norm(B)``; the band stays ``MU_BAND_TOL * norm(B)``, so an
+    eigenvalue 1.5 band widths above mu is not routed as equal to it."""
+    zero = np.zeros((2, 2))
+    b = BlockMatrix(np.diag([-1.0, -0.5]), np.diag([0.5, 1.0]), zero, zero)
+    mu = 1.0 - 1.5 * subordinated.MU_BAND_TOL
+    _, _, _, at, above = subordinated._eigh_classified(b, mu)
+    assert not at.any()
+    assert list(above) == [False, False, False, True]
