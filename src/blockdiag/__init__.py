@@ -41,8 +41,7 @@ from .riccati import (
 from .transform import (
     DiagonalizationResult,
     TriangularizationResult,
-    diagonalize_left,
-    diagonalize_right,
+    diagonalize,
     triangularize,
     verify_extended_identity,
     verify_resolvent_invariance,

@@ -100,6 +100,19 @@ class AngularPair:
         return _singular_values(np.eye(self.n0 + self.n1) + self.Y)
 
     @cached_property
+    def blocks_I_minus_Y2(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only diagonal blocks ``(S0, S1)`` of ``I - Y^2``, computed once.
+
+        ``Y^2 = diag(X1 X0, X0 X1)``, so ``I - Y^2 = diag(S0, S1)`` with
+        ``S0 = I - X1 X0`` (n0 x n0) and ``S1 = I - X0 X1`` (n1 x n1).
+        """
+        s0 = np.eye(self.n0, dtype=np.complex128) - self.X1 @ self.X0
+        s1 = np.eye(self.n1, dtype=np.complex128) - self.X0 @ self.X1
+        s0.flags.writeable = False
+        s1.flags.writeable = False
+        return s0, s1
+
+    @cached_property
     def norm_Y(self) -> float:
         """Exact ``norm(Y) = max(norm(X0), norm(X1))``.
 

@@ -163,24 +163,21 @@ def _check(args, report, problem) -> bool:
         r1 = riccati.residual_X1(b, pair.X1)
         rb = riccati.assemble_residual_block(b, pair, r0, r1)
     with _timed(timings, "diagonalize"):
-        left = transform.diagonalize_left(b, pair)
-        right = transform.diagonalize_right(b, pair)
-        ext = transform.verify_extended_identity(b, pair, right)
+        left, right = transform.diagonalize(b, pair)
+        ext = transform.verify_extended_identity(b, pair, left, right)
     with _timed(timings, "resolvent"):
         worst_res = 0.0
-        g0 = angular.GraphSubspace(base=angular.GraphBase.H0, X=pair.X0)
-        g1 = angular.GraphSubspace(base=angular.GraphBase.H1, X=pair.X1)
+        graphs = (
+            angular.GraphSubspace(base=angular.GraphBase.H0, X=pair.X0),
+            angular.GraphSubspace(base=angular.GraphBase.H1, X=pair.X1),
+        )
         scale = max(b.norm, 1.0)
         for lam in _sample_shifts(b, args.lambdas, args.seed):
             # defect relative to the resolvent magnitude, so the entry is
             # dimensionless like the rest of the report
             resolvent_scale = 1.0 / b.sigma_min_shifted(lam)
-            for g in (g0, g1):
-                worst_res = max(
-                    worst_res,
-                    transform.verify_resolvent_invariance(b, g, lam)
-                    / resolvent_scale,
-                )
+            defects = transform.verify_resolvent_invariance(b, graphs, lam)
+            worst_res = max(worst_res, *(d / resolvent_scale for d in defects))
     with _timed(timings, "spectral_identity"):
         ident = transform.verify_spectral_identity(b, pair, tol)
     report.residuals.update(
@@ -225,8 +222,7 @@ def _diagonalize(args, report, problem) -> bool:
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = _spectral_route(b, mu)
-        left = transform.diagonalize_left(b, pair)
-        right = transform.diagonalize_right(b, pair)
+        left, right = transform.diagonalize(b, pair)
     report.residuals.update(
         {
             "offdiag_left": left.offdiag_rel_norm,

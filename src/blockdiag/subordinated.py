@@ -31,7 +31,7 @@ from .spectral import (
     invariance_residual,
     null_space_basis,
 )
-from .transform import DiagonalizationResult, diagonalize_left, diagonalize_right
+from .transform import DiagonalizationResult, diagonalize
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
 #: to the threshold mu and is routed through the kernel logic.
@@ -103,16 +103,26 @@ class TheoremResult:
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
     """Evaluate ``sup spec(A0) <= mu <= inf spec(A1)`` with a tolerance band.
 
-    The band scales with ``max(norm(A0), norm(A1))``, read off the extreme
-    eigenvalues of the (Hermitian) blocks, which ``b`` caches.
+    Over the extreme eigenvalues e of the (Hermitian) blocks, which ``b``
+    caches, the band is ``max(DEFAULT_TOL * min(max|e - mu|, max|e|), r)``
+    with the rounding floor ``r = KERNEL_PROOF_ROUNDING * dim * eps * max|e|``
+    of the computed eigenvalues, as in :func:`_eigh_classified`. A diagonal
+    shift of the blocks and mu together leaves ``max|e - mu|`` as it is, so
+    it widens the band only by the rounding it adds. The minimum keeps the
+    band no wider than ``DEFAULT_TOL * max|e|`` while r is below that, for
+    ``dim <= DEFAULT_TOL / (16 eps)``, about 2.8e4.
     """
     if not is_hermitian(b.A0) or not is_hermitian(b.A1):
         raise HypothesisError("diagonal blocks must be Hermitian")
     w0, w1 = b.eigvalsh_A
     sup0 = float(w0[-1])
     inf1 = float(w1[0])
-    scale = max(abs(w0[0]), abs(w0[-1]), abs(w1[0]), abs(w1[-1]), 1.0)
-    band = DEFAULT_TOL * scale
+    extremes = np.array([w0[0], sup0, inf1, w1[-1]])
+    size = float(np.max(np.abs(extremes)))
+    band = max(
+        DEFAULT_TOL * min(float(np.max(np.abs(extremes - mu))), size),
+        KERNEL_PROOF_ROUNDING * b.dim * _EPS * size,
+    )
     subordinated = (sup0 <= mu + band) and (mu <= inf1 + band)
     return SubordinationCheck(
         mu=float(mu),
@@ -331,8 +341,7 @@ def run_theorem(
     complement = from_graph(GraphSubspace(base=GraphBase.H1, X=pair.X1))
     res_perp = invariance_residual(full, complement) / scale
     reduces_ok = res_l <= tol and res_perp <= tol
-    left = diagonalize_left(b, pair)
-    right = diagonalize_right(b, pair)
+    left, right = diagonalize(b, pair)
     a_plus_vy = from_blocks(right.diag_blocks[0], None, None, right.diag_blocks[1])
     a_minus_yv = from_blocks(left.diag_blocks[0], None, None, left.diag_blocks[1])
     adjointness = frobenius_norm(a_plus_vy.conj().T - a_minus_yv) / scale

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from blockdiag import (
     BlockMatrix,
     check_complementary,
-    diagonalize_left,
-    diagonalize_right,
+    diagonalize,
     estimate_relative_bound,
     form_pair,
     random_case,
@@ -24,6 +23,8 @@ from blockdiag import (
     run_theorem,
     save_problem,
     solve_newton_X0,
+    triangularize,
+    verify_extended_identity,
 )
 from blockdiag import angular, dirac, subordinated
 from blockdiag.angular import GraphBase, to_graph
@@ -191,12 +192,9 @@ def test_shared_i_plus_y_matches_per_transform_svd(seed, n0, n1, size):
     pair = form_pair(size * _cmat(rng, n1, n0), size * _cmat(rng, n0, n1))
     eye = np.eye(n0 + n1)
     minus, plus = eye - pair.Y, eye + pair.Y
-    assert diagonalize_left(b, pair).conditioning == pytest.approx(
-        _condition_svd(minus), rel=1e-10
-    )
-    assert diagonalize_right(b, pair).conditioning == pytest.approx(
-        _condition_svd(plus), rel=1e-10
-    )
+    left, right = diagonalize(b, pair)
+    assert left.conditioning == pytest.approx(_condition_svd(minus), rel=1e-10)
+    assert right.conditioning == pytest.approx(_condition_svd(plus), rel=1e-10)
     comp = check_complementary(pair)
     assert comp.sigma_min == _sigma_min_svd(plus)
     assert comp.sigma_min == pytest.approx(_sigma_min_svd(minus), rel=1e-10, abs=1e-15)
@@ -225,6 +223,7 @@ def _kernels(monkeypatch):
         "svd": _record_shapes(monkeypatch, np.linalg, "svd"),
         "schur": _record_shapes(monkeypatch, scipy.linalg, "schur"),
         "qr": _record_shapes(monkeypatch, np.linalg, "qr"),
+        "solve": _record_shapes(monkeypatch, np.linalg, "solve"),
     }
 
 
@@ -247,6 +246,8 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     assert calls["svd"].count(full) == 1
     # each graph basis is orthonormalized once, not once per shift
     assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
+    # B - lambda is solved with once per shift, for both graphs together
+    assert calls["solve"].count(full) == 4
 
 
 def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
@@ -277,6 +278,25 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     assert calls["eigh"].count((8, 8)) == 1
     assert calls["eigvals"].count((8, 8)) == 1
     assert calls["svd"].count((8, 8)) == 1 + 1 + 2  # I + Y, norm(B), shifts
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
+    """Both diagonalizations and the extended identity solve with the
+    n0 x n0 and n1 x n1 blocks of ``I - Y^2``; triangularization solves
+    nothing. No dim x dim system is solved."""
+    rng = np.random.default_rng(5)
+    n0, n1 = 3, 5
+    b = random_block(rng, n0, n1)
+    x0 = 0.5 * _cmat(rng, n1, n0)
+    pair = form_pair(x0, -x0.conj().T if skew else 0.5 * _cmat(rng, n0, n1))
+    shapes = _record_shapes(monkeypatch, np.linalg, "solve")
+    left, right = diagonalize(b, pair)
+    verify_extended_identity(b, pair, left, right)
+    assert sorted(set(shapes)) == [(n0, n0), (n1, n1)]
+    shapes.clear()
+    triangularize(b, x0)
+    assert shapes == []
 
 
 def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from blockdiag import (
     BlockMatrix,
     Subspace,
-    diagonalize_left,
-    diagonalize_right,
+    diagonalize,
     form_pair,
     is_hermitian,
     is_symmetric_offdiag,
@@ -153,7 +152,7 @@ def test_transform_residuals_bound_exact(seed, n0, n1, size):
     x0 = size * _cmat(rng, n1, n0)
     pair = form_pair(x0, -x0.conj().T)
     scale = _norm2(b.assemble())
-    for result in (diagonalize_left(b, pair), diagonalize_right(b, pair)):
+    for result in diagonalize(b, pair):
         t = result.transformed
         off = t.copy()
         off[:n0, :n0] = 0.0
@@ -215,10 +214,8 @@ def test_closed_form_condition_matches_svd(seed, n0, n1, size):
     x0 = size * _cmat(rng, n1, n0)
     pair = form_pair(x0, -x0.conj().T)
     eye = np.eye(n0 + n1)
-    for result, t in (
-        (diagonalize_left(b, pair), eye - pair.Y),
-        (diagonalize_right(b, pair), eye + pair.Y),
-    ):
+    left, right = diagonalize(b, pair)
+    for result, t in ((left, eye - pair.Y), (right, eye + pair.Y)):
         assert result.conditioning == pytest.approx(np.linalg.cond(t, 2), rel=1e-10)
 
 
@@ -227,7 +224,7 @@ def test_condition_of_general_pair_uses_svd():
     b = random_block(rng, 3, 2)
     pair = form_pair(_cmat(rng, 2, 3), _cmat(rng, 3, 2))
     t = np.eye(5) - pair.Y
-    assert diagonalize_left(b, pair).conditioning == pytest.approx(
+    assert diagonalize(b, pair)[0].conditioning == pytest.approx(
         np.linalg.cond(t, 2), rel=1e-10
     )
 

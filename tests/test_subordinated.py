@@ -237,3 +237,27 @@ def test_mu_band_no_wider_than_norm_b_near_the_spectrum_end():
     _, _, _, at, above = subordinated._eigh_classified(b, mu)
     assert not at.any()
     assert list(above) == [False, False, False, True]
+
+
+@pytest.mark.parametrize("s", [0.0, 1e10])
+def test_subordination_band_invariant_under_diagonal_shift(s):
+    """``A0, A1 + sI`` with mu shifted alike is the same problem: mu 0.12
+    below sup spec(A0) is refused at every shift, and mu = sup spec(A0)
+    is accepted, up to the rounding of the block spectra at scale s."""
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    sup0 = float(b.eigvalsh_A[0][-1])
+    shifted = BlockMatrix(b.A0 + s * np.eye(4), b.A1 + s * np.eye(4), b.W0, b.W1)
+    assert not check_subordination(shifted, sup0 - 0.12 + s).subordinated
+    with pytest.raises(HypothesisError):
+        run_theorem(shifted, mu=sup0 - 0.12 + s)
+    assert check_subordination(shifted, sup0 + s).subordinated
+
+
+def test_subordination_band_no_wider_than_block_scale():
+    """With mu near one end of the block spectra ``max|e - mu|`` is about
+    ``2 max|e|``; the band stays ``DEFAULT_TOL * max|e|``, so mu 1.5 band
+    widths below sup spec(A0) is refused."""
+    zero = np.zeros((2, 2))
+    b = BlockMatrix(np.diag([-1.0, -0.5]), np.diag([0.5, 1.0]), zero, zero)
+    mu = -0.5 - 1.5 * subordinated.DEFAULT_TOL
+    assert not check_subordination(b, mu).subordinated
