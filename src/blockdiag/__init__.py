@@ -8,7 +8,6 @@ angular operators, and the similarity transforms they induce.
 
 from .core import (
     BlockMatrix,
-    assemble,
     is_hermitian,
     is_symmetric_offdiag,
     operator_norm,
@@ -22,12 +21,12 @@ from .angular import (
     check_complementary,
     form_pair,
     from_graph,
+    spectral_pair,
     to_graph,
 )
 from .spectral import (
     Subspace,
     invariant_subspace_by_region,
-    spectral_subspace_below,
 )
 from .riccati import (
     NewtonTrace,
@@ -57,11 +56,9 @@ from .criteria import (
 from .subordinated import (
     SubordinationCheck,
     TheoremResult,
-    build_L,
     check_subordination,
     choose_mu,
     run_theorem,
-    verify_kernel_split,
 )
 from .dirac import (
     DiracProblem,

@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_matrix, from_blocks
-from .errors import NotAGraphError, NumericError, StructuralError
-from .spectral import Subspace
+from .core import BlockMatrix, as_matrix, from_blocks
+from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
+from .spectral import Subspace, eigenbasis_subspace, invariant_subspace_by_region
 
 #: Lower bound on sigma_min of the base-block component of a basis, and on
 #: sigma_min(I + Y) of a complementary pair. Below this, forming X amplifies
@@ -221,3 +221,34 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
     return ComplementarityReport(
         complementary=complementary, sigma_min=smin, norm_Y=norm_y
     )
+
+
+def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
+    """Angular pair from the invariant subspaces on both sides of mu.
+
+    A Hermitian B takes both subspaces from its one cached ``eigh``, scaled
+    by ``norm(B)``; other input takes a sorted Schur form per side. Either
+    way each subspace passes the region-gap and invariance guarantees of
+    :func:`~blockdiag.spectral.invariant_subspace_by_region`.
+    """
+    full = b.full
+    if b.hermitian:
+        w, v = b.eigh
+        mask = w < mu
+        below = eigenbasis_subspace(full, w, v, mask, b.norm).with_partition(b.n0)
+        above = eigenbasis_subspace(full, w, v, ~mask, b.norm).with_partition(b.n0)
+    else:
+        below = invariant_subspace_by_region(
+            full, lambda z: z.real < mu
+        ).with_partition(b.n0)
+        above = invariant_subspace_by_region(
+            full, lambda z: z.real >= mu
+        ).with_partition(b.n0)
+    if below.dim != b.n0:
+        raise HypothesisError(
+            f"threshold {mu} captures {below.dim} eigenvalues below it, "
+            f"but dim(H0) = {b.n0}"
+        )
+    x0 = to_graph(below, GraphBase.H0).X
+    x1 = to_graph(above, GraphBase.H1).X
+    return form_pair(x0, x1)

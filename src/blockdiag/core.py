@@ -162,7 +162,7 @@ class BlockMatrix:
     @cached_property
     def full(self) -> np.ndarray:
         """Read-only assembled matrix, shared by every caller."""
-        return _readonly(assemble(self))
+        return _readonly(from_blocks(self.A0, self.W1, self.W0, self.A1))
 
     @cached_property
     def hermitian(self) -> bool:
@@ -323,13 +323,8 @@ def from_blocks(a, b, c, d) -> np.ndarray:
     return out
 
 
-def assemble(b: BlockMatrix) -> np.ndarray:
-    """Assemble the four blocks into the full dense matrix."""
-    return from_blocks(b.A0, b.W1, b.W0, b.A1)
-
-
 def split(m, n0: int) -> BlockMatrix:
-    """Inverse of :func:`assemble`; exact (bitwise) slicing of the blocks."""
+    """Inverse of :attr:`BlockMatrix.full`; exact (bitwise) slicing of the blocks."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError(f"matrix to split must be square, got {m.shape}")

@@ -154,28 +154,17 @@ def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
     )
 
 
-def residual_block(b: BlockMatrix, p: AngularPair) -> RiccatiResidual:
-    """Residual ``A Y - Y A - Y V Y + V`` of the combined block equation.
+def residual_block(
+    b: BlockMatrix, p: AngularPair, r0: RiccatiResidual, r1: RiccatiResidual
+) -> RiccatiResidual:
+    """Residual ``A Y - Y A - Y V Y + V`` of the combined block equation,
+    from ``r0 = residual_X0(b, p.X0)`` and ``r1 = residual_X1(b, p.X1)``.
 
     Every term of the expression is off-diagonal (odd number of
     off-diagonal factors), so the residual's diagonal blocks vanish
     identically and its (1,0)/(0,1) blocks are exactly the H0/H1 graph
-    equation residuals; it is assembled from those blockwise.
+    equation residuals.
     """
-    if (p.n0, p.n1) != (b.n0, b.n1):
-        raise StructuralError(
-            f"pair dimensions {(p.n0, p.n1)} do not match blocks {(b.n0, b.n1)}"
-        )
-    return assemble_residual_block(
-        b, p, residual_X0(b, p.X0), residual_X1(b, p.X1)
-    )
-
-
-def assemble_residual_block(
-    b: BlockMatrix, p: AngularPair, r0: RiccatiResidual, r1: RiccatiResidual
-) -> RiccatiResidual:
-    """:func:`residual_block` from ``r0 = residual_X0(b, p.X0)`` and
-    ``r1 = residual_X1(b, p.X1)``, for callers that report those as well."""
     res = from_blocks(None, r1.residual, r0.residual, None)
     scale = _riccati_scale(b, *_centred_A(b))
     return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, scale, p.Y))

@@ -1,6 +1,6 @@
 """Spectral subspaces, invariant subspaces and null-space bases.
 
-Hermitian matrices go through ``eigh`` and yield orthonormal eigenbases;
+Hermitian matrices yield orthonormal eigenbases from an ``eigh``;
 general matrices use a sorted complex Schur factorization (invariant
 subspaces for an eigenvalue region). Rank decisions are SVD-based with a
 relative tolerance.
@@ -14,15 +14,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    DEFAULT_TOL,
-    BlockMatrix,
-    as_matrix,
-    frobenius_norm,
-    is_hermitian,
-    operator_norm,
-)
-from .errors import ContractError, IllPosedRegionError, NumericError, StructuralError
+from .core import DEFAULT_TOL, as_matrix, frobenius_norm, operator_norm
+from .errors import IllPosedRegionError, NumericError, StructuralError
 
 #: Relative gap below which an eigenvalue-region selector is ill-posed,
 #: and the guaranteed bound on invariance residuals of returned subspaces.
@@ -77,23 +70,6 @@ def eigenvalues(m) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def spectral_subspace_below(
-    b: BlockMatrix, mu: float, strict: bool = True, tol: float = DEFAULT_TOL
-) -> Subspace:
-    """Span of eigenvectors of the assembled matrix below the threshold.
-
-    ``strict`` keeps eigenvalues ``< mu - tol*norm``; otherwise eigenvalues
-    ``<= mu + tol*norm`` are included. Eigenvalues inside the band around
-    ``mu`` count as equal to ``mu``: the strict subspace never claims them.
-    """
-    if not b.hermitian:
-        raise ContractError("spectral_subspace_below requires a Hermitian matrix")
-    w, v = b.eigh
-    band = tol * b.norm
-    mask = w < mu - band if strict else w <= mu + band
-    return Subspace(basis=v[:, mask], n0=b.n0)
-
-
 def null_space_basis(m) -> np.ndarray:
     """SVD null-space basis of a (possibly rectangular) matrix.
 
@@ -117,27 +93,19 @@ def null_space_basis(m) -> np.ndarray:
 
 
 def invariant_subspace_by_region(
-    m,
-    selector: Callable[[complex], bool],
-    hermitian: bool = False,
+    m, selector: Callable[[complex], bool]
 ) -> Subspace:
     """Invariant subspace spanned by eigenvalues satisfying ``selector``.
 
-    For non-Hermitian input this reorders a complex Schur factorization so
-    the selected eigenvalues lead, and returns the corresponding Schur
-    vectors. The selected and unselected eigenvalue groups must be
-    separated by a relative gap of at least ``REGION_GAP_TOL``.
+    This reorders a complex Schur factorization so the selected eigenvalues
+    lead, and returns the corresponding Schur vectors. The selected and
+    unselected eigenvalue groups must be separated by a relative gap of at
+    least ``REGION_GAP_TOL``.
     """
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise StructuralError(f"need a square matrix, got {m.shape}")
     scale = operator_norm(m)
-    if hermitian:
-        if not is_hermitian(m):
-            raise ContractError("hermitian flag set but matrix is not Hermitian")
-        w, v = np.linalg.eigh(m)
-        mask = np.array([bool(selector(complex(x))) for x in w], dtype=bool)
-        return eigenbasis_subspace(m, w, v, mask, scale)
     try:
         t, z, sdim = scipy.linalg.schur(
             m, output="complex", sort=lambda lam: bool(selector(complex(lam)))

@@ -180,19 +180,6 @@ def _eigh_classified(b: BlockMatrix, mu: float):
     return w, v, below, at, above
 
 
-def verify_kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
-    """Verify that the kernel of ``B - mu`` splits along H0 and H1.
-
-    Both constituents are computed as stacked-matrix null spaces; equality
-    with the direct sum is measured by a projection residual, and the
-    containment in the kernel of the diagonal part is checked as well.
-    Both residuals are Frobenius norms (upper bounds on the 2-norms), and
-    the split holds when both are at most :data:`KERNEL_SPLIT_TOL`.
-    """
-    _require_hypotheses(b, mu)
-    return _kernel_split(b, mu)
-
-
 def _kernel_piece(
     b: BlockMatrix, a: np.ndarray, w: np.ndarray, coupling: np.ndarray, mu: float
 ) -> np.ndarray:
@@ -230,6 +217,14 @@ def _kernel_piece(
 
 
 def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
+    """Whether the kernel of ``B - mu`` splits along H0 and H1.
+
+    Each piece is a stacked-matrix null space (:func:`_kernel_piece`).
+    Equality with their direct sum is measured by a projection residual,
+    containment in the kernel of the diagonal part by a second one; both
+    are Frobenius norms, and the split holds when both are at most
+    :data:`KERNEL_SPLIT_TOL`. The hypotheses are the caller's to check.
+    """
     _, v, _, at, _ = _eigh_classified(b, mu)
     k_basis = v[:, at]
     dim_k = k_basis.shape[1]
@@ -267,20 +262,14 @@ def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     )
 
 
-def build_L(b: BlockMatrix, mu: float) -> Subspace:
+def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
     """Reducing subspace: strictly-below eigenvectors plus kernel ∩ H0.
 
-    The part of the kernel of ``B - mu`` inside H0 is extracted by
-    rotating the kernel basis (SVD of its H1 components) and keeping the
-    columns whose H1 component is at most ``DEFAULT_TOL``; the splitting
-    property guarantees such a rotation exists. The result must have
-    dimension n0.
+    The part of the kernel of ``B - mu`` inside H0 is found by rotating the
+    kernel basis (SVD of its H1 components) and keeping the columns whose
+    H1 component is at most ``DEFAULT_TOL``. Anything but dimension n0
+    raises :class:`TheoremViolationError`.
     """
-    _require_hypotheses(b, mu)
-    return _reducing_subspace(b, mu)
-
-
-def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
     _, v, below, at, _ = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]

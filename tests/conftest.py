@@ -44,3 +44,12 @@ def random_block(rng, n0, n1, scale=1.0):
         return scale * (rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c)))
 
     return BlockMatrix(mat(n0, n0), mat(n1, n1), mat(n1, n0), mat(n0, n1))
+
+
+def eigvecs(b, keep):
+    """Eigenvectors of B whose eigenvalues ``keep(w, band)`` selects, with
+    ``band = 1e-9 * norm(B)``, from numpy's ``eigh`` (independent oracle)."""
+    from blockdiag.spectral import Subspace
+
+    w, v = np.linalg.eigh(b.full)
+    return Subspace(basis=v[:, keep(w, 1e-9 * np.linalg.norm(b.full, 2))])

@@ -22,10 +22,10 @@ from blockdiag import (
     run_dirac_pipeline,
     run_theorem,
     solve_newton_X0,
-    spectral_subspace_below,
+    spectral_pair,
+    subordinated,
     to_graph,
     triangularize,
-    verify_kernel_split,
     verify_resolvent_invariance,
     verify_spectral_identity,
 )
@@ -33,6 +33,7 @@ from blockdiag.dirac import DiracProblem, GridSpec, ImpurityPotential
 from blockdiag.errors import NotAGraphError, SylvesterSingularError
 from blockdiag.riccati import residual_X0
 from blockdiag.spectral import Subspace, containment_residual
+from conftest import eigvecs
 
 ANALYTIC = BlockMatrix([0], [2], [1], [1])
 
@@ -61,8 +62,7 @@ def _resolvent_shifts(b, count, seed):
 def test_criterion_1_analytic_fixture(acceptance):
     start = time.perf_counter()
     x_minus, _ = _quadratic_roots(-2.0, -1.0)  # roots of x^2 - 2x - 1
-    sub = spectral_subspace_below(ANALYTIC, 1.0, strict=True)
-    x0 = to_graph(sub, "H0").X
+    x0 = spectral_pair(ANALYTIC, 1.0).X0
     err_x = abs(x0[0, 0] - x_minus)
     ric = residual_X0(ANALYTIC, x0).rel_norm
     pair = form_pair(x0, -x0.conj().T)
@@ -143,8 +143,7 @@ def test_criterion_3_newton_oracle_equivalence(acceptance):
     max_iters = 0
     for coupling, seed, pf in _gapped_suite():
         b = pf.block
-        sub = spectral_subspace_below(b, 0.0, strict=True)
-        x_spectral = to_graph(sub, "H0").X
+        x_spectral = spectral_pair(b, 0.0).X0
         x_newton, trace = solve_newton_X0(b, tol=1e-12, max_iter=12)
         agreed = (
             trace.converged
@@ -173,13 +172,13 @@ def test_criterion_4_one_point_intersection(acceptance, one_point):
     # char. polynomial x^2 - x - 3; the angular entry is 1 + lambda_-
     lam_minus, _ = _quadratic_roots(-1.0, -3.0)
     x_entry = 1.0 + lam_minus
-    split = verify_kernel_split(one_point, 0.0)
+    split = subordinated._kernel_split(one_point, 0.0)
     result = run_theorem(one_point, mu=0.0)
     expected_x = np.diag([0.0, x_entry]).astype(complex)
     err_x = np.max(np.abs(result.X - expected_x))
     norm_ok = abs(result.norm_X - abs(x_entry)) <= 1e-10 and result.norm_X <= 1.0
-    below = spectral_subspace_below(one_point, 0.0, strict=True, tol=1e-9)
-    below_eq = spectral_subspace_below(one_point, 0.0, strict=False, tol=1e-9)
+    below = eigvecs(one_point, lambda w, band: w < -band)
+    below_eq = eigvecs(one_point, lambda w, band: w <= band)
     sandwich_ok = (
         below.dim < result.L.dim < below_eq.dim
         and containment_residual(below, result.L) <= 1e-9
@@ -210,8 +209,7 @@ def test_criterion_5_neumann_certificate(acceptance):
     # 1/(2 - lam) and 1/(-lam), both of modulus 1/sqrt(2)
     expected = 1.0 / np.sqrt(2.0)
     value = resolvent_norm(ANALYTIC, 1 + 1j)
-    sub = spectral_subspace_below(ANALYTIC, 1.0, strict=True)
-    x0 = to_graph(sub, "H0").X
+    x0 = spectral_pair(ANALYTIC, 1.0).X0
     pair = form_pair(x0, -x0.conj().T)
     cert = neumann_certificate(ANALYTIC, pair, 1 + 1j)
     negative = neumann_certificate(ANALYTIC, pair, 1.0)

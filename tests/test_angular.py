@@ -8,18 +8,23 @@ from blockdiag import (
     check_complementary,
     form_pair,
     from_graph,
-    spectral_subspace_below,
     to_graph,
 )
 from blockdiag.angular import GRAPH_SIGMA_TOL, GraphBase, GraphSubspace
 from blockdiag.errors import NotAGraphError, StructuralError
-from blockdiag.spectral import Subspace, containment_residual
+from blockdiag.spectral import Subspace, containment_residual, eigenbasis_subspace
 
 
 def _basis_of(columns, n0):
     q = np.asarray(columns, dtype=complex)
     q, _ = np.linalg.qr(q)
     return Subspace(basis=q, n0=n0)
+
+
+def _below(b, mu):
+    """Span of the eigenvectors of B below mu, partitioned as B."""
+    w, v = b.eigh
+    return eigenbasis_subspace(b.full, w, v, w < mu, b.norm).with_partition(b.n0)
 
 
 def test_to_graph_of_h0_itself():
@@ -29,7 +34,7 @@ def test_to_graph_of_h0_itself():
 
 
 def test_to_graph_analytic(analytic):
-    u = spectral_subspace_below(analytic, 1.0, strict=True)
+    u = _below(analytic, 1.0)
     g = to_graph(u, GraphBase.H0)
     assert g.X.shape == (1, 1)
     assert g.X[0, 0].real == pytest.approx(1 - np.sqrt(2), abs=1e-12)
@@ -253,7 +258,7 @@ def test_complementary_graphs_span_everything(seed):
 
 
 def test_graph_equals_span(analytic):
-    u = spectral_subspace_below(analytic, 1.0, strict=True)
+    u = _below(analytic, 1.0)
     g = to_graph(u, GraphBase.H0)
     angles = scipy.linalg.subspace_angles(from_graph(g).basis, u.basis)
     assert np.max(angles, initial=0.0) <= 1e-9

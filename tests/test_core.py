@@ -3,7 +3,6 @@ import pytest
 
 from blockdiag import (
     BlockMatrix,
-    assemble,
     operator_norm,
     is_symmetric_offdiag,
     split,
@@ -20,12 +19,12 @@ def test_assemble_places_blocks():
 
 def test_assemble_identity_blocks():
     b = BlockMatrix(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-    np.testing.assert_array_equal(assemble(b), np.eye(4, dtype=complex))
+    np.testing.assert_array_equal(b.full, np.eye(4, dtype=complex))
 
 
 def test_assemble_zero():
     b = BlockMatrix(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((2, 3)))
-    assert not assemble(b).any()
+    assert not b.full.any()
 
 
 @pytest.mark.parametrize("n0,n1,k0,k1", [(1, 1, 1, 1), (2, 3, 4, 1), (3, 2, 0, 2)])
@@ -57,7 +56,7 @@ def test_split_identity():
 @pytest.mark.parametrize("n0,n1", [(1, 1), (2, 3), (4, 1)])
 def test_assemble_split_roundtrip_bitwise(seed, n0, n1):
     b = random_block(np.random.default_rng(seed), n0, n1)
-    again = split(assemble(b), n0)
+    again = split(b.full, n0)
     for name in ("A0", "A1", "W0", "W1"):
         assert np.array_equal(getattr(b, name), getattr(again, name))
 
@@ -78,7 +77,7 @@ def test_adjoint_blocks_swap():
     # (B*)_00 = A0*, (B*)_01 = W0*, (B*)_10 = W1*, (B*)_11 = A1*
     rng = np.random.default_rng(11)
     b = random_block(rng, 3, 2)
-    adj = split(assemble(b).conj().T, b.n0)
+    adj = split(b.full.conj().T, b.n0)
     assert np.array_equal(adj.A0, b.A0.conj().T)
     assert np.array_equal(adj.A1, b.A1.conj().T)
     assert np.array_equal(adj.W1, b.W0.conj().T)
@@ -90,8 +89,8 @@ def test_signature_conjugation_flips_offdiag():
     b = random_block(rng, 2, 3)
     # the signature involution J = diag(I_2, -I_3)
     j = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]).astype(complex)
-    expected = assemble(BlockMatrix(b.A0, b.A1, -b.W0, -b.W1))
-    np.testing.assert_allclose(j @ assemble(b) @ j, expected, atol=0)
+    expected = BlockMatrix(b.A0, b.A1, -b.W0, -b.W1).full
+    np.testing.assert_allclose(j @ b.full @ j, expected, atol=0)
 
 
 def test_operator_norm_identity():
@@ -146,4 +145,4 @@ def test_swapped_roundtrip():
     rng = np.random.default_rng(1)
     b = random_block(rng, 2, 3)
     back = b.swapped().swapped()
-    assert np.array_equal(assemble(back), assemble(b))
+    assert np.array_equal(back.full, b.full)

@@ -23,15 +23,16 @@ from blockdiag import (
     run_theorem,
     save_problem,
     solve_newton_X0,
+    spectral_pair,
     triangularize,
     verify_extended_identity,
 )
 from blockdiag import angular, dirac, subordinated
 from blockdiag.angular import GraphBase, to_graph
-from blockdiag.cli import _spectral_route, main
+from blockdiag.cli import main
 from blockdiag.errors import IllPosedRegionError
 from blockdiag.io import ProblemFile
-from blockdiag.spectral import invariant_subspace_by_region
+from blockdiag.spectral import eigenbasis_subspace
 from conftest import random_block
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -139,10 +140,12 @@ def test_resolvent_norm_matches_solve_and_svd(seed, n0, n1, kind, ls, near):
 
 
 def _reference_route(b, mu):
-    """The two ``invariant_subspace_by_region`` calls the route replaced."""
+    """Both sides of mu from a fresh ``eigh`` of a freshly assembled B."""
     full = b.assemble()
-    below = invariant_subspace_by_region(full, lambda z: z.real < mu, hermitian=True)
-    above = invariant_subspace_by_region(full, lambda z: z.real >= mu, hermitian=True)
+    w, v = np.linalg.eigh(full)
+    scale = _norm2(full)
+    below = eigenbasis_subspace(full, w, v, w < mu, scale)
+    above = eigenbasis_subspace(full, w, v, w >= mu, scale)
     x0 = to_graph(below.with_partition(b.n0), GraphBase.H0).X
     x1 = to_graph(above.with_partition(b.n0), GraphBase.H1).X
     return x0, x1
@@ -153,9 +156,18 @@ def _reference_route(b, mu):
 def test_spectral_route_matches_region_subspaces(seed, n0, n1, coupling):
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed % 2**16).block
     x0, x1 = _reference_route(b, 0.0)
-    pair = _spectral_route(b, 0.0)
+    pair = spectral_pair(b, 0.0)
     np.testing.assert_allclose(pair.X0, x0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pair.X1, x1, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(seeds, dims, dims, st.floats(0.05, 2.0))
+def test_spectral_pair_is_the_theorem_X_on_gapped_input(seed, n0, n1, coupling):
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    mu = subordinated.choose_mu(b)
+    x = run_theorem(b, mu=mu).X
+    np.testing.assert_allclose(spectral_pair(b, mu).X0, x, rtol=0, atol=1e-12)
 
 
 def test_spectral_route_checks_both_subspaces(monkeypatch):
@@ -164,7 +176,7 @@ def test_spectral_route_checks_both_subspaces(monkeypatch):
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=6).block
     gaps = _record_shapes(monkeypatch, spectral, "_check_region_gap")
     residuals = _record_shapes(monkeypatch, spectral, "invariance_residual")
-    _spectral_route(b, 0.0)
+    spectral_pair(b, 0.0)
     assert len(gaps) == 2 and residuals == [(7, 7), (7, 7)]
 
 
@@ -175,7 +187,7 @@ def test_spectral_route_keeps_the_region_gap_check():
     with pytest.raises(IllPosedRegionError):
         _reference_route(b, mu)
     with pytest.raises(IllPosedRegionError):
-        _spectral_route(b, mu)
+        spectral_pair(b, mu)
 
 
 def _condition_svd(t) -> float:
@@ -415,9 +427,9 @@ def test_spectral_route_of_negated_swapped_problem(seed, n0, n1, coupling, mu):
     ``(X1, X0)``: its eigenvectors below ``-mu`` are B's above mu."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     assume(np.min(np.abs(b.eigh[0] - mu)) >= 0.05)
-    pair = _spectral_route(b, mu)
+    pair = spectral_pair(b, mu)
     mirrored = BlockMatrix(-b.A1, -b.A0, -b.W1, -b.W0)
-    mirrored_pair = _spectral_route(mirrored, -mu)
+    mirrored_pair = spectral_pair(mirrored, -mu)
     scale = 1.0 + _norm2(pair.Y)
     assert np.linalg.norm(mirrored_pair.X0 - pair.X1) <= 1e-12 * scale
     assert np.linalg.norm(mirrored_pair.X1 - pair.X0) <= 1e-12 * scale

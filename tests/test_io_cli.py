@@ -5,11 +5,12 @@ import os
 import pathlib
 import stat
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from blockdiag import BlockMatrix, load_problem, random_case, save_problem
+from blockdiag import BlockMatrix, load_problem, random_case, save_problem, split
 from blockdiag.cli import main
 from blockdiag.errors import StructuralError
 from blockdiag.io import (
@@ -373,6 +374,51 @@ def test_cli_riccati_solve(tmp_path):
     assert report["residuals"]["newton_vs_spectral"] <= 1e-10
 
 
+def test_cli_riccati_solve_fails_when_newton_finds_another_solution(tmp_path):
+    """Newton from X = 0 converges to a solution of the graph equation that is
+    not the spectral one; the cross-check then decides the verdict."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    path = tmp_path / "other_solution.json"
+    save_problem(path, ProblemFile(block=split(g + g.conj().T, 3)))
+    out = tmp_path / "newton.json"
+    assert main(["riccati-solve", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["flags"]["converged"]
+    assert report["residuals"]["final"] <= 1e-12
+    assert report["residuals"]["newton_vs_spectral"] > 1.0
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--perturb-x0", "1e-3"], 1)])
+def test_cli_closed_stdout_keeps_exit_code_and_report(tmp_path, monkeypatch, extra, code):
+    path = _write_fixture(tmp_path, mu=1.0)
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["check", path, "--out", str(out)] + extra) == code
+    report = json.loads(out.read_text())
+    assert "error" not in report
+    assert report["command"] == "check"
+    # the dropped stdout takes later summaries silently
+    assert main(["check", path] + extra) == code
+
+
+def test_cli_random_with_closed_stdout_keeps_the_problem_file(tmp_path, monkeypatch):
+    out = tmp_path / "problem.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["random", "--n0", "2", "--n1", "2", "--out", str(out)]) == 0
+    assert load_problem(out).block.n0 == 2
+
+
 def test_cli_riccati_solve_degenerate_exit_2(tmp_path):
     pf = ProblemFile(block=BlockMatrix([0.0], [0.0], [1.0], [1.0]))
     path = tmp_path / "degenerate.json"
@@ -518,6 +564,8 @@ def test_cli_error_object_is_machine_readable(tmp_path, capsys):
         ["check", "{path}", "--out", "{missing}"],
         ["riccati-solve", "{path}", "--out", "{missing}"],
         ["random", "--n0", "2", "--n1", "2", "--out", "{missing}"],
+        # neumann has no tolerance to set: --tol is an unknown option
+        ["neumann", "{path}", "--lambda", "1,1", "--tol", "1e-8"],
     ],
 )
 def test_cli_invalid_arguments_exit_3(tmp_path, capsys, args):
@@ -639,8 +687,7 @@ SCALED_COMMANDS = [
 
 @pytest.mark.parametrize("s", [1e154, 1e200, 1e300])
 def test_cli_commands_invariant_under_scaling(tmp_path, s):
-    from blockdiag import run_theorem, solve_newton_X0
-    from blockdiag.cli import _spectral_route
+    from blockdiag import run_theorem, solve_newton_X0, spectral_pair
 
     b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
     scaled = BlockMatrix(s * b.A0, s * b.A1, s * b.W0, s * b.W1)
@@ -653,7 +700,7 @@ def test_cli_commands_invariant_under_scaling(tmp_path, s):
     def rel(x, ref):
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
-    pair, pair_s = _spectral_route(b, 0.0), _spectral_route(scaled, 0.0)
+    pair, pair_s = spectral_pair(b, 0.0), spectral_pair(scaled, 0.0)
     assert rel(pair_s.X0, pair.X0) <= 1e-10
     assert rel(pair_s.X1, pair.X1) <= 1e-10
     assert rel(run_theorem(scaled, mu=0.0).X, run_theorem(b, mu=0.0).X) <= 1e-10

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdiag import BlockMatrix, random_case, run_theorem, verify_kernel_split
+from blockdiag import BlockMatrix, random_case, run_theorem
 from blockdiag import subordinated
 from blockdiag.spectral import null_space_basis
 
@@ -119,7 +119,7 @@ def test_large_coupling_raises_the_svd_threshold():
     # because of the coupling: a bound over norm(A0 - mu) alone would call
     # this piece empty
     b = _near_kernel_case(coupling=1e4, delta=1e-8)
-    report = verify_kernel_split(b, 0.0)
+    report = subordinated._kernel_split(b, 0.0)
     assert report == _svd_report(b, 0.0)
     assert report.dim_k0 == 1 and report.dim_k1 == 0
 
@@ -158,7 +158,7 @@ def _rounding_case():
 def test_rounding_slack_keeps_the_svd_decision():
     b, mu = _rounding_case()
     assert b.bitwise_hermitian_A
-    report = verify_kernel_split(b, mu)
+    report = subordinated._kernel_split(b, mu)
     assert report == _svd_report(b, mu)
     assert report.dim_k0 == 1
 

@@ -17,11 +17,14 @@ from blockdiag import (
     residual_X1,
     solve_newton_X0,
     solve_sylvester,
-    spectral_subspace_below,
-    to_graph,
+    spectral_pair,
 )
 from blockdiag.errors import StructuralError, SylvesterSingularError
 from conftest import random_block
+
+
+def _residual_block(b, p):
+    return residual_block(b, p, residual_X0(b, p.X0), residual_X1(b, p.X1))
 
 
 def test_residual_x0_zero_case():
@@ -68,7 +71,7 @@ def test_residual_x1_is_role_swapped_x0(seed):
 def test_residual_block_zero():
     b = BlockMatrix(np.diag([1.0]), np.diag([2.0]), [[0.0]], [[0.0]])
     p = form_pair([[0.0]], [[0.0]])
-    assert not residual_block(b, p).residual.any()
+    assert not _residual_block(b, p).residual.any()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -78,7 +81,7 @@ def test_residual_block_offdiag_blocks_match(seed):
     x0 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     x1 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     p = form_pair(x0, x1)
-    rb = residual_block(b, p).residual
+    rb = _residual_block(b, p).residual
     np.testing.assert_array_equal(rb[2:, :2], residual_X0(b, x0).residual)
     np.testing.assert_array_equal(rb[:2, 2:], residual_X1(b, x1).residual)
 
@@ -92,7 +95,7 @@ def test_residual_block_diag_blocks_vanish(seed):
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
     )
-    rb = residual_block(b, p).residual
+    rb = _residual_block(b, p).residual
     assert np.max(np.abs(rb[:3, :3])) == 0.0
     assert np.max(np.abs(rb[3:, 3:])) == 0.0
 
@@ -111,7 +114,7 @@ def test_residual_block_equals_full_expression(seed):
     y = p.Y
     full = a @ y - y @ a - y @ v @ y + v
     scale = (np.linalg.norm(a, 2) + np.linalg.norm(v, 2)) * (1 + np.linalg.norm(y, 2)) ** 2
-    np.testing.assert_allclose(residual_block(b, p).residual, full, atol=1e-13 * scale)
+    np.testing.assert_allclose(_residual_block(b, p).residual, full, atol=1e-13 * scale)
 
 
 def test_sylvester_scalar():
@@ -184,8 +187,7 @@ def test_newton_matches_spectral_route(seed):
     b = pf.block
     x_newton, trace = solve_newton_X0(b, tol=1e-12)
     assert trace.converged
-    sub = spectral_subspace_below(b, 0.0, strict=True)
-    x_spectral = to_graph(sub, "H0").X
+    x_spectral = spectral_pair(b, 0.0).X0
     delta = np.linalg.norm(x_newton - x_spectral, 2)
     assert delta <= 1e-8 * (1 + np.linalg.norm(x_spectral, 2))
 
@@ -416,21 +418,6 @@ def test_newton_covariant_under_block_unitary_basis_change(seed, n0, n1, kind, c
     assert trace.converged and trace_r.converged
     expected = u1 @ x @ u0.conj().T
     assert np.linalg.norm(x_r - expected) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_assembled_residual_block_is_residual_block(seed):
-    rng = np.random.default_rng(90 + seed)
-    b = random_block(rng, 2, 3)
-    p = form_pair(
-        rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
-        rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
-    )
-    r0, r1 = residual_X0(b, p.X0), residual_X1(b, p.X1)
-    assembled = riccati.assemble_residual_block(b, p, r0, r1)
-    direct = residual_block(b, p)
-    np.testing.assert_array_equal(assembled.residual, direct.residual)
-    assert assembled.rel_norm == direct.rel_norm
 
 
 def test_check_computes_each_graph_residual_once(tmp_path, monkeypatch):

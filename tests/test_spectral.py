@@ -4,13 +4,17 @@ import scipy.linalg
 
 from blockdiag import (
     BlockMatrix,
+    GraphBase,
+    GraphSubspace,
+    from_graph,
     invariant_subspace_by_region,
-    spectral_subspace_below,
+    spectral_pair,
 )
-from blockdiag.errors import ContractError, IllPosedRegionError
+from blockdiag.errors import IllPosedRegionError
 from blockdiag.spectral import (
     Subspace,
     containment_residual,
+    eigenbasis_subspace,
     invariance_residual,
     null_space_basis,
 )
@@ -21,28 +25,27 @@ def _kernel(m, mu=0.0) -> Subspace:
     return Subspace(basis=null_space_basis(m - mu * np.eye(m.shape[0])))
 
 
+def _eigen_span(b, select) -> Subspace:
+    """Span of the eigenvectors of B whose eigenvalues ``select`` keeps."""
+    w, v = b.eigh
+    return eigenbasis_subspace(b.full, w, v, select(w), b.norm)
+
+
 def test_eigvals_analytic(analytic):
     expected = sorted([1 - np.sqrt(2), 1 + np.sqrt(2)])
     np.testing.assert_allclose(analytic.eigvals.real, expected, atol=1e-12)
     assert np.all(analytic.eigvals.imag == 0)
 
 
-def test_region_hermitian_contract():
-    with pytest.raises(ContractError):
-        invariant_subspace_by_region(
-            np.array([[0.0, 1.0], [0.0, 0.0]]), lambda z: z.real < 1, hermitian=True
-        )
-
-
 def test_subspace_below_trivial():
     b = BlockMatrix([-1.0], [1.0], [0.0], [0.0])
-    sub = spectral_subspace_below(b, 0.0, strict=True)
+    sub = _eigen_span(b, lambda w: w < 0.0)
     assert sub.dim == 1
     np.testing.assert_allclose(np.abs(sub.basis[:, 0]), [1, 0], atol=1e-14)
 
 
 def test_subspace_below_analytic(analytic):
-    sub = spectral_subspace_below(analytic, 1.0, strict=True)
+    sub = _eigen_span(analytic, lambda w: w < 1.0)
     assert sub.dim == 1
     expected = np.array([1.0, 1.0 - np.sqrt(2)])
     expected /= np.linalg.norm(expected)
@@ -52,27 +55,27 @@ def test_subspace_below_analytic(analytic):
 
 def test_subspace_below_zero_matrix():
     b = BlockMatrix([0.0], [0.0], [0.0], [0.0])
-    assert spectral_subspace_below(b, 0.0, strict=True).dim == 0
-    assert spectral_subspace_below(b, 0.0, strict=False).dim == 2
-
-
-def test_subspace_below_non_hermitian_rejected():
-    b = BlockMatrix([0.0], [0.0], [1.0], [0.0])
-    with pytest.raises(ContractError):
-        spectral_subspace_below(b, 0.0)
+    assert _eigen_span(b, lambda w: w < 0.0).dim == 0
+    assert _eigen_span(b, lambda w: w <= 0.0).dim == 2
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_strict_subset_of_nonstrict(seed):
+    """The spectral route's graph below mu lies between the eigenvectors
+    strictly below and those at or below mu, on unsubordinated input."""
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = 0.5 * (h + h.conj().T)
     b = BlockMatrix(h[:3, :3], h[3:, 3:], h[3:, :3], h[:3, 3:])
     mu = float(np.median(np.linalg.eigvalsh(h)))
-    strict = spectral_subspace_below(b, mu, strict=True)
-    loose = spectral_subspace_below(b, mu, strict=False)
-    assert strict.dim <= loose.dim
-    assert containment_residual(strict, loose) <= 1e-10
+    w, v = np.linalg.eigh(h)
+    band = 1e-9 * np.linalg.norm(h, 2)
+    strict = Subspace(basis=v[:, w < mu - band])
+    loose = Subspace(basis=v[:, w <= mu + band])
+    graph = from_graph(GraphSubspace(base=GraphBase.H0, X=spectral_pair(b, mu).X0))
+    assert strict.dim <= graph.dim <= loose.dim
+    assert containment_residual(strict, graph) <= 1e-10
+    assert containment_residual(graph, loose) <= 1e-10
 
 
 def test_kernel_of_diag():
@@ -101,40 +104,38 @@ def test_kernel_dimension_bookkeeping(one_point):
     full = b.assemble()
     n = full.shape[0]
     mu = 0.0
-    dim_below = spectral_subspace_below(b, mu, strict=True).dim
+    w = np.linalg.eigvalsh(full)
+    band = 1e-10 * np.linalg.norm(full, 2)
+    dim_below = int(np.sum(w < mu - band))
     dim_kernel = _kernel(full, mu).dim
-    above = spectral_subspace_below(
-        BlockMatrix(-b.A0, -b.A1, -b.W0, -b.W1), -mu, strict=True
-    ).dim
+    above = int(np.sum(w > mu + band))
     assert dim_below + dim_kernel + above == n
 
 
 def test_region_hermitian():
-    sub = invariant_subspace_by_region(
-        np.diag([1.0, 5.0]), lambda z: z.real < 3, hermitian=True
-    )
+    sub = invariant_subspace_by_region(np.diag([1.0, 5.0]), lambda z: z.real < 3)
     assert sub.dim == 1
     np.testing.assert_allclose(np.abs(sub.basis[:, 0]), [1, 0], atol=1e-14)
 
 
 def test_region_matches_subspace_below(analytic):
     full = analytic.assemble()
-    by_region = invariant_subspace_by_region(full, lambda z: z.real < 1, hermitian=True)
-    below = spectral_subspace_below(analytic, 1.0, strict=True)
+    by_region = invariant_subspace_by_region(full, lambda z: z.real < 1)
+    below = _eigen_span(analytic, lambda w: w < 1.0)
     angles = scipy.linalg.subspace_angles(by_region.basis, below.basis)
     assert np.max(angles, initial=0.0) <= 1e-10
 
 
 def test_region_defective_whole_space():
     m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    sub = invariant_subspace_by_region(m, lambda z: z.real < 2, hermitian=False)
+    sub = invariant_subspace_by_region(m, lambda z: z.real < 2)
     assert sub.dim == 2
 
 
 def test_region_boundary_through_spectrum():
     with pytest.raises(IllPosedRegionError):
         invariant_subspace_by_region(
-            np.diag([1.0, 1.0 + 1e-12]), lambda z: z.real <= 1.0, hermitian=True
+            np.diag([1.0, 1.0 + 1e-12]), lambda z: z.real <= 1.0
         )
 
 
@@ -143,7 +144,7 @@ def test_region_invariance_residual_general(seed):
     rng = np.random.default_rng(100 + seed)
     m = rng.standard_normal((8, 8))
     median = float(np.median(np.linalg.eigvals(m).real))
-    sub = invariant_subspace_by_region(m, lambda z: z.real < median, hermitian=False)
+    sub = invariant_subspace_by_region(m, lambda z: z.real < median)
     assert invariance_residual(m, sub) <= 1e-8 * np.linalg.norm(m, 2)
 
 
@@ -154,7 +155,7 @@ def test_projector_properties(seed):
     h = 0.5 * (h + h.conj().T)
     b = BlockMatrix(h[:2, :2], h[2:, 2:], h[2:, :2], h[:2, 2:])
     mu = float(np.median(np.linalg.eigvalsh(h)))
-    q = spectral_subspace_below(b, mu, strict=True).basis
+    q = _eigen_span(b, lambda w: w < mu).basis
     p = q @ q.conj().T
     norm = np.linalg.norm(h, 2)
     assert np.linalg.norm(p @ p - p, 2) <= 1e-10

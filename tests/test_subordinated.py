@@ -4,16 +4,14 @@ import pytest
 from blockdiag import subordinated
 from blockdiag import (
     BlockMatrix,
-    build_L,
     check_subordination,
     choose_mu,
     random_case,
     run_theorem,
-    spectral_subspace_below,
-    verify_kernel_split,
 )
 from blockdiag.errors import HypothesisError, TheoremViolationError
 from blockdiag.spectral import Subspace, containment_residual
+from conftest import eigvecs
 
 
 def test_check_subordination_gapped():
@@ -52,13 +50,13 @@ def test_choose_mu_touching(one_point):
 
 def test_kernel_split_decoupled():
     b = BlockMatrix([0.0], [2.0], [0.0], [0.0])
-    rep = verify_kernel_split(b, 0.0)
+    rep = subordinated._kernel_split(b, 0.0)
     assert rep.ok
     assert (rep.dim_kernel, rep.dim_k0, rep.dim_k1) == (1, 1, 0)
 
 
 def test_kernel_split_one_point(one_point):
-    rep = verify_kernel_split(one_point, 0.0)
+    rep = subordinated._kernel_split(one_point, 0.0)
     assert rep.ok
     assert (rep.dim_kernel, rep.dim_k0, rep.dim_k1) == (2, 1, 1)
     assert rep.split_residual <= 1e-10
@@ -67,7 +65,7 @@ def test_kernel_split_one_point(one_point):
 
 def test_kernel_split_trivial_kernel():
     pf = random_case(4, 4, gap=1.0, coupling=0.3, seed=1)
-    rep = verify_kernel_split(pf.block, 0.0)
+    rep = subordinated._kernel_split(pf.block, 0.0)
     assert rep.ok
     assert rep.dim_kernel == 0
 
@@ -76,28 +74,36 @@ def test_kernel_split_trivial_kernel():
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_split_planted(kernel_dim, seed):
     pf = random_case(5, 5, gap=0.0, coupling=0.4, seed=seed, kernel_dim=kernel_dim)
-    rep = verify_kernel_split(pf.block, 0.0)
+    rep = subordinated._kernel_split(pf.block, 0.0)
     assert rep.ok
     assert rep.dim_kernel == kernel_dim
     assert rep.dim_k0 == (kernel_dim + 1) // 2
     assert rep.dim_k1 == kernel_dim // 2
 
 
-def test_kernel_split_requires_symmetric_coupling():
+def _refused_before(monkeypatch, step):
+    """run_theorem on asymmetric coupling, with ``step`` made to fail."""
+
+    def unreachable(*args):
+        raise AssertionError(f"{step} ran before the hypotheses were checked")
+
+    monkeypatch.setattr(subordinated, step, unreachable)
     b = BlockMatrix([-1.0], [1.0], [0.5], [0.2])
     with pytest.raises(HypothesisError):
-        verify_kernel_split(b, 0.0)
+        run_theorem(b, mu=0.0)
 
 
-def test_build_L_requires_symmetric_coupling():
-    # run_theorem checks the hypotheses once; the public step still does
-    b = BlockMatrix([-1.0], [1.0], [0.5], [0.2])
-    with pytest.raises(HypothesisError):
-        build_L(b, 0.0)
+def test_kernel_split_requires_symmetric_coupling(monkeypatch):
+    # the private step checks no hypotheses; run_theorem checks them first
+    _refused_before(monkeypatch, "_kernel_split")
+
+
+def test_build_L_requires_symmetric_coupling(monkeypatch):
+    _refused_before(monkeypatch, "_reducing_subspace")
 
 
 def test_build_L_analytic(analytic):
-    sub = build_L(analytic, 1.0)
+    sub = run_theorem(analytic, mu=1.0).L
     assert sub.dim == 1
     expected = np.array([1.0, 1 - np.sqrt(2)])
     expected /= np.linalg.norm(expected)
@@ -106,13 +112,13 @@ def test_build_L_analytic(analytic):
 
 def test_build_L_decoupled_is_h0():
     b = BlockMatrix(np.diag([-2.0, -1.0]), np.diag([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2)))
-    sub = build_L(b, 0.0)
+    sub = run_theorem(b, mu=0.0).L
     assert sub.dim == 2
     assert np.max(np.abs(sub.basis[2:, :])) <= 1e-12
 
 
 def test_build_L_one_point(one_point):
-    sub = build_L(one_point, 0.0)
+    sub = run_theorem(one_point, mu=0.0).L
     assert sub.dim == 2
     # contains e1 (kernel in H0) and the eigenvector of the inner 2x2 block
     e1 = np.zeros((4, 1))
@@ -190,27 +196,28 @@ def test_sandwich_inclusions(seed):
     """Strictly-below subspace inside L inside non-strictly-below subspace."""
     pf = random_case(5, 5, gap=0.0, coupling=0.3, seed=seed, kernel_dim=1)
     b = pf.block
-    sub = build_L(b, 0.0)
-    below = spectral_subspace_below(b, 0.0, strict=True, tol=1e-9)
-    below_eq = spectral_subspace_below(b, 0.0, strict=False, tol=1e-9)
+    sub = run_theorem(b, mu=0.0).L
+    below = eigvecs(b, lambda w, band: w < -band)
+    below_eq = eigvecs(b, lambda w, band: w <= band)
     assert containment_residual(below, sub) <= 1e-9
     assert containment_residual(sub, below_eq) <= 1e-9
 
 
 def test_sandwich_strict_on_one_point(one_point):
-    sub = build_L(one_point, 0.0)
-    below = spectral_subspace_below(one_point, 0.0, strict=True, tol=1e-9)
-    below_eq = spectral_subspace_below(one_point, 0.0, strict=False, tol=1e-9)
+    sub = run_theorem(one_point, mu=0.0).L
+    below = eigvecs(one_point, lambda w, band: w < -band)
+    below_eq = eigvecs(one_point, lambda w, band: w <= band)
     assert below.dim < sub.dim < below_eq.dim
     assert containment_residual(below, sub) <= 1e-9
     assert containment_residual(sub, below_eq) <= 1e-9
 
 
 def test_build_L_dimension_failure_detected():
-    # mu below the whole spectrum cannot produce an n0-dimensional subspace
+    # mu below the whole spectrum cannot produce an n0-dimensional subspace;
+    # run_theorem refuses such a mu earlier, as not subordinated
     b = BlockMatrix(np.diag([-2.0, -1.0]), np.diag([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises((TheoremViolationError, HypothesisError)):
-        build_L(b, -10.0)
+    with pytest.raises(TheoremViolationError):
+        subordinated._reducing_subspace(b, -10.0)
 
 
 @pytest.mark.parametrize("s", [1e6, 1e8, 1e9, 1e10])

@@ -11,6 +11,7 @@ from blockdiag import (
     form_pair,
     random_case,
     run_theorem,
+    spectral_pair,
     triangularize,
     verify_extended_identity,
     verify_resolvent_invariance,
@@ -179,9 +180,9 @@ def test_extended_identity_tracks_riccati_residual(seed):
     rng = np.random.default_rng(seed)
     b = random_block(rng, 2, 2)
     p = _contractive_pair(rng, 2, 2, norm=0.3)
-    from blockdiag.riccati import residual_block
+    from blockdiag.riccati import residual_block, residual_X1
 
-    r = residual_block(b, p).rel_norm
+    r = residual_block(b, p, residual_X0(b, p.X0), residual_X1(b, p.X1)).rel_norm
     res = verify_extended_identity(b, p, *diagonalize(b, p))
     assert res.identity <= 1e2 * max(r, 1e-15)
     assert res.right_form <= 1e2 * max(r, 1e-15)
@@ -356,7 +357,7 @@ def test_invariance_defect_controls_offdiag(delta):
 def test_non_hermitian_route_end_to_end(seed):
     """Sorted-Schur extraction feeds the whole transform stack for
     diagonally dominant non-Hermitian problems."""
-    from blockdiag.cli import _spectral_route, choose_split_mu
+    from blockdiag.cli import choose_split_mu
     from blockdiag.riccati import residual_X0, residual_X1
 
     rng = np.random.default_rng(seed)
@@ -365,7 +366,7 @@ def test_non_hermitian_route_end_to_end(seed):
     w0 = 0.1 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     w1 = 0.1 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     b = BlockMatrix(a0, a1, w0, w1)
-    pair = _spectral_route(b, choose_split_mu(b))
+    pair = spectral_pair(b, choose_split_mu(b))
     assert residual_X0(b, pair.X0).rel_norm <= 1e-12
     assert residual_X1(b, pair.X1).rel_norm <= 1e-12
     assert diagonalize(b, pair)[0].offdiag_rel_norm <= 1e-12
