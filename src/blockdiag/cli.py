@@ -364,7 +364,7 @@ def _dirac(args, report, problem) -> bool | int:
     report.flags.update(
         {
             "subordinated": split.subordinated,
-            "contraction": result.norm_X < 1.0,
+            "contraction": result.norm_X <= 1.0 + subordinated.CONTRACTION_SLACK,
             "kernel_split_ok": result.theorem.kernel_split_ok,
             "reduces_ok": result.theorem.reduces_ok,
         }

@@ -25,13 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, split
+from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks
 from .errors import HypothesisError, NumericError, StructuralError
-from .spectral import Subspace, containment_residual
-from .subordinated import TheoremResult, run_theorem
+from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
 
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
 FW_UNITARITY_TOL = 1e-10
+
+#: Constant c of the angle certificate's slack ``c * norm_bound * eta``,
+#: and the largest Gram defect plus rounding ``eta`` its derivation covers
+#: (README "Numerics notes").
+ANGLE_SLACK = 6.0
+ANGLE_ETA_MAX = 0.125
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,6 @@ class DiracOperators:
     potential_values: np.ndarray
     h_free: np.ndarray
     h_full: np.ndarray
-    t_fw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,7 @@ class DiracSplitReport:
     margin: float
     u_inf: float
     k_min: float
+    norm_bound: float
 
 
 @dataclass(frozen=True)
@@ -229,23 +236,23 @@ def build_operators(problem: DiracProblem) -> DiracOperators:
     h_full = h_free.copy()
     idx = np.arange(2 * grid.points)
     h_full[idx, idx] += np.concatenate([u, u])
-    eye = np.eye(grid.points, dtype=np.complex128)
-    t_fw = from_blocks(theta_op, eye, theta_op, -eye)
-    t_fw /= np.sqrt(2.0)
     return DiracOperators(
         theta_op=theta_op,
         sqrt_lap=sqrt_lap,
         potential_values=u,
         h_free=h_free,
         h_full=h_full,
-        t_fw=t_fw,
     )
 
 
 def fw_unitarity_residual(ops: DiracOperators) -> float:
-    """``norm_F(T T* - I)`` of the spinor rotation (bounds the 2-norm defect)."""
-    t = ops.t_fw
-    return frobenius_norm(t @ t.conj().T - np.eye(t.shape[0]))
+    """``norm_F(T T* - I)`` of the spinor rotation (bounds the 2-norm defect).
+
+    Every block of ``T T* - I`` is ``(Theta Theta* - I) / 2``, so this is
+    ``norm_F(Theta Theta* - I)``.
+    """
+    theta = ops.theta_op
+    return frobenius_norm(theta @ theta.conj().T - np.eye(theta.shape[0]))
 
 
 def _unitary_operators(problem: DiracProblem) -> tuple[DiracOperators, float]:
@@ -266,9 +273,22 @@ def _unitary_operators(problem: DiracProblem) -> tuple[DiracOperators, float]:
 
 @_overflow_is_input_error("spinor-rotated Hamiltonian T H T*")
 def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
-    transformed = _hermitize(ops.t_fw @ ops.h_full @ ops.t_fw.conj().T)
+    """``T H T*`` block by block, from ``P = Theta U Theta*`` and ``K = Theta M``.
+
+    With ``H = [[U, M], [M*, U]]`` the blocks are
+    ``A0, A1 = (P + U +- (K + K*)) / 2`` and ``W0 = W1* = (P - U + K - K*) / 2``;
+    each diagonal block is exactly Hermitian and ``W1`` is exactly ``W0*``.
+    """
     points = ops.sqrt_lap.shape[0]
-    return split(transformed, points)
+    theta = ops.theta_op
+    u = np.diag(ops.potential_values)
+    p = _hermitize((theta * ops.potential_values) @ theta.conj().T)
+    k = theta @ ops.h_full[:points, points:]
+    k_sym = k + k.conj().T
+    w0 = 0.5 * (p - u + (k - k.conj().T))
+    return BlockMatrix(
+        A0=0.5 * (p + u + k_sym), A1=0.5 * (p + u - k_sym), W0=w0, W1=w0.conj().T
+    )
 
 
 def fw_transform(problem: DiracProblem) -> BlockMatrix:
@@ -296,7 +316,8 @@ def check_subordination_split(
     and a margin that overflows is an input error.
     Residuals are Frobenius norms over ``norm(S) + u_inf``, where
     ``norm(S)`` is the largest momentum magnitude on the grid, and the
-    subordination flag allows a band of ``DEFAULT_TOL`` times that scale.
+    subordination flag allows a band of ``DEFAULT_TOL`` times that scale;
+    ``norm_bound = norm(S) + u_inf`` bounds ``norm(H)`` from above.
     Pass the ``ops`` of the problem when they are already built.
     Never raises on a failing flag; residuals and margins tell the story.
     """
@@ -316,7 +337,8 @@ def check_subordination_split(
             f"subordination margin k_min - 2 u_inf not representable "
             f"(u_inf = {u_inf:.3e}); the potential is too large"
         )
-    scale = max(float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf, 1.0)
+    norm_bound = float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf
+    scale = max(norm_bound, 1.0)
 
     def averaged(mat):
         return 0.5 * (mat + theta @ mat @ theta.conj().T)
@@ -338,6 +360,7 @@ def check_subordination_split(
         margin=margin,
         u_inf=u_inf,
         k_min=k_min,
+        norm_bound=norm_bound,
     )
 
 
@@ -347,8 +370,10 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     Confirms subordination of the rotated blocks, runs the subordinated
     pipeline on the block matrix with the negative block first, maps the
     resulting pair of graph subspaces back through the spinor rotation,
-    and measures their principal angles against the negative/positive
-    spectral subspaces of the position-space operator.
+    and certifies an upper bound on their largest angles to the
+    negative/positive spectral subspaces of the position-space operator
+    (:func:`angle_certificate`). The spectrum of H is read off the one
+    ``eigh`` of the rotated matrix that the subordinated pipeline takes.
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
@@ -359,43 +384,52 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
             f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}",
             report=report,
         )
-    theorem = run_theorem(bm.swapped(), mu=0.0, tol=tol)
+    swapped = bm.swapped()
+    theorem = run_theorem(swapped, mu=0.0, tol=tol)
     points = problem.grid.points
-    # swapped coordinates list the negative block first; undo the swap
-    perm = np.concatenate([np.arange(points, 2 * points), np.arange(points)])
-    invperm = np.argsort(perm)
-    minus_fw = theorem.L.basis[invperm, :]
-    plus_fw = theorem.L_perp.basis[invperm, :]
-    t = ops.t_fw
-    minus_pos = Subspace(basis=_orthonormalize(t.conj().T @ minus_fw))
-    plus_pos = Subspace(basis=_orthonormalize(t.conj().T @ plus_fw))
-    w, v = np.linalg.eigh(ops.h_full)
-    e_minus = Subspace(basis=v[:, w < 0.0])
-    e_plus = Subspace(basis=v[:, w > 0.0])
-    angle_minus = _max_angle(minus_pos, e_minus)
-    angle_plus = _max_angle(plus_pos, e_plus)
+    # swapped coordinates list the negative block first; T* takes the
+    # rotated frame's (first, second) block rows back to positions
+    basis = np.hstack([theorem.L.basis, theorem.L_perp.basis])
+    top, bottom = basis[points:], basis[:points]
+    z = np.vstack([ops.theta_op.conj().T @ (top + bottom), top - bottom]) / np.sqrt(2.0)
+    angle = angle_certificate(ops.h_full, z, points, report.norm_bound)
     return DiracPipelineResult(
         theorem=theorem,
         split=report,
         fw_unitarity_residual=unitarity,
-        angle_minus=angle_minus,
-        angle_plus=angle_plus,
-        h_eigenvalues=w,
+        angle_minus=angle,
+        angle_plus=angle,
+        h_eigenvalues=swapped.eigh[0],
         block_eigenvalues=bm.eigvalsh_A,
         norm_X=theorem.norm_X,
     )
 
 
-def _orthonormalize(basis: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return basis
-    q, _ = np.linalg.qr(basis)
-    return q
+def angle_certificate(
+    h: np.ndarray, z: np.ndarray, n0: int, norm_bound: float
+) -> float:
+    """Davis-Kahan tan 2Theta bound on the angles of a basis to spec(h) < 0.
 
-
-def _max_angle(u: Subspace, v: Subspace) -> float:
-    # dimension mismatch cannot be an angle; report the worst possible one
-    if u.dim != v.dim:
-        return float(np.pi / 2.0)
-    # for equal dimensions, sin of the largest angle is norm((I - P_v) Q_u)
-    return float(np.arcsin(min(1.0, containment_residual(u, v))))
+    For a nearly unitary ``z = [Q, Q_perp]`` (``n0`` columns in Q) and
+    ``norm_bound >= norm(h)``, an upper bound on the largest angle between
+    span Q and the negative spectral subspace of the Hermitian ``h``, and
+    between span Q_perp and the positive one; pi/2 when the compressions
+    of ``h`` do not certify it. README "Numerics notes" derives it.
+    """
+    dim = h.shape[0]
+    eta = frobenius_norm(z.conj().T @ z - np.eye(dim))
+    eta += KERNEL_PROOF_ROUNDING * dim * _EPS
+    # written so that NaN refuses too
+    if not eta <= ANGLE_ETA_MAX:
+        return math.pi / 2.0
+    hz = h @ z
+    # [H11; R] and H22; the block Q* h Q_perp is never needed
+    left = z.conj().T @ hz[:, :n0]
+    h22 = z[:, n0:].conj().T @ hz[:, n0:]
+    s = ANGLE_SLACK * norm_bound * eta
+    sup_11 = float(np.linalg.eigvalsh(_hermitize(left[:n0]))[-1]) + s
+    inf_22 = float(np.linalg.eigvalsh(_hermitize(h22))[0]) - s
+    if not sup_11 < 0.0 < inf_22:
+        return math.pi / 2.0
+    theta = 0.5 * math.atan2(2.0 * (frobenius_norm(left[n0:]) + s), inf_22 - sup_11)
+    return math.asin(min(1.0, math.sin(theta) + ANGLE_SLACK * eta))

@@ -1,19 +1,28 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdiag import (
     DiracProblem,
     GridSpec,
     ImpurityPotential,
     check_subordination_split,
+    dirac,
     fw_transform,
     run_dirac_pipeline,
 )
-from blockdiag.dirac import _max_angle, build_operators, fw_unitarity_residual
+from blockdiag.cli import main
+from blockdiag.core import from_blocks
+from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import StructuralError
-from blockdiag.spectral import Subspace
+from blockdiag.spectral import Subspace, containment_residual
 from blockdiag.transform import match_spectra
+
+_EPS = np.finfo(np.float64).eps
 
 
 def _problem(n=4, amplitude=0.0, profile="disk", radius=None, length=2 * np.pi):
@@ -229,24 +238,6 @@ def test_split_overflow_names_the_quantity():
         fw_transform(_problem(n=16, amplitude=1e308))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_max_angle_matches_subspace_angles(seed):
-    rng = np.random.default_rng(seed)
-    n, k = 12, 1 + seed
-
-    def subspace(m):
-        return Subspace(basis=np.linalg.qr(m)[0])
-
-    u = subspace(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
-    near = u.basis + 10.0 ** (-seed) * rng.standard_normal((n, k))
-    for v in (subspace(near), subspace(rng.standard_normal((n, k)))):
-        reference = scipy.linalg.subspace_angles(u.basis, v.basis)[0]
-        assert _max_angle(u, v) == pytest.approx(reference, rel=1e-9, abs=1e-14)
-    orthogonal = Subspace(basis=np.eye(n)[:, :k])
-    assert _max_angle(Subspace(basis=np.eye(n)[:, k : 2 * k]), orthogonal) == np.pi / 2
-    assert _max_angle(orthogonal, orthogonal) == 0.0
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -270,3 +261,109 @@ def test_pipeline_complement_is_the_theorems_complement():
     theorem = result.theorem
     rebuilt = from_graph(GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T))
     np.testing.assert_array_equal(theorem.L_perp.basis, rebuilt.basis)
+
+
+def _dense_t(ops):
+    """The spinor rotation ``T = [[Theta, I], [Theta, -I]] / sqrt(2)``, dense."""
+    eye = np.eye(ops.theta_op.shape[0])
+    return from_blocks(ops.theta_op, eye, ops.theta_op, -eye) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_blockwise_rotation_matches_dense_products(n):
+    ops = build_operators(_problem(n=n, amplitude=0.05, profile="gaussian", radius=1.0))
+    t = _dense_t(ops)
+    dim = t.shape[0]
+    dense = t @ ops.h_full @ t.conj().T
+    dense = 0.5 * (dense + dense.conj().T)
+    blockwise = dirac._fw_block_matrix(ops).full
+    scale = np.linalg.norm(ops.h_full, 2)
+    assert np.linalg.norm(blockwise - dense) <= 8 * dim * _EPS * scale
+    unitarity = np.linalg.norm(t @ t.conj().T - np.eye(dim))
+    assert abs(fw_unitarity_residual(ops) - unitarity) <= 8 * dim * _EPS
+
+
+def _oracle_angles(problem, result):
+    """Largest angles of ``T* L``, ``T* L_perp`` to the spectral subspaces of H.
+
+    Takes the dense ``eigh`` of ``h_full`` that the pipeline does without.
+    """
+    ops = build_operators(problem)
+    t_adj = _dense_t(ops).conj().T
+    points = problem.grid.points
+    # undo the swap: the pipeline runs the theorem with the negative block first
+    perm = np.r_[points : 2 * points, 0:points]
+    w, v = np.linalg.eigh(ops.h_full)
+    angles = []
+    for sub, mask in ((result.theorem.L, w < 0.0), (result.theorem.L_perp, w > 0.0)):
+        q = Subspace(basis=np.linalg.qr(t_adj @ sub.basis[perm])[0])
+        target = Subspace(basis=v[:, mask])
+        assert q.dim == target.dim
+        angles.append(np.arcsin(min(1.0, containment_residual(q, target))))
+    return angles
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    strength=st.floats(0.0, 0.45),
+    radius=st.floats(0.3, 4.0),
+    profile=st.sampled_from(["disk", "gaussian"]),
+)
+def test_angle_certificate_bounds_the_oracle_angle(n, strength, radius, profile):
+    grid = GridSpec(n=n)
+    # below k_min / 2 the rotated blocks are subordinated at 0
+    problem = DiracProblem(
+        grid=grid,
+        potential=ImpurityPotential(
+            amplitude=strength * grid.k_min, profile=profile, radius=radius
+        ),
+    )
+    result = run_dirac_pipeline(problem)
+    oracle_minus, oracle_plus = _oracle_angles(problem, result)
+    assert result.angle_minus >= oracle_minus
+    assert result.angle_plus >= oracle_plus
+    assert result.angle_minus <= 1e-8
+
+
+def _perturb_theorem(monkeypatch, change):
+    """Make the pipeline see ``change(L, L_perp)`` in place of the theorem's pair."""
+    real = dirac.run_theorem
+
+    def perturbed(*args, **kwargs):
+        result = real(*args, **kwargs)
+        l, l_perp = change(result.L.basis.copy(), result.L_perp.basis.copy())
+        return dataclasses.replace(
+            result, L=Subspace(basis=l), L_perp=Subspace(basis=l_perp)
+        )
+
+    monkeypatch.setattr(dirac, "run_theorem", perturbed)
+
+
+@pytest.mark.parametrize("phi", [1e-6, 1e-4, 1e-2])
+def test_angle_certificate_sees_a_pair_rotated_by_phi(monkeypatch, tmp_path, phi):
+    def rotate(l, l_perp):
+        a, b = l[:, 0].copy(), l_perp[:, 0].copy()
+        l[:, 0] = np.cos(phi) * a + np.sin(phi) * b
+        l_perp[:, 0] = -np.sin(phi) * a + np.cos(phi) * b
+        return l, l_perp
+
+    _perturb_theorem(monkeypatch, rotate)
+    problem = _problem(n=4, amplitude=0.05)
+    result = run_dirac_pipeline(problem)
+    assert result.angle_minus >= phi and result.angle_plus >= phi
+    assert max(_oracle_angles(problem, result)) == pytest.approx(phi, rel=1e-6)
+    out = tmp_path / "report.json"
+    assert main(["dirac", "--n", "4", "--amplitude", "0.05", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["residuals"]["subspace_angle_minus"] >= phi
+
+
+def test_angle_certificate_refuses_a_swapped_column(monkeypatch):
+    def swap(l, l_perp):
+        l[:, 0], l_perp[:, 0] = l_perp[:, 0].copy(), l[:, 0].copy()
+        return l, l_perp
+
+    _perturb_theorem(monkeypatch, swap)
+    result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
+    assert result.angle_minus == result.angle_plus == np.pi / 2

@@ -508,6 +508,39 @@ def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
     assert all(v <= 1e-8 for v in report["residuals"].values())
 
 
+def test_cli_contraction_flag_agrees_between_subordinated_and_dirac(
+    tmp_path, monkeypatch
+):
+    """A norm(X) inside CONTRACTION_SLACK above 1 passes both commands."""
+    from blockdiag import dirac, subordinated
+
+    norm_x = 1.0 + 5e-10
+    assert norm_x <= 1.0 + subordinated.CONTRACTION_SLACK
+    run_theorem = subordinated.run_theorem
+    run_dirac = dirac.run_dirac_pipeline
+    monkeypatch.setattr(
+        subordinated,
+        "run_theorem",
+        lambda *a, **k: dataclasses.replace(run_theorem(*a, **k), norm_X=norm_x),
+    )
+    monkeypatch.setattr(
+        dirac,
+        "run_dirac_pipeline",
+        lambda *a, **k: dataclasses.replace(run_dirac(*a, **k), norm_X=norm_x),
+    )
+    path = tmp_path / "sub.json"
+    save_problem(path, random_case(4, 4, gap=1.0, coupling=0.3, seed=3))
+    for name, args in (
+        ("subordinated", ["subordinated", str(path)]),
+        ("dirac", ["dirac", "--n", "4", "--amplitude", "0.03"]),
+    ):
+        out = tmp_path / f"{name}.json"
+        assert main(args + ["--out", str(out)]) == 0, name
+        report = json.loads(out.read_text())
+        assert report["flags"]["contraction"] is True, name
+        assert report["certificates"]["contraction"]["norm_X"] == norm_x
+
+
 @pytest.mark.parametrize(
     "umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct
 )

@@ -266,7 +266,7 @@ def _count_calls(monkeypatch, owner, name):
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -322,8 +322,13 @@ def test_dirac_pipeline_reads_each_block_spectrum_once(monkeypatch):
     )
     spectra = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     result = dirac.run_dirac_pipeline(problem)
-    assert len(spectra) == 2
     bm = dirac.fw_transform(problem)
+    # A0 and A1 once each; the other two are the angle certificate's
+    # compressions onto the rotated-back pair
+    arguments = [args[0] for args in spectra]
+    for block in (bm.A0, bm.A1):
+        assert sum(np.array_equal(a, block) for a in arguments) == 1
+    assert len(arguments) == 4
     for got, block in zip(result.block_eigenvalues, (bm.A0, bm.A1)):
         assert np.array_equal(got, np.linalg.eigvalsh(block))
 
