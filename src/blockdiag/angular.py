@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BlockMatrix, as_matrix, from_blocks
+from .core import BlockMatrix, as_matrix, frobenius_norm, from_blocks
 from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
 from .spectral import Subspace, eigenbasis_subspace, invariant_subspace_by_region
 
@@ -91,13 +91,28 @@ class AngularPair:
         return _singular_values(self.X0)
 
     @cached_property
+    def skew(self) -> bool:
+        """Whether ``X1 = -X0*`` bitwise, so that Y is skew-Hermitian."""
+        return np.array_equal(self.X1, -self.X0.conj().T)
+
+    @cached_property
     def singular_values_I_plus_Y(self) -> np.ndarray:
         """Read-only singular values of ``I + Y``, descending, computed once.
 
         ``I - Y = J (I + Y) J`` with the unitary ``J = diag(I, -I)``, so they
-        are the singular values of ``I - Y`` as well.
+        are the singular values of ``I - Y`` as well. A skew pair has a
+        normal ``I + Y`` with eigenvalues ``1 +/- i s`` over the singular
+        values s of X0, plus 1 for each of the ``|n0 - n1|`` null
+        directions of Y: ``sqrt(1 + s^2)`` twice each, then ones, read off
+        ``singular_values_X0``. Any other pair takes one SVD of ``I + Y``.
         """
-        return _singular_values(np.eye(self.n0 + self.n1) + self.Y)
+        if not self.skew:
+            return _singular_values(np.eye(self.n0 + self.n1) + self.Y)
+        s = np.hypot(1.0, self.singular_values_X0)
+        ones = np.ones(abs(self.n0 - self.n1))
+        out = np.concatenate([np.repeat(s, 2), ones])
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def blocks_I_minus_Y2(self) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +132,11 @@ class AngularPair:
         """Exact ``norm(Y) = max(norm(X0), norm(X1))``.
 
         Y is block anti-diagonal; ``norm(X0)`` comes from
-        ``singular_values_X0`` and ``norm(X1)`` from one SVD of X1.
+        ``singular_values_X0``. A skew pair has ``norm(X1) = norm(X0)``;
+        any other pair takes one SVD of X1.
         """
         s0 = self.singular_values_X0
-        s1 = _singular_values(self.X1)
+        s1 = s0 if self.skew else _singular_values(self.X1)
         return float(max(s0[0] if s0.size else 0.0, s1[0] if s1.size else 0.0))
 
     @property
@@ -226,29 +242,29 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
 def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
     """Angular pair from the invariant subspaces on both sides of mu.
 
-    A Hermitian B takes both subspaces from its one cached ``eigh``, scaled
-    by ``norm(B)``; other input takes a sorted Schur form per side. Either
-    way each subspace passes the region-gap and invariance guarantees of
+    A Hermitian B takes the side below mu from its one cached ``eigh`` and
+    pairs X0 with ``X1 = -X0*``: the side above is graph(X0)^⊥ =
+    graph(-X0*), with the same region gap and an invariance residual at
+    most ``norm_F(B - B*)`` above that of graph(X0), which is gated that much
+    below the usual bound. Other input takes a sorted Schur form per side.
+    Either way both subspaces meet the guarantees of
     :func:`~blockdiag.spectral.invariant_subspace_by_region`.
     """
     full = b.full
+    above = None
     if b.hermitian:
         w, v = b.eigh
-        mask = w < mu
-        below = eigenbasis_subspace(full, w, v, mask, b.norm).with_partition(b.n0)
-        above = eigenbasis_subspace(full, w, v, ~mask, b.norm).with_partition(b.n0)
+        defect = 0.0 if b.bitwise_hermitian else frobenius_norm(full - full.conj().T)
+        below = eigenbasis_subspace(full, w, v, w < mu, b.norm, defect)
     else:
-        below = invariant_subspace_by_region(
-            full, lambda z: z.real < mu
-        ).with_partition(b.n0)
-        above = invariant_subspace_by_region(
-            full, lambda z: z.real >= mu
-        ).with_partition(b.n0)
+        below = invariant_subspace_by_region(full, lambda z: z.real < mu)
+        above = invariant_subspace_by_region(full, lambda z: z.real >= mu)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "
             f"but dim(H0) = {b.n0}"
         )
-    x0 = to_graph(below, GraphBase.H0).X
-    x1 = to_graph(above, GraphBase.H1).X
-    return form_pair(x0, x1)
+    x0 = to_graph(below.with_partition(b.n0), GraphBase.H0).X
+    if above is None:
+        return form_pair(x0, -x0.conj().T)
+    return form_pair(x0, to_graph(above.with_partition(b.n0), GraphBase.H1).X)

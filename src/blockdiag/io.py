@@ -18,7 +18,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,11 +122,16 @@ def _raise_bad_entry(data, name: str) -> None:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A block matrix plus optional threshold and free-form metadata."""
+    """A block matrix plus optional threshold and free-form metadata.
+
+    ``digest`` is the sha256 of the file bytes it was loaded from, and empty
+    for a problem made in memory; it is not written to a file.
+    """
 
     block: BlockMatrix
     mu: float | None = None
     metadata: dict = field(default_factory=dict)
+    digest: str = field(default="", compare=False)
 
     def to_obj(self) -> dict:
         obj = {
@@ -183,14 +188,23 @@ def save_problem(path, problem: ProblemFile) -> None:
 
 
 def load_problem(path) -> ProblemFile:
+    """Parse the problem file at ``path``, which is read once.
+
+    The result's ``digest`` is the sha256 of exactly the bytes parsed, so it
+    cannot describe a file that was replaced in between.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise StructuralError(f"cannot read problem file {path}: {exc}") from exc
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"problem file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StructuralError(f"invalid JSON in {path}: {exc}") from exc
-    return ProblemFile.from_obj(obj)
+    return replace(ProblemFile.from_obj(obj), digest=hashlib.sha256(raw).hexdigest())
 
 
 def _jsonable(value):

@@ -118,25 +118,28 @@ def invariant_subspace_by_region(
 
 
 def eigenbasis_subspace(
-    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float
+    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float, slack: float = 0.0
 ) -> Subspace:
     """Span of the eigenvectors ``v[:, mask]`` of a Hermitian ``m``.
 
     ``(w, v)`` is an ``eigh`` of ``m`` and ``scale`` its 2-norm. The same
     guarantees as :func:`invariant_subspace_by_region` hold: the selected
     eigenvalues keep a relative gap of ``REGION_GAP_TOL`` from the others,
-    and the invariance residual stays within ``REGION_GAP_TOL * scale``.
+    and the invariance residual stays within ``REGION_GAP_TOL * scale``,
+    less ``slack >= 0``.
     """
     _check_region_gap(w[mask], w[~mask], scale)
-    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale)
+    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale, slack)
 
 
-def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:
+def _guaranteed_invariant(
+    m, sub: Subspace, scale: float, slack: float = 0.0
+) -> Subspace:
     resid = invariance_residual(m, sub)
-    if resid > REGION_GAP_TOL * max(scale, 1.0):
+    if resid > REGION_GAP_TOL * max(scale, 1.0) - slack:
         raise NumericError(
             "invariant subspace residual beyond guarantee",
-            diagnostics={"residual": resid, "scale": scale},
+            diagnostics={"residual": resid, "scale": scale, "slack": slack},
         )
     return sub
 

@@ -15,7 +15,9 @@ and the diagonal blocks ``S0 = I - X1 X0``, ``S1 = I - X0 X1`` of
 ``(I + Y)^{-1} = (I - Y^2)^{-1}(I - Y)`` for any pair, whether or not it
 solves the graph equations; the left form is ``C diag(S0, S1)^{-1}`` and
 the right form ``diag(S0, S1)^{-1} C``. No system larger than n0 x n0 or
-n1 x n1 is solved.
+n1 x n1 is solved, except for a pair that is neither skew nor well
+conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with
+``I - Y`` and ``I + Y``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ from .spectral import eigenvalues
 #: legitimate edge cases worth inspecting).
 RELIABLE_CONDITION_LIMIT = 1e12
 
+#: Condition number of I +/- Y up to which a pair that is not skew is
+#: conjugated through the blocks of ``I - Y^2``. Their condition number can
+#: reach the square of that of I +/- Y, so the block solves can lose a
+#: further factor kappa(I +/- Y) of accuracy; this limit keeps it at 2.
+#: Beyond it the conjugations solve with I - Y and I + Y themselves. Skew
+#: pairs always take the blocks.
+BLOCK_SOLVE_CONDITION_LIMIT = 2.0
+
 
 @dataclass(frozen=True)
 class DiagonalizationResult:
@@ -47,10 +57,11 @@ class DiagonalizationResult:
     ``transformed`` is the literal conjugation ``(I - Y) B (I - Y)^{-1}``
     (left form) or ``(I + Y)^{-1} B (I + Y)`` (right form), formed as
     ``C diag(S0, S1)^{-1}`` or ``diag(S0, S1)^{-1} C`` from the shared
-    product ``C = (I - Y) B (I + Y)``; it is not read off the graph-equation
-    residual. ``diag_blocks`` holds the closed-form diagonal blocks computed
-    directly from the inputs (not read off the conjugation), so the
-    off-diagonal defect and the block mismatch can be judged independently.
+    product ``C = (I - Y) B (I + Y)`` (see the module docstring for the
+    exception); it is not read off the graph-equation residual.
+    ``diag_blocks`` holds the closed-form diagonal blocks computed directly
+    from the inputs (not read off the conjugation), so the off-diagonal
+    defect and the block mismatch can be judged independently.
     ``offdiag_rel_norm`` is a Frobenius residual over the exact ``norm(B)``;
     ``conditioning`` is the exact 2-norm condition number of ``I -/+ Y``.
     """
@@ -92,22 +103,9 @@ def _solve_right(t: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _pair_condition(p: AngularPair) -> float:
-    """Condition number of ``I - Y`` and of ``I + Y``, which share it.
-
-    For a skew pair ``X1 = -X0*`` the operator Y is skew-Hermitian, so
-    ``I -/+ Y`` is normal with singular values ``sqrt(1 + s^2)`` over the
-    singular values s of X0, plus 1 for each of the ``|n0 - n1|`` null
-    directions of Y. Any other pair reads the cached singular values of
-    ``I + Y`` (those of ``I - Y = J (I + Y) J`` too).
-    """
-    if not np.array_equal(p.X1, -p.X0.conj().T):
-        s = p.singular_values_I_plus_Y
-        return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-    s = p.singular_values_X0
-    if s.size == 0:
-        return 1.0
-    s_min = s[-1] if p.n0 == p.n1 else 0.0
-    return float(np.sqrt((1.0 + s[0] ** 2) / (1.0 + s_min**2)))
+    """Condition number of ``I - Y`` and of ``I + Y``, which share it."""
+    s = p.singular_values_I_plus_Y
+    return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
 def _offdiag_rel_norm(b: BlockMatrix, transformed: np.ndarray) -> float:
@@ -129,8 +127,10 @@ def diagonalize(
     vanishes; ``right`` is ``(I + Y)^{-1} B (I + Y)``, block diagonal
     ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the one product
     ``C = (I - Y) B (I + Y)``, formed block by block, and the blocks S0, S1
-    of ``I - Y^2`` (see the module docstring). Raises
-    :class:`NotComplementaryError` when S0 or S1 is exactly singular.
+    of ``I - Y^2``; a pair that is not skew and whose cached condition
+    number exceeds :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with
+    ``I -/+ Y`` instead (see the module docstring). Raises
+    :class:`NotComplementaryError` when a system solved is exactly singular.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
@@ -142,20 +142,31 @@ def diagonalize(
     m01 = b.W1 + b.A0 @ x1
     m10 = b.W0 + b.A1 @ x0
     m11 = b.A1 + b.W0 @ x1
-    c = from_blocks(m00 - x1 @ m10, m01 - x1 @ m11, m10 - x0 @ m00, m11 - x0 @ m01)
-    s0, s1 = p.blocks_I_minus_Y2
+    # the diagonal blocks of (I - Y) B: the left form's closed form
+    l00 = b.A0 - x1 @ b.W0
+    l11 = b.A1 - x0 @ b.W1
+    conditioning = _pair_condition(p)
     n0 = b.n0
     try:
-        left = np.hstack([_solve_right(s0, c[:, :n0]), _solve_right(s1, c[:, n0:])])
-        right = np.vstack([np.linalg.solve(s0, c[:n0]), np.linalg.solve(s1, c[n0:])])
+        if p.skew or conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
+            c = from_blocks(
+                m00 - x1 @ m10, m01 - x1 @ m11, m10 - x0 @ m00, m11 - x0 @ m01
+            )
+            s0, s1 = p.blocks_I_minus_Y2
+            left = np.hstack([_solve_right(s0, c[:, :n0]), _solve_right(s1, c[:, n0:])])
+            right = np.vstack([np.linalg.solve(s0, c[:n0]), np.linalg.solve(s1, c[n0:])])
+        else:
+            n = from_blocks(l00, b.W1 - x1 @ b.A1, b.W0 - x0 @ b.A0, l11)
+            eye = np.eye(b.dim, dtype=np.complex128)
+            left = _solve_right(eye - p.Y, n)
+            right = np.linalg.solve(eye + p.Y, from_blocks(m00, m01, m10, m11))
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
-    conditioning = _pair_condition(p)
     return (
         DiagonalizationResult(
             transformed=left,
             offdiag_rel_norm=_offdiag_rel_norm(b, left),
-            diag_blocks=(b.A0 - x1 @ b.W0, b.A1 - x0 @ b.W1),
+            diag_blocks=(l00, l11),
             conditioning=conditioning,
         ),
         DiagonalizationResult(
@@ -226,34 +237,60 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
 
 
 def verify_resolvent_invariance(
-    b: BlockMatrix, graphs: Sequence[GraphSubspace], lam: complex
-) -> list[float]:
-    """``norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for each graph subspace G.
+    b: BlockMatrix, graphs: Sequence[GraphSubspace], lams: Sequence[complex]
+) -> list[list[float]]:
+    """``norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for each shift and graph G.
 
-    Zero exactly when the graph is invariant under the resolvent at
-    ``lam``. The shift must keep a relative distance of 1e-8 from the
-    spectrum of the assembled matrix. ``Q_G`` is the basis cached on
-    each graph, so a sweep over shifts orthonormalizes each graph once, and
-    one solve with the stacked bases ``[Q_G1 | Q_G2 | ...]`` serves every
-    graph at this shift.
+    One list per shift in ``lams``, one entry per graph. Each entry is zero
+    exactly when the graph is invariant under the resolvent at that shift.
+    Every shift must keep a relative distance of 1e-8 from the spectrum of
+    the assembled matrix. ``Q_G`` is the basis cached on each graph, so a
+    sweep orthonormalizes each graph once.
+
+    A bitwise-Hermitian ``B = V diag(w) V*`` reads its cached ``eigh``: with
+    ``W = V* Q_G``, formed once per sweep, and ``D = diag(1 / (w - lam))``,
+    the entry is ``norm_F((I - W W*) D W)``, since V is unitary, and no
+    system with ``B - lam`` is solved. Other input solves with ``B - lam``
+    once per shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together.
     """
-    full = b.full
-    lam = complex(lam)
+    lams = [complex(lam) for lam in lams]
     spec = b.eigvals
     scale = b.norm
-    dist = float(np.min(np.abs(spec - lam))) if spec.size else float("inf")
-    if dist < 1e-8 * max(scale, 1.0):
-        raise ResolventError(
-            f"shift {lam} is within {dist:.3e} of the spectrum (norm {scale:.3e})"
-        )
+    for lam in lams:
+        dist = float(np.min(np.abs(spec - lam))) if spec.size else float("inf")
+        if dist < 1e-8 * max(scale, 1.0):
+            raise ResolventError(
+                f"shift {lam} is within {dist:.3e} of the spectrum (norm {scale:.3e})"
+            )
     bases = [g.subspace.basis for g in graphs]
-    shifted = full - lam * np.eye(full.shape[0], dtype=np.complex128)
-    resolvent_q = np.linalg.solve(shifted, np.hstack(bases))
     ends = np.cumsum([q.shape[1] for q in bases])[:-1]
+    stacked = np.hstack(bases)
+    if b.bitwise_hermitian:
+        w, v = b.eigh
+        coords = v.conj().T @ stacked
+        frames = np.split(coords, ends, axis=1)
+
+        def resolvent_times(lam):
+            return coords / (w - lam)[:, None]
+
+    else:
+        frames = bases
+
+        def resolvent_times(lam):
+            return np.linalg.solve(b.full - lam * np.eye(b.dim), stacked)
+
     return [
-        frobenius_norm(r - q @ (q.conj().T @ r))
-        for q, r in zip(bases, np.split(resolvent_q, ends, axis=1))
+        [
+            _outside_part(q, r)
+            for q, r in zip(frames, np.split(resolvent_times(lam), ends, axis=1))
+        ]
+        for lam in lams
     ]
+
+
+def _outside_part(q: np.ndarray, r: np.ndarray) -> float:
+    """``norm_F((I - Q Q*) r)`` for orthonormal columns Q."""
+    return frobenius_norm(r - q @ (q.conj().T @ r))
 
 
 @dataclass(frozen=True)
@@ -294,15 +331,22 @@ def match_spectra(a, b) -> float:
 def verify_spectral_identity(
     b: BlockMatrix, p: AngularPair, tol: float
 ) -> SpectralIdentityReport:
-    """Check spec(B) against the unions of both block-diagonal spectra."""
+    """Check spec(B) against the unions of both block-diagonal spectra.
+
+    On bitwise-Hermitian B with a skew pair the left blocks are the
+    adjoints of the right ones, ``A0 - X1 W0 = (A0 + W1 X0)*`` and
+    ``A1 - X0 W1 = (A1 + W0 X1)*``, so the left spectrum is the conjugate
+    of the right one and only the right blocks take ``eigvals``.
+    """
     spec_b = b.eigvals
     scale = b.norm
-    left = np.concatenate(
-        [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
-    )
-    right = np.concatenate(
-        [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
-    )
+    right = [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
+    if b.bitwise_hermitian and p.skew:
+        left = [np.sort_complex(r.conj()) for r in right]
+    else:
+        left = [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
+    left = np.concatenate(left)
+    right = np.concatenate(right)
     left_distance = match_spectra(spec_b, left)
     right_distance = match_spectra(spec_b, right)
     threshold = tol * max(scale, 1.0 if scale == 0.0 else scale)

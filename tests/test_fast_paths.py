@@ -26,13 +26,16 @@ from blockdiag import (
     spectral_pair,
     triangularize,
     verify_extended_identity,
+    verify_resolvent_invariance,
+    verify_spectral_identity,
 )
-from blockdiag import angular, dirac, subordinated
+from blockdiag import angular, dirac, spectral, subordinated
 from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import main
-from blockdiag.errors import IllPosedRegionError
+from blockdiag.errors import IllPosedRegionError, NumericError
 from blockdiag.io import ProblemFile
 from blockdiag.spectral import eigenbasis_subspace
+from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
 from conftest import random_block
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -170,14 +173,33 @@ def test_spectral_pair_is_the_theorem_X_on_gapped_input(seed, n0, n1, coupling):
     np.testing.assert_allclose(spectral_pair(b, mu).X0, x, rtol=0, atol=1e-12)
 
 
-def test_spectral_route_checks_both_subspaces(monkeypatch):
-    from blockdiag import spectral
-
+def test_spectral_route_checks_one_subspace_with_tightened_gate(monkeypatch):
+    """A Hermitian B checks the side below mu only; the complement
+    graph(-X0*) inherits its gap, and its residual is bounded by
+    ``residual + norm_F(B - B*)``, which the one gate subtracts."""
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=6).block
     gaps = _record_shapes(monkeypatch, spectral, "_check_region_gap")
     residuals = _record_shapes(monkeypatch, spectral, "invariance_residual")
-    spectral_pair(b, 0.0)
-    assert len(gaps) == 2 and residuals == [(7, 7), (7, 7)]
+    pair = spectral_pair(b, 0.0)
+    assert len(gaps) == 1 and residuals == [(7, 7)]
+    assert pair.skew
+
+
+def test_tightened_gate_refuses_what_the_untightened_one_passes(monkeypatch):
+    b = random_case(4, 3, gap=1.0, coupling=0.5, seed=6).block
+    nearly = BlockMatrix(b.A0 + 1e-13j * np.eye(4), b.A1, b.W0, b.W1)
+    assert nearly.hermitian and not nearly.bitwise_hermitian
+    full = nearly.full
+    defect = float(np.linalg.norm(full - full.conj().T))
+    bound = spectral.REGION_GAP_TOL * max(nearly.norm, 1.0)
+    # a residual between the tightened and the untightened bound
+    monkeypatch.setattr(spectral, "invariance_residual", lambda m, sub: bound - defect / 2)
+    w, v = nearly.eigh
+    below = w < 0.0
+    eigenbasis_subspace(full, w, v, below, nearly.norm)
+    with pytest.raises(NumericError) as info:
+        spectral_pair(nearly, 0.0)
+    assert info.value.diagnostics["slack"] == pytest.approx(defect, rel=1e-12)
 
 
 def test_spectral_route_keeps_the_region_gap_check():
@@ -252,14 +274,15 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     assert main(["check", path, "--lambdas", "4"]) == 0
     full = (b.dim, b.dim)
     assert calls["eigh"].count(full) == 1
-    assert full not in calls["eigvals"]
     assert calls["schur"] == []
-    # sigma_min(I + Y) is the one full-size SVD; no shift takes one
-    assert calls["svd"].count(full) == 1
+    # the skew pair reads sigma(I + Y) off sigma(X0), no shift takes an SVD
+    assert full not in calls["svd"]
     # each graph basis is orthonormalized once, not once per shift
     assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
-    # B - lambda is solved with once per shift, for both graphs together
-    assert calls["solve"].count(full) == 4
+    # the resolvent sweep reads the cached eigh: no B - lambda is solved
+    assert full not in calls["solve"]
+    # only the right blocks take eigvals; the left spectrum is their conjugate
+    assert sorted(calls["eigvals"]) == [(b.n1, b.n1), (b.n0, b.n0)]
 
 
 def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
@@ -289,19 +312,25 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     assert main(["check", path, "--lambdas", "2"]) == 0
     assert calls["eigh"].count((8, 8)) == 1
     assert calls["eigvals"].count((8, 8)) == 1
-    assert calls["svd"].count((8, 8)) == 1 + 1 + 2  # I + Y, norm(B), shifts
+    # the spectral pair is skew, so sigma(I + Y) takes no SVD
+    assert calls["svd"].count((8, 8)) == 1 + 2  # norm(B), shifts
+    assert calls["solve"].count((8, 8)) == 2  # one B - lambda per shift
+    assert calls["eigvals"].count((4, 4)) == 4  # left and right blocks
 
 
 @pytest.mark.parametrize("skew", [False, True])
 def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     """Both diagonalizations and the extended identity solve with the
-    n0 x n0 and n1 x n1 blocks of ``I - Y^2``; triangularization solves
-    nothing. No dim x dim system is solved."""
+    n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a skew pair and for a
+    well-conditioned one; triangularization solves nothing. No dim x dim
+    system is solved."""
     rng = np.random.default_rng(5)
     n0, n1 = 3, 5
     b = random_block(rng, n0, n1)
-    x0 = 0.5 * _cmat(rng, n1, n0)
-    pair = form_pair(x0, -x0.conj().T if skew else 0.5 * _cmat(rng, n0, n1))
+    x0 = (0.5 if skew else 0.05) * _cmat(rng, n1, n0)
+    pair = form_pair(x0, -x0.conj().T if skew else 0.05 * _cmat(rng, n0, n1))
+    if not skew:
+        assert _condition_svd(np.eye(b.dim) - pair.Y) <= BLOCK_SOLVE_CONDITION_LIMIT
     shapes = _record_shapes(monkeypatch, np.linalg, "solve")
     left, right = diagonalize(b, pair)
     verify_extended_identity(b, pair, left, right)
@@ -309,6 +338,17 @@ def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     shapes.clear()
     triangularize(b, x0)
     assert shapes == []
+
+
+def test_ill_conditioned_pair_that_is_not_skew_solves_with_i_minus_y(monkeypatch):
+    rng = np.random.default_rng(5)
+    n0, n1 = 3, 5
+    b = random_block(rng, n0, n1)
+    pair = form_pair(0.5 * _cmat(rng, n1, n0), 0.5 * _cmat(rng, n0, n1))
+    assert _condition_svd(np.eye(b.dim) - pair.Y) > BLOCK_SOLVE_CONDITION_LIMIT
+    shapes = _record_shapes(monkeypatch, np.linalg, "solve")
+    diagonalize(b, pair)
+    assert shapes == [(b.dim, b.dim)] * 2
 
 
 def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):
@@ -368,7 +408,8 @@ def test_graph_extraction_runs_one_svd_and_no_lstsq(tmp_path, monkeypatch, entry
             grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
         )
         dirac.run_dirac_pipeline(problem)
-    assert per_call == [1] * (2 if entry == "check" else 1)
+    # check's Hermitian pair is (X0, -X0*): one extraction, as in the others
+    assert per_call == [1]
     assert lstsq == []
 
 
@@ -433,3 +474,85 @@ def test_spectral_route_of_negated_swapped_problem(seed, n0, n1, coupling, mu):
     scale = 1.0 + _norm2(pair.Y)
     assert np.linalg.norm(mirrored_pair.X0 - pair.X1) <= 1e-12 * scale
     assert np.linalg.norm(mirrored_pair.X1 - pair.X0) <= 1e-12 * scale
+
+
+# --- the Hermitian check on its one eigensolve ------------------------------
+
+
+def _dense_resolvent_defects(b, graphs, lam):
+    """Reference: one dense solve with ``B - lam`` per graph basis."""
+    shifted = b.assemble() - lam * np.eye(b.dim)
+    out = []
+    for g in graphs:
+        q = g.subspace.basis
+        r = np.linalg.solve(shifted, q)
+        out.append(np.linalg.norm(r - q @ (q.conj().T @ r)))
+    return out
+
+
+@PROPERTY
+@given(seeds, dims, dims, log_scale, st.floats(0.0, 3.0))
+def test_eigh_resolvent_defects_match_dense_solves(seed, n0, n1, ls, size):
+    rng = np.random.default_rng(seed)
+    b = _block(rng, n0, n1, "hermitian", 10.0**ls)
+    graphs = (
+        angular.GraphSubspace(base=GraphBase.H0, X=size * _cmat(rng, n1, n0)),
+        angular.GraphSubspace(base=GraphBase.H1, X=size * _cmat(rng, n0, n1)),
+    )
+    # shifts as check samples them: imaginary part 0.2 to 2 times norm(B)
+    scale = max(b.norm, 1.0)
+    lams = [
+        complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
+        for _ in range(3)
+    ]
+    sweep = verify_resolvent_invariance(b, graphs, lams)
+    assert len(sweep) == len(lams)
+    for lam, defects in zip(lams, sweep):
+        resolvent_scale = 1.0 / b.sigma_min_shifted(lam)
+        reference = _dense_resolvent_defects(b, graphs, lam)
+        assert len(defects) == 2
+        for fast, dense in zip(defects, reference):
+            assert abs(fast - dense) <= 1e-12 * resolvent_scale
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 3.0))
+def test_skew_pair_singular_values_of_i_plus_y_match_svd(seed, n0, n1, size):
+    assume(n0 + n1 > 0)
+    x0 = size * _cmat(np.random.default_rng(seed), n1, n0)
+    pair = form_pair(x0, -x0.conj().T)
+    assert pair.skew
+    reference = np.linalg.svd(np.eye(n0 + n1) + pair.Y, compute_uv=False)
+    fast = pair.singular_values_I_plus_Y
+    assert fast.shape == reference.shape == (n0 + n1,)
+    np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=0)
+    assert pair.norm_Y == pytest.approx(_norm2(pair.Y) if pair.Y.size else 0.0, rel=1e-12)
+
+
+@PROPERTY
+@given(seeds, dims, dims, st.floats(0.05, 2.0))
+def test_left_spectrum_of_skew_pair_matches_left_block_eigvals(seed, n0, n1, coupling):
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    pair = spectral_pair(b, 0.0)
+    assert b.bitwise_hermitian and pair.skew
+    report = verify_spectral_identity(b, pair, 1e-8)
+    left = report.left_spectrum
+    blocks = (b.A0 - pair.X1 @ b.W0, b.A1 - pair.X0 @ b.W1)
+    explicit = [np.linalg.eigvals(m) for m in blocks]
+    assert match_spectra(left[:n0], explicit[0]) <= 1e-10 * b.norm
+    assert match_spectra(left[n0:], explicit[1]) <= 1e-10 * b.norm
+
+
+def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
+    """Negative control: ``--perturb-x0`` breaks the skew structure, so
+    sigma(I + Y) takes its SVD and the left blocks their own eigvals, and
+    the verdict fails. The resolvent sweep depends on B alone and still
+    reads the cached eigh."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    path = _check_file(tmp_path, b)
+    calls = _kernels(monkeypatch)
+    assert main(["check", path, "--perturb-x0", "1e-3"]) == 1
+    full = (b.dim, b.dim)
+    assert calls["svd"].count(full) == 1
+    assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
+    assert full not in calls["solve"]

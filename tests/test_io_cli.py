@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -287,6 +288,32 @@ def test_cli_check_pass(tmp_path, capsys):
     assert report["schema"] == "blockdiag-report/1"
     assert report["flags"]["complementary"]
     assert all(v <= 1e-12 for v in report["residuals"].values())
+
+
+def test_cli_report_digest_is_the_sha256_of_the_file_read_once(tmp_path, monkeypatch):
+    path = _write_fixture(tmp_path, mu=1.0)
+    out = tmp_path / "report.json"
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        if os.fspath(file) == path:
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    assert main(["check", path, "--out", str(out)]) == 0
+    expected = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    assert json.loads(out.read_text())["inputs_digest"] == expected
+    assert opened == ["rb"]
+    assert load_problem(path).digest == expected
+
+
+def test_cli_problem_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff\xfe{"schema": "blockdiag/2"}')
+    assert main(["check", str(path)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_cli_check_perturbed_fails(tmp_path):

@@ -254,18 +254,18 @@ def test_triangularize_diag_blocks(seed):
 def test_resolvent_invariance_decoupled():
     b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([3.0]), np.zeros((1, 2)), np.zeros((2, 1)))
     g = GraphSubspace(base=GraphBase.H0, X=np.zeros((1, 2)))
-    assert verify_resolvent_invariance(b, [g], 1j)[0] <= 1e-12
+    assert verify_resolvent_invariance(b, [g], [1j])[0][0] <= 1e-12
 
 
 def test_resolvent_invariance_analytic_eigenspace(analytic):
     g = GraphSubspace(base=GraphBase.H0, X=[[1 - np.sqrt(2)]])
-    assert verify_resolvent_invariance(b=analytic, graphs=[g], lam=0.0)[0] <= 1e-12
+    assert verify_resolvent_invariance(b=analytic, graphs=[g], lams=[0.0])[0][0] <= 1e-12
 
 
 def test_resolvent_invariance_negative_control(analytic):
     # H0 itself is not invariant since W0 = 1 != 0
     g = GraphSubspace(base=GraphBase.H0, X=[[0.0]])
-    assert verify_resolvent_invariance(analytic, [g], 0.0)[0] >= 1e-2
+    assert verify_resolvent_invariance(analytic, [g], [0.0])[0][0] >= 1e-2
 
 
 def test_resolvent_shift_near_spectrum_rejected(analytic):
@@ -273,7 +273,7 @@ def test_resolvent_shift_near_spectrum_rejected(analytic):
         verify_resolvent_invariance(
             analytic,
             [GraphSubspace(base=GraphBase.H0, X=[[0.0]])],
-            1 + np.sqrt(2),
+            [1 + np.sqrt(2)],
         )
 
 
@@ -292,7 +292,7 @@ def test_resolvent_invariance_shift_independent(seed):
         lam = complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
         if np.min(np.abs(spec - lam)) < 1e-4 * scale:
             continue
-        assert verify_resolvent_invariance(b, [g], lam)[0] / scale <= 1e-8
+        assert verify_resolvent_invariance(b, [g], [lam])[0][0] / scale <= 1e-8
         checked += 1
 
 
@@ -389,3 +389,36 @@ def test_zero_offdiag_forces_invariance():
     for base, op in (("H0", pair.X0), ("H1", pair.X1)):
         g = from_graph(GraphSubspace(base=base, X=op))
         assert invariance_residual(full, g) / scale <= 1e-9
+
+
+def test_far_from_skew_pair_keeps_dense_solve_accuracy():
+    """A non-skew pair with kappa(I + Y) = 346 (kappa(I - Y^2) = 1.2e4): its
+    conjugations solve with I -/+ Y, and both forms agree with a 50-digit
+    value within 1e-12 norm(B). Through the blocks of I - Y^2 they were off
+    by up to 1.2e-10 norm(B)."""
+    import mpmath
+    rng = np.random.default_rng(341654214)
+    b = random_block(rng, 2, 1, 10.0**2.127)
+    b = BlockMatrix(b.A0 + b.A0.conj().T, b.A1 + b.A1.conj().T, b.W1.conj().T, b.W1)
+
+    def scaled(r, c):
+        m = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        return 35.0 * m / np.linalg.norm(m, 2)
+
+    x0 = scaled(1, 2)
+    p = form_pair(x0, scaled(2, 1))
+    left, right = diagonalize(b, p)
+    assert left.conditioning > 300
+    with mpmath.workdps(50):
+        full = mpmath.matrix(b.full.tolist())
+        y = mpmath.matrix(p.Y.tolist())
+        eye = mpmath.eye(3)
+        exact_left = (eye - y) * full * mpmath.inverse(eye - y)
+        exact_right = mpmath.inverse(eye + y) * full * (eye + y)
+        for computed, exact in ((left, exact_left), (right, exact_right)):
+            error = max(
+                abs(mpmath.mpc(complex(computed.transformed[i, j])) - exact[i, j])
+                for i in range(3)
+                for j in range(3)
+            )
+            assert float(error) <= 1e-12 * b.norm
