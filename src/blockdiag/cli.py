@@ -242,6 +242,7 @@ def _riccati_solve(args, report, problem) -> bool:
     report.certificates["newton"] = {
         "iterations": trace.iterations,
         "schur_steps": trace.schur_steps,
+        "frames": trace.frames,
         "trace": trace.iterates,
     }
     report.flags["converged"] = trace.converged
@@ -327,7 +328,6 @@ def _relbound(args, report, problem) -> bool:
         "sweep": [[lam, val] for lam, val in rb.lambda_sweep],
         "resolvent_growth": [[lam, val] for lam, val in rb.resolvent_growth],
     }
-    report.residuals["validation_violation"] = rb.validation_max_violation
     return True
 
 

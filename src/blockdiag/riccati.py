@@ -9,20 +9,21 @@ mutual oracle for the spectral route.
 
 Each Newton step is the Sylvester equation ``P D - D Q = -F`` with
 ``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input (bitwise
-Hermitian A0, A1 and ``W0 = W1*`` bitwise) it is solved in the graph frame:
-P and Q are similar, up to terms of the size of F, to the Hermitian
-compressions of B onto graph(X) and its orthogonal complement, so two
-generalized ``eigh`` and a few contracting sweeps solve it exactly. Every
-other input, and every step that route declines, takes Bartels-Stewart
-(:func:`solve_sylvester`) on one triangular form per coefficient: ``eigh``
-for a bitwise-Hermitian coefficient, the complex Schur form otherwise. Both
-routes read the spectra separation gate off the factorizations they made
-and check the same residual gate.
+Hermitian A0, A1 and ``W0 = W1*`` bitwise) it is solved in a graph frame:
+the Hermitian compressions of B onto graph(X') and its complement, for X'
+near X, bring P and Q near diagonal, and a few contracting sweeps solve it
+exactly. One frame (two generalized ``eigh``) serves a run, refreshed when
+a reused frame's step declines. Every other input, and every step a fresh
+frame declines, takes Bartels-Stewart (:func:`solve_sylvester`) on one
+triangular form per coefficient: ``eigh`` when bitwise Hermitian, complex
+Schur otherwise. Both routes read the spectra separation gate off the
+factorizations they made and check the same residual gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -91,13 +92,15 @@ class NewtonTrace:
 
     ``schur_steps`` counts the steps solved by :func:`solve_sylvester`:
     every step on non-Hermitian input, and the steps the graph-frame route
-    declined on Hermitian input.
+    declined on Hermitian input. ``frames`` counts the graph frames
+    factorized by two generalized ``eigh`` (not the one at X = 0).
     """
 
     iterates: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     schur_steps: int = 0
+    frames: int = 0
 
 
 def _centred_A(b: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -264,94 +267,81 @@ def _sylvester_residual_failure(p, q, z, c) -> dict | None:
     return {"residual": resid, "rhs_norm_lower_bound": rhs_scale}
 
 
-def _graph_frame(b: BlockMatrix, x, f, xw, wx):
-    """The Newton equation ``P D - D Q = -F`` on Hermitian input, diagonalized.
+class _GraphFrame(NamedTuple):
+    """Ritz frame of the Newton equation at X' on Hermitian input: with
+    ``G = [I; X']``, ``K = [-X'*; I]``, ``S0 = I + X'* X'`` and
+    ``S1 = I + X' X'*``, the Hermitian compressions ``H0 = G* B G`` and
+    ``H1 = K* B K`` have ``H0 V0 = S0 V0 L0`` and ``H1 V1 = S1 V1 L1``
+    (``V* S V = I``); ``t1 = S1 V1`` has inverse ``V1*`` and
+    ``t0inv = V0* S0`` has inverse ``V0``. ``exact`` marks the frame at
+    X' = 0, which serves X = 0 only, where its E vanish identically."""
 
-    ``xw = X W1`` and ``wx = W1 X``, so ``P = A1 - xw`` and ``Q = A0 + wx``.
-    With ``G = [I; X]``, ``K = [-X*; I]``, ``S0 = I + X* X`` and
-    ``S1 = I + X X*``, the compressions ``H0 = G* B G`` and ``H1 = K* B K``
-    are Hermitian, and ``B G = G Q + [0; F]``, ``K* B = P K* + [F, 0]``
-    give ``Q = S0^-1 (H0 - X* F)`` and ``P = (H1 + F X*) S1^-1``. The
-    generalized eigendecompositions ``H0 V0 = S0 V0 L0`` and
-    ``H1 V1 = S1 V1 L1`` (``V* S V = I``) bring the coefficients to
-    ``V1* P (S1 V1) = L1 + E1`` and ``(V0* S0) Q V0 = L0 - E0`` with
-    ``E1 = (V1* F)(X* V1)`` and ``E0 = (X V0)* (F V0)``. So
-    ``D = (S1 V1) Z (V0* S0)`` where ``L1 Z - Z L0 = -C - E1 Z - Z E0`` and
-    ``C = V1* F V0``. At X = 0 the compressions are A0 and A1, read off
-    ``b.eigh_A``, and E vanishes: two plain ``eigh`` instead of two
-    generalized ones with S = I, which cost about 5% of a ``newton`` pass
-    (dim 400) more.
+    lam0: np.ndarray
+    lam1: np.ndarray
+    v0: np.ndarray
+    v1h: np.ndarray
+    t1: np.ndarray
+    t0inv: np.ndarray
+    exact: bool = False
 
-    Returns ``(delta, C, E1, E0, S1 V1, V0* S0)`` with
-    ``delta[i, j] = l1_i - l0_j`` (E1 and E0 None at X = 0), or None when a
-    generalized ``eigh`` fails.
-    """
+
+def _graph_frame(b: BlockMatrix, x, xw, wx) -> _GraphFrame | None:
+    """The graph frame at X (``xw = X W1``, ``wx = W1 X``), or None when a
+    generalized ``eigh`` fails. At X = 0 it is read off ``b.eigh_A``, 5% of a
+    ``newton`` pass (dim 400) faster than two generalized ``eigh`` with S = I."""
     if not x.any():
         (lam0, v0), (lam1, v1) = b.eigh_A
-        c = v1.conj().T @ f @ v0
-        return lam1[:, None] - lam0[None, :], c, None, None, v1, v0.conj().T
+        return _GraphFrame(lam0, lam1, v0, v1.conj().T, v1, v0.conj().T, True)
     xh = x.conj().T
+    h0 = b.A0 + wx + wx.conj().T + xh @ (b.A1 @ x)
+    h1 = b.A1 - xw - xw.conj().T + x @ (b.A0 @ xh)
+    s0, s1 = xh @ x + np.eye(b.n0), x @ xh + np.eye(b.n1)
     try:
-        lam0, v0 = scipy.linalg.eigh(
-            b.A0 + wx + wx.conj().T + xh @ (b.A1 @ x),
-            xh @ x + np.eye(b.n0),
-            overwrite_a=True,
-            overwrite_b=True,
-        )
-        lam1, v1 = scipy.linalg.eigh(
-            b.A1 - xw - xw.conj().T + x @ (b.A0 @ xh),
-            x @ xh + np.eye(b.n1),
-            overwrite_a=True,
-            overwrite_b=True,
-        )
+        lam0, v0 = scipy.linalg.eigh(h0, s0, overwrite_a=True, overwrite_b=True)
+        lam1, v1 = scipy.linalg.eigh(h1, s1, overwrite_a=True, overwrite_b=True)
     except (np.linalg.LinAlgError, ValueError):
         # S not numerically positive definite, or a compression that
         # overflowed (refused as non-finite)
         return None
-    x_v0, xh_v1 = x @ v0, xh @ v1
-    v1h_f = v1.conj().T @ f
-    return (
-        lam1[:, None] - lam0[None, :],
-        v1h_f @ v0,
-        v1h_f @ xh_v1,
-        x_v0.conj().T @ (f @ v0),
-        v1 + x @ xh_v1,
-        v0.conj().T + x_v0.conj().T @ x,
-    )
+    t0inv = v0.conj().T + (x @ v0).conj().T @ x
+    return _GraphFrame(lam0, lam1, v0, v1.conj().T, v1 + x @ (xh @ v1), t0inv)
 
 
-def _graph_frame_step(b: BlockMatrix, x, f, xw, wx) -> np.ndarray | None:
+def _graph_frame_step(frame: _GraphFrame, f, p, q) -> np.ndarray | None:
     """Newton step D with ``P D - D Q = -F`` on Hermitian input, or None.
 
-    In the frame of :func:`_graph_frame` the equation is solved by the
-    sweeps ``Z <- (-C - E1 Z - Z E0) / (l1_i - l0_j)``, which contract by
-    at most ``r = (norm_F(E1) + norm_F(E0)) / min|l1_i - l0_j|``. By
-    Bauer-Fike, ``min|l1_i - l0_j| - norm_F(E1) - norm_F(E0)`` is a lower
-    bound on the separation of the spectra of P and Q.
+    For the current ``P = A1 - X W1`` and ``Q = A0 + W1 X``, a frame made at
+    any X' gives ``V1* P t1 = L1 + E1`` and ``t0inv Q V0 = L0 - E0``, with E
+    of the size of F at X' = X (``B G = G Q + [0; F]``,
+    ``K* B = P K* + [F, 0]``) plus that of ``X - X'``. So ``D = t1 Z t0inv``
+    with ``L1 Z - Z L0 = -C - E1 Z - Z E0`` and ``C = V1* F V0``, solved by
+    the sweeps ``Z <- (-C - E1 Z - Z E0) / (l1_i - l0_j)``, which contract
+    by at most ``r = (norm_F(E1) + norm_F(E0)) / min|l1_i - l0_j|``, and by
+    Bauer-Fike ``(1 - r) min|l1_i - l0_j|`` bounds the separation of the
+    spectra of P and Q from below.
 
-    The step is declined (None) when that bound fails the
-    :data:`SYLVESTER_SEPARATION_TOL` test of :func:`solve_sylvester`, when
-    ``r > GRAPH_FRAME_CONTRACTION_MAX``, when a generalized ``eigh`` fails,
-    when the sweeps do not converge within :data:`GRAPH_FRAME_MAX_SWEEPS`,
-    or when D misses the residual gate of :func:`solve_sylvester`. The
-    sweeps have converged when their change is at most
-    :data:`GRAPH_FRAME_SWEEP_TOL` relative to Z, or when it no longer
-    shrinks, which exact sweeps with ``r <= 1/2`` cannot do: what is left
-    is rounding.
+    Declined (None) when that bound fails the separation test of
+    :func:`solve_sylvester`, when ``r > GRAPH_FRAME_CONTRACTION_MAX``, when
+    the sweeps have not converged after :data:`GRAPH_FRAME_MAX_SWEEPS`, or
+    when D misses the residual gate of :func:`solve_sylvester`. The sweeps
+    have converged at a change of :data:`GRAPH_FRAME_SWEEP_TOL` relative to
+    Z, or once it no longer shrinks, which exact sweeps with ``r <= 1/2``
+    cannot do: what is left is rounding.
     """
-    frame = _graph_frame(b, x, f, xw, wx)
-    if frame is None:
-        return None
-    delta, c, e1, e0, t1, v0_inv = frame
-    p, q = b.A1 - xw, b.A0 + wx
+    delta = frame.lam1[:, None] - frame.lam0[None, :]
+    perturbation = 0.0
+    if not frame.exact:
+        e1 = frame.v1h @ p @ frame.t1 - np.diag(frame.lam1)
+        e0 = np.diag(frame.lam0) - frame.t0inv @ q @ frame.v0
+        perturbation = frobenius_norm(e1) + frobenius_norm(e0)
     gap = float(np.min(np.abs(delta)))
-    perturbation = 0.0 if e1 is None else frobenius_norm(e1) + frobenius_norm(e0)
     scale = frobenius_norm(p) + frobenius_norm(q)
     if (
         gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
         or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
     ):
         return None
+    c = frame.v1h @ f @ frame.v0
     z = -c / delta
     if perturbation:
         previous = np.inf
@@ -361,14 +351,12 @@ def _graph_frame_step(b: BlockMatrix, x, f, xw, wx) -> np.ndarray | None:
             z = swept
             # exact sweeps at least halve the change: one that does not
             # shrink is rounding
-            if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or (
-                change >= previous
-            ):
+            if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or change >= previous:
                 break
             previous = change
         else:
             return None
-    d = t1 @ z @ v0_inv
+    d = frame.t1 @ z @ frame.t0inv
     if _sylvester_residual_failure(p, q, d, -f) is not None:
         return None
     return d
@@ -381,33 +369,44 @@ def solve_newton_X0(
 
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
     ``X <- X + D``. On Hermitian input (A0 and A1 bitwise Hermitian,
-    ``W0 = W1*`` bitwise) the step is solved in the graph frame
-    (:func:`_graph_frame_step`); every other input, and every step that
-    route declines, takes :func:`solve_sylvester`, counted in
-    ``schur_steps``. The iteration runs on the centred blocks
-    ``A0 - cI``, ``A1 - cI`` (see :func:`_centred_A`): a common shift changes
-    neither the graph equation nor a Newton equation, and on the centred
-    blocks it does not change their rounding either. Non-convergence within
-    ``max_iter`` steps is reported in the trace, not raised; singular Newton
-    steps propagate :class:`SylvesterSingularError`.
+    ``W0 = W1*`` bitwise) :func:`_graph_frame_step` solves the first step in
+    the frame at X = 0, every later one in the last frame factorized; when
+    that step declines, the frame is released and one factorized at the
+    current X (counted in ``frames``) is tried. Every other input, and every
+    step the fresh frame declines too, takes :func:`solve_sylvester`,
+    counted in ``schur_steps``. The iteration runs on the centred blocks
+    (:func:`_centred_A`): a common shift changes neither the graph equation
+    nor a Newton equation, nor, on the centred blocks, their rounding.
+    Non-convergence within ``max_iter`` steps is reported in the trace, not
+    raised; singular Newton steps propagate :class:`SylvesterSingularError`.
     """
     b = BlockMatrix(*_centred_A(b), b.W0, b.W1)
     hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     history: list[float] = []
-    schur_steps = 0
+    schur_steps = frames = 0
+    frame = None
     for iteration in range(max_iter + 1):
         f = residual_X0(b, x)
         history.append(f.rel_norm)
         if f.rel_norm <= tol or iteration == max_iter:
             break
         xw, wx = x @ b.W1, b.W1 @ x
+        p, q = b.A1 - xw, b.A0 + wx
         dx = None
         # a non-finite F goes to solve_sylvester, which refuses it
         if hermitian and np.isfinite(f.rel_norm):
-            dx = _graph_frame_step(b, x, f.residual, xw, wx)
+            if frame is not None:
+                dx = _graph_frame_step(frame, f.residual, p, q)
+            if dx is None:
+                frame = None  # released before the next is factorized
+                frame = _graph_frame(b, x, xw, wx)
+                if frame is not None:
+                    dx = _graph_frame_step(frame, f.residual, p, q)
+                    frames += not frame.exact
+                    frame = None if frame.exact else frame  # serves X = 0 only
         if dx is None:
-            dx = solve_sylvester(b.A1 - xw, b.A0 + wx, -f.residual)
+            dx = solve_sylvester(p, q, -f.residual)
             schur_steps += 1
         x = x + dx
     return x, NewtonTrace(
@@ -415,4 +414,5 @@ def solve_newton_X0(
         converged=bool(history[-1] <= tol),
         iterations=iteration,
         schur_steps=schur_steps,
+        frames=frames,
     )

@@ -434,10 +434,11 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
         assert schur.count((5, 5)) == trace.iterations
     else:
         # the first step reads eigh_A of the centred blocks, every later one
-        # takes one generalized eigh per compression of B
+        # reuses one frame: one generalized eigh per compression of B
         assert trace.schur_steps == 0 and schur == []
         assert eigh == [(6, 6), (5, 5)]
-        assert generalized == [(6, 6), (5, 5)] * (trace.iterations - 1)
+        assert trace.frames == 1
+        assert generalized == [(6, 6), (5, 5)] * trace.frames
 
 
 def test_newton_on_hermitian_input_takes_no_schur_step():

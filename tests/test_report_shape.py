@@ -46,7 +46,7 @@ RELBOUND = [
     "certificates.relative_bound.resolvent_growth",
     "certificates.relative_bound.sweep",
     "flags",
-    "residuals.validation_violation",
+    "residuals",
     "spectra",
 ]
 
@@ -91,6 +91,7 @@ SHAPES = {
         "spectra.block1",
     ]),
     ("gapped", ("riccati-solve",)): (0, [
+        "certificates.newton.frames",
         "certificates.newton.iterations",
         "certificates.newton.schur_steps",
         "certificates.newton.trace",

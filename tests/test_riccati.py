@@ -164,7 +164,7 @@ def test_newton_degenerate_raises():
     b = BlockMatrix([0.0], [0.0], [1.0], [1.0])
     x = np.zeros((1, 1), dtype=np.complex128)
     f = residual_X0(b, x).residual
-    assert riccati._graph_frame_step(b, x, f, x, x) is None
+    assert _fresh_step(b, x, f, x, x) is None
     with pytest.raises(SylvesterSingularError):
         solve_newton_X0(b)
 
@@ -458,6 +458,14 @@ def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
 # --- Newton steps in the graph frame -----------------------------------------
 
 
+def _fresh_step(b, x, f, xw, wx):
+    """The graph-frame step at X in a frame factorized at X."""
+    frame = riccati._graph_frame(b, x, xw, wx)
+    if frame is None:
+        return None
+    return riccati._graph_frame_step(frame, f, b.A1 - xw, b.A0 + wx)
+
+
 def _schur_newton_steps(b, tol=1e-12, max_iter=25):
     """Newton with every step solved by :func:`solve_sylvester`.
 
@@ -493,28 +501,38 @@ def _schur_newton(b):
     st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
 )
 def test_graph_frame_step_matches_sylvester_solve(seed, n0, n1, coupling):
-    """Each graph-frame step equals the Bartels-Stewart step, and whole runs
-    take the same number of steps to the same X."""
+    """Each graph-frame step, in a frame factorized at its X or in the last
+    step's frame, equals the Bartels-Stewart step, and whole runs take the
+    same number of steps to the same X."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     x_ref, count = _schur_newton(b)
+    previous = None
     for x, f, xw, wx, d_ref in _schur_newton_steps(b):
-        d = riccati._graph_frame_step(b, x, f, xw, wx)
-        if d is not None:
-            assert _rel_dist(d, d_ref) <= 1e-10
+        frame = riccati._graph_frame(b, x, xw, wx)
+        for candidate in (frame, previous):
+            d = None
+            if candidate is not None:
+                d = riccati._graph_frame_step(candidate, f, b.A1 - xw, b.A0 + wx)
+            if d is not None:
+                assert _rel_dist(d, d_ref) <= 1e-10
+        # the frame at X = 0 serves X = 0 only
+        previous = None if frame is None or frame.exact else frame
     x, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations == count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
 
 
-def _frame_from_assembled(b, x):
-    """Gap, perturbation and coefficients of the graph frame at X.
+def _frame_from_assembled(b, x, at=None):
+    """Gap, perturbation and coefficients of the graph frame made at ``at``
+    (default X) for the Newton step at X.
 
     Independent of :func:`riccati._graph_frame_step`: the compressions are
     taken of the assembled B, and the perturbations are read off the
     similarity transforms of P and Q themselves.
     """
-    xh = x.conj().T
-    g = np.vstack([np.eye(b.n0), x])
+    at = x if at is None else at
+    xh = at.conj().T
+    g = np.vstack([np.eye(b.n0), at])
     k = np.vstack([-xh, np.eye(b.n1)])
     s0, s1 = g.conj().T @ g, k.conj().T @ k
     lam0, v0 = scipy.linalg.eigh(g.conj().T @ b.full @ g, s0)
@@ -541,9 +559,45 @@ def test_graph_frame_declines_at_the_contraction_bound():
     ratio = perturbation / gap
     assert 1e-3 < ratio < riccati.GRAPH_FRAME_CONTRACTION_MAX
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 - 1e-6)):
-        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f, xw, wx) is None
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + 1e-6)):
-        assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+        assert _fresh_step(b, x, f, xw, wx) is not None
+
+
+def test_reused_frame_at_the_contraction_bound_is_refreshed(monkeypatch):
+    """From the third step on, a contraction bound between the reused
+    frame's ratio and a fresh frame's: the reused frame declines, and the
+    frame factorized at the current X takes the step."""
+    b = random_case(6, 7, gap=1.0, coupling=1.0, seed=3).block
+    x_ref, count = _schur_newton(b)
+    _, trace = solve_newton_X0(b)
+    assert count == trace.iterations >= 3
+    assert trace.frames == 1 and trace.schur_steps == 0
+    steps = _schur_newton_steps(b)
+    next(steps)
+    x1 = next(steps)[0]
+    x2 = next(steps)[0]
+    reused_gap, reused_perturbation, _, _ = _frame_from_assembled(b, x2, at=x1)
+    fresh_gap, fresh_perturbation, _, _ = _frame_from_assembled(b, x2)
+    reused, fresh = reused_perturbation / reused_gap, fresh_perturbation / fresh_gap
+    assert 4 * fresh < reused < riccati.GRAPH_FRAME_CONTRACTION_MAX
+    step = riccati._graph_frame_step
+
+    def tightened_after_the_first_generalized_step(frame, *args):
+        d = step(frame, *args)
+        if not frame.exact:
+            monkeypatch.setattr(
+                riccati, "GRAPH_FRAME_CONTRACTION_MAX", np.sqrt(fresh * reused)
+            )
+        return d
+
+    monkeypatch.setattr(
+        riccati, "_graph_frame_step", tightened_after_the_first_generalized_step
+    )
+    x, trace = solve_newton_X0(b)
+    assert trace.iterations == count and trace.schur_steps == 0
+    assert trace.frames == 2
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 def test_graph_frame_declines_where_only_the_schur_gate_passes():
@@ -559,18 +613,18 @@ def test_graph_frame_declines_where_only_the_schur_gate_passes():
     scale = np.linalg.norm(p) + np.linalg.norm(q)
     between = 0.5 * (bound + min(sep, gap)) / scale
     with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", between):
-        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f, xw, wx) is None
         solve_sylvester(p, q, -f)
     with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", bound * (1 - 1e-6) / scale):
-        assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+        assert _fresh_step(b, x, f, xw, wx) is not None
 
 
 def test_graph_frame_declines_a_step_that_misses_the_residual_gate():
     b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
     x, f, xw, wx = _second_step(b)
-    assert riccati._graph_frame_step(b, x, f, xw, wx) is not None
+    assert _fresh_step(b, x, f, xw, wx) is not None
     with mock.patch.object(riccati, "SYLVESTER_RESIDUAL_TOL", 0.0):
-        assert riccati._graph_frame_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f, xw, wx) is None
 
 
 def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
@@ -583,6 +637,7 @@ def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
     x, trace = solve_newton_X0(b)
     # only the first step, which reads eigh_A, stays in the graph frame
     assert trace.iterations == count and trace.schur_steps == count - 1
+    assert trace.frames == 0
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
@@ -594,3 +649,22 @@ def test_strong_coupling_falls_back_step_by_step():
     x, trace = solve_newton_X0(b)
     assert 0 < trace.schur_steps < trace.iterations == count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 12), st.integers(1, 12), st.floats(0.1, 4.0),
+    st.floats(-1e6, 1e6),
+)
+def test_newton_with_reused_frames_matches_schur_newton(seed, n0, n1, coupling, s):
+    """On Hermitian input, shifted, Newton with its graph frames reused
+    across steps takes the all-Schur run's steps to its X. Both run on the
+    centred blocks that :func:`solve_newton_X0` iterates on."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
+    x_ref, count = _schur_newton(
+        BlockMatrix(*riccati._centred_A(shifted), b.W0, b.W1)
+    )
+    x, trace = solve_newton_X0(shifted)
+    assert trace.converged and trace.iterations == count
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
