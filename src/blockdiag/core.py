@@ -18,6 +18,12 @@ from .errors import StructuralError
 #: Baseline tolerance used for rank decisions and spectral bands.
 DEFAULT_TOL = 1e-10
 
+#: Multiple of ``n * eps`` that a rounding floor leaves for the rounding of
+#: the products, norms and eigensolves its proof skips: the spectrum proof
+#: of an empty kernel piece, the bands, and the Dirac and spectral-identity
+#: certificates (README "Numerics notes").
+KERNEL_PROOF_ROUNDING = 16.0
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to an immutable, finite, 2-d complex128 array.

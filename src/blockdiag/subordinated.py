@@ -18,6 +18,7 @@ import numpy as np
 from .angular import GraphBase, GraphSubspace, form_pair, from_graph, to_graph
 from .core import (
     DEFAULT_TOL,
+    KERNEL_PROOF_ROUNDING,
     BlockMatrix,
     _extreme_magnitude,
     frobenius_norm,
@@ -42,10 +43,6 @@ CONTRACTION_SLACK = 1e-9
 
 #: Bound on both kernel-split residuals for the split to hold.
 KERNEL_SPLIT_TOL = 1e-8
-
-#: Multiple of ``n * eps`` that the spectrum proof of an empty kernel piece
-#: leaves for rounding in ``eigvalsh`` and the SVD it stands in for.
-KERNEL_PROOF_ROUNDING = 16.0
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -185,24 +182,9 @@ def _kernel_piece(
 ) -> np.ndarray:
     """Basis of ``Ker(a - mu) ∩ Ker(coupling)``, as :func:`null_space_basis`.
 
-    ``w`` is the cached spectrum of the diagonal block ``a``. With
-    bitwise-Hermitian blocks an empty piece is proved from it, without the
-    SVD. For ``m = [a - mu; coupling]``,
-    ``sigma_min(m) >= sigma_min(a - mu) = dist(mu, spec a)`` and
-    ``sigma_max(m) <= norm_F(m)``. So when ``dist(mu, w)`` minus a rounding
-    slack exceeds ``DEFAULT_TOL * norm_F(m)``, every singular value of ``m``
-    clears the threshold of :func:`null_space_basis`, which would return
-    the same n x 0 basis.
-
-    The slack is ``KERNEL_PROOF_ROUNDING * r * eps * (max|w| + norm_F(m))``,
-    r the row count of ``m``. It covers the rounding the proof skips:
-    ``eigvalsh`` is backward stable, so each ``w`` lies within
-    ``O(r eps) norm(a)`` of the exact spectrum; forming the real diagonal
-    of ``a - mu`` moves it by at most ``eps norm(m)``; and the computed
-    singular values of ``m``, ``sigma_max`` included, lie within
-    ``O(r eps) norm(m)`` of the exact ones. Every other input, and every
-    ``dist`` that does not clear the bound, takes the SVD, so the decision
-    is always the one the SVD makes.
+    ``w`` is the cached spectrum of ``a``. With bitwise-Hermitian blocks an
+    empty piece is proved from it, without the SVD: README "Norms by role"
+    (the kernel-split row) and "Numerics notes" give the proof and its slack.
     """
     m = np.vstack([a - mu * np.eye(a.shape[0], dtype=np.complex128), coupling])
     if b.bitwise_hermitian_A:

@@ -15,9 +15,16 @@ and the diagonal blocks ``S0 = I - X1 X0``, ``S1 = I - X0 X1`` of
 ``(I + Y)^{-1} = (I - Y^2)^{-1}(I - Y)`` for any pair, whether or not it
 solves the graph equations; the left form is ``C diag(S0, S1)^{-1}`` and
 the right form ``diag(S0, S1)^{-1} C``. No system larger than n0 x n0 or
-n1 x n1 is solved, except for a pair that is neither skew nor well
+n1 x n1 is solved, except for a pair, skew or not, that is not well
 conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with
 ``I - Y`` and ``I + Y``.
+
+On bitwise-Hermitian B with a skew pair ``X1 = -X0*`` both cross-checks
+read the one cached ``eigh`` of B. The spectral identity is certified
+from it (:func:`verify_spectral_identity`), and a well-conditioned pair's
+two graphs, orthogonal complements of each other, are orthonormalized in
+the eigenbasis by Cholesky factors of S0 and S1
+(:func:`verify_resolvent_invariance`). Every other input measures.
 """
 
 from __future__ import annotations
@@ -25,10 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
+import math
 
-from .angular import AngularPair, GraphSubspace
-from .core import BlockMatrix, as_matrix, frobenius_norm, from_blocks
+import numpy as np
+import scipy.linalg
+
+from .angular import AngularPair, GraphBase, GraphSubspace
+from .core import (
+    KERNEL_PROOF_ROUNDING,
+    BlockMatrix,
+    as_matrix,
+    frobenius_norm,
+    from_blocks,
+)
 from .errors import (
     NotComplementaryError,
     ResolventError,
@@ -41,13 +57,15 @@ from .spectral import eigenvalues
 #: legitimate edge cases worth inspecting).
 RELIABLE_CONDITION_LIMIT = 1e12
 
-#: Condition number of I +/- Y up to which a pair that is not skew is
-#: conjugated through the blocks of ``I - Y^2``. Their condition number can
-#: reach the square of that of I +/- Y, so the block solves can lose a
-#: further factor kappa(I +/- Y) of accuracy; this limit keeps it at 2.
-#: Beyond it the conjugations solve with I - Y and I + Y themselves. Skew
-#: pairs always take the blocks.
+#: Condition number of I +/- Y up to which a pair is conjugated through the
+#: blocks of ``I - Y^2``, and a skew pair's graphs are orthonormalized by
+#: their Cholesky factors. Their condition number can reach the square of
+#: that of I +/- Y, so both can lose a further factor kappa(I +/- Y) of
+#: accuracy; this limit keeps it at 2. Beyond it the conjugations solve
+#: with I - Y and I + Y themselves, and the graphs take a QR each.
 BLOCK_SOLVE_CONDITION_LIMIT = 2.0
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -127,10 +145,10 @@ def diagonalize(
     vanishes; ``right`` is ``(I + Y)^{-1} B (I + Y)``, block diagonal
     ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the one product
     ``C = (I - Y) B (I + Y)``, formed block by block, and the blocks S0, S1
-    of ``I - Y^2``; a pair that is not skew and whose cached condition
-    number exceeds :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with
-    ``I -/+ Y`` instead (see the module docstring). Raises
-    :class:`NotComplementaryError` when a system solved is exactly singular.
+    of ``I - Y^2``; a pair whose cached condition number exceeds
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
+    (see the module docstring). Raises :class:`NotComplementaryError` when
+    a system solved is exactly singular.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
@@ -148,7 +166,7 @@ def diagonalize(
     conditioning = _pair_condition(p)
     n0 = b.n0
     try:
-        if p.skew or conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
+        if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
             c = from_blocks(
                 m00 - x1 @ m10, m01 - x1 @ m11, m10 - x0 @ m00, m11 - x0 @ m01
             )
@@ -237,21 +255,29 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
 
 
 def verify_resolvent_invariance(
-    b: BlockMatrix, graphs: Sequence[GraphSubspace], lams: Sequence[complex]
+    b: BlockMatrix,
+    graphs: Sequence[GraphSubspace] | AngularPair,
+    lams: Sequence[complex],
 ) -> list[list[float]]:
     """``norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for each shift and graph G.
 
-    One list per shift in ``lams``, one entry per graph. Each entry is zero
-    exactly when the graph is invariant under the resolvent at that shift.
-    Every shift must keep a relative distance of 1e-8 from the spectrum of
-    the assembled matrix. ``Q_G`` is the basis cached on each graph, so a
-    sweep orthonormalizes each graph once.
+    One list per shift in ``lams``, one entry per graph; a pair stands for
+    its two graphs, graph(X0) over H0 and graph(X1) over H1. Each entry is
+    zero exactly when the graph is invariant under the resolvent at that
+    shift. Every shift must keep a relative distance of 1e-8 from the
+    spectrum of the assembled matrix. ``Q_G`` is the basis cached on each
+    graph, so a sweep orthonormalizes each graph once.
 
     A bitwise-Hermitian ``B = V diag(w) V*`` reads its cached ``eigh``: with
     ``W = V* Q_G``, formed once per sweep, and ``D = diag(1 / (w - lam))``,
     the entry is ``norm_F((I - W W*) D W)``, since V is unitary, and no
-    system with ``B - lam`` is solved. Other input solves with ``B - lam``
-    once per shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together.
+    system with ``B - lam`` is solved. A skew pair within
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` has graphs ``G0 = [I; X0]`` and
+    ``G1 = [X1; I]`` with ``G0* G1 = X1 + X0* = 0``, so no QR is taken:
+    ``W_i = V* G_i L_i^{-*}`` with ``S_i = L_i L_i*`` the blocks of
+    ``I - Y^2``, and the entries are ``norm_F(W1* D W0)`` and
+    ``norm_F(W0* D W1)``. Other input solves with ``B - lam`` once per
+    shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together.
     """
     lams = [complex(lam) for lam in lams]
     spec = b.eigvals
@@ -262,6 +288,18 @@ def verify_resolvent_invariance(
             raise ResolventError(
                 f"shift {lam} is within {dist:.3e} of the spectrum (norm {scale:.3e})"
             )
+    if isinstance(graphs, AngularPair):
+        p = graphs
+        if (
+            b.bitwise_hermitian
+            and p.skew
+            and _pair_condition(p) <= BLOCK_SOLVE_CONDITION_LIMIT
+        ):
+            return _skew_pair_sweep(b, p, lams)
+        graphs = (
+            GraphSubspace(base=GraphBase.H0, X=p.X0),
+            GraphSubspace(base=GraphBase.H1, X=p.X1),
+        )
     bases = [g.subspace.basis for g in graphs]
     ends = np.cumsum([q.shape[1] for q in bases])[:-1]
     stacked = np.hstack(bases)
@@ -288,6 +326,31 @@ def verify_resolvent_invariance(
     ]
 
 
+def _skew_pair_sweep(
+    b: BlockMatrix, p: AngularPair, lams: list[complex]
+) -> list[list[float]]:
+    """The skew-pair route of :func:`verify_resolvent_invariance`."""
+    w, v = b.eigh
+    n0 = b.n0
+    vh = v.conj().T
+    # the rows of W_i* = L_i^{-1} G_i* V, from two half-size products
+    rows = [
+        scipy.linalg.solve_triangular(np.linalg.cholesky(s), u.conj().T, lower=True)
+        for s, u in zip(
+            p.blocks_I_minus_Y2,
+            (vh[:, :n0] + vh[:, n0:] @ p.X0, vh[:, :n0] @ p.X1 + vh[:, n0:]),
+        )
+    ]
+    cols = [r.conj().T for r in rows]
+    return [
+        [
+            frobenius_norm((rows[1] * d) @ cols[0]),
+            frobenius_norm((rows[0] * d) @ cols[1]),
+        ]
+        for d in (1.0 / (w - lam) for lam in lams)
+    ]
+
+
 def _outside_part(q: np.ndarray, r: np.ndarray) -> float:
     """``norm_F((I - Q Q*) r)`` for orthonormal columns Q."""
     return frobenius_norm(r - q @ (q.conj().T @ r))
@@ -298,11 +361,11 @@ class SpectralIdentityReport:
     """Multiset match of spec(B) against both block-diagonal spectra.
 
     ``left_distance`` compares against ``diag(A0 - X1 W0, A1 - X0 W1)``,
-    ``right_distance`` against ``diag(A0 + W1 X0, A1 + W0 X1)``; both are
-    greedy matching distances after lexicographic (Re, Im) sort, adequate
-    for well-separated spectra (documented limitation for clusters).
-    ``left_spectrum`` and ``right_spectrum`` are the block spectra compared,
-    block 0 first, for callers that report them.
+    ``right_distance`` against ``diag(A0 + W1 X0, A1 + W0 X1)``: bottleneck
+    matching distances (:func:`match_spectra`) of the computed spectra, or
+    on the certified route a certified upper bound on that of the exact
+    ones. ``left_spectrum`` and ``right_spectrum`` are the block spectra
+    compared, block 0 first, for callers that report them.
     """
 
     ok: bool
@@ -314,7 +377,13 @@ class SpectralIdentityReport:
 
 
 def match_spectra(a, b) -> float:
-    """Greedy minimal matching distance of two eigenvalue multisets."""
+    """Bottleneck matching distance of two eigenvalue multisets.
+
+    The least, over bijections, of the largest distance between matched
+    eigenvalues. Sorting is optimal for real multisets; complex ones take
+    a threshold search over the pairwise distances, each threshold decided
+    by a maximum bipartite matching.
+    """
     a = np.asarray(a, dtype=np.complex128).ravel()
     b = np.asarray(b, dtype=np.complex128).ravel()
     if a.size != b.size:
@@ -323,9 +392,54 @@ def match_spectra(a, b) -> float:
         )
     if a.size == 0:
         return 0.0
-    a = a[np.lexsort((a.imag, a.real))]
-    b = b[np.lexsort((b.imag, b.real))]
-    return float(np.max(np.abs(a - b)))
+    if not (np.any(a.imag) or np.any(b.imag)):
+        return float(np.max(np.abs(np.sort(a.real) - np.sort(b.real))))
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    dist = np.abs(a[:, None] - b[None, :])
+    candidates = np.unique(dist)
+    lo, hi = 0, candidates.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        matched = maximum_bipartite_matching(
+            csr_matrix(dist <= candidates[mid]), perm_type="column"
+        )
+        if np.all(matched >= 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def _spectral_identity_bound(b: BlockMatrix, p: AngularPair) -> float:
+    """Certified bound on the distance of spec(B) from the right block spectra.
+
+    For bitwise-Hermitian B and a skew pair, from the cached ``eigh``
+    ``B = V diag(w) V*``; inf when the eigenvector blocks do not certify it.
+    README "Numerics notes" derives it.
+    """
+    w, v = b.eigh
+    n0 = b.n0
+    r = KERNEL_PROOF_ROUNDING * b.dim * _EPS
+    s = p.norm_Y * (1.0 + r)
+    k = 2.0 * math.hypot(1.0, s)
+    bound = 0.0
+    for a, coupling, x, own, other in (
+        (b.A0, b.W1, p.X0, np.s_[:n0], np.s_[n0:]),
+        (b.A1, b.W0, p.X1, np.s_[n0:], np.s_[:n0]),
+    ):
+        basis = v[own, own]
+        t = x @ basis
+        # distance of [I; X0] V_0 (or [X1; I] V_1) from its eigenvectors
+        rho = frobenius_norm(t - v[other, own]) + 2.0 * r * (1.0 + s)
+        if not rho + r <= 0.5:
+            return math.inf
+        # Z V - V diag(w) for Z = A0 + W1 X0 (A1 + W0 X1), Z V = A V + W (X V)
+        e = a @ basis + coupling @ t - basis * w[own]
+        f = frobenius_norm(np.linalg.solve(basis, e))
+        bound = max(bound, (1.0 + 3.0 * k * r) * f + 3.0 * k * r * b.norm * (1.0 + s))
+    return 2.0 * bound
 
 
 def verify_spectral_identity(
@@ -336,12 +450,31 @@ def verify_spectral_identity(
     On bitwise-Hermitian B with a skew pair the left blocks are the
     adjoints of the right ones, ``A0 - X1 W0 = (A0 + W1 X0)*`` and
     ``A1 - X0 W1 = (A1 + W0 X1)*``, so the left spectrum is the conjugate
-    of the right one and only the right blocks take ``eigvals``.
+    of the right one. There the check first tries the certificate of
+    :func:`_spectral_identity_bound`: when it is within the threshold, both
+    distances are that bound and both block spectra are read off the
+    cached eigenvalues. Otherwise only the right blocks take ``eigvals``;
+    other input takes four.
     """
     spec_b = b.eigvals
     scale = b.norm
+    threshold = tol * max(scale, 1.0 if scale == 0.0 else scale)
+    skew = b.bitwise_hermitian and p.skew
+    # X0 = 0 leaves the blocks A0 and A1, whose spectra a decoupled B
+    # matches exactly; measuring keeps that zero, which the slack would not
+    if skew and p.X0.any():
+        bound = _spectral_identity_bound(b, p)
+        if bound <= threshold:
+            return SpectralIdentityReport(
+                ok=True,
+                left_distance=bound,
+                right_distance=bound,
+                tolerance=threshold,
+                left_spectrum=spec_b,
+                right_spectrum=spec_b,
+            )
     right = [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
-    if b.bitwise_hermitian and p.skew:
+    if skew:
         left = [np.sort_complex(r.conj()) for r in right]
     else:
         left = [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
@@ -349,7 +482,6 @@ def verify_spectral_identity(
     right = np.concatenate(right)
     left_distance = match_spectra(spec_b, left)
     right_distance = match_spectra(spec_b, right)
-    threshold = tol * max(scale, 1.0 if scale == 0.0 else scale)
     ok = left_distance <= threshold and right_distance <= threshold
     return SpectralIdentityReport(
         ok=ok,

@@ -6,6 +6,8 @@ factorization. Each fast path must agree with its general form, and the
 count tests pin which factorizations a command runs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,10 +31,10 @@ from blockdiag import (
     verify_resolvent_invariance,
     verify_spectral_identity,
 )
-from blockdiag import angular, dirac, spectral, subordinated
+from blockdiag import angular, dirac, spectral, subordinated, transform
 from blockdiag.angular import GraphBase, to_graph
-from blockdiag.cli import main
-from blockdiag.errors import IllPosedRegionError, NumericError
+from blockdiag.cli import choose_split_mu, main
+from blockdiag.errors import IllPosedRegionError, NotAGraphError, NumericError
 from blockdiag.io import ProblemFile
 from blockdiag.spectral import eigenbasis_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
@@ -277,12 +279,12 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     assert calls["schur"] == []
     # the skew pair reads sigma(I + Y) off sigma(X0), no shift takes an SVD
     assert full not in calls["svd"]
-    # each graph basis is orthonormalized once, not once per shift
-    assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
+    # the skew pair's graphs are orthonormalized by Cholesky factors, no QR
+    assert calls["qr"] == []
     # the resolvent sweep reads the cached eigh: no B - lambda is solved
     assert full not in calls["solve"]
-    # only the right blocks take eigvals; the left spectrum is their conjugate
-    assert sorted(calls["eigvals"]) == [(b.n1, b.n1), (b.n0, b.n0)]
+    # the spectral identity is certified from the eigh: no block takes eigvals
+    assert calls["eigvals"] == []
 
 
 def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
@@ -321,16 +323,15 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
 @pytest.mark.parametrize("skew", [False, True])
 def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     """Both diagonalizations and the extended identity solve with the
-    n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a skew pair and for a
-    well-conditioned one; triangularization solves nothing. No dim x dim
-    system is solved."""
+    n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a well-conditioned pair,
+    skew or not; triangularization solves nothing. No dim x dim system is
+    solved."""
     rng = np.random.default_rng(5)
     n0, n1 = 3, 5
     b = random_block(rng, n0, n1)
-    x0 = (0.5 if skew else 0.05) * _cmat(rng, n1, n0)
+    x0 = (0.3 if skew else 0.05) * _cmat(rng, n1, n0)
     pair = form_pair(x0, -x0.conj().T if skew else 0.05 * _cmat(rng, n0, n1))
-    if not skew:
-        assert _condition_svd(np.eye(b.dim) - pair.Y) <= BLOCK_SOLVE_CONDITION_LIMIT
+    assert _condition_svd(np.eye(b.dim) - pair.Y) <= BLOCK_SOLVE_CONDITION_LIMIT
     shapes = _record_shapes(monkeypatch, np.linalg, "solve")
     left, right = diagonalize(b, pair)
     verify_extended_identity(b, pair, left, right)
@@ -557,3 +558,105 @@ def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
     assert full not in calls["solve"]
+
+
+# --- certificates from the one eigh ------------------------------------------
+
+
+@PROPERTY
+@given(
+    seeds,
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.1, 4.0),
+    st.floats(-1e6, 1e6),
+)
+def test_spectral_identity_bound_is_at_least_the_measured_distance(
+    seed, n0, n1, coupling, shift
+):
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    b = BlockMatrix(b.A0 + shift * np.eye(n0), b.A1 + shift * np.eye(n1), b.W0, b.W1)
+    try:
+        pair = spectral_pair(b, choose_split_mu(b))
+    except (IllPosedRegionError, NotAGraphError):
+        assume(False)
+    assert b.bitwise_hermitian and pair.skew
+    bound = transform._spectral_identity_bound(b, pair)
+    # certified at the default --tol
+    assert bound <= 1e-8 * b.norm
+    spectra = [
+        (b.A0 + b.W1 @ pair.X0, b.A1 + b.W0 @ pair.X1),
+        (b.A0 - pair.X1 @ b.W0, b.A1 - pair.X0 @ b.W1),
+    ]
+    for blocks in spectra:
+        union = np.concatenate([np.linalg.eigvals(m) for m in blocks])
+        assert match_spectra(b.eigvals, union) <= bound
+    report = verify_spectral_identity(b, pair, 1e-8)
+    assert report.ok and report.left_distance == report.right_distance == bound
+
+
+def test_perturbed_skew_pair_fails_the_certificate_and_takes_eigvals(
+    tmp_path, monkeypatch
+):
+    """Negative control: the skew pair ``(X0 + d, -(X0 + d)*)`` is not
+    certified, its right blocks take eigvals, and check exits 1."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    x0 = spectral_pair(b, 0.0).X0 + 1e-3 * np.ones((5, 6))
+    perturbed = form_pair(x0, -x0.conj().T)
+    assert b.bitwise_hermitian and perturbed.skew
+    report = verify_spectral_identity(b, perturbed, 1e-8)
+    assert transform._spectral_identity_bound(b, perturbed) > report.tolerance
+    assert not report.ok
+    assert min(report.left_distance, report.right_distance) > report.tolerance
+    path = _check_file(tmp_path, b)
+    monkeypatch.setattr(angular, "spectral_pair", lambda *_: perturbed)
+    calls = _kernels(monkeypatch)
+    assert main(["check", path]) == 1
+    assert sorted(calls["eigvals"]) == [(b.n1, b.n1), (b.n0, b.n0)]
+
+
+@PROPERTY
+@given(seeds, dims, dims, log_scale, st.floats(0.0, 1.0))
+def test_skew_pair_resolvent_defects_match_dense_solves(seed, n0, n1, ls, size):
+    rng = np.random.default_rng(seed)
+    b = _block(rng, n0, n1, "hermitian", 10.0**ls)
+    # norm(X0) <= 1 keeps kappa(I + Y) <= sqrt(2), on the Cholesky route
+    x0 = _cmat(rng, n1, n0)
+    x0 *= size / _norm2(x0)
+    pair = form_pair(x0, -x0.conj().T)
+    scale = max(b.norm, 1.0)
+    lams = [
+        complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
+        for _ in range(3)
+    ]
+    with mock.patch.object(
+        transform, "_skew_pair_sweep", wraps=transform._skew_pair_sweep
+    ) as route:
+        sweep = verify_resolvent_invariance(b, pair, lams)
+    assert route.call_count == 1
+    graphs = (
+        angular.GraphSubspace(base=GraphBase.H0, X=pair.X0),
+        angular.GraphSubspace(base=GraphBase.H1, X=pair.X1),
+    )
+    for lam, defects in zip(lams, sweep):
+        resolvent_scale = 1.0 / b.sigma_min_shifted(lam)
+        reference = _dense_resolvent_defects(b, graphs, lam)
+        assert len(defects) == 2
+        for fast, dense in zip(defects, reference):
+            assert abs(fast - dense) <= 1e-12 * resolvent_scale
+
+
+@pytest.mark.parametrize("case", ["ill_conditioned", "not_skew", "nearly"])
+def test_other_pairs_orthonormalize_their_graphs_by_qr(monkeypatch, case):
+    rng = np.random.default_rng(6)
+    b = _block(rng, 3, 4, "nearly" if case == "nearly" else "hermitian")
+    x0 = (1.0 if case == "ill_conditioned" else 0.1) * _cmat(rng, 4, 3)
+    x1 = 0.1 * _cmat(rng, 3, 4) if case == "not_skew" else -x0.conj().T
+    pair = form_pair(x0, x1)
+    if case == "ill_conditioned":
+        assert transform._pair_condition(pair) > BLOCK_SOLVE_CONDITION_LIMIT
+    route = _record_shapes(monkeypatch, transform, "_skew_pair_sweep")
+    qr = _record_shapes(monkeypatch, np.linalg, "qr")
+    verify_resolvent_invariance(b, pair, [2j * max(b.norm, 1.0)])
+    assert route == []
+    assert qr == [(7, 3), (7, 4)]

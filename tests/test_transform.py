@@ -422,3 +422,56 @@ def test_far_from_skew_pair_keeps_dense_solve_accuracy():
                 for j in range(3)
             )
             assert float(error) <= 1e-12 * b.norm
+
+
+def test_ill_conditioned_skew_pair_keeps_dense_solve_accuracy():
+    """Hermitian 2 + 1 blocks with a skew pair of norm(X0) = 35, so
+    kappa(I + Y) = 35: its conjugations solve with I -/+ Y and agree with a
+    50-digit value within 1e-12 norm(B). Through the blocks of I - Y^2,
+    kappa(S0) = 1226, they were off by 3.1e-12 norm(B)."""
+    import mpmath
+
+    rng = np.random.default_rng(84)
+    b = random_block(rng, 2, 1)
+    b = BlockMatrix(b.A0 + b.A0.conj().T, b.A1 + b.A1.conj().T, b.W1.conj().T, b.W1)
+    m = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
+    x0 = 35.0 * m / np.linalg.norm(m, 2)
+    p = form_pair(x0, -x0.conj().T)
+    assert b.bitwise_hermitian and p.skew
+    left, right = diagonalize(b, p)
+    assert left.conditioning == pytest.approx(np.hypot(1.0, 35.0))
+    with mpmath.workdps(50):
+        full = mpmath.matrix(b.full.tolist())
+        y = mpmath.matrix(p.Y.tolist())
+        eye = mpmath.eye(3)
+        exact_left = (eye - y) * full * mpmath.inverse(eye - y)
+        exact_right = mpmath.inverse(eye + y) * full * (eye + y)
+        for computed, exact in ((left, exact_left), (right, exact_right)):
+            error = max(
+                abs(mpmath.mpc(complex(computed.transformed[i, j])) - exact[i, j])
+                for i in range(3)
+                for j in range(3)
+            )
+            assert float(error) <= 1e-12 * b.norm
+
+
+def test_match_spectra_is_the_bottleneck_on_a_clustered_spectrum():
+    # sorting by (Re, Im) pairs i with 0.05 - i and reads 2.0
+    a = [1j, 0.1 - 1j]
+    b = [0.05 + 1j, 0.05 - 1j]
+    assert match_spectra(a, b) == pytest.approx(0.05, rel=1e-12)
+    assert match_spectra(b, a) == pytest.approx(0.05, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+def test_match_spectra_matches_brute_force_bottleneck(seed, n, real):
+    from itertools import permutations
+
+    rng = np.random.default_rng(seed)
+    a, b = (
+        rng.standard_normal(n) + (0 if real else 1j) * rng.standard_normal(n)
+        for _ in range(2)
+    )
+    brute = min(np.max(np.abs(a - b[list(q)])) for q in permutations(range(n)))
+    assert match_spectra(a, b) == brute
