@@ -11,7 +11,6 @@ from .core import (
     is_hermitian,
     is_symmetric_offdiag,
     operator_norm,
-    split,
 )
 from .angular import (
     AngularPair,

@@ -4,7 +4,10 @@ A subspace that projects bijectively onto a coordinate block H0 or H1 is
 the graph of a linear map X from that block into the other one; X is its
 angular operator. Two angular operators combine into the off-diagonal
 block operator Y whose invertibility properties decide whether the two
-graphs are complementary.
+graphs are complementary. :func:`spectral_pair` finds the pair of the
+invariant subspaces of B on either side of a threshold: from the one
+cached ``eigh`` of a bitwise-Hermitian B, else from a sorted Schur form
+per side.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BlockMatrix, as_matrix, frobenius_norm, from_blocks
+from .core import BlockMatrix, as_matrix, from_blocks
 from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
 from .spectral import Subspace, eigenbasis_subspace, invariant_subspace_by_region
 
@@ -242,23 +245,21 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
 def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
     """Angular pair from the invariant subspaces on both sides of mu.
 
-    A Hermitian B takes the side below mu from its one cached ``eigh`` and
-    pairs X0 with ``X1 = -X0*``: the side above is graph(X0)^⊥ =
-    graph(-X0*), with the same region gap and an invariance residual at
-    most ``norm_F(B - B*)`` above that of graph(X0), which is gated that much
-    below the usual bound. Other input takes a sorted Schur form per side.
-    Either way both subspaces meet the guarantees of
+    A bitwise-Hermitian B takes the side below mu from its one cached
+    ``eigh`` and pairs X0 with ``X1 = -X0*``: the side above is
+    graph(X0)^⊥ = graph(-X0*), with the same region gap and invariance
+    residual. Other input takes a sorted Schur form per side. Either way
+    both subspaces meet the guarantees of
     :func:`~blockdiag.spectral.invariant_subspace_by_region`.
     """
     full = b.full
     above = None
-    if b.hermitian:
+    if b.bitwise_hermitian:
         w, v = b.eigh
-        defect = 0.0 if b.bitwise_hermitian else frobenius_norm(full - full.conj().T)
-        below = eigenbasis_subspace(full, w, v, w < mu, b.norm, defect)
+        below = eigenbasis_subspace(full, w, v, w < mu, b.norm)
     else:
-        below = invariant_subspace_by_region(full, lambda z: z.real < mu)
-        above = invariant_subspace_by_region(full, lambda z: z.real >= mu)
+        below = invariant_subspace_by_region(full, lambda z: z.real < mu, b.norm)
+        above = invariant_subspace_by_region(full, lambda z: z.real >= mu, b.norm)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "

@@ -225,17 +225,12 @@ class BlockMatrix:
     def eigvals(self) -> np.ndarray:
         """Read-only eigenvalues of the assembled matrix, complex, (Re, Im) sorted.
 
-        A bitwise-Hermitian B reads them off the cached ``eigh`` when that
-        exists and otherwise takes ``eigvalsh``; they are then real (zero
-        imaginary parts) and ascending. Other input takes the general
-        ``eigvals``.
+        A bitwise-Hermitian B reads them off the cached ``eigh``; they are
+        then real (zero imaginary parts) and ascending. Other input takes
+        the general ``eigvals``.
         """
         if self.bitwise_hermitian:
-            if "eigh" in self.__dict__:
-                w = self.eigh[0]
-            else:
-                w = np.linalg.eigvalsh(self.full)
-            return _readonly(w.astype(np.complex128))
+            return _readonly(self.eigh[0].astype(np.complex128))
         w = np.linalg.eigvals(self.full)
         return _readonly(w[np.lexsort((w.imag, w.real))])
 
@@ -327,19 +322,6 @@ def from_blocks(a, b, c, d) -> np.ndarray:
             if m is not None:
                 out[rs, cs] = m
     return out
-
-
-def split(m, n0: int) -> BlockMatrix:
-    """Inverse of :attr:`BlockMatrix.full`; exact (bitwise) slicing of the blocks."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError(f"matrix to split must be square, got {m.shape}")
-    n = m.shape[0]
-    if not (0 < n0 < n):
-        raise StructuralError(f"n0 must satisfy 0 < n0 < {n}, got {n0}")
-    return BlockMatrix(
-        A0=m[:n0, :n0], A1=m[n0:, n0:], W0=m[n0:, :n0], W1=m[:n0, n0:]
-    )
 
 
 def is_symmetric_offdiag(b: BlockMatrix, tol: float = DEFAULT_TOL) -> bool:

@@ -148,8 +148,10 @@ def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
     """Estimate the relative bound of V against a Hermitian A.
 
     Sweeps shifts ``i tau`` over the (finite, positive, ascending) grid; the
-    smallest resolvent norm is the reported bound. The certified pair
-    ``(norm(V), b_star)`` holds by construction: ``norm(V x) <= norm(V)``
+    smallest resolvent norm is the reported bound. For Hermitian A each
+    ``|1 / (w - i tau)|`` shrinks as tau grows, so the sweep is
+    nonincreasing and that is its value at the largest tau. The certified
+    pair ``(norm(V), b_star)`` holds by construction: ``norm(V x) <= norm(V)``
     for every unit x.
     """
     taus = [float(t) for t in tau_grid]

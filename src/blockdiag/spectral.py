@@ -1,9 +1,11 @@
 """Spectral subspaces, invariant subspaces and null-space bases.
 
-Hermitian matrices yield orthonormal eigenbases from an ``eigh``;
-general matrices use a sorted complex Schur factorization (invariant
-subspaces for an eigenvalue region). Rank decisions are SVD-based with a
-relative tolerance.
+A bitwise-Hermitian matrix yields an orthonormal eigenbasis from its
+``eigh`` (:func:`eigenbasis_subspace`); any other matrix takes a sorted
+complex Schur factorization (:func:`invariant_subspace_by_region`). Both
+gate their subspace on the region gap and the invariance residual against
+the matrix's 2-norm, which the caller passes in. Rank decisions are
+SVD-based with a relative tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import DEFAULT_TOL, as_matrix, frobenius_norm, operator_norm
+from .core import DEFAULT_TOL, as_matrix, frobenius_norm
 from .errors import IllPosedRegionError, NumericError, StructuralError
 
 #: Relative gap below which an eigenvalue-region selector is ill-posed,
@@ -93,19 +95,19 @@ def null_space_basis(m) -> np.ndarray:
 
 
 def invariant_subspace_by_region(
-    m, selector: Callable[[complex], bool]
+    m, selector: Callable[[complex], bool], scale: float
 ) -> Subspace:
     """Invariant subspace spanned by eigenvalues satisfying ``selector``.
 
     This reorders a complex Schur factorization so the selected eigenvalues
-    lead, and returns the corresponding Schur vectors. The selected and
-    unselected eigenvalue groups must be separated by a relative gap of at
-    least ``REGION_GAP_TOL``.
+    lead, and returns the corresponding Schur vectors. ``scale`` is the
+    2-norm of ``m``. The selected and unselected eigenvalue groups must be
+    separated by a gap of at least ``REGION_GAP_TOL * max(scale, 1)``, and
+    the invariance residual stays within the same bound.
     """
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise StructuralError(f"need a square matrix, got {m.shape}")
-    scale = operator_norm(m)
     try:
         t, z, sdim = scipy.linalg.schur(
             m, output="complex", sort=lambda lam: bool(selector(complex(lam)))
@@ -118,28 +120,23 @@ def invariant_subspace_by_region(
 
 
 def eigenbasis_subspace(
-    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float, slack: float = 0.0
+    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float
 ) -> Subspace:
     """Span of the eigenvectors ``v[:, mask]`` of a Hermitian ``m``.
 
     ``(w, v)`` is an ``eigh`` of ``m`` and ``scale`` its 2-norm. The same
-    guarantees as :func:`invariant_subspace_by_region` hold: the selected
-    eigenvalues keep a relative gap of ``REGION_GAP_TOL`` from the others,
-    and the invariance residual stays within ``REGION_GAP_TOL * scale``,
-    less ``slack >= 0``.
+    guarantees as :func:`invariant_subspace_by_region` hold.
     """
     _check_region_gap(w[mask], w[~mask], scale)
-    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale, slack)
+    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale)
 
 
-def _guaranteed_invariant(
-    m, sub: Subspace, scale: float, slack: float = 0.0
-) -> Subspace:
+def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:
     resid = invariance_residual(m, sub)
-    if resid > REGION_GAP_TOL * max(scale, 1.0) - slack:
+    if resid > REGION_GAP_TOL * max(scale, 1.0):
         raise NumericError(
             "invariant subspace residual beyond guarantee",
-            diagnostics={"residual": resid, "scale": scale, "slack": slack},
+            diagnostics={"residual": resid, "scale": scale},
         )
     return sub
 
@@ -167,13 +164,3 @@ def invariance_residual(m, sub: Subspace) -> float:
     mq = m @ q
     return frobenius_norm(mq - q @ (q.conj().T @ mq))
 
-
-def containment_residual(inner: Subspace, outer: Subspace) -> float:
-    """``norm((I - P_outer) Q_inner)``; zero iff inner is contained in outer."""
-    if inner.dim == 0:
-        return 0.0
-    q = inner.basis
-    if outer.dim == 0:
-        return operator_norm(q)
-    p = outer.basis
-    return operator_norm(q - p @ (p.conj().T @ q))

@@ -24,7 +24,9 @@ read the one cached ``eigh`` of B. The spectral identity is certified
 from it (:func:`verify_spectral_identity`), and a well-conditioned pair's
 two graphs, orthogonal complements of each other, are orthonormalized in
 the eigenbasis by Cholesky factors of S0 and S1
-(:func:`verify_resolvent_invariance`). Every other input measures.
+(:func:`verify_resolvent_invariance`). Every other input measures: the
+eigenvalues of the four diagonal blocks, and one solve with ``B - lam``
+per shift.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ RELIABLE_CONDITION_LIMIT = 1e12
 #: their Cholesky factors. Their condition number can reach the square of
 #: that of I +/- Y, so both can lose a further factor kappa(I +/- Y) of
 #: accuracy; this limit keeps it at 2. Beyond it the conjugations solve
-#: with I - Y and I + Y themselves, and the graphs take a QR each.
+#: with I - Y and I + Y themselves, and the resolvent sweep with B - lam.
 BLOCK_SOLVE_CONDITION_LIMIT = 2.0
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -265,19 +267,18 @@ def verify_resolvent_invariance(
     its two graphs, graph(X0) over H0 and graph(X1) over H1. Each entry is
     zero exactly when the graph is invariant under the resolvent at that
     shift. Every shift must keep a relative distance of 1e-8 from the
-    spectrum of the assembled matrix. ``Q_G`` is the basis cached on each
-    graph, so a sweep orthonormalizes each graph once.
+    spectrum of the assembled matrix.
 
-    A bitwise-Hermitian ``B = V diag(w) V*`` reads its cached ``eigh``: with
-    ``W = V* Q_G``, formed once per sweep, and ``D = diag(1 / (w - lam))``,
-    the entry is ``norm_F((I - W W*) D W)``, since V is unitary, and no
-    system with ``B - lam`` is solved. A skew pair within
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT` has graphs ``G0 = [I; X0]`` and
-    ``G1 = [X1; I]`` with ``G0* G1 = X1 + X0* = 0``, so no QR is taken:
-    ``W_i = V* G_i L_i^{-*}`` with ``S_i = L_i L_i*`` the blocks of
-    ``I - Y^2``, and the entries are ``norm_F(W1* D W0)`` and
+    A bitwise-Hermitian ``B = V diag(w) V*`` with a skew pair within
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` reads its cached ``eigh``: the
+    graphs ``G0 = [I; X0]`` and ``G1 = [X1; I]`` have
+    ``G0* G1 = X1 + X0* = 0``, so ``W_i = V* G_i L_i^{-*}`` with
+    ``S_i = L_i L_i*`` the blocks of ``I - Y^2`` are orthonormal, and with
+    ``D = diag(1 / (w - lam))`` the entries are ``norm_F(W1* D W0)`` and
     ``norm_F(W0* D W1)``. Other input solves with ``B - lam`` once per
-    shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together.
+    shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together; ``Q_G``
+    is the basis cached on each graph, so a sweep orthonormalizes each
+    graph once.
     """
     lams = [complex(lam) for lam in lams]
     spec = b.eigvals
@@ -303,26 +304,11 @@ def verify_resolvent_invariance(
     bases = [g.subspace.basis for g in graphs]
     ends = np.cumsum([q.shape[1] for q in bases])[:-1]
     stacked = np.hstack(bases)
-    if b.bitwise_hermitian:
-        w, v = b.eigh
-        coords = v.conj().T @ stacked
-        frames = np.split(coords, ends, axis=1)
-
-        def resolvent_times(lam):
-            return coords / (w - lam)[:, None]
-
-    else:
-        frames = bases
-
-        def resolvent_times(lam):
-            return np.linalg.solve(b.full - lam * np.eye(b.dim), stacked)
-
+    eye = np.eye(b.dim)
+    solved = (np.linalg.solve(b.full - lam * eye, stacked) for lam in lams)
     return [
-        [
-            _outside_part(q, r)
-            for q, r in zip(frames, np.split(resolvent_times(lam), ends, axis=1))
-        ]
-        for lam in lams
+        [_outside_part(q, r) for q, r in zip(bases, np.split(x, ends, axis=1))]
+        for x in solved
     ]
 
 
@@ -364,8 +350,8 @@ class SpectralIdentityReport:
     ``right_distance`` against ``diag(A0 + W1 X0, A1 + W0 X1)``: bottleneck
     matching distances (:func:`match_spectra`) of the computed spectra, or
     on the certified route a certified upper bound on that of the exact
-    ones. ``left_spectrum`` and ``right_spectrum`` are the block spectra
-    compared, block 0 first, for callers that report them.
+    ones. ``left_spectrum`` is the left block spectrum compared, block 0
+    first, for callers that report it.
     """
 
     ok: bool
@@ -373,7 +359,6 @@ class SpectralIdentityReport:
     right_distance: float
     tolerance: float
     left_spectrum: np.ndarray = field(repr=False, compare=False)
-    right_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
 def match_spectra(a, b) -> float:
@@ -447,22 +432,18 @@ def verify_spectral_identity(
 ) -> SpectralIdentityReport:
     """Check spec(B) against the unions of both block-diagonal spectra.
 
-    On bitwise-Hermitian B with a skew pair the left blocks are the
-    adjoints of the right ones, ``A0 - X1 W0 = (A0 + W1 X0)*`` and
-    ``A1 - X0 W1 = (A1 + W0 X1)*``, so the left spectrum is the conjugate
-    of the right one. There the check first tries the certificate of
-    :func:`_spectral_identity_bound`: when it is within the threshold, both
-    distances are that bound and both block spectra are read off the
-    cached eigenvalues. Otherwise only the right blocks take ``eigvals``;
-    other input takes four.
+    Both distances are gated at ``tol`` times ``norm(B)``, or times 1 when
+    B = 0. On bitwise-Hermitian B with a skew pair (X0 nonzero) the check
+    first tries the certificate of :func:`_spectral_identity_bound`: when
+    it is within the threshold, both distances are that bound and the
+    left block spectrum is read off the cached eigenvalues. Otherwise all
+    four diagonal blocks take ``eigvals``.
     """
     spec_b = b.eigvals
-    scale = b.norm
-    threshold = tol * max(scale, 1.0 if scale == 0.0 else scale)
-    skew = b.bitwise_hermitian and p.skew
+    threshold = tol * (b.norm or 1.0)
     # X0 = 0 leaves the blocks A0 and A1, whose spectra a decoupled B
     # matches exactly; measuring keeps that zero, which the slack would not
-    if skew and p.X0.any():
+    if b.bitwise_hermitian and p.skew and p.X0.any():
         bound = _spectral_identity_bound(b, p)
         if bound <= threshold:
             return SpectralIdentityReport(
@@ -471,23 +452,19 @@ def verify_spectral_identity(
                 right_distance=bound,
                 tolerance=threshold,
                 left_spectrum=spec_b,
-                right_spectrum=spec_b,
             )
-    right = [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
-    if skew:
-        left = [np.sort_complex(r.conj()) for r in right]
-    else:
-        left = [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
-    left = np.concatenate(left)
-    right = np.concatenate(right)
+    left = np.concatenate(
+        [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
+    )
+    right = np.concatenate(
+        [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
+    )
     left_distance = match_spectra(spec_b, left)
     right_distance = match_spectra(spec_b, right)
-    ok = left_distance <= threshold and right_distance <= threshold
     return SpectralIdentityReport(
-        ok=ok,
+        ok=left_distance <= threshold and right_distance <= threshold,
         left_distance=left_distance,
         right_distance=right_distance,
         tolerance=threshold,
         left_spectrum=left,
-        right_spectrum=right,
     )

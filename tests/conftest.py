@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blockdiag import BlockMatrix
 
@@ -53,3 +54,13 @@ def eigvecs(b, keep):
 
     w, v = np.linalg.eigh(b.full)
     return Subspace(basis=v[:, keep(w, 1e-9 * np.linalg.norm(b.full, 2))])
+
+
+def containment(inner, outer) -> float:
+    """Sine of the largest principal angle between two subspaces.
+
+    For ``inner.dim <= outer.dim`` it is ``norm((I - P_outer) Q_inner)``,
+    zero exactly when inner lies in outer.
+    """
+    angles = scipy.linalg.subspace_angles(inner.basis, outer.basis)
+    return float(np.sin(np.max(angles)))

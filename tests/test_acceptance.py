@@ -32,8 +32,8 @@ from blockdiag import (
 from blockdiag.dirac import DiracProblem, GridSpec, ImpurityPotential
 from blockdiag.errors import NotAGraphError, SylvesterSingularError
 from blockdiag.riccati import residual_X0
-from blockdiag.spectral import Subspace, containment_residual
-from conftest import eigvecs
+from blockdiag.spectral import Subspace
+from conftest import containment, eigvecs
 
 ANALYTIC = BlockMatrix([0], [2], [1], [1])
 
@@ -178,8 +178,8 @@ def test_criterion_4_one_point_intersection(acceptance, one_point):
     below_eq = eigvecs(one_point, lambda w, band: w <= band)
     sandwich_ok = (
         below.dim < result.L.dim < below_eq.dim
-        and containment_residual(below, result.L) <= 1e-9
-        and containment_residual(result.L, below_eq) <= 1e-9
+        and containment(below, result.L) <= 1e-9
+        and containment(result.L, below_eq) <= 1e-9
     )
     elapsed = time.perf_counter() - start
     ok = (

@@ -12,7 +12,8 @@ from blockdiag import (
 )
 from blockdiag.angular import GRAPH_SIGMA_TOL, GraphBase, GraphSubspace
 from blockdiag.errors import NotAGraphError, StructuralError
-from blockdiag.spectral import Subspace, containment_residual, eigenbasis_subspace
+from blockdiag.spectral import Subspace, eigenbasis_subspace
+from conftest import containment
 
 
 def _basis_of(columns, n0):
@@ -100,7 +101,7 @@ def test_to_graph_matches_lstsq_and_spans_the_input(seed, n0, n1, base, log_sigm
     # = eps / sigma_min: the 1e-12 bound scales by 0.1 / sigma_min below 0.1
     tol = 1e-12 * max(1.0, 0.1 / sigma_min)
     assert np.linalg.norm(g.X - ref) <= tol * np.linalg.norm(ref)
-    assert containment_residual(g.subspace, u) <= tol
+    assert containment(g.subspace, u) <= tol
 
 
 @pytest.mark.parametrize("base", list(GraphBase))

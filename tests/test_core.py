@@ -5,7 +5,6 @@ from blockdiag import (
     BlockMatrix,
     operator_norm,
     is_symmetric_offdiag,
-    split,
 )
 from blockdiag.core import as_matrix, from_blocks
 from blockdiag.errors import StructuralError
@@ -45,39 +44,25 @@ def test_from_blocks_places_blocks_and_zeros(n0, n1, k0, k1):
     )
 
 
-def test_split_identity():
-    b = split(np.eye(4), 2)
-    np.testing.assert_array_equal(b.A0, np.eye(2))
-    np.testing.assert_array_equal(b.A1, np.eye(2))
-    assert not b.W0.any() and not b.W1.any()
+def _sliced(m, n0: int) -> BlockMatrix:
+    """The blocks of a square ``m`` split after row and column ``n0``."""
+    return BlockMatrix(A0=m[:n0, :n0], A1=m[n0:, n0:], W0=m[n0:, :n0], W1=m[:n0, n0:])
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("n0,n1", [(1, 1), (2, 3), (4, 1)])
 def test_assemble_split_roundtrip_bitwise(seed, n0, n1):
     b = random_block(np.random.default_rng(seed), n0, n1)
-    again = split(b.full, n0)
+    again = _sliced(b.full, n0)
     for name in ("A0", "A1", "W0", "W1"):
         assert np.array_equal(getattr(b, name), getattr(again, name))
-
-
-def test_split_out_of_range():
-    with pytest.raises(StructuralError):
-        split(np.eye(3), 3)
-    with pytest.raises(StructuralError):
-        split(np.eye(3), 0)
-
-
-def test_split_requires_square():
-    with pytest.raises(StructuralError):
-        split(np.zeros((2, 3)), 1)
 
 
 def test_adjoint_blocks_swap():
     # (B*)_00 = A0*, (B*)_01 = W0*, (B*)_10 = W1*, (B*)_11 = A1*
     rng = np.random.default_rng(11)
     b = random_block(rng, 3, 2)
-    adj = split(b.full.conj().T, b.n0)
+    adj = _sliced(b.full.conj().T, b.n0)
     assert np.array_equal(adj.A0, b.A0.conj().T)
     assert np.array_equal(adj.A1, b.A1.conj().T)
     assert np.array_equal(adj.W1, b.W0.conj().T)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdiag import (
     BlockMatrix,
@@ -124,6 +126,38 @@ def test_relative_bound_monotone_under_grid_extension():
     short = estimate_relative_bound(NEUMANN_FIXTURE, grid)
     extended = estimate_relative_bound(NEUMANN_FIXTURE, longer)
     assert extended.b_star <= short.b_star + 1e-15
+
+
+def _cmat(rng, r, c):
+    return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.floats(-3.0, 3.0),
+    st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=10, unique=True),
+)
+def test_relative_bound_sweep_is_nonincreasing_with_b_star_last(seed, n0, n1, ls, taus):
+    """For Hermitian A, ``norm(W (A - i tau)^{-1})`` cannot grow with tau:
+    each resolvent eigenvalue ``1 / (w - i tau)`` shrinks in modulus. So
+    ``b_star`` is the value at the largest tau."""
+    rng = np.random.default_rng(seed)
+    a0, a1 = _cmat(rng, n0, n0), _cmat(rng, n1, n1)
+    coupling = 10.0**ls
+    b = BlockMatrix(
+        a0 + a0.conj().T,
+        a1 + a1.conj().T,
+        coupling * _cmat(rng, n1, n0),
+        coupling * _cmat(rng, n0, n1),
+    )
+    est = estimate_relative_bound(b, sorted(taus))
+    values = [value for _, value in est.lambda_sweep]
+    for earlier, later in zip(values, values[1:]):
+        assert later <= earlier * (1.0 + 1e-12)
+    assert est.b_star <= values[-1] <= est.b_star * (1.0 + 1e-12)
 
 
 def test_relative_bound_growth_products_bounded():

@@ -19,7 +19,8 @@ from blockdiag.cli import main
 from blockdiag.core import from_blocks
 from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import StructuralError
-from blockdiag.spectral import Subspace, containment_residual
+from blockdiag.spectral import Subspace
+from conftest import containment
 from blockdiag.transform import match_spectra
 
 _EPS = np.finfo(np.float64).eps
@@ -299,7 +300,7 @@ def _oracle_angles(problem, result):
         q = Subspace(basis=np.linalg.qr(t_adj @ sub.basis[perm])[0])
         target = Subspace(basis=v[:, mask])
         assert q.dim == target.dim
-        angles.append(np.arcsin(min(1.0, containment_residual(q, target))))
+        angles.append(np.arcsin(min(1.0, containment(q, target))))
     return angles
 
 

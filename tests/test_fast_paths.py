@@ -6,6 +6,8 @@ factorization. Each fast path must agree with its general form, and the
 count tests pin which factorizations a command runs.
 """
 
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -34,7 +36,7 @@ from blockdiag import (
 from blockdiag import angular, dirac, spectral, subordinated, transform
 from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import choose_split_mu, main
-from blockdiag.errors import IllPosedRegionError, NotAGraphError, NumericError
+from blockdiag.errors import IllPosedRegionError, NotAGraphError
 from blockdiag.io import ProblemFile
 from blockdiag.spectral import eigenbasis_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
@@ -99,6 +101,35 @@ def test_fast_paths_select_on_bitwise_hermitian(seed, n0, n1, kind):
 
 
 # --- equivalences ---------------------------------------------------------
+
+
+@PROPERTY
+@given(seeds, dims, dims, st.floats(0.05, 2.0))
+def test_nearly_hermitian_neighbour_on_schur_route_matches_eigh_route(
+    seed, n0, n1, coupling
+):
+    """``A0 + 1e-15 i I`` is Hermitian to tolerance but not bitwise, so its
+    spectral pair takes the Schur route; it spans the subspaces of the
+    original's ``eigh`` route to rounding over the spectral gap, and
+    ``check`` reads the same verdict on both."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed % 2**16).block
+    nearly = BlockMatrix(b.A0 + 1e-15j * np.eye(n0), b.A1, b.W0, b.W1)
+    assert nearly.hermitian and not nearly.bitwise_hermitian
+    pair, neighbour = spectral_pair(b, 0.0), spectral_pair(nearly, 0.0)
+    w = np.linalg.eigvalsh(b.assemble())
+    gap = w[n0] - w[n0 - 1]
+    for base, x, y in (
+        (GraphBase.H0, pair.X0, neighbour.X0),
+        (GraphBase.H1, pair.X1, neighbour.X1),
+    ):
+        angles = scipy.linalg.subspace_angles(
+            angular.GraphSubspace(base=base, X=x).subspace.basis,
+            angular.GraphSubspace(base=base, X=y).subspace.basis,
+        )
+        assert np.sin(np.max(angles)) <= 1e-13 * _norm2(b.assemble()) / gap
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = [main(["check", _check_file(pathlib.Path(tmp), m)]) for m in (b, nearly)]
+    assert codes[0] == codes[1]
 
 
 @PROPERTY
@@ -176,32 +207,14 @@ def test_spectral_pair_is_the_theorem_X_on_gapped_input(seed, n0, n1, coupling):
 
 
 def test_spectral_route_checks_one_subspace_with_tightened_gate(monkeypatch):
-    """A Hermitian B checks the side below mu only; the complement
-    graph(-X0*) inherits its gap, and its residual is bounded by
-    ``residual + norm_F(B - B*)``, which the one gate subtracts."""
+    """A bitwise-Hermitian B checks the side below mu only; the complement
+    graph(-X0*) inherits its gap and its invariance residual."""
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=6).block
     gaps = _record_shapes(monkeypatch, spectral, "_check_region_gap")
     residuals = _record_shapes(monkeypatch, spectral, "invariance_residual")
     pair = spectral_pair(b, 0.0)
     assert len(gaps) == 1 and residuals == [(7, 7)]
     assert pair.skew
-
-
-def test_tightened_gate_refuses_what_the_untightened_one_passes(monkeypatch):
-    b = random_case(4, 3, gap=1.0, coupling=0.5, seed=6).block
-    nearly = BlockMatrix(b.A0 + 1e-13j * np.eye(4), b.A1, b.W0, b.W1)
-    assert nearly.hermitian and not nearly.bitwise_hermitian
-    full = nearly.full
-    defect = float(np.linalg.norm(full - full.conj().T))
-    bound = spectral.REGION_GAP_TOL * max(nearly.norm, 1.0)
-    # a residual between the tightened and the untightened bound
-    monkeypatch.setattr(spectral, "invariance_residual", lambda m, sub: bound - defect / 2)
-    w, v = nearly.eigh
-    below = w < 0.0
-    eigenbasis_subspace(full, w, v, below, nearly.norm)
-    with pytest.raises(NumericError) as info:
-        spectral_pair(nearly, 0.0)
-    assert info.value.diagnostics["slack"] == pytest.approx(defect, rel=1e-12)
 
 
 def test_spectral_route_keeps_the_region_gap_check():
@@ -301,8 +314,8 @@ def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
     assert calls["eigh"] == []
     assert calls["schur"] == [(4, 4), (4, 4)]
     assert calls["eigvals"].count((4, 4)) == 1
-    # the two region scales, I + Y, norm(B), and one per shift
-    assert calls["svd"].count((4, 4)) == 2 + 1 + 1 + 3
+    # I + Y, norm(B) (shared by both region gates), and one per shift
+    assert calls["svd"].count((4, 4)) == 1 + 1 + 3
 
 
 def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkeypatch):
@@ -312,10 +325,12 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     path = _check_file(tmp_path, nearly)
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "2"]) == 0
-    assert calls["eigh"].count((8, 8)) == 1
+    # Hermitian only to tolerance: the spectral pair takes the Schur route
+    assert (8, 8) not in calls["eigh"]
+    assert calls["schur"] == [(8, 8), (8, 8)]
     assert calls["eigvals"].count((8, 8)) == 1
-    # the spectral pair is skew, so sigma(I + Y) takes no SVD
-    assert calls["svd"].count((8, 8)) == 1 + 2  # norm(B), shifts
+    # I + Y of the general pair, norm(B), shifts
+    assert calls["svd"].count((8, 8)) == 1 + 1 + 2
     assert calls["solve"].count((8, 8)) == 2  # one B - lambda per shift
     assert calls["eigvals"].count((4, 4)) == 4  # left and right blocks
 
@@ -493,31 +508,6 @@ def _dense_resolvent_defects(b, graphs, lam):
 
 
 @PROPERTY
-@given(seeds, dims, dims, log_scale, st.floats(0.0, 3.0))
-def test_eigh_resolvent_defects_match_dense_solves(seed, n0, n1, ls, size):
-    rng = np.random.default_rng(seed)
-    b = _block(rng, n0, n1, "hermitian", 10.0**ls)
-    graphs = (
-        angular.GraphSubspace(base=GraphBase.H0, X=size * _cmat(rng, n1, n0)),
-        angular.GraphSubspace(base=GraphBase.H1, X=size * _cmat(rng, n0, n1)),
-    )
-    # shifts as check samples them: imaginary part 0.2 to 2 times norm(B)
-    scale = max(b.norm, 1.0)
-    lams = [
-        complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
-        for _ in range(3)
-    ]
-    sweep = verify_resolvent_invariance(b, graphs, lams)
-    assert len(sweep) == len(lams)
-    for lam, defects in zip(lams, sweep):
-        resolvent_scale = 1.0 / b.sigma_min_shifted(lam)
-        reference = _dense_resolvent_defects(b, graphs, lam)
-        assert len(defects) == 2
-        for fast, dense in zip(defects, reference):
-            assert abs(fast - dense) <= 1e-12 * resolvent_scale
-
-
-@PROPERTY
 @given(seeds, st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 3.0))
 def test_skew_pair_singular_values_of_i_plus_y_match_svd(seed, n0, n1, size):
     assume(n0 + n1 > 0)
@@ -547,17 +537,17 @@ def test_left_spectrum_of_skew_pair_matches_left_block_eigvals(seed, n0, n1, cou
 
 def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     """Negative control: ``--perturb-x0`` breaks the skew structure, so
-    sigma(I + Y) takes its SVD and the left blocks their own eigvals, and
-    the verdict fails. The resolvent sweep depends on B alone and still
-    reads the cached eigh."""
+    sigma(I + Y) takes its SVD, the four blocks their own eigvals and the
+    resolvent sweep one solve with B - lambda per shift, and the verdict
+    fails."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
     calls = _kernels(monkeypatch)
-    assert main(["check", path, "--perturb-x0", "1e-3"]) == 1
+    assert main(["check", path, "--perturb-x0", "1e-3", "--lambdas", "3"]) == 1
     full = (b.dim, b.dim)
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
-    assert full not in calls["solve"]
+    assert calls["solve"].count(full) == 3
 
 
 # --- certificates from the one eigh ------------------------------------------
@@ -599,7 +589,7 @@ def test_perturbed_skew_pair_fails_the_certificate_and_takes_eigvals(
     tmp_path, monkeypatch
 ):
     """Negative control: the skew pair ``(X0 + d, -(X0 + d)*)`` is not
-    certified, its right blocks take eigvals, and check exits 1."""
+    certified, its four blocks take eigvals, and check exits 1."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     x0 = spectral_pair(b, 0.0).X0 + 1e-3 * np.ones((5, 6))
     perturbed = form_pair(x0, -x0.conj().T)
@@ -612,7 +602,7 @@ def test_perturbed_skew_pair_fails_the_certificate_and_takes_eigvals(
     monkeypatch.setattr(angular, "spectral_pair", lambda *_: perturbed)
     calls = _kernels(monkeypatch)
     assert main(["check", path]) == 1
-    assert sorted(calls["eigvals"]) == [(b.n1, b.n1), (b.n0, b.n0)]
+    assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
 
 
 @PROPERTY

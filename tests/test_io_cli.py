@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockdiag import BlockMatrix, load_problem, random_case, save_problem, split
+from blockdiag import BlockMatrix, load_problem, random_case, save_problem
 from blockdiag.cli import main
 from blockdiag.errors import StructuralError
 from blockdiag.io import (
@@ -407,13 +407,35 @@ def test_cli_riccati_solve_fails_when_newton_finds_another_solution(tmp_path):
     rng = np.random.default_rng(1)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     path = tmp_path / "other_solution.json"
-    save_problem(path, ProblemFile(block=split(g + g.conj().T, 3)))
+    h = g + g.conj().T
+    block = BlockMatrix(A0=h[:3, :3], A1=h[3:, 3:], W0=h[3:, :3], W1=h[:3, 3:])
+    save_problem(path, ProblemFile(block=block))
     out = tmp_path / "newton.json"
     assert main(["riccati-solve", str(path), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["flags"]["converged"]
     assert report["residuals"]["final"] <= 1e-12
     assert report["residuals"]["newton_vs_spectral"] > 1.0
+
+
+@pytest.mark.parametrize("perturb, flag", [("1e-8", True), ("1e-7", False)])
+def test_cli_check_spectral_identity_residuals_follow_their_flag(tmp_path, perturb, flag):
+    """At norm(B) < 1 the ``spectral_identity_*`` residuals are distances
+    over norm(B), the scale ``spectral_identity_ok`` gates at, so the
+    residuals pass --tol exactly when the flag holds."""
+    b = random_case(4, 3, gap=1.0, coupling=0.5, seed=3).block
+    small = BlockMatrix(1e-2 * b.A0, 1e-2 * b.A1, 1e-2 * b.W0, 1e-2 * b.W1)
+    assert small.norm < 1.0
+    path = tmp_path / "small.json"
+    save_problem(path, ProblemFile(block=small, mu=0.0))
+    out = tmp_path / "report.json"
+    # the perturbed X0 fails the Riccati residuals either way
+    assert main(["check", str(path), "--perturb-x0", perturb, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    residuals = report["residuals"]
+    worst = max(residuals["spectral_identity_left"], residuals["spectral_identity_right"])
+    assert report["flags"]["spectral_identity_ok"] is flag
+    assert (worst <= 1e-8) is flag
 
 
 class _ClosedStdout:

@@ -21,8 +21,6 @@ ERROR = ["error.exit_code", "error.message", "error.type"]
 
 SUBORDINATED = [
     "certificates.contraction.norm_X",
-    "certificates.relative_bound.a",
-    "certificates.relative_bound.b_star",
     "certificates.subordination.gap",
     "certificates.subordination.inf_spec_A1",
     "certificates.subordination.mu",

@@ -10,8 +10,8 @@ from blockdiag import (
     run_theorem,
 )
 from blockdiag.errors import HypothesisError, TheoremViolationError
-from blockdiag.spectral import Subspace, containment_residual
-from conftest import eigvecs
+from blockdiag.spectral import Subspace
+from conftest import containment, eigvecs
 
 
 def test_check_subordination_gapped():
@@ -123,13 +123,13 @@ def test_build_L_one_point(one_point):
     # contains e1 (kernel in H0) and the eigenvector of the inner 2x2 block
     e1 = np.zeros((4, 1))
     e1[0, 0] = 1.0
-    assert containment_residual(Subspace(basis=e1), sub) <= 1e-10
+    assert containment(Subspace(basis=e1), sub) <= 1e-10
     lam = (1 - np.sqrt(13)) / 2
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0
     vec[3] = 1.0 + lam
     vec /= np.linalg.norm(vec)
-    assert containment_residual(Subspace(basis=vec[:, None]), sub) <= 1e-9
+    assert containment(Subspace(basis=vec[:, None]), sub) <= 1e-9
 
 
 def test_run_theorem_analytic(analytic):
@@ -199,8 +199,8 @@ def test_sandwich_inclusions(seed):
     sub = run_theorem(b, mu=0.0).L
     below = eigvecs(b, lambda w, band: w < -band)
     below_eq = eigvecs(b, lambda w, band: w <= band)
-    assert containment_residual(below, sub) <= 1e-9
-    assert containment_residual(sub, below_eq) <= 1e-9
+    assert containment(below, sub) <= 1e-9
+    assert containment(sub, below_eq) <= 1e-9
 
 
 def test_sandwich_strict_on_one_point(one_point):
@@ -208,8 +208,8 @@ def test_sandwich_strict_on_one_point(one_point):
     below = eigvecs(one_point, lambda w, band: w < -band)
     below_eq = eigvecs(one_point, lambda w, band: w <= band)
     assert below.dim < sub.dim < below_eq.dim
-    assert containment_residual(below, sub) <= 1e-9
-    assert containment_residual(sub, below_eq) <= 1e-9
+    assert containment(below, sub) <= 1e-9
+    assert containment(sub, below_eq) <= 1e-9
 
 
 def test_build_L_dimension_failure_detected():
