@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import BlockMatrix, as_matrix, from_blocks
 from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
-from .spectral import Subspace, eigenbasis_subspace, invariant_subspace_by_region
+from .spectral import _ORTHO_TOL, Subspace, eigenbasis_subspace
+from .spectral import invariant_subspace_by_region
 
 #: Lower bound on sigma_min of the base-block component of a basis, and on
 #: sigma_min(I + Y) of a complementary pair. Below this, forming X amplifies
@@ -56,6 +57,11 @@ class GraphSubspace:
     def subspace(self) -> Subspace:
         """Orthonormal basis of the graph (:func:`from_graph`), computed once."""
         return from_graph(self)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Read-only singular values of ``X``, descending, computed once."""
+        return _singular_values(self.X)
 
 
 @dataclass(frozen=True)
@@ -131,15 +137,18 @@ class AngularPair:
         return s0, s1
 
     @cached_property
+    def singular_values_X1(self) -> np.ndarray:
+        """Read-only singular values of ``X1``: a skew pair's are those of X0."""
+        return self.singular_values_X0 if self.skew else _singular_values(self.X1)
+
+    @cached_property
     def norm_Y(self) -> float:
         """Exact ``norm(Y) = max(norm(X0), norm(X1))``.
 
-        Y is block anti-diagonal; ``norm(X0)`` comes from
-        ``singular_values_X0``. A skew pair has ``norm(X1) = norm(X0)``;
-        any other pair takes one SVD of X1.
+        Y is block anti-diagonal; the norms come from ``singular_values_X0``
+        and ``singular_values_X1``, one SVD for a skew pair.
         """
-        s0 = self.singular_values_X0
-        s1 = s0 if self.skew else _singular_values(self.X1)
+        s0, s1 = self.singular_values_X0, self.singular_values_X1
         return float(max(s0[0] if s0.size else 0.0, s1[0] if s1.size else 0.0))
 
     @property
@@ -171,38 +180,52 @@ def to_graph(u: Subspace, base: GraphBase | str) -> GraphSubspace:
     """Extract the angular operator of a subspace over a coordinate block.
 
     Requires ``u`` to carry its H0/H1 partition and to have the dimension
-    of the base block. Raises :class:`NotAGraphError` when the base-block
-    component of the basis is (numerically) singular, that is when its
-    sigma_min is at most :data:`GRAPH_SIGMA_TOL`. One SVD of that
-    component gives both the gate value sigma_min and X.
+    of the base block. X solves ``X q_base = q_other`` by one LU solve,
+    and one values-only SVD of X gives both ``GraphSubspace.singular_values``
+    and the graph gate: since ``q_base* (I + X* X) q_base = I`` up to the
+    Gram defect ``_ORTHO_TOL`` of ``u``, the smallest singular value of the
+    base-block component is at least ``sqrt(1 - _ORTHO_TOL) / sqrt(1 +
+    norm(X)^2)``, the value gated. Raises :class:`NotAGraphError` when it
+    is at most :data:`GRAPH_SIGMA_TOL`, or when the component is exactly
+    singular or X is not finite (gate value 0).
     """
     base = GraphBase(base)
     if u.n0 is None:
         raise StructuralError("subspace carries no H0/H1 partition (n0 is unset)")
-    n0 = u.n0
-    n1 = u.ambient_dim - n0
-    base_dim = n0 if base is GraphBase.H0 else n1
-    if u.dim != base_dim:
+    parts = (u.basis[: u.n0], u.basis[u.n0 :])
+    q_base, q_other = parts if base is GraphBase.H0 else parts[::-1]
+    if u.dim != len(q_base):
         raise StructuralError(
-            f"subspace dimension {u.dim} does not match dim({base.value}) = {base_dim}"
+            f"subspace dimension {u.dim} does not match "
+            f"dim({base.value}) = {len(q_base)}"
         )
-    if base is GraphBase.H0:
-        q_base, q_other = u.basis[:n0, :], u.basis[n0:, :]
-    else:
-        q_base, q_other = u.basis[n0:, :], u.basis[:n0, :]
-    if base_dim == 0:
-        return GraphSubspace(base=base, X=np.zeros((u.ambient_dim, 0)))
-    u_base, s, vh = np.linalg.svd(q_base)
-    smin = float(s[-1])
+    try:
+        x = np.linalg.solve(q_base.T, q_other.T).T
+    except np.linalg.LinAlgError:
+        x = np.full(q_other.shape, np.inf)
+    s = _singular_values(x) if np.all(np.isfinite(x)) else np.array([np.inf])
+    smin = float(np.sqrt(1.0 - _ORTHO_TOL) / np.hypot(1.0, np.max(s, initial=0.0)))
     if smin <= GRAPH_SIGMA_TOL:
         raise NotAGraphError(
             f"subspace is not a graph over {base.value}: sigma_min({base.value} "
             f"component) = {smin:.3e} <= {GRAPH_SIGMA_TOL:.0e}",
             sigma_min=smin,
         )
-    # X q_base = q_other with q_base = U S V*, so X = (q_other V) S^-1 U*
-    x = ((q_other @ vh.conj().T) / s) @ u_base.conj().T
-    return GraphSubspace(base=base, X=x)
+    graph = GraphSubspace(base=base, X=x)
+    graph.__dict__["singular_values"] = s
+    return graph
+
+
+def graph_pair(g0: GraphSubspace, g1: GraphSubspace | None = None) -> AngularPair:
+    """The pair of graph(X0) over H0 and ``g1`` over H1, or graph(-X0*) if None.
+
+    The singular values the graphs carry (those :func:`to_graph` measured)
+    seed the pair's ``singular_values_X0`` and ``singular_values_X1``.
+    """
+    pair = form_pair(g0.X, -g0.X.conj().T if g1 is None else g1.X)
+    pair.__dict__["singular_values_X0"] = g0.singular_values
+    pair.__dict__["singular_values_X1"] = (g0 if g1 is None else g1).singular_values
+    return pair
 
 
 def from_graph(g: GraphSubspace) -> Subspace:
@@ -265,7 +288,6 @@ def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
             f"threshold {mu} captures {below.dim} eigenvalues below it, "
             f"but dim(H0) = {b.n0}"
         )
-    x0 = to_graph(below.with_partition(b.n0), GraphBase.H0).X
-    if above is None:
-        return form_pair(x0, -x0.conj().T)
-    return form_pair(x0, to_graph(above.with_partition(b.n0), GraphBase.H1).X)
+    g0 = to_graph(below.with_partition(b.n0), GraphBase.H0)
+    g1 = None if above is None else to_graph(above.with_partition(b.n0), GraphBase.H1)
+    return graph_pair(g0, g1)

@@ -70,25 +70,34 @@ def resolvent_norm(b: BlockMatrix, lam: complex) -> float:
     ``Q_k*`` drops out of the norm: two half-size SVDs of column-scaled
     blocks. Other blocks take one solve per half.
     """
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise StructuralError(f"shift {lam} is not finite")
+    return _resolvent_norms(b, [complex(lam)])[0]
+
+
+def _resolvent_norms(b: BlockMatrix, lams: list[complex]) -> list[float]:
+    """:func:`resolvent_norm` at each shift; ``W1 Q1`` and ``W0 Q0`` formed once."""
     if b.eigh_A is not None:
         (w0, q0), (w1, q1) = b.eigh_A
         spec_a = np.concatenate([w0, w1])
     else:
         spec_a = np.concatenate([eigenvalues(b.A0), eigenvalues(b.A1)])
     scale = b.norm_A
-    dist = float(np.min(np.abs(spec_a - lam)))
-    if dist < 1e-10 * max(scale, 1.0):
-        raise ResolventError(
-            f"shift {lam} is within {dist:.3e} of spec(A) (norm {scale:.3e})"
-        )
+    for lam in lams:
+        if not cmath.isfinite(lam):
+            raise StructuralError(f"shift {lam} is not finite")
+        dist = float(np.min(np.abs(spec_a - lam)))
+        if dist < 1e-10 * max(scale, 1.0):
+            raise ResolventError(
+                f"shift {lam} is within {dist:.3e} of spec(A) (norm {scale:.3e})"
+            )
     if b.eigh_A is not None:
-        halves = ((b.W1 @ q1) / (w1 - lam), (b.W0 @ q0) / (w0 - lam))
+        w1q1, w0q0 = b.W1 @ q1, b.W0 @ q0
+        halves = ((w1q1 / (w1 - lam), w0q0 / (w0 - lam)) for lam in lams)
     else:
-        halves = (_times_inverse(b.W1, b.A1, lam), _times_inverse(b.W0, b.A0, lam))
-    return max(operator_norm(h) for h in halves)
+        halves = (
+            (_times_inverse(b.W1, b.A1, lam), _times_inverse(b.W0, b.A0, lam))
+            for lam in lams
+        )
+    return [max(operator_norm(h) for h in pair) for pair in halves]
 
 
 def _times_inverse(w: np.ndarray, a: np.ndarray, lam: complex) -> np.ndarray:
@@ -167,12 +176,9 @@ def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
     a = b.diagonal_part()
     if not is_hermitian(a):
         raise ContractError("relative-bound sweep requires a Hermitian diagonal part")
-    sweep = []
-    growth = []
-    for tau in taus:
-        lam = 1j * tau
-        sweep.append((lam, resolvent_norm(b, lam)))
-        growth.append((lam, abs(lam) / b.sigma_min_shifted_A(lam)))
+    lams = [1j * tau for tau in taus]
+    sweep = list(zip(lams, _resolvent_norms(b, lams)))
+    growth = [(lam, abs(lam) / b.sigma_min_shifted_A(lam)) for lam in lams]
     return RelativeBoundEstimate(
         a=b.norm_V,
         b_star=min(r for _, r in sweep),

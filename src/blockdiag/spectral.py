@@ -58,10 +58,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
     def with_partition(self, n0: int) -> "Subspace":
         return replace(self, n0=n0)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import GraphBase, GraphSubspace, form_pair, from_graph, to_graph
+from .angular import GraphBase, graph_pair, to_graph
 from .core import (
     DEFAULT_TOL,
     KERNEL_PROOF_ROUNDING,
@@ -27,12 +27,8 @@ from .core import (
     is_symmetric_offdiag,
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
-from .spectral import (
-    Subspace,
-    invariance_residual,
-    null_space_basis,
-)
-from .transform import DiagonalizationResult, diagonalize
+from .spectral import Subspace, null_space_basis
+from .transform import DiagonalizationResult, _lower, diagonalize_in_frame
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
 #: to the threshold mu and is routed through the kernel logic.
@@ -80,8 +76,12 @@ class KernelSplitReport:
 class TheoremResult:
     """Everything produced by the subordinated decomposition pipeline.
 
-    ``check`` is the subordination check the pipeline ran at ``mu``, and
-    ``L_perp`` the orthonormal basis of the complement, graph(-X*) over H1.
+    ``check`` is the subordination check the pipeline ran at ``mu``. ``L``
+    is the eigenvector basis of the reducing subspace, and ``L_perp`` the
+    orthonormal basis ``G1 L1^{-*}`` of its complement graph(-X*) over H1,
+    with ``G1 = [-X*; I]`` and ``L1`` the Cholesky factor of
+    ``I + X X* = G1* G1``. ``invariance_residuals`` bound the invariance
+    defects of both bases (README "Numerics notes").
     """
 
     L: Subspace
@@ -279,12 +279,23 @@ def run_theorem(
     """Full subordinated decomposition with verification of its claims.
 
     Builds the reducing subspace, extracts the contraction ``X``, forms
-    the skew pair ``(X, -X*)``, verifies the kernel splitting, invariance
-    of the subspace and its complement, runs both block diagonalizations,
-    and measures the mutual-adjointness defect of the two diagonal forms.
-    The hypotheses are checked once, and one eigendecomposition of B
-    serves both the kernel split and the reducing subspace. Residuals are
-    Frobenius norms over the exact ``norm(B)``; ``norm_X`` is exact.
+    the skew pair ``(X, -X*)``, verifies the kernel splitting, runs both
+    block diagonalizations, bounds the invariance defects of the subspace
+    and its complement, and measures the mutual-adjointness defect of the
+    two diagonal forms. The hypotheses are checked once, one
+    eigendecomposition of B serves the kernel split and the reducing
+    subspace, and nothing of dimension n0 + n1 is formed after it but the
+    block diagonalizations. The skew pair is a contraction, so both take
+    the blockwise route, whose Cholesky factors of ``I + X* X`` and
+    ``I + X X*`` make the unitary frame ``U = [G0 L0^{-*}, G1 L1^{-*}]``;
+    the invariance defects of graph(X) and graph(-X*) are the off-diagonal
+    blocks of ``U* B U``, read off the product ``C = (I - Y) B (I + Y)``
+    they form (:func:`~blockdiag.transform.diagonalize_in_frame`).
+    ``invariance_residuals[0]`` adds ``2 norm_F(Q1 - X Q0)``, the distance
+    of span L from graph(X) times 2, and both add the rounding slack
+    ``16 dim eps (1 + norm(X))^2`` (README "Numerics notes"), so each bounds
+    the defect of its returned basis. Residuals are Frobenius norms over
+    the exact ``norm(B)``; ``norm_X`` is exact.
     """
     if mu is None:
         mu = choose_mu(b)
@@ -298,32 +309,35 @@ def run_theorem(
             f"reducing subspace is not a graph over H0: {exc}"
         ) from exc
     x = graph.X
-    pair = form_pair(x, -x.conj().T)
-    # one SVD of X serves norm(X) here and kappa(I -/+ Y) in the transforms
+    # the extraction's one SVD serves norm(X) and kappa(I -/+ Y)
+    pair = graph_pair(graph)
     sv = pair.singular_values_X0
     norm_x = float(sv[0]) if sv.size else 0.0
     if norm_x > 1.0 + CONTRACTION_SLACK:
         raise TheoremViolationError(
             f"angular operator is not a contraction: norm(X) = {norm_x:.12g}"
         )
-    full = b.full
+    # kappa(I -/+ Y) <= sqrt(2): always the blockwise frame route
+    left, right, ((_, l1), defects) = diagonalize_in_frame(b, pair)
     scale = max(b.norm, 1e-300)
-    res_l = invariance_residual(full, sub) / scale
-    complement = from_graph(GraphSubspace(base=GraphBase.H1, X=pair.X1))
-    res_perp = invariance_residual(full, complement) / scale
-    reduces_ok = res_l <= tol and res_perp <= tol
-    left, right = diagonalize(b, pair)
-    a_plus_vy = from_blocks(right.diag_blocks[0], None, None, right.diag_blocks[1])
-    a_minus_yv = from_blocks(left.diag_blocks[0], None, None, left.diag_blocks[1])
-    adjointness = frobenius_norm(a_plus_vy.conj().T - a_minus_yv) / scale
+    slack = KERNEL_PROOF_ROUNDING * b.dim * _EPS * (1.0 + norm_x) ** 2
+    q0, q1 = sub.basis[: b.n0], sub.basis[b.n0 :]
+    # span L is within norm_F(Q1 - X Q0) of graph(X)
+    res_l = defects[0] / scale + 2.0 * frobenius_norm(q1 - x @ q0) + slack
+    res_perp = defects[1] / scale + slack
+    # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I]
+    g1h = np.hstack([-x, np.eye(b.n1)])
+    complement = Subspace(_lower(l1, g1h).conj().T, n0=b.n0)
+    blocks = zip(right.diag_blocks, left.diag_blocks)
+    adjointness = float(np.hypot(*[frobenius_norm(r.conj().T - l) for r, l in blocks]))
     return TheoremResult(
         L=sub,
         L_perp=complement,
         X=x,
         norm_X=norm_x,
         kernel_split_ok=split_report.ok,
-        reduces_ok=reduces_ok,
-        adjointness_residual=adjointness,
+        reduces_ok=res_l <= tol and res_perp <= tol,
+        adjointness_residual=adjointness / scale,
         diag_results=(left, right),
         mu=float(mu),
         invariance_residuals=(res_l, res_perp),

@@ -14,10 +14,13 @@ and the diagonal blocks ``S0 = I - X1 X0``, ``S1 = I - X0 X1`` of
 ``(I - Y)^{-1} = (I + Y)(I - Y^2)^{-1}`` and
 ``(I + Y)^{-1} = (I - Y^2)^{-1}(I - Y)`` for any pair, whether or not it
 solves the graph equations; the left form is ``C diag(S0, S1)^{-1}`` and
-the right form ``diag(S0, S1)^{-1} C``. No system larger than n0 x n0 or
-n1 x n1 is solved, except for a pair, skew or not, that is not well
-conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with
-``I - Y`` and ``I + Y``.
+the right form ``diag(S0, S1)^{-1} C``. S0 and S1 are factored once each
+for both forms: by Cholesky for a skew pair, whose factors also make the
+orthonormal frame of its two graphs (:func:`diagonalize_in_frame`), by LU
+otherwise. No system larger than n0 x n0 or n1 x n1 is solved, except for
+a pair, skew or not, that is not well conditioned
+(:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with ``I - Y`` and
+``I + Y``.
 
 On bitwise-Hermitian B with a skew pair ``X1 = -X0*`` both cross-checks
 read the one cached ``eigh`` of B. The spectral identity is certified
@@ -31,13 +34,14 @@ per shift.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import math
-
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cho_solve, lu_solve
 
 from .angular import AngularPair, GraphBase, GraphSubspace
 from .core import (
@@ -68,6 +72,9 @@ RELIABLE_CONDITION_LIMIT = 1e12
 BLOCK_SOLVE_CONDITION_LIMIT = 2.0
 
 _EPS = float(np.finfo(np.float64).eps)
+
+#: ``L^{-1} m`` for a lower-triangular L; ``L^{-*} m`` with ``trans="C"``.
+_lower = functools.partial(scipy.linalg.solve_triangular, lower=True)
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,6 @@ class ExtendedIdentityResiduals(NamedTuple):
     right_form: float
 
 
-def _solve_right(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Solve ``z t = m`` for z (i.e. ``m @ inv(t)``)."""
-    return np.linalg.solve(t.T, m.T).T
-
-
 def _pair_condition(p: AngularPair) -> float:
     """Condition number of ``I - Y`` and of ``I + Y``, which share it."""
     s = p.singular_values_I_plus_Y
@@ -147,10 +149,31 @@ def diagonalize(
     vanishes; ``right`` is ``(I + Y)^{-1} B (I + Y)``, block diagonal
     ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the one product
     ``C = (I - Y) B (I + Y)``, formed block by block, and the blocks S0, S1
-    of ``I - Y^2``; a pair whose cached condition number exceeds
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
-    (see the module docstring). Raises :class:`NotComplementaryError` when
-    a system solved is exactly singular.
+    of ``I - Y^2``, each factored once for both forms: by Cholesky for a
+    skew pair, by LU otherwise. A pair whose cached condition number
+    exceeds :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y``
+    instead (see the module docstring). Raises
+    :class:`NotComplementaryError` when a system solved is exactly singular.
+    """
+    return diagonalize_in_frame(b, p)[:2]
+
+
+def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
+    """:func:`diagonalize`, with the frame of a skew pair's two graphs.
+
+    Returns ``(left, right, frame)``. For a skew pair within
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT`, ``S0 = I + X0* X0`` and
+    ``S1 = I + X0 X0*`` are Hermitian with eigenvalues at least 1, and
+    their Cholesky factors ``S_i = L_i L_i*`` serve both forms. With
+    ``G0 = [I; X0]`` and ``G1 = [-X0*; I]``, ``G0* G1 = X1 + X0* = 0``, so
+    ``U = [G0 L0^{-*}, G1 L1^{-*}]`` is unitary; ``I + Y = [G0, G1]``, so
+    ``U* B U = L^{-1} C L^{-*}`` with ``L = diag(L0, L1)``. Its off-diagonal
+    blocks ``L1^{-1} C10 L0^{-*}`` and ``L0^{-1} C01 L1^{-*}`` are
+    ``U1* B U0`` and ``U0* B U1``, whose Frobenius norms are
+    ``norm_F((I - P) B P)`` for P the orthogonal projector onto graph(X0)
+    and onto graph(X1); they reuse the half-solved block rows of the right
+    form. ``frame`` is ``((L0, L1), (defect_0, defect_1))``, and None for
+    any other pair.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
@@ -166,19 +189,19 @@ def diagonalize(
     l00 = b.A0 - x1 @ b.W0
     l11 = b.A1 - x0 @ b.W1
     conditioning = _pair_condition(p)
-    n0 = b.n0
+    frame = None
     try:
         if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
             c = from_blocks(
                 m00 - x1 @ m10, m01 - x1 @ m11, m10 - x0 @ m00, m11 - x0 @ m01
             )
-            s0, s1 = p.blocks_I_minus_Y2
-            left = np.hstack([_solve_right(s0, c[:, :n0]), _solve_right(s1, c[:, n0:])])
-            right = np.vstack([np.linalg.solve(s0, c[:n0]), np.linalg.solve(s1, c[n0:])])
+            del m01, m10  # held to the end, they would raise the peak memory
+            conjugations = _frame_conjugations if p.skew else _lu_conjugations
+            left, right, frame = conjugations(p, c, (np.s_[: b.n0], np.s_[b.n0 :]))
         else:
             n = from_blocks(l00, b.W1 - x1 @ b.A1, b.W0 - x0 @ b.A0, l11)
             eye = np.eye(b.dim, dtype=np.complex128)
-            left = _solve_right(eye - p.Y, n)
+            left = np.linalg.solve((eye - p.Y).T, n.T).T
             right = np.linalg.solve(eye + p.Y, from_blocks(m00, m01, m10, m11))
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
@@ -195,7 +218,33 @@ def diagonalize(
             diag_blocks=(m00, m11),
             conditioning=conditioning,
         ),
+        frame,
     )
+
+
+def _lu_conjugations(p: AngularPair, c: np.ndarray, halves):
+    """``C S^{-1}`` and ``S^{-1} C``, each block S_i factored once by LU."""
+    lus = [scipy.linalg.lu_factor(s) for s in p.blocks_I_minus_Y2]
+    # C S^{-1} = (S^{-T} C^T)^T
+    left = np.vstack([lu_solve(f, c[:, h].T, 1) for f, h in zip(lus, halves)]).T
+    return left, np.vstack([lu_solve(f, c[h]) for f, h in zip(lus, halves)]), None
+
+
+def _frame_conjugations(p: AngularPair, c: np.ndarray, halves):
+    """``C S^{-1}``, ``S^{-1} C`` and the frame, for ``S_i = L_i L_i*``."""
+    fs, defects = [np.linalg.cholesky(s) for s in p.blocks_I_minus_Y2], []
+    # filled in place: no dim-size temporary beyond the two results
+    left, right = np.empty_like(c), np.empty_like(c)
+    for i, j in ((0, 1), (1, 0)):
+        hi, hj = halves[i], halves[j]
+        z = _lower(fs[i], c[hi])  # L_i^{-1} [C_i0, C_i1]
+        # (L_i^{-1} C_ij L_j^{-*})* = L_j^{-1} (L_i^{-1} C_ij)*: graph(X1)'s first
+        defects.insert(0, frobenius_norm(_lower(fs[j], z[:, hj].conj().T)))
+        right[hi] = _lower(fs[i], z, trans="C", overwrite_b=True)
+        # C S^{-1} = (S^{-1} C*)* for Hermitian S, solved in the buffer of z
+        z = cho_solve((fs[i], True), np.conjugate(c[:, hi].T, out=z), overwrite_b=True)
+        np.conjugate(z.T, out=left[:, hi])
+    return left, right, (fs, tuple(defects))
 
 
 def verify_extended_identity(

@@ -1,3 +1,6 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdiag import (
+    BlockMatrix,
     check_complementary,
     form_pair,
     from_graph,
+    save_problem,
     to_graph,
 )
+from blockdiag import angular
 from blockdiag.angular import GRAPH_SIGMA_TOL, GraphBase, GraphSubspace
+from blockdiag.cli import main
+from blockdiag.io import ProblemFile
 from blockdiag.errors import NotAGraphError, StructuralError
 from blockdiag.spectral import Subspace, eigenbasis_subspace
 from conftest import containment
@@ -113,6 +121,55 @@ def test_to_graph_gate_at_the_tolerance(base):
     assert info.value.sigma_min == pytest.approx(0.5 * GRAPH_SIGMA_TOL, rel=1e-6)
     g = to_graph(_graph_basis(rng, 3, 4, base, 2.0 * GRAPH_SIGMA_TOL), base)
     assert np.linalg.norm(g.X, 2) == pytest.approx(0.5 / GRAPH_SIGMA_TOL, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(list(GraphBase)),
+    st.floats(-9.0, 0.0),
+)
+def test_to_graph_gate_value_is_a_lower_bound_on_sigma_min(
+    seed, n0, n1, base, log_sigma
+):
+    """The gate value read off the SVD of X is sigma_min of the base-block
+    component to within 1e-10 below and 1e-12 above, relative, plus the
+    absolute rounding floor that both the reference SVD and the LU solve
+    carry (about eps, so it matters only for sigma_min below about 1e-4)."""
+    u = _graph_basis(np.random.default_rng(seed), n0, n1, base, 10.0**log_sigma)
+    q_base = u.basis[:n0] if base is GraphBase.H0 else u.basis[n0:]
+    sigma_min = np.linalg.svd(q_base, compute_uv=False)[-1]
+    # a gate no value passes reports the value it gated
+    with mock.patch.object(angular, "GRAPH_SIGMA_TOL", 2.0):
+        with pytest.raises(NotAGraphError) as info:
+            to_graph(u, base)
+    floor = 16 * (n0 + n1) * np.finfo(float).eps
+    assert (1 - 1e-10) * sigma_min - floor <= info.value.sigma_min
+    assert info.value.sigma_min <= sigma_min * (1 + 1e-12) + floor
+
+
+@pytest.mark.parametrize("base", list(GraphBase))
+def test_to_graph_of_an_exactly_singular_base_block_is_not_a_graph(base):
+    # the base component [[1, 0], [0, 0]] is exactly singular: LU breaks down
+    columns = [0, 2] if base is GraphBase.H0 else [2, 0]
+    u = Subspace(basis=np.eye(4)[:, columns], n0=2)
+    with pytest.raises(NotAGraphError) as info:
+        to_graph(u, base)
+    assert info.value.sigma_min == 0.0
+
+
+def test_check_exits_2_on_a_spectral_side_that_is_no_graph(tmp_path):
+    # below mu = 0 lie the eigenvectors of A1 exactly: their H0 part is zero
+    zero = np.zeros((2, 2))
+    b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([-1.0, -2.0]), zero, zero)
+    path = tmp_path / "vertical.json"
+    save_problem(path, ProblemFile(block=b, mu=0.0))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--out", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "NotAGraphError" and error["sigma_min"] == 0.0
 
 
 def test_from_graph_zero_operator():

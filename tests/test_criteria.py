@@ -203,3 +203,25 @@ def test_resolvent_norm_refuses_non_finite_shifts(lam):
     b = BlockMatrix(np.diag([1.0, -1.0]), np.diag([2.0]), np.ones((1, 2)), np.ones((2, 1)))
     with pytest.raises(StructuralError, match="not finite"):
         resolvent_norm(b, lam)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relative_bound_sweep_values_unchanged_by_shared_products(seed):
+    """The sweep forms ``W1 Q1`` and ``W0 Q0`` once; every value is bitwise
+    the per-shift formula ``max(norm(W1 Q1 D1), norm(W0 Q0 D0))``."""
+    rng = np.random.default_rng(seed)
+    a0, a1 = (0.5 * (m + m.conj().T) for m in (_cmat(rng, 5, 5), _cmat(rng, 4, 4)))
+    w1 = _cmat(rng, 5, 4)
+    b = BlockMatrix(a0, a1, w1.conj().T, w1)
+    taus = list(np.logspace(0, 6, 13))
+    (e0, q0), (e1, q1) = b.eigh_A
+    expected = [
+        max(
+            np.linalg.svd((b.W1 @ q1) / (e1 - 1j * t), compute_uv=False)[0],
+            np.linalg.svd((b.W0 @ q0) / (e0 - 1j * t), compute_uv=False)[0],
+        )
+        for t in taus
+    ]
+    sweep = [value for _, value in estimate_relative_bound(b, taus).lambda_sweep]
+    assert sweep == expected
+    assert sweep == [resolvent_norm(b, 1j * t) for t in taus]

@@ -256,12 +256,18 @@ def test_potential_refuses_non_finite_parameters(kwargs):
 
 
 def test_pipeline_complement_is_the_theorems_complement():
+    """``L_perp`` spans graph(-X*) over H1 and is orthonormal; its basis is
+    the Cholesky frame ``G1 L1^{-*}``, so it is compared by projectors with
+    an independent QR basis of the same graph."""
     from blockdiag.angular import GraphBase, GraphSubspace, from_graph
 
     result = run_dirac_pipeline(_problem(n=4, amplitude=0.3))
     theorem = result.theorem
-    rebuilt = from_graph(GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T))
-    np.testing.assert_array_equal(theorem.L_perp.basis, rebuilt.basis)
+    q = theorem.L_perp.basis
+    rebuilt = from_graph(GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T)).basis
+    distance = np.linalg.norm(q @ q.conj().T - rebuilt @ rebuilt.conj().T, 2)
+    assert distance <= 1e-13
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-13
 
 
 def _dense_t(ops):

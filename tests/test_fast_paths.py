@@ -384,7 +384,8 @@ def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeyp
     estimate_relative_bound(nearly, taus)
     assert nearly.eigh_A is None
     assert (nearly.dim, nearly.dim) not in calls["eigvals"]
-    assert calls["eigvals"].count((5, 5)) == len(taus)
+    # the spectra of A0 and A1 serve every shift of the sweep
+    assert calls["eigvals"].count((5, 5)) == 1
     assert calls["eigh"] == []
 
 
@@ -427,6 +428,52 @@ def test_graph_extraction_runs_one_svd_and_no_lstsq(tmp_path, monkeypatch, entry
     # check's Hermitian pair is (X0, -X0*): one extraction, as in the others
     assert per_call == [1]
     assert lstsq == []
+
+
+@pytest.mark.parametrize("entry", ["run_theorem", "run_dirac_pipeline"])
+def test_theorem_frame_runs_no_qr_and_factors_each_block_once(monkeypatch, entry):
+    """On bitwise-Hermitian input the complement and both invariance
+    residuals come from the Cholesky frame of the diagonalizations: no QR,
+    no dense invariance product, one values-only SVD per graph extraction,
+    and one factorization of each block of ``I - Y^2``."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    qr = _record_shapes(monkeypatch, np.linalg, "qr")
+    residuals = _record_shapes(monkeypatch, spectral, "invariance_residual")
+    cholesky = _record_shapes(monkeypatch, np.linalg, "cholesky")
+    lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
+    solves = _record_shapes(monkeypatch, np.linalg, "solve")
+    svds, per_call = [], []
+    svd, extract = np.linalg.svd, subordinated.to_graph
+
+    def recorded_svd(a, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+        return svd(a, *args, **kwargs)
+
+    def counted_extract(*args, **kwargs):
+        before = len(svds)
+        result = extract(*args, **kwargs)
+        per_call.append(svds[before:])
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(subordinated, "to_graph", counted_extract)
+    if entry == "run_theorem":
+        result = run_theorem(b, mu=0.0)
+        n0, n1 = 6, 5
+    else:
+        problem = dirac.DiracProblem(
+            grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
+        )
+        result = dirac.run_dirac_pipeline(problem).theorem
+        n0, n1 = result.L.n0, result.L_perp.dim
+    assert result.reduces_ok
+    assert qr == [] and residuals == []
+    assert per_call == [[False]]
+    assert cholesky == [(n0, n0), (n1, n1)] and lu == []
+    # the extraction's LU solve is the only one
+    assert solves == [(n0, n0)]
+    if entry == "run_theorem":
+        assert svds == [False]
 
 
 @pytest.mark.parametrize("nearly", [False, True])

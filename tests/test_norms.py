@@ -21,7 +21,8 @@ from blockdiag import (
     run_theorem,
     triangularize,
 )
-from blockdiag import dirac, subordinated
+from blockdiag import dirac, from_graph, subordinated
+from blockdiag.angular import GraphBase, GraphSubspace
 from blockdiag.cli import main
 from blockdiag.io import ProblemFile, save_problem
 from blockdiag.errors import StructuralError
@@ -182,6 +183,68 @@ def test_theorem_residuals_bound_exact(seed, n0, n1, coupling):
     exact = _norm2(mq - q @ (q.conj().T @ mq)) / scale
     assert _at_least(result.invariance_residuals[0], exact)
     assert result.norm_X == pytest.approx(_norm2(result.X), rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(seeds, dims, dims, st.floats(0.1, 2.0))
+def test_theorem_complement_residual_bounds_exact(seed, n0, n1, coupling):
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed % 2**16).block
+    result = run_theorem(b, mu=0.0)
+    full = b.assemble()
+    q = result.L_perp.basis
+    mq = full @ q
+    exact = _norm2(mq - q @ (q.conj().T @ mq)) / _norm2(full)
+    assert _at_least(result.invariance_residuals[1], exact)
+
+
+def _dense_defect(full, base, x) -> float:
+    """``norm_F((I - P) B P) / norm(B)`` for P onto graph(x), from a QR basis."""
+    q = from_graph(GraphSubspace(base=base, X=x)).basis
+    mq = full @ q
+    return np.linalg.norm(mq - q @ (q.conj().T @ mq)) / _norm2(full)
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+@pytest.mark.parametrize("seed", range(3))
+def test_theorem_residuals_fail_on_a_perturbed_angular_operator(
+    tmp_path, monkeypatch, seed, size
+):
+    """Negative control: ``run_theorem`` sees ``X + E``.
+
+    The frame residuals then read the defect of graph(X + E) and of its
+    complement; ``invariance_residuals[0]`` also carries its distance term
+    ``2 norm_F(Q1 - (X + E) Q0)``, of the size of E, because it bounds the
+    defect of the eigenvector basis L, which E does not move.
+    """
+    problem = random_case(6, 5, gap=1.0, coupling=0.5, seed=seed)
+    b = problem.block
+    rng = np.random.default_rng(seed)
+    e = _cmat(rng, 5, 6)
+    e *= size / np.linalg.norm(e)
+    extract = subordinated.to_graph
+
+    def perturbed(u, base):
+        return GraphSubspace(base=base, X=extract(u, base).X + e)
+
+    monkeypatch.setattr(subordinated, "to_graph", perturbed)
+    result = run_theorem(b, mu=0.0)
+    full = b.assemble()
+    x = result.X
+    d = _dense_defect(full, GraphBase.H0, x)
+    assert d == pytest.approx(
+        _dense_defect(full, GraphBase.H1, -x.conj().T), rel=1e-6
+    )
+    res_l, res_perp = result.invariance_residuals
+    left, right = result.diag_results
+    for value in (res_perp, left.offdiag_rel_norm, right.offdiag_rel_norm):
+        assert d / 2 <= value <= 2 * d
+    q = result.L.basis
+    distance = np.linalg.norm(q[6:] - x @ q[:6])
+    assert d <= res_l and d / 2 <= res_l - 2 * distance <= 2 * d
+    assert not result.reduces_ok
+    path = tmp_path / "problem.json"
+    save_problem(path, problem)
+    assert main(["subordinated", str(path), "--mu", "0"]) == 1
 
 
 # --- cached norms are exact -----------------------------------------------
