@@ -17,6 +17,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .core import BlockMatrix, as_matrix, from_blocks
 from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
@@ -135,6 +136,18 @@ class AngularPair:
         s0.flags.writeable = False
         s1.flags.writeable = False
         return s0, s1
+
+    @cached_property
+    def factors_I_minus_Y2(self) -> tuple:
+        """Factors of ``(S0, S1)``, computed once for every solve with them.
+
+        A skew pair's ``S0 = I + X0* X0`` and ``S1 = I + X0 X0*`` are
+        Hermitian with eigenvalues at least 1: their lower Cholesky factors
+        ``L_i``, ``S_i = L_i L_i*``. Any other pair's: the
+        ``scipy.linalg.lu_factor`` pair of each block.
+        """
+        factor = np.linalg.cholesky if self.skew else scipy.linalg.lu_factor
+        return tuple(factor(s) for s in self.blocks_I_minus_Y2)
 
     @cached_property
     def singular_values_X1(self) -> np.ndarray:

@@ -10,7 +10,7 @@ SVD-based with a relative tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,14 @@ class Subspace:
         return self.basis.shape[1]
 
     def with_partition(self, n0: int) -> "Subspace":
-        return replace(self, n0=n0)
+        """This subspace with the H0/H1 partition ``n0``, sharing the basis.
+
+        The basis was checked and frozen when this subspace was made, so
+        it is not checked or copied again.
+        """
+        out = object.__new__(Subspace)
+        out.__dict__.update(vars(self), n0=n0)
+        return out
 
 
 def eigenvalues(m) -> np.ndarray:

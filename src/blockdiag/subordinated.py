@@ -325,9 +325,9 @@ def run_theorem(
     # span L is within norm_F(Q1 - X Q0) of graph(X)
     res_l = defects[0] / scale + 2.0 * frobenius_norm(q1 - x @ q0) + slack
     res_perp = defects[1] / scale + slack
-    # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I]
-    g1h = np.hstack([-x, np.eye(b.n1)])
-    complement = Subspace(_lower(l1, g1h).conj().T, n0=b.n0)
+    # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I], solved block by block
+    g1h = np.hstack([_lower(l1, -x), _lower(l1, np.eye(b.n1))])
+    complement = Subspace(g1h.conj().T, n0=b.n0)
     blocks = zip(right.diag_blocks, left.diag_blocks)
     adjointness = float(np.hypot(*[frobenius_norm(r.conj().T - l) for r, l in blocks]))
     return TheoremResult(

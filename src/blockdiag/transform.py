@@ -8,25 +8,34 @@ triangular form. This module performs those conjugations numerically,
 reports off-diagonal defects and conditioning, and provides the resolvent
 and spectral cross-checks.
 
-Both conjugations come from one blockwise product ``C = (I - Y) B (I + Y)``
-and the diagonal blocks ``S0 = I - X1 X0``, ``S1 = I - X0 X1`` of
-``I - Y^2 = (I - Y)(I + Y)``. Polynomials in Y commute, so
-``(I - Y)^{-1} = (I + Y)(I - Y^2)^{-1}`` and
+Both conjugations come from the blocks of one product
+``C = (I - Y) B (I + Y)`` and the diagonal blocks ``S0 = I - X1 X0``,
+``S1 = I - X0 X1`` of ``I - Y^2 = (I - Y)(I + Y)``. Polynomials in Y
+commute, so ``(I - Y)^{-1} = (I + Y)(I - Y^2)^{-1}`` and
 ``(I + Y)^{-1} = (I - Y^2)^{-1}(I - Y)`` for any pair, whether or not it
 solves the graph equations; the left form is ``C diag(S0, S1)^{-1}`` and
-the right form ``diag(S0, S1)^{-1} C``. S0 and S1 are factored once each
-for both forms: by Cholesky for a skew pair, whose factors also make the
-orthonormal frame of its two graphs (:func:`diagonalize_in_frame`), by LU
-otherwise. No system larger than n0 x n0 or n1 x n1 is solved, except for
-a pair, skew or not, that is not well conditioned
+the right form ``diag(S0, S1)^{-1} C``. S0 and S1 are factored once each,
+on the pair (``AngularPair.factors_I_minus_Y2``), for both forms and the
+extended identity: by Cholesky for a skew pair, whose factors also make
+the orthonormal frame of its two graphs (:func:`diagonalize_in_frame`),
+by LU otherwise. Only the off-diagonal blocks of C and of both forms are
+formed eagerly; the diagonal blocks of C and the dense forms are formed
+when first read. No system larger than n0 x n0 or n1 x n1 is solved,
+except for a pair, skew or not, that is not well conditioned
 (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with ``I - Y`` and
 ``I + Y``.
+
+For a skew pair ``X1 = -X0*`` on bitwise-Hermitian B, ``I - Y = (I + Y)*``,
+so C is Hermitian and the left form is the adjoint of the right one:
+``C01 = C10*``, where ``C10 = W0 + A1 X0 - X0 A0 - X0 W1 X0`` is the
+uncentred graph-equation residual of X0, and the off-diagonal blocks of
+both forms and both frame defects are read off C10 alone.
 
 On bitwise-Hermitian B with a skew pair ``X1 = -X0*`` both cross-checks
 read the one cached ``eigh`` of B. The spectral identity is certified
 from it (:func:`verify_spectral_identity`), and a well-conditioned pair's
 two graphs, orthogonal complements of each other, are orthonormalized in
-the eigenbasis by Cholesky factors of S0 and S1
+the eigenbasis by the Cholesky factors of S0 and S1 cached on the pair
 (:func:`verify_resolvent_invariance`). Every other input measures: the
 eigenvalues of the four diagonal blocks, and one solve with ``B - lam``
 per shift.
@@ -37,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -83,24 +92,31 @@ class DiagonalizationResult:
 
     ``transformed`` is the literal conjugation ``(I - Y) B (I - Y)^{-1}``
     (left form) or ``(I + Y)^{-1} B (I + Y)`` (right form), formed as
-    ``C diag(S0, S1)^{-1}`` or ``diag(S0, S1)^{-1} C`` from the shared
-    product ``C = (I - Y) B (I + Y)`` (see the module docstring for the
-    exception); it is not read off the graph-equation residual.
-    ``diag_blocks`` holds the closed-form diagonal blocks computed directly
-    from the inputs (not read off the conjugation), so the off-diagonal
-    defect and the block mismatch can be judged independently.
+    ``C diag(S0, S1)^{-1}`` or ``diag(S0, S1)^{-1} C`` from the product
+    ``C = (I - Y) B (I + Y)`` (see the module docstring for the
+    exception); it is not read off the graph-equation residual. It is
+    assembled on first read (by ``assemble``): only its off-diagonal
+    blocks, which ``offdiag_rel_norm`` measures, are formed with the
+    result. ``diag_blocks`` holds the closed-form diagonal blocks computed
+    directly from the inputs (not read off the conjugation), so the
+    off-diagonal defect and the block mismatch can be judged independently.
     ``offdiag_rel_norm`` is a Frobenius residual over the exact ``norm(B)``;
     ``conditioning`` is the exact 2-norm condition number of ``I -/+ Y``.
     """
 
-    transformed: np.ndarray
     offdiag_rel_norm: float
     diag_blocks: tuple[np.ndarray, np.ndarray]
     conditioning: float
+    assemble: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def reliable(self) -> bool:
         return self.conditioning <= RELIABLE_CONDITION_LIMIT
+
+    @functools.cached_property
+    def transformed(self) -> np.ndarray:
+        """The dense conjugation, assembled on first read."""
+        return self.assemble()
 
 
 @dataclass(frozen=True)
@@ -130,13 +146,22 @@ def _pair_condition(p: AngularPair) -> float:
     return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
-def _offdiag_rel_norm(b: BlockMatrix, transformed: np.ndarray) -> float:
-    n0 = b.n0
-    off = np.hypot(
-        frobenius_norm(transformed[:n0, n0:]), frobenius_norm(transformed[n0:, :n0])
-    )
+def _offdiag_rel_norm(b: BlockMatrix, t01: np.ndarray, t10: np.ndarray) -> float:
+    off = math.hypot(frobenius_norm(t01), frobenius_norm(t10))
     scale = b.norm
     return off / scale if scale > 0.0 else off
+
+
+def _s_solve(f, m: np.ndarray, on_right: bool = False) -> np.ndarray:
+    """``S^{-1} m``, or ``m S^{-1}`` ``on_right``, for one block S of ``I - Y^2``.
+
+    ``f`` is its entry of ``AngularPair.factors_I_minus_Y2``: the Cholesky
+    factor L of ``S = L L*``, or the LU pair of ``scipy.linalg.lu_factor``.
+    """
+    a = m.conj().T if on_right else m  # m S^{-1} = (S^{-*} m*)*
+    lu = isinstance(f, tuple)
+    x = lu_solve(f, a, 2 * on_right) if lu else cho_solve((f, True), a)
+    return x.conj().T if on_right else x
 
 
 def diagonalize(
@@ -147,13 +172,17 @@ def diagonalize(
     ``left`` is ``(I - Y) B (I - Y)^{-1}``, block diagonal
     ``diag(A0 - X1 W0, A1 - X0 W1)`` when the graph-equation residual
     vanishes; ``right`` is ``(I + Y)^{-1} B (I + Y)``, block diagonal
-    ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the one product
-    ``C = (I - Y) B (I + Y)``, formed block by block, and the blocks S0, S1
-    of ``I - Y^2``, each factored once for both forms: by Cholesky for a
-    skew pair, by LU otherwise. A pair whose cached condition number
-    exceeds :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y``
-    instead (see the module docstring). Raises
-    :class:`NotComplementaryError` when a system solved is exactly singular.
+    ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the blocks of
+    the one product ``C = (I - Y) B (I + Y)`` and the blocks S0, S1 of
+    ``I - Y^2``, factored once on the pair: by Cholesky for a skew pair, by
+    LU otherwise. The off-diagonal blocks of C and of both forms are formed
+    here, and each ``transformed`` only when read. On bitwise-Hermitian B
+    with a skew pair C is Hermitian and ``left`` is the adjoint of
+    ``right``: C10 alone is formed, and both ``offdiag_rel_norm`` are the
+    same number. A pair whose cached condition number exceeds
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
+    (see the module docstring). Raises :class:`NotComplementaryError` when
+    a system solved is exactly singular.
     """
     return diagonalize_in_frame(b, p)[:2]
 
@@ -171,80 +200,69 @@ def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
     blocks ``L1^{-1} C10 L0^{-*}`` and ``L0^{-1} C01 L1^{-*}`` are
     ``U1* B U0`` and ``U0* B U1``, whose Frobenius norms are
     ``norm_F((I - P) B P)`` for P the orthogonal projector onto graph(X0)
-    and onto graph(X1); they reuse the half-solved block rows of the right
-    form. ``frame`` is ``((L0, L1), (defect_0, defect_1))``, and None for
-    any other pair.
+    and onto graph(X1); they reuse the first triangular solve of the right
+    form's off-diagonal blocks. For Hermitian B the two are adjoints, and
+    one is formed. ``frame`` is ``((L0, L1), (defect_0, defect_1))``, and
+    None for any other pair.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
             f"pair dimensions {(p.n0, p.n1)} do not match blocks {(b.n0, b.n1)}"
         )
-    x0, x1 = p.X0, p.X1
-    # M = B (I + Y); its diagonal blocks are the right form's closed form
-    m00 = b.A0 + b.W1 @ x0
-    m01 = b.W1 + b.A0 @ x1
+    x0, x1, a0, w1 = p.X0, p.X1, b.A0, b.W1
+    # the diagonal blocks of M = B (I + Y) are the right form's closed form
+    m00 = a0 + w1 @ x0
     m10 = b.W0 + b.A1 @ x0
     m11 = b.A1 + b.W0 @ x1
     # the diagonal blocks of (I - Y) B: the left form's closed form
-    l00 = b.A0 - x1 @ b.W0
-    l11 = b.A1 - x0 @ b.W1
+    l00 = a0 - x1 @ b.W0
+    l11 = b.A1 - x0 @ w1
     conditioning = _pair_condition(p)
-    frame = None
+    hermitian, frame = False, None
     try:
         if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
-            c = from_blocks(
-                m00 - x1 @ m10, m01 - x1 @ m11, m10 - x0 @ m00, m11 - x0 @ m01
-            )
-            del m01, m10  # held to the end, they would raise the peak memory
-            conjugations = _frame_conjugations if p.skew else _lu_conjugations
-            left, right, frame = conjugations(p, c, (np.s_[: b.n0], np.s_[b.n0 :]))
+            hermitian, fs = b.bitwise_hermitian and p.skew, p.factors_I_minus_Y2
+            # C = (I - Y) M by blocks; C10 is the graph-equation residual of X0
+            c10 = m10 - x0 @ m00
+            c01 = c10.conj().T if hermitian else (w1 + a0 @ x1) - x1 @ m11
+            if p.skew:
+                z0, z1 = _lower(fs[0], c01), _lower(fs[1], c10)
+                # (L1^{-1} C10 L0^{-*})* = L0^{-1} z1*; for Hermitian C, U0* B U1
+                # is the adjoint of U1* B U0
+                d0 = frobenius_norm(_lower(fs[0], z1.conj().T))
+                d1 = d0 if hermitian else frobenius_norm(_lower(fs[1], z0.conj().T))
+                r01, r10 = _lower(fs[0], z0, trans="C"), _lower(fs[1], z1, trans="C")
+                frame = fs, (d0, d1)
+            else:
+                r01, r10 = _s_solve(fs[0], c01), _s_solve(fs[1], c10)
+
+            def assemble(t01, t10, on_right):  # forms C00, C11 when first read
+                c00, c11 = m00 - x1 @ m10, m11 - x0 @ (w1 + a0 @ x1)
+                t00, t11 = (_s_solve(f, c, on_right) for f, c in zip(fs, (c00, c11)))
+                return from_blocks(t00, t01, t10, t11)
+
+            right_form = functools.partial(assemble, r01, r10, False)
+            if hermitian:  # left = right*
+                left_form = lambda: right.transformed.conj().T
+            else:
+                l01, l10 = _s_solve(fs[1], c01, True), _s_solve(fs[0], c10, True)
+                left_form = functools.partial(assemble, l01, l10, True)
         else:
-            n = from_blocks(l00, b.W1 - x1 @ b.A1, b.W0 - x0 @ b.A0, l11)
+            n = from_blocks(l00, w1 - x1 @ b.A1, b.W0 - x0 @ a0, l11)
             eye = np.eye(b.dim, dtype=np.complex128)
-            left = np.linalg.solve((eye - p.Y).T, n.T).T
-            right = np.linalg.solve(eye + p.Y, from_blocks(m00, m01, m10, m11))
+            dl = np.linalg.solve((eye - p.Y).T, n.T).T
+            dr = np.linalg.solve(eye + p.Y, from_blocks(m00, w1 + a0 @ x1, m10, m11))
+            h0, h1 = np.s_[: b.n0], np.s_[b.n0 :]
+            (l01, l10), (r01, r10) = ((t[h0, h1], t[h1, h0]) for t in (dl, dr))
+            left_form, right_form = (lambda: dl), (lambda: dr)
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
-    return (
-        DiagonalizationResult(
-            transformed=left,
-            offdiag_rel_norm=_offdiag_rel_norm(b, left),
-            diag_blocks=(l00, l11),
-            conditioning=conditioning,
-        ),
-        DiagonalizationResult(
-            transformed=right,
-            offdiag_rel_norm=_offdiag_rel_norm(b, right),
-            diag_blocks=(m00, m11),
-            conditioning=conditioning,
-        ),
-        frame,
+    right = DiagonalizationResult(
+        _offdiag_rel_norm(b, r01, r10), (m00, m11), conditioning, right_form
     )
-
-
-def _lu_conjugations(p: AngularPair, c: np.ndarray, halves):
-    """``C S^{-1}`` and ``S^{-1} C``, each block S_i factored once by LU."""
-    lus = [scipy.linalg.lu_factor(s) for s in p.blocks_I_minus_Y2]
-    # C S^{-1} = (S^{-T} C^T)^T
-    left = np.vstack([lu_solve(f, c[:, h].T, 1) for f, h in zip(lus, halves)]).T
-    return left, np.vstack([lu_solve(f, c[h]) for f, h in zip(lus, halves)]), None
-
-
-def _frame_conjugations(p: AngularPair, c: np.ndarray, halves):
-    """``C S^{-1}``, ``S^{-1} C`` and the frame, for ``S_i = L_i L_i*``."""
-    fs, defects = [np.linalg.cholesky(s) for s in p.blocks_I_minus_Y2], []
-    # filled in place: no dim-size temporary beyond the two results
-    left, right = np.empty_like(c), np.empty_like(c)
-    for i, j in ((0, 1), (1, 0)):
-        hi, hj = halves[i], halves[j]
-        z = _lower(fs[i], c[hi])  # L_i^{-1} [C_i0, C_i1]
-        # (L_i^{-1} C_ij L_j^{-*})* = L_j^{-1} (L_i^{-1} C_ij)*: graph(X1)'s first
-        defects.insert(0, frobenius_norm(_lower(fs[j], z[:, hj].conj().T)))
-        right[hi] = _lower(fs[i], z, trans="C", overwrite_b=True)
-        # C S^{-1} = (S^{-1} C*)* for Hermitian S, solved in the buffer of z
-        z = cho_solve((fs[i], True), np.conjugate(c[:, hi].T, out=z), overwrite_b=True)
-        np.conjugate(z.T, out=left[:, hi])
-    return left, right, (fs, tuple(defects))
+    left_off = right.offdiag_rel_norm if hermitian else _offdiag_rel_norm(b, l01, l10)
+    left = DiagonalizationResult(left_off, (l00, l11), conditioning, left_form)
+    return left, right, frame
 
 
 def verify_extended_identity(
@@ -262,21 +280,25 @@ def verify_extended_identity(
     ``right.diag_blocks``. Both residuals are Frobenius norms relative to
     the exact ``norm(B)``; in exact arithmetic with a vanishing
     graph-equation residual both are zero, and the second one certifies
-    that the scaled left form reproduces ``A + V Y``.
+    that the scaled left form reproduces ``A + V Y``. S0 and S1 are solved
+    with the factors cached on the pair, which :func:`diagonalize` made,
+    and the right conjugation is read block by block off ``right.transformed``.
     """
     try:
         r0, r1 = (
-            np.linalg.solve(s, d @ s)
-            for s, d in zip(p.blocks_I_minus_Y2, left.diag_blocks)
+            _s_solve(f, d @ s)
+            for f, s, d in zip(
+                p.factors_I_minus_Y2, p.blocks_I_minus_Y2, left.diag_blocks
+            )
         )
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
-    rhs = from_blocks(r0, None, None, r1)
-    a_plus_vy = from_blocks(right.diag_blocks[0], None, None, right.diag_blocks[1])
-    scale = max(b.norm, 1e-300)
-    identity = frobenius_norm(right.transformed - rhs) / scale
-    right_form = frobenius_norm(rhs - a_plus_vy) / scale
-    return ExtendedIdentityResiduals(identity=identity, right_form=right_form)
+    t, n0 = right.transformed, b.n0
+    (m00, m11), scale = right.diag_blocks, max(b.norm, 1e-300)
+    blocks = (t[:n0, :n0] - r0, t[:n0, n0:], t[n0:, :n0], t[n0:, n0:] - r1)
+    identity = math.hypot(*map(frobenius_norm, blocks))
+    right_form = math.hypot(frobenius_norm(r0 - m00), frobenius_norm(r1 - m11))
+    return ExtendedIdentityResiduals(identity / scale, right_form / scale)
 
 
 def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
@@ -364,15 +386,19 @@ def verify_resolvent_invariance(
 def _skew_pair_sweep(
     b: BlockMatrix, p: AngularPair, lams: list[complex]
 ) -> list[list[float]]:
-    """The skew-pair route of :func:`verify_resolvent_invariance`."""
+    """The skew-pair route of :func:`verify_resolvent_invariance`.
+
+    It reads the Cholesky factors ``L_i`` cached on the pair
+    (``AngularPair.factors_I_minus_Y2``), which :func:`diagonalize` made.
+    """
     w, v = b.eigh
     n0 = b.n0
     vh = v.conj().T
     # the rows of W_i* = L_i^{-1} G_i* V, from two half-size products
     rows = [
-        scipy.linalg.solve_triangular(np.linalg.cholesky(s), u.conj().T, lower=True)
-        for s, u in zip(
-            p.blocks_I_minus_Y2,
+        _lower(f, u.conj().T)
+        for f, u in zip(
+            p.factors_I_minus_Y2,
             (vh[:, :n0] + vh[:, n0:] @ p.X0, vh[:, :n0] @ p.X1 + vh[:, n0:]),
         )
     ]

@@ -6,6 +6,7 @@ factorization. Each fast path must agree with its general form, and the
 count tests pin which factorizations a command runs.
 """
 
+import functools
 import pathlib
 import tempfile
 from unittest import mock
@@ -337,10 +338,11 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
 
 @pytest.mark.parametrize("skew", [False, True])
 def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
-    """Both diagonalizations and the extended identity solve with the
-    n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a well-conditioned pair,
-    skew or not; triangularization solves nothing. No dim x dim system is
-    solved."""
+    """Both diagonalizations, their dense forms and the extended identity
+    solve with the n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a
+    well-conditioned pair, skew or not, each factored once on the pair: by
+    Cholesky for a skew pair, by LU otherwise. Triangularization solves
+    nothing. No system is solved by ``np.linalg.solve``."""
     rng = np.random.default_rng(5)
     n0, n1 = 3, 5
     b = random_block(rng, n0, n1)
@@ -348,12 +350,39 @@ def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     pair = form_pair(x0, -x0.conj().T if skew else 0.05 * _cmat(rng, n0, n1))
     assert _condition_svd(np.eye(b.dim) - pair.Y) <= BLOCK_SOLVE_CONDITION_LIMIT
     shapes = _record_shapes(monkeypatch, np.linalg, "solve")
+    cholesky = _record_shapes(monkeypatch, np.linalg, "cholesky")
+    lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
     left, right = diagonalize(b, pair)
     verify_extended_identity(b, pair, left, right)
-    assert sorted(set(shapes)) == [(n0, n0), (n1, n1)]
-    shapes.clear()
+    assert left.transformed.shape == (b.dim, b.dim)
+    assert shapes == []
+    assert (cholesky if skew else lu) == [(n0, n0), (n1, n1)]
+    assert (lu if skew else cholesky) == []
     triangularize(b, x0)
     assert shapes == []
+
+
+def test_hermitian_check_factors_each_block_of_i_minus_y2_once(tmp_path, monkeypatch):
+    """``diagonalize``, the extended identity and the resolvent sweep of a
+    Hermitian ``check`` share one Cholesky factor of each S_i, cached on
+    the pair: S0 and S1 are never solved by LU."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    s_blocks = spectral_pair(b, 0.0).blocks_I_minus_Y2
+    path = _check_file(tmp_path, b)
+    cholesky = _record_shapes(monkeypatch, np.linalg, "cholesky")
+    lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
+    solved, solve = [], np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, *args: solved.append(a) or solve(a, *args)
+    )
+    assert main(["check", path, "--lambdas", "4"]) == 0
+    assert cholesky == [(6, 6), (5, 5)]
+    assert lu == []
+    # the graph extraction and the spectral-identity certificate solve
+    # with eigenvector blocks of these sizes; none of them is an S_i
+    assert solved and not any(
+        m.shape == s.shape and np.allclose(m, s) for m in solved for s in s_blocks
+    )
 
 
 def test_ill_conditioned_pair_that_is_not_skew_solves_with_i_minus_y(monkeypatch):
@@ -474,6 +503,73 @@ def test_theorem_frame_runs_no_qr_and_factors_each_block_once(monkeypatch, entry
     assert solves == [(n0, n0)]
     if entry == "run_theorem":
         assert svds == [False]
+
+
+def _record_returns(monkeypatch, owner, name):
+    """What each call of ``owner.name`` returned."""
+    returned = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return returned
+
+
+def _record_rhs(monkeypatch, owner, name):
+    """Shapes of the right-hand sides ``b`` of ``owner.name(a, b, ...)``."""
+    shapes = []
+    original = getattr(owner, name)
+
+    def recorded(a, rhs, *args, **kwargs):
+        shapes.append(np.shape(rhs))
+        return original(a, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("entry", ["run_theorem", "run_dirac_pipeline", "diagonalize"])
+def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
+    tmp_path, monkeypatch, entry
+):
+    """On bitwise-Hermitian input the pipelines read the diagonalizations'
+    norms, closed-form blocks and frame, never a dense form: no
+    ``cho_solve``, no triangular solve with a right-hand side larger than
+    n_i x n_j, and no dim x dim ``from_blocks`` in ``transform`` until
+    ``transformed`` is read."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    path = _check_file(tmp_path, b)
+    cho = _record_rhs(monkeypatch, scipy.linalg, "cho_solve")
+    cho += _record_rhs(monkeypatch, transform, "cho_solve")
+    triangular = _record_rhs(monkeypatch, scipy.linalg, "solve_triangular")
+    for owner in (transform, subordinated):
+        monkeypatch.setattr(
+            owner, "_lower", functools.partial(scipy.linalg.solve_triangular, lower=True)
+        )
+    assembled = _record_returns(monkeypatch, transform, "from_blocks")
+    framed = _record_returns(monkeypatch, subordinated, "diagonalize_in_frame")
+    plain = _record_returns(monkeypatch, transform, "diagonalize")
+    if entry == "run_theorem":
+        run_theorem(b, mu=0.0)
+    elif entry == "run_dirac_pipeline":
+        problem = dirac.DiracProblem(
+            grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
+        )
+        dirac.run_dirac_pipeline(problem)
+    else:
+        assert main(["diagonalize", path]) == 0
+    ((left, right, *_),) = framed + plain
+    n0, n1 = (d.shape[0] for d in left.diag_blocks)
+    assert cho == []
+    assert triangular and all(r in (n0, n1) and c in (n0, n1) for r, c in triangular)
+    dense = (n0 + n1, n0 + n1)
+    assert dense not in [m.shape for m in assembled]
+    # the dense forms are formed when read, the left one the right one's adjoint
+    np.testing.assert_array_equal(left.transformed, right.transformed.conj().T)
+    assert dense in [m.shape for m in assembled]
 
 
 @pytest.mark.parametrize("nearly", [False, True])

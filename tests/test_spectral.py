@@ -164,3 +164,23 @@ def test_projector_properties(seed):
     assert np.linalg.norm(p @ p - p, 2) <= 1e-10
     assert np.linalg.norm(p - p.conj().T, 2) <= 1e-10
     assert np.linalg.norm(p @ h - h @ p, 2) <= 1e-8 * norm
+
+
+def test_with_partition_keeps_the_checked_basis_without_checking_it_again(
+    monkeypatch,
+):
+    """The partitioned subspace shares the basis, bitwise, and does not run
+    the Gram check of ``__post_init__`` a second time."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))
+    u = Subspace(basis=q)
+    checks = []
+    post_init = Subspace.__post_init__
+    monkeypatch.setattr(
+        Subspace, "__post_init__", lambda self: checks.append(self) or post_init(self)
+    )
+    v = u.with_partition(4)
+    assert checks == []
+    assert (v.n0, u.n0, v.dim) == (4, None, 3)
+    assert v.basis is u.basis and not v.basis.flags.writeable
+    np.testing.assert_array_equal(v.basis, q)
