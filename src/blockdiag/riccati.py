@@ -13,11 +13,15 @@ Hermitian A0, A1 and ``W0 = W1*`` bitwise) it is solved in a graph frame:
 the Hermitian compressions of B onto graph(X') and its complement, for X'
 near X, bring P and Q near diagonal, and a few contracting sweeps solve it
 exactly. One frame (two generalized ``eigh``) serves a run, refreshed when
-a reused frame's step declines. Every other input, and every step a fresh
-frame declines, takes Bartels-Stewart (:func:`solve_sylvester`) on one
-triangular form per coefficient: ``eigh`` when bitwise Hermitian, complex
-Schur otherwise. Both routes read the spectra separation gate off the
-factorizations they made and check the same residual gate.
+a reused frame's step declines. The iterate is carried in the frame's
+coordinates, ``X = X' + t1 Z t0inv``, where the graph equation is another
+Riccati equation in Z whose coefficients are formed once per frame: a step
+reads F(X), P and Q there, and the true residual of the last X decides
+convergence. Every other input, and every step a fresh frame declines,
+takes Bartels-Stewart (:func:`solve_sylvester`) on one triangular form per
+coefficient: ``eigh`` when bitwise Hermitian, complex Schur otherwise. Both
+routes read the spectra separation gate off the factorizations they made,
+and the frame's residual gate implies that of Bartels-Stewart.
 """
 
 from __future__ import annotations
@@ -90,10 +94,15 @@ class RiccatiResidual:
 class NewtonTrace:
     """Relative residual history of a Newton run.
 
-    ``schur_steps`` counts the steps solved by :func:`solve_sylvester`:
-    every step on non-Hermitian input, and the steps the graph-frame route
-    declined on Hermitian input. ``frames`` counts the graph frames
-    factorized by two generalized ``eigh`` (not the one at X = 0).
+    ``iterates`` holds one value per iterate X: :func:`residual_X0` of X on
+    the centred blocks, or, for an X carried in a graph frame, the same
+    quotient of ``norm_F(t1 Phi t0inv)``, F(X) as the frame reads it. The
+    last entry, which decides ``converged``, is always
+    :func:`residual_X0` of the returned X. ``schur_steps`` counts the steps
+    solved by :func:`solve_sylvester`: every step on non-Hermitian input,
+    and the steps the graph-frame route declined on Hermitian input.
+    ``frames`` counts the graph frames factorized by two generalized
+    ``eigh`` (not the one at X = 0).
     """
 
     iterates: list = field(default_factory=list)
@@ -246,120 +255,134 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         )
     y = _solve_triangular_sylvester(tp, tq, up.conj().T @ c @ uq)
     z = up @ y @ uq.conj().T
-    diagnostics = _sylvester_residual_failure(p, q, z, c)
-    if diagnostics is not None:
+    # the residual gate: norm_F(P Z - Z Q - C) <= SYLVESTER_RESIDUAL_TOL n(C)
+    resid, rhs_scale = frobenius_norm(p @ z - z @ q - c), norm_lower_bound(c)
+    if resid > SYLVESTER_RESIDUAL_TOL * max(rhs_scale, 1e-300):
         raise NumericError(
-            "Sylvester solution residual beyond guarantee", diagnostics=diagnostics
+            "Sylvester solution residual beyond guarantee",
+            diagnostics={"residual": resid, "rhs_norm_lower_bound": rhs_scale},
         )
     return z
 
 
-def _sylvester_residual_failure(p, q, z, c) -> dict | None:
-    """Diagnostics when ``P Z - Z Q = C`` misses its residual gate, else None.
-
-    The gate is ``norm_F(P Z - Z Q - C) <= SYLVESTER_RESIDUAL_TOL * n(C)``
-    with n(C) a lower bound on the 2-norm of C.
-    """
-    resid = frobenius_norm(p @ z - z @ q - c)
-    rhs_scale = norm_lower_bound(c)
-    if resid <= SYLVESTER_RESIDUAL_TOL * max(rhs_scale, 1e-300):
-        return None
-    return {"residual": resid, "rhs_norm_lower_bound": rhs_scale}
-
-
 class _GraphFrame(NamedTuple):
-    """Ritz frame of the Newton equation at X' on Hermitian input: with
-    ``G = [I; X']``, ``K = [-X'*; I]``, ``S0 = I + X'* X'`` and
+    """The Newton equation in the Ritz frame made at X' on Hermitian input.
+
+    With ``G = [I; X']``, ``K = [-X'*; I]``, ``S0 = I + X'* X'`` and
     ``S1 = I + X' X'*``, the Hermitian compressions ``H0 = G* B G`` and
     ``H1 = K* B K`` have ``H0 V0 = S0 V0 L0`` and ``H1 V1 = S1 V1 L1``
     (``V* S V = I``); ``t1 = S1 V1`` has inverse ``V1*`` and
-    ``t0inv = V0* S0`` has inverse ``V0``. ``exact`` marks the frame at
-    X' = 0, which serves X = 0 only, where its E vanish identically."""
+    ``t0inv = V0* S0`` has inverse ``V0``. In the coordinates
+    ``X = X' + t1 Z t0inv`` the graph equation is again a Riccati equation,
+    ``V1* F(X) V0 = Phi(Z) = c + (L1 + e1) Z - Z (L0 - e0) - Z m Z`` with
+    ``c = V1* F(X') V0``, ``L1 + e1 = V1* P(X') t1``,
+    ``L0 - e0 = t0inv Q(X') V0`` and ``m = t0inv W1 t1``, and the Newton
+    step at X has ``V1* P(X) t1 = L1 + e1 - Z m`` and
+    ``t0inv Q(X) V0 = L0 - e0 + m Z``. ``delta = l1_i - l0_j``;
+    ``kappa = 1 + norm_1(X') norm_inf(X')`` bounds
+    ``norm(t1) norm(t0inv) = 1 + norm(X')^2``, and
+    ``pq = norm_F(P(X')) + norm_F(Q(X'))``. ``at_zero`` marks the frame at
+    X' = 0, read off ``eigh_A``, which serves X = 0 only (m is None)."""
 
-    lam0: np.ndarray
-    lam1: np.ndarray
-    v0: np.ndarray
-    v1h: np.ndarray
+    delta: np.ndarray
     t1: np.ndarray
     t0inv: np.ndarray
-    exact: bool = False
+    c: np.ndarray
+    e1: np.ndarray
+    e0: np.ndarray
+    m: np.ndarray | None
+    kappa: float
+    pq: float
+    at_zero: bool
 
 
-def _graph_frame(b: BlockMatrix, x, xw, wx) -> _GraphFrame | None:
-    """The graph frame at X (``xw = X W1``, ``wx = W1 X``), or None when a
-    generalized ``eigh`` fails. At X = 0 it is read off ``b.eigh_A``, 5% of a
-    ``newton`` pass (dim 400) faster than two generalized ``eigh`` with S = I."""
-    if not x.any():
+def _graph_frame(b: BlockMatrix, x, f) -> _GraphFrame | None:
+    """The graph frame at X, with ``f = F(X)``, or None when a generalized
+    ``eigh`` fails. At X = 0 it is read off ``b.eigh_A``, 5% of a ``newton``
+    pass (dim 400) faster than two generalized ``eigh`` with S = I."""
+    at_zero = not x.any()
+    if at_zero:
         (lam0, v0), (lam1, v1) = b.eigh_A
-        return _GraphFrame(lam0, lam1, v0, v1.conj().T, v1, v0.conj().T, True)
-    xh = x.conj().T
-    h0 = b.A0 + wx + wx.conj().T + xh @ (b.A1 @ x)
-    h1 = b.A1 - xw - xw.conj().T + x @ (b.A0 @ xh)
-    s0, s1 = xh @ x + np.eye(b.n0), x @ xh + np.eye(b.n1)
-    try:
-        lam0, v0 = scipy.linalg.eigh(h0, s0, overwrite_a=True, overwrite_b=True)
-        lam1, v1 = scipy.linalg.eigh(h1, s1, overwrite_a=True, overwrite_b=True)
-    except (np.linalg.LinAlgError, ValueError):
-        # S not numerically positive definite, or a compression that
-        # overflowed (refused as non-finite)
-        return None
-    t0inv = v0.conj().T + (x @ v0).conj().T @ x
-    return _GraphFrame(lam0, lam1, v0, v1.conj().T, v1 + x @ (xh @ v1), t0inv)
+        p, q, t1, t0inv = b.A1, b.A0, v1, v0.conj().T
+    else:
+        xh, p, q = x.conj().T, b.A1 - x @ b.W1, b.A0 + b.W1 @ x
+        # G* B G = Q + X* (W0 + A1 X) and K* B K = P - (W0 - X A0) X*
+        h0, h1 = q + xh @ (b.W0 + b.A1 @ x), p - (b.W0 - x @ b.A0) @ xh
+        s0, s1 = xh @ x + np.eye(b.n0), x @ xh + np.eye(b.n1)
+        try:
+            lam0, v0 = scipy.linalg.eigh(h0, s0, overwrite_a=True, overwrite_b=True)
+            lam1, v1 = scipy.linalg.eigh(h1, s1, overwrite_a=True, overwrite_b=True)
+        except (np.linalg.LinAlgError, ValueError):
+            # S not numerically positive definite, or a compression that
+            # overflowed (refused as non-finite)
+            return None
+        del h0, h1, s0, s1
+        t0inv = v0.conj().T + (x @ v0).conj().T @ x
+        t1 = v1 + x @ (xh @ v1)
+    e1 = v1.conj().T @ p @ t1 - np.diag(lam1)
+    e0 = np.diag(lam0) - t0inv @ q @ v0
+    c, m = v1.conj().T @ f @ v0, None if at_zero else t0inv @ b.W1 @ t1
+    kappa = 1.0 + np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf)
+    pq = frobenius_norm(p) + frobenius_norm(q)
+    delta = lam1[:, None] - lam0[None, :]
+    return _GraphFrame(delta, t1, t0inv, c, e1, e0, m, kappa, pq, at_zero)
 
 
-def _graph_frame_step(frame: _GraphFrame, f, p, q) -> np.ndarray | None:
-    """Newton step D with ``P D - D Q = -F`` on Hermitian input, or None.
+def _graph_frame_step(b, frame: _GraphFrame, z, phi, e1, e0) -> np.ndarray | None:
+    """Newton step in the coordinates of ``frame``, or None: D^ with
+    ``D = t1 D^ t0inv`` and ``P D - D Q = -F`` at ``X = X' + t1 Z t0inv``.
+    ``Phi = V1* F(X) V0 = c + P^ Z - Z Q^'``, ``E1 = V1* P(X) t1 - L1`` and
+    ``E0 = L0 - t0inv Q(X) V0``, with ``P^ = L1 + E1`` and
+    ``Q^' = L0 - e0``, are ``(c, e1, e0)`` at Z = 0.
 
-    For the current ``P = A1 - X W1`` and ``Q = A0 + W1 X``, a frame made at
-    any X' gives ``V1* P t1 = L1 + E1`` and ``t0inv Q V0 = L0 - E0``, with E
-    of the size of F at X' = X (``B G = G Q + [0; F]``,
-    ``K* B = P K* + [F, 0]``) plus that of ``X - X'``. So ``D = t1 Z t0inv``
-    with ``L1 Z - Z L0 = -C - E1 Z - Z E0`` and ``C = V1* F V0``, solved by
-    the sweeps ``Z <- (-C - E1 Z - Z E0) / (l1_i - l0_j)``, which contract
-    by at most ``r = (norm_F(E1) + norm_F(E0)) / min|l1_i - l0_j|``, and by
-    Bauer-Fike ``(1 - r) min|l1_i - l0_j|`` bounds the separation of the
-    spectra of P and Q from below.
+    D^ solves ``L1 D^ - D^ L0 = -Phi - E1 D^ - D^ E0`` by the sweeps
+    ``D^ <- D^ - R^ / delta`` with
+    ``R^ = (L1 + E1) D^ - D^ (L0 - E0) + Phi = V1* (P D - D Q + F) V0``.
+    They contract by at most ``r = (norm_F(E1) + norm_F(E0)) / min|delta|``,
+    and by Bauer-Fike ``(1 - r) min|delta|`` bounds the separation of the
+    spectra of P and Q from below. E is of the size of F at X' plus that of
+    ``X - X'`` (``B G = G Q + [0; F]``, ``K* B = P K* + [F, 0]``).
 
     Declined (None) when that bound fails the separation test of
-    :func:`solve_sylvester`, when ``r > GRAPH_FRAME_CONTRACTION_MAX``, when
-    the sweeps have not converged after :data:`GRAPH_FRAME_MAX_SWEEPS`, or
-    when D misses the residual gate of :func:`solve_sylvester`. The sweeps
-    have converged at a change of :data:`GRAPH_FRAME_SWEEP_TOL` relative to
-    Z, or once it no longer shrinks, which exact sweeps with ``r <= 1/2``
-    cannot do: what is left is rounding.
+    :func:`solve_sylvester`, scaled by the upper bound
+    ``pq + 2 kappa norm_F(Z) norm(V)`` on ``norm_F(P) + norm_F(Q)``; when
+    ``r > GRAPH_FRAME_CONTRACTION_MAX``; when the sweeps have not converged
+    after :data:`GRAPH_FRAME_MAX_SWEEPS`; or when
+    ``kappa norm_F(R^) > SYLVESTER_RESIDUAL_TOL n(Phi)``. As
+    ``P D - D Q + F = t1 R^ t0inv`` and ``norm(V_i) <= 1``, that implies the
+    residual gate of :func:`solve_sylvester`, and ``n(Phi) <= n(F)``. The
+    sweeps have converged at a change of :data:`GRAPH_FRAME_SWEEP_TOL`
+    relative to D^, or once it no longer shrinks, which exact sweeps with
+    ``r <= 1/2`` cannot do: what is left is rounding. The step is the last
+    D^ whose R^ was formed, one sweep short of the converged one.
     """
-    delta = frame.lam1[:, None] - frame.lam0[None, :]
-    perturbation = 0.0
-    if not frame.exact:
-        e1 = frame.v1h @ p @ frame.t1 - np.diag(frame.lam1)
-        e0 = np.diag(frame.lam0) - frame.t0inv @ q @ frame.v0
-        perturbation = frobenius_norm(e1) + frobenius_norm(e0)
-    gap = float(np.min(np.abs(delta)))
-    scale = frobenius_norm(p) + frobenius_norm(q)
+    perturbation = frobenius_norm(e1) + frobenius_norm(e0)
+    gap = float(np.min(np.abs(frame.delta)))
+    scale = frame.pq + 2.0 * frame.kappa * frobenius_norm(z) * b.norm_V
     if (
         gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
         or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
     ):
         return None
-    c = frame.v1h @ f @ frame.v0
-    z = -c / delta
-    if perturbation:
-        previous = np.inf
-        for _ in range(GRAPH_FRAME_MAX_SWEEPS):
-            swept = (-c - e1 @ z - z @ e0) / delta
-            change = frobenius_norm(swept - z)
-            z = swept
-            # exact sweeps at least halve the change: one that does not
-            # shrink is rounding
-            if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or change >= previous:
-                break
-            previous = change
-        else:
-            return None
-    d = frame.t1 @ z @ frame.t0inv
-    if _sylvester_residual_failure(p, q, d, -f) is not None:
+    dz, previous = -phi / frame.delta, np.inf
+    for _ in range(GRAPH_FRAME_MAX_SWEEPS):
+        r = e1 @ dz + phi
+        r += dz @ e0
+        r += frame.delta * dz
+        resid = frame.kappa * frobenius_norm(r)
+        r /= frame.delta
+        change = frobenius_norm(r)
+        # exact sweeps at least halve the change: one that does not shrink
+        # is rounding
+        if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(dz) or change >= previous:
+            break
+        dz -= r
+        previous = change
+    else:
         return None
-    return d
+    if resid > SYLVESTER_RESIDUAL_TOL * max(norm_lower_bound(phi), 1e-300):
+        return None
+    return dz
 
 
 def solve_newton_X0(
@@ -370,45 +393,70 @@ def solve_newton_X0(
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
     ``X <- X + D``. On Hermitian input (A0 and A1 bitwise Hermitian,
     ``W0 = W1*`` bitwise) :func:`_graph_frame_step` solves the first step in
-    the frame at X = 0, every later one in the last frame factorized; when
-    that step declines, the frame is released and one factorized at the
-    current X (counted in ``frames``) is tried. Every other input, and every
-    step the fresh frame declines too, takes :func:`solve_sylvester`,
-    counted in ``schur_steps``. The iteration runs on the centred blocks
-    (:func:`_centred_A`): a common shift changes neither the graph equation
-    nor a Newton equation, nor, on the centred blocks, their rounding.
-    Non-convergence within ``max_iter`` steps is reported in the trace, not
-    raised; singular Newton steps propagate :class:`SylvesterSingularError`.
+    the frame at X = 0, every later one in the last frame factorized, whose
+    coordinates carry the iterate as Z with ``X = X' + t1 Z t0inv``: a step
+    there reads ``Phi(Z)`` and ``norm_F(t1 Phi t0inv) = norm_F(F(X))``
+    instead of forming F(X) from the blocks. When that step declines, the
+    frame is released and one factorized at the current X (counted in
+    ``frames``) is tried. Every other input, and every step the fresh frame
+    declines too, takes :func:`solve_sylvester`, counted in ``schur_steps``;
+    a fresh frame that declined is tried again at the next X. ``Phi`` does
+    not see the rounding of the X carried in the original coordinates, so
+    once the frame's value passes ``tol`` the frame is released and
+    :func:`residual_X0` of X decides. The iteration runs on the centred
+    blocks (:func:`_centred_A`): a common shift changes neither the graph
+    equation nor a Newton equation, nor, on the centred blocks, their
+    rounding. Non-convergence within ``max_iter`` steps is reported in the
+    trace, not raised; singular Newton steps propagate
+    :class:`SylvesterSingularError`.
     """
     b = BlockMatrix(*_centred_A(b), b.W0, b.W1)
     hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
+    scale = _riccati_scale(b, *_centred_A(b))
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
+    f, value = b.W0, _rel_norm(b.W0, scale, x)  # F(0) = W0
     history: list[float] = []
     schur_steps = frames = 0
-    frame = None
+    frame = z = None
     for iteration in range(max_iter + 1):
-        f = residual_X0(b, x)
-        history.append(f.rel_norm)
-        if f.rel_norm <= tol or iteration == max_iter:
+        if frame is not None:
+            # the coefficients at X = X' + t1 Z t0inv (see _GraphFrame)
+            e1, e0 = frame.e1 - z @ frame.m, frame.e0 - frame.m @ z
+            phi = frame.c + e1 @ z + z @ frame.e0 + frame.delta * z
+            value = _rel_norm(frame.t1 @ phi @ frame.t0inv, scale, x)
+            if value <= tol or iteration == max_iter or not np.isfinite(value):
+                frame = None  # the residual of the carried X decides
+        if frame is None and f is None:
+            residual = residual_X0(b, x)
+            f, value = residual.residual, residual.rel_norm
+        history.append(value)
+        if value <= tol or iteration == max_iter:
             break
-        xw, wx = x @ b.W1, b.W1 @ x
-        p, q = b.A1 - xw, b.A0 + wx
-        dx = None
-        # a non-finite F goes to solve_sylvester, which refuses it
-        if hermitian and np.isfinite(f.rel_norm):
+        dz = None if frame is None else _graph_frame_step(b, frame, z, phi, e1, e0)
+        if dz is None:
+            frame = z = None  # released before the next is factorized
+            f = residual_X0(b, x).residual if f is None else f
+            # a non-finite F goes to solve_sylvester, which refuses it
+            if hermitian and np.isfinite(value):
+                frame = _graph_frame(b, x, f)
             if frame is not None:
-                dx = _graph_frame_step(frame, f.residual, p, q)
-            if dx is None:
-                frame = None  # released before the next is factorized
-                frame = _graph_frame(b, x, xw, wx)
-                if frame is not None:
-                    dx = _graph_frame_step(frame, f.residual, p, q)
-                    frames += not frame.exact
-                    frame = None if frame.exact else frame  # serves X = 0 only
-        if dx is None:
-            dx = solve_sylvester(p, q, -f.residual)
+                z = np.zeros_like(x)
+                dz = _graph_frame_step(b, frame, z, frame.c, frame.e1, frame.e0)
+                frames += not frame.at_zero
+        if dz is None:
+            d = solve_sylvester(b.A1 - x @ b.W1, b.A0 + b.W1 @ x, -f)
             schur_steps += 1
-        x = x + dx
+            if frame is not None:  # carried into the frame, tried again next step
+                dz = np.linalg.solve(frame.t0inv.T, np.linalg.solve(frame.t1, d).T).T
+        else:
+            d = frame.t1 @ dz @ frame.t0inv
+        x += d
+        # the frame at X = 0 serves X = 0 only
+        frame = None if frame is None or frame.at_zero else frame
+        if frame is not None:
+            z += dz
+        # released before the next coefficients are formed
+        f = phi = e1 = e0 = dz = d = None
     return x, NewtonTrace(
         iterates=history,
         converged=bool(history[-1] <= tol),

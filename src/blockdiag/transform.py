@@ -97,7 +97,9 @@ class DiagonalizationResult:
     exception); it is not read off the graph-equation residual. It is
     assembled on first read (by ``assemble``): only its off-diagonal
     blocks, which ``offdiag_rel_norm`` measures, are formed with the
-    result. ``diag_blocks`` holds the closed-form diagonal blocks computed
+    result. ``diagonal_of_c`` forms the diagonal blocks ``(C00, C11)`` of C
+    (None where ``transformed`` is solved with ``I -/+ Y`` instead).
+    ``diag_blocks`` holds the closed-form diagonal blocks computed
     directly from the inputs (not read off the conjugation), so the
     off-diagonal defect and the block mismatch can be judged independently.
     ``offdiag_rel_norm`` is a Frobenius residual over the exact ``norm(B)``;
@@ -108,6 +110,7 @@ class DiagonalizationResult:
     diag_blocks: tuple[np.ndarray, np.ndarray]
     conditioning: float
     assemble: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    diagonal_of_c: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def reliable(self) -> bool:
@@ -236,9 +239,11 @@ def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
             else:
                 r01, r10 = _s_solve(fs[0], c01), _s_solve(fs[1], c10)
 
-            def assemble(t01, t10, on_right):  # forms C00, C11 when first read
-                c00, c11 = m00 - x1 @ m10, m11 - x0 @ (w1 + a0 @ x1)
-                t00, t11 = (_s_solve(f, c, on_right) for f, c in zip(fs, (c00, c11)))
+            def diagonal_of_c():
+                return m00 - x1 @ m10, m11 - x0 @ (w1 + a0 @ x1)
+
+            def assemble(t01, t10, on_right):
+                t00, t11 = (_s_solve(f, c, on_right) for f, c in zip(fs, diagonal_of_c()))
                 return from_blocks(t00, t01, t10, t11)
 
             right_form = functools.partial(assemble, r01, r10, False)
@@ -254,14 +259,14 @@ def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
             dr = np.linalg.solve(eye + p.Y, from_blocks(m00, w1 + a0 @ x1, m10, m11))
             h0, h1 = np.s_[: b.n0], np.s_[b.n0 :]
             (l01, l10), (r01, r10) = ((t[h0, h1], t[h1, h0]) for t in (dl, dr))
-            left_form, right_form = (lambda: dl), (lambda: dr)
+            left_form, right_form, diagonal_of_c = (lambda: dl), (lambda: dr), None
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
     right = DiagonalizationResult(
-        _offdiag_rel_norm(b, r01, r10), (m00, m11), conditioning, right_form
+        _offdiag_rel_norm(b, r01, r10), (m00, m11), conditioning, right_form, diagonal_of_c
     )
     left_off = right.offdiag_rel_norm if hermitian else _offdiag_rel_norm(b, l01, l10)
-    left = DiagonalizationResult(left_off, (l00, l11), conditioning, left_form)
+    left = DiagonalizationResult(left_off, (l00, l11), conditioning, left_form, diagonal_of_c)
     return left, right, frame
 
 
@@ -281,22 +286,28 @@ def verify_extended_identity(
     the exact ``norm(B)``; in exact arithmetic with a vanishing
     graph-equation residual both are zero, and the second one certifies
     that the scaled left form reproduces ``A + V Y``. S0 and S1 are solved
-    with the factors cached on the pair, which :func:`diagonalize` made,
-    and the right conjugation is read block by block off ``right.transformed``.
+    with the factors cached on the pair, which :func:`diagonalize` made.
+    The off-diagonal blocks of the identity are those of the right
+    conjugation, measured by ``right.offdiag_rel_norm``; its diagonal
+    blocks are ``S_i^{-1} (C_ii - l_ii S_i)`` from ``right.diagonal_of_c``,
+    so no dense form is assembled, except that a pair solved with
+    ``I -/+ Y`` reads them off its solved ``right.transformed``.
     """
+    ls = [d @ s for d, s in zip(left.diag_blocks, p.blocks_I_minus_Y2)]  # l_ii S_i
     try:
-        r0, r1 = (
-            _s_solve(f, d @ s)
-            for f, s, d in zip(
-                p.factors_I_minus_Y2, p.blocks_I_minus_Y2, left.diag_blocks
-            )
-        )
+        r0, r1 = (_s_solve(f, ls_i) for f, ls_i in zip(p.factors_I_minus_Y2, ls))
+        if right.diagonal_of_c is None:
+            t, n0 = right.transformed, b.n0
+            u0, u1 = t[:n0, :n0] - r0, t[n0:, n0:] - r1
+        else:
+            cs = zip(p.factors_I_minus_Y2, right.diagonal_of_c(), ls)
+            u0, u1 = (_s_solve(f, c - ls_i) for f, c, ls_i in cs)
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
-    t, n0 = right.transformed, b.n0
     (m00, m11), scale = right.diag_blocks, max(b.norm, 1e-300)
-    blocks = (t[:n0, :n0] - r0, t[:n0, n0:], t[n0:, :n0], t[n0:, n0:] - r1)
-    identity = math.hypot(*map(frobenius_norm, blocks))
+    # the off-diagonal blocks are those of the right form
+    off = right.offdiag_rel_norm * b.norm
+    identity = math.hypot(frobenius_norm(u0), frobenius_norm(u1), off)
     right_form = math.hypot(frobenius_norm(r0 - m00), frobenius_norm(r1 - m11))
     return ExtendedIdentityResiduals(identity / scale, right_form / scale)
 

@@ -531,7 +531,9 @@ def _record_rhs(monkeypatch, owner, name):
     return shapes
 
 
-@pytest.mark.parametrize("entry", ["run_theorem", "run_dirac_pipeline", "diagonalize"])
+@pytest.mark.parametrize(
+    "entry", ["run_theorem", "run_dirac_pipeline", "diagonalize", "extended_identity"]
+)
 def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     tmp_path, monkeypatch, entry
 ):
@@ -539,11 +541,11 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     norms, closed-form blocks and frame, never a dense form: no
     ``cho_solve``, no triangular solve with a right-hand side larger than
     n_i x n_j, and no dim x dim ``from_blocks`` in ``transform`` until
-    ``transformed`` is read."""
+    ``transformed`` is read. ``check``'s diagonalizations and extended
+    identity solve with S0 and S1 twice each, n_i x n_i right-hand sides."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
-    cho = _record_rhs(monkeypatch, scipy.linalg, "cho_solve")
-    cho += _record_rhs(monkeypatch, transform, "cho_solve")
+    cho = [_record_rhs(monkeypatch, o, "cho_solve") for o in (scipy.linalg, transform)]
     triangular = _record_rhs(monkeypatch, scipy.linalg, "solve_triangular")
     for owner in (transform, subordinated):
         monkeypatch.setattr(
@@ -559,11 +561,14 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
             grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
         )
         dirac.run_dirac_pipeline(problem)
-    else:
+    elif entry == "diagonalize":
         assert main(["diagonalize", path]) == 0
+    else:  # as check runs them
+        pair = spectral_pair(b, 0.0)
+        transform.verify_extended_identity(b, pair, *transform.diagonalize(b, pair))
     ((left, right, *_),) = framed + plain
     n0, n1 = (d.shape[0] for d in left.diag_blocks)
-    assert cho == []
+    assert cho[0] + cho[1] == ([(n0, n0), (n1, n1)] * 2 if entry == "extended_identity" else [])
     assert triangular and all(r in (n0, n1) and c in (n0, n1) for r, c in triangular)
     dense = (n0 + n1, n0 + n1)
     assert dense not in [m.shape for m in assembled]

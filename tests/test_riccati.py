@@ -19,6 +19,7 @@ from blockdiag import (
     solve_sylvester,
     spectral_pair,
 )
+from blockdiag.core import norm_lower_bound
 from blockdiag.errors import StructuralError, SylvesterSingularError
 from conftest import random_block
 
@@ -164,7 +165,7 @@ def test_newton_degenerate_raises():
     b = BlockMatrix([0.0], [0.0], [1.0], [1.0])
     x = np.zeros((1, 1), dtype=np.complex128)
     f = residual_X0(b, x).residual
-    assert _fresh_step(b, x, f, x, x) is None
+    assert _fresh_step(b, x, f) is None
     with pytest.raises(SylvesterSingularError):
         solve_newton_X0(b)
 
@@ -458,12 +459,38 @@ def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
 # --- Newton steps in the graph frame -----------------------------------------
 
 
-def _fresh_step(b, x, f, xw, wx):
-    """The graph-frame step at X in a frame factorized at X."""
-    frame = riccati._graph_frame(b, x, xw, wx)
+def _fresh_step(b, x, f):
+    """The graph-frame step D at X in a frame factorized at X."""
+    frame = riccati._graph_frame(b, x, f)
     if frame is None:
         return None
-    return riccati._graph_frame_step(frame, f, b.A1 - xw, b.A0 + wx)
+    z = np.zeros_like(x)
+    dz = riccati._graph_frame_step(b, frame, z, frame.c, frame.e1, frame.e0)
+    return None if dz is None else frame.t1 @ dz @ frame.t0inv
+
+
+def _frame_coordinates(frame, x_frame, x):
+    """Z with ``X = X' + t1 Z t0inv`` for the frame made at X'."""
+    z = np.linalg.solve(frame.t1, x - x_frame)
+    return np.linalg.solve(frame.t0inv.T, z.T).T
+
+
+def _frame_coefficients(frame, z):
+    """``(Phi, E1, E0)`` at ``X = X' + t1 Z t0inv``, as :func:`solve_newton_X0`
+    forms them."""
+    e1, e0 = frame.e1 - z @ frame.m, frame.e0 - frame.m @ z
+    return frame.c + e1 @ z + z @ frame.e0 + frame.delta * z, e1, e0
+
+
+def _reused_step(b, frame, x_frame, x):
+    """The graph-frame step D at X in the frame made at X', with X carried
+    in the frame's coordinates, and F(X) as that frame reads it,
+    ``t1 Phi t0inv``."""
+    z = _frame_coordinates(frame, x_frame, x)
+    phi, e1, e0 = _frame_coefficients(frame, z)
+    dz = riccati._graph_frame_step(b, frame, z, phi, e1, e0)
+    d = None if dz is None else frame.t1 @ dz @ frame.t0inv
+    return d, frame.t1 @ phi @ frame.t0inv
 
 
 def _schur_newton_steps(b, tol=1e-12, max_iter=25):
@@ -484,8 +511,8 @@ def _schur_newton_steps(b, tol=1e-12, max_iter=25):
     raise AssertionError("reference Newton run did not converge")
 
 
-def _schur_newton(b):
-    steps = _schur_newton_steps(b)
+def _schur_newton(b, tol=1e-12):
+    steps = _schur_newton_steps(b, tol)
     count = 0
     while True:
         try:
@@ -502,21 +529,26 @@ def _schur_newton(b):
 )
 def test_graph_frame_step_matches_sylvester_solve(seed, n0, n1, coupling):
     """Each graph-frame step, in a frame factorized at its X or in the last
-    step's frame, equals the Bartels-Stewart step, and whole runs take the
-    same number of steps to the same X."""
+    step's frame, equals the Bartels-Stewart step of its Newton equation,
+    and whole runs take the same number of steps to the same X. A reused
+    frame reads F(X) in its coordinates, equal to the F of the blocks up to
+    rounding, which near convergence is not small relative to F: its step
+    is compared with the Bartels-Stewart step for the F it read."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     x_ref, count = _schur_newton(b)
     previous = None
     for x, f, xw, wx, d_ref in _schur_newton_steps(b):
-        frame = riccati._graph_frame(b, x, xw, wx)
-        for candidate in (frame, previous):
-            d = None
-            if candidate is not None:
-                d = riccati._graph_frame_step(candidate, f, b.A1 - xw, b.A0 + wx)
+        frame = riccati._graph_frame(b, x, f)
+        d = _fresh_step(b, x, f)
+        if d is not None:
+            assert _rel_dist(d, d_ref) <= 1e-10
+        if previous is not None:
+            d, f_frame = _reused_step(b, *previous, x)
             if d is not None:
+                d_ref = solve_sylvester(b.A1 - xw, b.A0 + wx, -f_frame)
                 assert _rel_dist(d, d_ref) <= 1e-10
         # the frame at X = 0 serves X = 0 only
-        previous = None if frame is None or frame.exact else frame
+        previous = None if frame is None or frame.at_zero else (frame, x)
     x, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations == count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
@@ -545,23 +577,23 @@ def _frame_from_assembled(b, x, at=None):
 
 
 def _second_step(b):
-    """``(x, f, xw, wx)`` after one Newton step from X = 0."""
+    """``(x, f)`` after one Newton step from X = 0."""
     steps = _schur_newton_steps(b)
     next(steps)
-    x, f, xw, wx, _ = next(steps)
-    return x, f, xw, wx
+    x, f, _, _, _ = next(steps)
+    return x, f
 
 
 def test_graph_frame_declines_at_the_contraction_bound():
     b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
-    x, f, xw, wx = _second_step(b)
+    x, f = _second_step(b)
     gap, perturbation, _, _ = _frame_from_assembled(b, x)
     ratio = perturbation / gap
     assert 1e-3 < ratio < riccati.GRAPH_FRAME_CONTRACTION_MAX
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 - 1e-6)):
-        assert _fresh_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f) is None
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + 1e-6)):
-        assert _fresh_step(b, x, f, xw, wx) is not None
+        assert _fresh_step(b, x, f) is not None
 
 
 def test_reused_frame_at_the_contraction_bound_is_refreshed(monkeypatch):
@@ -583,9 +615,9 @@ def test_reused_frame_at_the_contraction_bound_is_refreshed(monkeypatch):
     assert 4 * fresh < reused < riccati.GRAPH_FRAME_CONTRACTION_MAX
     step = riccati._graph_frame_step
 
-    def tightened_after_the_first_generalized_step(frame, *args):
-        d = step(frame, *args)
-        if not frame.exact:
+    def tightened_after_the_first_generalized_step(b, frame, *args):
+        d = step(b, frame, *args)
+        if not frame.at_zero:
             monkeypatch.setattr(
                 riccati, "GRAPH_FRAME_CONTRACTION_MAX", np.sqrt(fresh * reused)
             )
@@ -605,7 +637,7 @@ def test_graph_frame_declines_where_only_the_schur_gate_passes():
     separation of the computed spectra: the graph frame declines and the
     Schur solve goes ahead."""
     b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
-    x, f, xw, wx = _second_step(b)
+    x, f = _second_step(b)
     gap, perturbation, p, q = _frame_from_assembled(b, x)
     sep = _eigvals_separation(p, q)
     bound = gap - perturbation
@@ -613,18 +645,18 @@ def test_graph_frame_declines_where_only_the_schur_gate_passes():
     scale = np.linalg.norm(p) + np.linalg.norm(q)
     between = 0.5 * (bound + min(sep, gap)) / scale
     with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", between):
-        assert _fresh_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f) is None
         solve_sylvester(p, q, -f)
     with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", bound * (1 - 1e-6) / scale):
-        assert _fresh_step(b, x, f, xw, wx) is not None
+        assert _fresh_step(b, x, f) is not None
 
 
 def test_graph_frame_declines_a_step_that_misses_the_residual_gate():
     b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
-    x, f, xw, wx = _second_step(b)
-    assert _fresh_step(b, x, f, xw, wx) is not None
+    x, f = _second_step(b)
+    assert _fresh_step(b, x, f) is not None
     with mock.patch.object(riccati, "SYLVESTER_RESIDUAL_TOL", 0.0):
-        assert _fresh_step(b, x, f, xw, wx) is None
+        assert _fresh_step(b, x, f) is None
 
 
 def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
@@ -668,3 +700,120 @@ def test_newton_with_reused_frames_matches_schur_newton(seed, n0, n1, coupling, 
     x, trace = solve_newton_X0(shifted)
     assert trace.converged and trace.iterations == count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
+
+
+# --- Newton steps in the coordinates of their graph frame --------------------
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 9), st.integers(1, 9),
+    st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
+)
+def test_frame_residual_bounds_the_dense_newton_residual(seed, n0, n1, coupling):
+    """In a frame reused one step later, ``kappa norm_F(R^)`` bounds the
+    densely formed ``norm_F(P D - D Q + F)`` for the F the frame reads,
+    ``t1 Phi t0inv``, with kappa at least ``norm(t1) norm(t0inv)``, and
+    ``n(Phi) <= n(F)``: the frame's residual gate is never looser than the
+    dense one. R^ is taken of the sweeps' first iterate ``-Phi / delta``,
+    of a random D^ and of the step the frame returns."""
+    rng = np.random.default_rng(seed)
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    eps, norm = np.finfo(float).eps, np.linalg.norm
+    previous = None
+    for x, f, xw, wx, _ in _schur_newton_steps(b):
+        if previous is not None:
+            frame, x_frame = previous
+            t1, t0inv = frame.t1, frame.t0inv
+            assert norm(t1, 2) * norm(t0inv, 2) <= frame.kappa * (1 + 1e-12)
+            z = _frame_coordinates(frame, x_frame, x)
+            phi, e1, e0 = _frame_coefficients(frame, z)
+            f_frame = t1 @ phi @ t0inv
+            assert norm_lower_bound(phi) <= norm_lower_bound(f_frame) * (1 + 1e-12)
+            p, q = b.A1 - xw, b.A0 + wx
+            candidates = [-phi / frame.delta, _cmat(rng, n1, n0) * norm(z)]
+            step = riccati._graph_frame_step(b, frame, z, phi, e1, e0)
+            candidates += [] if step is None else [step]
+            for dz in candidates:
+                r = e1 @ dz + dz @ e0 + frame.delta * dz + phi
+                d = t1 @ dz @ t0inv
+                dense = norm(p @ d - d @ q + f_frame)
+                terms = (norm(p) + norm(q)) * norm(d) + norm(f_frame)
+                rounding = 64 * eps * (n0 + n1) * frame.kappa**2 * terms
+                assert dense <= frame.kappa * norm(r) + rounding
+        frame = riccati._graph_frame(b, x, f)
+        previous = None if frame is None or frame.at_zero else (frame, x)
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 9), st.integers(1, 9), st.floats(0.1, 4.0),
+    st.floats(-1e6, 1e6), st.sampled_from([1, 2, 3, 25]),
+    st.sampled_from(["hermitian", "nearly"]),
+)
+def test_last_trace_entry_is_the_residual_of_the_returned_x(
+    seed, n0, n1, coupling, s, max_iter, kind
+):
+    """The frame values of the trace do not see the rounding of the carried
+    X, so the last entry, which decides ``converged``, is
+    :func:`residual_X0` of the returned X on the centred blocks, whether the
+    run converged or ran out of steps."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    a0 = b.A0 + s * np.eye(n0) + (1e-15j * np.eye(n0) if kind == "nearly" else 0)
+    b = BlockMatrix(a0, b.A1 + s * np.eye(n1), b.W0, b.W1)
+    x, trace = solve_newton_X0(b, max_iter=max_iter)
+    true = residual_X0(BlockMatrix(*riccati._centred_A(b), b.W0, b.W1), x).rel_norm
+    assert trace.iterates[-1] == pytest.approx(true, rel=1e-12, abs=0.0)
+    assert trace.converged == (true <= 1e-12)
+    assert len(trace.iterates) == trace.iterations + 1
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 9), st.integers(1, 9),
+    st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.sampled_from(["m", "c"]),
+)
+def test_perturbed_frame_coordinates_never_report_false_convergence(
+    seed, n0, n1, coupling, field
+):
+    """Negative control: with each generalized frame's ``m`` or ``c``
+    perturbed by 1e-6 relative, Phi is wrong and its values can pass tol
+    where the true residual does not. The run never reports ``converged``
+    with a true residual above tol, and still ends within 1e-12 of the
+    all-Schur X (both at tol 1e-14, so that X is resolved to 1e-12)."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    centred = BlockMatrix(*riccati._centred_A(b), b.W0, b.W1)
+    x_ref, _ = _schur_newton(centred, tol=1e-14)
+    make = riccati._graph_frame
+
+    def perturbed(*args):
+        frame = make(*args)
+        if frame is None or frame.at_zero:
+            return frame
+        return frame._replace(**{field: getattr(frame, field) * (1 + 1e-6)})
+
+    with mock.patch.object(riccati, "_graph_frame", perturbed):
+        x, trace = solve_newton_X0(b, tol=1e-14)
+    assert trace.converged
+    assert residual_X0(centred, x).rel_norm <= 1e-14
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
+
+
+def test_perturbed_frame_is_refreshed_at_the_final_check():
+    """The negative control is not vacuous: on this problem the perturbed
+    c makes the frame's value pass tol at an X whose true residual does
+    not, and the run takes one more frame and one more step than the
+    unperturbed one."""
+    b = random_case(7, 6, gap=1.0, coupling=0.5, seed=15).block
+    _, reference = solve_newton_X0(b)
+    make = riccati._graph_frame
+
+    def perturbed(*args):
+        frame = make(*args)
+        return frame if frame.at_zero else frame._replace(c=frame.c * (1 + 1e-6))
+
+    with mock.patch.object(riccati, "_graph_frame", perturbed):
+        _, trace = solve_newton_X0(b)
+    assert trace.converged and reference.converged
+    assert trace.frames == reference.frames + 1
+    assert trace.iterations == reference.iterations + 1
