@@ -133,7 +133,7 @@ def _check(args, report, problem) -> bool:
         rb = riccati.residual_block(b, pair, r0, r1)
     with _timed(timings, "diagonalize"):
         left, right = transform.diagonalize(b, pair)
-        ext = transform.verify_extended_identity(b, pair, left, right)
+        ext = transform.verify_extended_identity(b, pair, right)
     with _timed(timings, "resolvent"):
         shifts = _sample_shifts(b, args.lambdas, args.seed)
         sweep = transform.verify_resolvent_invariance(b, pair, shifts)

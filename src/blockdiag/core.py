@@ -292,10 +292,6 @@ class BlockMatrix:
         """Full matrix of the diagonal part ``A = diag(A0, A1)``."""
         return from_blocks(self.A0, None, None, self.A1)
 
-    def offdiagonal_part(self) -> np.ndarray:
-        """Full matrix of the coupling part ``V = [[0, W1], [W0, 0]]``."""
-        return from_blocks(None, self.W1, self.W0, None)
-
     def swapped(self) -> "BlockMatrix":
         """Exchange the roles of H0 and H1 (permutation similarity).
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularPair
-from .core import BlockMatrix, is_hermitian, operator_norm
+from .core import BlockMatrix, _sigma_min, is_hermitian, operator_norm
 from .errors import ContractError, NumericError, ResolventError, StructuralError
 from .spectral import eigenvalues
 
@@ -112,6 +112,8 @@ def neumann_certificate(b: BlockMatrix, p: AngularPair, lam: complex) -> Neumann
     When the criterion holds, the smallest singular values of ``B - lam``
     and ``A - Y V - lam`` are computed and checked against the Neumann
     lower bound ``sigma_min(A - lam) * (1 - contraction)`` with 10% slack.
+    ``A - Y V = diag(A0 - X1 W0, A1 - X0 W1)``, so the latter is the
+    smaller of those of its two diagonal blocks.
     """
     lam = complex(lam)
     nv = resolvent_norm(b, lam)
@@ -121,14 +123,12 @@ def neumann_certificate(b: BlockMatrix, p: AngularPair, lam: complex) -> Neumann
     sigma_b = None
     sigma_ayv = None
     if holds:
-        a = b.diagonal_part()
-        v = b.offdiagonal_part()
-        y = p.Y
-        eye = np.eye(a.shape[0], dtype=np.complex128)
         sigma_a = b.sigma_min_shifted_A(lam)
         sigma_b = b.sigma_min_shifted(lam)
-        sigma_ayv = float(
-            np.linalg.svd(a - y @ v - lam * eye, compute_uv=False)[-1]
+        # A - Y V = diag(A0 - X1 W0, A1 - X0 W1)
+        sigma_ayv = min(
+            _sigma_min(a - x @ w - lam * np.eye(a.shape[0]))
+            for a, x, w in ((b.A0, p.X1, b.W0), (b.A1, p.X0, b.W1))
         )
         floor_b = sigma_a * (1.0 - nv)
         floor_ayv = sigma_a * (1.0 - product)

@@ -142,16 +142,21 @@ def _rel_norm(residual, scale: float, x) -> float:
     return r / denom
 
 
+def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float]:
+    """``a1 X - X a0 - X w1 X + w0`` and its norm relative to ``scale``, for
+    centred blocks ``a_i``: the H0 graph equation, or the H1 one with the
+    blocks exchanged."""
+    res = a1 @ x - x @ a0 - x @ w1 @ x + w0
+    return res, _rel_norm(res, scale, x)
+
+
 def residual_X0(b: BlockMatrix, X0) -> RiccatiResidual:
     """Residual ``A1 X0 - X0 A0 - X0 W1 X0 + W0`` of the H0 graph equation."""
     x = as_matrix(X0, "X0")
     if x.shape != (b.n1, b.n0):
         raise StructuralError(f"X0 must have shape {(b.n1, b.n0)}, got {x.shape}")
     a0, a1 = _centred_A(b)
-    res = a1 @ x - x @ a0 - x @ b.W1 @ x + b.W0
-    return RiccatiResidual(
-        residual=res, rel_norm=_rel_norm(res, _riccati_scale(b, a0, a1), x)
-    )
+    return RiccatiResidual(*_residual(a0, a1, b.W0, b.W1, x, _riccati_scale(b, a0, a1)))
 
 
 def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
@@ -160,10 +165,7 @@ def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
     if x.shape != (b.n0, b.n1):
         raise StructuralError(f"X1 must have shape {(b.n0, b.n1)}, got {x.shape}")
     a0, a1 = _centred_A(b)
-    res = a0 @ x - x @ a1 - x @ b.W0 @ x + b.W1
-    return RiccatiResidual(
-        residual=res, rel_norm=_rel_norm(res, _riccati_scale(b, a0, a1), x)
-    )
+    return RiccatiResidual(*_residual(a1, a0, b.W1, b.W0, x, _riccati_scale(b, a0, a1)))
 
 
 def residual_block(
@@ -412,30 +414,30 @@ def solve_newton_X0(
     """
     b = BlockMatrix(*_centred_A(b), b.W0, b.W1)
     hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
-    scale = _riccati_scale(b, *_centred_A(b))
+    scale = _riccati_scale(b, b.A0, b.A1)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     f, value = b.W0, _rel_norm(b.W0, scale, x)  # F(0) = W0
     history: list[float] = []
     schur_steps = frames = 0
-    frame = z = None
+    frame = z = dz = None
     for iteration in range(max_iter + 1):
         if frame is not None:
             # the coefficients at X = X' + t1 Z t0inv (see _GraphFrame)
-            e1, e0 = frame.e1 - z @ frame.m, frame.e0 - frame.m @ z
+            e1 = frame.e1 - z @ frame.m
             phi = frame.c + e1 @ z + z @ frame.e0 + frame.delta * z
             value = _rel_norm(frame.t1 @ phi @ frame.t0inv, scale, x)
             if value <= tol or iteration == max_iter or not np.isfinite(value):
                 frame = None  # the residual of the carried X decides
         if frame is None and f is None:
-            residual = residual_X0(b, x)
-            f, value = residual.residual, residual.rel_norm
+            f, value = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
         history.append(value)
         if value <= tol or iteration == max_iter:
             break
-        dz = None if frame is None else _graph_frame_step(b, frame, z, phi, e1, e0)
+        if frame is not None:  # E0 only for an iterate that takes a step
+            dz = _graph_frame_step(b, frame, z, phi, e1, frame.e0 - frame.m @ z)
         if dz is None:
             frame = z = None  # released before the next is factorized
-            f = residual_X0(b, x).residual if f is None else f
+            f = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)[0] if f is None else f
             # a non-finite F goes to solve_sylvester, which refuses it
             if hermitian and np.isfinite(value):
                 frame = _graph_frame(b, x, f)
@@ -456,7 +458,7 @@ def solve_newton_X0(
         if frame is not None:
             z += dz
         # released before the next coefficients are formed
-        f = phi = e1 = e0 = dz = d = None
+        f = phi = e1 = dz = d = None
     return x, NewtonTrace(
         iterates=history,
         converged=bool(history[-1] <= tol),

@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
 from .spectral import Subspace, null_space_basis
-from .transform import DiagonalizationResult, _lower, diagonalize_in_frame
+from .transform import DiagonalizationResult, _lower, diagonalize
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
 #: to the threshold mu and is routed through the kernel logic.
@@ -290,7 +290,7 @@ def run_theorem(
     ``I + X X*`` make the unitary frame ``U = [G0 L0^{-*}, G1 L1^{-*}]``;
     the invariance defects of graph(X) and graph(-X*) are the off-diagonal
     blocks of ``U* B U``, read off the product ``C = (I - Y) B (I + Y)``
-    they form (:func:`~blockdiag.transform.diagonalize_in_frame`).
+    they form (``DiagonalizationResult.frame_defects``).
     ``invariance_residuals[0]`` adds ``2 norm_F(Q1 - X Q0)``, the distance
     of span L from graph(X) times 2, and both add the rounding slack
     ``16 dim eps (1 + norm(X))^2`` (README "Numerics notes"), so each bounds
@@ -318,7 +318,8 @@ def run_theorem(
             f"angular operator is not a contraction: norm(X) = {norm_x:.12g}"
         )
     # kappa(I -/+ Y) <= sqrt(2): always the blockwise frame route
-    left, right, ((_, l1), defects) = diagonalize_in_frame(b, pair)
+    left, right = diagonalize(b, pair)
+    defects, l1 = right.frame_defects, pair.factors_I_minus_Y2[1]
     scale = max(b.norm, 1e-300)
     slack = KERNEL_PROOF_ROUNDING * b.dim * _EPS * (1.0 + norm_x) ** 2
     q0, q1 = sub.basis[: b.n0], sub.basis[b.n0 :]

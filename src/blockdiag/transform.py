@@ -8,22 +8,23 @@ triangular form. This module performs those conjugations numerically,
 reports off-diagonal defects and conditioning, and provides the resolvent
 and spectral cross-checks.
 
-Both conjugations come from the blocks of one product
-``C = (I - Y) B (I + Y)`` and the diagonal blocks ``S0 = I - X1 X0``,
+The off-diagonal blocks of both conjugations come from those of one
+product ``C = (I - Y) B (I + Y)`` and the diagonal blocks ``S0 = I - X1 X0``,
 ``S1 = I - X0 X1`` of ``I - Y^2 = (I - Y)(I + Y)``. Polynomials in Y
 commute, so ``(I - Y)^{-1} = (I + Y)(I - Y^2)^{-1}`` and
 ``(I + Y)^{-1} = (I - Y^2)^{-1}(I - Y)`` for any pair, whether or not it
 solves the graph equations; the left form is ``C diag(S0, S1)^{-1}`` and
 the right form ``diag(S0, S1)^{-1} C``. S0 and S1 are factored once each,
-on the pair (``AngularPair.factors_I_minus_Y2``), for both forms and the
-extended identity: by Cholesky for a skew pair, whose factors also make
-the orthonormal frame of its two graphs (:func:`diagonalize_in_frame`),
-by LU otherwise. Only the off-diagonal blocks of C and of both forms are
-formed eagerly; the diagonal blocks of C and the dense forms are formed
-when first read. No system larger than n0 x n0 or n1 x n1 is solved,
-except for a pair, skew or not, that is not well conditioned
-(:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which solves with ``I - Y`` and
-``I + Y``.
+on the pair (``AngularPair.factors_I_minus_Y2``): by Cholesky for a skew
+pair, whose factors also make the orthonormal frame of its two graphs,
+by LU otherwise. The off-diagonal blocks then fix everything else:
+``(I + Y) T = B (I + Y)`` and ``L (I - Y) = (I - Y) B`` give the diagonal
+blocks of the right form T and the left form L, formed when a dense form
+is first read, and make both extended-identity residuals polynomials in
+them (:func:`verify_extended_identity`), which solves nothing. No system
+larger than n0 x n0 or n1 x n1 is solved, except for a pair, skew or not,
+that is not well conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which
+solves with ``I - Y`` and ``I + Y``.
 
 For a skew pair ``X1 = -X0*`` on bitwise-Hermitian B, ``I - Y = (I + Y)*``,
 so C is Hermitian and the left form is the adjoint of the right one:
@@ -91,26 +92,27 @@ class DiagonalizationResult:
     """Conjugated matrix with off-diagonal defect and conditioning data.
 
     ``transformed`` is the literal conjugation ``(I - Y) B (I - Y)^{-1}``
-    (left form) or ``(I + Y)^{-1} B (I + Y)`` (right form), formed as
-    ``C diag(S0, S1)^{-1}`` or ``diag(S0, S1)^{-1} C`` from the product
-    ``C = (I - Y) B (I + Y)`` (see the module docstring for the
-    exception); it is not read off the graph-equation residual. It is
-    assembled on first read (by ``assemble``): only its off-diagonal
-    blocks, which ``offdiag_rel_norm`` measures, are formed with the
-    result. ``diagonal_of_c`` forms the diagonal blocks ``(C00, C11)`` of C
-    (None where ``transformed`` is solved with ``I -/+ Y`` instead).
-    ``diag_blocks`` holds the closed-form diagonal blocks computed
-    directly from the inputs (not read off the conjugation), so the
-    off-diagonal defect and the block mismatch can be judged independently.
-    ``offdiag_rel_norm`` is a Frobenius residual over the exact ``norm(B)``;
-    ``conditioning`` is the exact 2-norm condition number of ``I -/+ Y``.
+    (left form L) or ``(I + Y)^{-1} B (I + Y)`` (right form T). It is
+    assembled on first read (by ``assemble``); only its off-diagonal
+    blocks ``offdiag_blocks``, which ``offdiag_rel_norm`` measures and
+    which fix its diagonal blocks (see :func:`diagonalize`), are formed
+    with the result (None for a left form that is the adjoint of the right
+    one). ``diag_blocks`` holds the closed-form diagonal blocks
+    computed directly from the inputs (not read off the conjugation), so
+    the off-diagonal defect and the block mismatch can be judged
+    independently. ``offdiag_rel_norm`` is a Frobenius residual over the
+    exact ``norm(B)``; ``conditioning`` is the exact 2-norm condition
+    number of ``I -/+ Y``. ``frame_defects`` are the invariance defects of
+    a skew pair's two graphs (see :func:`diagonalize`), None for any other
+    pair and on the route that solves with ``I -/+ Y``.
     """
 
     offdiag_rel_norm: float
     diag_blocks: tuple[np.ndarray, np.ndarray]
     conditioning: float
     assemble: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    diagonal_of_c: Callable | None = field(default=None, repr=False, compare=False)
+    offdiag_blocks: tuple | None = field(repr=False, compare=False)
+    frame_defects: tuple[float, float] | None
 
     @property
     def reliable(self) -> bool:
@@ -149,8 +151,8 @@ def _pair_condition(p: AngularPair) -> float:
     return float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
-def _offdiag_rel_norm(b: BlockMatrix, t01: np.ndarray, t10: np.ndarray) -> float:
-    off = math.hypot(frobenius_norm(t01), frobenius_norm(t10))
+def _offdiag_rel_norm(b: BlockMatrix, blocks: tuple) -> float:
+    off = math.hypot(*map(frobenius_norm, blocks))
     scale = b.norm
     return off / scale if scale > 0.0 else off
 
@@ -172,41 +174,37 @@ def diagonalize(
 ) -> tuple[DiagonalizationResult, DiagonalizationResult]:
     """Both block diagonalizations of ``b`` by the pair ``p``: ``(left, right)``.
 
-    ``left`` is ``(I - Y) B (I - Y)^{-1}``, block diagonal
+    ``left`` is ``L = (I - Y) B (I - Y)^{-1}``, block diagonal
     ``diag(A0 - X1 W0, A1 - X0 W1)`` when the graph-equation residual
-    vanishes; ``right`` is ``(I + Y)^{-1} B (I + Y)``, block diagonal
-    ``diag(A0 + W1 X0, A1 + W0 X1)`` then. Both come from the blocks of
-    the one product ``C = (I - Y) B (I + Y)`` and the blocks S0, S1 of
-    ``I - Y^2``, factored once on the pair: by Cholesky for a skew pair, by
-    LU otherwise. The off-diagonal blocks of C and of both forms are formed
-    here, and each ``transformed`` only when read. On bitwise-Hermitian B
-    with a skew pair C is Hermitian and ``left`` is the adjoint of
-    ``right``: C10 alone is formed, and both ``offdiag_rel_norm`` are the
-    same number. A pair whose cached condition number exceeds
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
-    (see the module docstring). Raises :class:`NotComplementaryError` when
-    a system solved is exactly singular.
-    """
-    return diagonalize_in_frame(b, p)[:2]
+    vanishes; ``right`` is ``T = (I + Y)^{-1} B (I + Y)``, block diagonal
+    ``diag(A0 + W1 X0, A1 + W0 X1)`` then. The off-diagonal blocks of both
+    come from those of the one product ``C = (I - Y) B (I + Y)`` and the
+    blocks S0, S1 of ``I - Y^2``, factored once on the pair: by Cholesky
+    for a skew pair, by LU otherwise. They are formed here; their diagonal
+    blocks follow from ``(I + Y) T = B (I + Y)`` and
+    ``L (I - Y) = (I - Y) B`` when ``transformed`` is read:
+    ``T00 = m00 - X1 T10``, ``T11 = m11 - X0 T01``, ``L00 = l00 + L01 X0``
+    and ``L11 = l11 + L10 X1``, with ``(m00, m11)`` and ``(l00, l11)`` the
+    closed-form ``diag_blocks``. On bitwise-Hermitian B with a skew pair C
+    is Hermitian and ``left`` is the adjoint of ``right``: C10 alone is
+    formed, and both ``offdiag_rel_norm`` are the same number.
 
-
-def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
-    """:func:`diagonalize`, with the frame of a skew pair's two graphs.
-
-    Returns ``(left, right, frame)``. For a skew pair within
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT`, ``S0 = I + X0* X0`` and
-    ``S1 = I + X0 X0*`` are Hermitian with eigenvalues at least 1, and
-    their Cholesky factors ``S_i = L_i L_i*`` serve both forms. With
-    ``G0 = [I; X0]`` and ``G1 = [-X0*; I]``, ``G0* G1 = X1 + X0* = 0``, so
+    For a skew pair ``S0 = I + X0* X0`` and ``S1 = I + X0 X0*`` have
+    eigenvalues at least 1, and with ``S_i = L_i L_i*``, ``G0 = [I; X0]`` and
+    ``G1 = [-X0*; I]`` (``G0* G1 = X1 + X0* = 0``),
     ``U = [G0 L0^{-*}, G1 L1^{-*}]`` is unitary; ``I + Y = [G0, G1]``, so
     ``U* B U = L^{-1} C L^{-*}`` with ``L = diag(L0, L1)``. Its off-diagonal
     blocks ``L1^{-1} C10 L0^{-*}`` and ``L0^{-1} C01 L1^{-*}`` are
     ``U1* B U0`` and ``U0* B U1``, whose Frobenius norms are
     ``norm_F((I - P) B P)`` for P the orthogonal projector onto graph(X0)
-    and onto graph(X1); they reuse the first triangular solve of the right
-    form's off-diagonal blocks. For Hermitian B the two are adjoints, and
-    one is formed. ``frame`` is ``((L0, L1), (defect_0, defect_1))``, and
-    None for any other pair.
+    and onto graph(X1): both results carry them as ``frame_defects``. They
+    reuse the first triangular solve of the right form's off-diagonal
+    blocks; for Hermitian B the two are adjoints, and one is formed.
+
+    A pair whose cached condition number exceeds
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
+    (see the module docstring). Raises :class:`NotComplementaryError` when
+    a system solved is exactly singular.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
@@ -221,7 +219,7 @@ def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
     l00 = a0 - x1 @ b.W0
     l11 = b.A1 - x0 @ w1
     conditioning = _pair_condition(p)
-    hermitian, frame = False, None
+    defects = None
     try:
         if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
             hermitian, fs = b.bitwise_hermitian and p.skew, p.factors_I_minus_Y2
@@ -235,80 +233,72 @@ def diagonalize_in_frame(b: BlockMatrix, p: AngularPair):
                 d0 = frobenius_norm(_lower(fs[0], z1.conj().T))
                 d1 = d0 if hermitian else frobenius_norm(_lower(fs[1], z0.conj().T))
                 r01, r10 = _lower(fs[0], z0, trans="C"), _lower(fs[1], z1, trans="C")
-                frame = fs, (d0, d1)
+                defects = d0, d1
             else:
                 r01, r10 = _s_solve(fs[0], c01), _s_solve(fs[1], c10)
-
-            def diagonal_of_c():
-                return m00 - x1 @ m10, m11 - x0 @ (w1 + a0 @ x1)
-
-            def assemble(t01, t10, on_right):
-                t00, t11 = (_s_solve(f, c, on_right) for f, c in zip(fs, diagonal_of_c()))
-                return from_blocks(t00, t01, t10, t11)
-
-            right_form = functools.partial(assemble, r01, r10, False)
+            right_form = lambda: from_blocks(m00 - x1 @ r10, r01, r10, m11 - x0 @ r01)
             if hermitian:  # left = right*
-                left_form = lambda: right.transformed.conj().T
+                left_off, left_form = None, lambda: right.transformed.conj().T
             else:
                 l01, l10 = _s_solve(fs[1], c01, True), _s_solve(fs[0], c10, True)
-                left_form = functools.partial(assemble, l01, l10, True)
+                left_off = l01, l10
+                left_form = lambda: from_blocks(
+                    l00 + l01 @ x0, l01, l10, l11 + l10 @ x1
+                )
         else:
             n = from_blocks(l00, w1 - x1 @ b.A1, b.W0 - x0 @ a0, l11)
             eye = np.eye(b.dim, dtype=np.complex128)
             dl = np.linalg.solve((eye - p.Y).T, n.T).T
             dr = np.linalg.solve(eye + p.Y, from_blocks(m00, w1 + a0 @ x1, m10, m11))
             h0, h1 = np.s_[: b.n0], np.s_[b.n0 :]
-            (l01, l10), (r01, r10) = ((t[h0, h1], t[h1, h0]) for t in (dl, dr))
-            left_form, right_form, diagonal_of_c = (lambda: dl), (lambda: dr), None
+            left_off, (r01, r10) = ((t[h0, h1], t[h1, h0]) for t in (dl, dr))
+            left_form, right_form = (lambda: dl), (lambda: dr)
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
+    right_off = r01, r10
     right = DiagonalizationResult(
-        _offdiag_rel_norm(b, r01, r10), (m00, m11), conditioning, right_form, diagonal_of_c
+        _offdiag_rel_norm(b, right_off), (m00, m11), conditioning, right_form,
+        right_off, defects,
     )
-    left_off = right.offdiag_rel_norm if hermitian else _offdiag_rel_norm(b, l01, l10)
-    left = DiagonalizationResult(left_off, (l00, l11), conditioning, left_form, diagonal_of_c)
-    return left, right, frame
+    left = DiagonalizationResult(
+        right.offdiag_rel_norm if left_off is None else _offdiag_rel_norm(b, left_off),
+        (l00, l11), conditioning, left_form, left_off, defects,
+    )
+    return left, right
 
 
 def verify_extended_identity(
-    b: BlockMatrix,
-    p: AngularPair,
-    left: DiagonalizationResult,
-    right: DiagonalizationResult,
+    b: BlockMatrix, p: AngularPair, right: DiagonalizationResult
 ) -> ExtendedIdentityResiduals:
     """Compare the right conjugation with the ``(I - Y^2)``-scaled left form.
 
-    ``left`` and ``right`` are :func:`diagonalize` of the same ``b`` and
-    ``p``. The scaled left form ``(I - Y^2)^{-1} (A - Y V) (I - Y^2)`` is
-    block diagonal, ``diag(S0^{-1} (A0 - X1 W0) S0, S1^{-1} (A1 - X0 W1) S1)``,
-    since ``A - Y V`` is ``left.diag_blocks`` and ``A + V Y`` is
-    ``right.diag_blocks``. Both residuals are Frobenius norms relative to
-    the exact ``norm(B)``; in exact arithmetic with a vanishing
-    graph-equation residual both are zero, and the second one certifies
-    that the scaled left form reproduces ``A + V Y``. S0 and S1 are solved
-    with the factors cached on the pair, which :func:`diagonalize` made.
-    The off-diagonal blocks of the identity are those of the right
-    conjugation, measured by ``right.offdiag_rel_norm``; its diagonal
-    blocks are ``S_i^{-1} (C_ii - l_ii S_i)`` from ``right.diagonal_of_c``,
-    so no dense form is assembled, except that a pair solved with
-    ``I -/+ Y`` reads them off its solved ``right.transformed``.
+    ``right`` is the right form T of :func:`diagonalize` of the same ``b``
+    and ``p``. The scaled left form
+    ``(I - Y^2)^{-1} (A - Y V) (I - Y^2) = diag(S0^{-1} l00 S0, S1^{-1} l11 S1)``
+    has the left form's closed-form blocks ``l_ii``; ``identity`` is its
+    distance from T, and ``right_form`` its distance from the right form's
+    closed-form blocks ``diag(m00, m11) = A + V Y``. Both are Frobenius
+    norms relative to the exact ``norm(B)``, and both vanish in exact
+    arithmetic when the graph-equation residual does.
+
+    Every term is exact algebra in T's off-diagonal blocks
+    (``right.offdiag_blocks``): T is ``(I - Y^2)^{-1} L (I - Y^2)`` for the
+    left form L, so ``S0 T00 = L00 S0`` and ``S0 T01 = L01 S1``, and with
+    ``L00 = l00 + L01 X0`` and ``S1 X0 = X0 S0``,
+    ``T00 - S0^{-1} l00 S0 = T01 X0``; ``T00 = m00 - X1 T10`` then gives
+    ``S0^{-1} l00 S0 - m00 = -(T01 X0 + X1 T10)``, mirrored for block 1. So
+    ``identity`` is ``norm_F([[T01 X0, T01], [T10, T10 X1]])``, never below
+    ``right.offdiag_rel_norm``, and ``right_form`` is the norm of
+    ``diag(T01 X0 + X1 T10, T10 X1 + X0 T01)``: four half-size products,
+    no solve, on every route.
     """
-    ls = [d @ s for d, s in zip(left.diag_blocks, p.blocks_I_minus_Y2)]  # l_ii S_i
-    try:
-        r0, r1 = (_s_solve(f, ls_i) for f, ls_i in zip(p.factors_I_minus_Y2, ls))
-        if right.diagonal_of_c is None:
-            t, n0 = right.transformed, b.n0
-            u0, u1 = t[:n0, :n0] - r0, t[n0:, n0:] - r1
-        else:
-            cs = zip(p.factors_I_minus_Y2, right.diagonal_of_c(), ls)
-            u0, u1 = (_s_solve(f, c - ls_i) for f, c, ls_i in cs)
-    except np.linalg.LinAlgError as exc:
-        raise NotComplementaryError("I - Y^2 is numerically singular") from exc
-    (m00, m11), scale = right.diag_blocks, max(b.norm, 1e-300)
-    # the off-diagonal blocks are those of the right form
-    off = right.offdiag_rel_norm * b.norm
-    identity = math.hypot(frobenius_norm(u0), frobenius_norm(u1), off)
-    right_form = math.hypot(frobenius_norm(r0 - m00), frobenius_norm(r1 - m11))
+    t01, t10 = right.offdiag_blocks
+    u0, u1 = t01 @ p.X0, t10 @ p.X1
+    scale = max(b.norm, 1e-300)
+    identity = math.hypot(*map(frobenius_norm, (u0, t01, t10, u1)))
+    right_form = math.hypot(
+        frobenius_norm(u0 + p.X1 @ t10), frobenius_norm(u1 + p.X0 @ t01)
+    )
     return ExtendedIdentityResiduals(identity / scale, right_form / scale)
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from blockdiag import BlockMatrix
+from blockdiag.core import from_blocks
 
 # filled by tests/test_acceptance.py, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -45,6 +46,11 @@ def random_block(rng, n0, n1, scale=1.0):
         return scale * (rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c)))
 
     return BlockMatrix(mat(n0, n0), mat(n1, n1), mat(n1, n0), mat(n0, n1))
+
+
+def offdiagonal_part(b):
+    """Full matrix of the coupling part ``V = [[0, W1], [W0, 0]]``."""
+    return from_blocks(None, b.W1, b.W0, None)
 
 
 def eigvecs(b, keep):

@@ -5,7 +5,8 @@ nothing in ``src/blockdiag`` or ``perfbench`` references by name or
 attribute outside its own definition is code only its tests run, and is
 deleted rather than kept. Dunder methods are called by Python itself.
 Imports do not count as references, so a name that ``__init__`` re-exports
-still needs a caller.
+still needs a caller. Likewise every parameter of a function is read in its
+body.
 """
 
 import ast
@@ -58,3 +59,62 @@ def _uncalled() -> list[str]:
 
 def test_every_definition_has_a_caller_in_the_program():
     assert _uncalled() == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _unread(node, bound: bool) -> list[str]:
+    """Parameters of a function or lambda that its body never loads (nested
+    functions included); with ``bound``, the first one is exempt."""
+    a = node.args
+    named = a.posonlyargs + a.args + a.kwonlyargs
+    named += [v for v in (a.vararg, a.kwarg) if v]
+    body = node.body if isinstance(node.body, list) else [node.body]
+    loaded = {
+        n.id
+        for stmt in body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [p.arg for p in named[bound:] if p.arg not in loaded]
+
+
+def _bound_methods(tree: ast.Module) -> set[int]:
+    """ids of the methods whose first parameter Python binds (not static)."""
+    return {
+        id(m)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef)
+        for m in c.body
+        if isinstance(m, _FUNCTIONS[:2])
+        and "staticmethod" not in [getattr(d, "id", None) for d in m.decorator_list]
+    }
+
+
+def _unread_parameters() -> list[str]:
+    """``file:line function parameter`` for each parameter never read. The
+    run functions of ``cli.COMMANDS``, whose signature is the command
+    protocol, are exempt."""
+    from blockdiag.cli import COMMANDS
+
+    protocol = {command.run.__name__ for command in COMMANDS.values()}
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _bound_methods(tree)
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "lambda")
+            if not isinstance(node, _FUNCTIONS) or (
+                path.name == "cli.py" and name in protocol
+            ):
+                continue
+            out += [
+                f"{path.name}:{node.lineno} {name} {p}"
+                for p in _unread(node, id(node) in bound)
+            ]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters() == []

@@ -41,7 +41,7 @@ from blockdiag.errors import IllPosedRegionError, NotAGraphError
 from blockdiag.io import ProblemFile
 from blockdiag.spectral import eigenbasis_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
-from conftest import random_block
+from conftest import offdiagonal_part, random_block
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -172,7 +172,7 @@ def test_resolvent_norm_matches_solve_and_svd(seed, n0, n1, kind, ls, near):
     # keep the shift well inside the resolvent set, where both forms are
     # accurate to rounding
     assume(_sigma_min_svd(shifted) >= 1e-2 * b.norm_A)
-    product = np.linalg.solve(shifted.conj().T, b.offdiagonal_part().conj().T).conj().T
+    product = np.linalg.solve(shifted.conj().T, offdiagonal_part(b).conj().T).conj().T
     assert resolvent_norm(b, lam) == pytest.approx(_norm2(product), rel=1e-12)
 
 
@@ -338,11 +338,11 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
 
 @pytest.mark.parametrize("skew", [False, True])
 def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
-    """Both diagonalizations, their dense forms and the extended identity
-    solve with the n0 x n0 and n1 x n1 blocks of ``I - Y^2`` for a
-    well-conditioned pair, skew or not, each factored once on the pair: by
-    Cholesky for a skew pair, by LU otherwise. Triangularization solves
-    nothing. No system is solved by ``np.linalg.solve``."""
+    """Both diagonalizations and their dense forms solve with the n0 x n0
+    and n1 x n1 blocks of ``I - Y^2`` for a well-conditioned pair, skew or
+    not, each factored once on the pair: by Cholesky for a skew pair, by LU
+    otherwise. The extended identity and triangularization solve nothing.
+    No system is solved by ``np.linalg.solve``."""
     rng = np.random.default_rng(5)
     n0, n1 = 3, 5
     b = random_block(rng, n0, n1)
@@ -353,7 +353,7 @@ def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     cholesky = _record_shapes(monkeypatch, np.linalg, "cholesky")
     lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
     left, right = diagonalize(b, pair)
-    verify_extended_identity(b, pair, left, right)
+    verify_extended_identity(b, pair, right)
     assert left.transformed.shape == (b.dim, b.dim)
     assert shapes == []
     assert (cholesky if skew else lu) == [(n0, n0), (n1, n1)]
@@ -363,9 +363,9 @@ def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
 
 
 def test_hermitian_check_factors_each_block_of_i_minus_y2_once(tmp_path, monkeypatch):
-    """``diagonalize``, the extended identity and the resolvent sweep of a
-    Hermitian ``check`` share one Cholesky factor of each S_i, cached on
-    the pair: S0 and S1 are never solved by LU."""
+    """``diagonalize`` and the resolvent sweep of a Hermitian ``check``
+    share one Cholesky factor of each S_i, cached on the pair: S0 and S1
+    are never solved by LU."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     s_blocks = spectral_pair(b, 0.0).blocks_I_minus_Y2
     path = _check_file(tmp_path, b)
@@ -538,11 +538,11 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     tmp_path, monkeypatch, entry
 ):
     """On bitwise-Hermitian input the pipelines read the diagonalizations'
-    norms, closed-form blocks and frame, never a dense form: no
+    norms, closed-form blocks and frame defects, never a dense form: no
     ``cho_solve``, no triangular solve with a right-hand side larger than
     n_i x n_j, and no dim x dim ``from_blocks`` in ``transform`` until
-    ``transformed`` is read. ``check``'s diagonalizations and extended
-    identity solve with S0 and S1 twice each, n_i x n_i right-hand sides."""
+    ``transformed`` is read. ``check``'s extended identity solves nothing:
+    no ``solve``, ``cho_solve``, ``lu_solve`` or triangular solve."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
     cho = [_record_rhs(monkeypatch, o, "cho_solve") for o in (scipy.linalg, transform)]
@@ -552,7 +552,7 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
             owner, "_lower", functools.partial(scipy.linalg.solve_triangular, lower=True)
         )
     assembled = _record_returns(monkeypatch, transform, "from_blocks")
-    framed = _record_returns(monkeypatch, subordinated, "diagonalize_in_frame")
+    framed = _record_returns(monkeypatch, subordinated, "diagonalize")
     plain = _record_returns(monkeypatch, transform, "diagonalize")
     if entry == "run_theorem":
         run_theorem(b, mu=0.0)
@@ -565,10 +565,15 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
         assert main(["diagonalize", path]) == 0
     else:  # as check runs them
         pair = spectral_pair(b, 0.0)
-        transform.verify_extended_identity(b, pair, *transform.diagonalize(b, pair))
-    ((left, right, *_),) = framed + plain
+        right = transform.diagonalize(b, pair)[1]
+        solved = len(triangular)
+        owners = ((np.linalg, "solve"), (scipy.linalg, "lu_solve"), (transform, "lu_solve"))
+        others = [_record_rhs(monkeypatch, o, name) for o, name in owners]
+        transform.verify_extended_identity(b, pair, right)
+        assert len(triangular) == solved and others == [[], [], []]
+    ((left, right),) = framed + plain
     n0, n1 = (d.shape[0] for d in left.diag_blocks)
-    assert cho[0] + cho[1] == ([(n0, n0), (n1, n1)] * 2 if entry == "extended_identity" else [])
+    assert cho[0] + cho[1] == []
     assert triangular and all(r in (n0, n1) and c in (n0, n1) for r, c in triangular)
     dense = (n0 + n1, n0 + n1)
     assert dense not in [m.shape for m in assembled]

@@ -22,13 +22,9 @@ from blockdiag import (
 from blockdiag.angular import GraphBase, GraphSubspace
 from blockdiag.errors import NotComplementaryError, ResolventError
 from blockdiag.riccati import residual_X0
-from blockdiag.transform import (
-    BLOCK_SOLVE_CONDITION_LIMIT,
-    diagonalize_in_frame,
-    match_spectra,
-)
+from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
 from blockdiag.spectral import eigenvalues
-from conftest import random_block
+from conftest import offdiagonal_part, random_block
 
 SKEW_ANALYTIC = form_pair([[1 - np.sqrt(2)]], [[np.sqrt(2) - 1]])
 
@@ -82,7 +78,7 @@ def _dense_scaled_left_form(b, p):
     condition number of ``I - Y^2``."""
     y = p.Y
     m = np.eye(b.dim) - y @ y
-    a_minus_yv = b.diagonal_part() - y @ b.offdiagonal_part()
+    a_minus_yv = b.diagonal_part() - y @ offdiagonal_part(b)
     return np.linalg.solve(m, a_minus_yv @ m), np.linalg.cond(m, 2)
 
 
@@ -123,9 +119,9 @@ def test_diagonalize_matches_dense_conjugations(
     assert np.linalg.norm(left.transformed - dense_left) <= bound
     assert np.linalg.norm(right.transformed - dense_right) <= bound
 
-    ext = verify_extended_identity(b, p, left, right)
+    ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
-    a_plus_vy = b.diagonal_part() + b.offdiagonal_part() @ p.Y
+    a_plus_vy = b.diagonal_part() + offdiagonal_part(b) @ p.Y
     terms = sum(np.linalg.norm(m) for m in (rhs, dense_right, a_plus_vy))
     ext_bound = 8 * eps_dim * kappa_m * terms / norm_b
     assert abs(ext.identity - np.linalg.norm(dense_right - rhs) / norm_b) <= ext_bound
@@ -178,7 +174,8 @@ def test_blockwise_route_matches_the_dense_reference(
         x0 = scaled(n1, n0, size * (np.sqrt(3.0) if kind != "general" else 1 / 3))
         x1 = scaled(n0, n1, size / 3) if kind == "general" else -x0.conj().T
         p = form_pair(x0, x1)
-    left, right, frame = diagonalize_in_frame(b, p)
+    left, right = diagonalize(b, p)
+    defects = right.frame_defects
     assert right.conditioning <= BLOCK_SOLVE_CONDITION_LIMIT
     full = b.assemble()
     dense_left, dense_right = _dense_diagonalize(b, p)
@@ -194,26 +191,27 @@ def test_blockwise_route_matches_the_dense_reference(
         )
         assert abs(result.offdiag_rel_norm * norm_b - off) <= bound
 
-    ext = verify_extended_identity(b, p, left, right)
+    ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
-    a_plus_vy = b.diagonal_part() + b.offdiagonal_part() @ p.Y
+    a_plus_vy = b.diagonal_part() + offdiagonal_part(b) @ p.Y
     terms = sum(np.linalg.norm(m) for m in (rhs, dense_right, a_plus_vy))
     ext_bound = 8 * eps_dim * kappa_m * terms / norm_b
     assert abs(ext.identity - np.linalg.norm(dense_right - rhs) / norm_b) <= ext_bound
     assert abs(ext.right_form - np.linalg.norm(rhs - a_plus_vy) / norm_b) <= ext_bound
 
-    assert (frame is None) == (not p.skew)
+    assert (defects is None) == (not p.skew)
+    assert left.frame_defects == defects
     if p.skew:
         graphs = (
             np.vstack([np.eye(n0), p.X0]), np.vstack([p.X1, np.eye(n1)])
         )
-        for defect, g in zip(frame[1], graphs):
+        for defect, g in zip(defects, graphs):
             frame_bound = 16 * eps_dim * (1 + norm_y) ** 2 * norm_b
             assert abs(defect - _graph_defect(full, g)) <= frame_bound
     if b.bitwise_hermitian and p.skew:
         np.testing.assert_array_equal(left.transformed, right.transformed.conj().T)
         assert left.offdiag_rel_norm == right.offdiag_rel_norm
-        assert frame[1][0] == frame[1][1]
+        assert defects[0] == defects[1]
 
 
 @pytest.mark.parametrize("skew", [True, False])
@@ -268,14 +266,14 @@ def test_extended_identity_zero_pair():
     # Y = 0 solves the block equation only when V = 0; then both sides are A
     b = BlockMatrix(np.diag([1.0]), np.diag([2.0]), [[0.0]], [[0.0]])
     p = _zero_pair(1, 1)
-    res = verify_extended_identity(b, p, *diagonalize(b, p))
+    res = verify_extended_identity(b, p, diagonalize(b, p)[1])
     assert res.identity == 0.0
     assert res.right_form == 0.0
 
 
 def test_extended_identity_analytic(analytic):
     res = verify_extended_identity(
-        analytic, SKEW_ANALYTIC, *diagonalize(analytic, SKEW_ANALYTIC)
+        analytic, SKEW_ANALYTIC, diagonalize(analytic, SKEW_ANALYTIC)[1]
     )
     assert res.identity <= 1e-12
     assert res.right_form <= 1e-12
@@ -291,7 +289,7 @@ def test_extended_identity_tracks_riccati_residual(seed):
     from blockdiag.riccati import residual_block, residual_X1
 
     r = residual_block(b, p, residual_X0(b, p.X0), residual_X1(b, p.X1)).rel_norm
-    res = verify_extended_identity(b, p, *diagonalize(b, p))
+    res = verify_extended_identity(b, p, diagonalize(b, p)[1])
     assert res.identity <= 1e2 * max(r, 1e-15)
     assert res.right_form <= 1e2 * max(r, 1e-15)
 
@@ -561,6 +559,65 @@ def test_ill_conditioned_skew_pair_keeps_dense_solve_accuracy():
                 for j in range(3)
             )
             assert float(error) <= 1e-12 * b.norm
+
+
+def _planted_skew_problem(seed, n0=6, n1=5):
+    """Hermitian ``B = Q diag(w) Q*`` whose eigenvectors below 0 span
+    graph(X0), ``norm(X0) = 35``, and those above graph(-X0*)."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n1, n0)) + 1j * rng.standard_normal((n1, n0))
+    x0 = 35.0 * m / np.linalg.norm(m, 2)
+    q = np.hstack(
+        [
+            np.linalg.qr(np.vstack([np.eye(n0), x0]))[0],
+            np.linalg.qr(np.vstack([-x0.conj().T, np.eye(n1)]))[0],
+        ]
+    )
+    w = np.concatenate([-rng.uniform(0.5, 2.0, n0), rng.uniform(0.5, 2.0, n1)])
+    f = (q * w) @ q.conj().T
+    f = (f + f.conj().T) / 2
+    return BlockMatrix(f[:n0, :n0], f[n0:, n0:], f[n0:, :n0], f[:n0, n0:])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_extended_identity_of_an_ill_conditioned_pair_matches_50_digits(seed):
+    """The spectral pair of a Hermitian 6 + 5 problem with kappa(I + Y) = 35
+    takes the dense solves with I -/+ Y; both extended-identity residuals
+    of the computed pair are within 1e-13 of their 50-digit values, from
+    the literal ``T = (I + Y)^{-1} B (I + Y)`` and
+    ``diag(S_i^{-1} l_ii S_i)``. Solving with S0 and S1, whose condition
+    numbers reach 1226, they were off by up to 1.1e-13."""
+    import mpmath
+
+    b = _planted_skew_problem(seed)
+    p = spectral_pair(b, 0.0)
+    right = diagonalize(b, p)[1]
+    assert right.conditioning > 30
+    ext = verify_extended_identity(b, p, right)
+    n0, n1 = b.n0, b.n1
+
+    def mat(a):
+        return mpmath.matrix(np.asarray(a).tolist())
+
+    with mpmath.workdps(50):
+        x0, x1 = mat(p.X0), mat(p.X1)
+        y, eye = mat(p.Y), mpmath.eye(b.dim)
+        # T minus the scaled left form diag(S_i^{-1} l_ii S_i), and that
+        # form minus the closed form diag(m00, m11)
+        t = mpmath.inverse(eye + y) * mat(b.full) * (eye + y)
+        right_form = 0
+        for lo, n, a, w_in, w_out, xa, xb in (
+            (0, n0, b.A0, b.W0, b.W1, x1, x0), (n0, n1, b.A1, b.W1, b.W0, x0, x1)
+        ):
+            s = mpmath.eye(n) - xa * xb
+            scaled = mpmath.inverse(s) * (mat(a) - xa * mat(w_in)) * s
+            right_form += mpmath.mnorm(scaled - mat(a) - mat(w_out) * xb, "f") ** 2
+            for i in range(n):
+                for j in range(n):
+                    t[lo + i, lo + j] -= scaled[i, j]
+        exact = (float(mpmath.mnorm(t, "f")), float(mpmath.sqrt(right_form)))
+    assert abs(ext.identity - exact[0] / b.norm) <= 1e-13
+    assert abs(ext.right_form - exact[1] / b.norm) <= 1e-13
 
 
 def test_match_spectra_is_the_bottleneck_on_a_clustered_spectrum():
