@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import angular, criteria, dirac, riccati, subordinated, transform
-from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag, operator_norm
+from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag
 from .errors import (
     BlockdiagError,
     HypothesisError,
@@ -239,6 +239,7 @@ def _riccati_solve(args, report, problem) -> bool:
         "iterations": trace.iterations,
         "schur_steps": trace.schur_steps,
         "frames": trace.frames,
+        "sweeps": trace.sweeps,
         "trace": trace.iterates,
     }
     report.flags["converged"] = trace.converged
@@ -247,7 +248,7 @@ def _riccati_solve(args, report, problem) -> bool:
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "spectral_crosscheck"):
         pair = angular.spectral_pair(b, mu)
-    delta = frobenius_norm(x - pair.X0) / (1.0 + operator_norm(pair.X0))
+    delta = frobenius_norm(x - pair.X0) / (1.0 + pair.singular_values_X0[0])
     report.residuals["newton_vs_spectral"] = delta
     # Newton from X = 0 can converge to another solution of the graph equation
     return trace.converged and delta <= CHECK_TOL

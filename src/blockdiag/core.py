@@ -261,13 +261,15 @@ class BlockMatrix:
         """Smallest singular value of ``A - lam`` for ``A = diag(A0, A1)``.
 
         With ``eigh_A`` available it is the distance of ``lam`` from
-        ``spec(A0) ∪ spec(A1)``; otherwise one SVD.
+        ``spec(A0) ∪ spec(A1)``. Otherwise it is the smaller of the two
+        blocks' values: a block-diagonal matrix has the singular values of
+        its blocks, so one SVD per block, none of the dense ``A - lam``.
         """
         lam = complex(lam)
         if self.eigh_A is not None:
             (w0, _), (w1, _) = self.eigh_A
             return float(np.min(np.abs(np.concatenate([w0, w1]) - lam)))
-        return _sigma_min(self.diagonal_part() - lam * np.eye(self.dim))
+        return min(_sigma_min(a - lam * np.eye(len(a))) for a in (self.A0, self.A1))
 
     @cached_property
     def norm_A(self) -> float:

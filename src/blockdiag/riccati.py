@@ -9,19 +9,19 @@ mutual oracle for the spectral route.
 
 Each Newton step is the Sylvester equation ``P D - D Q = -F`` with
 ``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input (bitwise
-Hermitian A0, A1 and ``W0 = W1*`` bitwise) it is solved in a graph frame:
-the Hermitian compressions of B onto graph(X') and its complement, for X'
-near X, bring P and Q near diagonal, and a few contracting sweeps solve it
-exactly. One frame (two generalized ``eigh``) serves a run, refreshed when
-a reused frame's step declines. The iterate is carried in the frame's
-coordinates, ``X = X' + t1 Z t0inv``, where the graph equation is another
-Riccati equation in Z whose coefficients are formed once per frame: a step
-reads F(X), P and Q there, and the true residual of the last X decides
-convergence. Every other input, and every step a fresh frame declines,
-takes Bartels-Stewart (:func:`solve_sylvester`) on one triangular form per
-coefficient: ``eigh`` when bitwise Hermitian, complex Schur otherwise. Both
-routes read the spectra separation gate off the factorizations they made,
-and the frame's residual gate implies that of Bartels-Stewart.
+Hermitian A0, A1 and ``W0 = W1*`` bitwise) the iteration moves into graph
+frames instead: the Hermitian compressions of B onto graph(X) and its
+complement bring P and Q near diagonal, and in the frame's coordinates the
+graph equation is a Riccati equation with small coefficients, solved by
+contracting sweeps (Stewart's fixed-point iteration). The first step, from
+X = 0, is the Newton step in the frame of ``eigh_A``; the second, in a
+frame factorized at its X (two generalized ``eigh``), usually lands on the
+solution, and the true residual of each X decides convergence. A frame
+solve that declines gives way to the Newton step in the same frame. Every
+other input, and every step whose frame declines both, takes Bartels-Stewart
+(:func:`solve_sylvester`) on one triangular form per coefficient: ``eigh``
+when bitwise Hermitian, complex Schur otherwise. Both routes read the
+spectra separation gate off the factorizations they made.
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ TRSYL_BLOCK = 64
 #: the norm of the right-hand side.
 SYLVESTER_RESIDUAL_TOL = 1e-9
 
-#: Largest contraction factor of the graph-frame sweeps at which a Newton
-#: step on Hermitian input is solved by them.
+#: Largest contraction factor of the graph-frame sweeps at which a step on
+#: Hermitian input is solved by them.
 GRAPH_FRAME_CONTRACTION_MAX = 0.5
 
 #: Relative change of the graph-frame solution at which the sweeps stop.
 GRAPH_FRAME_SWEEP_TOL = 1e-15
 
 #: Sweeps after which a graph-frame solve that has not met
-#: :data:`GRAPH_FRAME_SWEEP_TOL` is abandoned for the Schur route.
+#: :data:`GRAPH_FRAME_SWEEP_TOL` is declined.
 GRAPH_FRAME_MAX_SWEEPS = 64
 
 
@@ -94,15 +94,15 @@ class RiccatiResidual:
 class NewtonTrace:
     """Relative residual history of a Newton run.
 
-    ``iterates`` holds one value per iterate X: :func:`residual_X0` of X on
-    the centred blocks, or, for an X carried in a graph frame, the same
-    quotient of ``norm_F(t1 Phi t0inv)``, F(X) as the frame reads it. The
-    last entry, which decides ``converged``, is always
-    :func:`residual_X0` of the returned X. ``schur_steps`` counts the steps
-    solved by :func:`solve_sylvester`: every step on non-Hermitian input,
-    and the steps the graph-frame route declined on Hermitian input.
+    ``iterates`` holds :func:`residual_X0` of each iterate X on the centred
+    blocks; the last entry decides ``converged``. ``iterations`` counts the
+    steps: on gapped Hermitian input usually 2, the Newton step from X = 0
+    and one graph-frame solve. ``schur_steps`` counts the steps solved by
+    :func:`solve_sylvester`: every step on non-Hermitian input, and the
+    steps whose frame declined both its solves on Hermitian input.
     ``frames`` counts the graph frames factorized by two generalized
-    ``eigh`` (not the one at X = 0).
+    ``eigh`` (not the one at X = 0), ``sweeps`` the frame sweeps of all
+    steps, declined solves too.
     """
 
     iterates: list = field(default_factory=list)
@@ -110,6 +110,7 @@ class NewtonTrace:
     iterations: int = 0
     schur_steps: int = 0
     frames: int = 0
+    sweeps: int = 0
 
 
 def _centred_A(b: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +269,7 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
 
 
 class _GraphFrame(NamedTuple):
-    """The Newton equation in the Ritz frame made at X' on Hermitian input.
+    """The graph equation in the Ritz frame made at X' on Hermitian input.
 
     With ``G = [I; X']``, ``K = [-X'*; I]``, ``S0 = I + X'* X'`` and
     ``S1 = I + X' X'*``, the Hermitian compressions ``H0 = G* B G`` and
@@ -276,15 +277,15 @@ class _GraphFrame(NamedTuple):
     (``V* S V = I``); ``t1 = S1 V1`` has inverse ``V1*`` and
     ``t0inv = V0* S0`` has inverse ``V0``. In the coordinates
     ``X = X' + t1 Z t0inv`` the graph equation is again a Riccati equation,
-    ``V1* F(X) V0 = Phi(Z) = c + (L1 + e1) Z - Z (L0 - e0) - Z m Z`` with
-    ``c = V1* F(X') V0``, ``L1 + e1 = V1* P(X') t1``,
+    ``V1* F(X) V0 = Phi(Z) = c + delta Z + (e1 - Z m) Z + Z e0`` (``delta Z``
+    entrywise) with ``c = V1* F(X') V0``, ``L1 + e1 = V1* P(X') t1``,
     ``L0 - e0 = t0inv Q(X') V0`` and ``m = t0inv W1 t1``, and the Newton
-    step at X has ``V1* P(X) t1 = L1 + e1 - Z m`` and
-    ``t0inv Q(X) V0 = L0 - e0 + m Z``. ``delta = l1_i - l0_j``;
-    ``kappa = 1 + norm_1(X') norm_inf(X')`` bounds
+    equation at X has ``V1* P(X) t1 = L1 + E1`` and
+    ``t0inv Q(X) V0 = L0 - E0`` with ``E1 = e1 - Z m`` and ``E0 = e0 - m Z``.
+    ``delta = l1_i - l0_j``; ``kappa = 1 + norm_1(X') norm_inf(X')`` bounds
     ``norm(t1) norm(t0inv) = 1 + norm(X')^2``, and
-    ``pq = norm_F(P(X')) + norm_F(Q(X'))``. ``at_zero`` marks the frame at
-    X' = 0, read off ``eigh_A``, which serves X = 0 only (m is None)."""
+    ``pq = norm_F(P(X')) + norm_F(Q(X'))``. The frame at X' = 0, read off
+    ``eigh_A``, has m None: it serves the Newton step at X = 0 only."""
 
     delta: np.ndarray
     t1: np.ndarray
@@ -295,7 +296,6 @@ class _GraphFrame(NamedTuple):
     m: np.ndarray | None
     kappa: float
     pq: float
-    at_zero: bool
 
 
 def _graph_frame(b: BlockMatrix, x, f) -> _GraphFrame | None:
@@ -327,64 +327,67 @@ def _graph_frame(b: BlockMatrix, x, f) -> _GraphFrame | None:
     kappa = 1.0 + np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf)
     pq = frobenius_norm(p) + frobenius_norm(q)
     delta = lam1[:, None] - lam0[None, :]
-    return _GraphFrame(delta, t1, t0inv, c, e1, e0, m, kappa, pq, at_zero)
+    return _GraphFrame(delta, t1, t0inv, c, e1, e0, m, kappa, pq)
 
 
-def _graph_frame_step(b, frame: _GraphFrame, z, phi, e1, e0) -> np.ndarray | None:
-    """Newton step in the coordinates of ``frame``, or None: D^ with
-    ``D = t1 D^ t0inv`` and ``P D - D Q = -F`` at ``X = X' + t1 Z t0inv``.
-    ``Phi = V1* F(X) V0 = c + P^ Z - Z Q^'``, ``E1 = V1* P(X) t1 - L1`` and
-    ``E0 = L0 - t0inv Q(X) V0``, with ``P^ = L1 + E1`` and
-    ``Q^' = L0 - e0``, are ``(c, e1, e0)`` at Z = 0.
+def _frame_solve(b, frame: _GraphFrame) -> tuple[np.ndarray | None, int]:
+    """``(Z, sweeps)`` with ``Phi(Z) = 0`` in ``frame``, or ``(None, sweeps)``.
 
-    D^ solves ``L1 D^ - D^ L0 = -Phi - E1 D^ - D^ E0`` by the sweeps
-    ``D^ <- D^ - R^ / delta`` with
-    ``R^ = (L1 + E1) D^ - D^ (L0 - E0) + Phi = V1* (P D - D Q + F) V0``.
-    They contract by at most ``r = (norm_F(E1) + norm_F(E0)) / min|delta|``,
-    and by Bauer-Fike ``(1 - r) min|delta|`` bounds the separation of the
-    spectra of P and Q from below. E is of the size of F at X' plus that of
-    ``X - X'`` (``B G = G Q + [0; F]``, ``K* B = P K* + [F, 0]``).
+    From Z = 0 the sweeps ``Z <- Z - Phi(Z) / delta`` run Stewart's
+    fixed-point iteration for the graph equation (SIAM Review 15, 1973,
+    Thm 4.1), 4 half-size products each: ``Z m``, ``m Z``, ``E1 Z`` and
+    ``Z e0``. Without m (the frame at X = 0) Phi drops its quadratic term
+    and Z is the Newton step at X'. The sweep map has the derivative
+    ``H -> -(E1 H + H E0) / delta`` at Z, so near Z it contracts by at most
+    ``r = (norm_F(E1) + norm_F(E0)) / min|delta|``; E is affine in Z, so r
+    at both ends of a sweep bounds it along the sweep. By Bauer-Fike
+    ``(1 - r) min|delta|`` bounds the separation of the spectra of P and Q
+    at ``X' + t1 Z t0inv`` from below: no iterate, the last one included,
+    has a singular Newton equation. E is of the size of F at X' plus that
+    of Z (``B G = G Q + [0; F]``, ``K* B = P K* + [F, 0]``).
 
-    Declined (None) when that bound fails the separation test of
-    :func:`solve_sylvester`, scaled by the upper bound
-    ``pq + 2 kappa norm_F(Z) norm(V)`` on ``norm_F(P) + norm_F(Q)``; when
-    ``r > GRAPH_FRAME_CONTRACTION_MAX``; when the sweeps have not converged
-    after :data:`GRAPH_FRAME_MAX_SWEEPS`; or when
-    ``kappa norm_F(R^) > SYLVESTER_RESIDUAL_TOL n(Phi)``. As
-    ``P D - D Q + F = t1 R^ t0inv`` and ``norm(V_i) <= 1``, that implies the
-    residual gate of :func:`solve_sylvester`, and ``n(Phi) <= n(F)``. The
-    sweeps have converged at a change of :data:`GRAPH_FRAME_SWEEP_TOL`
-    relative to D^, or once it no longer shrinks, which exact sweeps with
-    ``r <= 1/2`` cannot do: what is left is rounding. The step is the last
-    D^ whose R^ was formed, one sweep short of the converged one.
+    Each sweep is gated at its Z. The solve is declined when the separation
+    bound fails the test of :func:`solve_sylvester`, scaled by the upper
+    bound ``pq + 2 kappa norm_F(Z) norm(V)`` on ``norm_F(P) + norm_F(Q)``;
+    when ``r > GRAPH_FRAME_CONTRACTION_MAX``; or when the sweeps have not
+    converged after :data:`GRAPH_FRAME_MAX_SWEEPS`. They have converged at
+    a change of :data:`GRAPH_FRAME_SWEEP_TOL` relative to Z, or once it no
+    longer shrinks, which exact sweeps with ``r <= 1/2`` cannot do: what is
+    left is rounding. Z is the last iterate whose change was formed.
+    ``sweeps`` counts the changes applied to Z.
     """
-    perturbation = frobenius_norm(e1) + frobenius_norm(e0)
     gap = float(np.min(np.abs(frame.delta)))
-    scale = frame.pq + 2.0 * frame.kappa * frobenius_norm(z) * b.norm_V
-    if (
-        gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
-        or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
-    ):
-        return None
-    dz, previous = -phi / frame.delta, np.inf
-    for _ in range(GRAPH_FRAME_MAX_SWEEPS):
-        r = e1 @ dz + phi
-        r += dz @ e0
-        r += frame.delta * dz
-        resid = frame.kappa * frobenius_norm(r)
-        r /= frame.delta
-        change = frobenius_norm(r)
+    z, e1, e0, previous = np.zeros_like(frame.c), frame.e1, frame.e0, np.inf
+    for sweep in range(GRAPH_FRAME_MAX_SWEEPS + 1):
+        scale = frame.pq
+        if frame.m is not None and sweep:
+            e1 = frame.e1 - z @ frame.m
+            e0 = frame.e0 - frame.m @ z
+            scale += 2.0 * frame.kappa * frobenius_norm(z) * b.norm_V
+        perturbation = frobenius_norm(e1) + frobenius_norm(e0)
+        if (
+            gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
+            or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
+            or sweep == GRAPH_FRAME_MAX_SWEEPS
+        ):
+            break
+        # Phi(Z) / delta = (c + E1 Z + Z e0) / delta + Z, in place
+        if sweep:
+            step = e1 @ z
+            step += z @ frame.e0
+            step += frame.c
+        else:
+            step = frame.c.copy()
+        step /= frame.delta
+        step += z
+        change = frobenius_norm(step)
         # exact sweeps at least halve the change: one that does not shrink
         # is rounding
-        if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(dz) or change >= previous:
-            break
-        dz -= r
+        if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or change >= previous:
+            return z, sweep
+        z -= step
         previous = change
-    else:
-        return None
-    if resid > SYLVESTER_RESIDUAL_TOL * max(norm_lower_bound(phi), 1e-300):
-        return None
-    return dz
+    return None, sweep
 
 
 def solve_newton_X0(
@@ -394,23 +397,20 @@ def solve_newton_X0(
 
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
     ``X <- X + D``. On Hermitian input (A0 and A1 bitwise Hermitian,
-    ``W0 = W1*`` bitwise) :func:`_graph_frame_step` solves the first step in
-    the frame at X = 0, every later one in the last frame factorized, whose
-    coordinates carry the iterate as Z with ``X = X' + t1 Z t0inv``: a step
-    there reads ``Phi(Z)`` and ``norm_F(t1 Phi t0inv) = norm_F(F(X))``
-    instead of forming F(X) from the blocks. When that step declines, the
-    frame is released and one factorized at the current X (counted in
-    ``frames``) is tried. Every other input, and every step the fresh frame
-    declines too, takes :func:`solve_sylvester`, counted in ``schur_steps``;
-    a fresh frame that declined is tried again at the next X. ``Phi`` does
-    not see the rounding of the X carried in the original coordinates, so
-    once the frame's value passes ``tol`` the frame is released and
-    :func:`residual_X0` of X decides. The iteration runs on the centred
-    blocks (:func:`_centred_A`): a common shift changes neither the graph
-    equation nor a Newton equation, nor, on the centred blocks, their
-    rounding. Non-convergence within ``max_iter`` steps is reported in the
-    trace, not raised; singular Newton steps propagate
-    :class:`SylvesterSingularError`.
+    ``W0 = W1*`` bitwise) a step is a graph-frame solve
+    (:func:`_frame_solve`) instead: the first one, in the frame at X = 0,
+    is that Newton step, and every later one, in a frame factorized at its
+    X (counted in ``frames``), solves the graph equation itself and moves
+    X to ``X + t1 Z t0inv``. A frame solve that declines is discarded for
+    the Newton step in the same frame (the solve without m). Every other
+    input, and every step whose frame declines both, takes
+    :func:`solve_sylvester`, counted in ``schur_steps``; the next X is
+    offered a fresh frame again. :func:`residual_X0` of each X decides
+    convergence. The iteration runs on the centred blocks
+    (:func:`_centred_A`): a common shift changes neither the graph equation
+    nor a Newton equation, nor, on the centred blocks, their rounding.
+    Non-convergence within ``max_iter`` steps is reported in the trace, not
+    raised; singular Newton steps propagate :class:`SylvesterSingularError`.
     """
     b = BlockMatrix(*_centred_A(b), b.W0, b.W1)
     hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
@@ -418,51 +418,35 @@ def solve_newton_X0(
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     f, value = b.W0, _rel_norm(b.W0, scale, x)  # F(0) = W0
     history: list[float] = []
-    schur_steps = frames = 0
-    frame = z = dz = None
+    schur_steps = frames = sweeps = 0
     for iteration in range(max_iter + 1):
-        if frame is not None:
-            # the coefficients at X = X' + t1 Z t0inv (see _GraphFrame)
-            e1 = frame.e1 - z @ frame.m
-            phi = frame.c + e1 @ z + z @ frame.e0 + frame.delta * z
-            value = _rel_norm(frame.t1 @ phi @ frame.t0inv, scale, x)
-            if value <= tol or iteration == max_iter or not np.isfinite(value):
-                frame = None  # the residual of the carried X decides
-        if frame is None and f is None:
-            f, value = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
         history.append(value)
         if value <= tol or iteration == max_iter:
             break
-        if frame is not None:  # E0 only for an iterate that takes a step
-            dz = _graph_frame_step(b, frame, z, phi, e1, frame.e0 - frame.m @ z)
-        if dz is None:
-            frame = z = None  # released before the next is factorized
-            f = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)[0] if f is None else f
-            # a non-finite F goes to solve_sylvester, which refuses it
-            if hermitian and np.isfinite(value):
-                frame = _graph_frame(b, x, f)
-            if frame is not None:
-                z = np.zeros_like(x)
-                dz = _graph_frame_step(b, frame, z, frame.c, frame.e1, frame.e0)
-                frames += not frame.at_zero
-        if dz is None:
-            d = solve_sylvester(b.A1 - x @ b.W1, b.A0 + b.W1 @ x, -f)
-            schur_steps += 1
-            if frame is not None:  # carried into the frame, tried again next step
-                dz = np.linalg.solve(frame.t0inv.T, np.linalg.solve(frame.t1, d).T).T
-        else:
-            d = frame.t1 @ dz @ frame.t0inv
-        x += d
-        # the frame at X = 0 serves X = 0 only
-        frame = None if frame is None or frame.at_zero else frame
+        frame = z = None
+        # a non-finite F goes to solve_sylvester, which refuses it
+        if hermitian and np.isfinite(value):
+            frame = _graph_frame(b, x, f)
         if frame is not None:
-            z += dz
-        # released before the next coefficients are formed
-        f = phi = e1 = dz = d = None
+            frames += frame.m is not None
+            z, taken = _frame_solve(b, frame)
+            sweeps += taken
+            if z is None and frame.m is not None:
+                # declined: the Newton step at X, the frame solve without m
+                z, taken = _frame_solve(b, frame._replace(m=None))
+                sweeps += taken
+        if z is None:
+            x += solve_sylvester(b.A1 - x @ b.W1, b.A0 + b.W1 @ x, -f)
+            schur_steps += 1
+        else:
+            x += frame.t1 @ z @ frame.t0inv
+        frame = z = f = None  # released before the next residual is formed
+        f, value = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
     return x, NewtonTrace(
         iterates=history,
         converged=bool(history[-1] <= tol),
         iterations=iteration,
         schur_steps=schur_steps,
         frames=frames,
+        sweeps=sweeps,
     )

@@ -162,6 +162,33 @@ def test_shifted_sigma_min_matches_svd(seed, n0, n1, kind, ls, near):
 
 
 @PROPERTY
+@given(seeds, dims, dims, st.sampled_from(["mixed", "nonnormal"]), log_scale, log_scale)
+def test_shifted_sigma_min_of_non_hermitian_blocks_matches_svd(
+    seed, n0, n1, kind, ls, ratio
+):
+    """Without ``eigh_A`` the value is the smaller of the two blocks' own
+    values. One block Hermitian and the other generic (``mixed``), or both
+    triangular with a strict part far larger than their diagonal
+    (``nonnormal``, singular values far from the eigenvalues), at block
+    scales ``10^ratio`` apart so that either block can set the minimum."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        a0, a1 = _hermitian(rng, n0), _cmat(rng, n1, n1)
+    else:
+        a0, a1 = (
+            np.diag(np.diag(_cmat(rng, n, n))) + 10 * np.triu(_cmat(rng, n, n), 1)
+            for n in (n0, n1)
+        )
+    scale = 10.0**ls
+    w0, w1 = _cmat(rng, n1, n0), _cmat(rng, n0, n1)
+    b = BlockMatrix(scale * a0, scale * 10.0**ratio * a1, w0, w1)
+    assert b.eigh_A is None
+    lam = _shift(rng, b, True)
+    exact = _sigma_min_svd(b.diagonal_part() - lam * np.eye(b.dim))
+    assert abs(b.sigma_min_shifted_A(lam) - exact) <= 1e-12 * (b.norm_A + abs(lam))
+
+
+@PROPERTY
 @given(seeds, dims, dims, kinds, log_scale, st.booleans())
 def test_resolvent_norm_matches_solve_and_svd(seed, n0, n1, kind, ls, near):
     rng = np.random.default_rng(seed)
@@ -602,8 +629,8 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
         assert schur.count((6, 6)) == trace.iterations
         assert schur.count((5, 5)) == trace.iterations
     else:
-        # the first step reads eigh_A of the centred blocks, every later one
-        # reuses one frame: one generalized eigh per compression of B
+        # the first step reads eigh_A of the centred blocks, the second
+        # solves in one frame: one generalized eigh per compression of B
         assert trace.schur_steps == 0 and schur == []
         assert eigh == [(6, 6), (5, 5)]
         assert trace.frames == 1
@@ -612,7 +639,7 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
 
 def test_newton_on_hermitian_input_takes_no_schur_step():
     _, trace = solve_newton_X0(random_case(8, 8, gap=1.0, coupling=0.5, seed=0).block)
-    assert trace.converged and trace.iterations >= 3
+    assert trace.converged and trace.iterations == 2
     assert trace.schur_steps == 0
 
 

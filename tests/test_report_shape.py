@@ -92,6 +92,7 @@ SHAPES = {
         "certificates.newton.frames",
         "certificates.newton.iterations",
         "certificates.newton.schur_steps",
+        "certificates.newton.sweeps",
         "certificates.newton.trace",
         "flags.converged",
         "residuals.final",

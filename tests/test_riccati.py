@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockdiag import riccati
@@ -19,7 +19,7 @@ from blockdiag import (
     solve_sylvester,
     spectral_pair,
 )
-from blockdiag.core import norm_lower_bound
+from blockdiag.core import frobenius_norm
 from blockdiag.errors import StructuralError, SylvesterSingularError
 from conftest import offdiagonal_part, random_block
 
@@ -165,7 +165,7 @@ def test_newton_degenerate_raises():
     b = BlockMatrix([0.0], [0.0], [1.0], [1.0])
     x = np.zeros((1, 1), dtype=np.complex128)
     f = residual_X0(b, x).residual
-    assert _fresh_step(b, x, f) is None
+    assert _frame_step(b, x, f) is None
     with pytest.raises(SylvesterSingularError):
         solve_newton_X0(b)
 
@@ -195,12 +195,13 @@ def test_newton_matches_spectral_route(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_newton_quadratic_convergence(seed):
-    """Once the residual is below 1e-2, it contracts at least quadratically
-    up to a modest constant."""
+    """Once the residual is below 1e-2, Newton steps contract it at least
+    quadratically up to a modest constant. Newton steps remain only on the
+    Schur route, so the graph-frame route is disabled."""
     from blockdiag import random_case
 
     pf = random_case(6, 6, gap=1.0, coupling=0.8, seed=100 + seed)
-    _, trace = solve_newton_X0(pf.block, tol=1e-13)
+    _, trace = _schur_only(pf.block, tol=1e-13)
     assert trace.converged
     # stay above the rounding floor: prev^2 must still be resolvable
     rates = [
@@ -352,6 +353,12 @@ def _gapped_block(rng, n0, n1, kind, coupling):
     )
 
 
+def _frame_route(b):
+    """Whether :func:`solve_newton_X0` takes graph frames on ``b``: its
+    centred blocks and W0, W1 bitwise Hermitian."""
+    return BlockMatrix(*riccati._centred_A(b), b.W0, b.W1).bitwise_hermitian
+
+
 def _unitary(rng, n):
     q, r = np.linalg.qr(_cmat(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -367,17 +374,27 @@ def _unitary(rng, n):
 @example(seed=1310414, n0=3, n1=3, kind="hermitian", coupling=0.347, re=0.0, im=1.0)
 # the uncentred Sylvester residual gate refused a step at this shift
 @example(seed=0, n0=3, n1=3, kind="hermitian", coupling=0.3, re=1e6, im=0.0)
+# centring leaves a rounding-size imaginary diagonal: the Schur route
+@example(
+    seed=0, n0=1, n1=2, kind="hermitian", coupling=0.5, re=0.0,
+    im=1.1125369292536007e-308,
+)
 def test_newton_invariant_under_diagonal_shift(seed, n0, n1, kind, coupling, re, im):
     """``A0 + sI``, ``A1 + sI`` leave the graph equation, hence every Newton
     iterate, unchanged, and the stopping test's scale with them: both runs
-    stop after the same number of steps at the same tolerance."""
+    end at the same X, and stop after the same number of steps at the same
+    tolerance when their centred blocks take the same route. A complex
+    shift can leave a rounding-size imaginary part on the centred diagonal,
+    which moves Hermitian blocks from the graph-frame route to the Schur
+    route, whose Newton steps are more."""
     b = _gapped_block(np.random.default_rng(seed), n0, n1, kind, coupling)
     s = complex(re, im)
     shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
     x, trace = solve_newton_X0(b, tol=1e-12)
     x_s, trace_s = solve_newton_X0(shifted, tol=1e-12)
     assert trace.converged and trace_s.converged
-    assert trace_s.iterations == trace.iterations
+    if _frame_route(shifted) == _frame_route(b):
+        assert trace_s.iterations == trace.iterations
     assert np.linalg.norm(x_s - x) <= 1e-10 * max(np.linalg.norm(x), 1e-300)
 
 
@@ -456,41 +473,37 @@ def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
         )
 
 
-# --- Newton steps in the graph frame -----------------------------------------
+# --- Newton in graph frames ---------------------------------------------------
 
 
-def _fresh_step(b, x, f):
-    """The graph-frame step D at X in a frame factorized at X."""
+def _frame_step(b, x, f, newton=False):
+    """D with ``X + D`` the frame solve's X in the frame factorized at X, or,
+    with ``newton``, the Newton step there (the frame solve without m); None
+    when the frame or its solve declines."""
     frame = riccati._graph_frame(b, x, f)
     if frame is None:
         return None
-    z = np.zeros_like(x)
-    dz = riccati._graph_frame_step(b, frame, z, frame.c, frame.e1, frame.e0)
-    return None if dz is None else frame.t1 @ dz @ frame.t0inv
+    z, _ = riccati._frame_solve(b, frame._replace(m=None) if newton else frame)
+    return None if z is None else frame.t1 @ z @ frame.t0inv
 
 
-def _frame_coordinates(frame, x_frame, x):
-    """Z with ``X = X' + t1 Z t0inv`` for the frame made at X'."""
-    z = np.linalg.solve(frame.t1, x - x_frame)
-    return np.linalg.solve(frame.t0inv.T, z.T).T
-
-
-def _frame_coefficients(frame, z):
-    """``(Phi, E1, E0)`` at ``X = X' + t1 Z t0inv``, as :func:`solve_newton_X0`
-    forms them."""
-    e1, e0 = frame.e1 - z @ frame.m, frame.e0 - frame.m @ z
-    return frame.c + e1 @ z + z @ frame.e0 + frame.delta * z, e1, e0
-
-
-def _reused_step(b, frame, x_frame, x):
-    """The graph-frame step D at X in the frame made at X', with X carried
-    in the frame's coordinates, and F(X) as that frame reads it,
-    ``t1 Phi t0inv``."""
-    z = _frame_coordinates(frame, x_frame, x)
-    phi, e1, e0 = _frame_coefficients(frame, z)
-    dz = riccati._graph_frame_step(b, frame, z, phi, e1, e0)
-    d = None if dz is None else frame.t1 @ dz @ frame.t0inv
-    return d, frame.t1 @ phi @ frame.t0inv
+def _replayed_sweeps(frame):
+    """Iterates Z_k (Z_0 = 0) and changes of the frame solve's sweeps,
+    replayed from the frame's coefficients without its gates, up to its
+    stopping rule."""
+    z, zs, changes = np.zeros_like(frame.c), [], []
+    for _ in range(riccati.GRAPH_FRAME_MAX_SWEEPS):
+        zs.append(z)
+        e1 = frame.e1 if frame.m is None else frame.e1 - z @ frame.m
+        r = (e1 @ z + z @ frame.e0 + frame.c) / frame.delta + z
+        change = frobenius_norm(r)
+        if change <= riccati.GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or (
+            changes and change >= changes[-1]
+        ):
+            return zs, changes
+        changes.append(change)
+        z = z - r
+    raise AssertionError("replayed sweeps did not converge")
 
 
 def _schur_newton_steps(b, tol=1e-12, max_iter=25):
@@ -522,45 +535,46 @@ def _schur_newton(b, tol=1e-12):
         count += 1
 
 
+def _schur_only(b, **kwargs):
+    """:func:`solve_newton_X0` with the graph-frame route disabled."""
+    with mock.patch.object(riccati, "_graph_frame", lambda *args: None):
+        return solve_newton_X0(b, **kwargs)
+
+
 @PROPERTY
 @given(
     seeds, st.integers(1, 9), st.integers(1, 9),
     st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
 )
 def test_graph_frame_step_matches_sylvester_solve(seed, n0, n1, coupling):
-    """Each graph-frame step, in a frame factorized at its X or in the last
-    step's frame, equals the Bartels-Stewart step of its Newton equation,
-    and whole runs take the same number of steps to the same X. A reused
-    frame reads F(X) in its coordinates, equal to the F of the blocks up to
-    rounding, which near convergence is not small relative to F: its step
-    is compared with the Bartels-Stewart step for the F it read."""
+    """At each X of the all-Schur run, in the frame factorized there, the
+    frame solve without m is the Bartels-Stewart step of the Newton
+    equation, and the frame solve itself, where it does not decline, lands
+    on the all-Schur run's solution. Whole runs end there in at most as
+    many steps."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
-    x_ref, count = _schur_newton(b)
-    previous = None
-    for x, f, xw, wx, d_ref in _schur_newton_steps(b):
-        frame = riccati._graph_frame(b, x, f)
-        d = _fresh_step(b, x, f)
+    _, count = _schur_newton(b)
+    x_ref, _ = _schur_newton(b, tol=1e-14)
+    scale = max(np.linalg.norm(x_ref), 1e-300)
+    for x, f, _, _, d_ref in _schur_newton_steps(b):
+        d = _frame_step(b, x, f, newton=True)
         if d is not None:
             assert _rel_dist(d, d_ref) <= 1e-10
-        if previous is not None:
-            d, f_frame = _reused_step(b, *previous, x)
-            if d is not None:
-                d_ref = solve_sylvester(b.A1 - xw, b.A0 + wx, -f_frame)
-                assert _rel_dist(d, d_ref) <= 1e-10
-        # the frame at X = 0 serves X = 0 only
-        previous = None if frame is None or frame.at_zero else (frame, x)
+        d = _frame_step(b, x, f)
+        if d is not None and x.any():  # the frame at X = 0 has no m
+            assert np.linalg.norm(x + d - x_ref) <= 1e-10 * scale
     x, trace = solve_newton_X0(b)
-    assert trace.converged and trace.iterations == count
-    assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
+    assert trace.converged and trace.iterations <= count
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * scale
 
 
 def _frame_from_assembled(b, x, at=None):
     """Gap, perturbation and coefficients of the graph frame made at ``at``
-    (default X) for the Newton step at X.
+    (default X) for the Newton equation at X.
 
-    Independent of :func:`riccati._graph_frame_step`: the compressions are
-    taken of the assembled B, and the perturbations are read off the
-    similarity transforms of P and Q themselves.
+    Independent of :func:`riccati._frame_solve`: the compressions are taken
+    of the assembled B, and the perturbations are read off the similarity
+    transforms of P and Q themselves.
     """
     at = x if at is None else at
     xh = at.conj().T
@@ -576,6 +590,23 @@ def _frame_from_assembled(b, x, at=None):
     return gap, np.linalg.norm(e1) + np.linalg.norm(e0), p, q
 
 
+def _frame_iterates(b, x, f, frame=None):
+    """For each iterate ``X + t1 Z_k t0inv`` of the frame solve at X (in
+    ``frame``, default the one factorized there): its contraction ratio and
+    Bauer-Fike bound from the assembled B, and the gate's scale
+    ``pq + 2 kappa norm_F(Z_k) norm(V)``."""
+    frame = riccati._graph_frame(b, x, f) if frame is None else frame
+    zs, _ = _replayed_sweeps(frame)
+    out = []
+    for z in zs:
+        gap, perturbation, _, _ = _frame_from_assembled(
+            b, x + frame.t1 @ z @ frame.t0inv, at=x
+        )
+        scale = frame.pq + 2 * frame.kappa * np.linalg.norm(z) * b.norm_V
+        out.append((perturbation / gap, gap - perturbation, scale))
+    return out
+
+
 def _second_step(b):
     """``(x, f)`` after one Newton step from X = 0."""
     steps = _schur_newton_steps(b)
@@ -585,57 +616,96 @@ def _second_step(b):
 
 
 def test_graph_frame_declines_at_the_contraction_bound():
+    """The frame solve is gated at every iterate: it declines just below
+    the largest contraction ratio along its sweeps, read off the assembled
+    B, and solves just above it."""
     b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
     x, f = _second_step(b)
-    gap, perturbation, _, _ = _frame_from_assembled(b, x)
-    ratio = perturbation / gap
+    ratio = max(r for r, _, _ in _frame_iterates(b, x, f))
     assert 1e-3 < ratio < riccati.GRAPH_FRAME_CONTRACTION_MAX
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 - 1e-6)):
-        assert _fresh_step(b, x, f) is None
+        assert _frame_step(b, x, f) is None
+        assert _frame_step(b, x, f, newton=True) is None
     with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + 1e-6)):
-        assert _fresh_step(b, x, f) is not None
+        assert _frame_step(b, x, f) is not None
 
 
-def test_reused_frame_at_the_contraction_bound_is_refreshed(monkeypatch):
-    """From the third step on, a contraction bound between the reused
-    frame's ratio and a fresh frame's: the reused frame declines, and the
-    frame factorized at the current X takes the step."""
+def test_frame_solve_is_gated_at_every_iterate():
+    """With c scaled by 10, the frame's equation for a graph ten times
+    farther off, the contraction ratio grows along the sweeps and the
+    separation bound, relative to its scale, shrinks: the solve declines at
+    a contraction bound between the first iterate's ratio and the largest,
+    or a separation tolerance just above the tightest iterate's, and solves
+    just inside both."""
+    b = random_case(6, 7, gap=1.0, coupling=0.5, seed=3).block
+    x, f = _second_step(b)
+    frame = riccati._graph_frame(b, x, f)
+    far = frame._replace(c=10 * frame.c)
+    iterates = _frame_iterates(b, x, f, far)
+    ratios = [r for r, _, _ in iterates]
+    assert max(ratios) == ratios[-1] > 5 * ratios[0]
+    bound = "GRAPH_FRAME_CONTRACTION_MAX"
+    with mock.patch.object(riccati, bound, np.sqrt(ratios[0] * ratios[-1])):
+        assert riccati._frame_solve(b, far)[0] is None
+    with mock.patch.object(riccati, bound, ratios[-1] * (1 + 1e-6)):
+        assert riccati._frame_solve(b, far)[0] is not None
+    separations = [s / max(c, 1.0) for _, s, c in iterates]
+    tightest = min(separations)
+    assert tightest < separations[0] * (1 - 1e-3)
+    tol = "SYLVESTER_SEPARATION_TOL"
+    with mock.patch.object(riccati, tol, tightest * (1 + 1e-6)):
+        assert riccati._frame_solve(b, far)[0] is None
+    with mock.patch.object(riccati, tol, tightest * (1 - 1e-6)):
+        assert riccati._frame_solve(b, far)[0] is not None
+
+
+def test_declined_frame_takes_a_schur_step_and_the_next_x_a_fresh_frame():
+    """A contraction bound between the largest ratio of the frame solve at
+    the second X and that at the third: the second X's frame declines both
+    its solves, that X takes the Schur step, and the frame factorized at the
+    next X solves."""
     b = random_case(6, 7, gap=1.0, coupling=1.0, seed=3).block
-    x_ref, count = _schur_newton(b)
-    _, trace = solve_newton_X0(b)
-    assert count == trace.iterations >= 3
-    assert trace.frames == 1 and trace.schur_steps == 0
+    x_ref, _ = _schur_newton(b, tol=1e-14)
     steps = _schur_newton_steps(b)
     next(steps)
-    x1 = next(steps)[0]
-    x2 = next(steps)[0]
-    reused_gap, reused_perturbation, _, _ = _frame_from_assembled(b, x2, at=x1)
-    fresh_gap, fresh_perturbation, _, _ = _frame_from_assembled(b, x2)
-    reused, fresh = reused_perturbation / reused_gap, fresh_perturbation / fresh_gap
-    assert 4 * fresh < reused < riccati.GRAPH_FRAME_CONTRACTION_MAX
-    step = riccati._graph_frame_step
+    x1, f1, _, _, _ = next(steps)
+    x2, f2, _, _, _ = next(steps)
+    declined = max(r for r, _, _ in _frame_iterates(b, x1, f1))
+    fresh = max(r for r, _, _ in _frame_iterates(b, x2, f2))
+    assert 4 * fresh < declined < riccati.GRAPH_FRAME_CONTRACTION_MAX
+    with mock.patch.object(
+        riccati, "GRAPH_FRAME_CONTRACTION_MAX", np.sqrt(fresh * declined)
+    ):
+        x, trace = solve_newton_X0(b)
+    assert trace.converged and trace.iterations == 3
+    assert trace.schur_steps == 1 and trace.frames == 2
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
-    def tightened_after_the_first_generalized_step(b, frame, *args):
-        d = step(b, frame, *args)
-        if not frame.at_zero:
-            monkeypatch.setattr(
-                riccati, "GRAPH_FRAME_CONTRACTION_MAX", np.sqrt(fresh * reused)
-            )
-        return d
 
-    monkeypatch.setattr(
-        riccati, "_graph_frame_step", tightened_after_the_first_generalized_step
-    )
-    x, trace = solve_newton_X0(b)
-    assert trace.iterations == count and trace.schur_steps == 0
-    assert trace.frames == 2
+def test_declined_frame_solve_gives_way_to_the_newton_step_in_its_frame():
+    """With every graph-equation solve declined, each X takes the Newton
+    step in its own frame: the run is the all-Schur run, without a Schur
+    step."""
+    b = random_case(6, 7, gap=1.0, coupling=1.0, seed=3).block
+    x_ref, count = _schur_newton(b)
+    solve = riccati._frame_solve
+
+    def linear_only(b, frame):
+        return (None, 0) if frame.m is not None else solve(b, frame)
+
+    with mock.patch.object(riccati, "_frame_solve", linear_only):
+        x, trace = solve_newton_X0(b)
+    assert trace.converged and trace.iterations == count >= 3
+    assert trace.schur_steps == 0 and trace.frames == count - 1
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 def test_graph_frame_declines_where_only_the_schur_gate_passes():
     """A separation tolerance between the Bauer-Fike bound and the
     separation of the computed spectra: the graph frame declines and the
-    Schur solve goes ahead."""
+    Schur solve goes ahead. The bound is gated at every iterate of the
+    frame solve: it declines just above the tightest one and solves just
+    below it."""
     b = random_case(6, 7, gap=1.0, coupling=2.0, seed=3).block
     x, f = _second_step(b)
     gap, perturbation, p, q = _frame_from_assembled(b, x)
@@ -645,18 +715,14 @@ def test_graph_frame_declines_where_only_the_schur_gate_passes():
     scale = np.linalg.norm(p) + np.linalg.norm(q)
     between = 0.5 * (bound + min(sep, gap)) / scale
     with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", between):
-        assert _fresh_step(b, x, f) is None
+        assert _frame_step(b, x, f) is None
+        assert _frame_step(b, x, f, newton=True) is None
         solve_sylvester(p, q, -f)
-    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", bound * (1 - 1e-6) / scale):
-        assert _fresh_step(b, x, f) is not None
-
-
-def test_graph_frame_declines_a_step_that_misses_the_residual_gate():
-    b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
-    x, f = _second_step(b)
-    assert _fresh_step(b, x, f) is not None
-    with mock.patch.object(riccati, "SYLVESTER_RESIDUAL_TOL", 0.0):
-        assert _fresh_step(b, x, f) is None
+    tightest = min(s / max(c, 1.0) for _, s, c in _frame_iterates(b, x, f))
+    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", tightest * (1 + 1e-6)):
+        assert _frame_step(b, x, f) is None
+    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", tightest * (1 - 1e-6)):
+        assert _frame_step(b, x, f) is not None
 
 
 def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
@@ -674,12 +740,13 @@ def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
 
 
 def test_strong_coupling_falls_back_step_by_step():
-    """Steps whose sweeps would not contract take the Schur solve; the run
-    is the all-Schur run."""
+    """Steps whose frame solves would not contract take the Schur solve;
+    the run ends at the all-Schur X in fewer steps."""
     b = random_case(6, 7, gap=1.0, coupling=4.0, seed=1).block
-    x_ref, count = _schur_newton(b)
+    _, count = _schur_newton(b)
+    x_ref, _ = _schur_newton(b, tol=1e-14)
     x, trace = solve_newton_X0(b)
-    assert 0 < trace.schur_steps < trace.iterations == count
+    assert 0 < trace.schur_steps < trace.iterations < count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
@@ -688,21 +755,83 @@ def test_strong_coupling_falls_back_step_by_step():
     seeds, st.integers(1, 12), st.integers(1, 12), st.floats(0.1, 4.0),
     st.floats(-1e6, 1e6),
 )
-def test_newton_with_reused_frames_matches_schur_newton(seed, n0, n1, coupling, s):
-    """On Hermitian input, shifted, Newton with its graph frames reused
-    across steps takes the all-Schur run's steps to its X. Both run on the
-    centred blocks that :func:`solve_newton_X0` iterates on."""
+def test_newton_with_frame_solves_matches_schur_newton(seed, n0, n1, coupling, s):
+    """On Hermitian input, shifted, Newton with its frame solves ends at the
+    all-Schur run's X in at most its steps. Both run on the centred blocks
+    that :func:`solve_newton_X0` iterates on."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
-    x_ref, count = _schur_newton(
-        BlockMatrix(*riccati._centred_A(shifted), b.W0, b.W1)
-    )
+    centred = BlockMatrix(*riccati._centred_A(shifted), b.W0, b.W1)
+    _, count = _schur_newton(centred)
+    x_ref, _ = _schur_newton(centred, tol=1e-14)
     x, trace = solve_newton_X0(shifted)
-    assert trace.converged and trace.iterations == count
+    assert trace.converged and trace.iterations <= count
     assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), 1e-300)
 
 
-# --- Newton steps in the coordinates of their graph frame --------------------
+def _interlaced(seed, n0, n1, coupling, shift):
+    """Random complex Hermitian A0 and A1, A1 shifted, ``W0 = W1*``: spectra
+    that may interlace, where Newton from X = 0 may reach another solution
+    of the graph equation or none."""
+    rng = np.random.default_rng(seed)
+    a0, a1 = (_coefficient(rng, n, "hermitian", 0.0) for n in (n0, n1))
+    w1 = coupling * _cmat(rng, n0, n1)
+    return BlockMatrix(a0, a1 + shift * np.eye(n1), w1.conj().T, w1)
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 8), st.integers(1, 8), st.floats(0.05, 1.5),
+    st.floats(-1.0, 4.0),
+)
+def test_frame_route_converges_wherever_the_schur_route_does(
+    seed, n0, n1, coupling, shift
+):
+    """On bitwise-Hermitian problems, gapped or not, the default route
+    converges wherever the Schur-only route does, to the same X."""
+    b = _interlaced(seed, n0, n1, coupling, shift)
+    try:
+        x_ref, reference = _schur_only(b)
+    except SylvesterSingularError:
+        reference = None
+    assume(reference is not None and reference.converged)
+    x, trace = solve_newton_X0(b)
+    assert trace.converged
+    norm_x = np.linalg.norm(x_ref)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * (1 + norm_x)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 9), st.integers(1, 9), st.floats(0.05, 2.0))
+def test_frame_solve_sweeps_at_least_halve_their_change(seed, n0, n1, coupling):
+    """Where every iterate passes the contraction gate, each sweep of the
+    frame solve at the second X at least halves the change, down to the
+    rounding of Phi. The solve returns the replayed sweeps' last iterate
+    after as many sweeps."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    x, f = _second_step(b)
+    frame = riccati._graph_frame(b, x, f)
+    z, sweeps = riccati._frame_solve(b, frame)
+    assume(z is not None)
+    zs, changes = _replayed_sweeps(frame)
+    assert sweeps == len(changes) and np.array_equal(z, zs[-1])
+    floor = 1e-13 * np.linalg.norm(z)
+    assert all(
+        later <= 0.5 * earlier
+        for earlier, later in zip(changes, changes[1:])
+        if later > floor
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gapped_newton_takes_one_frame_solve(seed):
+    """Cost guard: on a gapped dim-80 problem the run is the Newton step
+    from X = 0 and one frame solve in one factorized frame."""
+    b = random_case(40, 40, gap=1.0, coupling=0.5, seed=seed).block
+    _, trace = solve_newton_X0(b)
+    assert trace.converged
+    assert trace.frames == 1 and trace.schur_steps == 0
+    assert trace.iterations == 2 and trace.sweeps <= 10
 
 
 @PROPERTY
@@ -710,39 +839,31 @@ def test_newton_with_reused_frames_matches_schur_newton(seed, n0, n1, coupling, 
     seeds, st.integers(1, 9), st.integers(1, 9),
     st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
 )
-def test_frame_residual_bounds_the_dense_newton_residual(seed, n0, n1, coupling):
-    """In a frame reused one step later, ``kappa norm_F(R^)`` bounds the
-    densely formed ``norm_F(P D - D Q + F)`` for the F the frame reads,
-    ``t1 Phi t0inv``, with kappa at least ``norm(t1) norm(t0inv)``, and
-    ``n(Phi) <= n(F)``: the frame's residual gate is never looser than the
-    dense one. R^ is taken of the sweeps' first iterate ``-Phi / delta``,
-    of a random D^ and of the step the frame returns."""
+def test_frame_equation_is_the_transformed_graph_equation(seed, n0, n1, coupling):
+    """In the frame made at X', at any ``X = X' + t1 Z t0inv``, the frame's
+    Riccati equation reads ``Phi(Z) = V1* F(X) V0`` with F formed from the
+    blocks, and the separation gate's scale ``pq + 2 kappa norm_F(Z)
+    norm(V)`` bounds ``norm_F(P(X)) + norm_F(Q(X))``, with kappa at least
+    ``norm(t1) norm(t0inv)``. Z is the frame solve's first iterate
+    ``-c / delta`` and a random matrix of its size."""
     rng = np.random.default_rng(seed)
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
-    eps, norm = np.finfo(float).eps, np.linalg.norm
-    previous = None
-    for x, f, xw, wx, _ in _schur_newton_steps(b):
-        if previous is not None:
-            frame, x_frame = previous
-            t1, t0inv = frame.t1, frame.t0inv
-            assert norm(t1, 2) * norm(t0inv, 2) <= frame.kappa * (1 + 1e-12)
-            z = _frame_coordinates(frame, x_frame, x)
-            phi, e1, e0 = _frame_coefficients(frame, z)
-            f_frame = t1 @ phi @ t0inv
-            assert norm_lower_bound(phi) <= norm_lower_bound(f_frame) * (1 + 1e-12)
-            p, q = b.A1 - xw, b.A0 + wx
-            candidates = [-phi / frame.delta, _cmat(rng, n1, n0) * norm(z)]
-            step = riccati._graph_frame_step(b, frame, z, phi, e1, e0)
-            candidates += [] if step is None else [step]
-            for dz in candidates:
-                r = e1 @ dz + dz @ e0 + frame.delta * dz + phi
-                d = t1 @ dz @ t0inv
-                dense = norm(p @ d - d @ q + f_frame)
-                terms = (norm(p) + norm(q)) * norm(d) + norm(f_frame)
-                rounding = 64 * eps * (n0 + n1) * frame.kappa**2 * terms
-                assert dense <= frame.kappa * norm(r) + rounding
-        frame = riccati._graph_frame(b, x, f)
-        previous = None if frame is None or frame.at_zero else (frame, x)
+    norm = np.linalg.norm
+    x, f = _second_step(b)
+    frame = riccati._graph_frame(b, x, f)
+    t1, t0inv = frame.t1, frame.t0inv
+    v1h, v0 = np.linalg.inv(t1), np.linalg.inv(t0inv)
+    assert norm(t1, 2) * norm(t0inv, 2) <= frame.kappa * (1 + 1e-12)
+    first = -frame.c / frame.delta
+    for z in (first, _cmat(rng, n1, n0) * norm(first)):
+        phi = frame.c + frame.delta * z + (frame.e1 - z @ frame.m) @ z + z @ frame.e0
+        x_z = x + t1 @ z @ t0inv
+        f_z = residual_X0(b, x_z).residual
+        terms = norm(b.A1) * norm(x_z) + norm(x_z) ** 2 * norm(b.W1) + norm(f)
+        rounding = 64 * np.finfo(float).eps * (n0 + n1) * frame.kappa**2 * terms
+        assert norm(phi - v1h @ f_z @ v0) <= rounding
+        pq = norm(b.A1 - x_z @ b.W1) + norm(b.A0 + b.W1 @ x_z)
+        assert pq <= (frame.pq + 2 * frame.kappa * norm(z) * b.norm_V) * (1 + 1e-12)
 
 
 @PROPERTY
@@ -754,10 +875,10 @@ def test_frame_residual_bounds_the_dense_newton_residual(seed, n0, n1, coupling)
 def test_last_trace_entry_is_the_residual_of_the_returned_x(
     seed, n0, n1, coupling, s, max_iter, kind
 ):
-    """The frame values of the trace do not see the rounding of the carried
-    X, so the last entry, which decides ``converged``, is
-    :func:`residual_X0` of the returned X on the centred blocks, whether the
-    run converged or ran out of steps."""
+    """The last entry of the trace, which decides ``converged``, is
+    :func:`residual_X0` of the returned X on the caller's blocks, whether
+    the run converged or ran out of steps, and whichever route took the
+    steps."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     a0 = b.A0 + s * np.eye(n0) + (1e-15j * np.eye(n0) if kind == "nearly" else 0)
     b = BlockMatrix(a0, b.A1 + s * np.eye(n1), b.W0, b.W1)
@@ -777,10 +898,10 @@ def test_perturbed_frame_coordinates_never_report_false_convergence(
     seed, n0, n1, coupling, field
 ):
     """Negative control: with each generalized frame's ``m`` or ``c``
-    perturbed by 1e-6 relative, Phi is wrong and its values can pass tol
-    where the true residual does not. The run never reports ``converged``
-    with a true residual above tol, and still ends within 1e-12 of the
-    all-Schur X (both at tol 1e-14, so that X is resolved to 1e-12)."""
+    perturbed by 1e-6 relative, the frame solves a wrong equation and lands
+    off the solution. The run never reports ``converged`` with a true
+    residual above tol, and still ends within 1e-12 of the all-Schur X
+    (both at tol 1e-14, so that X is resolved to 1e-12)."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     centred = BlockMatrix(*riccati._centred_A(b), b.W0, b.W1)
     x_ref, _ = _schur_newton(centred, tol=1e-14)
@@ -788,7 +909,7 @@ def test_perturbed_frame_coordinates_never_report_false_convergence(
 
     def perturbed(*args):
         frame = make(*args)
-        if frame is None or frame.at_zero:
+        if frame is None or frame.m is None:
             return frame
         return frame._replace(**{field: getattr(frame, field) * (1 + 1e-6)})
 
@@ -801,8 +922,8 @@ def test_perturbed_frame_coordinates_never_report_false_convergence(
 
 def test_perturbed_frame_is_refreshed_at_the_final_check():
     """The negative control is not vacuous: on this problem the perturbed
-    c makes the frame's value pass tol at an X whose true residual does
-    not, and the run takes one more frame and one more step than the
+    c makes the frame solve land on an X whose true residual does not pass
+    tol, and the run takes one more frame and one more step than the
     unperturbed one."""
     b = random_case(7, 6, gap=1.0, coupling=0.5, seed=15).block
     _, reference = solve_newton_X0(b)
@@ -810,7 +931,7 @@ def test_perturbed_frame_is_refreshed_at_the_final_check():
 
     def perturbed(*args):
         frame = make(*args)
-        return frame if frame.at_zero else frame._replace(c=frame.c * (1 + 1e-6))
+        return frame if frame.m is None else frame._replace(c=frame.c * (1 + 1e-6))
 
     with mock.patch.object(riccati, "_graph_frame", perturbed):
         _, trace = solve_newton_X0(b)
