@@ -10,24 +10,27 @@ runs a pipeline, prints a short summary, optionally writes a JSON report
     3  input or parse error
     4  internal error (an exception outside the toolkit's own hierarchy)
 
-Every command is one entry of :data:`COMMANDS`. Its run function only
-fills the report and returns its verdict; :func:`main` loads the problem
-file, prints the summary, maps the verdict to the exit code and writes
-the report. An error is one JSON object on stderr (and in ``--out``).
+Every command is one entry of :data:`COMMANDS`. Its run function fills
+the report's spectra, certificates and input facts, and returns its
+:class:`Gate` list. :func:`_run` alone turns gates into the verdict: it
+writes each residual gate under ``residuals`` and each other gate as a
+flag, names the gate that decided in ``verdict``, and derives the exit
+code. An error is one JSON object on stderr (and in ``--out``).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,6 +64,33 @@ INTERNAL_ERROR = 4
 RELBOUND_TAUS = tuple(np.logspace(0, 6, 13))
 
 
+class Gate(NamedTuple):
+    """One pass/fail test of a command: it passes when ``value <= bound``.
+
+    ``kind`` is ``residual`` (reported under ``residuals``), ``check`` or
+    ``hypothesis`` (reported as a flag). A failed hypothesis exits 2, any
+    other failed gate 1.
+    """
+
+    name: str
+    value: float
+    bound: float
+    kind: str
+
+    @property
+    def passes(self) -> bool:
+        return self.value <= self.bound
+
+
+def _residuals(tol: float, **values) -> list[Gate]:
+    return [Gate(name, value, tol, "residual") for name, value in values.items()]
+
+
+def _holds(name: str, ok: bool, kind: str = "check") -> Gate:
+    """A library check that returns only a bool: 0 if it holds, else 1."""
+    return Gate(name, 0.0 if ok else 1.0, 0.5, kind)
+
+
 @contextmanager
 def _timed(timings: dict, name: str):
     start = time.perf_counter()
@@ -88,7 +118,7 @@ def _sample_shifts(b: BlockMatrix, count: int, seed: int) -> list[complex]:
     scale = max(b.norm, 1.0)
     rng = np.random.default_rng(seed)
     shifts: list[complex] = []
-    for _ in range(1000):
+    for _ in range(1000 * count):
         if len(shifts) == count:
             break
         lam = complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
@@ -114,7 +144,7 @@ def _random(args, report, problem) -> None:
     _print(f"wrote {args.out} (sha256 {digest_file(args.out)[:16]}...)")
 
 
-def _check(args, report, problem) -> bool:
+def _check(args, report, problem) -> list[Gate]:
     b = problem.block
     tol = args.tol
     timings = report.timings
@@ -146,54 +176,36 @@ def _check(args, report, problem) -> bool:
         ident = transform.verify_spectral_identity(b, pair, tol)
     # over the scale its flag gates at, so the two agree at any norm(B)
     ident_scale = b.norm or 1.0
-    report.residuals.update(
-        {
-            "riccati_x0": r0.rel_norm,
-            "riccati_x1": r1.rel_norm,
-            "riccati_block": rb.rel_norm,
-            "offdiag_left": left.offdiag_rel_norm,
-            "offdiag_right": right.offdiag_rel_norm,
-            "extended_identity": ext.identity,
-            "extended_right_form": ext.right_form,
-            "resolvent_invariance_max": worst_res,
-            "spectral_identity_left": ident.left_distance / ident_scale,
-            "spectral_identity_right": ident.right_distance / ident_scale,
-        }
-    )
     report.spectra["B"] = b.eigvals
     # the left block spectra the spectral identity measured or certified
     report.spectra["diag_left"] = ident.left_spectrum
-    report.flags.update(
-        {
-            "hermitian": b.hermitian,
-            "symmetric_offdiag": is_symmetric_offdiag(b),
-            "complementary": comp.complementary,
-            "spectral_identity_ok": ident.ok,
-        }
-    )
+    report.flags["hermitian"] = b.hermitian
+    report.flags["symmetric_offdiag"] = is_symmetric_offdiag(b)
     report.certificates["complementarity"] = {
         "sigma_min": comp.sigma_min,
         "norm_Y": comp.norm_Y,
     }
-    return (
-        all(v <= tol for v in report.residuals.values())
-        and comp.complementary
-        and ident.ok
-    )
+    return _residuals(
+        tol,
+        riccati_x0=r0.rel_norm,
+        riccati_x1=r1.rel_norm,
+        riccati_block=rb.rel_norm,
+        offdiag_left=left.offdiag_rel_norm,
+        offdiag_right=right.offdiag_rel_norm,
+        extended_identity=ext.identity,
+        extended_right_form=ext.right_form,
+        resolvent_invariance_max=worst_res,
+        spectral_identity_left=ident.left_distance / ident_scale,
+        spectral_identity_right=ident.right_distance / ident_scale,
+    ) + [_holds("complementary", comp.complementary), _holds("spectral_identity_ok", ident.ok)]
 
 
-def _diagonalize(args, report, problem) -> bool:
+def _diagonalize(args, report, problem) -> list[Gate]:
     b = problem.block
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = angular.spectral_pair(b, mu)
         left, right = transform.diagonalize(b, pair)
-    report.residuals.update(
-        {
-            "offdiag_left": left.offdiag_rel_norm,
-            "offdiag_right": right.offdiag_rel_norm,
-        }
-    )
     report.spectra.update(
         {
             "left_block0": eigenvalues(left.diag_blocks[0]),
@@ -202,39 +214,37 @@ def _diagonalize(args, report, problem) -> bool:
             "right_block1": eigenvalues(right.diag_blocks[1]),
         }
     )
-    report.flags.update(
-        {"reliable": left.reliable and right.reliable}
-    )
+    report.flags["reliable"] = left.reliable and right.reliable
     report.certificates["conditioning"] = {
         "left": left.conditioning,
         "right": right.conditioning,
     }
-    return max(left.offdiag_rel_norm, right.offdiag_rel_norm) <= args.tol
+    return _residuals(
+        args.tol, offdiag_left=left.offdiag_rel_norm, offdiag_right=right.offdiag_rel_norm
+    )
 
 
-def _triangularize(args, report, problem) -> bool:
+def _triangularize(args, report, problem) -> list[Gate]:
     b = problem.block
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         pair = angular.spectral_pair(b, mu)
         tri = transform.triangularize(b, pair.X0)
-    report.residuals["lower_left"] = tri.lower_left_rel_norm
     report.spectra.update(
         {
             "block0": eigenvalues(tri.diag_blocks[0]),
             "block1": eigenvalues(tri.diag_blocks[1]),
         }
     )
-    return tri.lower_left_rel_norm <= args.tol
+    return _residuals(args.tol, lower_left=tri.lower_left_rel_norm)
 
 
-def _riccati_solve(args, report, problem) -> bool:
+def _riccati_solve(args, report, problem) -> list[Gate]:
     b = problem.block
     with _timed(report.timings, "newton"):
         x, trace = riccati.solve_newton_X0(
             b, tol=args.tol, max_iter=args.max_iter
         )
-    report.residuals["final"] = trace.iterates[-1]
     report.certificates["newton"] = {
         "iterations": trace.iterations,
         "schur_steps": trace.schur_steps,
@@ -242,19 +252,34 @@ def _riccati_solve(args, report, problem) -> bool:
         "sweeps": trace.sweeps,
         "trace": trace.iterates,
     }
-    report.flags["converged"] = trace.converged
+    gates = [*_residuals(args.tol, final=trace.iterates[-1]), _holds("converged", trace.converged)]
     if not b.hermitian:
-        return trace.converged
+        return gates
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "spectral_crosscheck"):
         pair = angular.spectral_pair(b, mu)
     delta = frobenius_norm(x - pair.X0) / (1.0 + pair.singular_values_X0[0])
-    report.residuals["newton_vs_spectral"] = delta
     # Newton from X = 0 can converge to another solution of the graph equation
-    return trace.converged and delta <= CHECK_TOL
+    return gates + _residuals(CHECK_TOL, newton_vs_spectral=delta)
 
 
-def _subordinated(args, report, problem) -> bool:
+def _theorem_gates(report, result: subordinated.TheoremResult, norm_x, tol) -> list[Gate]:
+    """The gates of a subordinated decomposition, in ``subordinated`` and ``dirac``."""
+    report.certificates["contraction"] = {"norm_X": norm_x}
+    left, right = result.diag_results
+    return _residuals(
+        tol,
+        adjointness=result.adjointness_residual,
+        offdiag_left=left.offdiag_rel_norm,
+        offdiag_right=right.offdiag_rel_norm,
+    ) + [
+        Gate("contraction", norm_x, 1.0 + subordinated.CONTRACTION_SLACK, "check"),
+        _holds("kernel_split_ok", result.kernel_split_ok),
+        _holds("reduces_ok", result.reduces_ok),
+    ]
+
+
+def _subordinated(args, report, problem) -> list[Gate]:
     b = problem.block
     mu = args.mu if args.mu is not None else problem.mu
     with _timed(report.timings, "pipeline"):
@@ -266,34 +291,16 @@ def _subordinated(args, report, problem) -> bool:
         "inf_spec_A1": check.inf_spec_A1,
         "gap": check.gap,
     }
-    report.flags.update(
-        {"subordinated": check.subordinated, "symmetric_offdiag": check.symmetric_V}
-    )
-    report.residuals.update(
-        {
-            "adjointness": result.adjointness_residual,
-            "offdiag_left": result.diag_results[0].offdiag_rel_norm,
-            "offdiag_right": result.diag_results[1].offdiag_rel_norm,
-            "invariance_L": result.invariance_residuals[0],
-            "invariance_L_perp": result.invariance_residuals[1],
-        }
-    )
-    report.certificates["contraction"] = {"norm_X": result.norm_X}
-    report.flags.update(
-        {
-            "kernel_split_ok": result.kernel_split_ok,
-            "reduces_ok": result.reduces_ok,
-            "contraction": result.norm_X <= 1.0 + subordinated.CONTRACTION_SLACK,
-        }
-    )
-    return (
-        result.reduces_ok
-        and result.kernel_split_ok
-        and all(v <= args.tol for v in report.residuals.values())
-    )
+    report.flags["symmetric_offdiag"] = check.symmetric_V
+    res_l, res_perp = result.invariance_residuals
+    return [
+        _holds("subordinated", check.subordinated, "hypothesis"),
+        *_theorem_gates(report, result, result.norm_X, args.tol),
+        *_residuals(args.tol, invariance_L=res_l, invariance_L_perp=res_perp),
+    ]
 
 
-def _neumann(args, report, problem) -> bool:
+def _neumann(args, report, problem) -> list[Gate]:
     b = problem.block
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
@@ -307,11 +314,10 @@ def _neumann(args, report, problem) -> bool:
         "sigma_min_B": cert.sigma_min_B,
         "sigma_min_AYV": cert.sigma_min_AYV,
     }
-    report.flags["holds"] = cert.holds
-    return cert.holds
+    return [_holds("holds", cert.holds)]
 
 
-def _relbound(args, report, problem) -> bool:
+def _relbound(args, report, problem) -> list[Gate]:
     with _timed(report.timings, "sweep"):
         rb = criteria.estimate_relative_bound(problem.block, args.tau_grid)
     report.certificates["relative_bound"] = {
@@ -320,19 +326,12 @@ def _relbound(args, report, problem) -> bool:
         "sweep": [[lam, val] for lam, val in rb.lambda_sweep],
         "resolvent_growth": [[lam, val] for lam, val in rb.resolvent_growth],
     }
-    return True
+    return []
 
 
-def _dirac(args, report, problem) -> bool | int:
-    params = {
-        "n": args.n,
-        "box": args.box,
-        "amplitude": args.amplitude,
-        "profile": args.profile,
-        "radius": args.radius,
-        "center": args.center,
-    }
-    report.inputs_digest = digest_obj(params)
+def _dirac(args, report, problem) -> list[Gate]:
+    names = ("n", "box", "amplitude", "profile", "radius", "center")
+    report.inputs_digest = digest_obj({name: getattr(args, name) for name in names})
     problem = dirac.DiracProblem(
         grid=dirac.GridSpec(n=args.n, length=args.box),
         potential=dirac.ImpurityPotential(
@@ -349,31 +348,10 @@ def _dirac(args, report, problem) -> bool | int:
         split = exc.report
         if split is None:
             split = dirac.check_subordination_split(problem)
-        report.flags["subordinated"] = False
         report.certificates["subordination"] = _split_obj(split)
-        return 2
+        return [_holds("subordinated", False, "hypothesis")]
     split = result.split
-    report.flags.update(
-        {
-            "subordinated": split.subordinated,
-            "contraction": result.norm_X <= 1.0 + subordinated.CONTRACTION_SLACK,
-            "kernel_split_ok": result.theorem.kernel_split_ok,
-            "reduces_ok": result.theorem.reduces_ok,
-        }
-    )
     report.certificates["subordination"] = _split_obj(split)
-    report.certificates["contraction"] = {"norm_X": result.norm_X}
-    report.residuals.update(
-        {
-            "fw_unitarity": result.fw_unitarity_residual,
-            "split_identity": split.block_identity_residual,
-            "offdiag_left": result.theorem.diag_results[0].offdiag_rel_norm,
-            "offdiag_right": result.theorem.diag_results[1].offdiag_rel_norm,
-            "adjointness": result.theorem.adjointness_residual,
-            "subspace_angle_minus": result.angle_minus,
-            "subspace_angle_plus": result.angle_plus,
-        }
-    )
     report.spectra.update(
         {
             "H": result.h_eigenvalues,
@@ -383,42 +361,43 @@ def _dirac(args, report, problem) -> bool | int:
     )
     if args.emit_data:
         _emit_dirac_data(args.emit_data, problem, result)
-    # every flag is a claim of the theorem, the kernel split included
-    return all(v <= args.tol for v in report.residuals.values()) and all(
-        report.flags.values()
-    )
+    return [
+        _holds("subordinated", split.subordinated, "hypothesis"),
+        *_theorem_gates(report, result.theorem, result.norm_X, args.tol),
+        *_residuals(
+            args.tol,
+            fw_unitarity=result.fw_unitarity_residual,
+            split_identity=split.block_identity_residual,
+            subspace_angle_minus=result.angle_minus,
+            subspace_angle_plus=result.angle_plus,
+        ),
+    ]
 
 
 def _split_obj(split: dirac.DiracSplitReport) -> dict:
-    return {
-        "sup_spec_A1": split.sup_spec_A1,
-        "inf_spec_A0": split.inf_spec_A0,
-        "margin": split.margin,
-        "u_inf": split.u_inf,
-        "k_min": split.k_min,
-        "block_identity_residual": split.block_identity_residual,
-    }
+    names = ("sup_spec_A1", "inf_spec_A0", "margin", "u_inf", "k_min", "block_identity_residual")
+    return {name: getattr(split, name) for name in names}
 
 
 def _emit_dirac_data(directory: str, problem: dirac.DiracProblem, result) -> None:
-    os.makedirs(directory, exist_ok=True)
     kx, ky = problem.grid.momentum_mesh()
-    with open(os.path.join(directory, "momenta.csv"), "w", encoding="utf-8") as fh:
-        fh.write("kx,ky,abs_k\n")
-        for a, b in zip(kx, ky):
-            fh.write(f"{a!r},{b!r},{np.hypot(a, b)!r}\n")
-    with open(os.path.join(directory, "spectra.csv"), "w", encoding="utf-8") as fh:
-        fh.write("h,block_plus,block_minus\n")
-        bp, bm = (np.sort(x) for x in result.block_eigenvalues)
-        h = np.sort(result.h_eigenvalues)
-        rows = max(len(h), len(bp), len(bm))
-        for i in range(rows):
-            cols = [
-                repr(float(h[i])) if i < len(h) else "",
-                repr(float(bp[i])) if i < len(bp) else "",
-                repr(float(bm[i])) if i < len(bm) else "",
-            ]
-            fh.write(",".join(cols) + "\n")
+    tables = {
+        "momenta.csv": ("kx,ky,abs_k", (kx, ky, np.hypot(kx, ky))),
+        # ragged: H has twice the rows of either block
+        "spectra.csv": (
+            "h,block_plus,block_minus",
+            [np.sort(v) for v in (result.h_eigenvalues, *result.block_eigenvalues)],
+        ),
+    }
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, (header, columns) in tables.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+                for row in itertools.zip_longest(*columns):
+                    fh.write(",".join("" if v is None else repr(float(v)) for v in row) + "\n")
+    except OSError as exc:
+        raise StructuralError(f"cannot write --emit-data {directory}: {exc}") from exc
 
 
 def _checked(convert, ok, requirement: str):
@@ -457,8 +436,8 @@ _pair = _checked(
 )
 _out_path = _checked(
     str,
-    lambda v: os.path.isdir(os.path.dirname(os.path.abspath(v))),
-    "a path in an existing directory",
+    lambda v: os.path.isdir(os.path.dirname(os.path.abspath(v))) and not os.path.isdir(v),
+    "a file path in an existing directory",
 )
 
 
@@ -478,11 +457,11 @@ _OUT = _opt("--out", type=_out_path, default=None, help="write the JSON report h
 class Command:
     """One CLI command.
 
-    ``run(args, report, problem)`` fills ``report`` and returns its verdict:
-    true (pass, exit 0), false (tolerance failure, exit 1) or an ``int``
-    exit code; ``None`` means it writes no report. ``problem`` is the loaded
-    problem file when ``reads_file`` is set (the command then takes a
-    ``file`` argument), else ``None``.
+    ``run(args, report, problem)`` fills ``report`` and returns the list
+    of :class:`Gate` that decides its verdict (empty for a measurement);
+    ``None`` means it writes no report. ``problem`` is the loaded problem
+    file when ``reads_file`` is set (the command then takes a ``file``
+    argument), else ``None``.
     """
 
     run: Callable
@@ -595,17 +574,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Run one parsed command: load, run, print the summary, write the report."""
+    """Run one parsed command: load, run, decide from its gates, write the report,
+    print the summary."""
     command = COMMANDS[args.command]
     problem = load_problem(args.file) if command.reads_file else None
     report = Report(
         command=args.command, inputs_digest=problem.digest if problem else ""
     )
-    verdict = command.run(args, report, problem)
-    if verdict is None:
+    gates = command.run(args, report, problem)
+    if gates is None:
         return 0
-    # an int is an exit code; any other verdict (bool, numpy bool) passes or fails
-    code = verdict if type(verdict) is int else int(not verdict)
+    for gate in gates:
+        if gate.kind == "residual":
+            report.residuals[gate.name] = gate.value
+        else:
+            report.flags[gate.name] = gate.passes
+    # a failed hypothesis first, then any failed gate, then the nearest its bound
+    decided = max(
+        gates,
+        key=lambda g: (not g.passes and g.kind == "hypothesis", not g.passes, g.value / g.bound),
+        default=None,
+    )
+    code = 0
+    if decided is not None:
+        report.verdict = {"decided_by": decided.name, "margin": decided.bound - decided.value}
+        if not decided.passes:
+            code = 2 if decided.kind == "hypothesis" else 1
     if args.out:
         # inside the contract: an unwritable report is an error, not a crash
         write_json_atomic(args.out, report.to_obj())
@@ -650,7 +644,9 @@ def main(argv=None) -> int:
         print(json.dumps(error_obj), file=sys.stderr)
         out = getattr(args, "out", None)
         if out:
-            write_json_atomic(out, error_obj)
+            # the report path itself may be what could not be written
+            with suppress(StructuralError):
+                write_json_atomic(out, error_obj)
         return code
 
 

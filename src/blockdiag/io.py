@@ -242,6 +242,8 @@ class Report:
     flags: dict = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    #: the gate that decided the verdict and its margin, bound minus value
+    verdict: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
         return {
@@ -253,6 +255,7 @@ class Report:
             "flags": {str(k): bool(v) for k, v in self.flags.items()},
             "certificates": _jsonable(self.certificates),
             "timings": _jsonable(self.timings),
+            "verdict": _jsonable(self.verdict),
         }
 
 
@@ -272,7 +275,10 @@ def write_json_atomic(path, obj, compact: bool = False) -> None:
     Reports are indented for reading. Problem files are ``compact``: the
     indented form falls back to the pure-Python encoder, which dominates
     saving a large matrix. The file gets the mode a plain ``open`` would
-    give it, ``0o666`` less the umask, not the temp file's ``0o600``.
+    give it, ``0o666`` less the umask, not the temp file's ``0o600``. An
+    ``OSError`` (the path is a directory, say, or not writable) is raised
+    as a :class:`StructuralError` that names the path, and no temp file
+    is left behind.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -284,13 +290,17 @@ def write_json_atomic(path, obj, compact: bool = False) -> None:
     # for that instant, then restore it
     umask = os.umask(0o077)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # like an unreadable problem file, an unwritable path is an input error
+        raise StructuralError(f"cannot write {path}: {exc}") from exc

@@ -519,6 +519,86 @@ def test_cli_dirac_pass_and_data(tmp_path):
     assert (data_dir / "spectra.csv").exists()
 
 
+def test_cli_dirac_data_files_hold_the_mesh_and_the_spectra(tmp_path):
+    from blockdiag import dirac
+
+    n = 4
+    data_dir = tmp_path / "data"
+    assert main(["dirac", "--n", str(n), "--amplitude", "0.03", "--emit-data", str(data_dir)]) == 0
+    momenta = (data_dir / "momenta.csv").read_text().splitlines()
+    spectra = (data_dir / "spectra.csv").read_text().splitlines()
+    assert momenta[0] == "kx,ky,abs_k"
+    assert spectra[0] == "h,block_plus,block_minus"
+    assert (len(momenta) - 1, len(spectra) - 1) == (n * n, 2 * n * n)
+
+    def columns(lines):
+        cells = [line.split(",") for line in lines[1:]]
+        return [[float(c) for c in column if c] for column in zip(*cells)]
+
+    kx, ky = dirac.GridSpec(n=n).momentum_mesh()
+    assert columns(momenta) == [kx.tolist(), ky.tolist(), np.hypot(kx, ky).tolist()]
+    result = dirac.run_dirac_pipeline(
+        dirac.DiracProblem(
+            grid=dirac.GridSpec(n=n), potential=dirac.ImpurityPotential(amplitude=0.03)
+        )
+    )
+    expected = [result.h_eigenvalues, *result.block_eigenvalues]
+    assert columns(spectra) == [np.sort(v).tolist() for v in expected]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{file}", "--out", "{dir}"],
+        ["random", "--n0", "2", "--n1", "2", "--out", "{dir}"],
+        ["dirac", "--n", "4", "--emit-data", "{file}"],
+    ],
+    ids=["check-out-dir", "random-out-dir", "dirac-emit-data-file"],
+)
+def test_cli_unwritable_output_path_is_an_input_error(tmp_path, capsys, argv):
+    path = _write_fixture(tmp_path, mu=1.0)
+    directory = tmp_path / "existing"
+    directory.mkdir()
+    argv = [a.format(file=path, dir=directory) for a in argv]
+    assert main(argv) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert obj["error"]["exit_code"] == 3
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_cli_report_path_made_unwritable_after_parsing(tmp_path, capsys, monkeypatch):
+    """A report that cannot be written, nor its error object, exits 3."""
+    from blockdiag import cli
+
+    def blocking(args, report, problem):
+        os.mkdir(args.out)
+        return []
+
+    blocked = dataclasses.replace(cli.COMMANDS["check"], run=blocking)
+    monkeypatch.setitem(cli.COMMANDS, "check", blocked)
+    out = tmp_path / "report.json"
+    assert main(["check", _write_fixture(tmp_path, mu=1.0), "--out", str(out)]) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert str(out) in obj["error"]["message"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_write_json_atomic_refuses_a_directory(tmp_path):
+    from blockdiag.io import write_json_atomic
+
+    with pytest.raises(StructuralError, match="cannot write"):
+        write_json_atomic(tmp_path, {"a": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_check_samples_more_than_a_thousand_shifts(tmp_path):
+    path = tmp_path / "gapped.json"
+    save_problem(path, random_case(8, 8, gap=1.0, coupling=0.5, seed=0))
+    assert main(["check", str(path), "--lambdas", "1001"]) == 0
+
+
 def test_cli_dirac_free_case(tmp_path):
     out = tmp_path / "free.json"
     assert main(["dirac", "--n", "4", "--amplitude", "0", "--out", str(out)]) == 0
@@ -744,7 +824,7 @@ def test_cli_unwritable_report_is_an_input_error(tmp_path, capsys, monkeypatch):
 
     def overflowing(args, report, problem):
         report.certificates["margin"] = float("-inf")
-        return True
+        return []
 
     overflowing_check = dataclasses.replace(cli.COMMANDS["check"], run=overflowing)
     monkeypatch.setitem(cli.COMMANDS, "check", overflowing_check)

@@ -2,10 +2,10 @@
 
 Each command runs on a small gapped file and on a closed-gap file with a
 kernel planted at its threshold mu = 0; ``dirac`` runs on its smallest
-grid. The nested key paths of ``residuals``, ``spectra``, ``flags`` and
-``certificates`` (or of ``error``, when the command exits with one) must
-equal the listing below, so a field can only appear or disappear on
-purpose.
+grid. The nested key paths of ``residuals``, ``spectra``, ``flags``,
+``certificates`` and ``verdict`` (or of ``error``, when the command exits
+with one) must equal the listing below, so a field can only appear or
+disappear on purpose.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from blockdiag import random_case, save_problem
 from blockdiag.cli import main
 
-SECTIONS = ("residuals", "spectra", "flags", "certificates", "error")
+SECTIONS = ("residuals", "spectra", "flags", "certificates", "verdict", "error")
 
 ERROR = ["error.exit_code", "error.message", "error.type"]
 
@@ -36,6 +36,8 @@ SUBORDINATED = [
     "residuals.offdiag_left",
     "residuals.offdiag_right",
     "spectra",
+    "verdict.decided_by",
+    "verdict.margin",
 ]
 
 RELBOUND = [
@@ -46,6 +48,7 @@ RELBOUND = [
     "flags",
     "residuals",
     "spectra",
+    "verdict",
 ]
 
 #: (file, command line after the file) -> (exit code, sorted key paths)
@@ -69,6 +72,8 @@ SHAPES = {
         "residuals.spectral_identity_right",
         "spectra.B",
         "spectra.diag_left",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
     ("gapped", ("diagonalize",)): (0, [
         "certificates.conditioning.left",
@@ -80,6 +85,8 @@ SHAPES = {
         "spectra.left_block1",
         "spectra.right_block0",
         "spectra.right_block1",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
     ("gapped", ("triangularize",)): (0, [
         "certificates",
@@ -87,6 +94,8 @@ SHAPES = {
         "residuals.lower_left",
         "spectra.block0",
         "spectra.block1",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
     ("gapped", ("riccati-solve",)): (0, [
         "certificates.newton.frames",
@@ -98,6 +107,8 @@ SHAPES = {
         "residuals.final",
         "residuals.newton_vs_spectral",
         "spectra",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
     ("gapped", ("subordinated",)): (0, SUBORDINATED),
     ("gapped", ("neumann", "--lambda", "0,3")): (0, [
@@ -110,6 +121,8 @@ SHAPES = {
         "flags.holds",
         "residuals",
         "spectra",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
     ("gapped", ("relbound",)): (0, RELBOUND),
     # mu = 0 is an eigenvalue of B: every spectral split there is ill-posed
@@ -142,6 +155,8 @@ SHAPES = {
         "spectra.H",
         "spectra.block_minus",
         "spectra.block_plus",
+        "verdict.decided_by",
+        "verdict.margin",
     ]),
 }
 
