@@ -21,6 +21,7 @@ code. An error is one JSON object on stderr (and in ``--out``).
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import angular, criteria, dirac, riccati, subordinated, transform
-from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag
+from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag, relative, shift_distance
 from .errors import (
     BlockdiagError,
     HypothesisError,
@@ -113,16 +114,18 @@ def _resolve_mu(args, problem) -> float:
 
 
 def _sample_shifts(b: BlockMatrix, count: int, seed: int) -> list[complex]:
-    """Deterministic shifts kept away from the spectrum of B."""
+    """Deterministic finite shifts in a box of side ``norm(B)`` (1 for B = 0),
+    kept away from the spectrum of B."""
     spec = b.eigvals
-    scale = max(b.norm, 1.0)
+    scale = b.norm or 1.0
     rng = np.random.default_rng(seed)
     shifts: list[complex] = []
     for _ in range(1000 * count):
         if len(shifts) == count:
             break
+        # a draw past the float range is discarded
         lam = complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
-        if np.min(np.abs(spec - lam)) >= 1e-4 * scale:
+        if cmath.isfinite(lam) and shift_distance(spec, lam) >= 1e-4 * scale:
             shifts.append(lam)
     if len(shifts) < count:
         raise NumericError("could not sample shifts away from the spectrum")
@@ -166,16 +169,10 @@ def _check(args, report, problem) -> list[Gate]:
         ext = transform.verify_extended_identity(b, pair, right)
     with _timed(timings, "resolvent"):
         shifts = _sample_shifts(b, args.lambdas, args.seed)
-        sweep = transform.verify_resolvent_invariance(b, pair, shifts)
-        # each defect relative to the resolvent magnitude 1 / sigma_min(B - lam),
-        # so the entry is dimensionless like the rest of the report
-        worst_res = max(
-            max(ds) * b.sigma_min_shifted(lam) for lam, ds in zip(shifts, sweep)
-        )
+        # np.max keeps a NaN defect, which the builtin max would drop
+        worst_res = float(np.max(transform.verify_resolvent_invariance(b, pair, shifts)))
     with _timed(timings, "spectral_identity"):
         ident = transform.verify_spectral_identity(b, pair, tol)
-    # over the scale its flag gates at, so the two agree at any norm(B)
-    ident_scale = b.norm or 1.0
     report.spectra["B"] = b.eigvals
     # the left block spectra the spectral identity measured or certified
     report.spectra["diag_left"] = ident.left_spectrum
@@ -195,8 +192,8 @@ def _check(args, report, problem) -> list[Gate]:
         extended_identity=ext.identity,
         extended_right_form=ext.right_form,
         resolvent_invariance_max=worst_res,
-        spectral_identity_left=ident.left_distance / ident_scale,
-        spectral_identity_right=ident.right_distance / ident_scale,
+        spectral_identity_left=relative(ident.left_distance, b.norm),
+        spectral_identity_right=relative(ident.right_distance, b.norm),
     ) + [_holds("complementary", comp.complementary), _holds("spectral_identity_ok", ident.ok)]
 
 
@@ -479,7 +476,7 @@ COMMANDS = {
             _opt("--n1", type=int, required=True),
             _opt("--gap", type=_finite_float, default=1.0),
             _opt("--coupling", type=_finite_float, default=0.5),
-            _opt("--seed", type=int, default=0),
+            _opt("--seed", type=_nonnegative_int, default=0),
             _opt("--kernel-dim", type=int, default=0),
             _opt("--out", type=_out_path, required=True),
         ),
@@ -494,7 +491,7 @@ COMMANDS = {
             _OUT,
             _opt("--lambdas", type=_positive_int, default=3,
                  help="number of sampled resolvent shifts"),
-            _opt("--seed", type=int, default=0),
+            _opt("--seed", type=_nonnegative_int, default=0),
             _opt("--perturb-x0", type=_finite_float, default=0.0,
                  help="corrupt the extracted angular operator (negative control)"),
         ),

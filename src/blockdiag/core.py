@@ -7,16 +7,24 @@ which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ResolventError, StructuralError
 
 #: Baseline tolerance used for rank decisions and spectral bands.
 DEFAULT_TOL = 1e-10
+
+# The scale rule of every gate: a gate passes when ``value <= tol * scale``,
+# and a gate on a separation refuses when ``value <= tol * scale``, with
+# ``scale`` the exact norm, or a lower bound on the norm, of what is
+# measured. There is no absolute floor, so B and 2^k B get one verdict, and
+# B = 0 admits a zero residual and refuses a zero gap. Reported relative
+# values are :func:`relative`.
 
 #: Multiple of ``n * eps`` that a rounding floor leaves for the rounding of
 #: the products, norms and eigensolves its proof skips: the spectrum proof
@@ -54,21 +62,41 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def relative(value: float, scale: float) -> float:
+    """``value / scale``; over a zero scale, 0 stays 0 and anything else is inf."""
+    if scale == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return value / scale
+
+
+#: Smallest norm taken from the plain sum of squares; below it, entries whose
+#: squares are subnormal could carry weight in the sum.
+_PLAIN_NORM_MIN = 2.0**-400
+
+
 def frobenius_norm(m) -> float:
     """Frobenius norm of ``m``: an upper bound on its 2-norm, used by gates.
 
-    The plain sum of squares overflows once entries pass about 1e154; only
-    then is the norm recomputed over ``m / max|m|``, so finite input gets a
-    finite norm whenever the norm itself is representable.
+    The plain sum of squares overflows once entries pass about 1e154 and
+    underflows below about 1e-154. An infinite plain norm, or one below
+    2^-400, is therefore recomputed over ``m`` scaled by the power of two
+    that brings its largest part into ``[1/2, 1)``: the same sum of squares,
+    exactly scaled, so ``norm_F(2^k m) = 2^k norm_F(m)`` whenever both are
+    normal floats.
     """
     m = np.asarray(m, dtype=np.complex128)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         value = float(np.linalg.norm(m))
-    if math.isinf(value):
-        peak = float(np.max(np.abs(m)))
-        if math.isfinite(peak):
-            value = peak * float(np.linalg.norm(m / peak))
-    return value
+        if _PLAIN_NORM_MIN <= value < math.inf:
+            return value
+        # the element order np.linalg.norm sums in, as real and imaginary parts
+        parts = m.ravel(order="K").view(np.float64)
+        peak = float(np.max(np.abs(parts), initial=0.0))
+        if not 0.0 < peak < math.inf:
+            return value
+        e = math.frexp(peak)[1]
+        scaled = np.ldexp(parts, -e).view(np.complex128)
+        return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 def norm_lower_bound(m) -> float:
@@ -97,16 +125,35 @@ def _sigma_min(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``m`` equals its conjugate transpose up to ``tol * norm``.
+def shift_distance(spec: np.ndarray, lam: complex) -> float:
+    """``min |spec - lam|``: inf for an empty spectrum, or past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.min(np.abs(spec - lam), initial=math.inf))
+
+
+def check_shifts(lams, spec: np.ndarray, scale: float, tol: float, what: str) -> None:
+    """Refuse resolvent shifts: a non-finite one as an input error, and one
+    within ``tol * scale`` of ``spec`` (``what``) with :class:`ResolventError`."""
+    for lam in lams:
+        if not cmath.isfinite(lam):
+            raise StructuralError(f"shift {lam} is not finite")
+        dist = shift_distance(spec, lam)
+        if dist <= tol * scale:
+            raise ResolventError(
+                f"shift {lam} is within {dist:.3e} of {what} (norm {scale:.3e})"
+            )
+
+
+def is_hermitian(m) -> bool:
+    """Whether ``m`` equals its conjugate transpose up to ``DEFAULT_TOL * norm``.
 
     The defect is measured in the Frobenius norm and the scale is a lower
     bound on the 2-norm, so this never passes where the exact 2-norm test
-    fails.
+    ``norm(m - m*) <= DEFAULT_TOL * norm(m)`` fails; ``2^k m`` gets the
+    verdict of ``m``.
     """
     m = np.asarray(m, dtype=np.complex128)
-    scale = norm_lower_bound(m)
-    return frobenius_norm(m - m.conj().T) <= tol * max(scale, 1.0)
+    return frobenius_norm(m - m.conj().T) <= DEFAULT_TOL * norm_lower_bound(m)
 
 
 @dataclass(frozen=True)
@@ -254,7 +301,7 @@ class BlockMatrix:
         """
         lam = complex(lam)
         if self.bitwise_hermitian:
-            return float(np.min(np.abs(self.eigvals - lam)))
+            return shift_distance(self.eigvals, lam)
         return _sigma_min(self.full - lam * np.eye(self.dim))
 
     def sigma_min_shifted_A(self, lam: complex) -> float:
@@ -268,7 +315,7 @@ class BlockMatrix:
         lam = complex(lam)
         if self.eigh_A is not None:
             (w0, _), (w1, _) = self.eigh_A
-            return float(np.min(np.abs(np.concatenate([w0, w1]) - lam)))
+            return shift_distance(np.concatenate([w0, w1]), lam)
         return min(_sigma_min(a - lam * np.eye(len(a))) for a in (self.A0, self.A1))
 
     @cached_property
@@ -322,11 +369,11 @@ def from_blocks(a, b, c, d) -> np.ndarray:
     return out
 
 
-def is_symmetric_offdiag(b: BlockMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the coupling is symmetric, ``W0 = W1*`` up to tolerance.
+def is_symmetric_offdiag(b: BlockMatrix) -> bool:
+    """Whether the coupling is symmetric, ``W0 = W1*`` up to ``DEFAULT_TOL * norm(W1)``.
 
     Frobenius defect against a lower bound on ``norm(W1)``, so never looser
-    than the exact 2-norm test.
+    than the exact 2-norm test; a zero W1 admits only a zero W0.
     """
     defect = frobenius_norm(b.W0 - b.W1.conj().T)
-    return defect <= tol * (1.0 + norm_lower_bound(b.W1))
+    return defect <= DEFAULT_TOL * norm_lower_bound(b.W1)

@@ -10,15 +10,14 @@ to a Hermitian A.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angular import AngularPair
-from .core import BlockMatrix, _sigma_min, is_hermitian, operator_norm
-from .errors import ContractError, NumericError, ResolventError, StructuralError
+from .core import BlockMatrix, _sigma_min, check_shifts, is_hermitian, operator_norm
+from .errors import ContractError, NumericError, StructuralError
 from .spectral import eigenvalues
 
 
@@ -80,15 +79,7 @@ def _resolvent_norms(b: BlockMatrix, lams: list[complex]) -> list[float]:
         spec_a = np.concatenate([w0, w1])
     else:
         spec_a = np.concatenate([eigenvalues(b.A0), eigenvalues(b.A1)])
-    scale = b.norm_A
-    for lam in lams:
-        if not cmath.isfinite(lam):
-            raise StructuralError(f"shift {lam} is not finite")
-        dist = float(np.min(np.abs(spec_a - lam)))
-        if dist < 1e-10 * max(scale, 1.0):
-            raise ResolventError(
-                f"shift {lam} is within {dist:.3e} of spec(A) (norm {scale:.3e})"
-            )
+    check_shifts(lams, spec_a, b.norm_A, 1e-10, "spec(A)")
     if b.eigh_A is not None:
         w1q1, w0q0 = b.W1 @ q1, b.W0 @ q0
         halves = ((w1q1 / (w1 - lam), w0q0 / (w0 - lam)) for lam in lams)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks
+from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, relative
 from .errors import HypothesisError, NumericError, StructuralError
 from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
 
@@ -190,16 +190,17 @@ class DiracPipelineResult:
 def _overflow_is_input_error(quantity: str):
     """Raise an overflow or invalid value inside the block as an input error.
 
-    Usable as a decorator. A potential too large for the grid makes the
-    named quantity overflow; that is a property of the input (exit code 3),
-    not a failed subordination check.
+    Usable as a decorator. A potential, box or centre too large for the
+    grid makes the named quantity overflow; that is a property of the input
+    (exit code 3), not a failed subordination check.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise StructuralError(
-            f"{quantity} not representable ({exc}); the potential is too large"
+            f"{quantity} not representable ({exc}); the potential amplitude, "
+            f"the box or the centre is too large"
         ) from exc
 
 
@@ -338,19 +339,21 @@ def check_subordination_split(
             f"(u_inf = {u_inf:.3e}); the potential is too large"
         )
     norm_bound = float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf
-    scale = max(norm_bound, 1.0)
 
     def averaged(mat):
         return 0.5 * (mat + theta @ mat @ theta.conj().T)
 
-    block_res = max(
-        frobenius_norm(bm.A0 - averaged(s + u)),
-        frobenius_norm(bm.A1 - averaged(-s + u)),
-    ) / scale
+    block_res = relative(
+        max(
+            frobenius_norm(bm.A0 - averaged(s + u)),
+            frobenius_norm(bm.A1 - averaged(-s + u)),
+        ),
+        norm_bound,
+    )
     w0, w1 = bm.eigvalsh_A
     sup_a1 = float(w1[-1])
     inf_a0 = float(w0[0])
-    band = DEFAULT_TOL * scale
+    band = DEFAULT_TOL * norm_bound
     subordinated = sup_a1 <= band and inf_a0 >= -band
     return DiracSplitReport(
         block_identity_residual=block_res,

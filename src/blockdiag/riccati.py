@@ -41,10 +41,11 @@ from .core import (
     frobenius_norm,
     from_blocks,
     norm_lower_bound,
+    relative,
 )
 from .errors import NumericError, StructuralError, SylvesterSingularError
 
-#: Relative spectra separation below which a Sylvester equation is
+#: Relative spectra separation at or below which a Sylvester equation is
 #: treated as singular.
 SYLVESTER_SEPARATION_TOL = 1e-10
 
@@ -136,11 +137,7 @@ def _riccati_scale(b: BlockMatrix, a0, a1) -> float:
 
 
 def _rel_norm(residual, scale: float, x) -> float:
-    denom = scale * (1.0 + norm_lower_bound(x)) ** 2
-    r = frobenius_norm(residual)
-    if denom == 0.0:
-        return 0.0 if r == 0.0 else float("inf")
-    return r / denom
+    return relative(frobenius_norm(residual), scale * (1.0 + norm_lower_bound(x)) ** 2)
 
 
 def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float]:
@@ -251,7 +248,7 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     tq, uq = _triangular_form(q)
     sep = float(np.min(np.abs(np.diag(tp)[:, None] - np.diag(tq)[None, :])))
     scale = frobenius_norm(p) + frobenius_norm(q)
-    if sep < SYLVESTER_SEPARATION_TOL * max(scale, 1.0):
+    if sep <= SYLVESTER_SEPARATION_TOL * scale:
         raise SylvesterSingularError(
             f"spectra of P and Q overlap numerically (separation {sep:.3e}, "
             f"scale {scale:.3e})"
@@ -260,7 +257,7 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     z = up @ y @ uq.conj().T
     # the residual gate: norm_F(P Z - Z Q - C) <= SYLVESTER_RESIDUAL_TOL n(C)
     resid, rhs_scale = frobenius_norm(p @ z - z @ q - c), norm_lower_bound(c)
-    if resid > SYLVESTER_RESIDUAL_TOL * max(rhs_scale, 1e-300):
+    if resid > SYLVESTER_RESIDUAL_TOL * rhs_scale:
         raise NumericError(
             "Sylvester solution residual beyond guarantee",
             diagnostics={"residual": resid, "rhs_norm_lower_bound": rhs_scale},
@@ -366,7 +363,7 @@ def _frame_solve(b, frame: _GraphFrame) -> tuple[np.ndarray | None, int]:
             scale += 2.0 * frame.kappa * frobenius_norm(z) * b.norm_V
         perturbation = frobenius_norm(e1) + frobenius_norm(e0)
         if (
-            gap - perturbation < SYLVESTER_SEPARATION_TOL * max(scale, 1.0)
+            gap - perturbation <= SYLVESTER_SEPARATION_TOL * scale
             or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
             or sweep == GRAPH_FRAME_MAX_SWEEPS
         ):

@@ -19,7 +19,7 @@ import scipy.linalg
 from .core import DEFAULT_TOL, as_matrix, frobenius_norm
 from .errors import IllPosedRegionError, NumericError, StructuralError
 
-#: Relative gap below which an eigenvalue-region selector is ill-posed,
+#: Relative gap at or below which an eigenvalue-region selector is ill-posed,
 #: and the guaranteed bound on invariance residuals of returned subspaces.
 REGION_GAP_TOL = 1e-8
 
@@ -78,8 +78,8 @@ def eigenvalues(m) -> np.ndarray:
 def null_space_basis(m) -> np.ndarray:
     """SVD null-space basis of a (possibly rectangular) matrix.
 
-    Singular vectors with ``sigma <= DEFAULT_TOL * sigma_max`` are kept,
-    with ``DEFAULT_TOL`` as an absolute floor when the matrix vanishes.
+    Singular vectors with ``sigma <= DEFAULT_TOL * sigma_max`` are kept;
+    a zero matrix keeps them all.
     """
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
@@ -90,10 +90,8 @@ def null_space_basis(m) -> np.ndarray:
     # the trailing rows of vh span the null space; U is never needed, and
     # the thin factorization still returns all of vh when rows >= cols
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    scale = s[0] if s.size else 0.0
-    thresh = DEFAULT_TOL * scale if scale > 0.0 else DEFAULT_TOL
     # pad: singular values beyond min(rows, cols) are implicitly zero
-    nkeep = int(np.sum(s > thresh))
+    nkeep = int(np.sum(s > DEFAULT_TOL * s[0]))
     return vh[nkeep:].conj().T
 
 
@@ -105,8 +103,8 @@ def invariant_subspace_by_region(
     This reorders a complex Schur factorization so the selected eigenvalues
     lead, and returns the corresponding Schur vectors. ``scale`` is the
     2-norm of ``m``. The selected and unselected eigenvalue groups must be
-    separated by a gap of at least ``REGION_GAP_TOL * max(scale, 1)``, and
-    the invariance residual stays within the same bound.
+    separated by a gap of more than ``REGION_GAP_TOL * scale``, and the
+    invariance residual stays within the same bound.
     """
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
@@ -136,7 +134,7 @@ def eigenbasis_subspace(
 
 def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:
     resid = invariance_residual(m, sub)
-    if resid > REGION_GAP_TOL * max(scale, 1.0):
+    if resid > REGION_GAP_TOL * scale:
         raise NumericError(
             "invariant subspace residual beyond guarantee",
             diagnostics={"residual": resid, "scale": scale},
@@ -147,8 +145,10 @@ def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:
 def _check_region_gap(selected, unselected, scale: float) -> None:
     if len(selected) == 0 or len(unselected) == 0:
         return
-    gap = np.min(np.abs(selected[:, None] - unselected[None, :]))
-    if gap < REGION_GAP_TOL * max(scale, 1.0):
+    # a difference past the float range is a gap past any bound
+    with np.errstate(over="ignore"):
+        gap = np.min(np.abs(selected[:, None] - unselected[None, :]))
+    if gap <= REGION_GAP_TOL * scale:
         raise IllPosedRegionError(
             f"selector splits eigenvalues separated by only {gap:.3e} "
             f"(need {REGION_GAP_TOL:.0e} relative to norm {scale:.3e})"

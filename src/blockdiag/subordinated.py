@@ -25,6 +25,7 @@ from .core import (
     from_blocks,
     is_hermitian,
     is_symmetric_offdiag,
+    relative,
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
 from .spectral import Subspace, null_space_basis
@@ -193,7 +194,7 @@ def _kernel_piece(
         slack = KERNEL_PROOF_ROUNDING * m.shape[0] * _EPS * (
             _extreme_magnitude(w) + norm_m
         )
-        if dist - slack > DEFAULT_TOL * (norm_m or 1.0):
+        if dist - slack > DEFAULT_TOL * norm_m:
             return np.zeros((a.shape[0], 0), dtype=np.complex128)
     return null_space_basis(m)
 
@@ -224,9 +225,8 @@ def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     else:
         split_residual = float("inf")
     if dim_k > 0:
-        a = b.diagonal_part()
-        scale = max(b.norm_A, 1.0)
-        diag_containment = frobenius_norm((a - mu * np.eye(b.dim)) @ k_basis) / scale
+        a = b.diagonal_part() - mu * np.eye(b.dim)
+        diag_containment = relative(frobenius_norm(a @ k_basis), b.norm_A)
     else:
         diag_containment = 0.0
     ok = (
@@ -320,12 +320,11 @@ def run_theorem(
     # kappa(I -/+ Y) <= sqrt(2): always the blockwise frame route
     left, right = diagonalize(b, pair)
     defects, l1 = right.frame_defects, pair.factors_I_minus_Y2[1]
-    scale = max(b.norm, 1e-300)
     slack = KERNEL_PROOF_ROUNDING * b.dim * _EPS * (1.0 + norm_x) ** 2
     q0, q1 = sub.basis[: b.n0], sub.basis[b.n0 :]
     # span L is within norm_F(Q1 - X Q0) of graph(X)
-    res_l = defects[0] / scale + 2.0 * frobenius_norm(q1 - x @ q0) + slack
-    res_perp = defects[1] / scale + slack
+    res_l = relative(defects[0], b.norm) + 2.0 * frobenius_norm(q1 - x @ q0) + slack
+    res_perp = relative(defects[1], b.norm) + slack
     # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I], solved block by block
     g1h = np.hstack([_lower(l1, -x), _lower(l1, np.eye(b.n1))])
     complement = Subspace(g1h.conj().T, n0=b.n0)
@@ -338,7 +337,7 @@ def run_theorem(
         norm_X=norm_x,
         kernel_split_ok=split_report.ok,
         reduces_ok=res_l <= tol and res_perp <= tol,
-        adjointness_residual=adjointness / scale,
+        adjointness_residual=relative(adjointness, b.norm),
         diag_results=(left, right),
         mu=float(mu),
         invariance_residuals=(res_l, res_perp),

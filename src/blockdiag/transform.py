@@ -58,14 +58,12 @@ from .core import (
     KERNEL_PROOF_ROUNDING,
     BlockMatrix,
     as_matrix,
+    check_shifts,
     frobenius_norm,
     from_blocks,
+    relative,
 )
-from .errors import (
-    NotComplementaryError,
-    ResolventError,
-    StructuralError,
-)
+from .errors import NotComplementaryError, StructuralError
 from .spectral import eigenvalues
 
 #: Condition number of I +/- Y beyond which a transform result is flagged
@@ -152,9 +150,7 @@ def _pair_condition(p: AngularPair) -> float:
 
 
 def _offdiag_rel_norm(b: BlockMatrix, blocks: tuple) -> float:
-    off = math.hypot(*map(frobenius_norm, blocks))
-    scale = b.norm
-    return off / scale if scale > 0.0 else off
+    return relative(math.hypot(*map(frobenius_norm, blocks)), b.norm)
 
 
 def _s_solve(f, m: np.ndarray, on_right: bool = False) -> np.ndarray:
@@ -294,12 +290,11 @@ def verify_extended_identity(
     """
     t01, t10 = right.offdiag_blocks
     u0, u1 = t01 @ p.X0, t10 @ p.X1
-    scale = max(b.norm, 1e-300)
     identity = math.hypot(*map(frobenius_norm, (u0, t01, t10, u1)))
     right_form = math.hypot(
         frobenius_norm(u0 + p.X1 @ t10), frobenius_norm(u1 + p.X0 @ t01)
     )
-    return ExtendedIdentityResiduals(identity / scale, right_form / scale)
+    return ExtendedIdentityResiduals(relative(identity, b.norm), relative(right_form, b.norm))
 
 
 def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
@@ -318,12 +313,9 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
     bottom_right = b.A1 - x @ b.W1
     lower_left = (b.W0 + b.A1 @ x) - x @ top_left
     transformed = from_blocks(top_left, b.W1, lower_left, bottom_right)
-    scale = b.norm
-    off = frobenius_norm(lower_left)
-    rel = off / scale if scale > 0.0 else off
     return TriangularizationResult(
         transformed=transformed,
-        lower_left_rel_norm=rel,
+        lower_left_rel_norm=relative(frobenius_norm(lower_left), b.norm),
         diag_blocks=(top_left, bottom_right),
     )
 
@@ -333,34 +325,31 @@ def verify_resolvent_invariance(
     graphs: Sequence[GraphSubspace] | AngularPair,
     lams: Sequence[complex],
 ) -> list[list[float]]:
-    """``norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for each shift and graph G.
+    """``s norm_F((I - P_G) (B - lam)^{-1} Q_G)`` for each shift and graph G.
 
     One list per shift in ``lams``, one entry per graph; a pair stands for
     its two graphs, graph(X0) over H0 and graph(X1) over H1. Each entry is
     zero exactly when the graph is invariant under the resolvent at that
-    shift. Every shift must keep a relative distance of 1e-8 from the
-    spectrum of the assembled matrix.
+    shift, and is relative to the resolvent's norm ``1 / s`` with
+    ``s = sigma_min(B - lam)``, so it is the same for B and 2^k B at
+    ``2^k lam``. Every shift must be finite (else :class:`StructuralError`)
+    and keep a relative distance of more than 1e-8 from the spectrum of the
+    assembled matrix (else :class:`ResolventError`).
 
     A bitwise-Hermitian ``B = V diag(w) V*`` with a skew pair within
     :data:`BLOCK_SOLVE_CONDITION_LIMIT` reads its cached ``eigh``: the
     graphs ``G0 = [I; X0]`` and ``G1 = [X1; I]`` have
     ``G0* G1 = X1 + X0* = 0``, so ``W_i = V* G_i L_i^{-*}`` with
     ``S_i = L_i L_i*`` the blocks of ``I - Y^2`` are orthonormal, and with
-    ``D = diag(1 / (w - lam))`` the entries are ``norm_F(W1* D W0)`` and
-    ``norm_F(W0* D W1)``. Other input solves with ``B - lam`` once per
-    shift, for the stacked bases ``[Q_G1 | Q_G2 | ...]`` together; ``Q_G``
-    is the basis cached on each graph, so a sweep orthonormalizes each
-    graph once.
+    ``D = diag(s / (w - lam))``, ``s = min|w - lam|``, the entries are
+    ``norm_F(W1* D W0)`` and ``norm_F(W0* D W1)``. Other input solves with
+    ``B - lam`` once per shift, for the stacked bases
+    ``[Q_G1 | Q_G2 | ...]`` together, and scales the solution by s before
+    projecting; ``Q_G`` is the basis cached on each graph, so a sweep
+    orthonormalizes each graph once.
     """
     lams = [complex(lam) for lam in lams]
-    spec = b.eigvals
-    scale = b.norm
-    for lam in lams:
-        dist = float(np.min(np.abs(spec - lam))) if spec.size else float("inf")
-        if dist < 1e-8 * max(scale, 1.0):
-            raise ResolventError(
-                f"shift {lam} is within {dist:.3e} of the spectrum (norm {scale:.3e})"
-            )
+    check_shifts(lams, b.eigvals, b.norm, 1e-8, "the spectrum")
     if isinstance(graphs, AngularPair):
         p = graphs
         if (
@@ -377,7 +366,10 @@ def verify_resolvent_invariance(
     ends = np.cumsum([q.shape[1] for q in bases])[:-1]
     stacked = np.hstack(bases)
     eye = np.eye(b.dim)
-    solved = (np.linalg.solve(b.full - lam * eye, stacked) for lam in lams)
+    solved = (
+        np.linalg.solve(b.full - lam * eye, stacked) * b.sigma_min_shifted(lam)
+        for lam in lams
+    )
     return [
         [_outside_part(q, r) for q, r in zip(bases, np.split(x, ends, axis=1))]
         for x in solved
@@ -404,12 +396,15 @@ def _skew_pair_sweep(
         )
     ]
     cols = [r.conj().T for r in rows]
+    # w - lam past the float range makes its entry of D 0, which it nearly is
+    with np.errstate(over="ignore"):
+        scaled = [np.min(np.abs(g)) / g for g in (w - lam for lam in lams)]
     return [
         [
             frobenius_norm((rows[1] * d) @ cols[0]),
             frobenius_norm((rows[0] * d) @ cols[1]),
         ]
-        for d in (1.0 / (w - lam) for lam in lams)
+        for d in scaled
     ]
 
 
@@ -485,7 +480,7 @@ def _spectral_identity_bound(b: BlockMatrix, p: AngularPair) -> float:
     r = KERNEL_PROOF_ROUNDING * b.dim * _EPS
     s = p.norm_Y * (1.0 + r)
     k = 2.0 * math.hypot(1.0, s)
-    bound = 0.0
+    bounds = []
     for a, coupling, x, own, other in (
         (b.A0, b.W1, p.X0, np.s_[:n0], np.s_[n0:]),
         (b.A1, b.W0, p.X1, np.s_[n0:], np.s_[:n0]),
@@ -499,8 +494,9 @@ def _spectral_identity_bound(b: BlockMatrix, p: AngularPair) -> float:
         # Z V - V diag(w) for Z = A0 + W1 X0 (A1 + W0 X1), Z V = A V + W (X V)
         e = a @ basis + coupling @ t - basis * w[own]
         f = frobenius_norm(np.linalg.solve(basis, e))
-        bound = max(bound, (1.0 + 3.0 * k * r) * f + 3.0 * k * r * b.norm * (1.0 + s))
-    return 2.0 * bound
+        bounds.append((1.0 + 3.0 * k * r) * f + 3.0 * k * r * b.norm * (1.0 + s))
+    # np.max keeps a NaN, which the builtin max drops for the other block's bound
+    return 2.0 * float(np.max(bounds))
 
 
 def verify_spectral_identity(
@@ -508,15 +504,15 @@ def verify_spectral_identity(
 ) -> SpectralIdentityReport:
     """Check spec(B) against the unions of both block-diagonal spectra.
 
-    Both distances are gated at ``tol`` times ``norm(B)``, or times 1 when
-    B = 0. On bitwise-Hermitian B with a skew pair (X0 nonzero) the check
+    Both distances are gated at ``tol`` times ``norm(B)``. On
+    bitwise-Hermitian B with a skew pair (X0 nonzero) the check
     first tries the certificate of :func:`_spectral_identity_bound`: when
     it is within the threshold, both distances are that bound and the
     left block spectrum is read off the cached eigenvalues. Otherwise all
     four diagonal blocks take ``eigvals``.
     """
     spec_b = b.eigvals
-    threshold = tol * (b.norm or 1.0)
+    threshold = tol * b.norm
     # X0 = 0 leaves the blocks A0 and A1, whose spectra a decoupled B
     # matches exactly; measuring keeps that zero, which the slack would not
     if b.bitwise_hermitian and p.skew and p.X0.any():

@@ -100,7 +100,7 @@ def test_is_symmetric_offdiag():
     b = BlockMatrix(np.eye(2), np.eye(2), w1.conj().T, w1)
     assert is_symmetric_offdiag(b)
     perturbed = BlockMatrix(np.eye(2), np.eye(2), w1.conj().T + 1e-3, w1)
-    assert not is_symmetric_offdiag(perturbed, tol=1e-12)
+    assert not is_symmetric_offdiag(perturbed)
 
 
 def test_is_symmetric_offdiag_zero_coupling():

@@ -1,4 +1,5 @@
 import base64
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -900,3 +901,78 @@ def test_cli_dirac_overflow_is_an_input_error(tmp_path, capsys, args, quantity):
     assert quantity in obj["error"]["message"]
     if "--out" in args:
         assert json.loads(out.read_text()) == obj
+
+
+@pytest.mark.parametrize("s", [2.0**800, 1e300])
+def test_cli_check_resolvent_gate_is_scale_free(tmp_path, s):
+    """The defects are relative to the resolvent's norm, formed before they
+    could underflow, so a scaled file reads the unscaled value."""
+    b = random_case(6, 6, gap=1.0, coupling=0.5, seed=0).block
+    values = []
+    for factor in (1.0, s):
+        path, out = tmp_path / f"{factor}.json", tmp_path / f"{factor}.report.json"
+        scaled = BlockMatrix(factor * b.A0, factor * b.A1, factor * b.W0, factor * b.W1)
+        save_problem(path, ProblemFile(block=scaled, mu=0.0))
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        values.append(json.loads(out.read_text())["residuals"]["resolvent_invariance_max"])
+    assert values[0] > 0.0
+    assert abs(values[1] - values[0]) <= 1e-13
+
+
+def test_cli_check_shifts_stay_finite_at_the_float_range_edge():
+    """The block of ``random --n0 1 --n1 1 --coupling 1e308``: its box of
+    shifts reaches past the float range, and no shift drawn there is kept."""
+    from blockdiag import cli, spectral_pair, verify_resolvent_invariance
+
+    b = random_case(1, 1, gap=1.0, coupling=1e308, seed=0).block
+    shifts = cli._sample_shifts(b, 3, 0)
+    assert len(shifts) == 3 and all(cmath.isfinite(lam) for lam in shifts)
+    sweep = verify_resolvent_invariance(b, spectral_pair(b, 0.0), shifts)
+    assert 0.0 < np.max(sweep) <= 1e-8
+
+
+def test_cli_check_fails_on_a_nan_resolvent_defect(tmp_path, capsys, monkeypatch):
+    from blockdiag import transform
+
+    sweep_of = transform.verify_resolvent_invariance
+
+    def with_nan(b, pair, shifts):
+        sweep = sweep_of(b, pair, shifts)
+        sweep[1][0] = float("nan")
+        return sweep
+
+    monkeypatch.setattr(transform, "verify_resolvent_invariance", with_nan)
+    path = tmp_path / "gapped.json"
+    save_problem(path, random_case(4, 4, gap=1.0, coupling=0.5, seed=0))
+    assert main(["check", str(path)]) == 1
+    summary = capsys.readouterr().out
+    assert "[check] FAIL" in summary
+    assert "resolvent_invariance_max     nan" in summary
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{path}", "--seed", "-1"],
+        ["random", "--n0", "2", "--n1", "2", "--seed", "-1", "--out", "{out}"],
+    ],
+)
+def test_cli_negative_seed_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "gapped.json"
+    save_problem(path, random_case(2, 2, gap=1.0, coupling=0.5, seed=0))
+    out = tmp_path / "written.json"
+    assert main([a.format(path=path, out=out) for a in argv]) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert "--seed" in obj["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--box", "1e300"], ["--center", "1e300,0"]])
+def test_cli_dirac_large_grid_names_the_box_and_centre(capsys, args):
+    """A free grid whose positions overflow is an input error that names
+    the box and the centre, not only the potential."""
+    assert main(["dirac", "--n", "4", *args]) == 3
+    obj = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert obj["error"]["type"] == "StructuralError"
+    assert "the box or the centre is too large" in obj["error"]["message"]

@@ -24,6 +24,7 @@ from blockdiag import (
 from blockdiag import dirac, from_graph, subordinated
 from blockdiag.angular import GraphBase, GraphSubspace
 from blockdiag.cli import main
+from blockdiag.core import DEFAULT_TOL
 from blockdiag.io import ProblemFile, save_problem
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import invariance_residual
@@ -35,7 +36,6 @@ seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 8)
 log_eps = st.floats(-17.0, -5.0)
 log_scale = st.floats(-3.0, 3.0)
-tols = st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6])
 
 
 def _norm2(m) -> float:
@@ -78,27 +78,27 @@ def _defect(rng, r, c, rank_one):
 
 
 @GATE
-@given(seeds, dims, near_tol, log_scale, tols, st.booleans())
-def test_is_hermitian_gate_implies_exact_test(seed, n, lr, ls, tol, rank_one):
+@given(seeds, dims, near_tol, log_scale, st.booleans())
+def test_is_hermitian_gate_implies_exact_test(seed, n, lr, ls, rank_one):
     # flat spectra and rank-one defects make the Frobenius and 2-norm
     # quotients differ most, so a looser gate would show here
     rng = np.random.default_rng(seed)
     q = _unitary(rng, n)
     h = (q * rng.choice([-1.0, 1.0], n)) @ q.conj().T
-    m = 10.0**ls * (h + 10.0**lr * tol * _defect(rng, n, n, rank_one))
-    exact = _norm2(m - m.conj().T) <= tol * max(_norm2(m), 1.0)
-    assert exact or not is_hermitian(m, tol)
+    m = 10.0**ls * (h + 10.0**lr * DEFAULT_TOL * _defect(rng, n, n, rank_one))
+    exact = _norm2(m - m.conj().T) <= DEFAULT_TOL * _norm2(m)
+    assert exact or not is_hermitian(m)
 
 
 @GATE
-@given(seeds, dims, near_tol, log_scale, tols, st.booleans())
-def test_is_symmetric_offdiag_gate_implies_exact_test(seed, n, lr, ls, tol, rank_one):
+@given(seeds, dims, near_tol, log_scale, st.booleans())
+def test_is_symmetric_offdiag_gate_implies_exact_test(seed, n, lr, ls, rank_one):
     rng = np.random.default_rng(seed)
     w1 = 10.0**ls * _unitary(rng, n)
-    w0 = w1.conj().T + 10.0**ls * 10.0**lr * tol * _defect(rng, n, n, rank_one)
+    w0 = w1.conj().T + 10.0**ls * 10.0**lr * DEFAULT_TOL * _defect(rng, n, n, rank_one)
     b = BlockMatrix(np.eye(n), np.eye(n), w0, w1)
-    exact = _norm2(b.W0 - b.W1.conj().T) <= tol * (1.0 + _norm2(b.W1))
-    assert exact or not is_symmetric_offdiag(b, tol)
+    exact = _norm2(b.W0 - b.W1.conj().T) <= DEFAULT_TOL * _norm2(b.W1)
+    assert exact or not is_symmetric_offdiag(b)
 
 
 @PROPERTY

@@ -1,0 +1,221 @@
+"""One scale rule for every gate, so that B and 2^k B get one verdict.
+
+The decomposition is homogeneous: s B has the invariant graph subspaces,
+the angular operators and the Riccati solutions of B, and block diagonal
+forms scaled by s. Every gate therefore measures against the norm of what
+it measures, with no absolute floor (``blockdiag.core``), and the
+Frobenius norm is exact under power-of-two scaling, as floating point is.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockdiag import BlockMatrix, ProblemFile, random_case, save_problem
+from blockdiag.cli import RELBOUND_TAUS, main
+from blockdiag.core import frobenius_norm, relative
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "blockdiag"
+
+
+def test_relative_over_a_zero_scale():
+    assert relative(3.0, 4.0) == 0.75
+    assert relative(0.0, 0.0) == 0.0
+    assert relative(1e-300, 0.0) == math.inf
+
+
+def _matrices():
+    rng = np.random.default_rng(0)
+    # parts of magnitude 1/2 to 2, so 2^k m has normal parts for |k| <= 1000
+    re, im = rng.choice([-1.0, 1.0], (2, 5, 4)) * rng.uniform(0.5, 2.0, (2, 5, 4))
+    m = re + 1j * im
+    return [np.ones((2, 2)), m, m.T, m[::2, ::-1]]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_frobenius_norm_is_exact_under_powers_of_two(index):
+    m = _matrices()[index]
+    norm = frobenius_norm(m)
+    checked = 0
+    for k in range(-1000, 1001):
+        expected = math.ldexp(norm, k)
+        if not (math.isfinite(expected) and abs(expected) >= 2.0**-1022):
+            continue
+        assert frobenius_norm(m * 2.0**k) == expected, k
+        checked += 1
+    assert checked >= 1990
+    assert frobenius_norm(2.0**-600 * np.ones((2, 2))) == 2.0**-599
+
+
+def test_frobenius_norm_of_zero_and_non_finite_input():
+    assert frobenius_norm(np.zeros((3, 2))) == 0.0
+    assert frobenius_norm(np.zeros((0, 0))) == 0.0
+    # the norm itself past the float range
+    assert frobenius_norm(np.full((2, 2), 1e308)) == math.inf
+    assert math.isnan(frobenius_norm(np.array([[np.nan, 1.0]])))
+
+
+# --- every gate gets the verdict of the unscaled input ---------------------
+
+
+def _nonhermitian() -> ProblemFile:
+    rng = np.random.default_rng(2)
+
+    def cmat():
+        return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+    block = BlockMatrix(
+        np.diag([-2.0 + 0.5j, -1.5 - 0.3j, -1.0 + 0.1j, -2.5]),
+        np.diag([1.0 + 1j, 2.0 - 0.2j, 1.5, 2.5 + 0.4j]),
+        0.1 * cmat(),
+        0.1 * cmat(),
+    )
+    return ProblemFile(block=block)
+
+
+FILES = {
+    "gapped": lambda: random_case(6, 6, gap=1.0, coupling=0.5, seed=0),
+    # kernel of dimension 2 at mu = 0, where the two diagonal spectra touch
+    "closed_gap": lambda: random_case(5, 5, gap=0.0, coupling=0.5, seed=0, kernel_dim=2),
+    "nonhermitian": _nonhermitian,
+}
+
+COMMANDS = [
+    ["check"],
+    ["diagonalize"],
+    ["triangularize"],
+    ["riccati-solve"],
+    ["subordinated"],
+    ["neumann", "--lambda", "0,{three}"],
+    ["relbound", "--tau-grid", "{taus}"],
+]
+
+EXPONENTS = [-600, -400, -60, -40, 60, 400, 600]
+
+#: Largest difference allowed between a residual and its unscaled value.
+RESIDUAL_AGREEMENT = 1e-13
+
+
+def _reports(tmp_path, problem: ProblemFile, k: int) -> dict:
+    """``command -> (exit code, report)`` for the file scaled by 2^k."""
+    s = 2.0**k
+    b = problem.block
+    scaled = BlockMatrix(s * b.A0, s * b.A1, s * b.W0, s * b.W1)
+    mu = None if problem.mu is None else s * problem.mu
+    path = tmp_path / f"scaled_{k}.json"
+    save_problem(path, ProblemFile(block=scaled, mu=mu))
+    taus = ",".join(repr(float(t) * s) for t in RELBOUND_TAUS)
+    out = {}
+    for command in COMMANDS:
+        argv = [a.format(three=repr(3.0 * s), taus=taus) for a in command[1:]]
+        report = tmp_path / f"{command[0]}_{k}.json"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main([command[0], str(path), *argv, "--out", str(report)])
+        out[command[0]] = code, json.loads(report.read_text())
+    return out
+
+
+def _same_verdict(command, reference, scaled) -> None:
+    code, ref = reference
+    scaled_code, got = scaled
+    assert scaled_code == code, (command, got.get("error"))
+    if "error" in ref:
+        return
+    assert got["flags"] == ref["flags"], command
+    assert got["residuals"].keys() == ref["residuals"].keys(), command
+    for name, value in ref["residuals"].items():
+        scaled_value = got["residuals"][name]
+        assert abs(scaled_value - value) <= RESIDUAL_AGREEMENT, (command, name)
+        # a norm that underflows would read 0 within the agreement too
+        assert (scaled_value == 0.0) == (value == 0.0), (command, name)
+    decided, ref_decided = got["verdict"].get("decided_by"), ref["verdict"].get("decided_by")
+    if decided != ref_decided:
+        # a passing run names the residual nearest its bound; two residuals
+        # within RESIDUAL_AGREEMENT of each other may trade places, as the
+        # rounding of LAPACK's eigensolvers is not exactly homogeneous
+        residuals = ref["residuals"]
+        assert code == 0 and decided in residuals and ref_decided in residuals, command
+        assert abs(residuals[decided] - residuals[ref_decided]) <= 2 * RESIDUAL_AGREEMENT
+
+
+def _check_scaled(tmp_path, name: str, exponents) -> None:
+    problem = FILES[name]()
+    reference = _reports(tmp_path, problem, 0)
+    for k in exponents:
+        scaled = _reports(tmp_path, problem, k)
+        for command in reference:
+            _same_verdict(f"{command} at 2^{k}", reference[command], scaled[command])
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_scaled_files_get_the_verdicts_of_the_unscaled(tmp_path, name):
+    _check_scaled(tmp_path, name, EXPONENTS)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.sampled_from(list(FILES)), st.integers(-600, 600))
+def test_any_power_of_two_keeps_the_verdicts(tmp_path_factory, name, k):
+    _check_scaled(tmp_path_factory.mktemp("scaled"), name, [k])
+
+
+# --- no gate measures against an absolute floor ---------------------------
+
+#: The builtin ``max``/``min`` calls and ``or`` expressions with a numeric
+#: constant that are no floor: the Neumann criterion ``max(1, norm(Y))``, the
+#: Dirac angle clamp, and the box of the sampled shifts, which B = 0 needs.
+ALLOWED = {
+    ("criteria.py", "neumann_certificate", "max(1.0, norm_y)"),
+    ("dirac.py", "angle_certificate", "min(1.0, math.sin(theta) + ANGLE_SLACK * eta)"),
+    ("cli.py", "_sample_shifts", "b.norm or 1.0"),
+}
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _is_floor(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("max", "min")
+        and any(map(_is_number, node.args))
+    ) or (
+        isinstance(node, ast.BoolOp)
+        and isinstance(node.op, ast.Or)
+        and any(map(_is_number, node.values))
+    )
+
+
+def _floors(path: pathlib.Path) -> list[tuple[str, str, str]]:
+    """``(file, function, source)`` of each builtin max/min call with a numeric
+    constant argument and each ``or`` with a numeric constant operand, in
+    the innermost function that holds it."""
+    out = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _is_floor(node):
+            out.append((path.name, function, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return out
+
+
+def test_no_gate_has_an_absolute_floor():
+    found = {f for path in sorted(PACKAGE.glob("*.py")) for f in _floors(path)}
+    assert found - ALLOWED == set()

@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 import weakref
 
@@ -20,7 +21,8 @@ from blockdiag import (
     verify_spectral_identity,
 )
 from blockdiag.angular import GraphBase, GraphSubspace
-from blockdiag.errors import NotComplementaryError, ResolventError
+from blockdiag import transform
+from blockdiag.errors import NotComplementaryError, ResolventError, StructuralError
 from blockdiag.riccati import residual_X0
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
 from blockdiag.spectral import eigenvalues
@@ -398,8 +400,60 @@ def test_resolvent_invariance_shift_independent(seed):
         lam = complex(rng.uniform(-2, 2) * scale, rng.uniform(0.2, 2) * scale)
         if np.min(np.abs(spec - lam)) < 1e-4 * scale:
             continue
-        assert verify_resolvent_invariance(b, [g], [lam])[0][0] / scale <= 1e-8
+        assert verify_resolvent_invariance(b, [g], [lam])[0][0] <= 1e-8
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "lam", [complex(math.inf, 1.0), complex(1.0, -math.inf), complex(math.nan, 1.0)]
+)
+@pytest.mark.parametrize("skew", [True, False])
+def test_resolvent_non_finite_shift_is_an_input_error(analytic, lam, skew):
+    # an infinite shift would read a zero defect, a NaN one a NaN defect
+    graphs = SKEW_ANALYTIC if skew else [GraphSubspace(base=GraphBase.H0, X=[[0.0]])]
+    with pytest.raises(StructuralError, match="not finite"):
+        verify_resolvent_invariance(analytic, graphs, [1j, lam])
+
+
+@pytest.mark.parametrize("s", [2.0**-800, 1e-300, 2.0**800, 1e300])
+@pytest.mark.parametrize("skew", [True, False])
+def test_resolvent_defects_are_relative_to_the_resolvent_norm(s, skew):
+    """The defects of B at lam and of s B at s lam agree, on both routes."""
+    b = random_case(4, 3, gap=1.0, coupling=0.5, seed=1).block
+    x0 = run_theorem(b, mu=0.0).X
+    # a skew pair takes the eigh route; a non-skew one solves with B - lam
+    pair = form_pair(x0, -x0.conj().T if skew else -0.5 * x0.conj().T)
+    lams = [0.3 + 1.1j, -2.0 + 0.4j]
+    scaled = BlockMatrix(s * b.A0, s * b.A1, s * b.W0, s * b.W1)
+    reference = np.array(verify_resolvent_invariance(b, pair, lams))
+    got = np.array(verify_resolvent_invariance(scaled, pair, [s * lam for lam in lams]))
+    assert np.max(reference) > (0.0 if skew else 1e-3)
+    np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_spectral_identity_certificate_keeps_a_nan_block(monkeypatch, block):
+    """A NaN in either block's bound voids the certificate: the check measures."""
+    b = random_case(6, 6, gap=1.0, coupling=0.5, seed=0).block
+    x = run_theorem(b, mu=0.0).X
+    pair = form_pair(x, -x.conj().T)
+    certified = verify_spectral_identity(b, pair, tol=1e-8)
+    assert certified.left_spectrum is b.eigvals
+    real_solve, calls = np.linalg.solve, []
+
+    def solve(a, m):
+        calls.append(a.shape)
+        out = real_solve(a, m)
+        return out * math.nan if len(calls) == block + 1 else out
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert math.isnan(transform._spectral_identity_bound(b, pair))
+    assert len(calls) == 2
+    calls.clear()
+    measured = verify_spectral_identity(b, pair, tol=1e-8)
+    assert measured.left_spectrum is not b.eigvals
+    assert measured.ok
+    assert measured.left_distance <= 1e-8 * b.norm
 
 
 def test_spectral_identity_decoupled():
