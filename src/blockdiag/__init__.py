@@ -11,6 +11,7 @@ from .core import (
     is_hermitian,
     is_symmetric_offdiag,
     operator_norm,
+    triangular_form,
 )
 from .angular import (
     AngularPair,
@@ -20,12 +21,13 @@ from .angular import (
     check_complementary,
     form_pair,
     from_graph,
+    spectral_graph,
     spectral_pair,
     to_graph,
 )
 from .spectral import (
     Subspace,
-    invariant_subspace_by_region,
+    invariant_subspace,
 )
 from .riccati import (
     NewtonTrace,

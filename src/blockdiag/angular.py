@@ -5,9 +5,12 @@ the graph of a linear map X from that block into the other one; X is its
 angular operator. Two angular operators combine into the off-diagonal
 block operator Y whose invertibility properties decide whether the two
 graphs are complementary. :func:`spectral_pair` finds the pair of the
-invariant subspaces of B on either side of a threshold: from the one
-cached ``eigh`` of a bitwise-Hermitian B, else from a sorted Schur form
-per side.
+invariant subspaces of B on either side of a threshold from the one
+triangular form ``B = Z T Z*`` cached on B (``BlockMatrix.schur``): the
+side below it is reordered to the front of T, and the side above is its
+orthogonal complement on bitwise-Hermitian B, else the span of
+``Z [Y; I]`` for the solution Y of one triangular Sylvester equation.
+:func:`spectral_graph` takes the side below only.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import BlockMatrix, as_matrix, from_blocks
-from .errors import HypothesisError, NotAGraphError, NumericError, StructuralError
-from .spectral import _ORTHO_TOL, Subspace, eigenbasis_subspace
-from .spectral import invariant_subspace_by_region
+from .core import BlockMatrix, as_matrix, frobenius_norm, from_blocks, schur_diagonal
+from .errors import HypothesisError, IllPosedRegionError, NotAGraphError
+from .errors import NumericError, StructuralError
+from .spectral import _ORTHO_TOL, Subspace, _guaranteed_invariant, invariant_subspace
 
 #: Lower bound on sigma_min of the base-block component of a basis, and on
 #: sigma_min(I + Y) of a complementary pair. Below this, forming X amplifies
@@ -278,29 +281,58 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
     )
 
 
-def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
-    """Angular pair from the invariant subspaces on both sides of mu.
-
-    A bitwise-Hermitian B takes the side below mu from its one cached
-    ``eigh`` and pairs X0 with ``X1 = -X0*``: the side above is
-    graph(X0)^⊥ = graph(-X0*), with the same region gap and invariance
-    residual. Other input takes a sorted Schur form per side. Either way
-    both subspaces meet the guarantees of
-    :func:`~blockdiag.spectral.invariant_subspace_by_region`.
-    """
-    full = b.full
-    above = None
-    if b.bitwise_hermitian:
-        w, v = b.eigh
-        below = eigenbasis_subspace(full, w, v, w < mu, b.norm)
-    else:
-        below = invariant_subspace_by_region(full, lambda z: z.real < mu, b.norm)
-        above = invariant_subspace_by_region(full, lambda z: z.real >= mu, b.norm)
+def _side_below(b: BlockMatrix, mu: float) -> tuple[GraphSubspace, tuple]:
+    """graph(X0) of the invariant subspace of B below mu, and the cached
+    triangular form of B reordered so that its eigenvalues lead."""
+    t, _ = b.schur
+    below, form = invariant_subspace(b.full, b.schur, schur_diagonal(t).real < mu, b.norm)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "
             f"but dim(H0) = {b.n0}"
         )
-    g0 = to_graph(below.with_partition(b.n0), GraphBase.H0)
-    g1 = None if above is None else to_graph(above.with_partition(b.n0), GraphBase.H1)
-    return graph_pair(g0, g1)
+    return to_graph(below.with_partition(b.n0), GraphBase.H0), form
+
+
+def spectral_graph(b: BlockMatrix, mu: float) -> GraphSubspace:
+    """graph(X0) over H0 of the invariant subspace of B below mu.
+
+    The side of :func:`spectral_pair` below mu, with its guarantees,
+    without the side above.
+    """
+    return _side_below(b, mu)[0]
+
+
+def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
+    """Angular pair from the invariant subspaces on both sides of mu.
+
+    Both sides come from the triangular form ``B = Z T Z*`` cached on B,
+    reordered so that the n0 eigenvalues below mu lead (:func:`spectral_graph`
+    and :func:`~blockdiag.spectral.invariant_subspace`). A bitwise-Hermitian
+    B, whose T is diagonal, pairs X0 with ``X1 = -X0*``: the side above is
+    graph(X0)^⊥ = graph(-X0*), with the same region gap and invariance
+    residual. On other input the side above is spanned by ``Z [Y; I]``,
+    where ``T11 Y - Y T22 = -T12`` (Bartels-Stewart, one ``ztrsyl``), and
+    is gated on its invariance residual too. Its basis ``[Y; I]`` has
+    smallest singular value ``1 / sqrt(1 + norm(Y)^2)``, at least
+    ``1 / sqrt(1 + norm_F(Y)^2)``; by Stewart (SIAM Review 15, 1973)
+    ``norm(Y) <= norm(T12) / sep(T11, T22)``. The side is refused with
+    :class:`IllPosedRegionError` when that bound is at most
+    :data:`GRAPH_SIGMA_TOL`, or when ``ztrsyl`` fails or scales its
+    solution down.
+    """
+    g0, (t, z) = _side_below(b, mu)
+    k = b.n0
+    if t.ndim == 1 or 0 in (k, b.n1):  # an empty side is graph(-X0*) too
+        return graph_pair(g0)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+    sigma = 1.0 / np.hypot(1.0, frobenius_norm(y))
+    if info != 0 or scale < 1.0 or not sigma > GRAPH_SIGMA_TOL:
+        raise IllPosedRegionError(
+            f"the invariant subspace above {mu} has an ill-conditioned basis: "
+            f"1 / sqrt(1 + norm_F(Y)^2) = {sigma:.3e} <= {GRAPH_SIGMA_TOL:.0e} "
+            f"(ztrsyl scale {scale:.3e}, info {info})"
+        )
+    q, _ = np.linalg.qr(z[:, :k] @ y + z[:, k:])
+    above = _guaranteed_invariant(b.full, Subspace(basis=q, n0=k), b.norm)
+    return graph_pair(g0, to_graph(above, GraphBase.H1))

@@ -48,6 +48,7 @@ from .io import (
     Report,
     digest_file,
     digest_obj,
+    jsonable,
     load_problem,
     save_problem,
     write_json_atomic,
@@ -225,8 +226,7 @@ def _triangularize(args, report, problem) -> list[Gate]:
     b = problem.block
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
-        pair = angular.spectral_pair(b, mu)
-        tri = transform.triangularize(b, pair.X0)
+        tri = transform.triangularize(b, angular.spectral_graph(b, mu).X)
     report.spectra.update(
         {
             "block0": eigenvalues(tri.diag_blocks[0]),
@@ -634,9 +634,9 @@ def main(argv=None) -> int:
             code = INTERNAL_ERROR
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, NumericError):
-            error["diagnostics"] = {k: _plain(v) for k, v in exc.diagnostics.items()}
+            error["diagnostics"] = jsonable(exc.diagnostics)
         if isinstance(exc, NotAGraphError):
-            error["sigma_min"] = _plain(exc.sigma_min)
+            error["sigma_min"] = jsonable(exc.sigma_min)
         error_obj = {"error": error}
         print(json.dumps(error_obj), file=sys.stderr)
         out = getattr(args, "out", None)
@@ -645,15 +645,6 @@ def main(argv=None) -> int:
             with suppress(StructuralError):
                 write_json_atomic(out, error_obj)
         return code
-
-
-def _plain(value):
-    """JSON-safe diagnostic value: numpy scalars unwrapped, non-finite as text."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
 
 
 def entry_point() -> None:

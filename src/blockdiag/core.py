@@ -2,7 +2,9 @@
 
 Every operator in the toolkit is carried by a dense ``numpy`` array with
 complex128 entries; the block structure lives in :class:`BlockMatrix`,
-which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably.
+which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably and
+caches one triangular factorization ``B = Z T Z*`` of the assembled matrix
+(:func:`triangular_form`), off which every spectral quantity is read.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ResolventError, StructuralError
 
@@ -116,6 +119,23 @@ def _bitwise_hermitian(m: np.ndarray) -> bool:
     return bool(m.size) and np.array_equal(m, m.conj().T)
 
 
+def triangular_form(m, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, Z)`` with ``m = Z T Z*``, T upper triangular and Z unitary.
+
+    A bitwise-Hermitian ``m`` (``hermitian``) takes ``eigh``: T is then
+    diagonal, real and ascending, and is returned as the vector of its
+    diagonal. Any other ``m`` takes one unsorted complex Schur form.
+    """
+    if hermitian:
+        return np.linalg.eigh(m)
+    return scipy.linalg.schur(m, output="complex")
+
+
+def schur_diagonal(t: np.ndarray) -> np.ndarray:
+    """The diagonal of a triangular form's T, which may be given as that vector."""
+    return t if t.ndim == 1 else np.diagonal(t)
+
+
 def _extreme_magnitude(w: np.ndarray) -> float:
     """Largest magnitude of an ascending real eigenvalue list."""
     return float(max(abs(w[0]), abs(w[-1])))
@@ -163,14 +183,14 @@ class BlockMatrix:
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
     Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian``, ``bitwise_hermitian``, ``eigh``, ``eigh_A``,
+    ``hermitian``, ``bitwise_hermitian``, ``schur``, ``eigh``, ``eigh_A``,
     ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``) are
     computed on first use and cached, arrays read-only; the ``*_part`` and
     ``assemble`` methods return fresh arrays.
 
-    Fast paths that rely on normality run only on bitwise-Hermitian input
-    (``np.array_equal(m, m.conj().T)``); every other input takes the
-    general factorization.
+    ``schur`` is the one spectral factorization of B: ``eigh`` on
+    bitwise-Hermitian input (``np.array_equal(m, m.conj().T)``), whose T is
+    diagonal, and one complex Schur form on every other input.
     """
 
     A0: np.ndarray
@@ -223,12 +243,25 @@ class BlockMatrix:
         return is_hermitian(self.full)
 
     @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(T, Z)`` of :func:`triangular_form` of the assembled matrix.
+
+        On bitwise-Hermitian B it is ``eigh``: T is the vector of the
+        ascending eigenvalues and Z their eigenvectors.
+        """
+        t, z = triangular_form(self.full, self.bitwise_hermitian)
+        return _readonly(t), _readonly(z)
+
+    @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(w, v)`` of ``numpy.linalg.eigh`` of the assembled matrix.
 
         Like ``eigh`` itself this reads the lower triangle only; it is the
-        eigendecomposition of B when B is Hermitian.
+        eigendecomposition of B when B is Hermitian. A bitwise-Hermitian B
+        shares it with ``schur``.
         """
+        if self.bitwise_hermitian:
+            return self.schur
         w, v = np.linalg.eigh(self.full)
         return _readonly(w), _readonly(v)
 
@@ -272,13 +305,10 @@ class BlockMatrix:
     def eigvals(self) -> np.ndarray:
         """Read-only eigenvalues of the assembled matrix, complex, (Re, Im) sorted.
 
-        A bitwise-Hermitian B reads them off the cached ``eigh``; they are
-        then real (zero imaginary parts) and ascending. Other input takes
-        the general ``eigvals``.
+        They are the diagonal of the cached ``schur``; on bitwise-Hermitian B
+        they are real (zero imaginary parts) and ascending.
         """
-        if self.bitwise_hermitian:
-            return _readonly(self.eigh[0].astype(np.complex128))
-        w = np.linalg.eigvals(self.full)
+        w = schur_diagonal(self.schur[0]).astype(np.complex128)
         return _readonly(w[np.lexsort((w.imag, w.real))])
 
     @cached_property
@@ -286,7 +316,7 @@ class BlockMatrix:
         """Exact 2-norm of the assembled matrix.
 
         For bitwise-Hermitian B it is the largest eigenvalue magnitude,
-        read off the cached eigenvalues; otherwise one SVD.
+        read off the cached ``schur``; otherwise one SVD.
         """
         if self.bitwise_hermitian:
             return _extreme_magnitude(self.eigvals.real)

@@ -207,27 +207,28 @@ def load_problem(path) -> ProblemFile:
     return replace(ProblemFile.from_obj(obj), digest=hashlib.sha256(raw).hexdigest())
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, str)) or value is None:
+def _number(v: float):
+    """``v``, or ``"nan"``, ``"inf"`` or ``"-inf"``: JSON has no non-finite numbers."""
+    return v if math.isfinite(v) else repr(v)
+
+
+def jsonable(value):
+    """``value`` as plain JSON data: numpy scalars and arrays unwrapped,
+    complex numbers as ``[re, im]``, and non-finite numbers as text."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            raise StructuralError(f"non-finite numeric value in report: {value!r}")
-        return v
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise StructuralError(f"non-finite complex value in report: {value!r}")
-        return [z.real, z.imag]
+    if isinstance(value, float):
+        return _number(value)
+    if isinstance(value, complex):
+        return [_number(value.real), _number(value.imag)]
     if isinstance(value, np.ndarray):
-        return [_jsonable(x) for x in value.tolist()]
+        return [jsonable(x) for x in value.tolist()]
     if isinstance(value, (list, tuple)):
-        return [_jsonable(x) for x in value]
+        return [jsonable(x) for x in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     raise StructuralError(f"cannot serialize value of type {type(value).__name__}")
 
 
@@ -250,12 +251,12 @@ class Report:
             "schema": REPORT_SCHEMA,
             "command": self.command,
             "inputs_digest": self.inputs_digest,
-            "residuals": _jsonable(self.residuals),
-            "spectra": _jsonable(self.spectra),
+            "residuals": jsonable(self.residuals),
+            "spectra": jsonable(self.spectra),
             "flags": {str(k): bool(v) for k, v in self.flags.items()},
-            "certificates": _jsonable(self.certificates),
-            "timings": _jsonable(self.timings),
-            "verdict": _jsonable(self.verdict),
+            "certificates": jsonable(self.certificates),
+            "timings": jsonable(self.timings),
+            "verdict": jsonable(self.verdict),
         }
 
 

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
 from .angular import AngularPair
 from .core import (
@@ -42,6 +41,8 @@ from .core import (
     from_blocks,
     norm_lower_bound,
     relative,
+    schur_diagonal,
+    triangular_form,
 )
 from .errors import NumericError, StructuralError, SylvesterSingularError
 
@@ -137,7 +138,13 @@ def _riccati_scale(b: BlockMatrix, a0, a1) -> float:
 
 
 def _rel_norm(residual, scale: float, x) -> float:
-    return relative(frobenius_norm(residual), scale * (1.0 + norm_lower_bound(x)) ** 2)
+    growth = 1.0 + norm_lower_bound(x)
+    with np.errstate(over="ignore"):
+        product = scale * growth**2
+    if product < np.inf:
+        return relative(frobenius_norm(residual), product)
+    # past the float range the quotient is formed one factor at a time
+    return relative(frobenius_norm(residual), scale) / growth / growth
 
 
 def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float]:
@@ -182,18 +189,6 @@ def residual_block(
     return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, scale, p.Y))
 
 
-def _triangular_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form ``m = U T U*`` (T upper triangular, U unitary).
-
-    A bitwise-Hermitian ``m`` takes ``eigh``, whose T is diagonal and real;
-    any other ``m`` takes the complex Schur decomposition.
-    """
-    if _bitwise_hermitian(m):
-        w, u = np.linalg.eigh(m)
-        return np.diag(w.astype(np.complex128)), u
-    return scipy.linalg.schur(m, output="complex")
-
-
 def _solve_triangular_sylvester(tp, tq, c) -> np.ndarray:
     """Solve ``Tp Y - Y Tq = C`` for upper-triangular ``Tp``, ``Tq``.
 
@@ -222,9 +217,10 @@ def _solve_triangular_sylvester(tp, tq, c) -> np.ndarray:
 
 
 def solve_sylvester(P, Q, C) -> np.ndarray:
-    """Solve ``P Z - Z Q = C`` by Bartels-Stewart on one Schur form each.
+    """Solve ``P Z - Z Q = C`` by Bartels-Stewart on one triangular form each.
 
-    With ``P = Up Tp Up*`` and ``Q = Uq Tq Uq*`` the equation becomes the
+    With ``P = Up Tp Up*`` and ``Q = Uq Tq Uq*``
+    (:func:`~blockdiag.core.triangular_form`) the equation becomes the
     triangular ``Tp Y - Y Tq = Up* C Uq``, solved by LAPACK ``ztrsyl``, and
     ``Z = Up Y Uq*``. Raises :class:`SylvesterSingularError` when the
     spectra of P and Q, read off the diagonals of Tp and Tq, are closer
@@ -244,15 +240,17 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         raise StructuralError(
             f"right-hand side must have shape {(p.shape[0], q.shape[0])}, got {c.shape}"
         )
-    tp, up = _triangular_form(p)
-    tq, uq = _triangular_form(q)
-    sep = float(np.min(np.abs(np.diag(tp)[:, None] - np.diag(tq)[None, :])))
+    tp, up = triangular_form(p, _bitwise_hermitian(p))
+    tq, uq = triangular_form(q, _bitwise_hermitian(q))
+    sep = float(np.min(np.abs(schur_diagonal(tp)[:, None] - schur_diagonal(tq)[None, :])))
     scale = frobenius_norm(p) + frobenius_norm(q)
     if sep <= SYLVESTER_SEPARATION_TOL * scale:
         raise SylvesterSingularError(
             f"spectra of P and Q overlap numerically (separation {sep:.3e}, "
             f"scale {scale:.3e})"
         )
+    # the diagonal T of a Hermitian coefficient is given as its diagonal
+    tp, tq = (np.diag(t.astype(np.complex128)) if t.ndim == 1 else t for t in (tp, tq))
     y = _solve_triangular_sylvester(tp, tq, up.conj().T @ c @ uq)
     z = up @ y @ uq.conj().T
     # the residual gate: norm_F(P Z - Z Q - C) <= SYLVESTER_RESIDUAL_TOL n(C)

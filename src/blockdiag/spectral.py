@@ -1,22 +1,21 @@
 """Spectral subspaces, invariant subspaces and null-space bases.
 
-A bitwise-Hermitian matrix yields an orthonormal eigenbasis from its
-``eigh`` (:func:`eigenbasis_subspace`); any other matrix takes a sorted
-complex Schur factorization (:func:`invariant_subspace_by_region`). Both
-gate their subspace on the region gap and the invariance residual against
-the matrix's 2-norm, which the caller passes in. Rank decisions are
-SVD-based with a relative tolerance.
+An invariant subspace is read off a triangular form ``m = Z T Z*`` that
+the caller has made once (:func:`invariant_subspace`): the form is
+reordered so that the selected eigenvalues lead, and their Schur vectors
+span it. It is gated on the region gap and the invariance residual
+against the matrix's 2-norm, which the caller passes in. Rank decisions
+are SVD-based with a relative tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .core import DEFAULT_TOL, as_matrix, frobenius_norm
+from .core import DEFAULT_TOL, frobenius_norm, schur_diagonal
 from .errors import IllPosedRegionError, NumericError, StructuralError
 
 #: Relative gap at or below which an eigenvalue-region selector is ill-posed,
@@ -95,41 +94,37 @@ def null_space_basis(m) -> np.ndarray:
     return vh[nkeep:].conj().T
 
 
-def invariant_subspace_by_region(
-    m, selector: Callable[[complex], bool], scale: float
-) -> Subspace:
-    """Invariant subspace spanned by eigenvalues satisfying ``selector``.
+def invariant_subspace(
+    m, form: tuple[np.ndarray, np.ndarray], mask: np.ndarray, scale: float
+) -> tuple[Subspace, tuple[np.ndarray, np.ndarray]]:
+    """Invariant subspace of ``m`` spanned by the eigenvalues ``mask`` selects.
 
-    This reorders a complex Schur factorization so the selected eigenvalues
-    lead, and returns the corresponding Schur vectors. ``scale`` is the
-    2-norm of ``m``. The selected and unselected eigenvalue groups must be
-    separated by a gap of more than ``REGION_GAP_TOL * scale``, and the
-    invariance residual stays within the same bound.
+    ``form = (T, Z)`` is a triangular form ``m = Z T Z*``
+    (:func:`~blockdiag.core.triangular_form`; a diagonal T may be the
+    vector of its diagonal), ``mask`` selects entries of the diagonal of T
+    in its order, and ``scale`` is the 2-norm of ``m``. The form is
+    reordered so that the k selected eigenvalues lead: a diagonal T by a
+    permutation, none when the mask is a prefix (as ``w < mu`` is of an
+    ascending w), any other T by LAPACK ``ztrsen`` (none when k is 0 or
+    all). The first k columns of
+    Z span the subspace. The selected and unselected eigenvalues must be
+    separated by more than ``REGION_GAP_TOL * scale``, and the invariance
+    residual stays within the same bound. Returns the subspace and the
+    reordered form.
     """
-    m = as_matrix(m, "matrix")
-    if m.shape[0] != m.shape[1]:
-        raise StructuralError(f"need a square matrix, got {m.shape}")
-    try:
-        t, z, sdim = scipy.linalg.schur(
-            m, output="complex", sort=lambda lam: bool(selector(complex(lam)))
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Schur factorization failed: {exc}") from exc
-    diag = np.diag(t)
-    _check_region_gap(diag[:sdim], diag[sdim:], scale)
-    return _guaranteed_invariant(m, Subspace(basis=z[:, :sdim]), scale)
-
-
-def eigenbasis_subspace(
-    m, w: np.ndarray, v: np.ndarray, mask: np.ndarray, scale: float
-) -> Subspace:
-    """Span of the eigenvectors ``v[:, mask]`` of a Hermitian ``m``.
-
-    ``(w, v)`` is an ``eigh`` of ``m`` and ``scale`` its 2-norm. The same
-    guarantees as :func:`invariant_subspace_by_region` hold.
-    """
-    _check_region_gap(w[mask], w[~mask], scale)
-    return _guaranteed_invariant(m, Subspace(basis=v[:, mask]), scale)
+    t, z = form
+    k = int(np.count_nonzero(mask))
+    if t.ndim == 1:
+        if not mask[:k].all():
+            order = np.argsort(~mask, kind="stable")
+            t, z = t[order], z[:, order]
+    elif 0 < k < len(t):
+        t, z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(mask, t, z, job="N")
+        if info != 0:
+            raise NumericError(f"Schur reordering failed (info {info})")
+    diag = schur_diagonal(t)
+    _check_region_gap(diag[:k], diag[k:], scale)
+    return _guaranteed_invariant(m, Subspace(basis=z[:, :k]), scale), (t, z)
 
 
 def _guaranteed_invariant(m, sub: Subspace, scale: float) -> Subspace:

@@ -32,14 +32,17 @@ so C is Hermitian and the left form is the adjoint of the right one:
 uncentred graph-equation residual of X0, and the off-diagonal blocks of
 both forms and both frame defects are read off C10 alone.
 
-On bitwise-Hermitian B with a skew pair ``X1 = -X0*`` both cross-checks
-read the one cached ``eigh`` of B. The spectral identity is certified
-from it (:func:`verify_spectral_identity`), and a well-conditioned pair's
-two graphs, orthogonal complements of each other, are orthonormalized in
-the eigenbasis by the Cholesky factors of S0 and S1 cached on the pair
-(:func:`verify_resolvent_invariance`). Every other input measures: the
-eigenvalues of the four diagonal blocks, and one solve with ``B - lam``
-per shift.
+The resolvent check reads the one triangular form ``B = Z T Z*`` cached
+on B (``BlockMatrix.schur``) on every input: the graphs go into Z
+coordinates once, and each shift divides by ``T - lam`` when T is
+diagonal and solves with it when triangular
+(:func:`verify_resolvent_invariance`). On bitwise-Hermitian B, whose T is
+diagonal, a well-conditioned skew pair ``X1 = -X0*`` has its two graphs,
+orthogonal complements of each other, orthonormalized in the eigenbasis
+by the Cholesky factors of S0 and S1 cached on the pair, and the spectral
+identity is certified from the same ``eigh``
+(:func:`verify_spectral_identity`). Every other input measures the
+eigenvalues of the four diagonal blocks.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .core import (
     frobenius_norm,
     from_blocks,
     relative,
+    schur_diagonal,
 )
 from .errors import NotComplementaryError, StructuralError
 from .spectral import eigenvalues
@@ -330,87 +334,80 @@ def verify_resolvent_invariance(
     One list per shift in ``lams``, one entry per graph; a pair stands for
     its two graphs, graph(X0) over H0 and graph(X1) over H1. Each entry is
     zero exactly when the graph is invariant under the resolvent at that
-    shift, and is relative to the resolvent's norm ``1 / s`` with
-    ``s = sigma_min(B - lam)``, so it is the same for B and 2^k B at
-    ``2^k lam``. Every shift must be finite (else :class:`StructuralError`)
-    and keep a relative distance of more than 1e-8 from the spectrum of the
-    assembled matrix (else :class:`ResolventError`).
+    shift. It is scaled by ``s = dist(lam, spec B)``, so it is the same
+    for B and 2^k B at ``2^k lam``; ``s >= sigma_min(B - lam) = 1 /
+    norm((B - lam)^{-1})``, with equality for normal B, so the entry is
+    never below the defect relative to the resolvent's norm. Every shift
+    must be finite (else :class:`StructuralError`) and keep a relative
+    distance of more than 1e-8 from the spectrum of the assembled matrix
+    (else :class:`ResolventError`).
 
-    A bitwise-Hermitian ``B = V diag(w) V*`` with a skew pair within
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT` reads its cached ``eigh``: the
-    graphs ``G0 = [I; X0]`` and ``G1 = [X1; I]`` have
-    ``G0* G1 = X1 + X0* = 0``, so ``W_i = V* G_i L_i^{-*}`` with
-    ``S_i = L_i L_i*`` the blocks of ``I - Y^2`` are orthonormal, and with
-    ``D = diag(s / (w - lam))``, ``s = min|w - lam|``, the entries are
-    ``norm_F(W1* D W0)`` and ``norm_F(W0* D W1)``. Other input solves with
-    ``B - lam`` once per shift, for the stacked bases
-    ``[Q_G1 | Q_G2 | ...]`` together, and scales the solution by s before
-    projecting; ``Q_G`` is the basis cached on each graph, so a sweep
-    orthonormalizes each graph once.
+    The sweep reads the triangular form ``B = Z T Z*`` cached on b
+    (``BlockMatrix.schur``). The orthonormal bases ``Q_G`` cached on the
+    graphs go into Z coordinates, ``W_G = Z* Q_G``, by one product with
+    ``Z*`` per sweep; each shift then forms ``R_G = s (T - lam)^{-1} W_G``,
+    by a division when T is diagonal and a triangular solve otherwise, and
+    the entry is ``norm_F((I - W_G W_G*) R_G)``. A skew pair within
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` on bitwise-Hermitian B has the
+    bases in closed form: ``G0 = [I; X0]`` and ``G1 = [X1; I]`` have
+    ``G0* G1 = X1 + X0* = 0``, so ``W_i = Z* G_i L_i^{-*}``, with
+    ``S_i = L_i L_i*`` the blocks of ``I - Y^2`` factored on the pair, are
+    orthonormal and ``I - W0 W0* = W1 W1*``: the entries are
+    ``norm_F(W1* R_0)`` and ``norm_F(W0* R_1)``.
     """
     lams = [complex(lam) for lam in lams]
-    check_shifts(lams, b.eigvals, b.norm, 1e-8, "the spectrum")
-    if isinstance(graphs, AngularPair):
-        p = graphs
-        if (
-            b.bitwise_hermitian
-            and p.skew
-            and _pair_condition(p) <= BLOCK_SOLVE_CONDITION_LIMIT
-        ):
-            return _skew_pair_sweep(b, p, lams)
-        graphs = (
-            GraphSubspace(base=GraphBase.H0, X=p.X0),
-            GraphSubspace(base=GraphBase.H1, X=p.X1),
-        )
-    bases = [g.subspace.basis for g in graphs]
-    ends = np.cumsum([q.shape[1] for q in bases])[:-1]
-    stacked = np.hstack(bases)
-    eye = np.eye(b.dim)
-    solved = (
-        np.linalg.solve(b.full - lam * eye, stacked) * b.sigma_min_shifted(lam)
-        for lam in lams
-    )
-    return [
-        [_outside_part(q, r) for q, r in zip(bases, np.split(x, ends, axis=1))]
-        for x in solved
-    ]
+    t, z = b.schur
+    spec = schur_diagonal(t)
+    check_shifts(lams, spec, b.norm, 1e-8, "the spectrum")
+    p = graphs if isinstance(graphs, AngularPair) else None
+    if p and b.bitwise_hermitian and p.skew and _pair_condition(p) <= BLOCK_SOLVE_CONDITION_LIMIT:
+        n0, zh = b.n0, z.conj().T
+        # the rows of W_i* = L_i^{-1} G_i* Z, from two half-size products; they
+        # are also the rows K* of the complements, I - W0 W0* = W1 W1*
+        heads = (zh[:, :n0] + zh[:, n0:] @ p.X0, zh[:, :n0] @ p.X1 + zh[:, n0:])
+        complements = [_lower(f, u.conj().T) for f, u in zip(p.factors_I_minus_Y2, heads)]
+        del heads, zh  # dim x dim each: not held through the shifts
+        bases = [r.conj().T for r in complements]
+        complements.reverse()
+    else:
+        if p:
+            graphs = (GraphSubspace(GraphBase.H0, p.X0), GraphSubspace(GraphBase.H1, p.X1))
+        qs = [g.subspace.basis for g in graphs]
+        ends = np.cumsum([q.shape[1] for q in qs])[:-1]
+        bases = np.split(z.conj().T @ np.hstack(qs), ends, axis=1)
+        complements = [None] * len(bases)
+    out = []
+    for lam in lams:
+        # spec - lam past the float range makes its entry of 1 / (T - lam) 0,
+        # which it nearly is
+        with np.errstate(over="ignore"):
+            g = spec - lam
+            s = np.min(np.abs(g))
+            # one graph at a time, so that one R_G is held at once
+            parts = zip(bases, complements)
+            out.append([_outside_part(w, _resolvent(t, g, s, w), k) for w, k in parts])
+    return out
 
 
-def _skew_pair_sweep(
-    b: BlockMatrix, p: AngularPair, lams: list[complex]
-) -> list[list[float]]:
-    """The skew-pair route of :func:`verify_resolvent_invariance`.
-
-    It reads the Cholesky factors ``L_i`` cached on the pair
-    (``AngularPair.factors_I_minus_Y2``), which :func:`diagonalize` made.
-    """
-    w, v = b.eigh
-    n0 = b.n0
-    vh = v.conj().T
-    # the rows of W_i* = L_i^{-1} G_i* V, from two half-size products
-    rows = [
-        _lower(f, u.conj().T)
-        for f, u in zip(
-            p.factors_I_minus_Y2,
-            (vh[:, :n0] + vh[:, n0:] @ p.X0, vh[:, :n0] @ p.X1 + vh[:, n0:]),
-        )
-    ]
-    cols = [r.conj().T for r in rows]
-    # w - lam past the float range makes its entry of D 0, which it nearly is
-    with np.errstate(over="ignore"):
-        scaled = [np.min(np.abs(g)) / g for g in (w - lam for lam in lams)]
-    return [
-        [
-            frobenius_norm((rows[1] * d) @ cols[0]),
-            frobenius_norm((rows[0] * d) @ cols[1]),
-        ]
-        for d in scaled
-    ]
+def _resolvent(t: np.ndarray, g: np.ndarray, s, w: np.ndarray) -> np.ndarray:
+    """``s (T - lam)^{-1} w`` for a triangular form's T, given ``g = diag(T) - lam``:
+    a division when T is diagonal (given as its diagonal), else a triangular solve."""
+    if t.ndim == 1:
+        r = w / g[:, None]
+    else:
+        shifted = t.copy()
+        np.fill_diagonal(shifted, g)
+        r = scipy.linalg.solve_triangular(shifted, w)
+    r *= s
+    return r
 
 
-def _outside_part(q: np.ndarray, r: np.ndarray) -> float:
-    """``norm_F((I - Q Q*) r)`` for orthonormal columns Q."""
-    return frobenius_norm(r - q @ (q.conj().T @ r))
+def _outside_part(w: np.ndarray, r: np.ndarray, complement) -> float:
+    """``norm_F((I - W W*) r)`` for orthonormal columns W, or ``norm_F(K* r)``
+    for the rows ``complement = K*`` of ``I - W W* = K K*``."""
+    if complement is not None:
+        return frobenius_norm(complement @ r)
+    return frobenius_norm(r - w @ (w.conj().T @ r))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from blockdiag.angular import GRAPH_SIGMA_TOL, GraphBase, GraphSubspace
 from blockdiag.cli import main
 from blockdiag.io import ProblemFile
 from blockdiag.errors import NotAGraphError, StructuralError
-from blockdiag.spectral import Subspace, eigenbasis_subspace
+from blockdiag.spectral import Subspace, invariant_subspace
 from conftest import containment
 
 
@@ -32,8 +32,8 @@ def _basis_of(columns, n0):
 
 def _below(b, mu):
     """Span of the eigenvectors of B below mu, partitioned as B."""
-    w, v = b.eigh
-    return eigenbasis_subspace(b.full, w, v, w < mu, b.norm).with_partition(b.n0)
+    w, _ = b.schur
+    return invariant_subspace(b.full, b.schur, w < mu, b.norm)[0].with_partition(b.n0)
 
 
 def test_to_graph_of_h0_itself():

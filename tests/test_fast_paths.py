@@ -39,7 +39,7 @@ from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import choose_split_mu, main
 from blockdiag.errors import IllPosedRegionError, NotAGraphError
 from blockdiag.io import ProblemFile
-from blockdiag.spectral import eigenbasis_subspace
+from blockdiag.spectral import invariant_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
 from conftest import offdiagonal_part, random_block
 
@@ -208,8 +208,8 @@ def _reference_route(b, mu):
     full = b.assemble()
     w, v = np.linalg.eigh(full)
     scale = _norm2(full)
-    below = eigenbasis_subspace(full, w, v, w < mu, scale)
-    above = eigenbasis_subspace(full, w, v, w >= mu, scale)
+    below, _ = invariant_subspace(full, (w, v), w < mu, scale)
+    above, _ = invariant_subspace(full, (w, v), w >= mu, scale)
     x0 = to_graph(below.with_partition(b.n0), GraphBase.H0).X
     x1 = to_graph(above.with_partition(b.n0), GraphBase.H1).X
     return x0, x1
@@ -301,6 +301,9 @@ def _kernels(monkeypatch):
         "schur": _record_shapes(monkeypatch, scipy.linalg, "schur"),
         "qr": _record_shapes(monkeypatch, np.linalg, "qr"),
         "solve": _record_shapes(monkeypatch, np.linalg, "solve"),
+        # first arguments: the selection mask, and T11
+        "trsen": _record_shapes(monkeypatch, scipy.linalg.lapack, "ztrsen"),
+        "trsyl": _record_shapes(monkeypatch, scipy.linalg.lapack, "ztrsyl"),
     }
 
 
@@ -340,10 +343,13 @@ def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "3"]) == 0
     assert calls["eigh"] == []
-    assert calls["schur"] == [(4, 4), (4, 4)]
-    assert calls["eigvals"].count((4, 4)) == 1
-    # I + Y, norm(B) (shared by both region gates), and one per shift
-    assert calls["svd"].count((4, 4)) == 1 + 1 + 3
+    # one Schur form of B, reordered once; the side above mu by one ztrsyl
+    assert calls["schur"] == [(4, 4)]
+    assert calls["trsen"] == [(4,)] and calls["trsyl"] == [(2, 2)]
+    # spec(B) is read off the Schur form, no shift solves with B - lambda
+    assert (4, 4) not in calls["eigvals"] and (4, 4) not in calls["solve"]
+    # I + Y and norm(B) (shared by the region gates); no SVD per shift
+    assert calls["svd"].count((4, 4)) == 1 + 1
 
 
 def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkeypatch):
@@ -355,12 +361,48 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     assert main(["check", path, "--lambdas", "2"]) == 0
     # Hermitian only to tolerance: the spectral pair takes the Schur route
     assert (8, 8) not in calls["eigh"]
-    assert calls["schur"] == [(8, 8), (8, 8)]
-    assert calls["eigvals"].count((8, 8)) == 1
-    # I + Y of the general pair, norm(B), shifts
-    assert calls["svd"].count((8, 8)) == 1 + 1 + 2
-    assert calls["solve"].count((8, 8)) == 2  # one B - lambda per shift
+    assert calls["schur"] == [(8, 8)]
+    assert calls["trsen"] == [(8,)] and calls["trsyl"] == [(4, 4)]
+    assert (8, 8) not in calls["eigvals"]
+    # I + Y of the general pair and norm(B); the shifts solve with T - lambda
+    assert calls["svd"].count((8, 8)) == 1 + 1
+    assert (8, 8) not in calls["solve"]
     assert calls["eigvals"].count((4, 4)) == 4  # left and right blocks
+
+
+def _general_block(seed, n0=6, n1=6):
+    """``A_i = Q_i T_i Q_i*`` with upper-triangular T_i near -2 and +2 and a
+    small general coupling: a non-normal B with n0 eigenvalues left of 0."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n, centre in ((n0, -2.0), (n1, 2.0)):
+        q, _ = np.linalg.qr(_cmat(rng, n, n))
+        t = np.diag(centre + 0.25 * _cmat(rng, n, 1)[:, 0]) + 0.05 * np.triu(_cmat(rng, n, n), 1)
+        blocks.append(q @ t @ q.conj().T)
+    return BlockMatrix(*blocks, 0.1 * _cmat(rng, n1, n0), 0.1 * _cmat(rng, n0, n1))
+
+
+@pytest.mark.parametrize("command", ["check", "diagonalize", "triangularize"])
+def test_general_input_is_factored_once(tmp_path, monkeypatch, command):
+    """Every command reads one unsorted Schur form of a general B, reordered
+    once by ``ztrsen``; the side above mu takes one ``ztrsyl``, which
+    ``triangularize``, reading X0 only, does not. No eigvals of B, no solve
+    with B - lambda, and the only dim-size SVDs are norm(B) and, for a
+    pair, I + Y."""
+    b = _general_block(0)
+    assert not b.hermitian
+    path = _check_file(tmp_path, b)
+    calls = _kernels(monkeypatch)
+    assert main([command, path]) == 0
+    full = (b.dim, b.dim)
+    assert calls["schur"] == [full] and calls["trsen"] == [(b.dim,)]
+    assert calls["trsyl"] == ([] if command == "triangularize" else [(b.n0, b.n0)])
+    assert calls["eigh"] == []
+    assert full not in calls["eigvals"] and full not in calls["solve"]
+    assert calls["svd"].count(full) == (1 if command == "triangularize" else 2)
+    # the side above mu takes one QR; check's sweep one per graph
+    qr = [(b.dim, b.n1)] + ([(b.dim, b.n0), (b.dim, b.n1)] if command == "check" else [])
+    assert calls["qr"] == ([] if command == "triangularize" else qr)
 
 
 @pytest.mark.parametrize("skew", [False, True])
@@ -718,7 +760,8 @@ def test_left_spectrum_of_skew_pair_matches_left_block_eigvals(seed, n0, n1, cou
 def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     """Negative control: ``--perturb-x0`` breaks the skew structure, so
     sigma(I + Y) takes its SVD, the four blocks their own eigvals and the
-    resolvent sweep one solve with B - lambda per shift, and the verdict
+    resolvent sweep orthonormalizes both graphs by QR (in the eigenbasis
+    of the one ``eigh``, with no solve with B - lambda), and the verdict
     fails."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
@@ -727,7 +770,9 @@ def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     full = (b.dim, b.dim)
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
-    assert calls["solve"].count(full) == 3
+    assert calls["eigh"].count(full) == 1 and calls["schur"] == []
+    assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
+    assert full not in calls["solve"]
 
 
 # --- certificates from the one eigh ------------------------------------------
@@ -800,10 +845,12 @@ def test_skew_pair_resolvent_defects_match_dense_solves(seed, n0, n1, ls, size):
         for _ in range(3)
     ]
     with mock.patch.object(
-        transform, "_skew_pair_sweep", wraps=transform._skew_pair_sweep
-    ) as route:
+        transform, "_outside_part", wraps=transform._outside_part
+    ) as route, mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         sweep = verify_resolvent_invariance(b, pair, lams)
-    assert route.call_count == 1
+    # the closed-form projectors W1 W1* and W0 W0*: no graph takes a QR
+    assert route.call_count == 2 * len(lams) and qr.call_count == 0
+    assert all(call.args[2] is not None for call in route.call_args_list)
     graphs = (
         angular.GraphSubspace(base=GraphBase.H0, X=pair.X0),
         angular.GraphSubspace(base=GraphBase.H1, X=pair.X1),
@@ -826,8 +873,15 @@ def test_other_pairs_orthonormalize_their_graphs_by_qr(monkeypatch, case):
     pair = form_pair(x0, x1)
     if case == "ill_conditioned":
         assert transform._pair_condition(pair) > BLOCK_SOLVE_CONDITION_LIMIT
-    route = _record_shapes(monkeypatch, transform, "_skew_pair_sweep")
+    complements = []
+    outside = transform._outside_part
+    monkeypatch.setattr(
+        transform,
+        "_outside_part",
+        lambda w, r, k: complements.append(k) or outside(w, r, k),
+    )
     qr = _record_shapes(monkeypatch, np.linalg, "qr")
     verify_resolvent_invariance(b, pair, [2j * max(b.norm, 1.0)])
-    assert route == []
+    # no closed-form projector: each graph is orthonormalized by its QR
+    assert complements == [None, None]
     assert qr == [(7, 3), (7, 4)]

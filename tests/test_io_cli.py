@@ -262,11 +262,15 @@ def test_random_case_infeasible_kernel():
         random_case(4, 4, gap=1.0, coupling=0.1, seed=0, kernel_dim=1)
 
 
-def test_report_rejects_nonfinite():
+def test_report_writes_nonfinite_numbers_as_text():
+    """JSON has no NaN or inf: a report writes them as the text Python
+    prints, as error diagnostics do, and stays valid JSON."""
     rep = Report(command="x", inputs_digest="00")
-    rep.residuals["bad"] = float("inf")
-    with pytest.raises(StructuralError):
-        rep.to_obj()
+    rep.residuals.update(bad=float("inf"), worse=np.float64("-inf"), nan=float("nan"))
+    rep.spectra["z"] = np.array([complex(np.nan, 1.0)])
+    obj = json.loads(json.dumps(rep.to_obj(), allow_nan=False))
+    assert obj["residuals"] == {"bad": "inf", "worse": "-inf", "nan": "nan"}
+    assert obj["spectra"]["z"] == [["nan", 1.0]]
 
 
 def test_problem_file_requires_blockmatrix_fields():
@@ -824,7 +828,7 @@ def test_cli_unwritable_report_is_an_input_error(tmp_path, capsys, monkeypatch):
     from blockdiag import cli
 
     def overflowing(args, report, problem):
-        report.certificates["margin"] = float("-inf")
+        report.certificates["margin"] = object()  # no JSON form
         return []
 
     overflowing_check = dataclasses.replace(cli.COMMANDS["check"], run=overflowing)
@@ -948,6 +952,30 @@ def test_cli_check_fails_on_a_nan_resolvent_defect(tmp_path, capsys, monkeypatch
     summary = capsys.readouterr().out
     assert "[check] FAIL" in summary
     assert "resolvent_invariance_max     nan" in summary
+
+
+def test_cli_check_with_out_fails_on_a_nan_resolvent_defect(tmp_path, capsys, monkeypatch):
+    """A NaN residual fails its gate with exit 1 whether or not the report
+    is written, and the report written is valid JSON that names it."""
+    from blockdiag import transform
+
+    sweep_of = transform.verify_resolvent_invariance
+
+    def with_nan(b, pair, shifts):
+        sweep = sweep_of(b, pair, shifts)
+        sweep[1][0] = float("nan")
+        return sweep
+
+    monkeypatch.setattr(transform, "verify_resolvent_invariance", with_nan)
+    path = tmp_path / "gapped.json"
+    save_problem(path, random_case(4, 4, gap=1.0, coupling=0.5, seed=0))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path)]) == 1
+    assert main(["check", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["residuals"]["resolvent_invariance_max"] == "nan"
+    assert report["verdict"]["decided_by"] == "resolvent_invariance_max"
+    assert "[check] FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

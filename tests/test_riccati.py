@@ -19,7 +19,7 @@ from blockdiag import (
     solve_sylvester,
     spectral_pair,
 )
-from blockdiag.core import frobenius_norm
+from blockdiag.core import frobenius_norm, schur_diagonal, triangular_form
 from blockdiag.errors import StructuralError, SylvesterSingularError
 from conftest import offdiagonal_part, random_block
 
@@ -302,8 +302,8 @@ def test_separation_off_triangular_diagonals_matches_eigvals(
     scale = 10.0**log_scale
     p = scale * _coefficient(rng, n1, kind_p, 1.0)
     q = scale * _coefficient(rng, n0, kind_q, -1.0)
-    (tp, _), (tq, _) = riccati._triangular_form(p), riccati._triangular_form(q)
-    sep = np.min(np.abs(np.diag(tp)[:, None] - np.diag(tq)[None, :]))
+    (tp, _), (tq, _) = (triangular_form(m, np.array_equal(m, m.conj().T)) for m in (p, q))
+    sep = np.min(np.abs(schur_diagonal(tp)[:, None] - schur_diagonal(tq)[None, :]))
     norms = np.linalg.norm(p) + np.linalg.norm(q)
     assert abs(sep - _eigvals_separation(p, q)) <= 1e-12 * norms
 

@@ -105,7 +105,7 @@ EXPONENTS = [-600, -400, -60, -40, 60, 400, 600]
 RESIDUAL_AGREEMENT = 1e-13
 
 
-def _reports(tmp_path, problem: ProblemFile, k: int) -> dict:
+def _reports(tmp_path, problem: ProblemFile, k: int, commands=COMMANDS) -> dict:
     """``command -> (exit code, report)`` for the file scaled by 2^k."""
     s = 2.0**k
     b = problem.block
@@ -115,7 +115,7 @@ def _reports(tmp_path, problem: ProblemFile, k: int) -> dict:
     save_problem(path, ProblemFile(block=scaled, mu=mu))
     taus = ",".join(repr(float(t) * s) for t in RELBOUND_TAUS)
     out = {}
-    for command in COMMANDS:
+    for command in commands:
         argv = [a.format(three=repr(3.0 * s), taus=taus) for a in command[1:]]
         report = tmp_path / f"{command[0]}_{k}.json"
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
@@ -161,6 +161,24 @@ def _check_scaled(tmp_path, name: str, exponents) -> None:
 @pytest.mark.parametrize("name", list(FILES))
 def test_scaled_files_get_the_verdicts_of_the_unscaled(tmp_path, name):
     _check_scaled(tmp_path, name, EXPONENTS)
+
+
+def test_the_file_at_the_largest_float_keeps_its_verdicts_scaled_down(tmp_path):
+    """The block of ``random --n0 1 --n1 1 --coupling 1e308`` gets the
+    verdicts of its copies scaled by 2^-k (scaled up it leaves the float
+    range). Its Riccati residuals are nonzero and are formed with no
+    overflow, which would raise a RuntimeWarning here. ``riccati-solve``
+    is left out: its Newton iterates overflow on this file (CHANGES.md)."""
+    commands = [c for c in COMMANDS if c[0] != "riccati-solve"]
+    problem = random_case(1, 1, gap=1.0, coupling=1e308, seed=0)
+    reference = _reports(tmp_path, problem, 0, commands)
+    code, report = reference["check"]
+    assert code == 0
+    assert all(report["residuals"][f"riccati_{name}"] > 0.0 for name in ("x0", "x1", "block"))
+    for k in (-40, -60, -400, -600):
+        scaled = _reports(tmp_path, problem, k, commands)
+        for command in reference:
+            _same_verdict(f"{command} at 2^{k}", reference[command], scaled[command])
 
 
 @settings(max_examples=5, deadline=None)

@@ -7,13 +7,14 @@ from blockdiag import (
     GraphBase,
     GraphSubspace,
     from_graph,
-    invariant_subspace_by_region,
+    invariant_subspace,
     spectral_pair,
+    triangular_form,
 )
 from blockdiag.errors import IllPosedRegionError
+from blockdiag.core import schur_diagonal
 from blockdiag.spectral import (
     Subspace,
-    eigenbasis_subspace,
     invariance_residual,
     null_space_basis,
 )
@@ -27,8 +28,8 @@ def _kernel(m, mu=0.0) -> Subspace:
 
 def _eigen_span(b, select) -> Subspace:
     """Span of the eigenvectors of B whose eigenvalues ``select`` keeps."""
-    w, v = b.eigh
-    return eigenbasis_subspace(b.full, w, v, select(w), b.norm)
+    w, _ = b.schur
+    return invariant_subspace(b.full, b.schur, select(w), b.norm)[0]
 
 
 def test_eigvals_analytic(analytic):
@@ -113,8 +114,12 @@ def test_kernel_dimension_bookkeeping(one_point):
 
 
 def _region(m, selector) -> Subspace:
-    """The region subspace at an independently computed 2-norm of ``m``."""
-    return invariant_subspace_by_region(m, selector, np.linalg.norm(m, 2))
+    """The subspace of the eigenvalues ``selector`` keeps, from a fresh
+    triangular form of ``m`` and an independently computed 2-norm."""
+    m = np.asarray(m, dtype=complex)
+    form = triangular_form(m, np.array_equal(m, m.conj().T))
+    mask = np.array([selector(z) for z in schur_diagonal(form[0])], dtype=bool)
+    return invariant_subspace(m, form, mask, np.linalg.norm(m, 2))[0]
 
 
 def test_region_hermitian():

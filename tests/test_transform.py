@@ -421,7 +421,7 @@ def test_resolvent_defects_are_relative_to_the_resolvent_norm(s, skew):
     """The defects of B at lam and of s B at s lam agree, on both routes."""
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=1).block
     x0 = run_theorem(b, mu=0.0).X
-    # a skew pair takes the eigh route; a non-skew one solves with B - lam
+    # a skew pair takes the closed-form projectors; a non-skew one a QR per graph
     pair = form_pair(x0, -x0.conj().T if skew else -0.5 * x0.conj().T)
     lams = [0.3 + 1.1j, -2.0 + 0.4j]
     scaled = BlockMatrix(s * b.A0, s * b.A1, s * b.W0, s * b.W1)
