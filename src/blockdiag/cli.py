@@ -85,7 +85,7 @@ class Gate(NamedTuple):
 
 
 def _residuals(tol: float, **values) -> list[Gate]:
-    return [Gate(name, value, tol, "residual") for name, value in values.items()]
+    return [Gate(name, float(value), tol, "residual") for name, value in values.items()]
 
 
 def _holds(name: str, ok: bool, kind: str = "check") -> Gate:
@@ -250,7 +250,8 @@ def _riccati_solve(args, report, problem) -> list[Gate]:
         "trace": trace.iterates,
     }
     gates = [*_residuals(args.tol, final=trace.iterates[-1]), _holds("converged", trace.converged)]
-    if not b.hermitian:
+    # only a converged X is compared with the spectral one
+    if not (b.hermitian and trace.converged):
         return gates
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "spectral_crosscheck"):
@@ -586,7 +587,8 @@ def _run(args) -> int:
             report.residuals[gate.name] = gate.value
         else:
             report.flags[gate.name] = gate.passes
-    # a failed hypothesis first, then any failed gate, then the nearest its bound
+    # a failed hypothesis first, then any failed gate, then the nearest its
+    # bound (a ratio of Python floats past the float range is inf, unwarned)
     decided = max(
         gates,
         key=lambda g: (not g.passes and g.kind == "hypothesis", not g.passes, g.value / g.bound),

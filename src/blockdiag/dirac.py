@@ -32,12 +32,6 @@ from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
 FW_UNITARITY_TOL = 1e-10
 
-#: Constant c of the angle certificate's slack ``c * norm_bound * eta``,
-#: and the largest Gram defect plus rounding ``eta`` its derivation covers
-#: (README "Numerics notes").
-ANGLE_SLACK = 6.0
-ANGLE_ETA_MAX = 0.125
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -371,12 +365,17 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     """Full decomposition of the impurity Hamiltonian at threshold zero.
 
     Confirms subordination of the rotated blocks, runs the subordinated
-    pipeline on the block matrix with the negative block first, maps the
-    resulting pair of graph subspaces back through the spinor rotation,
-    and certifies an upper bound on their largest angles to the
-    negative/positive spectral subspaces of the position-space operator
-    (:func:`angle_certificate`). The spectrum of H is read off the one
-    ``eigh`` of the rotated matrix that the subordinated pipeline takes.
+    pipeline on the block matrix with the negative block first, and
+    certifies upper bounds on the largest angles between the pair of graph
+    subspaces, mapped back through the spinor rotation, and the
+    negative/positive spectral subspaces of the position-space operator.
+    The bounds come from the theorem's skew-pair frame in the rotated
+    coordinates (:meth:`~blockdiag.subordinated.TheoremResult.angle_bounds`),
+    with no product of the full dimension: its slack covers the unitarity
+    defect of the rotation and the rounding of the rotated blocks, and the
+    sine of each angle grows by the rotation's tilt (README "Numerics
+    notes"). The spectrum of H is read off the one ``eigh`` of the rotated
+    matrix that the subordinated pipeline takes.
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
@@ -389,50 +388,20 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         )
     swapped = bm.swapped()
     theorem = run_theorem(swapped, mu=0.0, tol=tol)
-    points = problem.grid.points
-    # swapped coordinates list the negative block first; T* takes the
-    # rotated frame's (first, second) block rows back to positions
-    basis = np.hstack([theorem.L.basis, theorem.L_perp.basis])
-    top, bottom = basis[points:], basis[:points]
-    z = np.vstack([ops.theta_op.conj().T @ (top + bottom), top - bottom]) / np.sqrt(2.0)
-    angle = angle_certificate(ops.h_full, z, points, report.norm_bound)
+    # T = P V with V unitary and norm(P - I) <= eps: the rotated blocks are
+    # within r h of T H T*, which is within eps (2 + eps) h of V H V*, and
+    # T* tilts a span by at most eps / (1 - eps) from the one V* gives
+    r = KERNEL_PROOF_ROUNDING * swapped.dim * _EPS
+    eps = unitarity + r
+    sines = theorem.angle_bounds(swapped, (r + eps * (2.0 + eps)) * report.norm_bound)
+    angle_minus, angle_plus = (math.asin(min(1.0, s + eps / (1.0 - eps))) for s in sines)
     return DiracPipelineResult(
         theorem=theorem,
         split=report,
         fw_unitarity_residual=unitarity,
-        angle_minus=angle,
-        angle_plus=angle,
+        angle_minus=angle_minus,
+        angle_plus=angle_plus,
         h_eigenvalues=swapped.eigh[0],
         block_eigenvalues=bm.eigvalsh_A,
         norm_X=theorem.norm_X,
     )
-
-
-def angle_certificate(
-    h: np.ndarray, z: np.ndarray, n0: int, norm_bound: float
-) -> float:
-    """Davis-Kahan tan 2Theta bound on the angles of a basis to spec(h) < 0.
-
-    For a nearly unitary ``z = [Q, Q_perp]`` (``n0`` columns in Q) and
-    ``norm_bound >= norm(h)``, an upper bound on the largest angle between
-    span Q and the negative spectral subspace of the Hermitian ``h``, and
-    between span Q_perp and the positive one; pi/2 when the compressions
-    of ``h`` do not certify it. README "Numerics notes" derives it.
-    """
-    dim = h.shape[0]
-    eta = frobenius_norm(z.conj().T @ z - np.eye(dim))
-    eta += KERNEL_PROOF_ROUNDING * dim * _EPS
-    # written so that NaN refuses too
-    if not eta <= ANGLE_ETA_MAX:
-        return math.pi / 2.0
-    hz = h @ z
-    # [H11; R] and H22; the block Q* h Q_perp is never needed
-    left = z.conj().T @ hz[:, :n0]
-    h22 = z[:, n0:].conj().T @ hz[:, n0:]
-    s = ANGLE_SLACK * norm_bound * eta
-    sup_11 = float(np.linalg.eigvalsh(_hermitize(left[:n0]))[-1]) + s
-    inf_22 = float(np.linalg.eigvalsh(_hermitize(h22))[0]) - s
-    if not sup_11 < 0.0 < inf_22:
-        return math.pi / 2.0
-    theta = 0.5 * math.atan2(2.0 * (frobenius_norm(left[n0:]) + s), inf_22 - sup_11)
-    return math.asin(min(1.0, math.sin(theta) + ANGLE_SLACK * eta))

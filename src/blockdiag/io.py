@@ -134,7 +134,7 @@ class ProblemFile:
     digest: str = field(default="", compare=False)
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "schema": PROBLEM_SCHEMA,
             "n0": self.block.n0,
             "n1": self.block.n1,
@@ -145,7 +145,6 @@ class ProblemFile:
             "mu": self.mu,
             "metadata": {str(k): str(v) for k, v in self.metadata.items()},
         }
-        return obj
 
     @staticmethod
     def from_obj(obj) -> "ProblemFile":
@@ -164,14 +163,9 @@ class ProblemFile:
                 for name in ("A0", "A1", "W0", "W1")
             }
         )
-        if "n0" in obj and int(obj["n0"]) != block.n0:
-            raise StructuralError(
-                f"declared n0 = {obj['n0']} does not match A0 of size {block.n0}"
-            )
-        if "n1" in obj and int(obj["n1"]) != block.n1:
-            raise StructuralError(
-                f"declared n1 = {obj['n1']} does not match A1 of size {block.n1}"
-            )
+        for n, a, size in (("n0", "A0", block.n0), ("n1", "A1", block.n1)):
+            if n in obj and int(obj[n]) != size:
+                raise StructuralError(f"declared {n} = {obj[n]} does not match {a} of size {size}")
         mu = obj.get("mu")
         if mu is not None:
             mu = float(mu)

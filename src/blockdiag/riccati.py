@@ -147,12 +147,14 @@ def _rel_norm(residual, scale: float, x) -> float:
     return relative(frobenius_norm(residual), scale) / growth / growth
 
 
-def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float]:
+def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float, list]:
     """``a1 X - X a0 - X w1 X + w0`` and its norm relative to ``scale``, for
     centred blocks ``a_i``: the H0 graph equation, or the H1 one with the
-    blocks exchanged."""
-    res = a1 @ x - x @ a0 - x @ w1 @ x + w0
-    return res, _rel_norm(res, scale, x)
+    blocks exchanged. The list of its products ``a1 X, X a0, X w1`` comes
+    third."""
+    products = [a1 @ x, x @ a0, x @ w1]
+    res = products[0] - products[1] - products[2] @ x + w0
+    return res, _rel_norm(res, scale, x), products
 
 
 def residual_X0(b: BlockMatrix, X0) -> RiccatiResidual:
@@ -161,7 +163,7 @@ def residual_X0(b: BlockMatrix, X0) -> RiccatiResidual:
     if x.shape != (b.n1, b.n0):
         raise StructuralError(f"X0 must have shape {(b.n1, b.n0)}, got {x.shape}")
     a0, a1 = _centred_A(b)
-    return RiccatiResidual(*_residual(a0, a1, b.W0, b.W1, x, _riccati_scale(b, a0, a1)))
+    return RiccatiResidual(*_residual(a0, a1, b.W0, b.W1, x, _riccati_scale(b, a0, a1))[:2])
 
 
 def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
@@ -170,7 +172,7 @@ def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
     if x.shape != (b.n0, b.n1):
         raise StructuralError(f"X1 must have shape {(b.n0, b.n1)}, got {x.shape}")
     a0, a1 = _centred_A(b)
-    return RiccatiResidual(*_residual(a1, a0, b.W1, b.W0, x, _riccati_scale(b, a0, a1)))
+    return RiccatiResidual(*_residual(a1, a0, b.W1, b.W0, x, _riccati_scale(b, a0, a1))[:2])
 
 
 def residual_block(
@@ -293,18 +295,23 @@ class _GraphFrame(NamedTuple):
     pq: float
 
 
-def _graph_frame(b: BlockMatrix, x, f) -> _GraphFrame | None:
-    """The graph frame at X, with ``f = F(X)``, or None when a generalized
-    ``eigh`` fails. At X = 0 it is read off ``b.eigh_A``, 5% of a ``newton``
-    pass (dim 400) faster than two generalized ``eigh`` with S = I."""
+def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
+    """The graph frame at X, with ``f = F(X)`` and the list of the products
+    ``A1 X, X A0, X W1`` of :func:`_residual` at X (formed when None), which
+    it empties, or None when a generalized ``eigh`` fails. At X = 0 it is
+    read off ``b.eigh_A``, 5% of a ``newton`` pass (dim 400) faster than
+    two generalized ``eigh`` with S = I."""
     at_zero = not x.any()
     if at_zero:
         (lam0, v0), (lam1, v1) = b.eigh_A
         p, q, t1, t0inv = b.A1, b.A0, v1, v0.conj().T
     else:
-        xh, p, q = x.conj().T, b.A1 - x @ b.W1, b.A0 + b.W1 @ x
+        products = products or [b.A1 @ x, x @ b.A0, x @ b.W1]
+        # popped off the caller's list (X W1, then A1 X, then X A0), so that
+        # each is freed once used
+        xh, p, q = x.conj().T, b.A1 - products.pop(), b.A0 + b.W1 @ x
         # G* B G = Q + X* (W0 + A1 X) and K* B K = P - (W0 - X A0) X*
-        h0, h1 = q + xh @ (b.W0 + b.A1 @ x), p - (b.W0 - x @ b.A0) @ xh
+        h0, h1 = q + xh @ (b.W0 + products.pop(0)), p - (b.W0 - products.pop()) @ xh
         s0, s1 = xh @ x + np.eye(b.n0), x @ xh + np.eye(b.n1)
         try:
             lam0, v0 = scipy.linalg.eigh(h0, s0, overwrite_a=True, overwrite_b=True)
@@ -402,26 +409,32 @@ def solve_newton_X0(
     :func:`solve_sylvester`, counted in ``schur_steps``; the next X is
     offered a fresh frame again. :func:`residual_X0` of each X decides
     convergence. The iteration runs on the centred blocks
-    (:func:`_centred_A`): a common shift changes neither the graph equation
-    nor a Newton equation, nor, on the centred blocks, their rounding.
+    (:func:`_centred_A`), all scaled by one power of two: a common shift
+    changes neither the graph equation nor a Newton equation, nor, on the
+    centred blocks, their rounding, and the scaling changes no rounding
+    while the entries stay normal floats, so blocks near the float range
+    do not overflow.
     Non-convergence within ``max_iter`` steps is reported in the trace, not
-    raised; singular Newton steps propagate :class:`SylvesterSingularError`.
+    raised, and so is an X whose residual overflows, which ends the
+    iteration; singular Newton steps propagate :class:`SylvesterSingularError`.
     """
-    b = BlockMatrix(*_centred_A(b), b.W0, b.W1)
+    # scaled by the power of two that brings the largest entry into [1/2, 1);
+    # the centred blocks are released once scaled
+    parts = [m.view(np.float64) for m in (*_centred_A(b), b.W0, b.W1)]
+    e = np.frexp(max(float(np.max(np.abs(m), initial=0.0)) for m in parts))[1]
+    b, parts = BlockMatrix(*(np.ldexp(m, -e).view(np.complex128) for m in parts)), None
     hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
     scale = _riccati_scale(b, b.A0, b.A1)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
-    f, value = b.W0, _rel_norm(b.W0, scale, x)  # F(0) = W0
+    f, value, products = b.W0, _rel_norm(b.W0, scale, x), None  # F(0) = W0
     history: list[float] = []
     schur_steps = frames = sweeps = 0
     for iteration in range(max_iter + 1):
         history.append(value)
-        if value <= tol or iteration == max_iter:
+        # an X whose residual overflowed has diverged
+        if value <= tol or iteration == max_iter or not np.isfinite(value):
             break
-        frame = z = None
-        # a non-finite F goes to solve_sylvester, which refuses it
-        if hermitian and np.isfinite(value):
-            frame = _graph_frame(b, x, f)
+        z, frame = None, _graph_frame(b, x, f, products) if hermitian else None
         if frame is not None:
             frames += frame.m is not None
             z, taken = _frame_solve(b, frame)
@@ -435,8 +448,9 @@ def solve_newton_X0(
             schur_steps += 1
         else:
             x += frame.t1 @ z @ frame.t0inv
-        frame = z = f = None  # released before the next residual is formed
-        f, value = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
+        frame = z = f = products = None  # released before the next residual is formed
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, value, products = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
     return x, NewtonTrace(
         iterates=history,
         converged=bool(history[-1] <= tol),

@@ -374,3 +374,70 @@ def test_angle_certificate_refuses_a_swapped_column(monkeypatch):
     _perturb_theorem(monkeypatch, swap)
     result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
     assert result.angle_minus == result.angle_plus == np.pi / 2
+
+
+def _recorded(monkeypatch, owner, name, record):
+    """Record ``record(args, result)`` of each call of ``owner.name``."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_pipeline_takes_one_eigh_and_the_two_block_eigvalsh(monkeypatch):
+    """The certificate reads the compressions of the theorem's frame: after
+    the one ``eigh`` of the rotated matrix and the two block ``eigvalsh`` of
+    the subordination check there is no eigensolve, and each spectral end
+    takes one half-size Cholesky (LAPACK ``zpotrf``)."""
+    import scipy.linalg
+
+    shape = lambda args, result: np.shape(args[0])
+    eigh = _recorded(monkeypatch, np.linalg, "eigh", shape)
+    eigvalsh = _recorded(monkeypatch, np.linalg, "eigvalsh", shape)
+    eigvals = _recorded(monkeypatch, np.linalg, "eigvals", shape)
+    potrf = _recorded(monkeypatch, scipy.linalg.lapack, "zpotrf", shape)
+    result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
+    points = 16
+    assert eigh == [(2 * points, 2 * points)]
+    assert eigvalsh == [(points, points)] * 2
+    assert eigvals == []
+    assert potrf == [(points, points)] * 2
+    assert result.angle_minus <= 1e-8 and result.angle_plus <= 1e-8
+
+
+def test_a_frame_whose_negative_compression_is_not_definite_is_refused(monkeypatch):
+    """Negative control of the inertia test: the theorem's frame is swapped
+    for the graph of a basis whose last column mixes the eigenvectors on
+    both sides of 0, so the compression of B onto it has an eigenvalue near
+    0, above the shift halfway to the last negative eigenvalue. ``L`` is
+    that basis, so only the failed Cholesky makes its angle pi/2; the one
+    of the positive side is not taken."""
+    import scipy.linalg
+
+    from blockdiag.angular import GraphBase, graph_pair, to_graph
+    from blockdiag.transform import diagonalize
+
+    real = dirac.run_theorem
+
+    def mixed_frame(b, *args, **kwargs):
+        result = real(b, *args, **kwargs)
+        _, v = b.eigh
+        q = v[:, : b.n0].copy()
+        q[:, -1] = (v[:, b.n0 - 1] + v[:, b.n0]) / np.sqrt(2.0)
+        mixed = Subspace(q, n0=b.n0)
+        pair = graph_pair(to_graph(mixed, GraphBase.H0))
+        return dataclasses.replace(
+            result, L=mixed, X=pair.X0, norm_X=pair.norm_Y, diag_results=diagonalize(b, pair)
+        )
+
+    monkeypatch.setattr(dirac, "run_theorem", mixed_frame)
+    infos = _recorded(monkeypatch, scipy.linalg.lapack, "zpotrf", lambda args, result: result[1])
+    result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
+    assert len(infos) == 1 and infos[0] > 0
+    assert result.angle_minus == result.angle_plus == np.pi / 2

@@ -386,12 +386,12 @@ def test_dirac_pipeline_reads_each_block_spectrum_once(monkeypatch):
     spectra = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     result = dirac.run_dirac_pipeline(problem)
     bm = dirac.fw_transform(problem)
-    # A0 and A1 once each; the other two are the angle certificate's
-    # compressions onto the rotated-back pair
+    # A0 and A1 once each, and nothing else: the angle certificate reads
+    # the theorem's frame and takes no eigvalsh
     arguments = [args[0] for args in spectra]
     for block in (bm.A0, bm.A1):
         assert sum(np.array_equal(a, block) for a in arguments) == 1
-    assert len(arguments) == 4
+    assert len(arguments) == 2
     for got, block in zip(result.block_eigenvalues, (bm.A0, bm.A1)):
         assert np.array_equal(got, np.linalg.eigvalsh(block))
 

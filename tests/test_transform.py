@@ -694,3 +694,73 @@ def test_match_spectra_matches_brute_force_bottleneck(seed, n, real):
     )
     brute = min(np.max(np.abs(a - b[list(q)])) for q in permutations(range(n)))
     assert match_spectra(a, b) == brute
+
+
+def _exhaustive_bottleneck(a, b) -> float:
+    """The threshold search over all pairwise distances, with no bracket."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    dist = np.abs(a[:, None] - b[None, :])
+    candidates = np.unique(dist)
+    lo, hi = 0, candidates.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        matched = maximum_bipartite_matching(csr_matrix(dist <= candidates[mid]), perm_type="column")
+        if np.all(matched >= 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0, 2, 8]))
+def test_match_spectra_bracket_gives_the_exhaustive_search(seed, n, grid):
+    """On spectra drawn from a coarse grid (many ties and clusters, so the
+    bracket often closes) and on continuous ones, the search over
+    ``[lo, hi]`` returns the exhaustive search's distance, bitwise."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    if grid:
+        a, b = (np.round(v * grid) / grid for v in (a, b))
+        b[: n // 2] = a[: n // 2]  # half of the points shared
+    assert match_spectra(a, b) == _exhaustive_bottleneck(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.floats(0.05, 2.0),
+    st.sampled_from([0.0, 1e-9, 1e-5, 1e-2]),
+)
+def test_frame_angle_bound_bounds_the_angles_to_the_spectral_subspaces(
+    seed, n0, n1, coupling, tilt
+):
+    """For the spectral pair's X0, and for X0 moved by ``tilt``, the sines
+    for orthonormal bases of graph(X0) and graph(-X0*) are at least those
+    of their largest angles to the spectral subspaces of B below and above
+    0 (measured on a dense ``eigh``), and a slack on B only raises them."""
+    from blockdiag.angular import from_graph
+    from blockdiag.spectral import Subspace
+
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    x = spectral_pair(b, 0.0).X0
+    x = x + tilt * np.random.default_rng(seed).standard_normal(x.shape)
+    pair = form_pair(x, -x.conj().T)
+    right = diagonalize(b, pair)[1]
+    bases = [
+        Subspace(from_graph(GraphSubspace(base, x_g)).basis)
+        for base, x_g in ((GraphBase.H0, pair.X0), (GraphBase.H1, pair.X1))
+    ]
+    sines = transform.frame_angle_bound(b, x, pair.norm_Y, right, 0.0, 0.0, bases)
+    w, v = np.linalg.eigh(b.full)
+    for q, side, sine in zip(bases, (v[:, w < 0.0], v[:, w > 0.0]), sines):
+        exact = np.linalg.norm(q.basis - side @ (side.conj().T @ q.basis), 2)
+        assert exact <= sine
+    if tilt == 0.0:
+        assert max(sines) <= 1e-12
+    slack = transform.frame_angle_bound(b, x, pair.norm_Y, right, 0.0, 1e-6 * b.norm, bases)
+    assert all(s >= t for s, t in zip(slack, sines))
