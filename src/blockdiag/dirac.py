@@ -150,7 +150,9 @@ class DiracSplitReport:
     """Split-identity residuals and subordination margins of the FW blocks.
 
     ``block_identity_residual`` measures the actual diagonal blocks against
-    the averaged form ``((+-S + U) + Theta (+-S + U) Theta*) / 2``.
+    the averaged form ``((+-S + U) + Theta (+-S + U) Theta*) / 2``. The
+    blocks sum to ``U + Theta U Theta*`` as they are formed, so both forms
+    read ``A0 - A1 = S + Theta S Theta*``, which is what it measures.
     ``margin`` is the sufficient condition ``k_min - 2 u_inf`` for
     subordination at zero, conservative for the actual blocks; the flag
     itself comes from the eigensolve.
@@ -320,9 +322,7 @@ def check_subordination_split(
         ops = build_operators(problem)
     if bm is None:
         bm = _fw_block_matrix(ops)
-    s = ops.sqrt_lap
     theta = ops.theta_op
-    u = np.diag(ops.potential_values).astype(np.complex128)
     u_inf = float(np.max(np.abs(ops.potential_values), initial=0.0))
     k_min = problem.grid.k_min
     margin = k_min - 2.0 * u_inf
@@ -333,17 +333,10 @@ def check_subordination_split(
             f"(u_inf = {u_inf:.3e}); the potential is too large"
         )
     norm_bound = float(np.max(np.hypot(*problem.grid.momentum_mesh()))) + u_inf
-
-    def averaged(mat):
-        return 0.5 * (mat + theta @ mat @ theta.conj().T)
-
-    block_res = relative(
-        max(
-            frobenius_norm(bm.A0 - averaged(s + u)),
-            frobenius_norm(bm.A1 - averaged(-s + u)),
-        ),
-        norm_bound,
-    )
+    # A0 + A1 = U + P, P = Theta U Theta* as _fw_block_matrix forms it, so
+    # both averaged identities read A0 - A1 = S + Theta S Theta*
+    free = ops.sqrt_lap + theta @ ops.sqrt_lap @ theta.conj().T
+    block_res = relative(0.5 * frobenius_norm(bm.A0 - bm.A1 - free), norm_bound)
     w0, w1 = bm.eigvalsh_A
     sup_a1 = float(w1[-1])
     inf_a0 = float(w0[0])

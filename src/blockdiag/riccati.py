@@ -13,10 +13,12 @@ Hermitian A0, A1 and ``W0 = W1*`` bitwise) the iteration moves into graph
 frames instead: the Hermitian compressions of B onto graph(X) and its
 complement bring P and Q near diagonal, and in the frame's coordinates the
 graph equation is a Riccati equation with small coefficients, solved by
-contracting sweeps (Stewart's fixed-point iteration). The first step, from
-X = 0, is the Newton step in the frame of ``eigh_A``; the second, in a
-frame factorized at its X (two generalized ``eigh``), usually lands on the
-solution, and the true residual of each X decides convergence. A frame
+contracting sweeps (Stewart's fixed-point iteration), 3 half-size products
+each, with ``m Z`` formed only when a bound on its gates cannot decide. The
+first step, from X = 0, is the Newton step in the frame of ``eigh_A``, one
+division; the second, in a frame factorized at its X (two generalized
+``eigh``), usually lands on the solution, and the true residual of each X
+decides convergence. A frame
 solve that declines gives way to the Newton step in the same frame. Every
 other input, and every step whose frame declines both, takes Bartels-Stewart
 (:func:`solve_sylvester`) on one triangular form per coefficient: ``eigh``
@@ -34,6 +36,7 @@ import scipy.linalg
 
 from .angular import AngularPair
 from .core import (
+    KERNEL_PROOF_ROUNDING,
     BlockMatrix,
     _bitwise_hermitian,
     as_matrix,
@@ -282,14 +285,16 @@ class _GraphFrame(NamedTuple):
     ``delta = l1_i - l0_j``; ``kappa = 1 + norm_1(X') norm_inf(X')`` bounds
     ``norm(t1) norm(t0inv) = 1 + norm(X')^2``, and
     ``pq = norm_F(P(X')) + norm_F(Q(X'))``. The frame at X' = 0, read off
-    ``eigh_A``, has m None: it serves the Newton step at X = 0 only."""
+    ``eigh_A``, has e1, e0 and m None: it serves the Newton step at X = 0
+    only, one division. A sweep of any other frame takes at most 3
+    half-size products (:func:`_frame_solve`)."""
 
     delta: np.ndarray
     t1: np.ndarray
     t0inv: np.ndarray
     c: np.ndarray
-    e1: np.ndarray
-    e0: np.ndarray
+    e1: np.ndarray | None
+    e0: np.ndarray | None
     m: np.ndarray | None
     kappa: float
     pq: float
@@ -300,11 +305,11 @@ def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
     ``A1 X, X A0, X W1`` of :func:`_residual` at X (formed when None), which
     it empties, or None when a generalized ``eigh`` fails. At X = 0 it is
     read off ``b.eigh_A``, 5% of a ``newton`` pass (dim 400) faster than
-    two generalized ``eigh`` with S = I."""
-    at_zero = not x.any()
-    if at_zero:
+    two generalized ``eigh`` with S = I, and forms neither e1 nor e0: they
+    are the rounding of ``eigh_A``, which :func:`_frame_solve` bounds."""
+    if not x.any():
         (lam0, v0), (lam1, v1) = b.eigh_A
-        p, q, t1, t0inv = b.A1, b.A0, v1, v0.conj().T
+        p, q, t1, t0inv, e1, e0, m = b.A1, b.A0, v1, v0.conj().T, None, None, None
     else:
         products = products or [b.A1 @ x, x @ b.A0, x @ b.W1]
         # popped off the caller's list (X W1, then A1 X, then X A0), so that
@@ -323,9 +328,10 @@ def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
         del h0, h1, s0, s1
         t0inv = v0.conj().T + (x @ v0).conj().T @ x
         t1 = v1 + x @ (xh @ v1)
-    e1 = v1.conj().T @ p @ t1 - np.diag(lam1)
-    e0 = np.diag(lam0) - t0inv @ q @ v0
-    c, m = v1.conj().T @ f @ v0, None if at_zero else t0inv @ b.W1 @ t1
+        e1 = v1.conj().T @ p @ t1 - np.diag(lam1)
+        e0 = np.diag(lam0) - t0inv @ q @ v0
+        m = t0inv @ b.W1 @ t1
+    c = v1.conj().T @ f @ v0
     kappa = 1.0 + np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf)
     pq = frobenius_norm(p) + frobenius_norm(q)
     delta = lam1[:, None] - lam0[None, :]
@@ -337,10 +343,10 @@ def _frame_solve(b, frame: _GraphFrame) -> tuple[np.ndarray | None, int]:
 
     From Z = 0 the sweeps ``Z <- Z - Phi(Z) / delta`` run Stewart's
     fixed-point iteration for the graph equation (SIAM Review 15, 1973,
-    Thm 4.1), 4 half-size products each: ``Z m``, ``m Z``, ``E1 Z`` and
-    ``Z e0``. Without m (the frame at X = 0) Phi drops its quadratic term
-    and Z is the Newton step at X'. The sweep map has the derivative
-    ``H -> -(E1 H + H E0) / delta`` at Z, so near Z it contracts by at most
+    Thm 4.1), 3 half-size products each: ``Z m``, ``E1 Z`` and ``Z e0``.
+    Without m Phi drops its quadratic term and Z is the Newton step at X'.
+    The sweep map has the derivative ``H -> -(E1 H + H E0) / delta`` at Z,
+    so near Z it contracts by at most
     ``r = (norm_F(E1) + norm_F(E0)) / min|delta|``; E is affine in Z, so r
     at both ends of a sweep bounds it along the sweep. By Bauer-Fike
     ``(1 - r) min|delta|`` bounds the separation of the spectra of P and Q
@@ -352,26 +358,45 @@ def _frame_solve(b, frame: _GraphFrame) -> tuple[np.ndarray | None, int]:
     bound fails the test of :func:`solve_sylvester`, scaled by the upper
     bound ``pq + 2 kappa norm_F(Z) norm(V)`` on ``norm_F(P) + norm_F(Q)``;
     when ``r > GRAPH_FRAME_CONTRACTION_MAX``; or when the sweeps have not
-    converged after :data:`GRAPH_FRAME_MAX_SWEEPS`. They have converged at
-    a change of :data:`GRAPH_FRAME_SWEEP_TOL` relative to Z, or once it no
-    longer shrinks, which exact sweeps with ``r <= 1/2`` cannot do: what is
-    left is rounding. Z is the last iterate whose change was formed.
+    converged after :data:`GRAPH_FRAME_MAX_SWEEPS`. Both tests first take
+    ``norm_F(e0) + norm_F(m) norm_F(Z)`` for ``norm_F(E0)``, an upper bound:
+    only when that declines is ``m Z`` formed, and the exact norm decides,
+    so the verdicts are those of the exact tests. The sweeps have converged
+    at a change of :data:`GRAPH_FRAME_SWEEP_TOL` relative to Z, or once it
+    no longer shrinks, which exact sweeps with ``r <= 1/2`` cannot do: what
+    is left is rounding. Z is the last iterate whose change was formed.
     ``sweeps`` counts the changes applied to Z.
+
+    The frame at X = 0 has no e1 and e0 (:func:`_graph_frame`): its tests
+    take the rounding bound ``KERNEL_PROOF_ROUNDING dim eps pq`` of
+    ``eigh_A`` for ``norm_F(e1) + norm_F(e0)``, and Z is the Newton step
+    ``-c / delta`` after one sweep.
     """
     gap = float(np.min(np.abs(frame.delta)))
-    z, e1, e0, previous = np.zeros_like(frame.c), frame.e1, frame.e0, np.inf
+
+    def declines(perturbation, scale):
+        return (
+            gap - perturbation <= SYLVESTER_SEPARATION_TOL * scale
+            or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
+        )
+
+    z, e1, previous = np.zeros_like(frame.c), frame.e1, np.inf
+    if e1 is None:
+        perturbation = KERNEL_PROOF_ROUNDING * b.dim * np.finfo(float).eps * frame.pq
+    else:
+        norm_e0 = frobenius_norm(frame.e0)
+        perturbation = frobenius_norm(e1) + norm_e0
+        norm_m = 0.0 if frame.m is None else frobenius_norm(frame.m)
     for sweep in range(GRAPH_FRAME_MAX_SWEEPS + 1):
         scale = frame.pq
         if frame.m is not None and sweep:
-            e1 = frame.e1 - z @ frame.m
-            e0 = frame.e0 - frame.m @ z
-            scale += 2.0 * frame.kappa * frobenius_norm(z) * b.norm_V
-        perturbation = frobenius_norm(e1) + frobenius_norm(e0)
-        if (
-            gap - perturbation <= SYLVESTER_SEPARATION_TOL * scale
-            or perturbation > GRAPH_FRAME_CONTRACTION_MAX * gap
-            or sweep == GRAPH_FRAME_MAX_SWEEPS
-        ):
+            e1, norm_z = frame.e1 - z @ frame.m, frobenius_norm(z)
+            scale += 2.0 * frame.kappa * norm_z * b.norm_V
+            norm_e1 = frobenius_norm(e1)
+            perturbation = norm_e1 + norm_e0 + norm_m * norm_z
+            if declines(perturbation, scale):
+                perturbation = norm_e1 + frobenius_norm(frame.e0 - frame.m @ z)
+        if declines(perturbation, scale) or sweep == GRAPH_FRAME_MAX_SWEEPS:
             break
         # Phi(Z) / delta = (c + E1 Z + Z e0) / delta + Z, in place
         if sweep:
@@ -388,6 +413,8 @@ def _frame_solve(b, frame: _GraphFrame) -> tuple[np.ndarray | None, int]:
         if change <= GRAPH_FRAME_SWEEP_TOL * frobenius_norm(z) or change >= previous:
             return z, sweep
         z -= step
+        if frame.e1 is None:
+            return z, 1
         previous = change
     return None, sweep
 

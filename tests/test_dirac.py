@@ -16,7 +16,7 @@ from blockdiag import (
     run_dirac_pipeline,
 )
 from blockdiag.cli import main
-from blockdiag.core import from_blocks
+from blockdiag.core import BlockMatrix, from_blocks
 from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import Subspace
@@ -174,6 +174,37 @@ def test_split_strong_potential_breaks_margin():
     # the eigensolve decides the actual answer; a potential this deep
     # pushes the negative block across zero on this grid
     assert not report.subordinated
+
+
+@pytest.mark.parametrize("where", ["block", "theta"])
+def test_split_identity_sees_a_perturbation_of_1e_6(monkeypatch, tmp_path, where):
+    """Negative control of the split identity: one rotated block, or the
+    Theta that the identity reads, scaled by 1 + 1e-6 lifts
+    ``block_identity_residual`` above 1e-8, and ``dirac`` exits 1."""
+    problem = _problem(n=4, amplitude=0.05)
+    assert check_subordination_split(problem).block_identity_residual <= 1e-14
+    if where == "block":
+        rotate = dirac._fw_block_matrix
+
+        def perturbed(ops):
+            bm = rotate(ops)
+            return BlockMatrix(bm.A0 * (1 + 1e-6), bm.A1, bm.W0, bm.W1)
+
+        monkeypatch.setattr(dirac, "_fw_block_matrix", perturbed)
+    else:
+        split = dirac.check_subordination_split
+
+        def perturbed(problem, bm=None, ops=None):
+            ops = build_operators(problem) if ops is None else ops
+            bm = dirac._fw_block_matrix(ops) if bm is None else bm
+            tilted = dataclasses.replace(ops, theta_op=ops.theta_op * (1 + 1e-6))
+            return split(problem, bm, ops=tilted)
+
+        monkeypatch.setattr(dirac, "check_subordination_split", perturbed)
+    assert dirac.check_subordination_split(problem).block_identity_residual > 1e-8
+    out = tmp_path / "report.json"
+    assert main(["dirac", "--n", "4", "--amplitude", "0.05", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["residuals"]["split_identity"] > 1e-8
 
 
 def test_pipeline_zero_potential():

@@ -823,15 +823,198 @@ def test_frame_solve_sweeps_at_least_halve_their_change(seed, n0, n1, coupling):
     )
 
 
+def _exact_gate_solve(b, frame):
+    """``(Z, sweeps, iterates)`` of the frame solve with both gates on the
+    exact ``norm_F(E1) + norm_F(e0 - m Z)`` at every iterate, Z None where
+    they decline. ``iterates`` holds, for each gated iterate, its
+    contraction ratio, its separation bound over the gate's scale, the
+    exact ``norm_F(E0)`` and the bound ``norm_F(e0) + norm_F(m) norm_F(Z)``."""
+    norm = frobenius_norm
+    gap = float(np.min(np.abs(frame.delta)))
+    z, previous, iterates = np.zeros_like(frame.c), np.inf, []
+    for sweep in range(riccati.GRAPH_FRAME_MAX_SWEEPS + 1):
+        e1, e0 = frame.e1 - z @ frame.m, frame.e0 - frame.m @ z
+        scale = frame.pq + 2.0 * frame.kappa * norm(z) * b.norm_V
+        perturbation = norm(e1) + norm(e0)
+        bound = norm(frame.e0) + norm(frame.m) * norm(z)
+        iterates.append((perturbation / gap, (gap - perturbation) / scale, norm(e0), bound))
+        if (
+            gap - perturbation <= riccati.SYLVESTER_SEPARATION_TOL * scale
+            or perturbation > riccati.GRAPH_FRAME_CONTRACTION_MAX * gap
+            or sweep == riccati.GRAPH_FRAME_MAX_SWEEPS
+        ):
+            return None, sweep, iterates
+        step = (e1 @ z + z @ frame.e0 + frame.c) / frame.delta + z
+        change = norm(step)
+        if change <= riccati.GRAPH_FRAME_SWEEP_TOL * norm(z) or change >= previous:
+            return z, sweep, iterates
+        z, previous = z - step, change
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 9), st.integers(1, 9), st.floats(0.05, 2.0))
+def test_frame_solve_gate_bound_keeps_the_exact_verdicts(seed, n0, n1, coupling):
+    """The sweeps gate on ``norm_F(e0) + norm_F(m) norm_F(Z)`` for
+    ``norm_F(E0)`` and form ``m Z`` only where that bound declines. The
+    bound never falls below the exact norm (up to the rounding of ``m Z``),
+    and the solve at the second X returns what the solve gated on the exact
+    norm at every iterate returns: at the default constants, and with the
+    contraction bound or the separation tolerance just beside the largest
+    ratio or the tightest separation of the iterates."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    x, f = _second_step(b)
+    frame = riccati._graph_frame(b, x, f)
+    _, _, iterates = _exact_gate_solve(b, frame)
+    rounding = 1.0 + riccati.KERNEL_PROOF_ROUNDING * (n0 + n1) * np.finfo(float).eps
+    assert all(exact <= bound * rounding for _, _, exact, bound in iterates)
+    ratio = max(r for r, _, _, _ in iterates)
+    tightest = min(s for _, s, _, _ in iterates)
+    brackets = [("GRAPH_FRAME_CONTRACTION_MAX", riccati.GRAPH_FRAME_CONTRACTION_MAX)]
+    brackets += [("GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + d)) for d in (-1e-6, 1e-6)]
+    if tightest > 0:
+        brackets += [("SYLVESTER_SEPARATION_TOL", tightest * (1 + d)) for d in (-1e-6, 1e-6)]
+    for name, value in brackets:
+        with mock.patch.object(riccati, name, value):
+            z_ref, sweeps_ref, _ = _exact_gate_solve(b, frame)
+            z, sweeps = riccati._frame_solve(b, frame)
+        assert sweeps == sweeps_ref and (z is None) == (z_ref is None)
+        assert z is None or np.array_equal(z, z_ref)
+
+
+def _counting_m(m, products):
+    """``m`` viewed as an array that appends to ``products`` each product
+    ``m @ Z`` it heads (``Z @ m`` is not counted)."""
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[0] is self:
+                products.append(inputs[1].shape)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    return m.view(Counting)
+
+
+def _counted_newton(b):
+    """:func:`solve_newton_X0` on ``b`` with each frame's m counting its
+    products ``m @ Z``: the run's X and trace, its frames, the sweeps of each
+    frame solve, and the products."""
+    frames, sweeps, products = [], [], []
+    make, solve = riccati._graph_frame, riccati._frame_solve
+
+    def counting(*args):
+        frame = make(*args)
+        if frame is not None and frame.m is not None:
+            frame = frame._replace(m=_counting_m(frame.m, products))
+        frames.append(frame)
+        return frame
+
+    def recorded(b, frame):
+        z, taken = solve(b, frame)
+        sweeps.append(taken)
+        return z, taken
+
+    with mock.patch.object(riccati, "_graph_frame", counting), mock.patch.object(
+        riccati, "_frame_solve", recorded
+    ):
+        x, trace = solve_newton_X0(b)
+    return x, trace, frames, sweeps, products
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_gapped_newton_takes_one_frame_solve(seed):
     """Cost guard: on a gapped dim-80 problem the run is the Newton step
-    from X = 0 and one frame solve in one factorized frame."""
+    from X = 0, one sweep in a frame with no e1 or e0, and one frame solve
+    in one factorized frame, where the gate's bound decides every sweep
+    and no ``m @ Z`` is formed."""
     b = random_case(40, 40, gap=1.0, coupling=0.5, seed=seed).block
-    _, trace = solve_newton_X0(b)
+    x, trace, frames, sweeps, products = _counted_newton(b)
     assert trace.converged
     assert trace.frames == 1 and trace.schur_steps == 0
-    assert trace.iterations == 2 and trace.sweeps <= 10
+    assert trace.iterations == 2 and trace.sweeps <= 8
+    assert frames[0].e1 is None and frames[0].e0 is None and sweeps[0] == 1
+    assert products == []
+    x_ref, _ = _schur_only(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_counted_m_z_products_are_formed_where_the_bound_declines():
+    """The count is live: with the contraction bound just above the largest
+    exact ratio of the frame solve, the bound declines at some sweep, that
+    sweep forms ``m @ Z``, and the exact norm lets the solve go ahead."""
+    b = random_case(40, 40, gap=1.0, coupling=0.5, seed=0).block
+    x, f = _second_step(b)
+    _, _, iterates = _exact_gate_solve(b, riccati._graph_frame(b, x, f))
+    ratio = max(r for r, _, _, _ in iterates)
+    with mock.patch.object(riccati, "GRAPH_FRAME_CONTRACTION_MAX", ratio * (1 + 1e-6)):
+        _, trace, _, _, products = _counted_newton(b)
+    assert trace.converged and trace.schur_steps == 0
+    assert products and all(shape == (40, 40) for shape in products)
+
+
+def _newton_blocks(b, **kwargs):
+    """:func:`solve_newton_X0` on ``b``: its trace and the blocks, centred
+    and scaled, that it made each graph frame of."""
+    seen, make = [], riccati._graph_frame
+
+    def recording(blocks, x, *args):
+        seen.append(blocks)
+        return make(blocks, x, *args)
+
+    with mock.patch.object(riccati, "_graph_frame", recording):
+        _, trace = solve_newton_X0(b, **kwargs)
+    return trace, seen
+
+
+def _eigh_A_rounding(blocks):
+    """``norm_F(V1* A1 V1 - L1) + norm_F(L0 - V0* A0 V0)`` over ``eigh_A``
+    and its a-priori bound ``KERNEL_PROOF_ROUNDING dim eps pq``."""
+    (lam0, v0), (lam1, v1) = blocks.eigh_A
+    measured = np.linalg.norm(v1.conj().T @ blocks.A1 @ v1 - np.diag(lam1))
+    measured += np.linalg.norm(np.diag(lam0) - v0.conj().T @ blocks.A0 @ v0)
+    pq = np.linalg.norm(blocks.A1) + np.linalg.norm(blocks.A0)
+    return measured, riccati.KERNEL_PROOF_ROUNDING * blocks.dim * np.finfo(float).eps * pq
+
+
+@PROPERTY
+@given(
+    seeds, st.integers(1, 12), st.integers(1, 12), st.floats(0.1, 4.0),
+    st.floats(-1e6, 1e6),
+)
+def test_eigh_A_rounding_is_within_the_x0_frames_a_priori_bound(
+    seed, n0, n1, coupling, s
+):
+    """The frame at X = 0 forms no e1 and e0: its gates take the bound
+    ``KERNEL_PROOF_ROUNDING dim eps (norm_F(A1) + norm_F(A0))`` for
+    ``norm_F(V1* A1 V1 - L1) + norm_F(L0 - V0* A0 V0)`` over ``eigh_A``.
+    The measured value never exceeds it: on shifted ``random_case`` blocks
+    and on the centred, power-of-two-scaled blocks Newton runs on."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    shifted = BlockMatrix(b.A0 + s * np.eye(n0), b.A1 + s * np.eye(n1), b.W0, b.W1)
+    _, seen = _newton_blocks(shifted, max_iter=1)
+    for blocks in (shifted, *seen):
+        measured, bound = _eigh_A_rounding(blocks)
+        assert measured <= bound
+
+
+def test_x0_frame_declines_on_spectra_touching_within_its_rounding_bound():
+    """Negative control of the a-priori bound: diagonal blocks whose spectra
+    come within the bound (A1's g against A0's 0). ``eigh_A`` of diagonal
+    blocks is exact, so a gate on the measured e1, e0 would pass; the frame
+    at X = 0 declines, and with the separation tolerance below the gap the
+    step is the Schur step. At the default tolerance both routes refuse."""
+    g = 1e-14
+    w0 = np.full((3, 3), 0.1)
+    w0[0, 2] = 0.0  # no coupling across the touching pair
+    b = BlockMatrix(np.diag([-1.0, -0.5, 0.0]), np.diag([g, 0.5, 1.0]), w0, w0.T.copy())
+    with pytest.raises(SylvesterSingularError):
+        solve_newton_X0(b)
+    with mock.patch.object(riccati, "SYLVESTER_SEPARATION_TOL", 1e-17):
+        trace, (scaled,) = _newton_blocks(b, max_iter=1)
+        assert trace.schur_steps == 1 and trace.sweeps == 0
+        measured, bound = _eigh_A_rounding(scaled)
+        frame = riccati._graph_frame(scaled, np.zeros((3, 3), complex), scaled.W0)
+        assert measured < 0.5 * np.min(np.abs(frame.delta)) < bound
+        assert riccati._frame_solve(scaled, frame) == (None, 0)
 
 
 @PROPERTY
