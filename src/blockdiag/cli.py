@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import angular, criteria, dirac, riccati, subordinated, transform
-from .core import BlockMatrix, frobenius_norm, is_symmetric_offdiag, relative, shift_distance
+from .core import BlockMatrix, is_symmetric_offdiag, relative, shift_distance
 from .errors import (
     BlockdiagError,
     HypothesisError,
@@ -91,6 +91,16 @@ def _residuals(tol: float, **values) -> list[Gate]:
 def _holds(name: str, ok: bool, kind: str = "check") -> Gate:
     """A library check that returns only a bool: 0 if it holds, else 1."""
     return Gate(name, 0.0 if ok else 1.0, 0.5, kind)
+
+
+def _fields(obj, *names: str) -> dict:
+    """The named attributes of a library result, as a report object."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _block_spectra(prefix: str, result) -> dict:
+    """The spectra of a transform result's diagonal blocks, by block."""
+    return {f"{prefix}block{i}": eigenvalues(m) for i, m in enumerate(result.diag_blocks)}
 
 
 @contextmanager
@@ -179,10 +189,7 @@ def _check(args, report, problem) -> list[Gate]:
     report.spectra["diag_left"] = ident.left_spectrum
     report.flags["hermitian"] = b.hermitian
     report.flags["symmetric_offdiag"] = is_symmetric_offdiag(b)
-    report.certificates["complementarity"] = {
-        "sigma_min": comp.sigma_min,
-        "norm_Y": comp.norm_Y,
-    }
+    report.certificates["complementarity"] = _fields(comp, "sigma_min", "norm_Y")
     return _residuals(
         tol,
         riccati_x0=r0.rel_norm,
@@ -204,19 +211,9 @@ def _diagonalize(args, report, problem) -> list[Gate]:
     with _timed(report.timings, "total"):
         pair = angular.spectral_pair(b, mu)
         left, right = transform.diagonalize(b, pair)
-    report.spectra.update(
-        {
-            "left_block0": eigenvalues(left.diag_blocks[0]),
-            "left_block1": eigenvalues(left.diag_blocks[1]),
-            "right_block0": eigenvalues(right.diag_blocks[0]),
-            "right_block1": eigenvalues(right.diag_blocks[1]),
-        }
-    )
+    report.spectra.update(_block_spectra("left_", left) | _block_spectra("right_", right))
     report.flags["reliable"] = left.reliable and right.reliable
-    report.certificates["conditioning"] = {
-        "left": left.conditioning,
-        "right": right.conditioning,
-    }
+    report.certificates["conditioning"] = {"left": left.conditioning, "right": right.conditioning}
     return _residuals(
         args.tol, offdiag_left=left.offdiag_rel_norm, offdiag_right=right.offdiag_rel_norm
     )
@@ -227,12 +224,7 @@ def _triangularize(args, report, problem) -> list[Gate]:
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         tri = transform.triangularize(b, angular.spectral_graph(b, mu).X)
-    report.spectra.update(
-        {
-            "block0": eigenvalues(tri.diag_blocks[0]),
-            "block1": eigenvalues(tri.diag_blocks[1]),
-        }
-    )
+    report.spectra.update(_block_spectra("", tri))
     return _residuals(args.tol, lower_left=tri.lower_left_rel_norm)
 
 
@@ -242,23 +234,17 @@ def _riccati_solve(args, report, problem) -> list[Gate]:
         x, trace = riccati.solve_newton_X0(
             b, tol=args.tol, max_iter=args.max_iter
         )
-    report.certificates["newton"] = {
-        "iterations": trace.iterations,
-        "schur_steps": trace.schur_steps,
-        "frames": trace.frames,
-        "sweeps": trace.sweeps,
-        "trace": trace.iterates,
-    }
+    counts = _fields(trace, "iterations", "schur_steps", "frames", "sweeps")
+    report.certificates["newton"] = {**counts, "trace": trace.iterates}
     gates = [*_residuals(args.tol, final=trace.iterates[-1]), _holds("converged", trace.converged)]
-    # only a converged X is compared with the spectral one
+    # only a converged X is certified the spectral one: Newton from X = 0
+    # can converge to another solution of the graph equation
     if not (b.hermitian and trace.converged):
         return gates
-    mu = _resolve_mu(args, problem)
-    with _timed(report.timings, "spectral_crosscheck"):
-        pair = angular.spectral_pair(b, mu)
-    delta = frobenius_norm(x - pair.X0) / (1.0 + pair.singular_values_X0[0])
-    # Newton from X = 0 can converge to another solution of the graph equation
-    return gates + _residuals(CHECK_TOL, newton_vs_spectral=delta)
+    mu = args.mu if args.mu is not None else problem.mu
+    with _timed(report.timings, "spectral_certificate"):
+        bound = riccati.x0_forward_error_bound(b, x, mu)
+    return gates + _residuals(CHECK_TOL, x0_forward_error_bound=bound)
 
 
 def _theorem_gates(report, result: subordinated.TheoremResult, norm_x, tol) -> list[Gate]:
@@ -283,12 +269,8 @@ def _subordinated(args, report, problem) -> list[Gate]:
     with _timed(report.timings, "pipeline"):
         result = subordinated.run_theorem(b, mu=mu, tol=args.tol)
     check = result.check
-    report.certificates["subordination"] = {
-        "mu": check.mu,
-        "sup_spec_A0": check.sup_spec_A0,
-        "inf_spec_A1": check.inf_spec_A1,
-        "gap": check.gap,
-    }
+    names = ("mu", "sup_spec_A0", "inf_spec_A1", "gap")
+    report.certificates["subordination"] = _fields(check, *names)
     report.flags["symmetric_offdiag"] = check.symmetric_V
     res_l, res_perp = result.invariance_residuals
     return [
@@ -304,14 +286,8 @@ def _neumann(args, report, problem) -> list[Gate]:
     with _timed(report.timings, "total"):
         pair = angular.spectral_pair(b, mu)
         cert = criteria.neumann_certificate(b, pair, complex(*args.lam))
-    report.certificates["neumann"] = {
-        "lambda": cert.lam,
-        "norm_V_resolvent": cert.norm_V_resolvent,
-        "norm_Y": cert.norm_Y,
-        "product": cert.product,
-        "sigma_min_B": cert.sigma_min_B,
-        "sigma_min_AYV": cert.sigma_min_AYV,
-    }
+    names = ("norm_V_resolvent", "norm_Y", "product", "sigma_min_B", "sigma_min_AYV")
+    report.certificates["neumann"] = {"lambda": cert.lam, **_fields(cert, *names)}
     return [_holds("holds", cert.holds)]
 
 
@@ -329,7 +305,7 @@ def _relbound(args, report, problem) -> list[Gate]:
 
 def _dirac(args, report, problem) -> list[Gate]:
     names = ("n", "box", "amplitude", "profile", "radius", "center")
-    report.inputs_digest = digest_obj({name: getattr(args, name) for name in names})
+    report.inputs_digest = digest_obj(_fields(args, *names))
     problem = dirac.DiracProblem(
         grid=dirac.GridSpec(n=args.n, length=args.box),
         potential=dirac.ImpurityPotential(
@@ -346,10 +322,10 @@ def _dirac(args, report, problem) -> list[Gate]:
         split = exc.report
         if split is None:
             split = dirac.check_subordination_split(problem)
-        report.certificates["subordination"] = _split_obj(split)
+        report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)
         return [_holds("subordinated", False, "hypothesis")]
     split = result.split
-    report.certificates["subordination"] = _split_obj(split)
+    report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)
     report.spectra.update(
         {
             "H": result.h_eigenvalues,
@@ -372,9 +348,10 @@ def _dirac(args, report, problem) -> list[Gate]:
     ]
 
 
-def _split_obj(split: dirac.DiracSplitReport) -> dict:
-    names = ("sup_spec_A1", "inf_spec_A0", "margin", "u_inf", "k_min", "block_identity_residual")
-    return {name: getattr(split, name) for name in names}
+#: The fields of a :class:`~blockdiag.dirac.DiracSplitReport` that ``dirac`` reports.
+_SPLIT_FIELDS = (
+    "sup_spec_A1", "inf_spec_A0", "margin", "u_inf", "k_min", "block_identity_residual"
+)
 
 
 def _emit_dirac_data(directory: str, problem: dirac.DiracProblem, result) -> None:

@@ -201,20 +201,12 @@ class BlockMatrix:
     def __post_init__(self):
         for name in ("A0", "A1", "W0", "W1"):
             object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        n0 = self.A0.shape[0]
-        n1 = self.A1.shape[0]
-        if self.A0.shape != (n0, n0):
-            raise StructuralError(f"A0 must be square, got {self.A0.shape}")
-        if self.A1.shape != (n1, n1):
-            raise StructuralError(f"A1 must be square, got {self.A1.shape}")
-        if self.W0.shape != (n1, n0):
-            raise StructuralError(
-                f"W0 must have shape {(n1, n0)}, got {self.W0.shape}"
-            )
-        if self.W1.shape != (n0, n1):
-            raise StructuralError(
-                f"W1 must have shape {(n0, n1)}, got {self.W1.shape}"
-            )
+        n0, n1 = self.A0.shape[0], self.A1.shape[0]
+        shapes = {"A0": (n0, n0), "A1": (n1, n1), "W0": (n1, n0), "W1": (n0, n1)}
+        for name, shape in shapes.items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise StructuralError(f"{name} must have shape {shape}, got {got}")
 
     @property
     def n0(self) -> int:

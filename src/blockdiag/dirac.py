@@ -27,7 +27,9 @@ import numpy as np
 
 from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, relative
 from .errors import HypothesisError, NumericError, StructuralError
+from .spectral import _ORTHO_TOL
 from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
+from .transform import frame_angle_bound
 
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
 FW_UNITARITY_TOL = 1e-10
@@ -363,12 +365,13 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     subspaces, mapped back through the spinor rotation, and the
     negative/positive spectral subspaces of the position-space operator.
     The bounds come from the theorem's skew-pair frame in the rotated
-    coordinates (:meth:`~blockdiag.subordinated.TheoremResult.angle_bounds`),
-    with no product of the full dimension: its slack covers the unitarity
-    defect of the rotation and the rounding of the rotated blocks, and the
-    sine of each angle grows by the rotation's tilt (README "Numerics
-    notes"). The spectrum of H is read off the one ``eigh`` of the rotated
-    matrix that the subordinated pipeline takes.
+    coordinates (:func:`~blockdiag.transform.frame_angle_bound`), with no
+    product of the full dimension: its slack covers the unitarity defect of
+    the rotation and the rounding of the rotated blocks, and the sine of
+    each angle grows by the distance of L or L_perp from its graph and by
+    the rotation's tilt (README "Numerics notes"). The spectrum of H is
+    read off the one ``eigh`` of the rotated matrix that the subordinated
+    pipeline takes.
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
@@ -386,7 +389,24 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     # T* tilts a span by at most eps / (1 - eps) from the one V* gives
     r = KERNEL_PROOF_ROUNDING * swapped.dim * _EPS
     eps = unitarity + r
-    sines = theorem.angle_bounds(swapped, (r + eps * (2.0 + eps)) * report.norm_bound)
+    x, xh, right, n0 = theorem.X, theorem.X.conj().T, theorem.diag_results[1], swapped.n0
+    (m00, m11), w, mu = right.diag_blocks, swapped.eigh[0], theorem.mu
+    t0, t1 = (w[n0 - 1] + mu) / 2.0, (w[n0] + mu) / 2.0
+    # t0 S0 - C00 and C11 - t1 S1 from the right form's closed-form blocks:
+    # C00 = m00 + X* (W0 + A1 X) and C11 = m11 - X (W1 - A0 X*)
+    definite = (
+        t0 * np.eye(n0) - m00 - xh @ (swapped.W0 + swapped.A1 @ x - t0 * x),
+        m11 - t1 * np.eye(swapped.n1) - x @ (swapped.W1 - swapped.A0 @ xh + t1 * xh),
+    )
+    sine = frame_angle_bound(
+        definite, theorem.norm_X, (t0, t1), mu, right.frame_defects[0], swapped.norm,
+        (r + eps * (2.0 + eps)) * report.norm_bound,
+    )
+    # the distances of L and L_perp from the graphs, over their least singular values
+    q, q_perp = theorem.L.basis, theorem.L_perp.basis
+    outside = (q[n0:] - x @ q[:n0], q_perp[:n0] + xh @ q_perp[n0:])
+    rho, sigma = r * (1.0 + theorem.norm_X) ** 2, math.sqrt(1.0 - _ORTHO_TOL - 2.0 * r)
+    sines = (sine + (frobenius_norm(e) + rho) / sigma for e in outside)
     angle_minus, angle_plus = (math.asin(min(1.0, s + eps / (1.0 - eps))) for s in sines)
     return DiracPipelineResult(
         theorem=theorem,

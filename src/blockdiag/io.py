@@ -31,6 +31,9 @@ REPORT_SCHEMA = "blockdiag-report/1"
 #: The matrix payload key of each problem schema the reader accepts.
 _PAYLOAD_KEYS = {"blockdiag/1": "data", PROBLEM_SCHEMA: "b64"}
 
+#: The four blocks of a problem, in the order a file lists them.
+_BLOCKS = ("A0", "A1", "W0", "W1")
+
 #: Byte order, type and size of one entry of a ``b64`` payload.
 _ENTRY = np.dtype("<c16")
 
@@ -138,10 +141,7 @@ class ProblemFile:
             "schema": PROBLEM_SCHEMA,
             "n0": self.block.n0,
             "n1": self.block.n1,
-            "A0": matrix_to_obj(self.block.A0),
-            "A1": matrix_to_obj(self.block.A1),
-            "W0": matrix_to_obj(self.block.W0),
-            "W1": matrix_to_obj(self.block.W1),
+            **{name: matrix_to_obj(getattr(self.block, name)) for name in _BLOCKS},
             "mu": self.mu,
             "metadata": {str(k): str(v) for k, v in self.metadata.items()},
         }
@@ -157,12 +157,7 @@ class ProblemFile:
                 f"unsupported problem schema {schema!r} "
                 f"(expected one of {', '.join(map(repr, _PAYLOAD_KEYS))})"
             )
-        block = BlockMatrix(
-            **{
-                name: matrix_from_obj(obj.get(name), name, key)
-                for name in ("A0", "A1", "W0", "W1")
-            }
-        )
+        block = BlockMatrix(**{name: matrix_from_obj(obj.get(name), name, key) for name in _BLOCKS})
         for n, a, size in (("n0", "A0", block.n0), ("n1", "A1", block.n1)):
             if n in obj and int(obj[n]) != size:
                 raise StructuralError(f"declared {n} = {obj[n]} does not match {a} of size {size}")

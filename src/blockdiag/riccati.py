@@ -4,8 +4,9 @@ The graph of ``X0`` over H0 is invariant for the assembled block matrix
 exactly when ``A1 X0 - X0 A0 - X0 W1 X0 + W0 = 0``; the mirrored equation
 characterizes graphs over H1, and both combine into a single quadratic
 equation for the off-diagonal operator Y. The Newton iteration solves the
-H0 equation without an eigensolve of the assembled matrix and serves as a
-mutual oracle for the spectral route.
+H0 equation without an eigensolve of the assembled matrix, and on
+Hermitian input :func:`x0_forward_error_bound` certifies, in the graph
+frame of the X it found, how far that X is from the spectral one.
 
 Each Newton step is the Sylvester equation ``P D - D Q = -F`` with
 ``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input (bitwise
@@ -47,7 +48,8 @@ from .core import (
     schur_diagonal,
     triangular_form,
 )
-from .errors import NumericError, StructuralError, SylvesterSingularError
+from .errors import HypothesisError, NumericError, StructuralError, SylvesterSingularError
+from .transform import frame_angle_bound
 
 #: Relative spectra separation at or below which a Sylvester equation is
 #: treated as singular.
@@ -300,6 +302,20 @@ class _GraphFrame(NamedTuple):
     pq: float
 
 
+def _compressions(b: BlockMatrix, x, products=None) -> tuple:
+    """``(P, Q, (H0, S0), (H1, S1))`` at X, with the compressions
+    ``H0 = G* B G``, ``H1 = K* B K`` and Gram matrices S0, S1 of
+    :class:`_GraphFrame`, from the list of the products ``A1 X, X A0, X W1``
+    of :func:`_residual` at X (formed when None), which it empties."""
+    products = products or [b.A1 @ x, x @ b.A0, x @ b.W1]
+    # popped off the caller's list (X W1, then A1 X, then X A0), so that
+    # each is freed once used
+    xh, p, q = x.conj().T, b.A1 - products.pop(), b.A0 + b.W1 @ x
+    # G* B G = Q + X* (W0 + A1 X) and K* B K = P - (W0 - X A0) X*
+    h0, h1 = q + xh @ (b.W0 + products.pop(0)), p - (b.W0 - products.pop()) @ xh
+    return p, q, (h0, xh @ x + np.eye(b.n0)), (h1, x @ xh + np.eye(b.n1))
+
+
 def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
     """The graph frame at X, with ``f = F(X)`` and the list of the products
     ``A1 X, X A0, X W1`` of :func:`_residual` at X (formed when None), which
@@ -311,21 +327,18 @@ def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
         (lam0, v0), (lam1, v1) = b.eigh_A
         p, q, t1, t0inv, e1, e0, m = b.A1, b.A0, v1, v0.conj().T, None, None, None
     else:
-        products = products or [b.A1 @ x, x @ b.A0, x @ b.W1]
-        # popped off the caller's list (X W1, then A1 X, then X A0), so that
-        # each is freed once used
-        xh, p, q = x.conj().T, b.A1 - products.pop(), b.A0 + b.W1 @ x
-        # G* B G = Q + X* (W0 + A1 X) and K* B K = P - (W0 - X A0) X*
-        h0, h1 = q + xh @ (b.W0 + products.pop(0)), p - (b.W0 - products.pop()) @ xh
-        s0, s1 = xh @ x + np.eye(b.n0), x @ xh + np.eye(b.n1)
+        p, q, *pencils = _compressions(b, x, products)
         try:
-            lam0, v0 = scipy.linalg.eigh(h0, s0, overwrite_a=True, overwrite_b=True)
-            lam1, v1 = scipy.linalg.eigh(h1, s1, overwrite_a=True, overwrite_b=True)
+            (lam0, v0), (lam1, v1) = (
+                scipy.linalg.eigh(*pencil, overwrite_a=True, overwrite_b=True)
+                for pencil in pencils
+            )
         except (np.linalg.LinAlgError, ValueError):
             # S not numerically positive definite, or a compression that
             # overflowed (refused as non-finite)
             return None
-        del h0, h1, s0, s1
+        del pencils
+        xh = x.conj().T
         t0inv = v0.conj().T + (x @ v0).conj().T @ x
         t1 = v1 + x @ (xh @ v1)
         e1 = v1.conj().T @ p @ t1 - np.diag(lam1)
@@ -486,3 +499,76 @@ def solve_newton_X0(
         frames=frames,
         sweeps=sweeps,
     )
+
+
+def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
+    """Certified bound on ``norm_F(X - X0) / (1 + norm(X0))`` on Hermitian b.
+
+    X0 is the spectral angular operator: graph(X0) is the invariant
+    subspace of the n0 lowest eigenvalues of every Hermitian B' within
+    ``slack = norm_F(B - B*) / 2`` of the Hermitian part ``H = (B + B*) / 2``
+    (slack 0 and H = B on bitwise-Hermitian B). The bound is
+    :func:`~blockdiag.transform.frame_angle_bound` in the frame of X itself,
+    on H centred by ``c = tr(H) / dim`` and scaled by a power of two, as
+    Newton centres and scales its blocks:
+
+    - the ends are the extreme Ritz values of graph(X) and graph(-X*), the
+      largest and the least generalized eigenvalue of the compressions that
+      :func:`_graph_frame` factors (:func:`_compressions`), values only; the
+      trial ends lie halfway between them and mu, by default their midpoint;
+    - the coupling is ``norm_F(F(X))``: the frame's off-diagonal block is
+      ``L1^{-1} F(X) L0^{-*}`` with ``S_i = L_i L_i*`` and ``S_i >= I``;
+    - the norm, which scales only the rounding terms, is the largest Ritz
+      value magnitude plus the coupling, at least ``norm(H - cI)``.
+
+    For the certified angle theta and ``n = norm(X)`` (one half-size SVD),
+    ``norm(X - X0) <= e = (1 + n^2) tan(theta) / (1 - n tan(theta))`` while
+    ``n tan(theta) < 1``, so ``norm_F(X - X0) <= sqrt(min(n0, n1)) e``. That
+    is divided by ``1 + n(X) - e``, which is at most ``1 + norm(X0)`` when
+    it is at least 1 and only raises the bound below 1 (README "Numerics
+    notes"). inf when the frame does not certify X: a converged X whose
+    Ritz values interlace solves the graph equation but is not spectral. A
+    given mu that is not between ordered ends raises
+    :class:`HypothesisError`.
+    """
+    if not x.size:
+        return 0.0
+    full, n0, exact = b.full, b.n0, b.bitwise_hermitian
+    h = full.copy() if exact else 0.5 * full + 0.5 * full.conj().T
+    c = np.sum(h.diagonal().real / b.dim)
+    h.flat[:: b.dim + 1] -= c
+    # scaled by the power of two 2^k that brings the largest entry into
+    # [1/2, 1), as Newton scales its blocks: near the float range nothing
+    # overflows, and the bound does not change
+    k = np.frexp(np.max(np.abs(h.view(np.float64)), initial=0.0))[1]
+    h = np.ldexp(h.view(np.float64), -k).view(np.complex128)
+    h = BlockMatrix(h[:n0, :n0], h[n0:, n0:], h[n0:, :n0], h[:n0, n0:])
+    slack = 0.0 if exact else np.ldexp(frobenius_norm(0.5 * full - 0.5 * full.conj().T), -k)
+    f, _, products = _residual(h.A0, h.A1, h.W0, h.W1, x, 1.0)
+    (h0, s0), (h1, s1) = _compressions(h, x, products)[2:]
+    try:
+        w0 = scipy.linalg.eigh(h0, s0, eigvals_only=True)
+        w1 = scipy.linalg.eigh(h1, s1, eigvals_only=True)
+    except (np.linalg.LinAlgError, ValueError):
+        # S not numerically positive definite, or a compression that
+        # overflowed (refused as non-finite)
+        return np.inf
+    (r0, r1), coupling = (w0[-1], w1[0]), frobenius_norm(f)
+    # the frame's diagonal blocks have the Ritz values, its off-diagonal one
+    # a norm of at most the coupling: together a bound on norm(H - cI)
+    norm = np.max(np.abs([w0[0], r0, r1, w1[-1]])) + coupling
+    given, mu = mu, (r0 + r1) / 2.0 if mu is None else np.ldexp(mu - c, -k)
+    if r0 < r1 and not r0 < mu < r1:
+        ends = (np.ldexp(r, k) + c for r in (r0, r1))
+        raise HypothesisError(
+            "threshold {:.6g} is not between the Ritz values {:.6g} of graph(X) and "
+            "{:.6g} of graph(-X*)".format(given, *ends)
+        )
+    n = np.linalg.norm(x, 2)
+    t0, t1 = (r0 + mu) / 2.0, (r1 + mu) / 2.0
+    sine = frame_angle_bound((t0 * s0 - h0, h1 - t1 * s1), n, (t0, t1), mu, coupling, norm, slack)
+    cos = np.sqrt(1.0 - sine * sine)
+    e = (1.0 + n * n) * sine / (cos - n * sine) if n * sine < cos else np.inf
+    # at most 1 + norm(X0) when at least 1; below 1 it only raises the bound
+    d = 1.0 + norm_lower_bound(x) - e
+    return float(np.sqrt(min(x.shape)) * e / d) if d > 0.0 else np.inf

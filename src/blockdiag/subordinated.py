@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
 from .spectral import Subspace, null_space_basis
-from .transform import DiagonalizationResult, _lower, diagonalize, frame_angle_bound
+from .transform import DiagonalizationResult, _lower, diagonalize
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
 #: to the threshold mu and is routed through the kernel logic.
@@ -96,14 +96,6 @@ class TheoremResult:
     mu: float
     invariance_residuals: tuple[float, float]
     check: SubordinationCheck
-
-    def angle_bounds(self, b: BlockMatrix, slack: float) -> tuple[float, float]:
-        """Bounds on the sines of the largest angles of ``L`` and ``L_perp``
-        to the spectral subspaces below and above mu of every Hermitian B'
-        within ``slack`` of ``b``, the matrix the theorem ran on, from the
-        frame of the skew pair (:func:`~blockdiag.transform.frame_angle_bound`)."""
-        right, bases = self.diag_results[1], (self.L, self.L_perp)
-        return frame_angle_bound(b, self.X, self.norm_X, right, self.mu, slack, bases)
 
 
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:

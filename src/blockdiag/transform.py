@@ -68,7 +68,7 @@ from .core import (
     schur_diagonal,
 )
 from .errors import NotComplementaryError, StructuralError
-from .spectral import _ORTHO_TOL, Subspace, eigenvalues
+from .spectral import eigenvalues
 
 #: Condition number of I +/- Y beyond which a transform result is flagged
 #: unreliable (but still returned; near-non-complementary pairs are
@@ -302,63 +302,47 @@ def verify_extended_identity(
 
 
 def frame_angle_bound(
-    b: BlockMatrix, x, norm_x: float, right: DiagonalizationResult, mu: float, slack: float,
-    bases: tuple[Subspace, Subspace],
-) -> tuple[float, float]:
-    """Davis-Kahan tan 2Theta bounds from the frame of a skew pair, as sines.
+    definite, norm_x: float, ends: tuple[float, float], mu: float, coupling: float,
+    norm: float, slack: float,
+) -> float:
+    """Davis-Kahan tan 2Theta bound from the frame of a graph, as a sine.
 
-    ``b`` is bitwise Hermitian with n0, n1 >= 1, ``x`` the X0 of the skew
-    pair ``(X0, -X0*)``, ``norm_x >= norm(X0)``, and ``right`` the right
-    form of :func:`diagonalize` of both, with its ``frame_defects`` (the
-    pair within the block route). ``bases`` are orthonormal bases
-    (:class:`Subspace`) of n0 and n1 columns. Returns upper bounds on
-    ``norm(P - P')``, the sine of the largest angle, between the span of
-    the first and the spectral subspace below mu, and between the span of
-    the second and the one above, of every Hermitian B' with
-    ``norm(B' - b) <= slack``: the bound for graph(X0) and graph(-X0*)
-    plus the distances of the bases from them. 1, which bounds every such
-    distance, when the frame does not certify it.
+    ``G0 = [I; X]`` and ``G1 = [-X*; I]`` span graph(X) and its orthogonal
+    complement graph(-X*), n0, n1 >= 1, with ``norm(X) <= norm_x``; B is
+    Hermitian with norm at most ``norm``, ``C_ii = G_i* B G_i`` are its
+    compressions and ``S0 = I + X* X``, ``S1 = I + X X*`` the Gram matrices.
+    ``definite`` holds ``t0 S0 - C00`` and ``C11 - t1 S1``, formed by the
+    caller at the trial ``ends`` ``(t0, t1)``, and ``coupling`` bounds the
+    norm of the off-diagonal block ``U1* B U0`` of the unitary frame
+    ``U = [G0 L0^{-*}, G1 L1^{-*}]`` (``S_i = L_i L_i*``). Returns an upper
+    bound on ``norm(P - P')``, the sine of the largest angle, between
+    graph(X) and the spectral subspace below mu, and so between graph(-X*)
+    and the one above, of every Hermitian B' with ``norm(B' - B) <= slack``;
+    1, which bounds every such distance, when the frame does not certify it.
 
-    The frame ``U = [G0 L0^{-*}, G1 L1^{-*}]`` of :func:`diagonalize` has
-    the off-diagonal block ``right.frame_defects`` in ``U* B U``, and
-    diagonal blocks congruent to ``C00 = G0* B G0`` and ``C11 = G1* B G1``.
-    By Sylvester's law of inertia ``sup spec(U0* B U0) < t`` exactly when
-    ``t S0 - C00`` is positive definite, and ``inf spec(U1* B U1) > t``
-    when ``C11 - t S1`` is: one Cholesky each, at t halfway between mu and
-    the eigenvalue of the cached ``eigh`` next to the split, of a matrix
-    formed by two half-size products from ``right.diag_blocks``. README
-    "Numerics notes" derives the bound and its rounding slack.
+    ``U0* B U0`` and ``U1* B U1`` are congruent to C00 and C11, so by
+    Sylvester's law of inertia ``sup spec(U0* B U0) < t0`` exactly when
+    ``t0 S0 - C00`` is positive definite, and ``inf spec(U1* B U1) > t1``
+    when ``C11 - t1 S1`` is: one Cholesky each decides. The sine depends
+    only on the coupling and the ends; the Choleskys only pass or refuse
+    it. README "Numerics notes" derives the bound and its rounding slack.
     """
-    w, n0, x0, x1 = b.eigh[0], b.n0, x, -x.conj().T
-    r = KERNEL_PROOF_ROUNDING * b.dim * _EPS
+    r = KERNEL_PROOF_ROUNDING * sum(map(len, definite)) * _EPS
     rho = r * (1.0 + norm_x) ** 2
-    t0, t1 = (w[n0 - 1] + mu) / 2.0, (w[n0] + mu) / 2.0
     # the certified ends: each t moved out by the rounding of C_ii and t S_i,
     # and by the slack of B'
-    low, high = (t + sign * (rho * (b.norm + abs(t)) + slack) for sign, t in ((1, t0), (-1, t1)))
+    low, high = (t + sign * (rho * (norm + abs(t)) + slack) for sign, t in zip((1, -1), ends))
     if not low < mu < high:  # written so that NaN refuses too
-        return 1.0, 1.0
-    m00, m11 = right.diag_blocks
-    # with S0 = I - X1 X0, S1 = I - X0 X1 and C's diagonal blocks
-    # C00 = m00 - X1 (W0 + A1 X0), C11 = m11 - X0 (W1 + A0 X1):
-    # t0 S0 - C00 = t0 - m00 + X1 (W0 + A1 X0 - t0 X0), and
-    # C11 - t1 S1 = m11 - t1 - X0 (W1 + A0 X1 - t1 X1)
-    for m in (t0 * np.eye(n0) - m00 + x1 @ (b.W0 + b.A1 @ x0 - t0 * x0),
-              m11 - t1 * np.eye(b.n1) - x0 @ (b.W1 + b.A0 @ x1 - t1 * x1)):
+        return 1.0
+    for m in definite:
         m = 0.5 * (m + m.conj().T)
         # Rump's shift: a Cholesky of m - shift I that runs to its end
         # (zpotrf info 0; a NaN stops it) proves m positive definite
         shift = KERNEL_PROOF_ROUNDING * (len(m) + 1) * _EPS * np.sum(np.abs(m.diagonal()))
         m.flat[:: len(m) + 1] -= shift
         if scipy.linalg.lapack.zpotrf(m, lower=True, overwrite_a=True)[1]:
-            return 1.0, 1.0
-    coupling = right.frame_defects[0] + rho * b.norm + slack
-    sine = math.sin(0.5 * math.atan2(2.0 * coupling, high - low))
-    # the distances of the bases from the graphs, over their least singular values
-    q, q_perp = (s.basis for s in bases)
-    outside = (q[n0:] - x0 @ q[:n0], q_perp[:n0] - x1 @ q_perp[n0:])
-    sigma = math.sqrt(1.0 - _ORTHO_TOL - 2.0 * r)
-    return tuple(sine + (frobenius_norm(e) + rho) / sigma for e in outside)
+            return 1.0
+    return math.sin(0.5 * math.atan2(2.0 * (coupling + rho * norm + slack), high - low))
 
 
 def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:

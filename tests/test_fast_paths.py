@@ -296,6 +296,10 @@ def _record_shapes(monkeypatch, owner, name):
 def _kernels(monkeypatch):
     return {
         "eigh": _record_shapes(monkeypatch, np.linalg, "eigh"),
+        "eigvalsh": _record_shapes(monkeypatch, np.linalg, "eigvalsh"),
+        # generalized and values-only eigensolves of a pencil
+        "scipy_eigh": _record_shapes(monkeypatch, scipy.linalg, "eigh"),
+        "cholesky": _record_shapes(monkeypatch, np.linalg, "cholesky"),
         "eigvals": _record_shapes(monkeypatch, np.linalg, "eigvals"),
         "svd": _record_shapes(monkeypatch, np.linalg, "svd"),
         "schur": _record_shapes(monkeypatch, scipy.linalg, "schur"),
@@ -329,6 +333,27 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     assert full not in calls["solve"]
     # the spectral identity is certified from the eigh: no block takes eigvals
     assert calls["eigvals"] == []
+
+
+@pytest.mark.parametrize("mu", [0.0, None])
+def test_hermitian_riccati_solve_factors_no_matrix_of_the_full_dimension(
+    tmp_path, monkeypatch, mu
+):
+    """Newton and the graph certificate of its X, with or without mu in the
+    file: no eigensolve, Schur form or SVD of B. The certificate takes one
+    values-only generalized ``eigh`` per compression of B at X, and no
+    other factorization: its norm is a Frobenius norm, and its definiteness
+    tests call LAPACK ``zpotrf`` itself."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    path = tmp_path / "problem.json"
+    save_problem(path, ProblemFile(block=b, mu=mu))
+    calls = _kernels(monkeypatch)
+    assert main(["riccati-solve", str(path)]) == 0
+    full = (b.dim, b.dim)
+    for name in ("eigh", "scipy_eigh", "eigvalsh", "eigvals", "schur", "svd"):
+        assert full not in calls[name], name
+    assert calls["scipy_eigh"][-2:] == [(6, 6), (5, 5)]
+    assert calls["eigvalsh"] == [] and calls["cholesky"] == []
 
 
 def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):

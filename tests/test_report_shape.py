@@ -105,7 +105,7 @@ SHAPES = {
         "certificates.newton.trace",
         "flags.converged",
         "residuals.final",
-        "residuals.newton_vs_spectral",
+        "residuals.x0_forward_error_bound",
         "spectra",
         "verdict.decided_by",
         "verdict.margin",

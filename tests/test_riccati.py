@@ -1121,3 +1121,108 @@ def test_perturbed_frame_is_refreshed_at_the_final_check():
     assert trace.converged and reference.converged
     assert trace.frames == reference.frames + 1
     assert trace.iterations == reference.iterations + 1
+
+
+# --- the graph certificate of riccati-solve ----------------------------------
+
+
+def _g_plus_g_star(seed, n0, n1):
+    """``g + g*`` for a random complex g: Hermitian, with the spectra of the
+    diagonal blocks interlaced, where Newton from X = 0 mostly converges to
+    a solution of the graph equation that is not the spectral one."""
+    rng = np.random.default_rng(seed)
+    n = n0 + n1
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g + g.conj().T
+    return BlockMatrix(h[:n0, :n0], h[n0:, n0:], h[n0:, :n0], h[:n0, n0:])
+
+
+def _oracle_distance(b, x):
+    """``norm_F(X - X0) / (1 + norm(X0))`` against the spectral X0 of a
+    50-digit ``mpmath`` eigendecomposition of B."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        full = mpmath.matrix(b.full.tolist())
+        q = mpmath.eigh(full)[1]
+        n0, n1 = b.n0, b.n1
+        v0 = mpmath.matrix([[q[i, j] for j in range(n0)] for i in range(n0)])
+        v1 = mpmath.matrix([[q[n0 + i, j] for j in range(n0)] for i in range(n1)])
+        x0 = v1 * mpmath.inverse(v0)
+        norm_x0 = mpmath.sqrt(max(mpmath.eigh(x0.H * x0)[0]))
+        dist = mpmath.mnorm(mpmath.matrix(x.tolist()) - x0, "f")
+        return float(dist / (1 + norm_x0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds,
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["gapped", "interlaced"]),
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.0, 1e-12, 1e-10, 1e-9]),
+)
+def test_x0_forward_error_bound_bounds_the_distance_to_the_spectral_x0(
+    seed, n0, n1, kind, coupling, tilt
+):
+    """Whenever the gate passes, its value is at least the distance of
+    Newton's X, or of X moved by ``tilt``, from the spectral X0, measured as
+    the former cross-check did, against a 50-digit X0: it is never looser
+    than that oracle."""
+    if kind == "gapped":
+        b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed % 2**16).block
+    else:
+        b = _g_plus_g_star(seed, n0, n1)
+    try:
+        x, trace = solve_newton_X0(b)
+    except SylvesterSingularError:
+        assume(False)
+    assume(trace.converged)
+    x = x + tilt * np.random.default_rng(seed).standard_normal(x.shape)
+    bound = riccati.x0_forward_error_bound(b, x)
+    assert bound > 1e-8 or bound >= _oracle_distance(b, x)
+
+
+def test_x0_forward_error_bound_refuses_a_frame_whose_ends_interlace():
+    """The first interlaced case: Newton converges, to a solution that is
+    not spectral, and the certificate refuses it outright."""
+    b = _g_plus_g_star(0, 4, 4)
+    x, trace = solve_newton_X0(b)
+    assert trace.converged
+    assert _oracle_distance(b, x) > 1e-2
+    assert riccati.x0_forward_error_bound(b, x) == np.inf
+
+
+def test_x0_forward_error_bound_certifies_the_hermitian_part_with_its_slack():
+    """On input that is Hermitian only to tolerance the certificate runs on
+    ``(B + B*) / 2`` with a slack of ``norm_F(B - B*) / 2``, in the units of
+    the blocks it scales by 2^-k; on bitwise Hermitian input the slack is 0."""
+    b = random_case(5, 4, gap=1.0, coupling=0.5, seed=3).block
+    nearly = BlockMatrix(b.A0 + 1e-12j * np.eye(5), b.A1, b.W0, b.W1)
+    assert nearly.hermitian and not nearly.bitwise_hermitian
+    slacks = []
+    original = riccati.frame_angle_bound
+
+    def recorded(*args):
+        slacks.append(args[-1])
+        return original(*args)
+
+    with mock.patch.object(riccati, "frame_angle_bound", recorded):
+        bounds = [riccati.x0_forward_error_bound(m, solve_newton_X0(m)[0]) for m in (b, nearly)]
+    defect = frobenius_norm(nearly.full - nearly.full.conj().T)
+    h = (nearly.full + nearly.full.conj().T) / 2
+    h -= np.trace(h).real / h.shape[0] * np.eye(h.shape[0])
+    k = np.frexp(np.max(np.abs(h.view(np.float64))))[1]
+    assert slacks[0] == 0.0 and slacks[1] >= np.ldexp(defect / 2, -k) > 0.0
+    assert bounds[0] <= bounds[1] <= 1e-8
+
+
+def test_x0_forward_error_bound_refuses_a_given_mu_outside_its_ends():
+    from blockdiag.errors import HypothesisError
+
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    x = solve_newton_X0(b)[0]
+    assert riccati.x0_forward_error_bound(b, x, 0.0) <= 1e-8
+    with pytest.raises(HypothesisError, match="not between the Ritz values"):
+        riccati.x0_forward_error_bound(b, x, 5.0)

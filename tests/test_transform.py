@@ -739,12 +739,12 @@ def test_match_spectra_bracket_gives_the_exhaustive_search(seed, n, grid):
 def test_frame_angle_bound_bounds_the_angles_to_the_spectral_subspaces(
     seed, n0, n1, coupling, tilt
 ):
-    """For the spectral pair's X0, and for X0 moved by ``tilt``, the sines
-    for orthonormal bases of graph(X0) and graph(-X0*) are at least those
-    of their largest angles to the spectral subspaces of B below and above
-    0 (measured on a dense ``eigh``), and a slack on B only raises them."""
+    """For the spectral pair's X0, and for X0 moved by ``tilt``, the sine is
+    at least those of the largest angles of orthonormal bases of graph(X0)
+    and graph(-X0*) to the spectral subspaces of B below and above 0
+    (measured on a dense ``eigh``), and a slack on B only raises it."""
     from blockdiag.angular import from_graph
-    from blockdiag.spectral import Subspace
+    from blockdiag.riccati import _compressions
 
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     x = spectral_pair(b, 0.0).X0
@@ -752,15 +752,23 @@ def test_frame_angle_bound_bounds_the_angles_to_the_spectral_subspaces(
     pair = form_pair(x, -x.conj().T)
     right = diagonalize(b, pair)[1]
     bases = [
-        Subspace(from_graph(GraphSubspace(base, x_g)).basis)
+        from_graph(GraphSubspace(base, x_g)).basis
         for base, x_g in ((GraphBase.H0, pair.X0), (GraphBase.H1, pair.X1))
     ]
-    sines = transform.frame_angle_bound(b, x, pair.norm_Y, right, 0.0, 0.0, bases)
     w, v = np.linalg.eigh(b.full)
-    for q, side, sine in zip(bases, (v[:, w < 0.0], v[:, w > 0.0]), sines):
-        exact = np.linalg.norm(q.basis - side @ (side.conj().T @ q.basis), 2)
+    (c00, s0), (c11, s1) = _compressions(b, x)[2:]
+    t0, t1 = w[n0 - 1] / 2.0, w[n0] / 2.0
+    definite = (t0 * s0 - c00, c11 - t1 * s1)
+
+    def bound(slack):
+        return transform.frame_angle_bound(
+            definite, pair.norm_Y, (t0, t1), 0.0, right.frame_defects[0], b.norm, slack
+        )
+
+    sine = bound(0.0)
+    for q, side in zip(bases, (v[:, w < 0.0], v[:, w > 0.0])):
+        exact = np.linalg.norm(q - side @ (side.conj().T @ q), 2)
         assert exact <= sine
     if tilt == 0.0:
-        assert max(sines) <= 1e-12
-    slack = transform.frame_angle_bound(b, x, pair.norm_Y, right, 0.0, 1e-6 * b.norm, bases)
-    assert all(s >= t for s, t in zip(slack, sines))
+        assert sine <= 1e-12
+    assert bound(1e-6 * b.norm) >= sine
