@@ -5,6 +5,8 @@ complex128 entries; the block structure lives in :class:`BlockMatrix`,
 which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably and
 caches one triangular factorization ``B = Z T Z*`` of the assembled matrix
 (:func:`triangular_form`), off which every spectral quantity is read.
+Every Hermitian eigensolve with eigenvectors, of a matrix or of a pencil,
+runs through :func:`hermitian_eigh`.
 """
 
 from __future__ import annotations
@@ -119,15 +121,44 @@ def _bitwise_hermitian(m: np.ndarray) -> bool:
     return bool(m.size) and np.array_equal(m, m.conj().T)
 
 
+def hermitian_eigh(m, s=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, v)``: ascending eigenvalues and eigenvectors of the Hermitian
+    ``m``, or of the pencil ``m v = w s v`` with ``v* s v = I`` for a
+    positive definite ``s``; each matrix is read from its lower triangle.
+
+    LAPACK ``zheevd`` (``zhegvd``, divide and conquer) is given its minimum
+    workspace ``n^2 + 2n`` plus the ``64 n + 65 * 64`` that the blocked
+    ``zunmtr`` of its eigenvector back-transform needs at LAPACK's largest
+    block size. With the minimum alone, which ``numpy.linalg.eigh`` and
+    ``scipy.linalg.eigh`` pass, the back-transform runs unblocked (README
+    "Numerics notes"). A failed solve, or an ``s`` that is not positive
+    definite, raises ``np.linalg.LinAlgError``; a non-finite pencil raises
+    ``ValueError``.
+    """
+    n = len(m)
+    lwork = n * n + 66 * n + 65 * 64
+    if s is None:
+        w, v, info = scipy.linalg.lapack.zheevd(m, lower=1, lwork=lwork)
+    elif not (np.isfinite(m).all() and np.isfinite(s).all()):
+        raise ValueError("pencil contains non-finite entries")
+    elif n == 0:
+        return np.empty(0), np.empty((0, 0), np.complex128)
+    else:
+        w, v, info = scipy.linalg.lapack.zhegvd(m, s, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (LAPACK info {info})")
+    return w, v
+
+
 def triangular_form(m, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
     """``(T, Z)`` with ``m = Z T Z*``, T upper triangular and Z unitary.
 
-    A bitwise-Hermitian ``m`` (``hermitian``) takes ``eigh``: T is then
-    diagonal, real and ascending, and is returned as the vector of its
-    diagonal. Any other ``m`` takes one unsorted complex Schur form.
+    A bitwise-Hermitian ``m`` (``hermitian``) takes :func:`hermitian_eigh`:
+    T is then diagonal, real and ascending, and is returned as the vector
+    of its diagonal. Any other ``m`` takes one unsorted complex Schur form.
     """
     if hermitian:
-        return np.linalg.eigh(m)
+        return hermitian_eigh(m)
     return scipy.linalg.schur(m, output="complex")
 
 
@@ -188,9 +219,10 @@ class BlockMatrix:
     computed on first use and cached, arrays read-only; the ``*_part`` and
     ``assemble`` methods return fresh arrays.
 
-    ``schur`` is the one spectral factorization of B: ``eigh`` on
-    bitwise-Hermitian input (``np.array_equal(m, m.conj().T)``), whose T is
-    diagonal, and one complex Schur form on every other input.
+    ``schur`` is the one spectral factorization of B:
+    :func:`hermitian_eigh` on bitwise-Hermitian input
+    (``np.array_equal(m, m.conj().T)``), whose T is diagonal, and one
+    complex Schur form on every other input.
     """
 
     A0: np.ndarray
@@ -246,15 +278,15 @@ class BlockMatrix:
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(w, v)`` of ``numpy.linalg.eigh`` of the assembled matrix.
+        """Read-only ``(w, v)`` of :func:`hermitian_eigh` of the assembled matrix.
 
-        Like ``eigh`` itself this reads the lower triangle only; it is the
-        eigendecomposition of B when B is Hermitian. A bitwise-Hermitian B
-        shares it with ``schur``.
+        Like ``numpy.linalg.eigh`` this reads the lower triangle only; it is
+        the eigendecomposition of B when B is Hermitian. A bitwise-Hermitian
+        B shares it with ``schur``.
         """
         if self.bitwise_hermitian:
             return self.schur
-        w, v = np.linalg.eigh(self.full)
+        w, v = hermitian_eigh(self.full)
         return _readonly(w), _readonly(v)
 
     @cached_property
@@ -269,7 +301,7 @@ class BlockMatrix:
 
     @cached_property
     def eigh_A(self) -> tuple | None:
-        """Read-only ``((w0, Q0), (w1, Q1))`` of ``eigh`` of A0 and A1.
+        """Read-only ``((w0, Q0), (w1, Q1))`` of :func:`hermitian_eigh` of A0 and A1.
 
         ``None`` unless both diagonal blocks are bitwise Hermitian.
         """
@@ -277,7 +309,7 @@ class BlockMatrix:
             return None
         return tuple(
             (_readonly(w), _readonly(q))
-            for w, q in (np.linalg.eigh(self.A0), np.linalg.eigh(self.A1))
+            for w, q in (hermitian_eigh(self.A0), hermitian_eigh(self.A1))
         )
 
     @cached_property

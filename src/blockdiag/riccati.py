@@ -18,13 +18,14 @@ contracting sweeps (Stewart's fixed-point iteration), 3 half-size products
 each, with ``m Z`` formed only when a bound on its gates cannot decide. The
 first step, from X = 0, is the Newton step in the frame of ``eigh_A``, one
 division; the second, in a frame factorized at its X (two generalized
-``eigh``), usually lands on the solution, and the true residual of each X
-decides convergence. A frame
+eigensolves, :func:`~blockdiag.core.hermitian_eigh`), usually lands on the
+solution, and the true residual of each X decides convergence. A frame
 solve that declines gives way to the Newton step in the same frame. Every
 other input, and every step whose frame declines both, takes Bartels-Stewart
-(:func:`solve_sylvester`) on one triangular form per coefficient: ``eigh``
-when bitwise Hermitian, complex Schur otherwise. Both routes read the
-spectra separation gate off the factorizations they made.
+(:func:`solve_sylvester`) on one triangular form per coefficient
+(:func:`~blockdiag.core.triangular_form`): ``eigh`` when bitwise Hermitian,
+complex Schur otherwise. Both routes read the spectra separation gate off
+the factorizations they made.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
     as_matrix,
     frobenius_norm,
     from_blocks,
+    hermitian_eigh,
     norm_lower_bound,
     relative,
     schur_diagonal,
@@ -329,10 +331,7 @@ def _graph_frame(b: BlockMatrix, x, f, products=None) -> _GraphFrame | None:
     else:
         p, q, *pencils = _compressions(b, x, products)
         try:
-            (lam0, v0), (lam1, v1) = (
-                scipy.linalg.eigh(*pencil, overwrite_a=True, overwrite_b=True)
-                for pencil in pencils
-            )
+            (lam0, v0), (lam1, v1) = (hermitian_eigh(*pencil) for pencil in pencils)
         except (np.linalg.LinAlgError, ValueError):
             # S not numerically positive definite, or a compression that
             # overflowed (refused as non-finite)

@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
+from blockdiag.core import hermitian_eigh
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
     "bench_general", ROOT / "tools" / "bench_general.py"
@@ -38,3 +40,13 @@ def test_general_problem_is_seeded_and_split_at_mu():
     np.testing.assert_array_equal(first.block.full, second.block.full)
     eigenvalues = np.linalg.eigvals(first.block.full)
     assert np.sum(eigenvalues.real < 0.0) == 4
+
+
+def test_counter_sees_the_hermitian_eigensolver():
+    calls = []
+    h = np.eye(3, dtype=complex)
+    with bench.counted(calls):
+        hermitian_eigh(h)
+        hermitian_eigh(h, h)
+    lapack = "scipy.linalg.lapack"
+    assert calls == [(f"{lapack}.zheevd", (3, 3)), (f"{lapack}.zhegvd", (3, 3))]

@@ -429,13 +429,14 @@ def test_pipeline_takes_one_eigh_and_the_two_block_eigvalsh(monkeypatch):
     import scipy.linalg
 
     shape = lambda args, result: np.shape(args[0])
-    eigh = _recorded(monkeypatch, np.linalg, "eigh", shape)
+    eigh = _recorded(monkeypatch, scipy.linalg.lapack, "zheevd", shape)
+    numpy_eigh = _recorded(monkeypatch, np.linalg, "eigh", shape)
     eigvalsh = _recorded(monkeypatch, np.linalg, "eigvalsh", shape)
     eigvals = _recorded(monkeypatch, np.linalg, "eigvals", shape)
     potrf = _recorded(monkeypatch, scipy.linalg.lapack, "zpotrf", shape)
     result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
     points = 16
-    assert eigh == [(2 * points, 2 * points)]
+    assert eigh == [(2 * points, 2 * points)] and numpy_eigh == []
     assert eigvalsh == [(points, points)] * 2
     assert eigvals == []
     assert potrf == [(points, points)] * 2

@@ -297,8 +297,12 @@ def _kernels(monkeypatch):
     return {
         "eigh": _record_shapes(monkeypatch, np.linalg, "eigh"),
         "eigvalsh": _record_shapes(monkeypatch, np.linalg, "eigvalsh"),
-        # generalized and values-only eigensolves of a pencil
+        # values-only eigensolves of a pencil
         "scipy_eigh": _record_shapes(monkeypatch, scipy.linalg, "eigh"),
+        # core.hermitian_eigh: eigensolves with eigenvectors, of a matrix
+        # and of a pencil
+        "zheevd": _record_shapes(monkeypatch, scipy.linalg.lapack, "zheevd"),
+        "zhegvd": _record_shapes(monkeypatch, scipy.linalg.lapack, "zhegvd"),
         "cholesky": _record_shapes(monkeypatch, np.linalg, "cholesky"),
         "eigvals": _record_shapes(monkeypatch, np.linalg, "eigvals"),
         "svd": _record_shapes(monkeypatch, np.linalg, "svd"),
@@ -323,7 +327,7 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "4"]) == 0
     full = (b.dim, b.dim)
-    assert calls["eigh"].count(full) == 1
+    assert calls["zheevd"].count(full) == 1 and calls["eigh"] == []
     assert calls["schur"] == []
     # the skew pair reads sigma(I + Y) off sigma(X0), no shift takes an SVD
     assert full not in calls["svd"]
@@ -350,7 +354,8 @@ def test_hermitian_riccati_solve_factors_no_matrix_of_the_full_dimension(
     calls = _kernels(monkeypatch)
     assert main(["riccati-solve", str(path)]) == 0
     full = (b.dim, b.dim)
-    for name in ("eigh", "scipy_eigh", "eigvalsh", "eigvals", "schur", "svd"):
+    names = ("eigh", "zheevd", "zhegvd", "scipy_eigh", "eigvalsh", "eigvals", "schur", "svd")
+    for name in names:
         assert full not in calls[name], name
     assert calls["scipy_eigh"][-2:] == [(6, 6), (5, 5)]
     assert calls["eigvalsh"] == [] and calls["cholesky"] == []
@@ -367,7 +372,7 @@ def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
     path = _check_file(tmp_path, block)
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "3"]) == 0
-    assert calls["eigh"] == []
+    assert calls["eigh"] == calls["zheevd"] == []
     # one Schur form of B, reordered once; the side above mu by one ztrsyl
     assert calls["schur"] == [(4, 4)]
     assert calls["trsen"] == [(4,)] and calls["trsyl"] == [(2, 2)]
@@ -385,7 +390,7 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "2"]) == 0
     # Hermitian only to tolerance: the spectral pair takes the Schur route
-    assert (8, 8) not in calls["eigh"]
+    assert (8, 8) not in calls["eigh"] and (8, 8) not in calls["zheevd"]
     assert calls["schur"] == [(8, 8)]
     assert calls["trsen"] == [(8,)] and calls["trsyl"] == [(4, 4)]
     assert (8, 8) not in calls["eigvals"]
@@ -422,7 +427,7 @@ def test_general_input_is_factored_once(tmp_path, monkeypatch, command):
     full = (b.dim, b.dim)
     assert calls["schur"] == [full] and calls["trsen"] == [(b.dim,)]
     assert calls["trsyl"] == ([] if command == "triangularize" else [(b.n0, b.n0)])
-    assert calls["eigh"] == []
+    assert calls["eigh"] == calls["zheevd"] == []
     assert full not in calls["eigvals"] and full not in calls["solve"]
     assert calls["svd"].count(full) == (1 if command == "triangularize" else 2)
     # the side above mu takes one QR; check's sweep one per graph
@@ -495,7 +500,7 @@ def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):
     calls = _kernels(monkeypatch)
     estimate_relative_bound(b, [1.0, 10.0, 100.0])
     assert calls["eigvals"] == []
-    assert calls["eigh"] == [(5, 5), (4, 4)]
+    assert calls["zheevd"] == [(5, 5), (4, 4)] and calls["eigh"] == []
     assert (b.dim, b.dim) not in calls["svd"]
 
 
@@ -509,7 +514,7 @@ def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeyp
     assert (nearly.dim, nearly.dim) not in calls["eigvals"]
     # the spectra of A0 and A1 serve every shift of the sweep
     assert calls["eigvals"].count((5, 5)) == 1
-    assert calls["eigh"] == []
+    assert calls["eigh"] == calls["zheevd"] == []
 
 
 def _graph_extractions(monkeypatch):
@@ -682,12 +687,13 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     if nearly:
         b = BlockMatrix(b.A0 + 1e-15j * np.eye(6), b.A1, b.W0, b.W1)
     calls = _kernels(monkeypatch)
-    eigh, schur, eigvals = calls["eigh"], calls["schur"], calls["eigvals"]
+    eigh, schur, eigvals = calls["zheevd"], calls["schur"], calls["eigvals"]
     sylvester = _record_shapes(monkeypatch, scipy.linalg, "solve_sylvester")
-    generalized = _record_shapes(monkeypatch, scipy.linalg, "eigh")
+    generalized = calls["zhegvd"]
     _, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
+    assert calls["eigh"] == calls["scipy_eigh"] == []
     if nearly:
         # one complex Schur form per coefficient and step: centring by the
         # complex mean of the diagonal leaves neither block Hermitian
@@ -795,7 +801,8 @@ def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     full = (b.dim, b.dim)
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
-    assert calls["eigh"].count(full) == 1 and calls["schur"] == []
+    assert calls["zheevd"].count(full) == 1 and calls["eigh"] == []
+    assert calls["schur"] == []
     assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
     assert full not in calls["solve"]
 

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,11 +340,12 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("kernel_dim,gap,mu", [(0, 1.0, 0.0), (4, 0.0, 0.0), (0, 1.0, None)])
 def test_run_theorem_factors_once(monkeypatch, kernel_dim, gap, mu):
     b = random_case(6, 6, gap=gap, coupling=0.5, seed=2, kernel_dim=kernel_dim).block
-    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    eigh_calls = _count_calls(monkeypatch, scipy.linalg.lapack, "zheevd")
+    numpy_eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
     checks = _count_calls(monkeypatch, subordinated, "check_subordination")
     result = run_theorem(b, mu=mu)
     assert result.kernel_split_ok and result.reduces_ok
-    assert len(eigh_calls) == 1
+    assert len(eigh_calls) == 1 and numpy_eigh_calls == []
     assert len(checks) == 1
 
 

@@ -726,12 +726,14 @@ def test_graph_frame_declines_where_only_the_schur_gate_passes():
 
 
 def test_graph_frame_declines_when_a_generalized_eigh_fails(monkeypatch):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
+    def failing(a, s, *args, **kwargs):
+        # LAPACK's report of an S that is not positive definite
+        n = len(a)
+        return np.zeros(n), np.zeros((n, n), complex), n + 1
 
     b = random_case(5, 4, gap=1.0, coupling=0.5, seed=8).block
     x_ref, count = _schur_newton(b)
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "zhegvd", failing)
     x, trace = solve_newton_X0(b)
     # only the first step, which reads eigh_A, stays in the graph frame
     assert trace.iterations == count and trace.schur_steps == count - 1

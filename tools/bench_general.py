@@ -65,7 +65,7 @@ KERNELS = {
                 "cholesky"),
     scipy.linalg: ("schur", "eigh", "solve_sylvester", "lu_factor", "lu_solve",
                    "cho_solve", "solve_triangular"),
-    scipy.linalg.lapack: ("ztrsen", "ztrsyl"),
+    scipy.linalg.lapack: ("ztrsen", "ztrsyl", "zheevd", "zhegvd"),
 }
 
 
