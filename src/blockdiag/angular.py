@@ -283,9 +283,12 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
 
 def _side_below(b: BlockMatrix, mu: float) -> tuple[GraphSubspace, tuple]:
     """graph(X0) of the invariant subspace of B below mu, and the cached
-    triangular form of B reordered so that its eigenvalues lead."""
-    t, _ = b.schur
-    below, form = invariant_subspace(b.full, b.schur, schur_diagonal(t).real < mu, b.norm)
+    triangular form of B reordered so that its eigenvalues lead. On
+    bitwise-Hermitian B only the eigenvectors below mu are formed."""
+    h = b.bitwise_hermitian
+    t = b.staged_eigh.w if h else schur_diagonal(b.schur[0])
+    form = (t, b.staged_eigh.vectors(int(np.count_nonzero(t < mu)))) if h else b.schur
+    below, form = invariant_subspace(b.full, form, t.real < mu, b.norm)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "

@@ -3,10 +3,13 @@
 Every operator in the toolkit is carried by a dense ``numpy`` array with
 complex128 entries; the block structure lives in :class:`BlockMatrix`,
 which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably and
-caches one triangular factorization ``B = Z T Z*`` of the assembled matrix
-(:func:`triangular_form`), off which every spectral quantity is read.
-Every Hermitian eigensolve with eigenvectors, of a matrix or of a pencil,
-runs through :func:`hermitian_eigh`.
+caches one triangular factorization ``B = Z T Z*`` of the assembled matrix,
+off which every spectral quantity is read. On bitwise-Hermitian B that is
+its eigendecomposition, one :class:`StagedEigh`, which forms only the
+leading eigenvectors a route reads; on other B one complex Schur form
+(:func:`triangular_form`). The ``eigh`` of B is the :class:`StagedEigh`
+on any input. Every other Hermitian eigensolve with eigenvectors, of a
+half-size matrix or of a pencil, runs through :func:`hermitian_eigh`.
 """
 
 from __future__ import annotations
@@ -131,9 +134,11 @@ def hermitian_eigh(m, s=None) -> tuple[np.ndarray, np.ndarray]:
     ``zunmtr`` of its eigenvector back-transform needs at LAPACK's largest
     block size. With the minimum alone, which ``numpy.linalg.eigh`` and
     ``scipy.linalg.eigh`` pass, the back-transform runs unblocked (README
-    "Numerics notes"). A failed solve, or an ``s`` that is not positive
-    definite, raises ``np.linalg.LinAlgError``; a non-finite pencil raises
-    ``ValueError``.
+    "Numerics notes"). It serves the callers that read every eigenvector:
+    the diagonal blocks, Sylvester coefficients and graph-frame pencils;
+    B itself takes :class:`StagedEigh`. A failed solve, or an ``s`` that is
+    not positive definite, raises ``np.linalg.LinAlgError``; a non-finite
+    pencil raises ``ValueError``.
     """
     n = len(m)
     lwork = n * n + 66 * n + 65 * 64
@@ -148,6 +153,62 @@ def hermitian_eigh(m, s=None) -> tuple[np.ndarray, np.ndarray]:
     if info:
         raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (LAPACK info {info})")
     return w, v
+
+
+class StagedEigh:
+    """A Hermitian eigensolve whose eigenvectors are formed on demand.
+
+    The stages of ``zheevd``, on the lower triangle of ``m``: LAPACK
+    ``zhetrd`` reduces ``m`` to a real tridiagonal, ``dstevd`` (the
+    ``dstedc`` that ``zheevd`` runs) gives the ascending eigenvalues ``w``,
+    bitwise ``zheevd``'s, and the tridiagonal's eigenvectors, and
+    ``zunmqr`` applies the reflectors of ``zhetrd`` only to the leading
+    columns :meth:`vectors` asks for, which cost in proportion to their
+    number. A matrix whose largest part lies outside the range that
+    ``zheevd`` factors unscaled, ``sqrt(tiny / eps)`` to its inverse, is
+    scaled by a power of two, exactly, and ``w`` scaled back. A failed stage
+    raises ``np.linalg.LinAlgError``.
+    """
+
+    def __init__(self, m: np.ndarray):
+        n, info, lapack = len(m), 0, scipy.linalg.lapack
+        parts = np.ascontiguousarray(m).view(np.float64)
+        peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+        # zheevd factors a largest entry from sqrt(tiny / eps) = 2^-485 to
+        # its inverse unscaled
+        e = -math.frexp(peak)[1] if peak and not 2.0**-485 <= peak <= 2.0**485 else 0
+        a = np.ldexp(parts, e).view(np.complex128) if e else m
+        # below 2 x 2: w is the diagonal and v the identity
+        w, self._v = np.diagonal(a).real, np.eye(n, n * (n < 2), dtype=np.complex128)
+        if n > 1:
+            lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+            c, d, sub, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork)
+            w, z, info = (d, None, info) if info else lapack.dstevd(d, sub)
+            # the reflectors at zunmtr's A(2, 1), leading dimension n: an
+            # n x (n - 1) view of c (Fortran order) from its second entry, the
+            # n - 1 rows they act on and one row zunmqr does not read
+            self._stages = c.T.ravel()[1 : n * n - n + 1].reshape(n - 1, n).T, tau, z
+        if info:
+            raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (LAPACK info {info})")
+        self.w = _readonly(np.ldexp(w, -e))
+
+    def vectors(self, k: int) -> np.ndarray:
+        """Read-only first ``k`` eigenvectors (columns). Columns formed by an
+        earlier call are kept and extended, never formed again; the
+        reflectors and tridiagonal eigenvectors are dropped once every
+        column is formed."""
+        have, lapack = self._v.shape[1], scipy.linalg.lapack
+        if k > have:
+            a, tau, z = self._stages
+            v = np.empty((len(z), k), np.complex128, order="F")
+            v[:, :have], v[0, have:] = self._v, z[0, have:k]
+            rows = z[1:, have:k].astype(np.complex128, order="F")
+            lwork = int(lapack.zunmqr("L", "N", a, tau, rows, -1, 1)[1][0].real)
+            v[1:, have:], _, info = lapack.zunmqr("L", "N", a, tau, rows, lwork, 1)
+            if info:
+                raise np.linalg.LinAlgError(f"eigenvector back-transform failed (info {info})")
+            self._v, self._stages = _readonly(v), None if k == len(z) else self._stages
+        return self._v[:, :k]
 
 
 def triangular_form(m, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -214,15 +275,17 @@ class BlockMatrix:
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
     Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian``, ``bitwise_hermitian``, ``schur``, ``eigh``, ``eigh_A``,
-    ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``) are
-    computed on first use and cached, arrays read-only; the ``*_part`` and
-    ``assemble`` methods return fresh arrays.
+    ``hermitian``, ``bitwise_hermitian``, ``schur``, ``staged_eigh``,
+    ``eigh``, ``eigh_A``, ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``,
+    ``norm_V``) are computed on first use and cached, arrays read-only; the
+    ``*_part`` and ``assemble`` methods return fresh arrays.
 
-    ``schur`` is the one spectral factorization of B:
-    :func:`hermitian_eigh` on bitwise-Hermitian input
+    ``schur`` is the one spectral factorization of B: one
+    :class:`StagedEigh` on bitwise-Hermitian input
     (``np.array_equal(m, m.conj().T)``), whose T is diagonal, and one
-    complex Schur form on every other input.
+    complex Schur form on every other input. On bitwise-Hermitian B the
+    routes form only the eigenvectors they read (``staged_eigh``), and
+    ``eigvals``, ``norm`` and ``sigma_min_shifted`` form none.
     """
 
     A0: np.ndarray
@@ -268,26 +331,34 @@ class BlockMatrix:
 
     @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(T, Z)`` of :func:`triangular_form` of the assembled matrix.
+        """Read-only ``(T, Z)`` with ``B = Z T Z*`` of the assembled matrix.
 
         On bitwise-Hermitian B it is ``eigh``: T is the vector of the
-        ascending eigenvalues and Z their eigenvectors.
+        ascending eigenvalues and Z their eigenvectors, every one formed.
+        Other B takes :func:`triangular_form`.
         """
-        t, z = triangular_form(self.full, self.bitwise_hermitian)
+        if self.bitwise_hermitian:
+            return self.eigh
+        t, z = triangular_form(self.full, False)
         return _readonly(t), _readonly(z)
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(w, v)`` of :func:`hermitian_eigh` of the assembled matrix.
+    def staged_eigh(self) -> StagedEigh:
+        """The :class:`StagedEigh` of the assembled matrix: its eigenvalues
+        ``w`` and the first k eigenvectors ``vectors(k)``, each column
+        back-transformed when first read. Like ``numpy.linalg.eigh`` it reads
+        the lower triangle only; it is the eigendecomposition of B when B is
+        Hermitian. The routes that read some eigenvectors of a
+        bitwise-Hermitian B read them here, and ``eigvals`` none."""
+        return StagedEigh(self.full)
 
-        Like ``numpy.linalg.eigh`` this reads the lower triangle only; it is
-        the eigendecomposition of B when B is Hermitian. A bitwise-Hermitian
-        B shares it with ``schur``.
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(w, v)`` of ``staged_eigh`` with every eigenvector.
+
+        A bitwise-Hermitian B shares it with ``schur``.
         """
-        if self.bitwise_hermitian:
-            return self.schur
-        w, v = hermitian_eigh(self.full)
-        return _readonly(w), _readonly(v)
+        return self.staged_eigh.w, self.staged_eigh.vectors(self.dim)
 
     @cached_property
     def bitwise_hermitian(self) -> bool:
@@ -330,9 +401,11 @@ class BlockMatrix:
         """Read-only eigenvalues of the assembled matrix, complex, (Re, Im) sorted.
 
         They are the diagonal of the cached ``schur``; on bitwise-Hermitian B
-        they are real (zero imaginary parts) and ascending.
+        they are the real (zero imaginary parts) ascending eigenvalues, read
+        with no eigenvector formed.
         """
-        w = schur_diagonal(self.schur[0]).astype(np.complex128)
+        t = self.staged_eigh.w if self.bitwise_hermitian else self.schur[0]
+        w = schur_diagonal(t).astype(np.complex128)
         return _readonly(w[np.lexsort((w.imag, w.real))])
 
     @cached_property
@@ -340,7 +413,7 @@ class BlockMatrix:
         """Exact 2-norm of the assembled matrix.
 
         For bitwise-Hermitian B it is the largest eigenvalue magnitude,
-        read off the cached ``schur``; otherwise one SVD.
+        read off ``eigvals`` with no eigenvector formed; otherwise one SVD.
         """
         if self.bitwise_hermitian:
             return _extreme_magnitude(self.eigvals.real)

@@ -369,9 +369,10 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     product of the full dimension: its slack covers the unitarity defect of
     the rotation and the rounding of the rotated blocks, and the sine of
     each angle grows by the distance of L or L_perp from its graph and by
-    the rotation's tilt (README "Numerics notes"). The spectrum of H is
-    read off the one ``eigh`` of the rotated matrix that the subordinated
-    pipeline takes.
+    the rotation's tilt (README "Numerics notes"); the distance of L is the
+    theorem's ``graph_distance``. The spectrum of H is the eigenvalues of
+    the one staged ``eigh`` of the rotated matrix that the subordinated
+    pipeline takes, which forms only the eigenvectors below 0.
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
@@ -390,7 +391,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     r = KERNEL_PROOF_ROUNDING * swapped.dim * _EPS
     eps = unitarity + r
     x, xh, right, n0 = theorem.X, theorem.X.conj().T, theorem.diag_results[1], swapped.n0
-    (m00, m11), w, mu = right.diag_blocks, swapped.eigh[0], theorem.mu
+    (m00, m11), w, mu = right.diag_blocks, swapped.staged_eigh.w, theorem.mu
     t0, t1 = (w[n0 - 1] + mu) / 2.0, (w[n0] + mu) / 2.0
     # t0 S0 - C00 and C11 - t1 S1 from the right form's closed-form blocks:
     # C00 = m00 + X* (W0 + A1 X) and C11 = m11 - X (W1 - A0 X*)
@@ -403,10 +404,10 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         (r + eps * (2.0 + eps)) * report.norm_bound,
     )
     # the distances of L and L_perp from the graphs, over their least singular values
-    q, q_perp = theorem.L.basis, theorem.L_perp.basis
-    outside = (q[n0:] - x @ q[:n0], q_perp[:n0] + xh @ q_perp[n0:])
+    q_perp = theorem.L_perp.basis
+    outside = (theorem.graph_distance, frobenius_norm(q_perp[:n0] + xh @ q_perp[n0:]))
     rho, sigma = r * (1.0 + theorem.norm_X) ** 2, math.sqrt(1.0 - _ORTHO_TOL - 2.0 * r)
-    sines = (sine + (frobenius_norm(e) + rho) / sigma for e in outside)
+    sines = (sine + (d + rho) / sigma for d in outside)
     angle_minus, angle_plus = (math.asin(min(1.0, s + eps / (1.0 - eps))) for s in sines)
     return DiracPipelineResult(
         theorem=theorem,
@@ -414,7 +415,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         fw_unitarity_residual=unitarity,
         angle_minus=angle_minus,
         angle_plus=angle_plus,
-        h_eigenvalues=swapped.eigh[0],
+        h_eigenvalues=w,
         block_eigenvalues=bm.eigvalsh_A,
         norm_X=theorem.norm_X,
     )

@@ -82,7 +82,9 @@ class TheoremResult:
     orthonormal basis ``G1 L1^{-*}`` of its complement graph(-X*) over H1,
     with ``G1 = [-X*; I]`` and ``L1`` the Cholesky factor of
     ``I + X X* = G1* G1``. ``invariance_residuals`` bound the invariance
-    defects of both bases (README "Numerics notes").
+    defects of both bases (README "Numerics notes"); ``graph_distance`` is
+    ``norm_F(Q1 - X Q0)`` of ``L = [Q0; Q1]``, the distance of span L from
+    graph(X), which the first of them includes.
     """
 
     L: Subspace
@@ -96,6 +98,7 @@ class TheoremResult:
     mu: float
     invariance_residuals: tuple[float, float]
     check: SubordinationCheck
+    graph_distance: float
 
 
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
@@ -157,7 +160,9 @@ def _require_hypotheses(b: BlockMatrix, mu: float) -> SubordinationCheck:
 
 
 def _eigh_classified(b: BlockMatrix, mu: float):
-    """The cached eigendecomposition of B, eigenvalues classified vs mu.
+    """``(v, below, at)``: the eigenvectors of B up to the band around mu,
+    the leading columns of ``staged_eigh`` and the only ones formed, and the
+    masks of those below the band and in it.
 
     An eigenvalue counts as equal to mu within the band
     ``max(MU_BAND_TOL * min(norm(B - mu), norm(B)), r)`` with the rounding
@@ -167,15 +172,13 @@ def _eigh_classified(b: BlockMatrix, mu: float):
     minimum keeps the band no wider than ``MU_BAND_TOL * norm(B)`` while r
     is below that, for ``dim <= MU_BAND_TOL / (16 eps)``, about 2.8e5.
     """
-    w, v = b.eigh
+    w = b.staged_eigh.w
     band = max(
         MU_BAND_TOL * min(_extreme_magnitude(w - mu), b.norm),
         KERNEL_PROOF_ROUNDING * b.dim * _EPS * b.norm,
     )
-    below = w < mu - band
-    at = np.abs(w - mu) <= band
-    above = w > mu + band
-    return w, v, below, at, above
+    below, k = w < mu - band, int(np.count_nonzero(w <= mu + band))
+    return b.staged_eigh.vectors(k), below[:k], ~below[:k]
 
 
 def _kernel_piece(
@@ -208,7 +211,7 @@ def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
     are Frobenius norms, and the split holds when both are at most
     :data:`KERNEL_SPLIT_TOL`. The hypotheses are the caller's to check.
     """
-    _, v, _, at, _ = _eigh_classified(b, mu)
+    v, _, at = _eigh_classified(b, mu)
     k_basis = v[:, at]
     dim_k = k_basis.shape[1]
     w0, w1 = b.eigvalsh_A
@@ -252,7 +255,7 @@ def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
     H1 component is at most ``DEFAULT_TOL``. Anything but dimension n0
     raises :class:`TheoremViolationError`.
     """
-    _, v, below, at, _ = _eigh_classified(b, mu)
+    v, below, at = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]
     if k_basis.shape[1] > 0:
@@ -284,8 +287,9 @@ def run_theorem(
     and its complement, and measures the mutual-adjointness defect of the
     two diagonal forms. The hypotheses are checked once, one
     eigendecomposition of B serves the kernel split and the reducing
-    subspace, and nothing of dimension n0 + n1 is formed after it but the
-    block diagonalizations. The skew pair is a contraction, so both take
+    subspace, with only the eigenvectors below mu and in its band formed,
+    and nothing of dimension n0 + n1 is formed after it but the block
+    diagonalizations. The skew pair is a contraction, so both take
     the blockwise route, whose Cholesky factors of ``I + X* X`` and
     ``I + X X*`` make the unitary frame ``U = [G0 L0^{-*}, G1 L1^{-*}]``;
     the invariance defects of graph(X) and graph(-X*) are the off-diagonal
@@ -323,7 +327,8 @@ def run_theorem(
     slack = KERNEL_PROOF_ROUNDING * b.dim * _EPS * (1.0 + norm_x) ** 2
     q0, q1 = sub.basis[: b.n0], sub.basis[b.n0 :]
     # span L is within norm_F(Q1 - X Q0) of graph(X)
-    res_l = relative(defects[0], b.norm) + 2.0 * frobenius_norm(q1 - x @ q0) + slack
+    distance = frobenius_norm(q1 - x @ q0)
+    res_l = relative(defects[0], b.norm) + 2.0 * distance + slack
     res_perp = relative(defects[1], b.norm) + slack
     # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I], solved block by block
     g1h = np.hstack([_lower(l1, -x), _lower(l1, np.eye(b.n1))])
@@ -342,4 +347,5 @@ def run_theorem(
         mu=float(mu),
         invariance_residuals=(res_l, res_perp),
         check=check,
+        graph_distance=distance,
     )

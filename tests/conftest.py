@@ -70,3 +70,28 @@ def containment(inner, outer) -> float:
     """
     angles = scipy.linalg.subspace_angles(inner.basis, outer.basis)
     return float(np.sin(np.max(angles)))
+
+
+def staged_eigh_calls(monkeypatch) -> dict:
+    """Record the stages of B's Hermitian eigensolve (``core.StagedEigh``):
+    the matrix shape of each ``zhetrd``, the size of each ``dstevd``, and the
+    number of columns each ``zunmqr`` back-transforms, its workspace
+    queries (``lwork = -1``) left out. ``zheevd`` shapes are recorded too."""
+    lapack = scipy.linalg.lapack
+    calls = {"zhetrd": [], "dstevd": [], "zunmqr": [], "zheevd": []}
+    records = {
+        "zhetrd": lambda args: np.shape(args[0]),
+        "dstevd": lambda args: len(args[0]),
+        "zunmqr": lambda args: None if args[5] == -1 else np.shape(args[4])[1],
+        "zheevd": lambda args: np.shape(args[0]),
+    }
+    for name, record in records.items():
+
+        def recorded(*args, _original=getattr(lapack, name), _name=name, **kwargs):
+            value = records[_name](args)
+            if value is not None:
+                calls[_name].append(value)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, recorded)
+    return calls

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
-from blockdiag.core import hermitian_eigh
+from blockdiag.core import StagedEigh, hermitian_eigh
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -48,5 +48,15 @@ def test_counter_sees_the_hermitian_eigensolver():
     with bench.counted(calls):
         hermitian_eigh(h)
         hermitian_eigh(h, h)
+        StagedEigh(h).vectors(2)
     lapack = "scipy.linalg.lapack"
-    assert calls == [(f"{lapack}.zheevd", (3, 3)), (f"{lapack}.zhegvd", (3, 3))]
+    assert calls == [
+        (f"{lapack}.zheevd", (3, 3)),
+        (f"{lapack}.zhegvd", (3, 3)),
+        (f"{lapack}.zhetrd", (3, 3)),
+        (f"{lapack}.dstevd", (3,)),
+        # the workspace query, then the back-transform; the first argument
+        # is the side
+        (f"{lapack}.zunmqr", ()),
+        (f"{lapack}.zunmqr", ()),
+    ]

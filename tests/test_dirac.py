@@ -16,11 +16,11 @@ from blockdiag import (
     run_dirac_pipeline,
 )
 from blockdiag.cli import main
-from blockdiag.core import BlockMatrix, from_blocks
+from blockdiag.core import BlockMatrix, frobenius_norm, from_blocks
 from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import Subspace
-from conftest import containment
+from conftest import containment, staged_eigh_calls
 from blockdiag.transform import match_spectra
 
 _EPS = np.finfo(np.float64).eps
@@ -365,14 +365,18 @@ def test_angle_certificate_bounds_the_oracle_angle(n, strength, radius, profile)
 
 
 def _perturb_theorem(monkeypatch, change):
-    """Make the pipeline see ``change(L, L_perp)`` in place of the theorem's pair."""
+    """Make the pipeline see ``change(L, L_perp)`` in place of the theorem's
+    pair, with the distance of the changed L from graph(X) that the theorem
+    reports for its own L."""
     real = dirac.run_theorem
 
     def perturbed(*args, **kwargs):
         result = real(*args, **kwargs)
         l, l_perp = change(result.L.basis.copy(), result.L_perp.basis.copy())
+        n0 = result.X.shape[1]
+        distance = frobenius_norm(l[n0:] - result.X @ l[:n0])
         return dataclasses.replace(
-            result, L=Subspace(basis=l), L_perp=Subspace(basis=l_perp)
+            result, L=Subspace(basis=l), L_perp=Subspace(basis=l_perp), graph_distance=distance
         )
 
     monkeypatch.setattr(dirac, "run_theorem", perturbed)
@@ -423,20 +427,22 @@ def _recorded(monkeypatch, owner, name, record):
 
 def test_pipeline_takes_one_eigh_and_the_two_block_eigvalsh(monkeypatch):
     """The certificate reads the compressions of the theorem's frame: after
-    the one ``eigh`` of the rotated matrix and the two block ``eigvalsh`` of
-    the subordination check there is no eigensolve, and each spectral end
-    takes one half-size Cholesky (LAPACK ``zpotrf``)."""
+    the one staged eigensolve of the rotated matrix, which back-transforms
+    only the eigenvectors below 0, and the two block ``eigvalsh`` of the
+    subordination check there is no eigensolve, and each spectral end takes
+    one half-size Cholesky (LAPACK ``zpotrf``)."""
     import scipy.linalg
 
     shape = lambda args, result: np.shape(args[0])
-    eigh = _recorded(monkeypatch, scipy.linalg.lapack, "zheevd", shape)
+    stages = staged_eigh_calls(monkeypatch)
     numpy_eigh = _recorded(monkeypatch, np.linalg, "eigh", shape)
     eigvalsh = _recorded(monkeypatch, np.linalg, "eigvalsh", shape)
     eigvals = _recorded(monkeypatch, np.linalg, "eigvals", shape)
     potrf = _recorded(monkeypatch, scipy.linalg.lapack, "zpotrf", shape)
     result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
     points = 16
-    assert eigh == [(2 * points, 2 * points)] and numpy_eigh == []
+    assert stages["zhetrd"] == [(2 * points, 2 * points)] and numpy_eigh == []
+    assert stages["zunmqr"] == [points] and stages["zheevd"] == []
     assert eigvalsh == [(points, points)] * 2
     assert eigvals == []
     assert potrf == [(points, points)] * 2

@@ -41,7 +41,7 @@ from blockdiag.errors import IllPosedRegionError, NotAGraphError
 from blockdiag.io import ProblemFile
 from blockdiag.spectral import invariant_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
-from conftest import offdiagonal_part, random_block
+from conftest import offdiagonal_part, random_block, staged_eigh_calls
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -299,9 +299,11 @@ def _kernels(monkeypatch):
         "eigvalsh": _record_shapes(monkeypatch, np.linalg, "eigvalsh"),
         # values-only eigensolves of a pencil
         "scipy_eigh": _record_shapes(monkeypatch, scipy.linalg, "eigh"),
-        # core.hermitian_eigh: eigensolves with eigenvectors, of a matrix
-        # and of a pencil
-        "zheevd": _record_shapes(monkeypatch, scipy.linalg.lapack, "zheevd"),
+        # core.StagedEigh of B: the shapes of "zhetrd", the sizes of
+        # "dstevd" and the columns "zunmqr" back-transforms; and
+        # core.hermitian_eigh: eigensolves with eigenvectors of a half-size
+        # matrix ("zheevd") and of a pencil
+        **staged_eigh_calls(monkeypatch),
         "zhegvd": _record_shapes(monkeypatch, scipy.linalg.lapack, "zhegvd"),
         "cholesky": _record_shapes(monkeypatch, np.linalg, "cholesky"),
         "eigvals": _record_shapes(monkeypatch, np.linalg, "eigvals"),
@@ -327,7 +329,10 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "4"]) == 0
     full = (b.dim, b.dim)
-    assert calls["zheevd"].count(full) == 1 and calls["eigh"] == []
+    # one staged eigensolve of B: the spectral route forms the n0 columns
+    # below mu, the resolvent sweep and the certificate the rest
+    assert calls["zhetrd"] == [full] and calls["zheevd"] == [] and calls["eigh"] == []
+    assert calls["zunmqr"] == [b.n0, b.n1]
     assert calls["schur"] == []
     # the skew pair reads sigma(I + Y) off sigma(X0), no shift takes an SVD
     assert full not in calls["svd"]
@@ -337,6 +342,25 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     assert full not in calls["solve"]
     # the spectral identity is certified from the eigh: no block takes eigvals
     assert calls["eigvals"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"], ["diagonalize"], ["triangularize"], ["riccati-solve"], ["subordinated"],
+        ["neumann", "--lambda", "0,3"], ["relbound", "--tau-grid", "1,10"],
+    ],
+)
+def test_no_command_takes_a_full_eigensolve_of_a_hermitian_matrix(tmp_path, monkeypatch, argv):
+    """On bitwise-Hermitian B every command factors B at most once, in
+    stages, and back-transforms no column twice: no ``zheevd`` of B."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    path = _check_file(tmp_path, b)
+    calls = _kernels(monkeypatch)
+    assert main([argv[0], path, *argv[1:]]) == 0
+    full = (b.dim, b.dim)
+    assert full not in calls["zheevd"] and full not in calls["eigh"]
+    assert calls["zhetrd"] in ([], [full]) and sum(calls["zunmqr"]) <= b.dim
 
 
 @pytest.mark.parametrize("mu", [0.0, None])
@@ -354,7 +378,8 @@ def test_hermitian_riccati_solve_factors_no_matrix_of_the_full_dimension(
     calls = _kernels(monkeypatch)
     assert main(["riccati-solve", str(path)]) == 0
     full = (b.dim, b.dim)
-    names = ("eigh", "zheevd", "zhegvd", "scipy_eigh", "eigvalsh", "eigvals", "schur", "svd")
+    names = ("eigh", "zheevd", "zhetrd", "zhegvd", "scipy_eigh", "eigvalsh", "eigvals", "schur",
+             "svd")
     for name in names:
         assert full not in calls[name], name
     assert calls["scipy_eigh"][-2:] == [(6, 6), (5, 5)]
@@ -372,7 +397,7 @@ def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
     path = _check_file(tmp_path, block)
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "3"]) == 0
-    assert calls["eigh"] == calls["zheevd"] == []
+    assert calls["eigh"] == calls["zheevd"] == calls["zhetrd"] == []
     # one Schur form of B, reordered once; the side above mu by one ztrsyl
     assert calls["schur"] == [(4, 4)]
     assert calls["trsen"] == [(4,)] and calls["trsyl"] == [(2, 2)]
@@ -391,6 +416,7 @@ def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkey
     assert main(["check", path, "--lambdas", "2"]) == 0
     # Hermitian only to tolerance: the spectral pair takes the Schur route
     assert (8, 8) not in calls["eigh"] and (8, 8) not in calls["zheevd"]
+    assert calls["zhetrd"] == []
     assert calls["schur"] == [(8, 8)]
     assert calls["trsen"] == [(8,)] and calls["trsyl"] == [(4, 4)]
     assert (8, 8) not in calls["eigvals"]
@@ -427,7 +453,7 @@ def test_general_input_is_factored_once(tmp_path, monkeypatch, command):
     full = (b.dim, b.dim)
     assert calls["schur"] == [full] and calls["trsen"] == [(b.dim,)]
     assert calls["trsyl"] == ([] if command == "triangularize" else [(b.n0, b.n0)])
-    assert calls["eigh"] == calls["zheevd"] == []
+    assert calls["eigh"] == calls["zheevd"] == calls["zhetrd"] == []
     assert full not in calls["eigvals"] and full not in calls["solve"]
     assert calls["svd"].count(full) == (1 if command == "triangularize" else 2)
     # the side above mu takes one QR; check's sweep one per graph
@@ -501,6 +527,7 @@ def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):
     estimate_relative_bound(b, [1.0, 10.0, 100.0])
     assert calls["eigvals"] == []
     assert calls["zheevd"] == [(5, 5), (4, 4)] and calls["eigh"] == []
+    assert calls["zhetrd"] == []
     assert (b.dim, b.dim) not in calls["svd"]
 
 
@@ -514,7 +541,7 @@ def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeyp
     assert (nearly.dim, nearly.dim) not in calls["eigvals"]
     # the spectra of A0 and A1 serve every shift of the sweep
     assert calls["eigvals"].count((5, 5)) == 1
-    assert calls["eigh"] == calls["zheevd"] == []
+    assert calls["eigh"] == calls["zheevd"] == calls["zhetrd"] == []
 
 
 def _graph_extractions(monkeypatch):
@@ -693,7 +720,7 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     _, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
-    assert calls["eigh"] == calls["scipy_eigh"] == []
+    assert calls["eigh"] == calls["scipy_eigh"] == calls["zhetrd"] == []
     if nearly:
         # one complex Schur form per coefficient and step: centring by the
         # complex mean of the diagonal leaves neither block Hermitian
@@ -801,7 +828,8 @@ def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     full = (b.dim, b.dim)
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
-    assert calls["zheevd"].count(full) == 1 and calls["eigh"] == []
+    assert calls["zhetrd"] == [full] and calls["zheevd"] == [] and calls["eigh"] == []
+    assert sum(calls["zunmqr"]) == b.dim
     assert calls["schur"] == []
     assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
     assert full not in calls["solve"]

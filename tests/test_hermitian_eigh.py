@@ -1,6 +1,10 @@
-"""``core.hermitian_eigh``: the one Hermitian eigensolver with eigenvectors,
+"""``core.hermitian_eigh``: the Hermitian eigensolver with every eigenvector,
 of a matrix (LAPACK ``zheevd``) and of a pencil (``zhegvd``), checked
-against ``numpy.linalg.eigh`` and ``scipy.linalg.eigh``."""
+against ``numpy.linalg.eigh`` and ``scipy.linalg.eigh``; and
+``core.StagedEigh``, B's eigensolve in ``zheevd``'s stages with only the
+leading eigenvectors formed, checked against ``zheevd``."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdiag import BlockMatrix, random_case, solve_newton_X0
-from blockdiag.core import frobenius_norm, hermitian_eigh
+from blockdiag.core import StagedEigh, frobenius_norm, hermitian_eigh
 from blockdiag.dirac import DiracProblem, GridSpec, ImpurityPotential, build_operators
+from blockdiag.dirac import fw_transform
 
 EPS = np.finfo(float).eps
 
@@ -126,29 +131,171 @@ def test_non_finite_pencil_raises_value_error(which):
 
 def test_every_call_site_passes_the_blocked_back_transform_workspace(monkeypatch):
     """``zheevd``'s minimum workspace plus the blocked ``zunmtr``'s at block
-    size 64. With the default workspace the back-transform runs unblocked,
-    slower but with the same answers, so only this test sees a return to it."""
+    size 64, and for B's staged eigensolve the workspace LAPACK's own
+    queries return. With the default workspace the back-transform runs
+    unblocked, slower but with the same answers, so only this test sees a
+    return to it."""
     lworks = []
 
-    def recording(name):
+    def recording(name, size, lwork):
         original = getattr(scipy.linalg.lapack, name)
 
-        def recorded(a, *args, **kwargs):
-            lworks.append((name, len(a), kwargs.get("lwork", 0)))
-            return original(a, *args, **kwargs)
+        def recorded(*args, **kwargs):
+            lworks.append((name, size(args), lwork(args, kwargs)))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, name, recorded)
 
-    recording("zheevd")
-    recording("zhegvd")
+    keyword = lambda args, kwargs: kwargs.get("lwork", 0)
+    recording("zheevd", lambda args: len(args[0]), keyword)
+    recording("zhegvd", lambda args: len(args[0]), keyword)
+    recording("zhetrd", lambda args: len(args[0]), keyword)
+    # side, trans, reflectors, tau, columns, lwork: the columns' row count
+    recording("zunmqr", lambda args: len(args[4]), lambda args, kwargs: args[5])
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     nearly = BlockMatrix(b.A0, b.A1, b.W0 + 1e-15, b.W1)
     _ = b.schur, nearly.eigh
     _, trace = solve_newton_X0(b)
     assert trace.frames == 1
-    # B's triangular form, nearly's eigh, eigh_A of both blocks, one frame
-    assert [(name, n) for name, n, _ in lworks] == [
-        ("zheevd", 11), ("zheevd", 11), ("zheevd", 6), ("zheevd", 5),
-        ("zhegvd", 6), ("zhegvd", 5),
+    # the staged eigensolves of B and of nearly (each a back-transform's
+    # query, then the back-transform of the rows 1..10 the reflectors act
+    # on), eigh_A of both blocks, one frame
+    staged = [("zhetrd", 11), ("zunmqr", 10), ("zunmqr", 10)]
+    assert [(name, n) for name, n, _ in lworks] == staged * 2 + [
+        ("zheevd", 6), ("zheevd", 5), ("zhegvd", 6), ("zhegvd", 5),
     ]
-    assert all(lwork >= n * n + 66 * n + 4160 for _, n, lwork in lworks)
+    for (_, _, trd), (_, _, query), (_, _, unmqr) in (lworks[:3], lworks[3:6]):
+        assert trd == int(scipy.linalg.lapack.zhetrd_lwork(11, lower=1)[0].real) > 11
+        assert query == -1 and unmqr > 10 * 11
+    assert all(lwork >= n * n + 66 * n + 4160 for name, n, lwork in lworks[6:])
+
+
+# --- B's staged eigensolve ----------------------------------------------------
+
+
+def _check_leading(m, w, v):
+    """Residual and orthonormality of the leading columns ``v`` at ``16 n eps``."""
+    n, k = len(m), v.shape[1]
+    assert v.shape == (n, k)
+    assert frobenius_norm(m @ v - v * w[:k]) <= 16 * n * EPS * frobenius_norm(m)
+    assert frobenius_norm(v.conj().T @ v - np.eye(k)) <= 16 * n * EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=SIZES,
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "repeated"]),
+    exponent=st.sampled_from([0, 600, -600]),
+    data=st.data(),
+)
+def test_staged_eigensolve_matches_zheevd(n, seed, kind, exponent, data):
+    """The eigenvalues are ``zheevd``'s: bitwise on unscaled input, where
+    the stages are ``zheevd``'s own, and within ``4 n eps norm_F(m)`` on
+    input that the two scale differently. The leading k columns pass the
+    residual and orthonormality tests, and asking for k2 > k1 columns after
+    k1 keeps the k1 columns formed first."""
+    m = _hermitian(np.random.default_rng(seed), n, kind) * 2.0**exponent
+    staged = StagedEigh(m)
+    w_ref = hermitian_eigh(m)[0]
+    assert staged.w.shape == (n,) and np.all(np.diff(staged.w) >= 0.0)
+    if exponent == 0:
+        np.testing.assert_array_equal(staged.w, w_ref)
+    assert np.max(np.abs(staged.w - w_ref), initial=0.0) <= 4 * n * EPS * frobenius_norm(m)
+    k1 = data.draw(st.integers(0, n), label="k1")
+    k2 = data.draw(st.integers(k1, n), label="k2")
+    first = staged.vectors(k1)
+    _check_leading(m, staged.w, first)
+    extended = staged.vectors(k2)
+    np.testing.assert_array_equal(extended[:, :k1], first)
+    _check_leading(m, staged.w, extended)
+    # one request for k2 columns agrees to rounding: the BLAS may round a
+    # column by where it falls in a call's column blocks
+    once = StagedEigh(m).vectors(k2)
+    assert frobenius_norm(once - extended) <= 16 * n * EPS * max(k2, 1) ** 0.5
+
+
+def test_staged_eigensolve_is_bitwise_zheevd_on_the_benchmark_inputs():
+    """B of the theorem, cli and Dirac workloads: ``zheevd``'s eigenvalues
+    bitwise; and on the theorem's and the Dirac demo's B, the leading
+    columns the theorem reads (those below mu = 0) bitwise ``zheevd``'s
+    too, so their answers are those of the full eigensolve."""
+    problem = DiracProblem(
+        grid=GridSpec(n=16), potential=ImpurityPotential(amplitude=0.035, radius=0.785)
+    )
+    theorem = [random_case(200, 200, gap=1.0, coupling=0.5, seed=s).block.full for s in (0, 1)]
+    theorem += [fw_transform(problem).swapped().full]
+    cli = [
+        random_case(150, 150, gap=1.0, coupling=0.5, seed=0).block.full,
+        random_case(100, 100, gap=0.0, coupling=0.5, seed=0, kernel_dim=8).block.full,
+    ]
+    for m in theorem + cli:
+        w, v = hermitian_eigh(m)
+        staged = StagedEigh(m)
+        np.testing.assert_array_equal(staged.w, w)
+        if any(m is t for t in theorem):
+            k = int(np.count_nonzero(w < 0.0))
+            assert k == len(m) // 2
+            np.testing.assert_array_equal(staged.vectors(k), v[:, :k])
+
+
+def test_staged_dirac_matrix_matches_zheevd():
+    grid = GridSpec(n=4, length=2 * np.pi)
+    potential = ImpurityPotential(amplitude=0.05, profile="disk", radius=np.pi / 4)
+    h = build_operators(DiracProblem(grid=grid, potential=potential)).h_full
+    staged = StagedEigh(h)
+    np.testing.assert_array_equal(staged.w, hermitian_eigh(h)[0])
+    _check_leading(h, staged.w, staged.vectors(len(h) // 2))
+    _check_leading(h, staged.w, staged.vectors(len(h)))
+
+
+def test_staged_empty_and_one_by_one_matrices():
+    empty = StagedEigh(np.zeros((0, 0), np.complex128))
+    assert empty.w.shape == (0,) and empty.vectors(0).shape == (0, 0)
+    for value in (-3.5, 2.0**-1070, 1e308):
+        one = StagedEigh(np.array([[value]], np.complex128))
+        assert one.w.tolist() == [value]
+        assert one.vectors(0).shape == (1, 0) and one.vectors(1).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("exponent", [1020, -1070])
+def test_staged_eigensolve_at_the_ends_of_the_float_range(exponent):
+    """Entries near the largest float, or subnormal, are factored at a power
+    of two that brings them near 1: finite eigenvalues, the scaled ones of
+    the same matrix near 1, and eigenvectors equal to that matrix's."""
+    m = _hermitian(np.random.default_rng(5), 40, "random")
+    m /= 2.0 ** math.frexp(np.max(np.abs(m.view(np.float64))))[1]
+    scaled = StagedEigh(m * 2.0**exponent)
+    unscaled = StagedEigh(m)
+    assert np.all(np.isfinite(scaled.w))
+    if exponent > 0:
+        np.testing.assert_array_equal(scaled.w, unscaled.w * 2.0**exponent)
+    else:
+        tol = 4 * 40 * EPS * frobenius_norm(m) * 2.0**exponent + 2.0**-1074 * 40
+        assert np.max(np.abs(scaled.w - unscaled.w * 2.0**exponent)) <= tol
+    if exponent > 0:
+        np.testing.assert_array_equal(scaled.vectors(40), unscaled.vectors(40))
+
+
+def test_staged_eigensolve_drops_its_stages_once_every_column_is_formed():
+    m = _hermitian(np.random.default_rng(6), 30, "random")
+    staged = StagedEigh(m)
+    staged.vectors(12)
+    assert staged._stages is not None
+    v = staged.vectors(30)
+    assert staged._stages is None and not v.flags.writeable
+    np.testing.assert_array_equal(staged.vectors(7), v[:, :7])
+
+
+@pytest.mark.parametrize("stage", ["zhetrd", "dstevd", "zunmqr"])
+def test_a_failed_stage_raises_linalg_error(monkeypatch, stage):
+    original = getattr(scipy.linalg.lapack, stage)
+
+    def failing(*args, **kwargs):
+        *out, _ = original(*args, **kwargs)
+        return (*out, 3)
+
+    monkeypatch.setattr(scipy.linalg.lapack, stage, failing)
+    m = _hermitian(np.random.default_rng(7), 8, "random")
+    with pytest.raises(np.linalg.LinAlgError):
+        StagedEigh(m).vectors(8)

@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,7 @@ from blockdiag import (
     random_case,
     residual_X0,
     run_theorem,
+    spectral_pair,
     triangularize,
 )
 from blockdiag import dirac, from_graph, subordinated
@@ -29,7 +29,7 @@ from blockdiag.core import DEFAULT_TOL
 from blockdiag.io import ProblemFile, save_problem
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import invariance_residual
-from conftest import offdiagonal_part, random_block
+from conftest import offdiagonal_part, random_block, staged_eigh_calls
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -339,14 +339,37 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("kernel_dim,gap,mu", [(0, 1.0, 0.0), (4, 0.0, 0.0), (0, 1.0, None)])
 def test_run_theorem_factors_once(monkeypatch, kernel_dim, gap, mu):
+    """One staged eigensolve of B, which back-transforms only the
+    eigenvectors the theorem reads: those below mu and in its kernel."""
     b = random_case(6, 6, gap=gap, coupling=0.5, seed=2, kernel_dim=kernel_dim).block
-    eigh_calls = _count_calls(monkeypatch, scipy.linalg.lapack, "zheevd")
+    w = np.linalg.eigvalsh(b.assemble())
+    stages = staged_eigh_calls(monkeypatch)
     numpy_eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
     checks = _count_calls(monkeypatch, subordinated, "check_subordination")
     result = run_theorem(b, mu=mu)
     assert result.kernel_split_ok and result.reduces_ok
-    assert len(eigh_calls) == 1 and numpy_eigh_calls == []
+    assert stages["zhetrd"] == [(b.dim, b.dim)] and stages["dstevd"] == [b.dim]
+    # the eigenvalues are 0.4 or more from mu, or in the kernel at mu = 0:
+    # n0 - kernel_dim / 2 below mu and kernel_dim at it
+    read = int(np.count_nonzero(w < result.mu + 1e-6))
+    assert stages["zunmqr"] == [read] and read == b.n0 + kernel_dim // 2
+    assert stages["zheevd"] == [] and numpy_eigh_calls == []
     assert len(checks) == 1
+
+
+def test_scale_of_a_fresh_hermitian_block_forms_no_eigenvector(monkeypatch):
+    """``norm(B)`` of a bitwise-Hermitian B is read off its eigenvalues, so
+    the library calls that need only that scale, ``triangularize(b, X0)``
+    and ``diagonalize(b, pair)`` with a caller's pair, back-transform no
+    eigenvector. The tridiagonal solve (``dstevd``) still forms its own."""
+    ref = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    pair = spectral_pair(ref, 0.0)
+    stages = staged_eigh_calls(monkeypatch)
+    assert BlockMatrix(ref.A0, ref.A1, ref.W0, ref.W1).norm == ref.norm
+    triangularize(BlockMatrix(ref.A0, ref.A1, ref.W0, ref.W1), pair.X0)
+    diagonalize(BlockMatrix(ref.A0, ref.A1, ref.W0, ref.W1), pair)
+    assert stages["zhetrd"] == [(ref.dim, ref.dim)] * 3
+    assert stages["zunmqr"] == [] and stages["zheevd"] == []
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,29 @@ def test_the_file_at_the_largest_float_keeps_its_verdicts_scaled_down(tmp_path):
             _same_verdict(f"{command} at 2^{k}", reference[command], scaled[command])
 
 
+def test_the_subnormal_gapped_file_keeps_its_exit_codes(tmp_path):
+    """The gapped file scaled by 2^-1070: its entries are subnormal and keep
+    a few digits each. B's eigensolve factors it scaled up by a power of
+    two, as it factors the file at the largest float scaled down, and its
+    eigenvalues are scaled back. The spectral route then refuses the
+    subspace below mu on its invariance residual (exit 1), as does
+    ``subordinated``, and Newton, which never factors B, converges.
+    ``relbound`` is left out: its SVD of the subnormal blocks does not
+    converge (exit 4, an internal error), which is no verdict to keep."""
+    commands = [c for c in COMMANDS if c[0] != "relbound"]
+    reports = _reports(tmp_path, FILES["gapped"](), -1070, commands)
+    assert {command: code for command, (code, _) in reports.items()} == {
+        "check": 1,
+        "diagonalize": 1,
+        "triangularize": 1,
+        "riccati-solve": 0,
+        "subordinated": 1,
+        "neumann": 1,
+    }
+    errors = [reports[c][1]["error"]["type"] for c in ("check", "diagonalize", "triangularize")]
+    assert errors == ["NumericError"] * 3
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.sampled_from(list(FILES)), st.integers(-600, 600))
 def test_any_power_of_two_keeps_the_verdicts(tmp_path_factory, name, k):
