@@ -285,10 +285,9 @@ def _side_below(b: BlockMatrix, mu: float) -> tuple[GraphSubspace, tuple]:
     """graph(X0) of the invariant subspace of B below mu, and the cached
     triangular form of B reordered so that its eigenvalues lead. On
     bitwise-Hermitian B only the eigenvectors below mu are formed."""
-    h = b.bitwise_hermitian
-    t = b.staged_eigh.w if h else schur_diagonal(b.schur[0])
-    form = (t, b.staged_eigh.vectors(int(np.count_nonzero(t < mu)))) if h else b.schur
-    below, form = invariant_subspace(b.full, form, t.real < mu, b.norm)
+    h = b.staged_eigh if b.bitwise_hermitian else None
+    form = b.schur if h is None else (h.w, h.vectors(int(np.count_nonzero(h.w < mu))))
+    below, form = invariant_subspace(b.full, form, schur_diagonal(form[0]).real < mu, b.norm)
     if below.dim != b.n0:
         raise HypothesisError(
             f"threshold {mu} captures {below.dim} eigenvalues below it, "

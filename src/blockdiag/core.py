@@ -129,27 +129,24 @@ def hermitian_eigh(m, s=None) -> tuple[np.ndarray, np.ndarray]:
     ``m``, or of the pencil ``m v = w s v`` with ``v* s v = I`` for a
     positive definite ``s``; each matrix is read from its lower triangle.
 
-    LAPACK ``zheevd`` (``zhegvd``, divide and conquer) is given its minimum
-    workspace ``n^2 + 2n`` plus the ``64 n + 65 * 64`` that the blocked
-    ``zunmtr`` of its eigenvector back-transform needs at LAPACK's largest
-    block size. With the minimum alone, which ``numpy.linalg.eigh`` and
-    ``scipy.linalg.eigh`` pass, the back-transform runs unblocked (README
-    "Numerics notes"). It serves the callers that read every eigenvector:
-    the diagonal blocks, Sylvester coefficients and graph-frame pencils;
-    B itself takes :class:`StagedEigh`. A failed solve, or an ``s`` that is
-    not positive definite, raises ``np.linalg.LinAlgError``; a non-finite
-    pencil raises ``ValueError``.
+    A matrix takes one :class:`StagedEigh` with every eigenvector formed,
+    read-only. A pencil takes LAPACK ``zhegvd`` (divide and conquer), given
+    its minimum workspace ``n^2 + 2n`` plus the ``64 n + 65 * 64`` that the
+    blocked ``zunmtr`` of its eigenvector back-transform needs at LAPACK's
+    largest block size. With the minimum alone, which ``scipy.linalg.eigh``
+    passes, the back-transform runs unblocked (README "Numerics notes"). A
+    failed solve, or an ``s`` that is not positive definite, raises
+    ``np.linalg.LinAlgError``; a non-finite pencil raises ``ValueError``.
     """
     n = len(m)
-    lwork = n * n + 66 * n + 65 * 64
     if s is None:
-        w, v, info = scipy.linalg.lapack.zheevd(m, lower=1, lwork=lwork)
-    elif not (np.isfinite(m).all() and np.isfinite(s).all()):
+        staged = StagedEigh(m)
+        return staged.w, staged.vectors(n)
+    if not (np.isfinite(m).all() and np.isfinite(s).all()):
         raise ValueError("pencil contains non-finite entries")
-    elif n == 0:
+    if n == 0:
         return np.empty(0), np.empty((0, 0), np.complex128)
-    else:
-        w, v, info = scipy.linalg.lapack.zhegvd(m, s, lwork=lwork)
+    w, v, info = scipy.linalg.lapack.zhegvd(m, s, lwork=n * n + 66 * n + 65 * 64)
     if info:
         raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (LAPACK info {info})")
     return w, v
@@ -158,16 +155,21 @@ def hermitian_eigh(m, s=None) -> tuple[np.ndarray, np.ndarray]:
 class StagedEigh:
     """A Hermitian eigensolve whose eigenvectors are formed on demand.
 
-    The stages of ``zheevd``, on the lower triangle of ``m``: LAPACK
+    The stages of LAPACK ``zheevd``, on the lower triangle of ``m``:
     ``zhetrd`` reduces ``m`` to a real tridiagonal, ``dstevd`` (the
-    ``dstedc`` that ``zheevd`` runs) gives the ascending eigenvalues ``w``,
-    bitwise ``zheevd``'s, and the tridiagonal's eigenvectors, and
-    ``zunmqr`` applies the reflectors of ``zhetrd`` only to the leading
-    columns :meth:`vectors` asks for, which cost in proportion to their
-    number. A matrix whose largest part lies outside the range that
-    ``zheevd`` factors unscaled, ``sqrt(tiny / eps)`` to its inverse, is
-    scaled by a power of two, exactly, and ``w`` scaled back. A failed stage
-    raises ``np.linalg.LinAlgError``.
+    ``dstedc`` that ``zheevd`` runs) gives the ascending eigenvalues ``w``
+    and the tridiagonal's eigenvectors, and ``zunmqr`` applies the
+    reflectors of ``zhetrd`` only to the leading columns :meth:`vectors`
+    asks for, which cost in proportion to their number. On input that
+    neither scales, ``w`` is bitwise ``zheevd``'s, and so are the columns of
+    a first request; those of a later, extending one may differ by rounding.
+    The reflectors are held packed, below the diagonal only, and the
+    tridiagonal eigenvectors only for the columns not yet formed, so that no
+    n x n complex array is held until every column is. A matrix whose
+    largest part lies outside the range that ``zheevd`` factors unscaled,
+    ``sqrt(tiny / eps)`` to its inverse, is scaled by a power of two,
+    exactly, and ``w`` scaled back. A failed stage raises
+    ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, m: np.ndarray):
@@ -184,10 +186,9 @@ class StagedEigh:
             lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
             c, d, sub, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork)
             w, z, info = (d, None, info) if info else lapack.dstevd(d, sub)
-            # the reflectors at zunmtr's A(2, 1), leading dimension n: an
-            # n x (n - 1) view of c (Fortran order) from its second entry, the
-            # n - 1 rows they act on and one row zunmqr does not read
-            self._stages = c.T.ravel()[1 : n * n - n + 1].reshape(n - 1, n).T, tau, z
+            # the reflectors: zunmtr's A(2, 1) below its unit diagonal, which
+            # zunmqr does not read, packed column by column (a mask on its transpose)
+            self._stages = c[1:, :-1].T[np.tri(n - 1, k=-1, dtype=bool).T], tau, z
         if info:
             raise np.linalg.LinAlgError(f"Hermitian eigensolve failed (LAPACK info {info})")
         self.w = _readonly(np.ldexp(w, -e))
@@ -199,15 +200,19 @@ class StagedEigh:
         column is formed."""
         have, lapack = self._v.shape[1], scipy.linalg.lapack
         if k > have:
-            a, tau, z = self._stages
-            v = np.empty((len(z), k), np.complex128, order="F")
-            v[:, :have], v[0, have:] = self._v, z[0, have:k]
-            rows = z[1:, have:k].astype(np.complex128, order="F")
+            packed, tau, z = self._stages
+            n, new = len(z), k - have
+            a = np.zeros((n - 1, n - 1), np.complex128, order="F")
+            a.T[np.tri(n - 1, k=-1, dtype=bool).T] = packed
+            v = np.empty((n, k), np.complex128, order="F")
+            v[:, :have], v[0, have:] = self._v, z[0, :new]
+            rows = z[1:, :new].astype(np.complex128, order="F")
             lwork = int(lapack.zunmqr("L", "N", a, tau, rows, -1, 1)[1][0].real)
             v[1:, have:], _, info = lapack.zunmqr("L", "N", a, tau, rows, lwork, 1)
             if info:
                 raise np.linalg.LinAlgError(f"eigenvector back-transform failed (info {info})")
-            self._v, self._stages = _readonly(v), None if k == len(z) else self._stages
+            self._v = _readonly(v)
+            self._stages = (packed, tau, z[:, new:].copy("F")) if k < n else None
         return self._v[:, :k]
 
 
@@ -378,10 +383,7 @@ class BlockMatrix:
         """
         if not self.bitwise_hermitian_A:
             return None
-        return tuple(
-            (_readonly(w), _readonly(q))
-            for w, q in (hermitian_eigh(self.A0), hermitian_eigh(self.A1))
-        )
+        return hermitian_eigh(self.A0), hermitian_eigh(self.A1)
 
     @cached_property
     def eigvalsh_A(self) -> tuple[np.ndarray, np.ndarray]:

@@ -73,16 +73,18 @@ def containment(inner, outer) -> float:
 
 
 def staged_eigh_calls(monkeypatch) -> dict:
-    """Record the stages of B's Hermitian eigensolve (``core.StagedEigh``):
-    the matrix shape of each ``zhetrd``, the size of each ``dstevd``, and the
-    number of columns each ``zunmqr`` back-transforms, its workspace
-    queries (``lwork = -1``) left out. ``zheevd`` shapes are recorded too."""
+    """Record the stages of every Hermitian eigensolve (``core.StagedEigh``):
+    the matrix shape of each ``zhetrd``, the size of each ``dstevd``, and
+    for each ``zunmqr`` the order of the matrix (its reflectors act on all
+    rows but the first) and the number of columns it back-transforms, its
+    workspace queries (``lwork = -1``) left out. ``zheevd`` shapes are
+    recorded too, so that a test can assert there are none."""
     lapack = scipy.linalg.lapack
     calls = {"zhetrd": [], "dstevd": [], "zunmqr": [], "zheevd": []}
     records = {
         "zhetrd": lambda args: np.shape(args[0]),
         "dstevd": lambda args: len(args[0]),
-        "zunmqr": lambda args: None if args[5] == -1 else np.shape(args[4])[1],
+        "zunmqr": lambda args: None if args[5] == -1 else (len(args[4]) + 1, np.shape(args[4])[1]),
         "zheevd": lambda args: np.shape(args[0]),
     }
     for name, record in records.items():

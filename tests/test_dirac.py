@@ -442,7 +442,7 @@ def test_pipeline_takes_one_eigh_and_the_two_block_eigvalsh(monkeypatch):
     result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
     points = 16
     assert stages["zhetrd"] == [(2 * points, 2 * points)] and numpy_eigh == []
-    assert stages["zunmqr"] == [points] and stages["zheevd"] == []
+    assert stages["zunmqr"] == [(2 * points, points)] and stages["zheevd"] == []
     assert eigvalsh == [(points, points)] * 2
     assert eigvals == []
     assert potrf == [(points, points)] * 2

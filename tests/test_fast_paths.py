@@ -299,10 +299,10 @@ def _kernels(monkeypatch):
         "eigvalsh": _record_shapes(monkeypatch, np.linalg, "eigvalsh"),
         # values-only eigensolves of a pencil
         "scipy_eigh": _record_shapes(monkeypatch, scipy.linalg, "eigh"),
-        # core.StagedEigh of B: the shapes of "zhetrd", the sizes of
-        # "dstevd" and the columns "zunmqr" back-transforms; and
-        # core.hermitian_eigh: eigensolves with eigenvectors of a half-size
-        # matrix ("zheevd") and of a pencil
+        # core.StagedEigh, of B and of the half-size matrices: the shapes of
+        # "zhetrd", the sizes of "dstevd" and the (order, columns) that
+        # "zunmqr" back-transforms; "zheevd", which no path runs; and
+        # core.hermitian_eigh of a pencil
         **staged_eigh_calls(monkeypatch),
         "zhegvd": _record_shapes(monkeypatch, scipy.linalg.lapack, "zhegvd"),
         "cholesky": _record_shapes(monkeypatch, np.linalg, "cholesky"),
@@ -332,7 +332,7 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
     # one staged eigensolve of B: the spectral route forms the n0 columns
     # below mu, the resolvent sweep and the certificate the rest
     assert calls["zhetrd"] == [full] and calls["zheevd"] == [] and calls["eigh"] == []
-    assert calls["zunmqr"] == [b.n0, b.n1]
+    assert calls["zunmqr"] == [(b.dim, b.n0), (b.dim, b.n1)]
     assert calls["schur"] == []
     # the skew pair reads sigma(I + Y) off sigma(X0), no shift takes an SVD
     assert full not in calls["svd"]
@@ -353,14 +353,15 @@ def test_check_factors_a_hermitian_matrix_once(tmp_path, monkeypatch):
 )
 def test_no_command_takes_a_full_eigensolve_of_a_hermitian_matrix(tmp_path, monkeypatch, argv):
     """On bitwise-Hermitian B every command factors B at most once, in
-    stages, and back-transforms no column twice: no ``zheevd`` of B."""
+    stages, and back-transforms no column of it twice: no ``zheevd`` runs."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
     calls = _kernels(monkeypatch)
     assert main([argv[0], path, *argv[1:]]) == 0
     full = (b.dim, b.dim)
-    assert full not in calls["zheevd"] and full not in calls["eigh"]
-    assert calls["zhetrd"] in ([], [full]) and sum(calls["zunmqr"]) <= b.dim
+    assert calls["zheevd"] == [] and full not in calls["eigh"]
+    assert calls["zhetrd"].count(full) <= 1
+    assert sum(k for n, k in calls["zunmqr"] if n == b.dim) <= b.dim
 
 
 @pytest.mark.parametrize("mu", [0.0, None])
@@ -526,8 +527,8 @@ def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):
     calls = _kernels(monkeypatch)
     estimate_relative_bound(b, [1.0, 10.0, 100.0])
     assert calls["eigvals"] == []
-    assert calls["zheevd"] == [(5, 5), (4, 4)] and calls["eigh"] == []
-    assert calls["zhetrd"] == []
+    assert calls["zhetrd"] == [(5, 5), (4, 4)] and calls["eigh"] == []
+    assert calls["zheevd"] == []
     assert (b.dim, b.dim) not in calls["svd"]
 
 
@@ -714,13 +715,13 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     if nearly:
         b = BlockMatrix(b.A0 + 1e-15j * np.eye(6), b.A1, b.W0, b.W1)
     calls = _kernels(monkeypatch)
-    eigh, schur, eigvals = calls["zheevd"], calls["schur"], calls["eigvals"]
+    eigh, schur, eigvals = calls["zhetrd"], calls["schur"], calls["eigvals"]
     sylvester = _record_shapes(monkeypatch, scipy.linalg, "solve_sylvester")
     generalized = calls["zhegvd"]
     _, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
-    assert calls["eigh"] == calls["scipy_eigh"] == calls["zhetrd"] == []
+    assert calls["eigh"] == calls["scipy_eigh"] == calls["zheevd"] == []
     if nearly:
         # one complex Schur form per coefficient and step: centring by the
         # complex mean of the diagonal leaves neither block Hermitian
@@ -829,7 +830,7 @@ def test_perturbed_check_takes_the_general_pair_paths(tmp_path, monkeypatch):
     assert calls["svd"].count(full) == 1
     assert sorted(calls["eigvals"]) == [(b.n1, b.n1)] * 2 + [(b.n0, b.n0)] * 2
     assert calls["zhetrd"] == [full] and calls["zheevd"] == [] and calls["eigh"] == []
-    assert sum(calls["zunmqr"]) == b.dim
+    assert sum(k for _, k in calls["zunmqr"]) == b.dim
     assert calls["schur"] == []
     assert calls["qr"] == [(b.dim, b.n0), (b.dim, b.n1)]
     assert full not in calls["solve"]

@@ -1,8 +1,8 @@
 """``core.hermitian_eigh``: the Hermitian eigensolver with every eigenvector,
-of a matrix (LAPACK ``zheevd``) and of a pencil (``zhegvd``), checked
-against ``numpy.linalg.eigh`` and ``scipy.linalg.eigh``; and
-``core.StagedEigh``, B's eigensolve in ``zheevd``'s stages with only the
-leading eigenvectors formed, checked against ``zheevd``."""
+of a matrix (``core.StagedEigh``) and of a pencil (LAPACK ``zhegvd``),
+checked against ``numpy.linalg.eigh`` and ``scipy.linalg.eigh``; and
+``core.StagedEigh``, the eigensolve in the stages of LAPACK ``zheevd`` with
+only the leading eigenvectors formed, checked against ``zheevd``."""
 
 import math
 
@@ -35,6 +35,15 @@ def _hermitian(rng, n, kind):
         return np.diag(rng.choice([-1.0, 0.0, 2.0], size=n)).astype(np.complex128)
     g = _gaussian(rng, n)
     return g + g.conj().T
+
+
+def _zheevd(m):
+    """``(w, v)`` of LAPACK ``zheevd`` with the blocked back-transform's
+    workspace: the reference the staged eigensolve matches bitwise."""
+    n = len(m)
+    w, v, info = scipy.linalg.lapack.zheevd(m, lower=1, lwork=n * n + 66 * n + 65 * 64)
+    assert info == 0
+    return w, v
 
 
 def _check_eigensystem(m, w, v, s=None):
@@ -130,11 +139,11 @@ def test_non_finite_pencil_raises_value_error(which):
 
 
 def test_every_call_site_passes_the_blocked_back_transform_workspace(monkeypatch):
-    """``zheevd``'s minimum workspace plus the blocked ``zunmtr``'s at block
-    size 64, and for B's staged eigensolve the workspace LAPACK's own
-    queries return. With the default workspace the back-transform runs
-    unblocked, slower but with the same answers, so only this test sees a
-    return to it."""
+    """The staged eigensolves take the workspace LAPACK's own queries
+    return, and ``zhegvd`` its minimum workspace plus the blocked
+    ``zunmtr``'s at block size 64. With the default workspace the
+    back-transform runs unblocked, slower but with the same answers, so
+    only this test sees a return to it."""
     lworks = []
 
     def recording(name, size, lwork):
@@ -147,7 +156,6 @@ def test_every_call_site_passes_the_blocked_back_transform_workspace(monkeypatch
         monkeypatch.setattr(scipy.linalg.lapack, name, recorded)
 
     keyword = lambda args, kwargs: kwargs.get("lwork", 0)
-    recording("zheevd", lambda args: len(args[0]), keyword)
     recording("zhegvd", lambda args: len(args[0]), keyword)
     recording("zhetrd", lambda args: len(args[0]), keyword)
     # side, trans, reflectors, tau, columns, lwork: the columns' row count
@@ -157,17 +165,18 @@ def test_every_call_site_passes_the_blocked_back_transform_workspace(monkeypatch
     _ = b.schur, nearly.eigh
     _, trace = solve_newton_X0(b)
     assert trace.frames == 1
-    # the staged eigensolves of B and of nearly (each a back-transform's
-    # query, then the back-transform of the rows 1..10 the reflectors act
-    # on), eigh_A of both blocks, one frame
-    staged = [("zhetrd", 11), ("zunmqr", 10), ("zunmqr", 10)]
-    assert [(name, n) for name, n, _ in lworks] == staged * 2 + [
-        ("zheevd", 6), ("zheevd", 5), ("zhegvd", 6), ("zhegvd", 5),
+    # the staged eigensolves of B, of nearly and of both blocks for eigh_A
+    # (each a back-transform's query, then the back-transform of the rows
+    # 1..n-1 the reflectors act on), then one frame
+    staged = lambda n: [("zhetrd", n), ("zunmqr", n - 1), ("zunmqr", n - 1)]
+    assert [(name, n) for name, n, _ in lworks] == staged(11) * 2 + staged(6) + staged(5) + [
+        ("zhegvd", 6), ("zhegvd", 5),
     ]
-    for (_, _, trd), (_, _, query), (_, _, unmqr) in (lworks[:3], lworks[3:6]):
-        assert trd == int(scipy.linalg.lapack.zhetrd_lwork(11, lower=1)[0].real) > 11
-        assert query == -1 and unmqr > 10 * 11
-    assert all(lwork >= n * n + 66 * n + 4160 for name, n, lwork in lworks[6:])
+    for i in range(0, 12, 3):
+        (_, n, trd), (_, _, query), (_, _, unmqr) = lworks[i : i + 3]
+        assert trd == int(scipy.linalg.lapack.zhetrd_lwork(n, lower=1)[0].real) > n
+        assert query == -1 and unmqr > (n - 1) * n
+    assert all(lwork >= n * n + 66 * n + 4160 for name, n, lwork in lworks[12:])
 
 
 # --- B's staged eigensolve ----------------------------------------------------
@@ -197,7 +206,7 @@ def test_staged_eigensolve_matches_zheevd(n, seed, kind, exponent, data):
     k1 keeps the k1 columns formed first."""
     m = _hermitian(np.random.default_rng(seed), n, kind) * 2.0**exponent
     staged = StagedEigh(m)
-    w_ref = hermitian_eigh(m)[0]
+    w_ref = _zheevd(m)[0]
     assert staged.w.shape == (n,) and np.all(np.diff(staged.w) >= 0.0)
     if exponent == 0:
         np.testing.assert_array_equal(staged.w, w_ref)
@@ -217,9 +226,11 @@ def test_staged_eigensolve_matches_zheevd(n, seed, kind, exponent, data):
 
 def test_staged_eigensolve_is_bitwise_zheevd_on_the_benchmark_inputs():
     """B of the theorem, cli and Dirac workloads: ``zheevd``'s eigenvalues
-    bitwise; and on the theorem's and the Dirac demo's B, the leading
-    columns the theorem reads (those below mu = 0) bitwise ``zheevd``'s
-    too, so their answers are those of the full eigensolve."""
+    and, asked for at once, all its eigenvectors bitwise; on the theorem's
+    and the Dirac demo's B, the leading columns the theorem reads (those
+    below mu = 0) bitwise ``zheevd``'s too, so their answers are those of
+    the full eigensolve; and on the newton workload's diagonal blocks,
+    ``hermitian_eigh`` is bitwise ``zheevd``."""
     problem = DiracProblem(
         grid=GridSpec(n=16), potential=ImpurityPotential(amplitude=0.035, radius=0.785)
     )
@@ -230,13 +241,18 @@ def test_staged_eigensolve_is_bitwise_zheevd_on_the_benchmark_inputs():
         random_case(100, 100, gap=0.0, coupling=0.5, seed=0, kernel_dim=8).block.full,
     ]
     for m in theorem + cli:
-        w, v = hermitian_eigh(m)
+        w, v = _zheevd(m)
         staged = StagedEigh(m)
         np.testing.assert_array_equal(staged.w, w)
         if any(m is t for t in theorem):
             k = int(np.count_nonzero(w < 0.0))
             assert k == len(m) // 2
             np.testing.assert_array_equal(staged.vectors(k), v[:, :k])
+        np.testing.assert_array_equal(StagedEigh(m).vectors(len(m)), v)
+    newton = random_case(200, 200, gap=1.0, coupling=0.5, seed=0).block
+    for a in (newton.A0, newton.A1):
+        for got, want in zip(hermitian_eigh(a), _zheevd(a)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_staged_dirac_matrix_matches_zheevd():
@@ -244,7 +260,7 @@ def test_staged_dirac_matrix_matches_zheevd():
     potential = ImpurityPotential(amplitude=0.05, profile="disk", radius=np.pi / 4)
     h = build_operators(DiracProblem(grid=grid, potential=potential)).h_full
     staged = StagedEigh(h)
-    np.testing.assert_array_equal(staged.w, hermitian_eigh(h)[0])
+    np.testing.assert_array_equal(staged.w, _zheevd(h)[0])
     _check_leading(h, staged.w, staged.vectors(len(h) // 2))
     _check_leading(h, staged.w, staged.vectors(len(h)))
 
@@ -281,7 +297,11 @@ def test_staged_eigensolve_drops_its_stages_once_every_column_is_formed():
     m = _hermitian(np.random.default_rng(6), 30, "random")
     staged = StagedEigh(m)
     staged.vectors(12)
-    assert staged._stages is not None
+    # no 30 x 30 complex array is held: the reflectors below the diagonal
+    # of the 29 x 29 reflector block, packed, and the tridiagonal's
+    # eigenvectors of the 18 columns not yet formed
+    packed, _, z = staged._stages
+    assert packed.shape == (29 * 28 // 2,) and z.shape == (30, 18)
     v = staged.vectors(30)
     assert staged._stages is None and not v.flags.writeable
     np.testing.assert_array_equal(staged.vectors(7), v[:, :7])

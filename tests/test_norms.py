@@ -352,7 +352,7 @@ def test_run_theorem_factors_once(monkeypatch, kernel_dim, gap, mu):
     # the eigenvalues are 0.4 or more from mu, or in the kernel at mu = 0:
     # n0 - kernel_dim / 2 below mu and kernel_dim at it
     read = int(np.count_nonzero(w < result.mu + 1e-6))
-    assert stages["zunmqr"] == [read] and read == b.n0 + kernel_dim // 2
+    assert stages["zunmqr"] == [(b.dim, read)] and read == b.n0 + kernel_dim // 2
     assert stages["zheevd"] == [] and numpy_eigh_calls == []
     assert len(checks) == 1
 
