@@ -319,10 +319,7 @@ def _dirac(args, report, problem) -> list[Gate]:
         with _timed(report.timings, "pipeline"):
             result = dirac.run_dirac_pipeline(problem, tol=args.tol)
     except HypothesisError as exc:
-        split = exc.report
-        if split is None:
-            split = dirac.check_subordination_split(problem)
-        report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)
+        report.certificates["subordination"] = _fields(exc.report, *_SPLIT_FIELDS)
         return [_holds("subordinated", False, "hypothesis")]
     split = result.split
     report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .angular import AngularPair
 from .core import BlockMatrix, _sigma_min, check_shifts, is_hermitian, operator_norm
+from .core import shift_distance
 from .errors import ContractError, NumericError, StructuralError
 from .spectral import eigenvalues
 
@@ -69,26 +70,40 @@ def resolvent_norm(b: BlockMatrix, lam: complex) -> float:
     ``Q_k*`` drops out of the norm: two half-size SVDs of column-scaled
     blocks. Other blocks take one solve per half.
     """
-    return _resolvent_norms(b, [complex(lam)])[0]
+    return _resolvent_norms(b, [complex(lam)])[0][0]
 
 
-def _resolvent_norms(b: BlockMatrix, lams: list[complex]) -> list[float]:
-    """:func:`resolvent_norm` at each shift; ``W1 Q1`` and ``W0 Q0`` formed once."""
+def _resolvent_norms(b: BlockMatrix, lams: list[complex]):
+    """:func:`resolvent_norm` at each shift, ``W1 Q1`` and ``W0 Q0`` formed
+    once, and a generator of the growths ``|lam| norm((A - lam)^{-1})``,
+    which forms them only when read.
+
+    Both have degree 0 in (A, V, lam), so they are formed on all three
+    scaled by the power of two that brings the largest entry of the blocks
+    and the shifts into [1/2, 1), as :func:`~blockdiag.riccati.solve_newton_X0`
+    scales its blocks: exact while the entries stay normal, and on
+    subnormal blocks the reciprocal of a distance ``w - lam`` no longer
+    overflows.
+    """
     if b.eigh_A is not None:
         (w0, q0), (w1, q1) = b.eigh_A
         spec_a = np.concatenate([w0, w1])
     else:
         spec_a = np.concatenate([eigenvalues(b.A0), eigenvalues(b.A1)])
     check_shifts(lams, spec_a, b.norm_A, 1e-10, "spec(A)")
+    parts = [m.view(np.float64) for m in (b.A0, b.A1, b.W0, b.W1, np.array(lams, complex))]
+    e = np.frexp(max(float(np.max(np.abs(m), initial=0.0)) for m in parts))[1]
+    a0, a1, v0, v1, lams = (np.ldexp(m, -e).view(np.complex128) for m in parts)
     if b.eigh_A is not None:
-        w1q1, w0q0 = b.W1 @ q1, b.W0 @ q0
+        spec_a, w1q1, w0q0 = np.ldexp(spec_a, -e), v1 @ q1, v0 @ q0
+        w0, w1 = spec_a[: b.n0], spec_a[b.n0 :]
         halves = ((w1q1 / (w1 - lam), w0q0 / (w0 - lam)) for lam in lams)
+        dists = (shift_distance(spec_a, lam) for lam in lams)
     else:
-        halves = (
-            (_times_inverse(b.W1, b.A1, lam), _times_inverse(b.W0, b.A0, lam))
-            for lam in lams
-        )
-    return [max(operator_norm(h) for h in pair) for pair in halves]
+        halves = ((_times_inverse(v1, a1, lam), _times_inverse(v0, a0, lam)) for lam in lams)
+        dists = (min(_sigma_min(a - lam * np.eye(len(a))) for a in (a0, a1)) for lam in lams)
+    norms = [max(operator_norm(h) for h in pair) for pair in halves]
+    return norms, (abs(lam) / d for lam, d in zip(lams, dists))
 
 
 def _times_inverse(w: np.ndarray, a: np.ndarray, lam: complex) -> np.ndarray:
@@ -168,8 +183,8 @@ def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
     if not is_hermitian(a):
         raise ContractError("relative-bound sweep requires a Hermitian diagonal part")
     lams = [1j * tau for tau in taus]
-    sweep = list(zip(lams, _resolvent_norms(b, lams)))
-    growth = [(lam, abs(lam) / b.sigma_min_shifted_A(lam)) for lam in lams]
+    norms, growth = _resolvent_norms(b, lams)
+    sweep, growth = list(zip(lams, norms)), list(zip(lams, growth))
     return RelativeBoundEstimate(
         a=b.norm_V,
         b_star=min(r for _, r in sweep),

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks, relative
+from .core import BlockMatrix, frobenius_norm, relative
 from .errors import HypothesisError, NumericError, StructuralError
 from .spectral import _ORTHO_TOL
-from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
+from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, check_subordination, run_theorem
 from .transform import frame_angle_bound
 
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
@@ -76,10 +76,6 @@ class GridSpec:
         """Smallest momentum magnitude on the 2-d grid."""
         kx, ky = self.momentum_mesh()
         return float(np.min(np.hypot(kx, ky)))
-
-    @property
-    def points(self) -> int:
-        return self.n * self.n
 
 
 @dataclass(frozen=True)
@@ -138,13 +134,16 @@ class DiracProblem:
 
 @dataclass(frozen=True)
 class DiracOperators:
-    """Dense realizations of all operator ingredients on one grid."""
+    """Dense position-space ingredients of ``H = [[U, M], [M*, U]]`` on one
+    grid, none larger than ``n^2 x n^2``: the spinor phase ``Theta``, the
+    momentum magnitude ``S = sqrt(-Lap)``, the potential values (the
+    diagonal of U) and the coupling block ``M = F* diag(k_x - i k_y) F``,
+    F the 2-d transform to momenta. H itself is never assembled."""
 
     theta_op: np.ndarray
     sqrt_lap: np.ndarray
     potential_values: np.ndarray
-    h_free: np.ndarray
-    h_full: np.ndarray
+    coupling: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,9 @@ class DiracSplitReport:
     read ``A0 - A1 = S + Theta S Theta*``, which is what it measures.
     ``margin`` is the sufficient condition ``k_min - 2 u_inf`` for
     subordination at zero, conservative for the actual blocks; the flag
-    itself comes from the eigensolve.
+    and the extreme eigenvalues are those of
+    :func:`~blockdiag.subordinated.check_subordination` on the swapped
+    blocks at 0.
     """
 
     block_identity_residual: float
@@ -229,18 +230,11 @@ def build_operators(problem: DiracProblem) -> DiracOperators:
     kx, ky = grid.momentum_mesh()
     theta_op = _multiplier(fourier, theta_values)
     sqrt_lap = _hermitize(_multiplier(fourier, np.hypot(kx, ky).astype(np.complex128)))
-    minus = _multiplier(fourier, (kx - 1j * ky).astype(np.complex128))
-    h_free = from_blocks(None, minus, minus.conj().T, None)
-    u = problem.potential.sample(grid)
-    h_full = h_free.copy()
-    idx = np.arange(2 * grid.points)
-    h_full[idx, idx] += np.concatenate([u, u])
     return DiracOperators(
         theta_op=theta_op,
         sqrt_lap=sqrt_lap,
-        potential_values=u,
-        h_free=h_free,
-        h_full=h_full,
+        potential_values=problem.potential.sample(grid),
+        coupling=_multiplier(fourier, (kx - 1j * ky).astype(np.complex128)),
     )
 
 
@@ -278,11 +272,10 @@ def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
     ``A0, A1 = (P + U +- (K + K*)) / 2`` and ``W0 = W1* = (P - U + K - K*) / 2``;
     each diagonal block is exactly Hermitian and ``W1`` is exactly ``W0*``.
     """
-    points = ops.sqrt_lap.shape[0]
     theta = ops.theta_op
     u = np.diag(ops.potential_values)
     p = _hermitize((theta * ops.potential_values) @ theta.conj().T)
-    k = theta @ ops.h_full[:points, points:]
+    k = theta @ ops.coupling
     k_sym = k + k.conj().T
     w0 = 0.5 * (p - u + (k - k.conj().T))
     return BlockMatrix(
@@ -309,13 +302,14 @@ def check_subordination_split(
 
     Reports the residual of the transformed diagonal blocks against the
     average of ``+-S + U`` and its phase conjugate (S the momentum
-    magnitude multiplier) and the extreme block eigenvalues; the
-    subordination flag comes from the eigensolve, while the reported
-    margin ``k_min - 2 u_inf`` is a sufficient but conservative bound,
-    and a margin that overflows is an input error.
-    Residuals are Frobenius norms over ``norm(S) + u_inf``, where
-    ``norm(S)`` is the largest momentum magnitude on the grid, and the
-    subordination flag allows a band of ``DEFAULT_TOL`` times that scale;
+    magnitude multiplier), and the extreme block eigenvalues and the
+    subordination flag of :func:`~blockdiag.subordinated.check_subordination`
+    on the swapped blocks at 0: the rule, band included, that
+    :func:`~blockdiag.subordinated.run_theorem` applies to those blocks in
+    :func:`run_dirac_pipeline`. The reported margin ``k_min - 2 u_inf`` is
+    a sufficient but conservative bound, and a margin that overflows is an
+    input error. Residuals are Frobenius norms over ``norm(S) + u_inf``,
+    where ``norm(S)`` is the largest momentum magnitude on the grid;
     ``norm_bound = norm(S) + u_inf`` bounds ``norm(H)`` from above.
     Pass the ``ops`` of the problem when they are already built.
     Never raises on a failing flag; residuals and margins tell the story.
@@ -339,16 +333,14 @@ def check_subordination_split(
     # both averaged identities read A0 - A1 = S + Theta S Theta*
     free = ops.sqrt_lap + theta @ ops.sqrt_lap @ theta.conj().T
     block_res = relative(0.5 * frobenius_norm(bm.A0 - bm.A1 - free), norm_bound)
-    w0, w1 = bm.eigvalsh_A
-    sup_a1 = float(w1[-1])
-    inf_a0 = float(w0[0])
-    band = DEFAULT_TOL * norm_bound
-    subordinated = sup_a1 <= band and inf_a0 >= -band
+    # the block spectra, read before swapping, carry over to every swapped copy
+    bm.eigvalsh_A
+    check = check_subordination(bm.swapped(), 0.0)
     return DiracSplitReport(
         block_identity_residual=block_res,
-        sup_spec_A1=sup_a1,
-        inf_spec_A0=inf_a0,
-        subordinated=subordinated,
+        sup_spec_A1=check.sup_spec_A0,
+        inf_spec_A0=check.inf_spec_A1,
+        subordinated=check.subordinated,
         margin=margin,
         u_inf=u_inf,
         k_min=k_min,
@@ -368,11 +360,14 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     coordinates (:func:`~blockdiag.transform.frame_angle_bound`), with no
     product of the full dimension: its slack covers the unitarity defect of
     the rotation and the rounding of the rotated blocks, and the sine of
-    each angle grows by the distance of L or L_perp from its graph and by
-    the rotation's tilt (README "Numerics notes"); the distance of L is the
-    theorem's ``graph_distance``. The spectrum of H is the eigenvalues of
-    the one staged ``eigh`` of the rotated matrix that the subordinated
-    pipeline takes, which forms only the eigenvectors below 0.
+    each angle grows by a rounding term and by the rotation's tilt (README
+    "Numerics notes"). ``angle_minus`` is that of the basis L, whose sine
+    grows also by its distance from graph(X), the theorem's
+    ``graph_distance``; ``angle_plus`` is that of graph(-X*) itself, the
+    complement of graph(X), of which no basis is formed. The spectrum of H
+    is the eigenvalues of the one staged ``eigh`` of the rotated matrix
+    that the subordinated pipeline takes, which forms only the eigenvectors
+    below 0.
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
@@ -403,11 +398,10 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         definite, theorem.norm_X, (t0, t1), mu, right.frame_defects[0], swapped.norm,
         (r + eps * (2.0 + eps)) * report.norm_bound,
     )
-    # the distances of L and L_perp from the graphs, over their least singular values
-    q_perp = theorem.L_perp.basis
-    outside = (theorem.graph_distance, frobenius_norm(q_perp[:n0] + xh @ q_perp[n0:]))
+    # the distance of L from graph(X) over its least singular value; the
+    # complement graph(-X*) is certified itself, with no basis to be apart
     rho, sigma = r * (1.0 + theorem.norm_X) ** 2, math.sqrt(1.0 - _ORTHO_TOL - 2.0 * r)
-    sines = (sine + (d + rho) / sigma for d in outside)
+    sines = (sine + (d + rho) / sigma for d in (theorem.graph_distance, 0.0))
     angle_minus, angle_plus = (math.asin(min(1.0, s + eps / (1.0 - eps))) for s in sines)
     return DiracPipelineResult(
         theorem=theorem,

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
 from .spectral import Subspace, null_space_basis
-from .transform import DiagonalizationResult, _lower, diagonalize
+from .transform import DiagonalizationResult, diagonalize
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
 #: to the threshold mu and is routed through the kernel logic.
@@ -78,17 +78,15 @@ class TheoremResult:
     """Everything produced by the subordinated decomposition pipeline.
 
     ``check`` is the subordination check the pipeline ran at ``mu``. ``L``
-    is the eigenvector basis of the reducing subspace, and ``L_perp`` the
-    orthonormal basis ``G1 L1^{-*}`` of its complement graph(-X*) over H1,
-    with ``G1 = [-X*; I]`` and ``L1`` the Cholesky factor of
-    ``I + X X* = G1* G1``. ``invariance_residuals`` bound the invariance
-    defects of both bases (README "Numerics notes"); ``graph_distance`` is
-    ``norm_F(Q1 - X Q0)`` of ``L = [Q0; Q1]``, the distance of span L from
-    graph(X), which the first of them includes.
+    is the eigenvector basis of the reducing subspace; its complement is
+    graph(-X*) over H1, which ``X`` fixes. ``invariance_residuals`` bound
+    the invariance defects of L and of graph(-X*) (README "Numerics
+    notes"); ``graph_distance`` is ``norm_F(Q1 - X Q0)`` of
+    ``L = [Q0; Q1]``, the distance of span L from graph(X), which the first
+    of them includes.
     """
 
     L: Subspace
-    L_perp: Subspace
     X: np.ndarray
     norm_X: float
     kernel_split_ok: bool
@@ -284,7 +282,7 @@ def run_theorem(
     Builds the reducing subspace, extracts the contraction ``X``, forms
     the skew pair ``(X, -X*)``, verifies the kernel splitting, runs both
     block diagonalizations, bounds the invariance defects of the subspace
-    and its complement, and measures the mutual-adjointness defect of the
+    and of graph(-X*), and measures the mutual-adjointness defect of the
     two diagonal forms. The hypotheses are checked once, one
     eigendecomposition of B serves the kernel split and the reducing
     subspace, with only the eigenvectors below mu and in its band formed,
@@ -297,9 +295,10 @@ def run_theorem(
     they form (``DiagonalizationResult.frame_defects``).
     ``invariance_residuals[0]`` adds ``2 norm_F(Q1 - X Q0)``, the distance
     of span L from graph(X) times 2, and both add the rounding slack
-    ``16 dim eps (1 + norm(X))^2`` (README "Numerics notes"), so each bounds
-    the defect of its returned basis. Residuals are Frobenius norms over
-    the exact ``norm(B)``; ``norm_X`` is exact.
+    ``16 dim eps (1 + norm(X))^2`` (README "Numerics notes"), so the first
+    bounds the defect of the returned basis L and ``invariance_residuals[1]``
+    that of graph(-X*). Residuals are Frobenius norms over the exact
+    ``norm(B)``; ``norm_X`` is exact.
     """
     if mu is None:
         mu = choose_mu(b)
@@ -323,21 +322,16 @@ def run_theorem(
         )
     # kappa(I -/+ Y) <= sqrt(2): always the blockwise frame route
     left, right = diagonalize(b, pair)
-    defects, l1 = right.frame_defects, pair.factors_I_minus_Y2[1]
     slack = KERNEL_PROOF_ROUNDING * b.dim * _EPS * (1.0 + norm_x) ** 2
     q0, q1 = sub.basis[: b.n0], sub.basis[b.n0 :]
     # span L is within norm_F(Q1 - X Q0) of graph(X)
     distance = frobenius_norm(q1 - x @ q0)
-    res_l = relative(defects[0], b.norm) + 2.0 * distance + slack
-    res_perp = relative(defects[1], b.norm) + slack
-    # G1 L1^{-*} = (L1^{-1} G1*)*, G1* = [-X, I], solved block by block
-    g1h = np.hstack([_lower(l1, -x), _lower(l1, np.eye(b.n1))])
-    complement = Subspace(g1h.conj().T, n0=b.n0)
+    res_l = relative(right.frame_defects[0], b.norm) + 2.0 * distance + slack
+    res_perp = relative(right.frame_defects[1], b.norm) + slack
     blocks = zip(right.diag_blocks, left.diag_blocks)
     adjointness = float(np.hypot(*[frobenius_norm(r.conj().T - l) for r, l in blocks]))
     return TheoremResult(
         L=sub,
-        L_perp=complement,
         X=x,
         norm_X=norm_x,
         kernel_split_ok=split_report.ok,

@@ -53,6 +53,15 @@ def offdiagonal_part(b):
     return from_blocks(None, b.W1, b.W0, None)
 
 
+def dirac_hamiltonians(ops):
+    """``(H_free, H)`` of a ``DiracOperators``: ``[[0, M], [M*, 0]]`` and
+    ``[[U, M], [M*, U]]``, assembled from its coupling block M and potential
+    values U, which the package itself never does (independent oracle)."""
+    m = ops.coupling
+    h_free = from_blocks(None, m, m.conj().T, None)
+    return h_free, h_free + np.diag(np.concatenate([ops.potential_values] * 2))
+
+
 def eigvecs(b, keep):
     """Eigenvectors of B whose eigenvalues ``keep(w, band)`` selects, with
     ``band = 1e-9 * norm(B)``, from numpy's ``eigh`` (independent oracle)."""

@@ -15,12 +15,14 @@ from blockdiag import (
     fw_transform,
     run_dirac_pipeline,
 )
+from blockdiag.angular import GraphBase, GraphSubspace, from_graph
 from blockdiag.cli import main
-from blockdiag.core import BlockMatrix, frobenius_norm, from_blocks
+from blockdiag.core import DEFAULT_TOL, BlockMatrix, frobenius_norm, from_blocks
 from blockdiag.dirac import build_operators, fw_unitarity_residual
-from blockdiag.errors import StructuralError
+from blockdiag.errors import HypothesisError, StructuralError
 from blockdiag.spectral import Subspace
-from conftest import containment, staged_eigh_calls
+from blockdiag.subordinated import check_subordination
+from conftest import containment, dirac_hamiltonians, staged_eigh_calls
 from blockdiag.transform import match_spectra
 
 _EPS = np.finfo(np.float64).eps
@@ -66,7 +68,7 @@ def test_theta_unimodular():
 
 def test_free_dirac_spectrum_matches_momenta():
     grid = GridSpec(n=4, length=2 * np.pi)
-    h0 = build_operators(_problem(n=4)).h_free
+    h0 = dirac_hamiltonians(build_operators(_problem(n=4)))[0]
     assert np.linalg.norm(h0 - h0.conj().T, 2) <= 1e-12
     kx, ky = grid.momentum_mesh()
     magnitudes = np.hypot(kx, ky)
@@ -83,7 +85,7 @@ def test_fw_free_case_block_diagonal():
     problem = _problem(n=4)
     bm = fw_transform(problem)
     ops = build_operators(problem)
-    scale = np.linalg.norm(ops.h_free, 2)
+    scale = np.linalg.norm(dirac_hamiltonians(ops)[0], 2)
     assert np.linalg.norm(bm.W1, 2) <= 1e-12 * scale
     assert np.linalg.norm(bm.W0, 2) <= 1e-12 * scale
     np.testing.assert_allclose(bm.A0, ops.sqrt_lap, atol=1e-12 * scale)
@@ -102,7 +104,7 @@ def test_fw_constant_potential_commutes():
     assert np.all(problem.potential.sample(problem.grid) == u0)
     bm = fw_transform(problem)
     ops = build_operators(problem)
-    scale = np.linalg.norm(ops.h_full, 2)
+    scale = np.linalg.norm(dirac_hamiltonians(ops)[1], 2)
     assert np.linalg.norm(bm.W1, 2) <= 1e-12 * scale
     np.testing.assert_allclose(
         bm.A0, ops.sqrt_lap + u0 * np.eye(16), atol=1e-12 * scale
@@ -137,7 +139,7 @@ def test_fw_spectrum_preserved():
     bm = fw_transform(problem)
     ops = build_operators(problem)
     spec_fw = np.linalg.eigvalsh(bm.assemble())
-    spec_h = np.linalg.eigvalsh(ops.h_full)
+    spec_h = np.linalg.eigvalsh(dirac_hamiltonians(ops)[1])
     scale = max(np.abs(spec_h))
     assert match_spectra(spec_fw, spec_h) <= 1e-9 * scale
 
@@ -205,6 +207,61 @@ def test_split_identity_sees_a_perturbation_of_1e_6(monkeypatch, tmp_path, where
     out = tmp_path / "report.json"
     assert main(["dirac", "--n", "4", "--amplitude", "0.05", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["residuals"]["split_identity"] > 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([4, 6]),
+    factor=st.floats(0.4, 0.6),
+    radius=st.floats(0.3, 4.0),
+    profile=st.sampled_from(["disk", "gaussian"]),
+)
+def test_dirac_and_the_theorem_apply_one_subordination_rule(n, factor, radius, profile):
+    """Near ``k_min / 2``, where the margin closes, the split report's flag
+    is the one ``run_theorem``'s own check gives the swapped blocks at 0,
+    and the pipeline returns, or refuses with that report."""
+    grid = GridSpec(n=n)
+    problem = DiracProblem(
+        grid=grid,
+        potential=ImpurityPotential(
+            amplitude=factor * grid.k_min, profile=profile, radius=radius
+        ),
+    )
+    report = check_subordination_split(problem)
+    theorem_check = check_subordination(fw_transform(problem).swapped(), 0.0)
+    assert report.subordinated == theorem_check.subordinated
+    assert (report.sup_spec_A1, report.inf_spec_A0) == (
+        theorem_check.sup_spec_A0,
+        theorem_check.inf_spec_A1,
+    )
+    try:
+        result = run_dirac_pipeline(problem)
+    except HypothesisError as exc:
+        assert not report.subordinated and exc.report == report
+    else:
+        assert report.subordinated and result.split == report
+
+
+def test_a_problem_between_the_two_former_bands_is_refused_by_dirac(monkeypatch, tmp_path):
+    """Here sup spec(A1) = 2.9e-10: within ``DEFAULT_TOL * norm_bound``
+    (3.2e-10), the band the split report once applied, and outside the band
+    of ``check_subordination``, which ``run_theorem`` applies. The pipeline
+    refuses it itself, with its report, and never runs the theorem."""
+    amplitude = 1.1105784176952689
+    problem = _problem(n=4, amplitude=amplitude, radius=2.0)
+    theorems = []
+    monkeypatch.setattr(dirac, "run_theorem", lambda *args, **kwargs: theorems.append(args))
+    with pytest.raises(HypothesisError) as info:
+        run_dirac_pipeline(problem)
+    report = info.value.report
+    assert not report.subordinated and theorems == []
+    assert 0.0 < report.sup_spec_A1 <= DEFAULT_TOL * report.norm_bound
+    out = tmp_path / "report.json"
+    argv = ["dirac", "--n", "4", "--amplitude", repr(amplitude), "--radius", "2"]
+    assert main([*argv, "--out", str(out)]) == 2 and theorems == []
+    assert json.loads(out.read_text())["certificates"]["subordination"]["sup_spec_A1"] == (
+        report.sup_spec_A1
+    )
 
 
 def test_pipeline_zero_potential():
@@ -286,19 +343,19 @@ def test_potential_refuses_non_finite_parameters(kwargs):
         ImpurityPotential(**kwargs)
 
 
-def test_pipeline_complement_is_the_theorems_complement():
-    """``L_perp`` spans graph(-X*) over H1 and is orthonormal; its basis is
-    the Cholesky frame ``G1 L1^{-*}``, so it is compared by projectors with
-    an independent QR basis of the same graph."""
-    from blockdiag.angular import GraphBase, GraphSubspace, from_graph
+@pytest.mark.parametrize("n", [4, 8])
+def test_build_operators_forms_no_array_larger_than_n2_by_n2(n):
+    """The Hamiltonian H is never assembled: every operator array is one
+    ``n^2 x n^2`` block or smaller."""
+    ops = build_operators(_problem(n=n, amplitude=0.05))
+    for field in dataclasses.fields(ops):
+        shape = np.shape(getattr(ops, field.name))
+        assert len(shape) <= 2 and max(shape) == n * n, field.name
 
-    result = run_dirac_pipeline(_problem(n=4, amplitude=0.3))
-    theorem = result.theorem
-    q = theorem.L_perp.basis
-    rebuilt = from_graph(GraphSubspace(base=GraphBase.H1, X=-theorem.X.conj().T)).basis
-    distance = np.linalg.norm(q @ q.conj().T - rebuilt @ rebuilt.conj().T, 2)
-    assert distance <= 1e-13
-    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-13
+
+def _complement(x):
+    """Orthonormal basis of graph(-X*) over H1, from an independent QR."""
+    return from_graph(GraphSubspace(base=GraphBase.H1, X=-x.conj().T)).basis
 
 
 def _dense_t(ops):
@@ -311,30 +368,32 @@ def _dense_t(ops):
 def test_blockwise_rotation_matches_dense_products(n):
     ops = build_operators(_problem(n=n, amplitude=0.05, profile="gaussian", radius=1.0))
     t = _dense_t(ops)
-    dim = t.shape[0]
-    dense = t @ ops.h_full @ t.conj().T
+    dim, h = t.shape[0], dirac_hamiltonians(ops)[1]
+    dense = t @ h @ t.conj().T
     dense = 0.5 * (dense + dense.conj().T)
     blockwise = dirac._fw_block_matrix(ops).full
-    scale = np.linalg.norm(ops.h_full, 2)
+    scale = np.linalg.norm(h, 2)
     assert np.linalg.norm(blockwise - dense) <= 8 * dim * _EPS * scale
     unitarity = np.linalg.norm(t @ t.conj().T - np.eye(dim))
     assert abs(fw_unitarity_residual(ops) - unitarity) <= 8 * dim * _EPS
 
 
 def _oracle_angles(problem, result):
-    """Largest angles of ``T* L``, ``T* L_perp`` to the spectral subspaces of H.
+    """Largest angles of ``T* L``, ``T* graph(-X*)`` to the spectral subspaces
+    of H.
 
-    Takes the dense ``eigh`` of ``h_full`` that the pipeline does without.
+    Takes the dense ``eigh`` of the assembled H that the pipeline does without.
     """
     ops = build_operators(problem)
     t_adj = _dense_t(ops).conj().T
-    points = problem.grid.points
+    points = problem.grid.n**2
     # undo the swap: the pipeline runs the theorem with the negative block first
     perm = np.r_[points : 2 * points, 0:points]
-    w, v = np.linalg.eigh(ops.h_full)
+    w, v = np.linalg.eigh(dirac_hamiltonians(ops)[1])
     angles = []
-    for sub, mask in ((result.theorem.L, w < 0.0), (result.theorem.L_perp, w > 0.0)):
-        q = Subspace(basis=np.linalg.qr(t_adj @ sub.basis[perm])[0])
+    pairs = ((result.theorem.L.basis, w < 0.0), (_complement(result.theorem.X), w > 0.0))
+    for basis, mask in pairs:
+        q = Subspace(basis=np.linalg.qr(t_adj @ basis[perm])[0])
         target = Subspace(basis=v[:, mask])
         assert q.dim == target.dim
         angles.append(np.arcsin(min(1.0, containment(q, target))))
@@ -365,36 +424,38 @@ def test_angle_certificate_bounds_the_oracle_angle(n, strength, radius, profile)
 
 
 def _perturb_theorem(monkeypatch, change):
-    """Make the pipeline see ``change(L, L_perp)`` in place of the theorem's
-    pair, with the distance of the changed L from graph(X) that the theorem
-    reports for its own L."""
+    """Make the pipeline see ``change(L, C)`` in place of the theorem's L, C
+    an orthonormal basis of its complement graph(-X*), with the distance of
+    the changed L from graph(X) that the theorem reports for its own L."""
     real = dirac.run_theorem
 
     def perturbed(*args, **kwargs):
         result = real(*args, **kwargs)
-        l, l_perp = change(result.L.basis.copy(), result.L_perp.basis.copy())
+        l = change(result.L.basis.copy(), _complement(result.X))
         n0 = result.X.shape[1]
         distance = frobenius_norm(l[n0:] - result.X @ l[:n0])
-        return dataclasses.replace(
-            result, L=Subspace(basis=l), L_perp=Subspace(basis=l_perp), graph_distance=distance
-        )
+        return dataclasses.replace(result, L=Subspace(basis=l), graph_distance=distance)
 
     monkeypatch.setattr(dirac, "run_theorem", perturbed)
 
 
 @pytest.mark.parametrize("phi", [1e-6, 1e-4, 1e-2])
 def test_angle_certificate_sees_a_pair_rotated_by_phi(monkeypatch, tmp_path, phi):
-    def rotate(l, l_perp):
-        a, b = l[:, 0].copy(), l_perp[:, 0].copy()
-        l[:, 0] = np.cos(phi) * a + np.sin(phi) * b
-        l_perp[:, 0] = -np.sin(phi) * a + np.cos(phi) * b
-        return l, l_perp
+    """One column of L turned by phi towards graph(-X*): ``angle_minus``
+    sees it, and ``angle_plus``, which certifies graph(-X*) itself, still
+    bounds the angle of the complement and stays small."""
+
+    def rotate(l, complement):
+        l[:, 0] = np.cos(phi) * l[:, 0] + np.sin(phi) * complement[:, 0]
+        return l
 
     _perturb_theorem(monkeypatch, rotate)
     problem = _problem(n=4, amplitude=0.05)
     result = run_dirac_pipeline(problem)
-    assert result.angle_minus >= phi and result.angle_plus >= phi
-    assert max(_oracle_angles(problem, result)) == pytest.approx(phi, rel=1e-6)
+    oracle_minus, oracle_plus = _oracle_angles(problem, result)
+    assert result.angle_minus >= phi
+    assert oracle_minus == pytest.approx(phi, rel=1e-6)
+    assert oracle_plus <= result.angle_plus <= 1e-8
     out = tmp_path / "report.json"
     assert main(["dirac", "--n", "4", "--amplitude", "0.05", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -402,13 +463,19 @@ def test_angle_certificate_sees_a_pair_rotated_by_phi(monkeypatch, tmp_path, phi
 
 
 def test_angle_certificate_refuses_a_swapped_column(monkeypatch):
-    def swap(l, l_perp):
-        l[:, 0], l_perp[:, 0] = l_perp[:, 0].copy(), l[:, 0].copy()
-        return l, l_perp
+    """A column of L swapped for one of graph(-X*) puts L a distance of at
+    least 1 from graph(X): ``angle_minus`` is pi/2, and ``angle_plus`` still
+    certifies graph(-X*)."""
+
+    def swap(l, complement):
+        l[:, 0] = complement[:, 0]
+        return l
 
     _perturb_theorem(monkeypatch, swap)
-    result = run_dirac_pipeline(_problem(n=4, amplitude=0.05))
-    assert result.angle_minus == result.angle_plus == np.pi / 2
+    problem = _problem(n=4, amplitude=0.05)
+    result = run_dirac_pipeline(problem)
+    assert result.angle_minus == np.pi / 2
+    assert _oracle_angles(problem, result)[1] <= result.angle_plus <= 1e-8
 
 
 def _recorded(monkeypatch, owner, name, record):

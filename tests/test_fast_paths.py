@@ -588,8 +588,8 @@ def test_graph_extraction_runs_one_svd_and_no_lstsq(tmp_path, monkeypatch, entry
 
 @pytest.mark.parametrize("entry", ["run_theorem", "run_dirac_pipeline"])
 def test_theorem_frame_runs_no_qr_and_factors_each_block_once(monkeypatch, entry):
-    """On bitwise-Hermitian input the complement and both invariance
-    residuals come from the Cholesky frame of the diagonalizations: no QR,
+    """On bitwise-Hermitian input both invariance residuals come from the
+    Cholesky frame of the diagonalizations: no QR,
     no dense invariance product, one values-only SVD per graph extraction,
     and one factorization of each block of ``I - Y^2``."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
@@ -621,7 +621,7 @@ def test_theorem_frame_runs_no_qr_and_factors_each_block_once(monkeypatch, entry
             grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
         )
         result = dirac.run_dirac_pipeline(problem).theorem
-        n0, n1 = result.L.n0, result.L_perp.dim
+        n1, n0 = result.X.shape
     assert result.reduces_ok
     assert qr == [] and residuals == []
     assert per_call == [[False]]
@@ -668,21 +668,33 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     norms, closed-form blocks and frame defects, never a dense form: no
     ``cho_solve``, no triangular solve with a right-hand side larger than
     n_i x n_j, and no dim x dim ``from_blocks`` in ``transform`` until
-    ``transformed`` is read. ``check``'s extended identity solves nothing:
-    no ``solve``, ``cho_solve``, ``lu_solve`` or triangular solve."""
+    ``transformed`` is read. ``run_theorem`` makes no triangular solve
+    outside its diagonalizations. ``check``'s extended identity solves
+    nothing: no ``solve``, ``cho_solve``, ``lu_solve`` or triangular solve."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     path = _check_file(tmp_path, b)
     cho = [_record_rhs(monkeypatch, o, "cho_solve") for o in (scipy.linalg, transform)]
     triangular = _record_rhs(monkeypatch, scipy.linalg, "solve_triangular")
-    for owner in (transform, subordinated):
-        monkeypatch.setattr(
-            owner, "_lower", functools.partial(scipy.linalg.solve_triangular, lower=True)
-        )
+    monkeypatch.setattr(
+        transform, "_lower", functools.partial(scipy.linalg.solve_triangular, lower=True)
+    )
     assembled = _record_returns(monkeypatch, transform, "from_blocks")
     framed = _record_returns(monkeypatch, subordinated, "diagonalize")
+    inside, framed_diagonalize = [], subordinated.diagonalize
+
+    def counted(*args, **kwargs):
+        before = len(triangular)
+        result = framed_diagonalize(*args, **kwargs)
+        inside.append(len(triangular) - before)
+        return result
+
+    monkeypatch.setattr(subordinated, "diagonalize", counted)
     plain = _record_returns(monkeypatch, transform, "diagonalize")
     if entry == "run_theorem":
         run_theorem(b, mu=0.0)
+        # the complement graph(-X*) gets no basis: no triangular solve but
+        # the diagonalizations'
+        assert len(triangular) == sum(inside) > 0
     elif entry == "run_dirac_pipeline":
         problem = dirac.DiracProblem(
             grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)

@@ -17,6 +17,7 @@ from blockdiag import BlockMatrix, random_case, solve_newton_X0
 from blockdiag.core import StagedEigh, frobenius_norm, hermitian_eigh
 from blockdiag.dirac import DiracProblem, GridSpec, ImpurityPotential, build_operators
 from blockdiag.dirac import fw_transform
+from conftest import dirac_hamiltonians
 
 EPS = np.finfo(float).eps
 
@@ -98,7 +99,8 @@ def test_pencil_eigensystem_matches_scipy(n, seed, kind, exponent):
 def test_dirac_matrix_matches_numpy():
     grid = GridSpec(n=4, length=2 * np.pi)
     potential = ImpurityPotential(amplitude=0.05, profile="disk", radius=np.pi / 4)
-    h = build_operators(DiracProblem(grid=grid, potential=potential)).h_full
+    ops = build_operators(DiracProblem(grid=grid, potential=potential))
+    h = dirac_hamiltonians(ops)[1]
     w, v = hermitian_eigh(h)
     w_ref = np.linalg.eigh(h)[0]
     assert np.max(np.abs(w - w_ref)) <= 4 * len(h) * EPS * frobenius_norm(h)
@@ -258,7 +260,8 @@ def test_staged_eigensolve_is_bitwise_zheevd_on_the_benchmark_inputs():
 def test_staged_dirac_matrix_matches_zheevd():
     grid = GridSpec(n=4, length=2 * np.pi)
     potential = ImpurityPotential(amplitude=0.05, profile="disk", radius=np.pi / 4)
-    h = build_operators(DiracProblem(grid=grid, potential=potential)).h_full
+    ops = build_operators(DiracProblem(grid=grid, potential=potential))
+    h = dirac_hamiltonians(ops)[1]
     staged = StagedEigh(h)
     np.testing.assert_array_equal(staged.w, _zheevd(h)[0])
     _check_leading(h, staged.w, staged.vectors(len(h) // 2))

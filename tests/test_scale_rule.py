@@ -194,10 +194,11 @@ def test_the_subnormal_gapped_file_keeps_its_exit_codes(tmp_path):
     eigenvalues are scaled back. The spectral route then refuses the
     subspace below mu on its invariance residual (exit 1), as does
     ``subordinated``, and Newton, which never factors B, converges.
-    ``relbound`` is left out: its SVD of the subnormal blocks does not
-    converge (exit 4, an internal error), which is no verdict to keep."""
-    commands = [c for c in COMMANDS if c[0] != "relbound"]
-    reports = _reports(tmp_path, FILES["gapped"](), -1070, commands)
+    ``relbound`` forms its resolvent norms on the blocks and shifts scaled
+    up by a power of two, so no reciprocal distance overflows: it passes,
+    with the unscaled file's ``b_star`` to the few digits the subnormal
+    entries keep, and no RuntimeWarning (an error here)."""
+    reports = _reports(tmp_path, FILES["gapped"](), -1070)
     assert {command: code for command, (code, _) in reports.items()} == {
         "check": 1,
         "diagonalize": 1,
@@ -205,9 +206,13 @@ def test_the_subnormal_gapped_file_keeps_its_exit_codes(tmp_path):
         "riccati-solve": 0,
         "subordinated": 1,
         "neumann": 1,
+        "relbound": 0,
     }
     errors = [reports[c][1]["error"]["type"] for c in ("check", "diagonalize", "triangularize")]
     assert errors == ["NumericError"] * 3
+    (_, reference), = _reports(tmp_path, FILES["gapped"](), 0, [COMMANDS[-1]]).values()
+    b_star = reports["relbound"][1]["certificates"]["relative_bound"]["b_star"]
+    assert b_star == pytest.approx(reference["certificates"]["relative_bound"]["b_star"], rel=0.01)
 
 
 @settings(max_examples=5, deadline=None)

@@ -7,15 +7,26 @@ it spans) and docstrings are found with ``ast``.
 
     python3 tools/count_code_lines.py            # src/blockdiag/*.py
     python3 tools/count_code_lines.py a.py b.py  # per file, then the total
+    python3 tools/count_code_lines.py --rev REV  # per module at REV and now
+
+With ``--rev`` each module of ``src/blockdiag`` is counted as committed at
+the git revision REV (read through ``git show``; nothing is written) and as
+it is in the working tree, with the difference, then the totals. A module
+missing on one side counts 0 there.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
+
+#: The repository root: the package is ``ROOT / PACKAGE``.
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/blockdiag"
 
 _NON_CODE = {
     tokenize.COMMENT,
@@ -55,9 +66,38 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+    ).stdout
+
+
+def counts_at(rev: str) -> dict[str, int]:
+    """Code lines of each module of the package as committed at ``rev``."""
+    names = _git("ls-tree", "--name-only", f"{rev}:{PACKAGE}").split()
+    return {
+        name: code_lines(_git("show", f"{rev}:{PACKAGE}/{name}"))
+        for name in names
+        if name.endswith(".py")
+    }
+
+
+def compare(rev: str) -> None:
+    """Print each module's count at ``rev``, in the working tree, and the change."""
+    before = counts_at(rev)
+    now = {p.name: code_lines(p.read_text()) for p in (ROOT / PACKAGE).glob("*.py")}
+    rows = [(name, before.get(name, 0), now.get(name, 0)) for name in sorted({*before, *now})]
+    rows.append(("total", sum(before.values()), sum(now.values())))
+    print(f"{'module':<16}{rev[:12]:>12}{'tree':>8}{'change':>8}")
+    for name, old, new in rows:
+        print(f"{name:<16}{old:>12}{new:>8}{new - old:>+8}")
+
+
 def main(argv: list[str]) -> int:
-    root = Path(__file__).resolve().parent.parent
-    paths = [Path(a) for a in argv] or sorted((root / "src" / "blockdiag").glob("*.py"))
+    if argv[:1] == ["--rev"] and len(argv) == 2:
+        compare(argv[1])
+        return 0
+    paths = [Path(a) for a in argv] or sorted((ROOT / PACKAGE).glob("*.py"))
     total = 0
     for path in paths:
         count = code_lines(path.read_text())
