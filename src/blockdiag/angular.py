@@ -128,29 +128,21 @@ class AngularPair:
         return out
 
     @cached_property
-    def blocks_I_minus_Y2(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only diagonal blocks ``(S0, S1)`` of ``I - Y^2``, computed once.
+    def factors_I_minus_Y2(self) -> tuple:
+        """Factors of the diagonal blocks of ``I - Y^2``, computed once for
+        every solve with them.
 
         ``Y^2 = diag(X1 X0, X0 X1)``, so ``I - Y^2 = diag(S0, S1)`` with
-        ``S0 = I - X1 X0`` (n0 x n0) and ``S1 = I - X0 X1`` (n1 x n1).
+        ``S0 = I - X1 X0`` (n0 x n0) and ``S1 = I - X0 X1`` (n1 x n1). A skew
+        pair's ``S0 = I + X0* X0`` and ``S1 = I + X0 X0*`` are Hermitian with
+        eigenvalues at least 1: their lower Cholesky factors ``L_i``,
+        ``S_i = L_i L_i*``. Any other pair's: the ``scipy.linalg.lu_factor``
+        pair of each block.
         """
         s0 = np.eye(self.n0, dtype=np.complex128) - self.X1 @ self.X0
         s1 = np.eye(self.n1, dtype=np.complex128) - self.X0 @ self.X1
-        s0.flags.writeable = False
-        s1.flags.writeable = False
-        return s0, s1
-
-    @cached_property
-    def factors_I_minus_Y2(self) -> tuple:
-        """Factors of ``(S0, S1)``, computed once for every solve with them.
-
-        A skew pair's ``S0 = I + X0* X0`` and ``S1 = I + X0 X0*`` are
-        Hermitian with eigenvalues at least 1: their lower Cholesky factors
-        ``L_i``, ``S_i = L_i L_i*``. Any other pair's: the
-        ``scipy.linalg.lu_factor`` pair of each block.
-        """
         factor = np.linalg.cholesky if self.skew else scipy.linalg.lu_factor
-        return tuple(factor(s) for s in self.blocks_I_minus_Y2)
+        return factor(s0), factor(s1)
 
     @cached_property
     def singular_values_X1(self) -> np.ndarray:

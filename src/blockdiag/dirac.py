@@ -294,9 +294,7 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
 
 @_overflow_is_input_error("split-identity residuals")
 def check_subordination_split(
-    problem: DiracProblem,
-    bm: BlockMatrix | None = None,
-    ops: DiracOperators | None = None,
+    problem: DiracProblem, bm: BlockMatrix, ops: DiracOperators
 ) -> DiracSplitReport:
     """Measure the averaged split identities and subordination at zero.
 
@@ -311,13 +309,9 @@ def check_subordination_split(
     input error. Residuals are Frobenius norms over ``norm(S) + u_inf``,
     where ``norm(S)`` is the largest momentum magnitude on the grid;
     ``norm_bound = norm(S) + u_inf`` bounds ``norm(H)`` from above.
-    Pass the ``ops`` of the problem when they are already built.
+    ``ops`` are the problem's operators and ``bm`` their rotated blocks.
     Never raises on a failing flag; residuals and margins tell the story.
     """
-    if ops is None:
-        ops = build_operators(problem)
-    if bm is None:
-        bm = _fw_block_matrix(ops)
     theta = ops.theta_op
     u_inf = float(np.max(np.abs(ops.potential_values), initial=0.0))
     k_min = problem.grid.k_min
@@ -371,7 +365,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
-    report = check_subordination_split(problem, bm, ops=ops)
+    report = check_subordination_split(problem, bm, ops)
     if not report.subordinated:
         raise HypothesisError(
             f"rotated blocks are not subordinated at 0: sup spec(A1) = "

@@ -95,9 +95,6 @@ class RiccatiResidual:
     residual: np.ndarray
     rel_norm: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "residual", as_matrix(self.residual, "residual"))
-
 
 @dataclass(frozen=True)
 class NewtonTrace:
@@ -158,9 +155,11 @@ def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float, list]
     """``a1 X - X a0 - X w1 X + w0`` and its norm relative to ``scale``, for
     centred blocks ``a_i``: the H0 graph equation, or the H1 one with the
     blocks exchanged. The list of its products ``a1 X, X a0, X w1`` comes
-    third."""
-    products = [a1 @ x, x @ a0, x @ w1]
-    res = products[0] - products[1] - products[2] @ x + w0
+    third. A residual past the float range is formed with no warning: its
+    relative norm is then inf or NaN, which fails every gate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [a1 @ x, x @ a0, x @ w1]
+        res = products[0] - products[1] - products[2] @ x + w0
     return res, _rel_norm(res, scale, x), products
 
 
@@ -488,8 +487,7 @@ def solve_newton_X0(
         else:
             x += frame.t1 @ z @ frame.t0inv
         frame = z = f = products = None  # released before the next residual is formed
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, value, products = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
+        f, value, products = _residual(b.A0, b.A1, b.W0, b.W1, x, scale)
     return x, NewtonTrace(
         iterates=history,
         converged=bool(history[-1] <= tol),

@@ -11,6 +11,7 @@ with the two diagonal forms mutually adjoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +55,6 @@ class SubordinationCheck:
     subordinated: bool
     symmetric_V: bool
     gap: float
-
-
-@dataclass(frozen=True)
-class KernelSplitReport:
-    """Outcome of the kernel splitting check at the threshold.
-
-    The kernel of ``B - mu`` must equal the orthogonal sum of
-    ``Ker(A0 - mu) ∩ Ker(W1*)`` and ``Ker(A1 - mu) ∩ Ker(W1)``, and must
-    lie inside the kernel of the diagonal part.
-    """
-
-    ok: bool
-    dim_kernel: int
-    dim_k0: int
-    dim_k1: int
-    split_residual: float
-    diag_containment_residual: float
 
 
 @dataclass(frozen=True)
@@ -200,49 +184,33 @@ def _kernel_piece(
     return null_space_basis(m)
 
 
-def _kernel_split(b: BlockMatrix, mu: float) -> KernelSplitReport:
+def _kernel_split(b: BlockMatrix, mu: float) -> bool:
     """Whether the kernel of ``B - mu`` splits along H0 and H1.
 
-    Each piece is a stacked-matrix null space (:func:`_kernel_piece`).
+    It must be the orthogonal sum of ``Ker(A0 - mu) ∩ Ker(W1*)`` and
+    ``Ker(A1 - mu) ∩ Ker(W1)``, each a stacked-matrix null space
+    (:func:`_kernel_piece`), and lie in the kernel of the diagonal part.
     Equality with their direct sum is measured by a projection residual,
-    containment in the kernel of the diagonal part by a second one; both
-    are Frobenius norms, and the split holds when both are at most
+    containment by ``norm_F((A0 - mu) K0, (A1 - mu) K1)`` over ``norm(A)``
+    for the kernel basis ``K = [K0; K1]``; both are Frobenius norms, and the
+    split holds when the dimensions add up and both are at most
     :data:`KERNEL_SPLIT_TOL`. The hypotheses are the caller's to check.
     """
     v, _, at = _eigh_classified(b, mu)
     k_basis = v[:, at]
-    dim_k = k_basis.shape[1]
     w0, w1 = b.eigvalsh_A
     k0 = _kernel_piece(b, b.A0, w0, b.W1.conj().T, mu)
     k1 = _kernel_piece(b, b.A1, w1, b.W1, mu)
-    dim_k0 = k0.shape[1]
-    dim_k1 = k1.shape[1]
+    if k_basis.shape[1] != k0.shape[1] + k1.shape[1]:
+        return False
+    if k_basis.shape[1] == 0:
+        return True
     direct = from_blocks(k0, None, None, k1)
-    if dim_k == dim_k0 + dim_k1 and dim_k > 0:
-        proj = direct @ (direct.conj().T @ k_basis)
-        split_residual = frobenius_norm(k_basis - proj)
-    elif dim_k == dim_k0 + dim_k1:
-        split_residual = 0.0
-    else:
-        split_residual = float("inf")
-    if dim_k > 0:
-        a = b.diagonal_part() - mu * np.eye(b.dim)
-        diag_containment = relative(frobenius_norm(a @ k_basis), b.norm_A)
-    else:
-        diag_containment = 0.0
-    ok = (
-        dim_k == dim_k0 + dim_k1
-        and split_residual <= KERNEL_SPLIT_TOL
-        and diag_containment <= KERNEL_SPLIT_TOL
-    )
-    return KernelSplitReport(
-        ok=ok,
-        dim_kernel=dim_k,
-        dim_k0=dim_k0,
-        dim_k1=dim_k1,
-        split_residual=split_residual,
-        diag_containment_residual=diag_containment,
-    )
+    split_residual = frobenius_norm(k_basis - direct @ (direct.conj().T @ k_basis))
+    pieces = ((b.A0, k_basis[: b.n0]), (b.A1, k_basis[b.n0 :]))
+    containment = math.hypot(*(frobenius_norm((a - mu * np.eye(len(a))) @ k) for a, k in pieces))
+    containment = relative(containment, b.norm_A)
+    return split_residual <= KERNEL_SPLIT_TOL and containment <= KERNEL_SPLIT_TOL
 
 
 def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
@@ -303,7 +271,7 @@ def run_theorem(
     if mu is None:
         mu = choose_mu(b)
     check = _require_hypotheses(b, mu)
-    split_report = _kernel_split(b, mu)
+    kernel_split_ok = _kernel_split(b, mu)
     sub = _reducing_subspace(b, mu)
     try:
         graph = to_graph(sub, GraphBase.H0)
@@ -334,7 +302,7 @@ def run_theorem(
         L=sub,
         X=x,
         norm_X=norm_x,
-        kernel_split_ok=split_report.ok,
+        kernel_split_ok=kernel_split_ok,
         reduces_ok=res_l <= tol and res_perp <= tol,
         adjointness_residual=relative(adjointness, b.norm),
         diag_results=(left, right),

@@ -18,10 +18,9 @@ the right form ``diag(S0, S1)^{-1} C``. S0 and S1 are factored once each,
 on the pair (``AngularPair.factors_I_minus_Y2``): by Cholesky for a skew
 pair, whose factors also make the orthonormal frame of its two graphs,
 by LU otherwise. The off-diagonal blocks then fix everything else:
-``(I + Y) T = B (I + Y)`` and ``L (I - Y) = (I - Y) B`` give the diagonal
-blocks of the right form T and the left form L, formed when a dense form
-is first read, and make both extended-identity residuals polynomials in
-them (:func:`verify_extended_identity`), which solves nothing. No system
+``(I + Y) T = B (I + Y)`` gives the diagonal blocks of the right form T
+and makes both extended-identity residuals polynomials in them
+(:func:`verify_extended_identity`), which solves nothing. No system
 larger than n0 x n0 or n1 x n1 is solved, except for a pair, skew or not,
 that is not well conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which
 solves with ``I - Y`` and ``I + Y``.
@@ -50,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -91,28 +90,25 @@ _lower = functools.partial(scipy.linalg.solve_triangular, lower=True)
 
 @dataclass(frozen=True)
 class DiagonalizationResult:
-    """Conjugated matrix with off-diagonal defect and conditioning data.
+    """Off-diagonal defect and conditioning of one conjugation of B.
 
-    ``transformed`` is the literal conjugation ``(I - Y) B (I - Y)^{-1}``
-    (left form L) or ``(I + Y)^{-1} B (I + Y)`` (right form T). It is
-    assembled on first read (by ``assemble``); only its off-diagonal
-    blocks ``offdiag_blocks``, which ``offdiag_rel_norm`` measures and
-    which fix its diagonal blocks (see :func:`diagonalize`), are formed
-    with the result (None for a left form that is the adjoint of the right
-    one). ``diag_blocks`` holds the closed-form diagonal blocks
-    computed directly from the inputs (not read off the conjugation), so
-    the off-diagonal defect and the block mismatch can be judged
-    independently. ``offdiag_rel_norm`` is a Frobenius residual over the
-    exact ``norm(B)``; ``conditioning`` is the exact 2-norm condition
-    number of ``I -/+ Y``. ``frame_defects`` are the invariance defects of
-    a skew pair's two graphs (see :func:`diagonalize`), None for any other
-    pair and on the route that solves with ``I -/+ Y``.
+    The conjugation is ``(I - Y) B (I - Y)^{-1}`` (left form L) or
+    ``(I + Y)^{-1} B (I + Y)`` (right form T); only its off-diagonal blocks
+    ``offdiag_blocks``, which ``offdiag_rel_norm`` measures, are formed
+    (None for a left form that is the adjoint of the right one).
+    ``diag_blocks`` holds the closed-form diagonal blocks computed directly
+    from the inputs (not read off the conjugation), so the off-diagonal
+    defect and the block mismatch can be judged independently.
+    ``offdiag_rel_norm`` is a Frobenius residual over the exact
+    ``norm(B)``; ``conditioning`` is the exact 2-norm condition number of
+    ``I -/+ Y``. ``frame_defects`` are the invariance defects of a skew
+    pair's two graphs (see :func:`diagonalize`), None for any other pair
+    and on the route that solves with ``I -/+ Y``.
     """
 
     offdiag_rel_norm: float
     diag_blocks: tuple[np.ndarray, np.ndarray]
     conditioning: float
-    assemble: Callable[[], np.ndarray] = field(repr=False, compare=False)
     offdiag_blocks: tuple | None = field(repr=False, compare=False)
     frame_defects: tuple[float, float] | None
 
@@ -120,17 +116,12 @@ class DiagonalizationResult:
     def reliable(self) -> bool:
         return self.conditioning <= RELIABLE_CONDITION_LIMIT
 
-    @functools.cached_property
-    def transformed(self) -> np.ndarray:
-        """The dense conjugation, assembled on first read."""
-        return self.assemble()
-
 
 @dataclass(frozen=True)
 class TriangularizationResult:
-    """Upper block-triangular conjugation by the unipotent factor of X0."""
+    """Upper block-triangular conjugation by the unipotent factor of X0:
+    its diagonal blocks and the relative norm of its lower left block."""
 
-    transformed: np.ndarray
     lower_left_rel_norm: float
     diag_blocks: tuple[np.ndarray, np.ndarray]
 
@@ -180,12 +171,10 @@ def diagonalize(
     ``diag(A0 + W1 X0, A1 + W0 X1)`` then. The off-diagonal blocks of both
     come from those of the one product ``C = (I - Y) B (I + Y)`` and the
     blocks S0, S1 of ``I - Y^2``, factored once on the pair: by Cholesky
-    for a skew pair, by LU otherwise. They are formed here; their diagonal
-    blocks follow from ``(I + Y) T = B (I + Y)`` and
-    ``L (I - Y) = (I - Y) B`` when ``transformed`` is read:
-    ``T00 = m00 - X1 T10``, ``T11 = m11 - X0 T01``, ``L00 = l00 + L01 X0``
-    and ``L11 = l11 + L10 X1``, with ``(m00, m11)`` and ``(l00, l11)`` the
-    closed-form ``diag_blocks``. On bitwise-Hermitian B with a skew pair C
+    for a skew pair, by LU otherwise. Only they are formed; the diagonal
+    blocks of the conjugations are not, and ``diag_blocks`` holds the
+    closed forms ``(m00, m11)`` and ``(l00, l11)``, which they equal when
+    the residual vanishes. On bitwise-Hermitian B with a skew pair C
     is Hermitian and ``left`` is the adjoint of ``right``: C10 alone is
     formed, and both ``offdiag_rel_norm`` are the same number.
 
@@ -219,7 +208,7 @@ def diagonalize(
     l00 = a0 - x1 @ b.W0
     l11 = b.A1 - x0 @ w1
     conditioning = _pair_condition(p)
-    defects = None
+    defects = left_off = None
     try:
         if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
             hermitian, fs = b.bitwise_hermitian and p.skew, p.factors_I_minus_Y2
@@ -236,33 +225,25 @@ def diagonalize(
                 defects = d0, d1
             else:
                 r01, r10 = _s_solve(fs[0], c01), _s_solve(fs[1], c10)
-            right_form = lambda: from_blocks(m00 - x1 @ r10, r01, r10, m11 - x0 @ r01)
-            if hermitian:  # left = right*
-                left_off, left_form = None, lambda: right.transformed.conj().T
-            else:
-                l01, l10 = _s_solve(fs[1], c01, True), _s_solve(fs[0], c10, True)
-                left_off = l01, l10
-                left_form = lambda: from_blocks(
-                    l00 + l01 @ x0, l01, l10, l11 + l10 @ x1
-                )
+            if not hermitian:  # else the left form is the adjoint of the right one
+                left_off = _s_solve(fs[1], c01, True), _s_solve(fs[0], c10, True)
         else:
             n = from_blocks(l00, w1 - x1 @ b.A1, b.W0 - x0 @ a0, l11)
             eye = np.eye(b.dim, dtype=np.complex128)
             dl = np.linalg.solve((eye - p.Y).T, n.T).T
             dr = np.linalg.solve(eye + p.Y, from_blocks(m00, w1 + a0 @ x1, m10, m11))
             h0, h1 = np.s_[: b.n0], np.s_[b.n0 :]
-            left_off, (r01, r10) = ((t[h0, h1], t[h1, h0]) for t in (dl, dr))
-            left_form, right_form = (lambda: dl), (lambda: dr)
+            # copies, so that the results hold no dim x dim array
+            left_off, (r01, r10) = ((np.copy(t[h0, h1]), np.copy(t[h1, h0])) for t in (dl, dr))
     except np.linalg.LinAlgError as exc:
         raise NotComplementaryError("I - Y^2 is numerically singular") from exc
     right_off = r01, r10
     right = DiagonalizationResult(
-        _offdiag_rel_norm(b, right_off), (m00, m11), conditioning, right_form,
-        right_off, defects,
+        _offdiag_rel_norm(b, right_off), (m00, m11), conditioning, right_off, defects
     )
     left = DiagonalizationResult(
         right.offdiag_rel_norm if left_off is None else _offdiag_rel_norm(b, left_off),
-        (l00, l11), conditioning, left_form, left_off, defects,
+        (l00, l11), conditioning, left_off, defects,
     )
     return left, right
 
@@ -351,8 +332,9 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
     The result has diagonal blocks ``(A0 + W1 X0, A1 - X0 W1)``, upper
     right block ``W1``, and lower left block
     ``W0 + A1 X0 - X0 (A0 + W1 X0)``, the graph-equation residual of
-    ``X0`` as an exact algebraic identity. The blocks are formed directly.
-    Its relative norm is a Frobenius residual over the exact ``norm(B)``.
+    ``X0`` as an exact algebraic identity. Only the diagonal and lower left
+    blocks are formed; the relative norm of the lower left one is a
+    Frobenius residual over the exact ``norm(B)``.
     """
     x = as_matrix(X0, "X0")
     if x.shape != (b.n1, b.n0):
@@ -360,9 +342,7 @@ def triangularize(b: BlockMatrix, X0) -> TriangularizationResult:
     top_left = b.A0 + b.W1 @ x
     bottom_right = b.A1 - x @ b.W1
     lower_left = (b.W0 + b.A1 @ x) - x @ top_left
-    transformed = from_blocks(top_left, b.W1, lower_left, bottom_right)
     return TriangularizationResult(
-        transformed=transformed,
         lower_left_rel_norm=relative(frobenius_norm(lower_left), b.norm),
         diag_blocks=(top_left, bottom_right),
     )
@@ -441,7 +421,8 @@ def _resolvent(t: np.ndarray, g: np.ndarray, s, w: np.ndarray) -> np.ndarray:
     else:
         shifted = t.copy()
         np.fill_diagonal(shifted, g)
-        r = scipy.linalg.solve_triangular(shifted, w)
+        # a graph past the float range gives a NaN defect, not an error
+        r = scipy.linalg.solve_triangular(shifted, w, check_finite=False)
     r *= s
     return r
 
@@ -469,7 +450,6 @@ class SpectralIdentityReport:
     ok: bool
     left_distance: float
     right_distance: float
-    tolerance: float
     left_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
@@ -548,7 +528,8 @@ def verify_spectral_identity(
     first tries the certificate of :func:`_spectral_identity_bound`: when
     it is within the threshold, both distances are that bound and the
     left block spectrum is read off the cached eigenvalues. Otherwise all
-    four diagonal blocks take ``eigvals``.
+    four diagonal blocks take ``eigvals``, and both distances are NaN when
+    one of them has a non-finite entry.
     """
     spec_b = b.eigvals
     threshold = tol * b.norm
@@ -561,21 +542,18 @@ def verify_spectral_identity(
                 ok=True,
                 left_distance=bound,
                 right_distance=bound,
-                tolerance=threshold,
                 left_spectrum=spec_b,
             )
-    left = np.concatenate(
-        [eigenvalues(b.A0 - p.X1 @ b.W0), eigenvalues(b.A1 - p.X0 @ b.W1)]
-    )
-    right = np.concatenate(
-        [eigenvalues(b.A0 + b.W1 @ p.X0), eigenvalues(b.A1 + b.W0 @ p.X1)]
-    )
-    left_distance = match_spectra(spec_b, left)
-    right_distance = match_spectra(spec_b, right)
+    blocks = (b.A0 - p.X1 @ b.W0, b.A1 - p.X0 @ b.W1, b.A0 + b.W1 @ p.X0, b.A1 + b.W0 @ p.X1)
+    if all(np.isfinite(m).all() for m in blocks):
+        left, right = (np.concatenate([eigenvalues(m) for m in blocks[i : i + 2]]) for i in (0, 2))
+        left_distance, right_distance = match_spectra(spec_b, left), match_spectra(spec_b, right)
+    else:  # a block past the float range has no spectrum to match
+        left, left_distance = np.full(b.dim, complex(math.nan, math.nan)), math.nan
+        right_distance = math.nan
     return SpectralIdentityReport(
         ok=left_distance <= threshold and right_distance <= threshold,
         left_distance=left_distance,
         right_distance=right_distance,
-        tolerance=threshold,
         left_spectrum=left,
     )

@@ -62,6 +62,15 @@ def dirac_hamiltonians(ops):
     return h_free, h_free + np.diag(np.concatenate([ops.potential_values] * 2))
 
 
+def split_report(problem):
+    """``dirac.check_subordination_split`` of a problem, on the operators
+    and rotated blocks that ``run_dirac_pipeline`` hands it."""
+    from blockdiag import dirac
+
+    ops = dirac.build_operators(problem)
+    return dirac.check_subordination_split(problem, dirac._fw_block_matrix(ops), ops)
+
+
 def eigvecs(b, keep):
     """Eigenvectors of B whose eigenvalues ``keep(w, band)`` selects, with
     ``band = 1e-9 * norm(B)``, from numpy's ``eigh`` (independent oracle)."""
@@ -69,6 +78,27 @@ def eigvecs(b, keep):
 
     w, v = np.linalg.eigh(b.full)
     return Subspace(basis=v[:, keep(w, 1e-9 * np.linalg.norm(b.full, 2))])
+
+
+def kernel_pieces(b, mu, piece=None):
+    """The kernel split's pieces ``K0 = Ker(A0 - mu) ∩ Ker(W1*)`` and
+    ``K1 = Ker(A1 - mu) ∩ Ker(W1)``, by ``piece`` (default
+    ``subordinated._kernel_piece``, the split's own)."""
+    from blockdiag import subordinated
+
+    piece = piece or subordinated._kernel_piece
+    w0, w1 = b.eigvalsh_A
+    return piece(b, b.A0, w0, b.W1.conj().T, mu), piece(b, b.A1, w1, b.W1, mu)
+
+
+def kernel_split_dims(b, mu):
+    """``(dim Ker(B - mu), dim K0, dim K1)`` as the kernel split sees them:
+    the eigenvalues of B in the band around mu, and the column counts of
+    :func:`kernel_pieces`."""
+    from blockdiag import subordinated
+
+    _, _, at = subordinated._eigh_classified(b, mu)
+    return (int(np.count_nonzero(at)), *(k.shape[1] for k in kernel_pieces(b, mu)))
 
 
 def containment(inner, outer) -> float:

@@ -10,7 +10,6 @@ from blockdiag import (
     DiracProblem,
     GridSpec,
     ImpurityPotential,
-    check_subordination_split,
     dirac,
     fw_transform,
     run_dirac_pipeline,
@@ -22,7 +21,7 @@ from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import HypothesisError, StructuralError
 from blockdiag.spectral import Subspace
 from blockdiag.subordinated import check_subordination
-from conftest import containment, dirac_hamiltonians, staged_eigh_calls
+from conftest import containment, dirac_hamiltonians, split_report, staged_eigh_calls
 from blockdiag.transform import match_spectra
 
 _EPS = np.finfo(np.float64).eps
@@ -145,7 +144,7 @@ def test_fw_spectrum_preserved():
 
 
 def test_split_identities_zero_potential():
-    report = check_subordination_split(_problem(n=4))
+    report = split_report(_problem(n=4))
     assert report.subordinated
     assert report.block_identity_residual <= 1e-10
     assert report.margin == pytest.approx(GridSpec(n=4).k_min)
@@ -158,7 +157,7 @@ def test_split_weak_potential_subordinated():
         grid=grid,
         potential=ImpurityPotential(amplitude=0.1 * grid.k_min, radius=grid.length / 6),
     )
-    report = check_subordination_split(problem)
+    report = split_report(problem)
     assert report.subordinated
     assert report.margin == pytest.approx(0.8 * grid.k_min, rel=1e-12)
     assert report.inf_spec_A0 >= 0.0
@@ -171,7 +170,7 @@ def test_split_strong_potential_breaks_margin():
         grid=grid,
         potential=ImpurityPotential(amplitude=10 * grid.k_min, radius=grid.length / 3),
     )
-    report = check_subordination_split(problem)
+    report = split_report(problem)
     assert report.margin < 0
     # the eigensolve decides the actual answer; a potential this deep
     # pushes the negative block across zero on this grid
@@ -184,7 +183,7 @@ def test_split_identity_sees_a_perturbation_of_1e_6(monkeypatch, tmp_path, where
     Theta that the identity reads, scaled by 1 + 1e-6 lifts
     ``block_identity_residual`` above 1e-8, and ``dirac`` exits 1."""
     problem = _problem(n=4, amplitude=0.05)
-    assert check_subordination_split(problem).block_identity_residual <= 1e-14
+    assert split_report(problem).block_identity_residual <= 1e-14
     if where == "block":
         rotate = dirac._fw_block_matrix
 
@@ -196,14 +195,12 @@ def test_split_identity_sees_a_perturbation_of_1e_6(monkeypatch, tmp_path, where
     else:
         split = dirac.check_subordination_split
 
-        def perturbed(problem, bm=None, ops=None):
-            ops = build_operators(problem) if ops is None else ops
-            bm = dirac._fw_block_matrix(ops) if bm is None else bm
+        def perturbed(problem, bm, ops):
             tilted = dataclasses.replace(ops, theta_op=ops.theta_op * (1 + 1e-6))
-            return split(problem, bm, ops=tilted)
+            return split(problem, bm, tilted)
 
         monkeypatch.setattr(dirac, "check_subordination_split", perturbed)
-    assert dirac.check_subordination_split(problem).block_identity_residual > 1e-8
+    assert split_report(problem).block_identity_residual > 1e-8
     out = tmp_path / "report.json"
     assert main(["dirac", "--n", "4", "--amplitude", "0.05", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["residuals"]["split_identity"] > 1e-8
@@ -227,7 +224,7 @@ def test_dirac_and_the_theorem_apply_one_subordination_rule(n, factor, radius, p
             amplitude=factor * grid.k_min, profile=profile, radius=radius
         ),
     )
-    report = check_subordination_split(problem)
+    report = split_report(problem)
     theorem_check = check_subordination(fw_transform(problem).swapped(), 0.0)
     assert report.subordinated == theorem_check.subordinated
     assert (report.sup_spec_A1, report.inf_spec_A0) == (
@@ -322,7 +319,7 @@ def test_potential_profiles():
 
 def test_split_overflow_names_the_quantity():
     with pytest.raises(StructuralError, match="subordination margin"):
-        check_subordination_split(_problem(n=4, amplitude=1e308))
+        split_report(_problem(n=4, amplitude=1e308))
     with pytest.raises(StructuralError, match="spinor-rotated Hamiltonian"):
         fw_transform(_problem(n=16, amplitude=1e308))
 

@@ -6,6 +6,7 @@ factorization. Each fast path must agree with its general form, and the
 count tests pin which factorizations a command runs.
 """
 
+import dataclasses
 import functools
 import pathlib
 import tempfile
@@ -464,11 +465,11 @@ def test_general_input_is_factored_once(tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("skew", [False, True])
 def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
-    """Both diagonalizations and their dense forms solve with the n0 x n0
-    and n1 x n1 blocks of ``I - Y^2`` for a well-conditioned pair, skew or
-    not, each factored once on the pair: by Cholesky for a skew pair, by LU
-    otherwise. The extended identity and triangularization solve nothing.
-    No system is solved by ``np.linalg.solve``."""
+    """Both diagonalizations solve with the n0 x n0 and n1 x n1 blocks of
+    ``I - Y^2`` for a well-conditioned pair, skew or not, each factored
+    once on the pair: by Cholesky for a skew pair, by LU otherwise. The
+    extended identity and triangularization solve nothing. No system is
+    solved by ``np.linalg.solve``."""
     rng = np.random.default_rng(5)
     n0, n1 = 3, 5
     b = random_block(rng, n0, n1)
@@ -480,7 +481,7 @@ def test_transforms_solve_only_block_sized_systems(monkeypatch, skew):
     lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
     left, right = diagonalize(b, pair)
     verify_extended_identity(b, pair, right)
-    assert left.transformed.shape == (b.dim, b.dim)
+    assert [m.shape for m in left.offdiag_blocks] == [(n0, n1), (n1, n0)]
     assert shapes == []
     assert (cholesky if skew else lu) == [(n0, n0), (n1, n1)]
     assert (lu if skew else cholesky) == []
@@ -493,7 +494,8 @@ def test_hermitian_check_factors_each_block_of_i_minus_y2_once(tmp_path, monkeyp
     share one Cholesky factor of each S_i, cached on the pair: S0 and S1
     are never solved by LU."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
-    s_blocks = spectral_pair(b, 0.0).blocks_I_minus_Y2
+    x0 = spectral_pair(b, 0.0).X0
+    s_blocks = (np.eye(6) + x0.conj().T @ x0, np.eye(5) + x0 @ x0.conj().T)
     path = _check_file(tmp_path, b)
     cholesky = _record_shapes(monkeypatch, np.linalg, "cholesky")
     lu = _record_shapes(monkeypatch, scipy.linalg, "lu_factor")
@@ -667,8 +669,8 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     """On bitwise-Hermitian input the pipelines read the diagonalizations'
     norms, closed-form blocks and frame defects, never a dense form: no
     ``cho_solve``, no triangular solve with a right-hand side larger than
-    n_i x n_j, and no dim x dim ``from_blocks`` in ``transform`` until
-    ``transformed`` is read. ``run_theorem`` makes no triangular solve
+    n_i x n_j, and no dim x dim ``from_blocks`` in ``transform``: the
+    results hold no dense form to read. ``run_theorem`` makes no triangular solve
     outside its diagonalizations. ``check``'s extended identity solves
     nothing: no ``solve``, ``cho_solve``, ``lu_solve`` or triangular solve."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
@@ -716,9 +718,8 @@ def test_pipelines_form_no_dim_size_array_until_a_dense_form_is_read(
     assert triangular and all(r in (n0, n1) and c in (n0, n1) for r, c in triangular)
     dense = (n0 + n1, n0 + n1)
     assert dense not in [m.shape for m in assembled]
-    # the dense forms are formed when read, the left one the right one's adjoint
-    np.testing.assert_array_equal(left.transformed, right.transformed.conj().T)
-    assert dense in [m.shape for m in assembled]
+    # the left form is the right one's adjoint, and holds no blocks of its own
+    assert left.offdiag_blocks is None and right.offdiag_blocks is not None
 
 
 @pytest.mark.parametrize("nearly", [False, True])
@@ -893,9 +894,10 @@ def test_perturbed_skew_pair_fails_the_certificate_and_takes_eigvals(
     perturbed = form_pair(x0, -x0.conj().T)
     assert b.bitwise_hermitian and perturbed.skew
     report = verify_spectral_identity(b, perturbed, 1e-8)
-    assert transform._spectral_identity_bound(b, perturbed) > report.tolerance
+    threshold = 1e-8 * b.norm
+    assert transform._spectral_identity_bound(b, perturbed) > threshold
     assert not report.ok
-    assert min(report.left_distance, report.right_distance) > report.tolerance
+    assert min(report.left_distance, report.right_distance) > threshold
     path = _check_file(tmp_path, b)
     monkeypatch.setattr(angular, "spectral_pair", lambda *_: perturbed)
     calls = _kernels(monkeypatch)
@@ -958,3 +960,54 @@ def test_other_pairs_orthonormalize_their_graphs_by_qr(monkeypatch, case):
     # no closed-form projector: each graph is orthonormalized by its QR
     assert complements == [None, None]
     assert qr == [(7, 3), (7, 4)]
+
+
+def _held_arrays(obj, seen):
+    """Every ndarray that ``obj`` keeps alive: through tuples, lists,
+    dataclass fields and cached properties, the closure cells of callables,
+    and the base of each view."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _held_arrays(obj.base, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from _held_arrays(value, seen)
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            yield from _held_arrays(cell.cell_contents, seen)
+
+
+@pytest.mark.parametrize(
+    "entry", ["run_theorem", "hermitian_skew", "block_route", "dense_route", "triangularize"]
+)
+def test_results_hold_no_dim_by_dim_array(entry):
+    """The results of ``run_theorem``, ``diagonalize`` and ``triangularize``
+    keep blocks, never an array of the assembled size: not as a field, not
+    in a closure, not as the base of a view. The dense route solves with
+    ``I -/+ Y`` of that size and keeps only copies of its off-diagonal
+    blocks."""
+    rng = np.random.default_rng(5)
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    pair = spectral_pair(b, 0.0)
+    if entry == "run_theorem":
+        result = run_theorem(b, mu=0.0)
+    elif entry == "triangularize":
+        result = triangularize(b, pair.X0)
+    else:
+        if entry == "block_route":
+            pair = form_pair(pair.X0, 0.5 * pair.X1)
+        elif entry == "dense_route":
+            pair = form_pair(0.5 * _cmat(rng, 5, 6), 0.5 * _cmat(rng, 6, 5))
+        result = diagonalize(b, pair)
+        dense = entry == "dense_route"
+        assert (result[0].conditioning > BLOCK_SOLVE_CONDITION_LIMIT) == dense
+        assert pair.skew == (entry == "hermitian_skew")
+    shapes = [a.shape for a in _held_arrays(result, set())]
+    assert (6, 6) in shapes and (5, 5) in shapes
+    assert (b.dim, b.dim) not in shapes

@@ -326,6 +326,18 @@ def test_cli_check_perturbed_fails(tmp_path):
     assert main(["check", path, "--perturb-x0", "1e-3"]) == 1
 
 
+@pytest.mark.parametrize("perturb", ["1e-3", "1e3", "1e100", "1e150", "1e200", "1e300"])
+def test_cli_check_with_an_overflowing_perturbation_is_no_input_error(tmp_path, perturb):
+    """A perturbed X0 whose Riccati residual passes the float range is a
+    failed check (1) or a pair that is not complementary (2): the residual
+    is kept as it is, its relative norm inf or NaN, and formed with no
+    RuntimeWarning (an error here). It was an input error (3) from 1e200."""
+    path, out = tmp_path / "g4.json", tmp_path / "report.json"
+    assert main(["random", "--n0", "4", "--n1", "4", "--out", str(path)]) == 0
+    code = main(["check", str(path), "--perturb-x0", perturb, "--out", str(out)])
+    assert code in (1, 2), json.loads(out.read_text()).get("error")
+
+
 def test_cli_check_decoupled_trivial_pass(tmp_path):
     block = BlockMatrix(
         np.diag([-2.0, -1.0]), np.diag([1.0, 2.0]), np.zeros((2, 2)), np.zeros((2, 2))

@@ -3,8 +3,9 @@
 With bitwise-Hermitian blocks, ``subordinated._kernel_piece`` reads an
 empty ``Ker(A_i - mu) ∩ Ker(W)`` off the cached block spectrum instead of
 running ``null_space_basis``. It may only do so where the SVD would return
-the same empty basis, so every report must equal the SVD route's, and the
-count tests pin which inputs take the proof and which the SVD.
+the same empty basis, so each piece must have the SVD route's column count
+and the split its verdict, and the count tests pin which inputs take the
+proof and which the SVD.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from blockdiag import BlockMatrix, random_case, run_theorem
 from blockdiag import subordinated
 from blockdiag.spectral import null_space_basis
+from conftest import kernel_pieces
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -24,10 +26,16 @@ def _svd_piece(b, a, w, coupling, mu):
     return null_space_basis(np.vstack([a - mu * np.eye(a.shape[0]), coupling]))
 
 
-def _svd_report(b, mu):
+def _same_as_the_svd_route(b, mu) -> list[int]:
+    """Assert that each piece has the SVD's column count and the split the
+    SVD route's verdict; return the column counts."""
+    counts = [k.shape[1] for k in kernel_pieces(b, mu)]
+    assert counts == [k.shape[1] for k in kernel_pieces(b, mu, _svd_piece)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subordinated, "_kernel_piece", _svd_piece)
-        return subordinated._kernel_split(b, mu)
+        by_svd = subordinated._kernel_split(b, mu)
+    assert subordinated._kernel_split(b, mu) == by_svd
+    return counts
 
 
 def _record_pieces(monkeypatch):
@@ -102,7 +110,7 @@ cases = st.builds(
 def test_kernel_split_report_equals_the_svd_route(case):
     b, mu = case
     assert b.bitwise_hermitian_A
-    assert subordinated._kernel_split(b, mu) == _svd_report(b, mu)
+    _same_as_the_svd_route(b, mu)
 
 
 def _near_kernel_case(coupling, delta):
@@ -119,9 +127,7 @@ def test_large_coupling_raises_the_svd_threshold():
     # because of the coupling: a bound over norm(A0 - mu) alone would call
     # this piece empty
     b = _near_kernel_case(coupling=1e4, delta=1e-8)
-    report = subordinated._kernel_split(b, 0.0)
-    assert report == _svd_report(b, 0.0)
-    assert report.dim_k0 == 1 and report.dim_k1 == 0
+    assert _same_as_the_svd_route(b, 0.0) == [1, 0]
 
 
 def _rounding_case():
@@ -158,9 +164,7 @@ def _rounding_case():
 def test_rounding_slack_keeps_the_svd_decision():
     b, mu = _rounding_case()
     assert b.bitwise_hermitian_A
-    report = subordinated._kernel_split(b, mu)
-    assert report == _svd_report(b, mu)
-    assert report.dim_k0 == 1
+    assert _same_as_the_svd_route(b, mu)[0] == 1
 
 
 # --- which inputs take the proof, which the SVD ----------------------------

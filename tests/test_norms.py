@@ -29,7 +29,7 @@ from blockdiag.core import DEFAULT_TOL
 from blockdiag.io import ProblemFile, save_problem
 from blockdiag.errors import StructuralError
 from blockdiag.spectral import invariance_residual
-from conftest import offdiagonal_part, random_block, staged_eigh_calls
+from conftest import offdiagonal_part, random_block, split_report, staged_eigh_calls
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -153,16 +153,22 @@ def test_transform_residuals_bound_exact(seed, n0, n1, size):
     b = random_block(rng, n0, n1)
     x0 = size * _cmat(rng, n1, n0)
     pair = form_pair(x0, -x0.conj().T)
-    scale = _norm2(b.assemble())
-    for result in diagonalize(b, pair):
-        t = result.transformed
+    full = b.assemble()
+    scale = _norm2(full)
+    # the literal conjugations (I - Y) B (I - Y)^{-1} and (I + Y)^{-1} B (I + Y)
+    minus, plus = np.eye(b.dim) - pair.Y, np.eye(b.dim) + pair.Y
+    literal = (minus @ full @ np.linalg.inv(minus), np.linalg.solve(plus, full @ plus))
+    for result, t in zip(diagonalize(b, pair), literal):
         off = t.copy()
         off[:n0, :n0] = 0.0
         off[n0:, n0:] = 0.0
         assert _at_least(result.offdiag_rel_norm, _norm2(off) / scale)
     tri = triangularize(b, x0)
-    exact = _norm2(tri.transformed[n0:, :n0]) / scale
-    assert _at_least(tri.lower_left_rel_norm, exact)
+    # the literal U B U^{-1} for U = [[I, 0], [-X0, I]], U^{-1} = 2 I - U
+    u = np.eye(b.dim, dtype=complex)
+    u[n0:, :n0] = -x0
+    lower_left = (u @ full @ (2 * np.eye(b.dim) - u))[n0:, :n0]
+    assert _at_least(tri.lower_left_rel_norm, _norm2(lower_left) / scale)
 
 
 @PROPERTY
@@ -398,7 +404,7 @@ def test_dirac_pipeline_builds_operators_once(monkeypatch):
     calls = _count_calls(monkeypatch, dirac, "build_operators")
     result = dirac.run_dirac_pipeline(problem)
     assert len(calls) == 1
-    direct = dirac.check_subordination_split(problem)
+    direct = split_report(problem)
     assert direct == result.split
 
 
@@ -423,7 +429,7 @@ def test_dirac_subordination_failure_builds_operators_once(tmp_path, monkeypatch
     problem = dirac.DiracProblem(
         grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=5.0)
     )
-    expected = dirac.check_subordination_split(problem)
+    expected = split_report(problem)
     assert not expected.subordinated
     calls = _count_calls(monkeypatch, dirac, "build_operators")
     out = tmp_path / "report.json"

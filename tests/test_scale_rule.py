@@ -187,6 +187,28 @@ def test_the_file_at_the_largest_float_keeps_its_verdicts_scaled_down(tmp_path):
             _same_verdict(f"{command} at 2^{k}", reference[command], scaled[command])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, perturb", [("largest_float", "1e3"), ("nonhermitian", "1.7e308")])
+def test_check_of_a_pair_past_the_float_range_fails_its_gates(tmp_path, name, perturb):
+    """``check --perturb-x0`` with a perturbation that carries the diagonal
+    blocks of the forms past the float range: the spectral identity reads
+    NaN distances for blocks with a non-finite entry, the resolvent sweep a
+    NaN defect for a graph past the float range, and the check fails (1),
+    not as an input error (3) or a crash (4). Their products overflow with
+    a RuntimeWarning, ignored here."""
+    if name == "largest_float":
+        problem = random_case(1, 1, gap=1.0, coupling=1e308, seed=0)
+    else:
+        problem = FILES[name]()
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    save_problem(path, problem)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["check", str(path), f"--perturb-x0={perturb}", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1, report.get("error")
+    assert not report["flags"]["spectral_identity_ok"]
+
+
 def test_the_subnormal_gapped_file_keeps_its_exit_codes(tmp_path):
     """The gapped file scaled by 2^-1070: its entries are subnormal and keep
     a few digits each. B's eigensolve factors it scaled up by a power of

@@ -11,7 +11,7 @@ from blockdiag import (
 )
 from blockdiag.errors import HypothesisError, TheoremViolationError
 from blockdiag.spectral import Subspace
-from conftest import containment, eigvecs
+from conftest import containment, eigvecs, kernel_pieces, kernel_split_dims
 
 
 def test_check_subordination_gapped():
@@ -50,35 +50,47 @@ def test_choose_mu_touching(one_point):
 
 def test_kernel_split_decoupled():
     b = BlockMatrix([0.0], [2.0], [0.0], [0.0])
-    rep = subordinated._kernel_split(b, 0.0)
-    assert rep.ok
-    assert (rep.dim_kernel, rep.dim_k0, rep.dim_k1) == (1, 1, 0)
+    assert subordinated._kernel_split(b, 0.0)
+    assert kernel_split_dims(b, 0.0) == (1, 1, 0)
 
 
 def test_kernel_split_one_point(one_point):
-    rep = subordinated._kernel_split(one_point, 0.0)
-    assert rep.ok
-    assert (rep.dim_kernel, rep.dim_k0, rep.dim_k1) == (2, 1, 1)
-    assert rep.split_residual <= 1e-10
-    assert rep.diag_containment_residual <= 1e-10
+    assert subordinated._kernel_split(one_point, 0.0)
+    assert kernel_split_dims(one_point, 0.0) == (2, 1, 1)
+    # the kernel of B - mu, from numpy's eigh, is the direct sum of the
+    # pieces and lies in the kernel of the diagonal part
+    k = eigvecs(one_point, lambda w, band: np.abs(w) <= band).basis
+    k0, k1 = kernel_pieces(one_point, 0.0)
+    direct = np.block([[k0, np.zeros((2, 1))], [np.zeros((2, 1)), k1]])
+    assert np.linalg.norm(k - direct @ (direct.conj().T @ k)) <= 1e-10
+    assert np.linalg.norm(one_point.diagonal_part() @ k) <= 1e-10 * one_point.norm_A
 
 
 def test_kernel_split_trivial_kernel():
     pf = random_case(4, 4, gap=1.0, coupling=0.3, seed=1)
-    rep = subordinated._kernel_split(pf.block, 0.0)
-    assert rep.ok
-    assert rep.dim_kernel == 0
+    assert subordinated._kernel_split(pf.block, 0.0)
+    assert kernel_split_dims(pf.block, 0.0)[0] == 0
 
 
 @pytest.mark.parametrize("kernel_dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_split_planted(kernel_dim, seed):
     pf = random_case(5, 5, gap=0.0, coupling=0.4, seed=seed, kernel_dim=kernel_dim)
-    rep = subordinated._kernel_split(pf.block, 0.0)
-    assert rep.ok
-    assert rep.dim_kernel == kernel_dim
-    assert rep.dim_k0 == (kernel_dim + 1) // 2
-    assert rep.dim_k1 == kernel_dim // 2
+    assert subordinated._kernel_split(pf.block, 0.0)
+    assert kernel_split_dims(pf.block, 0.0) == (
+        kernel_dim, (kernel_dim + 1) // 2, kernel_dim // 2
+    )
+
+
+@pytest.mark.parametrize("shift", [3.0, -1e4])
+def test_kernel_split_planted_at_a_shifted_mu(shift):
+    """``B + sI`` at ``mu = s`` has the kernel planted in B at 0, split the
+    same way: the containment is measured against ``A_i - mu``."""
+    b = random_case(5, 5, gap=0.0, coupling=0.4, seed=0, kernel_dim=2).block
+    eye = shift * np.eye(5)
+    shifted = BlockMatrix(b.A0 + eye, b.A1 + eye, b.W0, b.W1)
+    assert subordinated._kernel_split(shifted, shift)
+    assert kernel_split_dims(shifted, shift) == (2, 1, 1)
 
 
 def _refused_before(monkeypatch, step):

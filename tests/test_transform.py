@@ -45,8 +45,10 @@ def _contractive_pair(rng, n0, n1, norm=0.4):
 
 def test_diagonalize_left_trivial():
     b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([3.0]), np.zeros((1, 2)), np.zeros((2, 1)))
-    res = diagonalize(b, _zero_pair(2, 1))[0]
-    np.testing.assert_allclose(res.transformed, b.diagonal_part(), atol=1e-14)
+    res, right = diagonalize(b, _zero_pair(2, 1))
+    np.testing.assert_allclose(_forms(b, _zero_pair(2, 1))[0], b.diagonal_part(), atol=1e-14)
+    # the adjoint of the right form, whose off-diagonal blocks vanish
+    assert res.offdiag_blocks is None and not any(m.any() for m in right.offdiag_blocks)
     assert res.offdiag_rel_norm == 0.0
     assert res.conditioning == pytest.approx(1.0)
 
@@ -54,7 +56,8 @@ def test_diagonalize_left_trivial():
 def test_diagonalize_left_analytic(analytic):
     res = diagonalize(analytic, SKEW_ANALYTIC)[0]
     expected = np.diag([1 - np.sqrt(2), 1 + np.sqrt(2)]).astype(complex)
-    np.testing.assert_allclose(res.transformed, expected, atol=1e-12)
+    np.testing.assert_allclose(_forms(analytic, SKEW_ANALYTIC)[0], expected, atol=1e-12)
+    assert res.offdiag_rel_norm <= 1e-12
     np.testing.assert_allclose(res.diag_blocks[0], [[1 - np.sqrt(2)]], atol=1e-12)
     np.testing.assert_allclose(res.diag_blocks[1], [[1 + np.sqrt(2)]], atol=1e-12)
 
@@ -62,7 +65,10 @@ def test_diagonalize_left_analytic(analytic):
 def test_diagonalize_right_analytic(analytic):
     res = diagonalize(analytic, SKEW_ANALYTIC)[1]
     expected = np.diag([1 - np.sqrt(2), 1 + np.sqrt(2)]).astype(complex)
-    np.testing.assert_allclose(res.transformed, expected, atol=1e-12)
+    np.testing.assert_allclose(_forms(analytic, SKEW_ANALYTIC)[1], expected, atol=1e-12)
+    assert res.offdiag_rel_norm <= 1e-12
+    np.testing.assert_allclose(res.diag_blocks[0], [[1 - np.sqrt(2)]], atol=1e-12)
+    np.testing.assert_allclose(res.diag_blocks[1], [[1 + np.sqrt(2)]], atol=1e-12)
 
 
 def _dense_diagonalize(b, p):
@@ -73,6 +79,30 @@ def _dense_diagonalize(b, p):
     left = np.linalg.solve(minus.T, (minus @ full).T).T
     right = np.linalg.solve(plus, full @ plus)
     return left, right
+
+
+def _from_results(p, left, right):
+    """Both conjugations assembled from what the results hold: the
+    off-diagonal blocks, and the diagonal blocks that
+    ``(I + Y) T = B (I + Y)`` and ``L (I - Y) = (I - Y) B`` give from the
+    closed forms, ``T00 = m00 - X1 T10``, ``T11 = m11 - X0 T01``,
+    ``L00 = l00 + L01 X0`` and ``L11 = l11 + L10 X1``. A left form with no
+    blocks of its own is the adjoint of the right one."""
+    (m00, m11), (t01, t10) = right.diag_blocks, right.offdiag_blocks
+    t = np.block([[m00 - p.X1 @ t10, t01], [t10, m11 - p.X0 @ t01]])
+    if left.offdiag_blocks is None:
+        return t.conj().T, t
+    (l00, l11), (l01, l10) = left.diag_blocks, left.offdiag_blocks
+    return np.block([[l00 + l01 @ p.X0, l01], [l10, l11 + l10 @ p.X1]]), t
+
+
+def _forms(b, p):
+    """``_from_results`` of ``diagonalize(b, p)``."""
+    return _from_results(p, *diagonalize(b, p))
+
+
+def _offdiag_norm(m, n0):
+    return np.hypot(np.linalg.norm(m[:n0, n0:]), np.linalg.norm(m[n0:, :n0]))
 
 
 def _dense_scaled_left_form(b, p):
@@ -92,8 +122,9 @@ def _dense_scaled_left_form(b, p):
 def test_diagonalize_matches_dense_conjugations(
     seed, n0, n1, hermitian, skew, log_scale, log_norm_y
 ):
-    """The blockwise product and the blocks of ``I - Y^2`` reproduce the
-    dense conjugations within ``4 eps dim kappa(I + Y) (1 + norm(Y))^2 norm(B)``.
+    """The off-diagonal blocks of both results, with the diagonal blocks
+    they give (``_from_results``), reproduce the literal dense conjugations
+    within ``4 eps dim kappa(I + Y) (1 + norm(Y))^2 norm(B)``.
     The extended identity also solves with ``I - Y^2``, whose condition
     number is up to ``kappa(I + Y)^2``; its residuals agree with the dense
     ones within ``8 eps dim kappa(I - Y^2)`` times the norms of the compared
@@ -118,8 +149,10 @@ def test_diagonalize_matches_dense_conjugations(
     eps_dim = np.finfo(float).eps * b.dim
     kappa = np.linalg.cond(np.eye(b.dim) + p.Y, 2)
     bound = 4 * eps_dim * kappa * (1 + np.linalg.norm(p.Y, 2)) ** 2 * norm_b
-    assert np.linalg.norm(left.transformed - dense_left) <= bound
-    assert np.linalg.norm(right.transformed - dense_right) <= bound
+    forms = _from_results(p, left, right)
+    for result, form, dense in zip((left, right), forms, (dense_left, dense_right)):
+        assert np.linalg.norm(form - dense) <= bound
+        assert abs(result.offdiag_rel_norm * norm_b - _offdiag_norm(dense, n0)) <= bound
 
     ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
@@ -148,16 +181,18 @@ def test_blockwise_route_matches_the_dense_reference(
     seed, n0, n1, kind, log_scale, size
 ):
     """Within ``BLOCK_SOLVE_CONDITION_LIMIT`` the blockwise route agrees with
-    solves with ``I -/+ Y``: both ``offdiag_rel_norm``, the dense forms read
-    on demand, both extended-identity residuals, and a skew pair's frame
-    defects against the dense ``norm_F((I - P) B P)`` of its two graphs.
+    solves with ``I -/+ Y``: both ``offdiag_rel_norm``, the forms assembled
+    from the results' blocks, both extended-identity residuals, and a skew
+    pair's frame defects against the dense ``norm_F((I - P) B P)`` of its
+    two graphs.
     Hermitian problems are ``random_case`` (with its spectral pair at mu = 0)
     and random Hermitian blocks (with a random skew pair of norm below
     sqrt(3), so kappa(I + Y) < 2); other B take a skew pair and a non-skew
     one of norm below 1/3. On bitwise-Hermitian B with a skew pair the left
     form is exactly the adjoint of the right one, and the two off-diagonal
-    norms and the two frame defects are the same numbers. In 3,000 random
-    cases of this kind every difference stayed below a fifth of its bound."""
+    norms and the two frame defects are the same numbers, and the left
+    result holds no blocks of its own. In 3,000 random cases of this kind
+    every difference stayed below a fifth of its bound."""
     rng = np.random.default_rng(seed)
 
     def scaled(r, c, norm):
@@ -186,12 +221,10 @@ def test_blockwise_route_matches_the_dense_reference(
     norm_y = np.linalg.norm(p.Y, 2)
     kappa = np.linalg.cond(np.eye(b.dim) + p.Y, 2)
     bound = 4 * eps_dim * kappa * (1 + norm_y) ** 2 * norm_b
-    for result, dense in ((left, dense_left), (right, dense_right)):
-        assert np.linalg.norm(result.transformed - dense) <= bound
-        off = np.hypot(
-            np.linalg.norm(dense[:n0, n0:]), np.linalg.norm(dense[n0:, :n0])
-        )
-        assert abs(result.offdiag_rel_norm * norm_b - off) <= bound
+    forms = _from_results(p, left, right)
+    for result, form, dense in zip((left, right), forms, (dense_left, dense_right)):
+        assert np.linalg.norm(form - dense) <= bound
+        assert abs(result.offdiag_rel_norm * norm_b - _offdiag_norm(dense, n0)) <= bound
 
     ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
@@ -211,15 +244,16 @@ def test_blockwise_route_matches_the_dense_reference(
             frame_bound = 16 * eps_dim * (1 + norm_y) ** 2 * norm_b
             assert abs(defect - _graph_defect(full, g)) <= frame_bound
     if b.bitwise_hermitian and p.skew:
-        np.testing.assert_array_equal(left.transformed, right.transformed.conj().T)
+        assert left.offdiag_blocks is None
+        assert np.linalg.norm(dense_left - dense_right.conj().T) <= 2 * bound
         assert left.offdiag_rel_norm == right.offdiag_rel_norm
         assert defects[0] == defects[1]
 
 
 @pytest.mark.parametrize("skew", [True, False])
 def test_diagonalization_results_keep_no_block_matrix_alive(skew):
-    """The dense forms are assembled when read, from blocks and factors the
-    results hold, not from the ``BlockMatrix`` and its cached ``eigh``."""
+    """The results hold blocks, not the ``BlockMatrix`` and its cached
+    ``eigh``: with B gone, the conjugations they give match the dense ones."""
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     pair = spectral_pair(b, 0.0)
     if not skew:
@@ -230,8 +264,9 @@ def test_diagonalization_results_keep_no_block_matrix_alive(skew):
     del b
     gc.collect()
     assert block() is None
-    np.testing.assert_allclose(left.transformed, dense_left, atol=1e-12)
-    np.testing.assert_allclose(right.transformed, dense_right, atol=1e-12)
+    forms = _from_results(pair, left, right)
+    np.testing.assert_allclose(forms[0], dense_left, atol=1e-12)
+    np.testing.assert_allclose(forms[1], dense_right, atol=1e-12)
 
 
 def test_diagonalize_refuses_singular_pair_without_warning(analytic):
@@ -253,15 +288,15 @@ def test_pipeline_offdiag_small_on_gapped_cases(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_left_right_spectra_agree(seed):
-    """Both conjugations are similarities, so their spectra match B's."""
+    """Both conjugations are similarities, so the forms the results give
+    have B's spectrum."""
     rng = np.random.default_rng(seed)
     b = random_block(rng, 3, 2)
     p = _contractive_pair(rng, 3, 2)
     full_spec = eigenvalues(b.assemble())
-    left, right = diagonalize(b, p)
     scale = max(np.linalg.norm(b.assemble(), 2), 1.0)
-    assert match_spectra(full_spec, eigenvalues(left.transformed)) <= 1e-9 * scale
-    assert match_spectra(full_spec, eigenvalues(right.transformed)) <= 1e-9 * scale
+    for form in _forms(b, p):
+        assert match_spectra(full_spec, eigenvalues(form)) <= 1e-9 * scale
 
 
 def test_extended_identity_zero_pair():
@@ -296,17 +331,29 @@ def test_extended_identity_tracks_riccati_residual(seed):
     assert res.right_form <= 1e2 * max(r, 1e-15)
 
 
+def _unipotent_conjugation(b, x0):
+    """The literal ``U B U^{-1}`` for ``U = [[I, 0], [-X0, I]]``, dense."""
+    u = np.eye(b.dim, dtype=complex)
+    u[b.n0 :, : b.n0] = -np.asarray(x0)
+    inverse = 2 * np.eye(b.dim) - u
+    return u @ b.assemble() @ inverse
+
+
 def test_triangularize_zero_x0(analytic):
     res = triangularize(analytic, [[0.0]])
-    np.testing.assert_array_equal(res.transformed, analytic.assemble())
-    # lower-left block is exactly W0
-    np.testing.assert_array_equal(res.transformed[1:, :1], analytic.W0)
+    np.testing.assert_array_equal(res.diag_blocks[0], analytic.A0)
+    np.testing.assert_array_equal(res.diag_blocks[1], analytic.A1)
+    # the lower-left block is exactly W0
+    assert res.lower_left_rel_norm == np.linalg.norm(analytic.W0) / analytic.norm
 
 
 def test_triangularize_analytic(analytic):
-    res = triangularize(analytic, [[1 - np.sqrt(2)]])
+    x0 = [[1 - np.sqrt(2)]]
+    res = triangularize(analytic, x0)
     expected = np.array([[1 - np.sqrt(2), 1.0], [0.0, 1 + np.sqrt(2)]], dtype=complex)
-    np.testing.assert_allclose(res.transformed, expected, atol=1e-12)
+    np.testing.assert_allclose(_unipotent_conjugation(analytic, x0), expected, atol=1e-12)
+    np.testing.assert_allclose(res.diag_blocks[0], expected[:1, :1], atol=1e-12)
+    np.testing.assert_allclose(res.diag_blocks[1], expected[1:, 1:], atol=1e-12)
     assert res.lower_left_rel_norm <= 1e-13
 
 
@@ -317,8 +364,11 @@ def test_triangularize_lower_left_is_riccati_residual(seed):
     x0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     res = triangularize(b, x0)
     expected = residual_X0(b, x0).residual
+    lower_left = _unipotent_conjugation(b, x0)[3:, :3]
     scale = np.linalg.norm(b.assemble(), 2) * (1 + np.linalg.norm(x0, 2)) ** 2
-    assert np.max(np.abs(res.transformed[3:, :3] - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(lower_left - expected)) <= 1e-12 * scale
+    exact = np.linalg.norm(expected) / b.norm
+    assert abs(res.lower_left_rel_norm - exact) <= 1e-12 * scale / b.norm
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,18 +380,21 @@ def test_triangularize_lower_left_is_riccati_residual_for_any_x(
     seed, n0, n1, log_scale_b, log_scale_x
 ):
     """The lower-left block of the unipotent conjugation is the H0 graph
-    residual of X as an identity, for any X, not only at solutions."""
+    residual of X as an identity, for any X, not only at solutions, and
+    ``lower_left_rel_norm`` is its relative norm."""
     rng = np.random.default_rng(seed)
     b = random_block(rng, n0, n1, 10.0**log_scale_b)
     x = 10.0**log_scale_x * (
         rng.standard_normal((n1, n0)) + 1j * rng.standard_normal((n1, n0))
     )
-    lower_left = triangularize(b, x).transformed[n0:, :n0]
+    lower_left = _unipotent_conjugation(b, x)[n0:, :n0]
     expected = residual_X0(b, x).residual
     norm_b = np.linalg.norm(b.assemble(), 2)
     rounding = 8 * (n0 + n1) * np.finfo(float).eps
     bound = rounding * norm_b * (1 + np.linalg.norm(x, 2)) ** 2
     assert np.linalg.norm(lower_left - expected) <= bound
+    measured = triangularize(b, x).lower_left_rel_norm
+    assert abs(measured - np.linalg.norm(expected) / norm_b) <= 2 * bound / norm_b
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -350,13 +403,12 @@ def test_triangularize_diag_blocks(seed):
     b = random_block(rng, 2, 3)
     x0 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     res = triangularize(b, x0)
+    dense = _unipotent_conjugation(b, x0)
     scale = max(np.linalg.norm(b.assemble(), 2), 1.0) * (1 + np.linalg.norm(x0, 2)) ** 2
-    np.testing.assert_allclose(
-        res.transformed[:2, :2], res.diag_blocks[0], atol=1e-10 * scale
-    )
-    np.testing.assert_allclose(
-        res.transformed[2:, 2:], res.diag_blocks[1], atol=1e-10 * scale
-    )
+    np.testing.assert_allclose(dense[:2, :2], res.diag_blocks[0], atol=1e-10 * scale)
+    np.testing.assert_allclose(dense[2:, 2:], res.diag_blocks[1], atol=1e-10 * scale)
+    # the upper-right block of the conjugation is W1 itself
+    np.testing.assert_allclose(dense[:2, 2:], b.W1, atol=1e-10 * scale)
 
 
 def test_resolvent_invariance_decoupled():
@@ -551,10 +603,26 @@ def test_zero_offdiag_forces_invariance():
         assert invariance_residual(full, g) / scale <= 1e-9
 
 
+def _assert_offdiag_matches_50_digits(computed, exact, n0, norm_b):
+    """The off-diagonal blocks of ``computed`` and its ``offdiag_rel_norm``
+    within ``1e-12 norm(B)`` of those of the 50-digit conjugation."""
+    import mpmath
+
+    n = exact.rows
+    got = np.zeros((n, n), dtype=complex)
+    got[:n0, n0:], got[n0:, :n0] = computed.offdiag_blocks
+    entries = [(i, j) for i in range(n) for j in range(n) if (i < n0) != (j < n0)]
+    error = max(abs(mpmath.mpc(complex(got[i, j])) - exact[i, j]) for i, j in entries)
+    assert float(error) <= 1e-12 * norm_b
+    off = mpmath.sqrt(sum(abs(exact[i, j]) ** 2 for i, j in entries))
+    assert abs(computed.offdiag_rel_norm * norm_b - float(off)) <= 1e-12 * norm_b
+
+
 def test_far_from_skew_pair_keeps_dense_solve_accuracy():
     """A non-skew pair with kappa(I + Y) = 346 (kappa(I - Y^2) = 1.2e4): its
-    conjugations solve with I -/+ Y, and both forms agree with a 50-digit
-    value within 1e-12 norm(B). Through the blocks of I - Y^2 they were off
+    conjugations solve with I -/+ Y, and the off-diagonal blocks of both
+    forms, and their norms, agree with a 50-digit value within
+    1e-12 norm(B). Through the blocks of I - Y^2 the whole forms were off
     by up to 1.2e-10 norm(B)."""
     import mpmath
     rng = np.random.default_rng(341654214)
@@ -576,19 +644,15 @@ def test_far_from_skew_pair_keeps_dense_solve_accuracy():
         exact_left = (eye - y) * full * mpmath.inverse(eye - y)
         exact_right = mpmath.inverse(eye + y) * full * (eye + y)
         for computed, exact in ((left, exact_left), (right, exact_right)):
-            error = max(
-                abs(mpmath.mpc(complex(computed.transformed[i, j])) - exact[i, j])
-                for i in range(3)
-                for j in range(3)
-            )
-            assert float(error) <= 1e-12 * b.norm
+            _assert_offdiag_matches_50_digits(computed, exact, 2, b.norm)
 
 
 def test_ill_conditioned_skew_pair_keeps_dense_solve_accuracy():
     """Hermitian 2 + 1 blocks with a skew pair of norm(X0) = 35, so
-    kappa(I + Y) = 35: its conjugations solve with I -/+ Y and agree with a
-    50-digit value within 1e-12 norm(B). Through the blocks of I - Y^2,
-    kappa(S0) = 1226, they were off by 3.1e-12 norm(B)."""
+    kappa(I + Y) = 35: its conjugations solve with I -/+ Y, and their
+    off-diagonal blocks and norms agree with a 50-digit value within
+    1e-12 norm(B). Through the blocks of I - Y^2, kappa(S0) = 1226, the
+    whole forms were off by 3.1e-12 norm(B)."""
     import mpmath
 
     rng = np.random.default_rng(84)
@@ -607,12 +671,7 @@ def test_ill_conditioned_skew_pair_keeps_dense_solve_accuracy():
         exact_left = (eye - y) * full * mpmath.inverse(eye - y)
         exact_right = mpmath.inverse(eye + y) * full * (eye + y)
         for computed, exact in ((left, exact_left), (right, exact_right)):
-            error = max(
-                abs(mpmath.mpc(complex(computed.transformed[i, j])) - exact[i, j])
-                for i in range(3)
-                for j in range(3)
-            )
-            assert float(error) <= 1e-12 * b.norm
+            _assert_offdiag_matches_50_digits(computed, exact, 2, b.norm)
 
 
 def _planted_skew_problem(seed, n0=6, n1=5):
