@@ -8,7 +8,7 @@ graphs are complementary. :func:`spectral_pair` finds the pair of the
 invariant subspaces of B on either side of a threshold from the one
 triangular form ``B = Z T Z*`` cached on B (``BlockMatrix.schur``): the
 side below it is reordered to the front of T, and the side above is its
-orthogonal complement on bitwise-Hermitian B, else the span of
+orthogonal complement on Hermitian B, else the span of
 ``Z [Y; I]`` for the solution Y of one triangular Sylvester equation.
 :func:`spectral_graph` takes the side below only.
 """
@@ -276,8 +276,8 @@ def check_complementary(p: AngularPair) -> ComplementarityReport:
 def _side_below(b: BlockMatrix, mu: float) -> tuple[GraphSubspace, tuple]:
     """graph(X0) of the invariant subspace of B below mu, and the cached
     triangular form of B reordered so that its eigenvalues lead. On
-    bitwise-Hermitian B only the eigenvectors below mu are formed."""
-    h = b.staged_eigh if b.bitwise_hermitian else None
+    Hermitian B only the eigenvectors below mu are formed."""
+    h = b.staged_eigh if b.hermitian else None
     form = b.schur if h is None else (h.w, h.vectors(int(np.count_nonzero(h.w < mu))))
     below, form = invariant_subspace(b.full, form, schur_diagonal(form[0]).real < mu, b.norm)
     if below.dim != b.n0:
@@ -302,7 +302,7 @@ def spectral_pair(b: BlockMatrix, mu: float) -> AngularPair:
 
     Both sides come from the triangular form ``B = Z T Z*`` cached on B,
     reordered so that the n0 eigenvalues below mu lead (:func:`spectral_graph`
-    and :func:`~blockdiag.spectral.invariant_subspace`). A bitwise-Hermitian
+    and :func:`~blockdiag.spectral.invariant_subspace`). A Hermitian
     B, whose T is diagonal, pairs X0 with ``X1 = -X0*``: the side above is
     graph(X0)^⊥ = graph(-X0*), with the same region gap and invariance
     residual. On other input the side above is spanned by ``Z [Y; I]``,

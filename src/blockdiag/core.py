@@ -4,12 +4,16 @@ Every operator in the toolkit is carried by a dense ``numpy`` array with
 complex128 entries; the block structure lives in :class:`BlockMatrix`,
 which stores the four blocks of ``[[A0, W1], [W0, A1]]`` immutably and
 caches one triangular factorization ``B = Z T Z*`` of the assembled matrix,
-off which every spectral quantity is read. On bitwise-Hermitian B that is
-its eigendecomposition, one :class:`StagedEigh`, which forms only the
-leading eigenvectors a route reads; on other B one complex Schur form
-(:func:`triangular_form`). The ``eigh`` of B is the :class:`StagedEigh`
-on any input. Every other Hermitian eigensolve with eigenvectors, of a
-half-size matrix or of a pencil, runs through :func:`hermitian_eigh`.
+off which every spectral quantity is read. Hermitian means bitwise
+Hermitian: a B, or else a ``diag(A0, A1)``, that is Hermitian only to
+tolerance is stored as its Hermitian part, once, at construction, and the
+distance moved is kept as ``BlockMatrix.slack``. On Hermitian B the
+factorization is its eigendecomposition, one :class:`StagedEigh`, which
+forms only the leading eigenvectors a route reads; on other B one complex
+Schur form (:func:`triangular_form`). The ``eigh`` of B is the
+:class:`StagedEigh` on any input. Every other Hermitian eigensolve with
+eigenvectors, of a half-size matrix or of a pencil, runs through
+:func:`hermitian_eigh`.
 """
 
 from __future__ import annotations
@@ -216,14 +220,14 @@ class StagedEigh:
         return self._v[:, :k]
 
 
-def triangular_form(m, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+def triangular_form(m) -> tuple[np.ndarray, np.ndarray]:
     """``(T, Z)`` with ``m = Z T Z*``, T upper triangular and Z unitary.
 
-    A bitwise-Hermitian ``m`` (``hermitian``) takes :func:`hermitian_eigh`:
-    T is then diagonal, real and ascending, and is returned as the vector
-    of its diagonal. Any other ``m`` takes one unsorted complex Schur form.
+    A bitwise-Hermitian ``m`` takes :func:`hermitian_eigh`: T is then
+    diagonal, real and ascending, and is returned as the vector of its
+    diagonal. Any other ``m`` takes one unsorted complex Schur form.
     """
-    if hermitian:
+    if _bitwise_hermitian(m):
         return hermitian_eigh(m)
     return scipy.linalg.schur(m, output="complex")
 
@@ -261,18 +265,6 @@ def check_shifts(lams, spec: np.ndarray, scale: float, tol: float, what: str) ->
             )
 
 
-def is_hermitian(m) -> bool:
-    """Whether ``m`` equals its conjugate transpose up to ``DEFAULT_TOL * norm``.
-
-    The defect is measured in the Frobenius norm and the scale is a lower
-    bound on the 2-norm, so this never passes where the exact 2-norm test
-    ``norm(m - m*) <= DEFAULT_TOL * norm(m)`` fails; ``2^k m`` gets the
-    verdict of ``m``.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    return frobenius_norm(m - m.conj().T) <= DEFAULT_TOL * norm_lower_bound(m)
-
-
 @dataclass(frozen=True)
 class BlockMatrix:
     """The 2x2 block matrix ``[[A0, W1], [W0, A1]]`` on H0 (+) H1.
@@ -280,17 +272,29 @@ class BlockMatrix:
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
     Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian``, ``bitwise_hermitian``, ``schur``, ``staged_eigh``,
-    ``eigh``, ``eigh_A``, ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``,
-    ``norm_V``) are computed on first use and cached, arrays read-only; the
-    ``*_part`` and ``assemble`` methods return fresh arrays.
+    ``hermitian_A``, ``schur``, ``staged_eigh``, ``eigh``, ``eigh_A``,
+    ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``) are
+    computed on first use and cached, arrays read-only; ``assemble``
+    returns a fresh array.
+
+    Construction stores input that is Hermitian to tolerance as Hermitian.
+    A matrix M is Hermitian to tolerance when
+    ``norm_F(M - M*) <= DEFAULT_TOL * norm_F(M) / sqrt(dim)``: the defect
+    is a Frobenius norm and the scale a lower bound on the 2-norm, so this
+    never passes where the exact test ``norm(M - M*) <= DEFAULT_TOL norm(M)``
+    fails, and ``2^k M`` gets the verdict of M. A B that passes is stored as
+    ``(B + B*) / 2``; otherwise, when ``diag(A0, A1)`` passes, A0 and A1
+    are stored as their Hermitian parts. Each piece of ``B = B*``
+    (``A0 = A0*``, ``A1 = A1*``, ``W0 = W1*``) that holds bitwise is stored
+    as given, bit for bit. ``slack`` is ``norm_F`` of the input minus the
+    stored blocks, 0 when nothing moved. ``hermitian`` is then the one
+    Hermiticity of B: bitwise equality with its conjugate transpose.
 
     ``schur`` is the one spectral factorization of B: one
-    :class:`StagedEigh` on bitwise-Hermitian input
-    (``np.array_equal(m, m.conj().T)``), whose T is diagonal, and one
-    complex Schur form on every other input. On bitwise-Hermitian B the
-    routes form only the eigenvectors they read (``staged_eigh``), and
-    ``eigvals``, ``norm`` and ``sigma_min_shifted`` form none.
+    :class:`StagedEigh` on Hermitian input, whose T is diagonal, and one
+    complex Schur form on every other input. On Hermitian B the routes form
+    only the eigenvectors they read (``staged_eigh``), and ``eigvals``,
+    ``norm`` and ``sigma_min_shifted`` form none.
     """
 
     A0: np.ndarray
@@ -299,14 +303,40 @@ class BlockMatrix:
     W1: np.ndarray
 
     def __post_init__(self):
-        for name in ("A0", "A1", "W0", "W1"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        n0, n1 = self.A0.shape[0], self.A1.shape[0]
-        shapes = {"A0": (n0, n0), "A1": (n1, n1), "W0": (n1, n0), "W1": (n0, n1)}
-        for name, shape in shapes.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise StructuralError(f"{name} must have shape {shape}, got {got}")
+        names = ("A0", "A1", "W0", "W1")
+        blocks = [as_matrix(getattr(self, name), name) for name in names]
+        n0, n1 = blocks[0].shape[0], blocks[1].shape[0]
+        for name, m, shape in zip(names, blocks, ((n0, n0), (n1, n1), (n1, n0), (n0, n1))):
+            if m.shape != shape:
+                raise StructuralError(f"{name} must have shape {shape}, got {m.shape}")
+        pieces = ((0, 0), (1, 1), (2, 3))  # A0 = A0*, A1 = A1*, W0 = W1*
+        exact = [np.array_equal(blocks[i], blocks[j].conj().T) for i, j in pieces]
+        stored, moved = (), []
+        if not all(exact):
+            # the tests of B, else of diag(A0, A1), by blocks, on the blocks
+            # scaled by the power of two that brings the largest entry into
+            # [1/2, 1): nothing overflows, and 2^k B gets the verdict of B
+            peak = max(float(np.max(np.abs(m.view(np.float64)), initial=0.0)) for m in blocks)
+            e = np.frexp(peak)[1]
+            s = [np.ldexp(m.view(np.float64), -e).view(np.complex128) for m in blocks]
+            bounds = [DEFAULT_TOL * frobenius_norm(m) / math.sqrt(n0 + n1) for m in s]
+            defects = [frobenius_norm(s[i] - s[j].conj().T) for i, j in pieces]
+            defects[2] *= math.sqrt(2.0)  # norm_F(B - B*) has W0 - W1* and W1 - W0*
+            for k, n in ((3, 4), (2, 2)):  # B, else diag(A0, A1)
+                if math.hypot(*defects[:k]) <= math.hypot(*bounds[:n]):
+                    stored = pieces[:k]
+                    break
+        for (i, j), same in zip(stored, exact):
+            if not same:
+                h = np.ldexp((0.5 * (s[i] + s[j].conj().T)).view(np.float64), e).view(np.complex128)
+                # one entry for A0 and A1 (i = j), whose part is h* = h bitwise
+                for index, part in {i: h, j: h.conj().T}.items():
+                    moved.append(frobenius_norm(blocks[index] - part))
+                    blocks[index] = _readonly(np.ascontiguousarray(part))
+        for name, m in zip(names, blocks):
+            object.__setattr__(self, name, m)
+        object.__setattr__(self, "slack", math.hypot(*moved))
+        object.__setattr__(self, "hermitian", bool(n0 + n1) and (all(exact) or len(stored) == 3))
 
     @property
     def n0(self) -> int:
@@ -330,21 +360,16 @@ class BlockMatrix:
         return _readonly(from_blocks(self.A0, self.W1, self.W0, self.A1))
 
     @cached_property
-    def hermitian(self) -> bool:
-        """:func:`is_hermitian` of the assembled matrix at the default tolerance."""
-        return is_hermitian(self.full)
-
-    @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(T, Z)`` with ``B = Z T Z*`` of the assembled matrix.
 
-        On bitwise-Hermitian B it is ``eigh``: T is the vector of the
+        On Hermitian B it is ``eigh``: T is the vector of the
         ascending eigenvalues and Z their eigenvectors, every one formed.
         Other B takes :func:`triangular_form`.
         """
-        if self.bitwise_hermitian:
+        if self.hermitian:
             return self.eigh
-        t, z = triangular_form(self.full, False)
+        t, z = triangular_form(self.full)
         return _readonly(t), _readonly(z)
 
     @cached_property
@@ -354,34 +379,29 @@ class BlockMatrix:
         back-transformed when first read. Like ``numpy.linalg.eigh`` it reads
         the lower triangle only; it is the eigendecomposition of B when B is
         Hermitian. The routes that read some eigenvectors of a
-        bitwise-Hermitian B read them here, and ``eigvals`` none."""
+        Hermitian B read them here, and ``eigvals`` none."""
         return StagedEigh(self.full)
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(w, v)`` of ``staged_eigh`` with every eigenvector.
 
-        A bitwise-Hermitian B shares it with ``schur``.
+        A Hermitian B shares it with ``schur``.
         """
         return self.staged_eigh.w, self.staged_eigh.vectors(self.dim)
 
     @cached_property
-    def bitwise_hermitian(self) -> bool:
-        """Whether the assembled matrix equals its conjugate transpose exactly."""
-        return _bitwise_hermitian(self.full)
-
-    @cached_property
-    def bitwise_hermitian_A(self) -> bool:
-        """Whether A0 and A1 both equal their conjugate transposes exactly."""
+    def hermitian_A(self) -> bool:
+        """Whether A0 and A1 both equal their conjugate transposes bitwise."""
         return _bitwise_hermitian(self.A0) and _bitwise_hermitian(self.A1)
 
     @cached_property
     def eigh_A(self) -> tuple | None:
         """Read-only ``((w0, Q0), (w1, Q1))`` of :func:`hermitian_eigh` of A0 and A1.
 
-        ``None`` unless both diagonal blocks are bitwise Hermitian.
+        ``None`` unless both diagonal blocks are Hermitian (``hermitian_A``).
         """
-        if not self.bitwise_hermitian_A:
+        if not self.hermitian_A:
             return None
         return hermitian_eigh(self.A0), hermitian_eigh(self.A1)
 
@@ -392,7 +412,7 @@ class BlockMatrix:
         Values only: read off ``eigh_A`` when that is cached, otherwise one
         ``eigvalsh`` per block. Like ``eigvalsh`` this reads the lower
         triangles, so it is the spectra of A0 and A1 when they are
-        Hermitian; callers gate on :func:`is_hermitian` first.
+        Hermitian; callers gate on ``hermitian_A`` first.
         """
         if self.__dict__.get("eigh_A") is not None:
             return tuple(w for w, _ in self.eigh_A)
@@ -402,11 +422,11 @@ class BlockMatrix:
     def eigvals(self) -> np.ndarray:
         """Read-only eigenvalues of the assembled matrix, complex, (Re, Im) sorted.
 
-        They are the diagonal of the cached ``schur``; on bitwise-Hermitian B
+        They are the diagonal of the cached ``schur``; on Hermitian B
         they are the real (zero imaginary parts) ascending eigenvalues, read
         with no eigenvector formed.
         """
-        t = self.staged_eigh.w if self.bitwise_hermitian else self.schur[0]
+        t = self.staged_eigh.w if self.hermitian else self.schur[0]
         w = schur_diagonal(t).astype(np.complex128)
         return _readonly(w[np.lexsort((w.imag, w.real))])
 
@@ -414,10 +434,10 @@ class BlockMatrix:
     def norm(self) -> float:
         """Exact 2-norm of the assembled matrix.
 
-        For bitwise-Hermitian B it is the largest eigenvalue magnitude,
+        For Hermitian B it is the largest eigenvalue magnitude,
         read off ``eigvals`` with no eigenvector formed; otherwise one SVD.
         """
-        if self.bitwise_hermitian:
+        if self.hermitian:
             return _extreme_magnitude(self.eigvals.real)
         return operator_norm(self.full)
 
@@ -425,11 +445,11 @@ class BlockMatrix:
         """Smallest singular value of ``B - lam``.
 
         B normal makes it the distance of ``lam`` from spec(B), so a
-        bitwise-Hermitian B reads it off the cached eigenvalues; other
+        Hermitian B reads it off the cached eigenvalues; other
         input takes one SVD.
         """
         lam = complex(lam)
-        if self.bitwise_hermitian:
+        if self.hermitian:
             return shift_distance(self.eigvals, lam)
         return _sigma_min(self.full - lam * np.eye(self.dim))
 
@@ -451,10 +471,10 @@ class BlockMatrix:
     def norm_A(self) -> float:
         """Exact ``norm(diag(A0, A1)) = max(norm(A0), norm(A1))``.
 
-        Bitwise-Hermitian blocks read it off ``eigvalsh_A``; other blocks
+        Hermitian blocks read it off ``eigvalsh_A``; other blocks
         take one SVD each.
         """
-        if self.bitwise_hermitian_A:
+        if self.hermitian_A:
             return max(_extreme_magnitude(w) for w in self.eigvalsh_A)
         return max(operator_norm(self.A0), operator_norm(self.A1))
 
@@ -465,10 +485,6 @@ class BlockMatrix:
         if np.array_equal(self.W0, self.W1.conj().T):
             return norm_w1
         return max(operator_norm(self.W0), norm_w1)
-
-    def diagonal_part(self) -> np.ndarray:
-        """Full matrix of the diagonal part ``A = diag(A0, A1)``."""
-        return from_blocks(self.A0, None, None, self.A1)
 
     def swapped(self) -> "BlockMatrix":
         """Exchange the roles of H0 and H1 (permutation similarity).

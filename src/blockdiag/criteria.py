@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularPair
-from .core import BlockMatrix, _sigma_min, check_shifts, is_hermitian, operator_norm
+from .core import BlockMatrix, _sigma_min, check_shifts, operator_norm
 from .core import shift_distance
 from .errors import ContractError, NumericError, StructuralError
 from .spectral import eigenvalues
@@ -65,49 +65,53 @@ def resolvent_norm(b: BlockMatrix, lam: complex) -> float:
 
     V is block anti-diagonal, so the norm is
     ``max(norm(W1 (A1 - lam)^{-1}), norm(W0 (A0 - lam)^{-1}))``. With
-    bitwise-Hermitian blocks (``b.eigh_A``) each inverse is
+    Hermitian blocks (``b.eigh_A``) each inverse is
     ``Q_k D_k Q_k*`` with ``D_k = diag(1 / (w_k - lam))``, and the unitary
     ``Q_k*`` drops out of the norm: two half-size SVDs of column-scaled
     blocks. Other blocks take one solve per half.
     """
-    return _resolvent_norms(b, [complex(lam)])[0][0]
+    return _resolvent_norms(b, [complex(lam)])[0]
 
 
-def _resolvent_norms(b: BlockMatrix, lams: list[complex]):
+def _resolvent_norms(b: BlockMatrix, lams: list[complex]) -> list[float]:
     """:func:`resolvent_norm` at each shift, ``W1 Q1`` and ``W0 Q0`` formed
-    once, and a generator of the growths ``|lam| norm((A - lam)^{-1})``,
-    which forms them only when read.
+    once.
 
-    Both have degree 0 in (A, V, lam), so they are formed on all three
+    It has degree 0 in (A, V, lam), so each shift's is formed on all three
     scaled by the power of two that brings the largest entry of the blocks
-    and the shifts into [1/2, 1), as :func:`~blockdiag.riccati.solve_newton_X0`
-    scales its blocks: exact while the entries stay normal, and on
-    subnormal blocks the reciprocal of a distance ``w - lam`` no longer
-    overflows.
+    and that shift into [1/2, 1), as
+    :func:`~blockdiag.riccati.solve_newton_X0` scales its blocks: exact
+    while the entries stay normal, on subnormal blocks the reciprocal of a
+    distance ``w - lam`` no longer overflows, and a large shift does not
+    flush the blocks of a small one to zero.
     """
+    parts = [m.view(np.float64) for m in (b.A0, b.A1, b.W0, b.W1)]
+    e = np.frexp(max(float(np.max(np.abs(m), initial=0.0)) for m in parts))[1]
+    a0, a1, v0, v1 = (np.ldexp(m, -e).view(np.complex128) for m in parts)
     if b.eigh_A is not None:
         (w0, q0), (w1, q1) = b.eigh_A
         spec_a = np.concatenate([w0, w1])
+        # the spectra stand for A0 and A1, and W Q for W
+        a0, a1, v0, v1 = np.ldexp(w0, -e), np.ldexp(w1, -e), v0 @ q0, v1 @ q1
     else:
         spec_a = np.concatenate([eigenvalues(b.A0), eigenvalues(b.A1)])
     check_shifts(lams, spec_a, b.norm_A, 1e-10, "spec(A)")
-    parts = [m.view(np.float64) for m in (b.A0, b.A1, b.W0, b.W1, np.array(lams, complex))]
-    e = np.frexp(max(float(np.max(np.abs(m), initial=0.0)) for m in parts))[1]
-    a0, a1, v0, v1, lams = (np.ldexp(m, -e).view(np.complex128) for m in parts)
-    if b.eigh_A is not None:
-        spec_a, w1q1, w0q0 = np.ldexp(spec_a, -e), v1 @ q1, v0 @ q0
-        w0, w1 = spec_a[: b.n0], spec_a[b.n0 :]
-        halves = ((w1q1 / (w1 - lam), w0q0 / (w0 - lam)) for lam in lams)
-        dists = (shift_distance(spec_a, lam) for lam in lams)
-    else:
-        halves = ((_times_inverse(v1, a1, lam), _times_inverse(v0, a0, lam)) for lam in lams)
-        dists = (min(_sigma_min(a - lam * np.eye(len(a))) for a in (a0, a1)) for lam in lams)
-    norms = [max(operator_norm(h) for h in pair) for pair in halves]
-    return norms, (abs(lam) / d for lam, d in zip(lams, dists))
+    norms = []
+    for lam in lams:
+        # a further power of two, when the shift is the larger
+        k = max(e, np.frexp(max(abs(lam.real), abs(lam.imag)))[1])
+        s0, s1, u0, u1 = (np.ldexp(m.view(float), e - k).view(m.dtype) for m in (a0, a1, v0, v1))
+        lam = complex(np.ldexp(lam.real, -k), np.ldexp(lam.imag, -k))
+        halves = _times_inverse(u1, s1, lam), _times_inverse(u0, s0, lam)
+        norms.append(max(map(operator_norm, halves)))
+    return norms
 
 
 def _times_inverse(w: np.ndarray, a: np.ndarray, lam: complex) -> np.ndarray:
-    """``w (a - lam)^{-1} = solve((a - lam)^H, w^H)^H``."""
+    """``w (a - lam)^{-1}``: a column scaling for a diagonal ``a`` given as
+    its diagonal, else ``solve((a - lam)^H, w^H)^H``."""
+    if a.ndim == 1:
+        return w / (a - lam)
     shifted = a - lam * np.eye(a.shape[0], dtype=np.complex128)
     return np.linalg.solve(shifted.conj().T, w.conj().T).conj().T
 
@@ -179,12 +183,11 @@ def estimate_relative_bound(b: BlockMatrix, tau_grid) -> RelativeBoundEstimate:
         raise StructuralError(
             "tau_grid must be finite, positive and strictly ascending"
         )
-    a = b.diagonal_part()
-    if not is_hermitian(a):
+    if not b.hermitian_A:
         raise ContractError("relative-bound sweep requires a Hermitian diagonal part")
     lams = [1j * tau for tau in taus]
-    norms, growth = _resolvent_norms(b, lams)
-    sweep, growth = list(zip(lams, norms)), list(zip(lams, growth))
+    sweep, spec_a = list(zip(lams, _resolvent_norms(b, lams))), np.concatenate(b.eigvalsh_A)
+    growth = [(lam, abs(lam) / shift_distance(spec_a, lam)) for lam in lams]
     return RelativeBoundEstimate(
         a=b.norm_V,
         b_star=min(r for _, r in sweep),

@@ -9,13 +9,13 @@ Hermitian input :func:`x0_forward_error_bound` certifies, in the graph
 frame of the X it found, how far that X is from the spectral one.
 
 Each Newton step is the Sylvester equation ``P D - D Q = -F`` with
-``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input (bitwise
-Hermitian A0, A1 and ``W0 = W1*`` bitwise) the iteration moves into graph
-frames instead: the Hermitian compressions of B onto graph(X) and its
-complement bring P and Q near diagonal, and in the frame's coordinates the
-graph equation is a Riccati equation with small coefficients, solved by
-contracting sweeps (Stewart's fixed-point iteration), 3 half-size products
-each, with ``m Z`` formed only when a bound on its gates cannot decide. The
+``P = A1 - X W1`` and ``Q = A0 + W1 X``. On Hermitian input
+(``BlockMatrix.hermitian``) the iteration moves into graph frames instead:
+the Hermitian compressions of B onto graph(X) and its complement bring P
+and Q near diagonal, and in the frame's coordinates the graph equation is
+a Riccati equation with small coefficients, solved by contracting sweeps
+(Stewart's fixed-point iteration), 3 half-size products each, with
+``m Z`` formed only when a bound on its gates cannot decide. The
 first step, from X = 0, is the Newton step in the frame of ``eigh_A``, one
 division; the second, in a frame factorized at its X (two generalized
 eigensolves, :func:`~blockdiag.core.hermitian_eigh`), usually lands on the
@@ -40,7 +40,6 @@ from .angular import AngularPair
 from .core import (
     KERNEL_PROOF_ROUNDING,
     BlockMatrix,
-    _bitwise_hermitian,
     as_matrix,
     frobenius_norm,
     from_blocks,
@@ -248,8 +247,8 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
         raise StructuralError(
             f"right-hand side must have shape {(p.shape[0], q.shape[0])}, got {c.shape}"
         )
-    tp, up = triangular_form(p, _bitwise_hermitian(p))
-    tq, uq = triangular_form(q, _bitwise_hermitian(q))
+    tp, up = triangular_form(p)
+    tq, uq = triangular_form(q)
     sep = float(np.min(np.abs(schur_diagonal(tp)[:, None] - schur_diagonal(tq)[None, :])))
     scale = frobenius_norm(p) + frobenius_norm(q)
     if sep <= SYLVESTER_SEPARATION_TOL * scale:
@@ -436,8 +435,7 @@ def solve_newton_X0(
     """Newton iteration on the H0 graph equation, from ``X = 0``.
 
     Each step solves ``(A1 - X W1) D - D (A0 + W1 X) = -F(X)`` and updates
-    ``X <- X + D``. On Hermitian input (A0 and A1 bitwise Hermitian,
-    ``W0 = W1*`` bitwise) a step is a graph-frame solve
+    ``X <- X + D``. On Hermitian input a step is a graph-frame solve
     (:func:`_frame_solve`) instead: the first one, in the frame at X = 0,
     is that Newton step, and every later one, in a frame factorized at its
     X (counted in ``frames``), solves the graph equation itself and moves
@@ -461,7 +459,6 @@ def solve_newton_X0(
     parts = [m.view(np.float64) for m in (*_centred_A(b), b.W0, b.W1)]
     e = np.frexp(max(float(np.max(np.abs(m), initial=0.0)) for m in parts))[1]
     b, parts = BlockMatrix(*(np.ldexp(m, -e).view(np.complex128) for m in parts)), None
-    hermitian = b.bitwise_hermitian_A and np.array_equal(b.W0, b.W1.conj().T)
     scale = _riccati_scale(b, b.A0, b.A1)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
     f, value, products = b.W0, _rel_norm(b.W0, scale, x), None  # F(0) = W0
@@ -472,7 +469,7 @@ def solve_newton_X0(
         # an X whose residual overflowed has diverged
         if value <= tol or iteration == max_iter or not np.isfinite(value):
             break
-        z, frame = None, _graph_frame(b, x, f, products) if hermitian else None
+        z, frame = None, _graph_frame(b, x, f, products) if b.hermitian else None
         if frame is not None:
             frames += frame.m is not None
             z, taken = _frame_solve(b, frame)
@@ -503,10 +500,10 @@ def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
 
     X0 is the spectral angular operator: graph(X0) is the invariant
     subspace of the n0 lowest eigenvalues of every Hermitian B' within
-    ``slack = norm_F(B - B*) / 2`` of the Hermitian part ``H = (B + B*) / 2``
-    (slack 0 and H = B on bitwise-Hermitian B). The bound is
+    ``b.slack`` of B, the distance of the input from the Hermitian part it
+    was stored as (0 on input Hermitian bitwise). The bound is
     :func:`~blockdiag.transform.frame_angle_bound` in the frame of X itself,
-    on H centred by ``c = tr(H) / dim`` and scaled by a power of two, as
+    on B centred by ``c = tr(B) / dim`` and scaled by a power of two, as
     Newton centres and scales its blocks:
 
     - the ends are the extreme Ritz values of graph(X) and graph(-X*), the
@@ -516,7 +513,7 @@ def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
     - the coupling is ``norm_F(F(X))``: the frame's off-diagonal block is
       ``L1^{-1} F(X) L0^{-*}`` with ``S_i = L_i L_i*`` and ``S_i >= I``;
     - the norm, which scales only the rounding terms, is the largest Ritz
-      value magnitude plus the coupling, at least ``norm(H - cI)``.
+      value magnitude plus the coupling, at least ``norm(B - cI)``.
 
     For the certified angle theta and ``n = norm(X)`` (one half-size SVD),
     ``norm(X - X0) <= e = (1 + n^2) tan(theta) / (1 - n tan(theta))`` while
@@ -525,13 +522,14 @@ def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
     it is at least 1 and only raises the bound below 1 (README "Numerics
     notes"). inf when the frame does not certify X: a converged X whose
     Ritz values interlace solves the graph equation but is not spectral. A
-    given mu that is not between ordered ends raises
-    :class:`HypothesisError`.
+    given mu that is not between ordered ends, or a b that is not
+    Hermitian, raises :class:`HypothesisError`.
     """
+    if not b.hermitian:
+        raise HypothesisError("the X0 certificate requires Hermitian B")
     if not x.size:
         return 0.0
-    full, n0, exact = b.full, b.n0, b.bitwise_hermitian
-    h = full.copy() if exact else 0.5 * full + 0.5 * full.conj().T
+    h, n0 = b.full.copy(), b.n0
     c = np.sum(h.diagonal().real / b.dim)
     h.flat[:: b.dim + 1] -= c
     # scaled by the power of two 2^k that brings the largest entry into
@@ -540,7 +538,7 @@ def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
     k = np.frexp(np.max(np.abs(h.view(np.float64)), initial=0.0))[1]
     h = np.ldexp(h.view(np.float64), -k).view(np.complex128)
     h = BlockMatrix(h[:n0, :n0], h[n0:, n0:], h[n0:, :n0], h[:n0, n0:])
-    slack = 0.0 if exact else np.ldexp(frobenius_norm(0.5 * full - 0.5 * full.conj().T), -k)
+    slack = np.ldexp(b.slack, -k)
     f, _, products = _residual(h.A0, h.A1, h.W0, h.W1, x, 1.0)
     (h0, s0), (h1, s1) = _compressions(h, x, products)[2:]
     try:
@@ -552,7 +550,7 @@ def x0_forward_error_bound(b: BlockMatrix, x, mu: float | None = None) -> float:
         return np.inf
     (r0, r1), coupling = (w0[-1], w1[0]), frobenius_norm(f)
     # the frame's diagonal blocks have the Ritz values, its off-diagonal one
-    # a norm of at most the coupling: together a bound on norm(H - cI)
+    # a norm of at most the coupling: together a bound on norm(B - cI)
     norm = np.max(np.abs([w0[0], r0, r1, w1[-1]])) + coupling
     given, mu = mu, (r0 + r1) / 2.0 if mu is None else np.ldexp(mu - c, -k)
     if r0 < r1 and not r0 < mu < r1:

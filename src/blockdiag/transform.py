@@ -25,7 +25,7 @@ larger than n0 x n0 or n1 x n1 is solved, except for a pair, skew or not,
 that is not well conditioned (:data:`BLOCK_SOLVE_CONDITION_LIMIT`), which
 solves with ``I - Y`` and ``I + Y``.
 
-For a skew pair ``X1 = -X0*`` on bitwise-Hermitian B, ``I - Y = (I + Y)*``,
+For a skew pair ``X1 = -X0*`` on Hermitian B, ``I - Y = (I + Y)*``,
 so C is Hermitian and the left form is the adjoint of the right one:
 ``C01 = C10*``, where ``C10 = W0 + A1 X0 - X0 A0 - X0 W1 X0`` is the
 uncentred graph-equation residual of X0, and the off-diagonal blocks of
@@ -35,7 +35,7 @@ The resolvent check reads the one triangular form ``B = Z T Z*`` cached
 on B (``BlockMatrix.schur``) on every input: the graphs go into Z
 coordinates once, and each shift divides by ``T - lam`` when T is
 diagonal and solves with it when triangular
-(:func:`verify_resolvent_invariance`). On bitwise-Hermitian B, whose T is
+(:func:`verify_resolvent_invariance`). On Hermitian B, whose T is
 diagonal, a well-conditioned skew pair ``X1 = -X0*`` has its two graphs,
 orthogonal complements of each other, orthonormalized in the eigenbasis
 by the Cholesky factors of S0 and S1 cached on the pair, and the spectral
@@ -160,6 +160,7 @@ def _s_solve(f, m: np.ndarray, on_right: bool = False) -> np.ndarray:
     return x.conj().T if on_right else x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def diagonalize(
     b: BlockMatrix, p: AngularPair
 ) -> tuple[DiagonalizationResult, DiagonalizationResult]:
@@ -174,7 +175,7 @@ def diagonalize(
     for a skew pair, by LU otherwise. Only they are formed; the diagonal
     blocks of the conjugations are not, and ``diag_blocks`` holds the
     closed forms ``(m00, m11)`` and ``(l00, l11)``, which they equal when
-    the residual vanishes. On bitwise-Hermitian B with a skew pair C
+    the residual vanishes. On Hermitian B with a skew pair C
     is Hermitian and ``left`` is the adjoint of ``right``: C10 alone is
     formed, and both ``offdiag_rel_norm`` are the same number.
 
@@ -193,7 +194,9 @@ def diagonalize(
     A pair whose cached condition number exceeds
     :data:`BLOCK_SOLVE_CONDITION_LIMIT` solves with ``I -/+ Y`` instead
     (see the module docstring). Raises :class:`NotComplementaryError` when
-    a system solved is exactly singular.
+    a system solved is exactly singular. Products past the float range are
+    formed with no warning: the defects they give are inf or NaN, which
+    fail every gate.
     """
     if (p.n0, p.n1) != (b.n0, b.n1):
         raise StructuralError(
@@ -211,7 +214,7 @@ def diagonalize(
     defects = left_off = None
     try:
         if conditioning <= BLOCK_SOLVE_CONDITION_LIMIT:
-            hermitian, fs = b.bitwise_hermitian and p.skew, p.factors_I_minus_Y2
+            hermitian, fs = b.hermitian and p.skew, p.factors_I_minus_Y2
             # C = (I - Y) M by blocks; C10 is the graph-equation residual of X0
             c10 = m10 - x0 @ m00
             c01 = c10.conj().T if hermitian else (w1 + a0 @ x1) - x1 @ m11
@@ -248,6 +251,7 @@ def diagonalize(
     return left, right
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_extended_identity(
     b: BlockMatrix, p: AngularPair, right: DiagonalizationResult
 ) -> ExtendedIdentityResiduals:
@@ -271,7 +275,8 @@ def verify_extended_identity(
     ``identity`` is ``norm_F([[T01 X0, T01], [T10, T10 X1]])``, never below
     ``right.offdiag_rel_norm``, and ``right_form`` is the norm of
     ``diag(T01 X0 + X1 T10, T10 X1 + X0 T01)``: four half-size products,
-    no solve, on every route.
+    no solve, on every route. Products past the float range are formed with
+    no warning, as in :func:`diagonalize`.
     """
     t01, t10 = right.offdiag_blocks
     u0, u1 = t01 @ p.X0, t10 @ p.X1
@@ -372,7 +377,7 @@ def verify_resolvent_invariance(
     ``Z*`` per sweep; each shift then forms ``R_G = s (T - lam)^{-1} W_G``,
     by a division when T is diagonal and a triangular solve otherwise, and
     the entry is ``norm_F((I - W_G W_G*) R_G)``. A skew pair within
-    :data:`BLOCK_SOLVE_CONDITION_LIMIT` on bitwise-Hermitian B has the
+    :data:`BLOCK_SOLVE_CONDITION_LIMIT` on Hermitian B has the
     bases in closed form: ``G0 = [I; X0]`` and ``G1 = [X1; I]`` have
     ``G0* G1 = X1 + X0* = 0``, so ``W_i = Z* G_i L_i^{-*}``, with
     ``S_i = L_i L_i*`` the blocks of ``I - Y^2`` factored on the pair, are
@@ -384,7 +389,7 @@ def verify_resolvent_invariance(
     spec = schur_diagonal(t)
     check_shifts(lams, spec, b.norm, 1e-8, "the spectrum")
     p = graphs if isinstance(graphs, AngularPair) else None
-    if p and b.bitwise_hermitian and p.skew and _pair_condition(p) <= BLOCK_SOLVE_CONDITION_LIMIT:
+    if p and b.hermitian and p.skew and _pair_condition(p) <= BLOCK_SOLVE_CONDITION_LIMIT:
         n0, zh = b.n0, z.conj().T
         # the rows of W_i* = L_i^{-1} G_i* Z, from two half-size products; they
         # are also the rows K* of the complements, I - W0 W0* = W1 W1*
@@ -490,7 +495,7 @@ def match_spectra(a, b) -> float:
 def _spectral_identity_bound(b: BlockMatrix, p: AngularPair) -> float:
     """Certified bound on the distance of spec(B) from the right block spectra.
 
-    For bitwise-Hermitian B and a skew pair, from the cached ``eigh``
+    For Hermitian B and a skew pair, from the cached ``eigh``
     ``B = V diag(w) V*``; inf when the eigenvector blocks do not certify it.
     README "Numerics notes" derives it.
     """
@@ -518,24 +523,26 @@ def _spectral_identity_bound(b: BlockMatrix, p: AngularPair) -> float:
     return 2.0 * float(np.max(bounds))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_spectral_identity(
     b: BlockMatrix, p: AngularPair, tol: float
 ) -> SpectralIdentityReport:
     """Check spec(B) against the unions of both block-diagonal spectra.
 
     Both distances are gated at ``tol`` times ``norm(B)``. On
-    bitwise-Hermitian B with a skew pair (X0 nonzero) the check
+    Hermitian B with a skew pair (X0 nonzero) the check
     first tries the certificate of :func:`_spectral_identity_bound`: when
     it is within the threshold, both distances are that bound and the
     left block spectrum is read off the cached eigenvalues. Otherwise all
     four diagonal blocks take ``eigvals``, and both distances are NaN when
-    one of them has a non-finite entry.
+    one of them has a non-finite entry. Blocks and distances past the float
+    range are formed with no warning, as in :func:`diagonalize`.
     """
     spec_b = b.eigvals
     threshold = tol * b.norm
     # X0 = 0 leaves the blocks A0 and A1, whose spectra a decoupled B
     # matches exactly; measuring keeps that zero, which the slack would not
-    if b.bitwise_hermitian and p.skew and p.X0.any():
+    if b.hermitian and p.skew and p.X0.any():
         bound = _spectral_identity_bound(b, p)
         if bound <= threshold:
             return SpectralIdentityReport(

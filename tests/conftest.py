@@ -48,6 +48,11 @@ def random_block(rng, n0, n1, scale=1.0):
     return BlockMatrix(mat(n0, n0), mat(n1, n1), mat(n1, n0), mat(n0, n1))
 
 
+def diagonal_part(b):
+    """Full matrix of the diagonal part ``A = diag(A0, A1)``."""
+    return from_blocks(b.A0, None, None, b.A1)
+
+
 def offdiagonal_part(b):
     """Full matrix of the coupling part ``V = [[0, W1], [W0, 0]]``."""
     return from_blocks(None, b.W1, b.W0, None)
@@ -88,7 +93,7 @@ def kernel_pieces(b, mu, piece=None):
 
     piece = piece or subordinated._kernel_piece
     w0, w1 = b.eigvalsh_A
-    return piece(b, b.A0, w0, b.W1.conj().T, mu), piece(b, b.A1, w1, b.W1, mu)
+    return piece(b.A0, w0, b.W1.conj().T, mu), piece(b.A1, w1, b.W1, mu)
 
 
 def kernel_split_dims(b, mu):

@@ -8,10 +8,12 @@ from blockdiag import (
     estimate_relative_bound,
     form_pair,
     neumann_certificate,
+    random_case,
     resolvent_norm,
 )
+from blockdiag.cli import RELBOUND_TAUS
 from blockdiag.errors import ContractError, ResolventError, StructuralError
-from conftest import offdiagonal_part
+from conftest import diagonal_part, offdiagonal_part
 
 NEUMANN_FIXTURE = BlockMatrix([0.0], [2.0], [1.0], [1.0])
 SKEW_PAIR = form_pair([[1 - np.sqrt(2)]], [[np.sqrt(2) - 1]])
@@ -90,7 +92,7 @@ def test_neumann_distance_bound_with_slack(seed):
     lam = 0.5j
     nv = resolvent_norm(b, lam)
     eye = np.eye(4, dtype=complex)
-    sigma_a = np.linalg.svd(b.diagonal_part() - lam * eye, compute_uv=False)[-1]
+    sigma_a = np.linalg.svd(diagonal_part(b) - lam * eye, compute_uv=False)[-1]
     sigma_b = np.linalg.svd(b.assemble() - lam * eye, compute_uv=False)[-1]
     assert sigma_b >= 0.9 * sigma_a * (1 - nv)
 
@@ -226,3 +228,17 @@ def test_relative_bound_sweep_values_unchanged_by_shared_products(seed):
     sweep = [value for _, value in estimate_relative_bound(b, taus).lambda_sweep]
     assert sweep == expected
     assert sweep == [resolvent_norm(b, 1j * t) for t in taus]
+
+
+def test_relative_bound_of_subnormal_blocks_is_not_flushed_to_zero():
+    """The blocks of ``random_case(4, 4)`` scaled by 2^-1070: at tau = 1
+    ``norm(V) / tau`` is about 4e-323. Each shift's resolvent norm is formed
+    over the power of two of the larger of the blocks and that shift, so the
+    largest shift of the default sweep does not flush the blocks of the
+    smallest to zero."""
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    blocks = (b.A0, b.A1, b.W0, b.W1)
+    scaled = (np.ldexp(m.view(np.float64), -1070).view(np.complex128) for m in blocks)
+    est = estimate_relative_bound(BlockMatrix(*scaled), RELBOUND_TAUS)
+    (lam, value), *_ = est.lambda_sweep
+    assert lam == 1j and value > 0.0

@@ -8,6 +8,7 @@ count tests pin which factorizations a command runs.
 
 import dataclasses
 import functools
+import json
 import pathlib
 import tempfile
 from unittest import mock
@@ -39,10 +40,11 @@ from blockdiag import angular, dirac, spectral, subordinated, transform
 from blockdiag.angular import GraphBase, to_graph
 from blockdiag.cli import choose_split_mu, main
 from blockdiag.errors import IllPosedRegionError, NotAGraphError
-from blockdiag.io import ProblemFile
+from blockdiag.core import DEFAULT_TOL
+from blockdiag.io import PROBLEM_SCHEMA, ProblemFile, matrix_to_obj
 from blockdiag.spectral import invariant_subspace
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
-from conftest import offdiagonal_part, random_block, staged_eigh_calls
+from conftest import diagonal_part, offdiagonal_part, random_block, staged_eigh_calls
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -95,43 +97,88 @@ def _shift(rng, b, near):
 @PROPERTY
 @given(seeds, dims, dims, kinds)
 def test_fast_paths_select_on_bitwise_hermitian(seed, n0, n1, kind):
+    """The fast paths select on the stored matrix, bitwise. Input Hermitian
+    only to tolerance is stored as its Hermitian part, moved by its slack,
+    so it selects them as bitwise-Hermitian input does."""
     b = _block(np.random.default_rng(seed), n0, n1, kind)
     full = b.assemble()
-    assert b.bitwise_hermitian == np.array_equal(full, full.conj().T)
-    assert b.bitwise_hermitian == (kind == "hermitian")
-    assert (b.eigh_A is None) == (kind != "hermitian")
+    assert b.hermitian == np.array_equal(full, full.conj().T)
+    assert b.hermitian == (kind != "general")
+    assert (b.eigh_A is None) == (kind == "general")
+    assert (b.slack > 0.0) == (kind == "nearly")
 
 
 # --- equivalences ---------------------------------------------------------
 
 
+#: the commands whose exit codes and flags input Hermitian to tolerance
+#: shares with its bitwise-Hermitian neighbour
+NEIGHBOUR_COMMANDS = ("check", "diagonalize", "triangularize", "riccati-solve", "subordinated")
+
+
+#: the blocks of a problem, in the order of the ``BlockMatrix`` arguments
+NAMES = ("A0", "A1", "W0", "W1")
+
+
+def _raw_file(path, blocks, mu=0.0) -> str:
+    """A problem file of the blocks ``(A0, A1, W0, W1)`` as given, not as a
+    :class:`BlockMatrix` would store them."""
+    obj = {"schema": PROBLEM_SCHEMA, **dict(zip(NAMES, map(matrix_to_obj, blocks))), "mu": mu}
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _perturbed(b, rng, kind, size):
+    """The blocks of ``B + E`` for Hermitian B, with E general or
+    skew-Hermitian and ``norm_F(E - E*)`` at ``size`` times the bound of the
+    Hermitian-to-tolerance test, ``DEFAULT_TOL norm_F(B) / sqrt(dim)``."""
+    e = _cmat(rng, b.dim, b.dim)
+    if kind == "skew":
+        e = e - e.conj().T
+    bound = DEFAULT_TOL * np.linalg.norm(b.full) / np.sqrt(b.dim)
+    e *= size * bound / np.linalg.norm(e - e.conj().T)
+    m, n0 = b.full + e, b.n0
+    return m[:n0, :n0], m[n0:, n0:], m[n0:, :n0], m[:n0, n0:]
+
+
+def _verdicts(path, tmp) -> dict:
+    """Exit code and report flags of each neighbour command on a file."""
+    out = {}
+    for command in NEIGHBOUR_COMMANDS:
+        report = tmp / f"{command}.report.json"
+        code = main([command, path, "--out", str(report)])
+        out[command] = code, json.loads(report.read_text()).get("flags")
+    return out
+
+
 @PROPERTY
-@given(seeds, dims, dims, st.floats(0.05, 2.0))
-def test_nearly_hermitian_neighbour_on_schur_route_matches_eigh_route(
-    seed, n0, n1, coupling
+@given(seeds, dims, dims, st.floats(0.05, 2.0), st.sampled_from(["general", "skew"]),
+       st.floats(-3.0, -0.01))
+def test_hermitian_to_tolerance_input_gives_its_neighbours_verdicts(
+    seed, n0, n1, coupling, kind, log_size
 ):
-    """``A0 + 1e-15 i I`` is Hermitian to tolerance but not bitwise, so its
-    spectral pair takes the Schur route; it spans the subspaces of the
-    original's ``eigh`` route to rounding over the spectral gap, and
-    ``check`` reads the same verdict on both."""
+    """``B + E``, with E general or skew-Hermitian and Hermitian to
+    tolerance, is stored as Hermitian: every command gives B's exit code
+    and flags, and its X0 is within ``(norm_F(E) + slack + rounding) / gap``
+    of B's, times the ``1 + norm(X0)^2`` that turns a subspace angle into a
+    distance of angular operators."""
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed % 2**16).block
-    nearly = BlockMatrix(b.A0 + 1e-15j * np.eye(n0), b.A1, b.W0, b.W1)
-    assert nearly.hermitian and not nearly.bitwise_hermitian
-    pair, neighbour = spectral_pair(b, 0.0), spectral_pair(nearly, 0.0)
-    w = np.linalg.eigvalsh(b.assemble())
+    blocks = _perturbed(b, np.random.default_rng(seed), kind, 10.0**log_size)
+    nearly = BlockMatrix(*blocks)
+    assert nearly.hermitian and nearly.slack > 0.0
+    x0, near_x0 = spectral_pair(b, 0.0).X0, spectral_pair(nearly, 0.0).X0
+    w = b.eigh[0]
     gap = w[n0] - w[n0 - 1]
-    for base, x, y in (
-        (GraphBase.H0, pair.X0, neighbour.X0),
-        (GraphBase.H1, pair.X1, neighbour.X1),
-    ):
-        angles = scipy.linalg.subspace_angles(
-            angular.GraphSubspace(base=base, X=x).subspace.basis,
-            angular.GraphSubspace(base=base, X=y).subspace.basis,
-        )
-        assert np.sin(np.max(angles)) <= 1e-13 * _norm2(b.assemble()) / gap
+    # norm_F(E), the distance of the input from B
+    distance = np.linalg.norm([np.linalg.norm(m - getattr(b, n)) for m, n in zip(blocks, NAMES)])
+    rounding = 64 * b.dim * np.finfo(float).eps * b.norm
+    bound = 2.0 * (1.0 + _norm2(x0) ** 2) * (distance + nearly.slack + rounding) / gap
+    assert np.linalg.norm(near_x0 - x0) <= bound
     with tempfile.TemporaryDirectory() as tmp:
-        codes = [main(["check", _check_file(pathlib.Path(tmp), m)]) for m in (b, nearly)]
-    assert codes[0] == codes[1]
+        tmp = pathlib.Path(tmp)
+        inputs = ([getattr(b, n) for n in NAMES], blocks)
+        verdicts = [_verdicts(_raw_file(tmp / f"{i}.json", m), tmp) for i, m in enumerate(inputs)]
+    assert verdicts[0] == verdicts[1]
 
 
 @PROPERTY
@@ -158,7 +205,7 @@ def test_shifted_sigma_min_matches_svd(seed, n0, n1, kind, ls, near):
     eye = np.eye(b.dim)
     bound = 1e-12 * (b.norm + abs(lam))
     assert abs(b.sigma_min_shifted(lam) - _sigma_min_svd(b.assemble() - lam * eye)) <= bound
-    exact_a = _sigma_min_svd(b.diagonal_part() - lam * eye)
+    exact_a = _sigma_min_svd(diagonal_part(b) - lam * eye)
     assert abs(b.sigma_min_shifted_A(lam) - exact_a) <= bound
 
 
@@ -185,7 +232,7 @@ def test_shifted_sigma_min_of_non_hermitian_blocks_matches_svd(
     b = BlockMatrix(scale * a0, scale * 10.0**ratio * a1, w0, w1)
     assert b.eigh_A is None
     lam = _shift(rng, b, True)
-    exact = _sigma_min_svd(b.diagonal_part() - lam * np.eye(b.dim))
+    exact = _sigma_min_svd(diagonal_part(b) - lam * np.eye(b.dim))
     assert abs(b.sigma_min_shifted_A(lam) - exact) <= 1e-12 * (b.norm_A + abs(lam))
 
 
@@ -195,7 +242,7 @@ def test_resolvent_norm_matches_solve_and_svd(seed, n0, n1, kind, ls, near):
     rng = np.random.default_rng(seed)
     b = _block(rng, n0, n1, kind, 10.0**ls)
     lam = _shift(rng, b, near)
-    a = b.diagonal_part()
+    a = diagonal_part(b)
     shifted = a - lam * np.eye(b.dim)
     # keep the shift well inside the resolvent set, where both forms are
     # accurate to rounding
@@ -365,6 +412,38 @@ def test_no_command_takes_a_full_eigensolve_of_a_hermitian_matrix(tmp_path, monk
     assert sum(k for n, k in calls["zunmqr"] if n == b.dim) <= b.dim
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"], ["diagonalize"], ["triangularize"], ["riccati-solve"], ["subordinated"],
+        ["neumann", "--lambda", "0,3"], ["relbound", "--tau-grid", "1,10"],
+    ],
+)
+def test_no_input_takes_both_a_schur_form_and_an_eigensolve_of_b(tmp_path, monkeypatch, argv):
+    """No input, bitwise Hermitian, Hermitian to tolerance or general, takes
+    both a dim-size Schur form and a staged eigensolve of B. Input Hermitian
+    only to tolerance, here a general perturbation of half the test's bound,
+    takes exactly the kernel calls of its bitwise neighbour, and its exit
+    code."""
+    b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    general = _general_block(0, 6, 5)
+    inputs = {
+        "hermitian": (b.A0, b.A1, b.W0, b.W1),
+        "nearly": _perturbed(b, np.random.default_rng(0), "general", 0.5),
+        "general": (general.A0, general.A1, general.W0, general.W1),
+    }
+    full = (b.dim, b.dim)
+    calls, codes = {}, {}
+    for kind, blocks in inputs.items():
+        path = _raw_file(tmp_path / f"{kind}.json", blocks)
+        recorded = _kernels(monkeypatch)
+        codes[kind] = main([argv[0], path, *argv[1:]])
+        # copied, as the recorders of a later run call this run's ones
+        calls[kind] = {name: list(shapes) for name, shapes in recorded.items()}
+        assert not (full in calls[kind]["schur"] and full in calls[kind]["zhetrd"])
+    assert calls["nearly"] == calls["hermitian"] and codes["nearly"] == codes["hermitian"] == 0
+
+
 @pytest.mark.parametrize("mu", [0.0, None])
 def test_hermitian_riccati_solve_factors_no_matrix_of_the_full_dimension(
     tmp_path, monkeypatch, mu
@@ -410,22 +489,20 @@ def test_check_of_non_hermitian_matrix_takes_schur_route(tmp_path, monkeypatch):
 
 
 def test_check_of_nearly_hermitian_matrix_keeps_general_spectra(tmp_path, monkeypatch):
+    """A file whose A0 is Hermitian only to tolerance is loaded as its
+    Hermitian part: ``check`` reads the bitwise route's spectra, with its
+    kernel counts (:func:`test_check_factors_a_hermitian_matrix_once`)."""
     b = random_case(4, 4, gap=1.0, coupling=0.5, seed=1).block
-    nearly = BlockMatrix(b.A0 + 1e-15 * np.eye(4) * 1j, b.A1, b.W0, b.W1)
-    assert nearly.hermitian and not nearly.bitwise_hermitian
-    path = _check_file(tmp_path, nearly)
+    path = _raw_file(tmp_path / "nearly.json", (b.A0 + 1e-15j * np.eye(4), b.A1, b.W0, b.W1))
     calls = _kernels(monkeypatch)
     assert main(["check", path, "--lambdas", "2"]) == 0
-    # Hermitian only to tolerance: the spectral pair takes the Schur route
-    assert (8, 8) not in calls["eigh"] and (8, 8) not in calls["zheevd"]
-    assert calls["zhetrd"] == []
-    assert calls["schur"] == [(8, 8)]
-    assert calls["trsen"] == [(8,)] and calls["trsyl"] == [(4, 4)]
-    assert (8, 8) not in calls["eigvals"]
-    # I + Y of the general pair and norm(B); the shifts solve with T - lambda
-    assert calls["svd"].count((8, 8)) == 1 + 1
-    assert (8, 8) not in calls["solve"]
-    assert calls["eigvals"].count((4, 4)) == 4  # left and right blocks
+    # one staged eigensolve of B, no Schur form and no reordering
+    assert calls["zhetrd"] == [(8, 8)] and calls["zunmqr"] == [(8, 4), (8, 4)]
+    assert calls["eigh"] == calls["zheevd"] == calls["schur"] == calls["trsen"] == []
+    assert calls["trsyl"] == [] and calls["qr"] == []
+    # no SVD, solve or eigvals of B, and the spectral identity is certified
+    assert (8, 8) not in calls["svd"] and (8, 8) not in calls["solve"]
+    assert calls["eigvals"] == []
 
 
 def _general_block(seed, n0=6, n1=6):
@@ -535,16 +612,19 @@ def test_relative_bound_sweep_runs_no_general_eigvals(monkeypatch):
 
 
 def test_relative_bound_sweep_of_nearly_hermitian_blocks_solves_per_half(monkeypatch):
+    """Blocks Hermitian only to tolerance are stored as their Hermitian
+    parts: the sweep reads ``eigh_A``, one staged eigensolve per block, and
+    solves nothing, as on bitwise-Hermitian blocks."""
     b = random_case(5, 4, gap=1.0, coupling=0.5, seed=3).block
     nearly = BlockMatrix(b.A0 + 1e-15j * np.eye(5), b.A1, b.W0, b.W1)
     calls = _kernels(monkeypatch)
     taus = [1.0, 10.0]
     estimate_relative_bound(nearly, taus)
-    assert nearly.eigh_A is None
-    assert (nearly.dim, nearly.dim) not in calls["eigvals"]
-    # the spectra of A0 and A1 serve every shift of the sweep
-    assert calls["eigvals"].count((5, 5)) == 1
-    assert calls["eigh"] == calls["zheevd"] == calls["zhetrd"] == []
+    assert nearly.eigh_A is not None
+    assert calls["zhetrd"] == [(5, 5), (4, 4)]
+    assert calls["eigvals"] == calls["solve"] == calls["eigh"] == calls["zheevd"] == []
+    # per shift the two column-scaled halves W Q, then norm(V) = norm(W1)
+    assert calls["svd"] == [(5, 4), (4, 5)] * len(taus) + [(5, 4)]
 
 
 def _graph_extractions(monkeypatch):
@@ -735,20 +815,13 @@ def test_newton_factors_each_coefficient_once_per_step(monkeypatch, nearly):
     assert trace.converged and trace.iterations >= 2
     assert eigvals == [] and sylvester == []
     assert calls["eigh"] == calls["scipy_eigh"] == calls["zheevd"] == []
-    if nearly:
-        # one complex Schur form per coefficient and step: centring by the
-        # complex mean of the diagonal leaves neither block Hermitian
-        assert trace.schur_steps == trace.iterations
-        assert generalized == [] and eigh == []
-        assert schur.count((6, 6)) == trace.iterations
-        assert schur.count((5, 5)) == trace.iterations
-    else:
-        # the first step reads eigh_A of the centred blocks, the second
-        # solves in one frame: one generalized eigh per compression of B
-        assert trace.schur_steps == 0 and schur == []
-        assert eigh == [(6, 6), (5, 5)]
-        assert trace.frames == 1
-        assert generalized == [(6, 6), (5, 5)] * trace.frames
+    # the first step reads eigh_A of the centred blocks, the second solves
+    # in one frame: one generalized eigh per compression of B. Input
+    # Hermitian only to tolerance is stored as Hermitian and does the same.
+    assert trace.schur_steps == 0 and schur == []
+    assert eigh == [(6, 6), (5, 5)]
+    assert trace.frames == 1
+    assert generalized == [(6, 6), (5, 5)] * trace.frames
 
 
 def test_newton_on_hermitian_input_takes_no_schur_step():
@@ -759,11 +832,16 @@ def test_newton_on_hermitian_input_takes_no_schur_step():
 
 @pytest.mark.parametrize("kind", ["nearly", "general"])
 def test_newton_on_non_hermitian_input_takes_schur_steps(kind):
+    """Non-Hermitian input takes a Schur step per iteration. A coupling
+    Hermitian only to tolerance (``nearly``) is stored as Hermitian and
+    takes none, as bitwise-Hermitian input does."""
     b = random_case(8, 8, gap=1.0, coupling=0.5, seed=0).block
     if kind == "nearly":
         b = BlockMatrix(b.A0, b.A1, b.W0 + 1e-15, b.W1)
-    else:
-        b = BlockMatrix(b.A0 + 0.1j * np.eye(8), b.A1, b.W0, b.W1)
+        _, trace = solve_newton_X0(b)
+        assert trace.converged and trace.iterations == 2 and trace.schur_steps == 0
+        return
+    b = BlockMatrix(b.A0 + 0.1j * np.eye(8), b.A1, b.W0, b.W1)
     _, trace = solve_newton_X0(b)
     assert trace.converged and trace.iterations >= 3
     assert trace.schur_steps == trace.iterations
@@ -820,7 +898,7 @@ def test_skew_pair_singular_values_of_i_plus_y_match_svd(seed, n0, n1, size):
 def test_left_spectrum_of_skew_pair_matches_left_block_eigvals(seed, n0, n1, coupling):
     b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
     pair = spectral_pair(b, 0.0)
-    assert b.bitwise_hermitian and pair.skew
+    assert b.hermitian and pair.skew
     report = verify_spectral_identity(b, pair, 1e-8)
     left = report.left_spectrum
     blocks = (b.A0 - pair.X1 @ b.W0, b.A1 - pair.X0 @ b.W1)
@@ -869,7 +947,7 @@ def test_spectral_identity_bound_is_at_least_the_measured_distance(
         pair = spectral_pair(b, choose_split_mu(b))
     except (IllPosedRegionError, NotAGraphError):
         assume(False)
-    assert b.bitwise_hermitian and pair.skew
+    assert b.hermitian and pair.skew
     bound = transform._spectral_identity_bound(b, pair)
     # certified at the default --tol
     assert bound <= 1e-8 * b.norm
@@ -892,7 +970,7 @@ def test_perturbed_skew_pair_fails_the_certificate_and_takes_eigvals(
     b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
     x0 = spectral_pair(b, 0.0).X0 + 1e-3 * np.ones((5, 6))
     perturbed = form_pair(x0, -x0.conj().T)
-    assert b.bitwise_hermitian and perturbed.skew
+    assert b.hermitian and perturbed.skew
     report = verify_spectral_identity(b, perturbed, 1e-8)
     threshold = 1e-8 * b.norm
     assert transform._spectral_identity_bound(b, perturbed) > threshold
@@ -957,6 +1035,12 @@ def test_other_pairs_orthonormalize_their_graphs_by_qr(monkeypatch, case):
     )
     qr = _record_shapes(monkeypatch, np.linalg, "qr")
     verify_resolvent_invariance(b, pair, [2j * max(b.norm, 1.0)])
+    if case == "nearly":
+        # Hermitian only to tolerance, so stored as Hermitian: the skew
+        # pair's closed-form projectors, and no QR
+        assert b.hermitian and all(k is not None for k in complements)
+        assert qr == []
+        return
     # no closed-form projector: each graph is orthonormalized by its QR
     assert complements == [None, None]
     assert qr == [(7, 3), (7, 4)]

@@ -21,7 +21,7 @@ from blockdiag import (
 )
 from blockdiag.core import frobenius_norm, schur_diagonal, triangular_form
 from blockdiag.errors import StructuralError, SylvesterSingularError
-from conftest import offdiagonal_part, random_block
+from conftest import diagonal_part, offdiagonal_part, random_block
 
 
 def _residual_block(b, p):
@@ -110,7 +110,7 @@ def test_residual_block_equals_full_expression(seed):
         rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
     )
-    a = b.diagonal_part()
+    a = diagonal_part(b)
     v = offdiagonal_part(b)
     y = p.Y
     full = a @ y - y @ a - y @ v @ y + v
@@ -302,7 +302,7 @@ def test_separation_off_triangular_diagonals_matches_eigvals(
     scale = 10.0**log_scale
     p = scale * _coefficient(rng, n1, kind_p, 1.0)
     q = scale * _coefficient(rng, n0, kind_q, -1.0)
-    (tp, _), (tq, _) = (triangular_form(m, np.array_equal(m, m.conj().T)) for m in (p, q))
+    (tp, _), (tq, _) = (triangular_form(m) for m in (p, q))
     sep = np.min(np.abs(schur_diagonal(tp)[:, None] - schur_diagonal(tq)[None, :]))
     norms = np.linalg.norm(p) + np.linalg.norm(q)
     assert abs(sep - _eigvals_separation(p, q)) <= 1e-12 * norms
@@ -356,7 +356,7 @@ def _gapped_block(rng, n0, n1, kind, coupling):
 def _frame_route(b):
     """Whether :func:`solve_newton_X0` takes graph frames on ``b``: its
     centred blocks and W0, W1 bitwise Hermitian."""
-    return BlockMatrix(*riccati._centred_A(b), b.W0, b.W1).bitwise_hermitian
+    return BlockMatrix(*riccati._centred_A(b), b.W0, b.W1).hermitian
 
 
 def _unitary(rng, n):
@@ -462,7 +462,7 @@ def test_residual_scale_is_shift_free_lower_bound_on_norm_a():
     b = _gapped_block(rng, 4, 3, "general", 0.3)
     a0, a1 = riccati._centred_A(b)
     scale = riccati._riccati_scale(b, a0, a1)
-    assert b.norm_V < scale <= np.linalg.norm(b.diagonal_part(), 2) + b.norm_V
+    assert b.norm_V < scale <= np.linalg.norm(diagonal_part(b), 2) + b.norm_V
     for s in (1.0, -2.5j, 1e6 + 1e6j):
         shifted = BlockMatrix(b.A0 + s * np.eye(4), b.A1 + s * np.eye(3), b.W0, b.W1)
         s0, s1 = riccati._centred_A(shifted)
@@ -1197,12 +1197,17 @@ def test_x0_forward_error_bound_refuses_a_frame_whose_ends_interlace():
 
 
 def test_x0_forward_error_bound_certifies_the_hermitian_part_with_its_slack():
-    """On input that is Hermitian only to tolerance the certificate runs on
-    ``(B + B*) / 2`` with a slack of ``norm_F(B - B*) / 2``, in the units of
-    the blocks it scales by 2^-k; on bitwise Hermitian input the slack is 0."""
+    """Input that is Hermitian only to tolerance is stored as its Hermitian
+    part ``H = (B + B*) / 2``, here bitwise the neighbour it was made from,
+    and the certificate runs on H with the stored slack
+    ``norm_F(B - H) = norm_F(B - B*) / 2``, in the units of the blocks it
+    scales by 2^-k; on bitwise Hermitian input the slack is 0."""
     b = random_case(5, 4, gap=1.0, coupling=0.5, seed=3).block
-    nearly = BlockMatrix(b.A0 + 1e-12j * np.eye(5), b.A1, b.W0, b.W1)
-    assert nearly.hermitian and not nearly.bitwise_hermitian
+    raw = b.A0 + 1e-12j * np.eye(5)
+    nearly = BlockMatrix(raw, b.A1, b.W0, b.W1)
+    assert nearly.hermitian and np.array_equal(nearly.full, b.full)
+    defect = frobenius_norm(raw - raw.conj().T)
+    assert nearly.slack == pytest.approx(defect / 2, rel=1e-15) and b.slack == 0.0
     slacks = []
     original = riccati.frame_angle_bound
 
@@ -1212,12 +1217,21 @@ def test_x0_forward_error_bound_certifies_the_hermitian_part_with_its_slack():
 
     with mock.patch.object(riccati, "frame_angle_bound", recorded):
         bounds = [riccati.x0_forward_error_bound(m, solve_newton_X0(m)[0]) for m in (b, nearly)]
-    defect = frobenius_norm(nearly.full - nearly.full.conj().T)
-    h = (nearly.full + nearly.full.conj().T) / 2
+    h = b.assemble()
     h -= np.trace(h).real / h.shape[0] * np.eye(h.shape[0])
     k = np.frexp(np.max(np.abs(h.view(np.float64))))[1]
-    assert slacks[0] == 0.0 and slacks[1] >= np.ldexp(defect / 2, -k) > 0.0
-    assert bounds[0] <= bounds[1] <= 1e-8
+    assert slacks == [0.0, np.ldexp(nearly.slack, -k)]
+    assert bounds[0] < bounds[1] <= 1e-8
+
+
+def test_x0_forward_error_bound_refuses_non_hermitian_input():
+    from blockdiag.errors import HypothesisError
+
+    b = random_case(4, 4, gap=1.0, coupling=0.5, seed=0).block
+    general = BlockMatrix(b.A0, b.A1, b.W0 + 1e-3, b.W1)
+    assert not general.hermitian
+    with pytest.raises(HypothesisError, match="requires Hermitian B"):
+        riccati.x0_forward_error_bound(general, solve_newton_X0(b)[0])
 
 
 def test_x0_forward_error_bound_refuses_a_given_mu_outside_its_ends():

@@ -187,17 +187,25 @@ def test_the_file_at_the_largest_float_keeps_its_verdicts_scaled_down(tmp_path):
             _same_verdict(f"{command} at 2^{k}", reference[command], scaled[command])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name, perturb", [("largest_float", "1e3"), ("nonhermitian", "1.7e308")])
+@pytest.mark.parametrize(
+    "name, perturb",
+    [
+        ("largest_float", "1e3"), ("largest_float", "1e-3"), ("nonhermitian", "1.7e308"),
+        ("random_4", "1.7e308"),
+    ],
+)
 def test_check_of_a_pair_past_the_float_range_fails_its_gates(tmp_path, name, perturb):
     """``check --perturb-x0`` with a perturbation that carries the diagonal
-    blocks of the forms past the float range: the spectral identity reads
-    NaN distances for blocks with a non-finite entry, the resolvent sweep a
-    NaN defect for a graph past the float range, and the check fails (1),
-    not as an input error (3) or a crash (4). Their products overflow with
-    a RuntimeWarning, ignored here."""
+    blocks of the forms, or the distances of their spectra from B's, past
+    the float range: the spectral identity reads NaN or infinite distances,
+    the resolvent sweep a NaN defect for a graph past the float range, and
+    the check fails (1), not as an input error (3) or a crash (4). Products
+    and distances past the range are formed with no overflow warning, which
+    would be an error here and exit 4."""
     if name == "largest_float":
         problem = random_case(1, 1, gap=1.0, coupling=1e308, seed=0)
+    elif name == "random_4":
+        problem = random_case(4, 4, gap=1.0, coupling=0.5, seed=0)
     else:
         problem = FILES[name]()
     path, out = tmp_path / "problem.json", tmp_path / "report.json"

@@ -79,7 +79,7 @@ def test_both_sides_span_the_sorted_schur_subspaces(seed, n0, n1, log_gap):
     z = _haar(rng, n0 + n1)
     m = z @ _split_form(rng, n0, n1, gap) @ z.conj().T
     b = _block(m, n0)
-    assert not b.bitwise_hermitian
+    assert not b.hermitian
     form = [a.copy() for a in b.schur]
     captured, to_graph = [], angular.to_graph
     with mock.patch.object(

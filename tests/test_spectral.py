@@ -117,7 +117,7 @@ def _region(m, selector) -> Subspace:
     """The subspace of the eigenvalues ``selector`` keeps, from a fresh
     triangular form of ``m`` and an independently computed 2-norm."""
     m = np.asarray(m, dtype=complex)
-    form = triangular_form(m, np.array_equal(m, m.conj().T))
+    form = triangular_form(m)
     mask = np.array([selector(z) for z in schur_diagonal(form[0])], dtype=bool)
     return invariant_subspace(m, form, mask, np.linalg.norm(m, 2))[0]
 

@@ -26,7 +26,7 @@ from blockdiag.errors import NotComplementaryError, ResolventError, StructuralEr
 from blockdiag.riccati import residual_X0
 from blockdiag.transform import BLOCK_SOLVE_CONDITION_LIMIT, match_spectra
 from blockdiag.spectral import eigenvalues
-from conftest import offdiagonal_part, random_block
+from conftest import diagonal_part, offdiagonal_part, random_block
 
 SKEW_ANALYTIC = form_pair([[1 - np.sqrt(2)]], [[np.sqrt(2) - 1]])
 
@@ -46,7 +46,7 @@ def _contractive_pair(rng, n0, n1, norm=0.4):
 def test_diagonalize_left_trivial():
     b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([3.0]), np.zeros((1, 2)), np.zeros((2, 1)))
     res, right = diagonalize(b, _zero_pair(2, 1))
-    np.testing.assert_allclose(_forms(b, _zero_pair(2, 1))[0], b.diagonal_part(), atol=1e-14)
+    np.testing.assert_allclose(_forms(b, _zero_pair(2, 1))[0], diagonal_part(b), atol=1e-14)
     # the adjoint of the right form, whose off-diagonal blocks vanish
     assert res.offdiag_blocks is None and not any(m.any() for m in right.offdiag_blocks)
     assert res.offdiag_rel_norm == 0.0
@@ -110,7 +110,7 @@ def _dense_scaled_left_form(b, p):
     condition number of ``I - Y^2``."""
     y = p.Y
     m = np.eye(b.dim) - y @ y
-    a_minus_yv = b.diagonal_part() - y @ offdiagonal_part(b)
+    a_minus_yv = diagonal_part(b) - y @ offdiagonal_part(b)
     return np.linalg.solve(m, a_minus_yv @ m), np.linalg.cond(m, 2)
 
 
@@ -156,7 +156,7 @@ def test_diagonalize_matches_dense_conjugations(
 
     ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
-    a_plus_vy = b.diagonal_part() + offdiagonal_part(b) @ p.Y
+    a_plus_vy = diagonal_part(b) + offdiagonal_part(b) @ p.Y
     terms = sum(np.linalg.norm(m) for m in (rhs, dense_right, a_plus_vy))
     ext_bound = 8 * eps_dim * kappa_m * terms / norm_b
     assert abs(ext.identity - np.linalg.norm(dense_right - rhs) / norm_b) <= ext_bound
@@ -228,7 +228,7 @@ def test_blockwise_route_matches_the_dense_reference(
 
     ext = verify_extended_identity(b, p, right)
     rhs, kappa_m = _dense_scaled_left_form(b, p)
-    a_plus_vy = b.diagonal_part() + offdiagonal_part(b) @ p.Y
+    a_plus_vy = diagonal_part(b) + offdiagonal_part(b) @ p.Y
     terms = sum(np.linalg.norm(m) for m in (rhs, dense_right, a_plus_vy))
     ext_bound = 8 * eps_dim * kappa_m * terms / norm_b
     assert abs(ext.identity - np.linalg.norm(dense_right - rhs) / norm_b) <= ext_bound
@@ -243,7 +243,7 @@ def test_blockwise_route_matches_the_dense_reference(
         for defect, g in zip(defects, graphs):
             frame_bound = 16 * eps_dim * (1 + norm_y) ** 2 * norm_b
             assert abs(defect - _graph_defect(full, g)) <= frame_bound
-    if b.bitwise_hermitian and p.skew:
+    if b.hermitian and p.skew:
         assert left.offdiag_blocks is None
         assert np.linalg.norm(dense_left - dense_right.conj().T) <= 2 * bound
         assert left.offdiag_rel_norm == right.offdiag_rel_norm
@@ -661,7 +661,7 @@ def test_ill_conditioned_skew_pair_keeps_dense_solve_accuracy():
     m = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
     x0 = 35.0 * m / np.linalg.norm(m, 2)
     p = form_pair(x0, -x0.conj().T)
-    assert b.bitwise_hermitian and p.skew
+    assert b.hermitian and p.skew
     left, right = diagonalize(b, p)
     assert left.conditioning == pytest.approx(np.hypot(1.0, 35.0))
     with mpmath.workdps(50):
