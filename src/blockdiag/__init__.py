@@ -8,7 +8,6 @@ angular operators, and the similarity transforms they induce.
 
 from .core import (
     BlockMatrix,
-    is_symmetric_offdiag,
     operator_norm,
     triangular_form,
 )

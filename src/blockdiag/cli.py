@@ -12,10 +12,12 @@ runs a pipeline, prints a short summary, optionally writes a JSON report
 
 Every command is one entry of :data:`COMMANDS`. Its run function fills
 the report's spectra, certificates and input facts, and returns its
-:class:`Gate` list. :func:`_run` alone turns gates into the verdict: it
-writes each residual gate under ``residuals`` and each other gate as a
-flag, names the gate that decided in ``verdict``, and derives the exit
-code. An error is one JSON object on stderr (and in ``--out``).
+:class:`Gate` list, of two kinds: residuals and checks. :func:`_run` alone
+turns gates into the verdict: it writes each residual gate under
+``residuals`` and each check as a flag, names the gate that decided in
+``verdict``, and exits 1 when that gate failed. A refused hypothesis is an
+exception, never a gate: every exception of the toolkit is one JSON
+object on stderr (and in ``--out``), with the exit code of its class.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import angular, criteria, dirac, riccati, subordinated, transform
-from .core import BlockMatrix, is_symmetric_offdiag, relative, shift_distance
+from .core import BlockMatrix, relative, shift_distance
 from .errors import (
     BlockdiagError,
     HypothesisError,
@@ -54,7 +56,6 @@ from .io import (
     write_json_atomic,
 )
 from .fixtures import random_case
-from .spectral import eigenvalues
 
 #: Default pass/fail threshold for relative residuals reported by commands.
 CHECK_TOL = 1e-8
@@ -69,9 +70,8 @@ RELBOUND_TAUS = tuple(np.logspace(0, 6, 13))
 class Gate(NamedTuple):
     """One pass/fail test of a command: it passes when ``value <= bound``.
 
-    ``kind`` is ``residual`` (reported under ``residuals``), ``check`` or
-    ``hypothesis`` (reported as a flag). A failed hypothesis exits 2, any
-    other failed gate 1.
+    ``kind`` is ``residual`` (reported under ``residuals``) or ``check``
+    (reported as a flag). A failed gate of either kind exits 1.
     """
 
     name: str
@@ -88,19 +88,14 @@ def _residuals(tol: float, **values) -> list[Gate]:
     return [Gate(name, float(value), tol, "residual") for name, value in values.items()]
 
 
-def _holds(name: str, ok: bool, kind: str = "check") -> Gate:
+def _holds(name: str, ok: bool) -> Gate:
     """A library check that returns only a bool: 0 if it holds, else 1."""
-    return Gate(name, 0.0 if ok else 1.0, 0.5, kind)
+    return Gate(name, 0.0 if ok else 1.0, 0.5, "check")
 
 
 def _fields(obj, *names: str) -> dict:
     """The named attributes of a library result, as a report object."""
     return {name: getattr(obj, name) for name in names}
-
-
-def _block_spectra(prefix: str, result) -> dict:
-    """The spectra of a transform result's diagonal blocks, by block."""
-    return {f"{prefix}block{i}": eigenvalues(m) for i, m in enumerate(result.diag_blocks)}
 
 
 @contextmanager
@@ -188,13 +183,13 @@ def _check(args, report, problem) -> list[Gate]:
     # the left block spectra the spectral identity measured or certified
     report.spectra["diag_left"] = ident.left_spectrum
     report.flags["hermitian"] = b.hermitian
-    report.flags["symmetric_offdiag"] = is_symmetric_offdiag(b)
+    report.flags["symmetric_offdiag"] = b.symmetric_V
     report.certificates["complementarity"] = _fields(comp, "sigma_min", "norm_Y")
     return _residuals(
         tol,
         riccati_x0=r0.rel_norm,
         riccati_x1=r1.rel_norm,
-        riccati_block=rb.rel_norm,
+        riccati_block=rb,
         offdiag_left=left.offdiag_rel_norm,
         offdiag_right=right.offdiag_rel_norm,
         extended_identity=ext.identity,
@@ -202,7 +197,7 @@ def _check(args, report, problem) -> list[Gate]:
         resolvent_invariance_max=worst_res,
         spectral_identity_left=relative(ident.left_distance, b.norm),
         spectral_identity_right=relative(ident.right_distance, b.norm),
-    ) + [_holds("complementary", comp.complementary), _holds("spectral_identity_ok", ident.ok)]
+    ) + [_holds("complementary", comp.complementary)]
 
 
 def _diagonalize(args, report, problem) -> list[Gate]:
@@ -211,7 +206,10 @@ def _diagonalize(args, report, problem) -> list[Gate]:
     with _timed(report.timings, "total"):
         pair = angular.spectral_pair(b, mu)
         left, right = transform.diagonalize(b, pair)
-    report.spectra.update(_block_spectra("left_", left) | _block_spectra("right_", right))
+    # the n0 eigenvalues below mu by real part, which spectral_pair found,
+    # lead B's (Re, Im) order and are the spectrum of block 0 of both forms
+    split = {"block0": b.eigvals[: b.n0], "block1": b.eigvals[b.n0 :]}
+    report.spectra.update({side + k: v for side in ("left_", "right_") for k, v in split.items()})
     report.flags["reliable"] = left.reliable and right.reliable
     report.certificates["conditioning"] = {"left": left.conditioning, "right": right.conditioning}
     return _residuals(
@@ -224,7 +222,7 @@ def _triangularize(args, report, problem) -> list[Gate]:
     mu = _resolve_mu(args, problem)
     with _timed(report.timings, "total"):
         tri = transform.triangularize(b, angular.spectral_graph(b, mu).X)
-    report.spectra.update(_block_spectra("", tri))
+    report.spectra.update(block0=b.eigvals[: b.n0], block1=b.eigvals[b.n0 :])
     return _residuals(args.tol, lower_left=tri.lower_left_rel_norm)
 
 
@@ -236,7 +234,7 @@ def _riccati_solve(args, report, problem) -> list[Gate]:
         )
     counts = _fields(trace, "iterations", "schur_steps", "frames", "sweeps")
     report.certificates["newton"] = {**counts, "trace": trace.iterates}
-    gates = [*_residuals(args.tol, final=trace.iterates[-1]), _holds("converged", trace.converged)]
+    gates = _residuals(args.tol, final=trace.iterates[-1])
     # only a converged X is certified the spectral one: Newton from X = 0
     # can converge to another solution of the graph equation
     if not (b.hermitian and trace.converged):
@@ -247,37 +245,32 @@ def _riccati_solve(args, report, problem) -> list[Gate]:
     return gates + _residuals(CHECK_TOL, x0_forward_error_bound=bound)
 
 
-def _theorem_gates(report, result: subordinated.TheoremResult, norm_x, tol) -> list[Gate]:
-    """The gates of a subordinated decomposition, in ``subordinated`` and ``dirac``."""
-    report.certificates["contraction"] = {"norm_X": norm_x}
+def _theorem_gates(report, result: subordinated.TheoremResult, tol) -> list[Gate]:
+    """The gates of a subordinated decomposition, in ``subordinated`` and ``dirac``.
+
+    ``run_theorem`` has refused input that fails its hypotheses, and X that
+    is not a contraction; ``norm_X`` is reported, not gated.
+    """
+    report.certificates["contraction"] = {"norm_X": result.norm_X}
     left, right = result.diag_results
+    res_l, res_perp = result.invariance_residuals
     return _residuals(
         tol,
         adjointness=result.adjointness_residual,
         offdiag_left=left.offdiag_rel_norm,
         offdiag_right=right.offdiag_rel_norm,
-    ) + [
-        Gate("contraction", norm_x, 1.0 + subordinated.CONTRACTION_SLACK, "check"),
-        _holds("kernel_split_ok", result.kernel_split_ok),
-        _holds("reduces_ok", result.reduces_ok),
-    ]
+        invariance_L=res_l,
+        invariance_L_perp=res_perp,
+    ) + [_holds("kernel_split_ok", result.kernel_split_ok)]
 
 
 def _subordinated(args, report, problem) -> list[Gate]:
-    b = problem.block
     mu = args.mu if args.mu is not None else problem.mu
     with _timed(report.timings, "pipeline"):
-        result = subordinated.run_theorem(b, mu=mu, tol=args.tol)
-    check = result.check
+        result = subordinated.run_theorem(problem.block, mu=mu, tol=args.tol)
     names = ("mu", "sup_spec_A0", "inf_spec_A1", "gap")
-    report.certificates["subordination"] = _fields(check, *names)
-    report.flags["symmetric_offdiag"] = check.symmetric_V
-    res_l, res_perp = result.invariance_residuals
-    return [
-        _holds("subordinated", check.subordinated, "hypothesis"),
-        *_theorem_gates(report, result, result.norm_X, args.tol),
-        *_residuals(args.tol, invariance_L=res_l, invariance_L_perp=res_perp),
-    ]
+    report.certificates["subordination"] = _fields(result.check, *names)
+    return _theorem_gates(report, result, args.tol)
 
 
 def _neumann(args, report, problem) -> list[Gate]:
@@ -315,12 +308,8 @@ def _dirac(args, report, problem) -> list[Gate]:
             center=args.center,
         ),
     )
-    try:
-        with _timed(report.timings, "pipeline"):
-            result = dirac.run_dirac_pipeline(problem, tol=args.tol)
-    except HypothesisError as exc:
-        report.certificates["subordination"] = _fields(exc.report, *_SPLIT_FIELDS)
-        return [_holds("subordinated", False, "hypothesis")]
+    with _timed(report.timings, "pipeline"):
+        result = dirac.run_dirac_pipeline(problem, tol=args.tol)
     split = result.split
     report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)
     report.spectra.update(
@@ -332,17 +321,13 @@ def _dirac(args, report, problem) -> list[Gate]:
     )
     if args.emit_data:
         _emit_dirac_data(args.emit_data, problem, result)
-    return [
-        _holds("subordinated", split.subordinated, "hypothesis"),
-        *_theorem_gates(report, result.theorem, result.norm_X, args.tol),
-        *_residuals(
-            args.tol,
-            fw_unitarity=result.fw_unitarity_residual,
-            split_identity=split.block_identity_residual,
-            subspace_angle_minus=result.angle_minus,
-            subspace_angle_plus=result.angle_plus,
-        ),
-    ]
+    return _theorem_gates(report, result.theorem, args.tol) + _residuals(
+        args.tol,
+        fw_unitarity=result.fw_unitarity_residual,
+        split_identity=split.block_identity_residual,
+        subspace_angle_minus=result.angle_minus,
+        subspace_angle_plus=result.angle_plus,
+    )
 
 
 #: The fields of a :class:`~blockdiag.dirac.DiracSplitReport` that ``dirac`` reports.
@@ -561,18 +546,13 @@ def _run(args) -> int:
             report.residuals[gate.name] = gate.value
         else:
             report.flags[gate.name] = gate.passes
-    # a failed hypothesis first, then any failed gate, then the nearest its
-    # bound (a ratio of Python floats past the float range is inf, unwarned)
-    decided = max(
-        gates,
-        key=lambda g: (not g.passes and g.kind == "hypothesis", not g.passes, g.value / g.bound),
-        default=None,
-    )
+    # a failed gate first, then the nearest its bound (a ratio of Python
+    # floats past the float range is inf, unwarned)
+    decided = max(gates, key=lambda g: (not g.passes, g.value / g.bound), default=None)
     code = 0
     if decided is not None:
         report.verdict = {"decided_by": decided.name, "margin": decided.bound - decided.value}
-        if not decided.passes:
-            code = 2 if decided.kind == "hypothesis" else 1
+        code = int(not decided.passes)
     if args.out:
         # inside the contract: an unwritable report is an error, not a crash
         write_json_atomic(args.out, report.to_obj())
@@ -611,6 +591,9 @@ def main(argv=None) -> int:
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, NumericError):
             error["diagnostics"] = jsonable(exc.diagnostics)
+        if isinstance(exc, HypothesisError) and exc.report is not None:
+            # the report of the refused hypothesis: a library dataclass
+            error["diagnostics"] = jsonable(vars(exc.report))
         if isinstance(exc, NotAGraphError):
             error["sigma_min"] = jsonable(exc.sigma_min)
         error_obj = {"error": error}

@@ -271,11 +271,11 @@ class BlockMatrix:
 
     ``A0`` (n0 x n0) and ``A1`` (n1 x n1) are the diagonal blocks,
     ``W0`` (n1 x n0) maps H0 into H1 and ``W1`` (n0 x n1) maps H1 into H0.
-    Instances are immutable. The expensive derived quantities (``full``,
-    ``hermitian_A``, ``schur``, ``staged_eigh``, ``eigh``, ``eigh_A``,
-    ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``, ``norm_V``) are
-    computed on first use and cached, arrays read-only; ``assemble``
-    returns a fresh array.
+    Instances are immutable. The derived quantities (``full``,
+    ``hermitian_A``, ``symmetric_V``, ``schur``, ``staged_eigh``, ``eigh``,
+    ``eigh_A``, ``eigvalsh_A``, ``eigvals``, ``norm``, ``norm_A``,
+    ``norm_V``) are computed on first use and cached, arrays read-only;
+    ``assemble`` returns a fresh array.
 
     Construction stores input that is Hermitian to tolerance as Hermitian.
     A matrix M is Hermitian to tolerance when
@@ -479,10 +479,15 @@ class BlockMatrix:
         return max(operator_norm(self.A0), operator_norm(self.A1))
 
     @cached_property
+    def symmetric_V(self) -> bool:
+        """Whether the coupling is symmetric, ``W0 = W1*`` bitwise."""
+        return np.array_equal(self.W0, self.W1.conj().T)
+
+    @cached_property
     def norm_V(self) -> float:
         """Exact ``norm([[0, W1], [W0, 0]]) = max(norm(W0), norm(W1))``."""
         norm_w1 = operator_norm(self.W1)
-        if np.array_equal(self.W0, self.W1.conj().T):
+        if self.symmetric_V:
             return norm_w1
         return max(operator_norm(self.W0), norm_w1)
 
@@ -512,13 +517,3 @@ def from_blocks(a, b, c, d) -> np.ndarray:
             if m is not None:
                 out[rs, cs] = m
     return out
-
-
-def is_symmetric_offdiag(b: BlockMatrix) -> bool:
-    """Whether the coupling is symmetric, ``W0 = W1*`` up to ``DEFAULT_TOL * norm(W1)``.
-
-    Frobenius defect against a lower bound on ``norm(W1)``, so never looser
-    than the exact 2-norm test; a zero W1 admits only a zero W0.
-    """
-    defect = frobenius_norm(b.W0 - b.W1.conj().T)
-    return defect <= DEFAULT_TOL * norm_lower_bound(b.W1)

@@ -28,7 +28,8 @@ import numpy as np
 from .core import BlockMatrix, frobenius_norm, relative
 from .errors import HypothesisError, NumericError, StructuralError
 from .spectral import _ORTHO_TOL
-from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, check_subordination, run_theorem
+from .subordinated import KERNEL_PROOF_ROUNDING, TheoremResult, run_theorem
+from .subordinated import SubordinationCheck, check_subordination
 from .transform import frame_angle_bound
 
 #: Guaranteed bound on the unitarity defect of the spinor rotation.
@@ -156,9 +157,9 @@ class DiracSplitReport:
     read ``A0 - A1 = S + Theta S Theta*``, which is what it measures.
     ``margin`` is the sufficient condition ``k_min - 2 u_inf`` for
     subordination at zero, conservative for the actual blocks; the flag
-    and the extreme eigenvalues are those of
-    :func:`~blockdiag.subordinated.check_subordination` on the swapped
-    blocks at 0.
+    and the extreme eigenvalues are those of the
+    :func:`~blockdiag.subordinated.check_subordination` of the swapped
+    blocks at 0 that the pipeline runs.
     """
 
     block_identity_residual: float
@@ -294,16 +295,16 @@ def fw_transform(problem: DiracProblem) -> BlockMatrix:
 
 @_overflow_is_input_error("split-identity residuals")
 def check_subordination_split(
-    problem: DiracProblem, bm: BlockMatrix, ops: DiracOperators
+    problem: DiracProblem, bm: BlockMatrix, ops: DiracOperators, check: SubordinationCheck
 ) -> DiracSplitReport:
     """Measure the averaged split identities and subordination at zero.
 
     Reports the residual of the transformed diagonal blocks against the
     average of ``+-S + U`` and its phase conjugate (S the momentum
     magnitude multiplier), and the extreme block eigenvalues and the
-    subordination flag of :func:`~blockdiag.subordinated.check_subordination`
-    on the swapped blocks at 0: the rule, band included, that
-    :func:`~blockdiag.subordinated.run_theorem` applies to those blocks in
+    subordination flag of ``check``, the
+    :func:`~blockdiag.subordinated.check_subordination` of the swapped
+    blocks at 0 that :func:`~blockdiag.subordinated.run_theorem` reads in
     :func:`run_dirac_pipeline`. The reported margin ``k_min - 2 u_inf`` is
     a sufficient but conservative bound, and a margin that overflows is an
     input error. Residuals are Frobenius norms over ``norm(S) + u_inf``,
@@ -327,9 +328,6 @@ def check_subordination_split(
     # both averaged identities read A0 - A1 = S + Theta S Theta*
     free = ops.sqrt_lap + theta @ ops.sqrt_lap @ theta.conj().T
     block_res = relative(0.5 * frobenius_norm(bm.A0 - bm.A1 - free), norm_bound)
-    # the block spectra, read before swapping, carry over to every swapped copy
-    bm.eigvalsh_A
-    check = check_subordination(bm.swapped(), 0.0)
     return DiracSplitReport(
         block_identity_residual=block_res,
         sup_spec_A1=check.sup_spec_A0,
@@ -365,15 +363,16 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     """
     ops, unitarity = _unitary_operators(problem)
     bm = _fw_block_matrix(ops)
-    report = check_subordination_split(problem, bm, ops)
+    swapped = bm.swapped()
+    check = check_subordination(swapped, 0.0)
+    report = check_subordination_split(problem, bm, ops, check)
     if not report.subordinated:
         raise HypothesisError(
             f"rotated blocks are not subordinated at 0: sup spec(A1) = "
             f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}",
             report=report,
         )
-    swapped = bm.swapped()
-    theorem = run_theorem(swapped, mu=0.0, tol=tol)
+    theorem = run_theorem(swapped, tol=tol, check=check)
     # T = P V with V unitary and norm(P - I) <= eps: the rotated blocks are
     # within r h of T H T*, which is within eps (2 + eps) h of V H V*, and
     # T* tilts a span by at most eps / (1 - eps) from the one V* gives
@@ -404,6 +403,6 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         angle_minus=angle_minus,
         angle_plus=angle_plus,
         h_eigenvalues=w,
-        block_eigenvalues=bm.eigvalsh_A,
+        block_eigenvalues=swapped.eigvalsh_A[::-1],
         norm_X=theorem.norm_X,
     )

@@ -22,7 +22,8 @@ class HypothesisError(ContractError):
     """A mathematical hypothesis required by a pipeline fails on the data.
 
     ``report`` is the report of the check that failed, when the pipeline
-    has one, so that a caller can show it without running the check again.
+    has one, so that a caller can show it without running the check again;
+    the CLI writes its fields under ``error.diagnostics``.
     """
 
     def __init__(self, message, report=None):

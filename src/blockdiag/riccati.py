@@ -42,7 +42,6 @@ from .core import (
     BlockMatrix,
     as_matrix,
     frobenius_norm,
-    from_blocks,
     hermitian_eigh,
     norm_lower_bound,
     relative,
@@ -140,14 +139,16 @@ def _riccati_scale(b: BlockMatrix, a0, a1) -> float:
     return float(spread) + b.norm_V
 
 
-def _rel_norm(residual, scale: float, x) -> float:
-    growth = 1.0 + norm_lower_bound(x)
+def _rel_norm(norm_res: float, scale: float, norm_x: float) -> float:
+    """``norm_res / (scale (1 + norm_x)^2)``, for a residual's Frobenius norm
+    and a lower bound on the norm of its X."""
+    growth = 1.0 + norm_x
     with np.errstate(over="ignore"):
         product = scale * growth**2
     if product < np.inf:
-        return relative(frobenius_norm(residual), product)
+        return relative(norm_res, product)
     # past the float range the quotient is formed one factor at a time
-    return relative(frobenius_norm(residual), scale) / growth / growth
+    return relative(norm_res, scale) / growth / growth
 
 
 def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float, list]:
@@ -159,7 +160,7 @@ def _residual(a0, a1, w0, w1, x, scale: float) -> tuple[np.ndarray, float, list]
     with np.errstate(over="ignore", invalid="ignore"):
         products = [a1 @ x, x @ a0, x @ w1]
         res = products[0] - products[1] - products[2] @ x + w0
-    return res, _rel_norm(res, scale, x), products
+    return res, _rel_norm(frobenius_norm(res), scale, norm_lower_bound(x)), products
 
 
 def residual_X0(b: BlockMatrix, X0) -> RiccatiResidual:
@@ -182,18 +183,21 @@ def residual_X1(b: BlockMatrix, X1) -> RiccatiResidual:
 
 def residual_block(
     b: BlockMatrix, p: AngularPair, r0: RiccatiResidual, r1: RiccatiResidual
-) -> RiccatiResidual:
-    """Residual ``A Y - Y A - Y V Y + V`` of the combined block equation,
-    from ``r0 = residual_X0(b, p.X0)`` and ``r1 = residual_X1(b, p.X1)``.
+) -> float:
+    """Relative norm of the residual ``A Y - Y A - Y V Y + V`` of the
+    combined block equation, from ``r0 = residual_X0(b, p.X0)`` and
+    ``r1 = residual_X1(b, p.X1)``, with no array of dimension n0 + n1.
 
     Every term of the expression is off-diagonal (odd number of
-    off-diagonal factors), so the residual's diagonal blocks vanish
-    identically and its (1,0)/(0,1) blocks are exactly the H0/H1 graph
-    equation residuals.
+    off-diagonal factors), so the residual is ``[[0, R1], [R0, 0]]`` for
+    the H0/H1 graph equation residuals R0, R1: its Frobenius norm is that
+    of the pair, and ``norm_F(Y) / sqrt(dim)`` the lower bound on
+    ``norm(Y)`` with ``norm_F(Y)`` that of the pair ``(X0, X1)``.
     """
-    res = from_blocks(None, r1.residual, r0.residual, None)
     scale = _riccati_scale(b, *_centred_A(b))
-    return RiccatiResidual(residual=res, rel_norm=_rel_norm(res, scale, p.Y))
+    norm_y = np.hypot(frobenius_norm(p.X0), frobenius_norm(p.X1)) / np.sqrt(b.dim)
+    norm_res = np.hypot(frobenius_norm(r0.residual), frobenius_norm(r1.residual))
+    return _rel_norm(norm_res, scale, norm_y)
 
 
 def _solve_triangular_sylvester(tp, tq, c) -> np.ndarray:
@@ -461,7 +465,7 @@ def solve_newton_X0(
     b, parts = BlockMatrix(*(np.ldexp(m, -e).view(np.complex128) for m in parts)), None
     scale = _riccati_scale(b, b.A0, b.A1)
     x = np.zeros((b.n1, b.n0), dtype=np.complex128)
-    f, value, products = b.W0, _rel_norm(b.W0, scale, x), None  # F(0) = W0
+    f, value, products = b.W0, _rel_norm(frobenius_norm(b.W0), scale, 0.0), None  # F(0) = W0
     history: list[float] = []
     schur_steps = frames = sweeps = 0
     for iteration in range(max_iter + 1):

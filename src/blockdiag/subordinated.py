@@ -23,7 +23,6 @@ from .core import (
     _extreme_magnitude,
     frobenius_norm,
     from_blocks,
-    is_symmetric_offdiag,
     relative,
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
@@ -51,7 +50,6 @@ class SubordinationCheck:
     sup_spec_A0: float
     inf_spec_A1: float
     subordinated: bool
-    symmetric_V: bool
     gap: float
 
 
@@ -110,7 +108,6 @@ def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
         sup_spec_A0=sup0,
         inf_spec_A1=inf1,
         subordinated=subordinated,
-        symmetric_V=is_symmetric_offdiag(b),
         gap=inf1 - sup0,
     )
 
@@ -127,16 +124,18 @@ def choose_mu(b: BlockMatrix) -> float:
     return sup0
 
 
-def _require_hypotheses(b: BlockMatrix, mu: float) -> SubordinationCheck:
-    check = check_subordination(b, mu)
+def _require_hypotheses(b: BlockMatrix, check: SubordinationCheck) -> None:
+    """Refuse b, with ``check`` as the error's report, unless its spectra
+    are subordinated and B is Hermitian: with the Hermitian blocks that
+    ``check`` requires, that is a coupling with ``W0 = W1*`` bitwise."""
     if not check.subordinated:
         raise HypothesisError(
-            f"spectra are not subordinated at mu={mu}: sup spec(A0) = "
-            f"{check.sup_spec_A0:.6g}, inf spec(A1) = {check.inf_spec_A1:.6g}"
+            f"spectra are not subordinated at mu={check.mu}: sup spec(A0) = "
+            f"{check.sup_spec_A0:.6g}, inf spec(A1) = {check.inf_spec_A1:.6g}",
+            report=check,
         )
-    if not check.symmetric_V:
-        raise HypothesisError("coupling is not symmetric: W0 != W1*")
-    return check
+    if not b.hermitian:
+        raise HypothesisError("coupling is not symmetric: W0 != W1*", report=check)
 
 
 def _eigh_classified(b: BlockMatrix, mu: float):
@@ -229,7 +228,10 @@ def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
 
 
 def run_theorem(
-    b: BlockMatrix, mu: float | None = None, tol: float = 1e-8
+    b: BlockMatrix,
+    mu: float | None = None,
+    tol: float = 1e-8,
+    check: SubordinationCheck | None = None,
 ) -> TheoremResult:
     """Full subordinated decomposition with verification of its claims.
 
@@ -237,8 +239,10 @@ def run_theorem(
     the skew pair ``(X, -X*)``, verifies the kernel splitting, runs both
     block diagonalizations, bounds the invariance defects of the subspace
     and of graph(-X*), and measures the mutual-adjointness defect of the
-    two diagonal forms. The hypotheses are checked once, one
-    eigendecomposition of B serves the kernel split and the reducing
+    two diagonal forms. The hypotheses are checked once: ``check`` is
+    :func:`check_subordination` of b at mu (:func:`choose_mu` by default),
+    run here unless the caller has run it, and its ``mu`` is the threshold.
+    One eigendecomposition of B serves the kernel split and the reducing
     subspace, with only the eigenvectors below mu and in its band formed,
     and nothing of dimension n0 + n1 is formed after it but the block
     diagonalizations. The skew pair is a contraction, so both take
@@ -254,9 +258,10 @@ def run_theorem(
     that of graph(-X*). Residuals are Frobenius norms over the exact
     ``norm(B)``; ``norm_X`` is exact.
     """
-    if mu is None:
-        mu = choose_mu(b)
-    check = _require_hypotheses(b, mu)
+    if check is None:
+        check = check_subordination(b, choose_mu(b) if mu is None else mu)
+    _require_hypotheses(b, check)
+    mu = check.mu
     kernel_split_ok = _kernel_split(b, mu)
     sub = _reducing_subspace(b, mu)
     try:
@@ -292,7 +297,7 @@ def run_theorem(
         reduces_ok=res_l <= tol and res_perp <= tol,
         adjointness_residual=relative(adjointness, b.norm),
         diag_results=(left, right),
-        mu=float(mu),
+        mu=mu,
         invariance_residuals=(res_l, res_perp),
         check=check,
         graph_distance=distance,

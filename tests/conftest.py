@@ -68,12 +68,15 @@ def dirac_hamiltonians(ops):
 
 
 def split_report(problem):
-    """``dirac.check_subordination_split`` of a problem, on the operators
-    and rotated blocks that ``run_dirac_pipeline`` hands it."""
+    """``dirac.check_subordination_split`` of a problem, on the operators,
+    rotated blocks and subordination check of the swapped blocks at 0 that
+    ``run_dirac_pipeline`` hands it."""
     from blockdiag import dirac
 
     ops = dirac.build_operators(problem)
-    return dirac.check_subordination_split(problem, dirac._fw_block_matrix(ops), ops)
+    bm = dirac._fw_block_matrix(ops)
+    check = dirac.check_subordination(bm.swapped(), 0.0)
+    return dirac.check_subordination_split(problem, bm, ops, check)
 
 
 def eigvecs(b, keep):

@@ -4,7 +4,6 @@ import pytest
 from blockdiag import (
     BlockMatrix,
     operator_norm,
-    is_symmetric_offdiag,
 )
 from blockdiag.core import as_matrix, from_blocks
 from blockdiag.errors import StructuralError
@@ -96,16 +95,21 @@ def test_operator_norm_empty():
 
 
 def test_is_symmetric_offdiag():
+    """``symmetric_V``, which ``check`` reports as ``symmetric_offdiag``, is
+    ``W0 = W1*`` bitwise of the stored blocks: a coupling within B's
+    Hermitian tolerance is stored symmetric, one beyond it as given."""
     w1 = np.array([[1.0 + 2j, 0.5], [0.0, -1.0]])
     b = BlockMatrix(np.eye(2), np.eye(2), w1.conj().T, w1)
-    assert is_symmetric_offdiag(b)
+    assert b.symmetric_V and b.hermitian
+    near = BlockMatrix(np.eye(2), np.eye(2), w1.conj().T + 1e-14, w1)
+    assert near.symmetric_V and near.hermitian
     perturbed = BlockMatrix(np.eye(2), np.eye(2), w1.conj().T + 1e-3, w1)
-    assert not is_symmetric_offdiag(perturbed)
+    assert not perturbed.symmetric_V and not perturbed.hermitian
 
 
 def test_is_symmetric_offdiag_zero_coupling():
     b = BlockMatrix(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-    assert is_symmetric_offdiag(b)
+    assert b.symmetric_V
 
 
 def test_block_shapes_validated():

@@ -195,9 +195,9 @@ def test_split_identity_sees_a_perturbation_of_1e_6(monkeypatch, tmp_path, where
     else:
         split = dirac.check_subordination_split
 
-        def perturbed(problem, bm, ops):
+        def perturbed(problem, bm, ops, check):
             tilted = dataclasses.replace(ops, theta_op=ops.theta_op * (1 + 1e-6))
-            return split(problem, bm, tilted)
+            return split(problem, bm, tilted, check)
 
         monkeypatch.setattr(dirac, "check_subordination_split", perturbed)
     assert split_report(problem).block_identity_residual > 1e-8
@@ -256,7 +256,7 @@ def test_a_problem_between_the_two_former_bands_is_refused_by_dirac(monkeypatch,
     out = tmp_path / "report.json"
     argv = ["dirac", "--n", "4", "--amplitude", repr(amplitude), "--radius", "2"]
     assert main([*argv, "--out", str(out)]) == 2 and theorems == []
-    assert json.loads(out.read_text())["certificates"]["subordination"]["sup_spec_A1"] == (
+    assert json.loads(out.read_text())["error"]["diagnostics"]["sup_spec_A1"] == (
         report.sup_spec_A1
     )
 

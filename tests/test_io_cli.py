@@ -361,7 +361,8 @@ def test_cli_check_non_hermitian_file(tmp_path):
     assert main(["check", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["flags"]["hermitian"] is False
-    assert report["flags"]["spectral_identity_ok"]
+    residuals = report["residuals"]
+    assert max(residuals["spectral_identity_left"], residuals["spectral_identity_right"]) <= 1e-8
 
 
 def test_cli_check_parse_error(tmp_path):
@@ -414,7 +415,7 @@ def test_cli_riccati_solve(tmp_path):
     out = tmp_path / "newton.json"
     assert main(["riccati-solve", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["flags"]["converged"]
+    assert report["residuals"]["final"] <= 1e-12
     assert report["residuals"]["x0_forward_error_bound"] <= 1e-10
 
 
@@ -430,7 +431,6 @@ def test_cli_riccati_solve_fails_when_newton_finds_another_solution(tmp_path):
     out = tmp_path / "newton.json"
     assert main(["riccati-solve", str(path), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    assert report["flags"]["converged"]
     assert report["residuals"]["final"] <= 1e-12
     assert report["residuals"]["x0_forward_error_bound"] == "inf"
     assert report["verdict"]["decided_by"] == "x0_forward_error_bound"
@@ -455,7 +455,8 @@ def test_cli_riccati_solve_refuses_every_other_solution_of_the_interlaced_family
         save_problem(path, ProblemFile(block=block))
         code = main(["riccati-solve", str(path), "--out", str(out)])
         report = json.loads(out.read_text())
-        if not report["flags"]["converged"]:
+        # converged at riccati-solve's default --tol; "nan" or "inf" as text
+        if not float(report["residuals"]["final"]) <= 1e-12:
             continue
         x = riccati.solve_newton_X0(block)[0]
         _, v = np.linalg.eigh(h)
@@ -499,8 +500,10 @@ def test_cli_riccati_solve_refuses_a_mu_outside_the_ends(tmp_path, capsys, mu):
 @pytest.mark.parametrize("perturb, flag", [("1e-8", True), ("1e-7", False)])
 def test_cli_check_spectral_identity_residuals_follow_their_flag(tmp_path, perturb, flag):
     """At norm(B) < 1 the ``spectral_identity_*`` residuals are distances
-    over norm(B), the scale ``spectral_identity_ok`` gates at, so the
-    residuals pass --tol exactly when the flag holds."""
+    over norm(B), the scale ``SpectralIdentityReport.ok`` gates at, so the
+    residuals, which ``check`` gates, pass --tol exactly when it holds."""
+    from blockdiag import form_pair, spectral_pair, verify_spectral_identity
+
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=3).block
     small = BlockMatrix(1e-2 * b.A0, 1e-2 * b.A1, 1e-2 * b.W0, 1e-2 * b.W1)
     assert small.norm < 1.0
@@ -512,7 +515,9 @@ def test_cli_check_spectral_identity_residuals_follow_their_flag(tmp_path, pertu
     report = json.loads(out.read_text())
     residuals = report["residuals"]
     worst = max(residuals["spectral_identity_left"], residuals["spectral_identity_right"])
-    assert report["flags"]["spectral_identity_ok"] is flag
+    pair = spectral_pair(small, 0.0)
+    pair = form_pair(pair.X0 + float(perturb) * np.ones_like(pair.X0), pair.X1)
+    assert verify_spectral_identity(small, pair, 1e-8).ok is flag
     assert (worst <= 1e-8) is flag
 
 
@@ -591,8 +596,8 @@ def test_cli_dirac_pass_and_data(tmp_path):
         ]
     )
     assert code == 0
-    report = json.loads(out.read_text())
-    assert report["flags"]["subordinated"]
+    subordination = json.loads(out.read_text())["certificates"]["subordination"]
+    assert subordination["sup_spec_A1"] < 0.0 < subordination["inf_spec_A0"]
     assert (data_dir / "momenta.csv").exists()
     assert (data_dir / "spectra.csv").exists()
 
@@ -690,20 +695,30 @@ def test_cli_dirac_subordination_failure_exit_2(tmp_path):
         ["dirac", "--n", "4", "--amplitude", "10.0", "--radius", "3.0", "--out", str(out)]
     )
     assert code == 2
-    report = json.loads(out.read_text())
-    assert report["flags"]["subordinated"] is False
-    assert report["certificates"]["subordination"]["margin"] < 0
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "HypothesisError"
+    assert error["diagnostics"]["subordinated"] is False
+    assert error["diagnostics"]["margin"] < 0
 
 
-@pytest.mark.parametrize("flag", ["kernel_split_ok", "reduces_ok"])
+#: The fields of a failed theorem verdict, and the gate ``dirac`` decides it by.
+_FAILED_THEOREM = {
+    "kernel_split_ok": ({"kernel_split_ok": False}, "kernel_split_ok"),
+    # reduces_ok compares the invariance residuals, which dirac gates
+    "reduces_ok": ({"reduces_ok": False, "invariance_residuals": (1.0, 0.0)}, "invariance_L"),
+}
+
+
+@pytest.mark.parametrize("flag", list(_FAILED_THEOREM))
 def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
     from blockdiag import dirac
 
     run = dirac.run_dirac_pipeline
+    fields, gate = _FAILED_THEOREM[flag]
 
     def failing(problem, tol):
         result = run(problem, tol=tol)
-        theorem = dataclasses.replace(result.theorem, **{flag: False})
+        theorem = dataclasses.replace(result.theorem, **fields)
         return dataclasses.replace(result, theorem=theorem)
 
     monkeypatch.setattr(dirac, "run_dirac_pipeline", failing)
@@ -711,14 +726,17 @@ def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
     assert main(["dirac", "--n", "4", "--amplitude", "0.03", "--out", str(out)]) == 1
     assert "[dirac] FAIL" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["flags"][flag] is False
-    assert all(v <= 1e-8 for v in report["residuals"].values())
+    assert report["verdict"]["decided_by"] == gate
+    failed = [k for k, v in report["residuals"].items() if not v <= 1e-8]
+    assert failed + [k for k, ok in report["flags"].items() if not ok] == [gate]
 
 
 def test_cli_contraction_flag_agrees_between_subordinated_and_dirac(
     tmp_path, monkeypatch
 ):
-    """A norm(X) inside CONTRACTION_SLACK above 1 passes both commands."""
+    """A norm(X) inside CONTRACTION_SLACK above 1 passes both commands, which
+    report it as a certificate: ``run_theorem`` refuses an X beyond it, so
+    neither gates it again."""
     from blockdiag import dirac, subordinated
 
     norm_x = 1.0 + 5e-10
@@ -730,11 +748,13 @@ def test_cli_contraction_flag_agrees_between_subordinated_and_dirac(
         "run_theorem",
         lambda *a, **k: dataclasses.replace(run_theorem(*a, **k), norm_X=norm_x),
     )
-    monkeypatch.setattr(
-        dirac,
-        "run_dirac_pipeline",
-        lambda *a, **k: dataclasses.replace(run_dirac(*a, **k), norm_X=norm_x),
-    )
+
+    def run_dirac_at_norm_x(*a, **k):
+        result = run_dirac(*a, **k)
+        theorem = dataclasses.replace(result.theorem, norm_X=norm_x)
+        return dataclasses.replace(result, theorem=theorem, norm_X=norm_x)
+
+    monkeypatch.setattr(dirac, "run_dirac_pipeline", run_dirac_at_norm_x)
     path = tmp_path / "sub.json"
     save_problem(path, random_case(4, 4, gap=1.0, coupling=0.3, seed=3))
     for name, args in (
@@ -744,7 +764,7 @@ def test_cli_contraction_flag_agrees_between_subordinated_and_dirac(
         out = tmp_path / f"{name}.json"
         assert main(args + ["--out", str(out)]) == 0, name
         report = json.loads(out.read_text())
-        assert report["flags"]["contraction"] is True, name
+        assert "contraction" not in report["flags"], name
         assert report["certificates"]["contraction"]["norm_X"] == norm_x
 
 

@@ -14,7 +14,6 @@ from blockdiag import (
     Subspace,
     diagonalize,
     form_pair,
-    is_symmetric_offdiag,
     random_case,
     residual_X0,
     run_theorem,
@@ -26,7 +25,7 @@ from blockdiag.angular import GraphBase, GraphSubspace
 from blockdiag.cli import main
 from blockdiag.core import DEFAULT_TOL
 from blockdiag.io import ProblemFile, save_problem
-from blockdiag.errors import StructuralError
+from blockdiag.errors import HypothesisError, StructuralError
 from blockdiag.spectral import invariance_residual
 from conftest import diagonal_part, offdiagonal_part, random_block, split_report, staged_eigh_calls
 
@@ -95,12 +94,17 @@ def test_is_hermitian_gate_implies_exact_test(seed, n, lr, ls, rank_one):
 @GATE
 @given(seeds, dims, near_tol, log_scale, st.booleans())
 def test_is_symmetric_offdiag_gate_implies_exact_test(seed, n, lr, ls, rank_one):
+    """The stored coupling is symmetric (``symmetric_V``, which ``check``
+    reports as ``symmetric_offdiag``) only when the input coupling passes
+    the exact test against norm(B): the construction moves W0 and W1 only
+    within B's own Hermitian tolerance."""
     rng = np.random.default_rng(seed)
     w1 = 10.0**ls * _unitary(rng, n)
     w0 = w1.conj().T + 10.0**ls * 10.0**lr * DEFAULT_TOL * _defect(rng, n, n, rank_one)
     b = BlockMatrix(np.eye(n), np.eye(n), w0, w1)
-    exact = _norm2(b.W0 - b.W1.conj().T) <= DEFAULT_TOL * _norm2(b.W1)
-    assert exact or not is_symmetric_offdiag(b)
+    full = np.block([[np.eye(n), w1], [w0, np.eye(n)]])
+    exact = _norm2(w0 - w1.conj().T) <= DEFAULT_TOL * _norm2(full)
+    assert exact or not b.symmetric_V
 
 
 @PROPERTY
@@ -409,6 +413,25 @@ def test_dirac_pipeline_builds_operators_once(monkeypatch):
     assert direct == result.split
 
 
+@pytest.mark.parametrize("amplitude", [0.05, 5.0])
+def test_dirac_pipeline_checks_subordination_once(monkeypatch, amplitude):
+    """One subordination check and one swapped copy of the rotated blocks
+    per pass, refused or not: the split report and the theorem read the
+    same check."""
+    problem = dirac.DiracProblem(
+        grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=amplitude)
+    )
+    checks = [_count_calls(monkeypatch, m, "check_subordination") for m in (dirac, subordinated)]
+    swaps = _count_calls(monkeypatch, BlockMatrix, "swapped")
+    try:
+        result = dirac.run_dirac_pipeline(problem)
+    except HypothesisError as exc:
+        assert amplitude == 5.0 and not exc.report.subordinated
+    else:
+        assert result.theorem.check.mu == 0.0
+    assert [len(c) for c in checks] == [1, 0] and len(swaps) == 1
+
+
 def test_dirac_pipeline_reads_each_block_spectrum_once(monkeypatch):
     problem = dirac.DiracProblem(
         grid=dirac.GridSpec(n=4), potential=dirac.ImpurityPotential(amplitude=0.05)
@@ -436,13 +459,15 @@ def test_dirac_subordination_failure_builds_operators_once(tmp_path, monkeypatch
     out = tmp_path / "report.json"
     assert main(["dirac", "--n", "4", "--amplitude", "5", "--out", str(out)]) == 2
     assert len(calls) == 1
-    report = json.loads(out.read_text())
-    assert report["flags"] == {"subordinated": False}
-    assert report["certificates"]["subordination"] == {
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "HypothesisError"
+    assert error["diagnostics"] == {
         "sup_spec_A1": expected.sup_spec_A1,
         "inf_spec_A0": expected.inf_spec_A0,
+        "subordinated": False,
         "margin": expected.margin,
         "u_inf": expected.u_inf,
         "k_min": expected.k_min,
         "block_identity_residual": expected.block_identity_residual,
+        "norm_bound": expected.norm_bound,
     }

@@ -2,7 +2,10 @@
 
 Each command runs on a small gapped file and on a closed-gap file with a
 kernel planted at its threshold mu = 0; ``dirac`` runs on its smallest
-grid. The nested key paths of ``residuals``, ``spectra``, ``flags``,
+grid. ``subordinated`` on the gapped file with its coupling moved off
+``W0 = W1*``, and ``dirac`` with a potential too deep for subordination,
+refuse their hypotheses with the check's report as ``error.diagnostics``.
+The nested key paths of ``residuals``, ``spectra``, ``flags``,
 ``certificates`` and ``verdict`` (or of ``error``, when the command exits
 with one) must equal the listing below, so a field can only appear or
 disappear on purpose.
@@ -12,7 +15,7 @@ import json
 
 import pytest
 
-from blockdiag import random_case, save_problem
+from blockdiag import BlockMatrix, ProblemFile, random_case, save_problem
 from blockdiag.cli import main
 
 SECTIONS = ("residuals", "spectra", "flags", "certificates", "verdict", "error")
@@ -25,11 +28,7 @@ SUBORDINATED = [
     "certificates.subordination.inf_spec_A1",
     "certificates.subordination.mu",
     "certificates.subordination.sup_spec_A0",
-    "flags.contraction",
     "flags.kernel_split_ok",
-    "flags.reduces_ok",
-    "flags.subordinated",
-    "flags.symmetric_offdiag",
     "residuals.adjointness",
     "residuals.invariance_L",
     "residuals.invariance_L_perp",
@@ -58,7 +57,6 @@ SHAPES = {
         "certificates.complementarity.sigma_min",
         "flags.complementary",
         "flags.hermitian",
-        "flags.spectral_identity_ok",
         "flags.symmetric_offdiag",
         "residuals.extended_identity",
         "residuals.extended_right_form",
@@ -103,7 +101,7 @@ SHAPES = {
         "certificates.newton.schur_steps",
         "certificates.newton.sweeps",
         "certificates.newton.trace",
-        "flags.converged",
+        "flags",
         "residuals.final",
         "residuals.x0_forward_error_bound",
         "spectra",
@@ -133,6 +131,23 @@ SHAPES = {
     ("kernel", ("subordinated",)): (0, SUBORDINATED),
     ("kernel", ("neumann", "--lambda", "0,3")): (2, ERROR),
     ("kernel", ("relbound",)): (0, RELBOUND),
+    ("asymmetric", ("subordinated",)): (2, sorted(ERROR + [
+        "error.diagnostics.gap",
+        "error.diagnostics.inf_spec_A1",
+        "error.diagnostics.mu",
+        "error.diagnostics.subordinated",
+        "error.diagnostics.sup_spec_A0",
+    ])),
+    ("deep", ("dirac", "--n", "4", "--amplitude", "5")): (2, sorted(ERROR + [
+        "error.diagnostics.block_identity_residual",
+        "error.diagnostics.inf_spec_A0",
+        "error.diagnostics.k_min",
+        "error.diagnostics.margin",
+        "error.diagnostics.norm_bound",
+        "error.diagnostics.subordinated",
+        "error.diagnostics.sup_spec_A1",
+        "error.diagnostics.u_inf",
+    ])),
     (None, ("dirac", "--n", "4")): (0, [
         "certificates.contraction.norm_X",
         "certificates.subordination.block_identity_residual",
@@ -141,12 +156,11 @@ SHAPES = {
         "certificates.subordination.margin",
         "certificates.subordination.sup_spec_A1",
         "certificates.subordination.u_inf",
-        "flags.contraction",
         "flags.kernel_split_ok",
-        "flags.reduces_ok",
-        "flags.subordinated",
         "residuals.adjointness",
         "residuals.fw_unitarity",
+        "residuals.invariance_L",
+        "residuals.invariance_L_perp",
         "residuals.offdiag_left",
         "residuals.offdiag_right",
         "residuals.split_identity",
@@ -175,9 +189,12 @@ def _key_paths(obj, prefix=""):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("shape")
+    gapped = random_case(4, 4, gap=1.0, coupling=0.5, seed=0)
+    b = gapped.block
     cases = {
-        "gapped": random_case(4, 4, gap=1.0, coupling=0.5, seed=0),
+        "gapped": gapped,
         "kernel": random_case(4, 4, gap=0.0, coupling=0.5, seed=0, kernel_dim=2),
+        "asymmetric": ProblemFile(BlockMatrix(b.A0, b.A1, 1.001 * b.W0, b.W1), mu=gapped.mu),
     }
     for name, problem in cases.items():
         save_problem(root / f"{name}.json", problem)
@@ -190,7 +207,9 @@ def files(tmp_path_factory):
 def test_report_key_paths(files, tmp_path, case):
     name, command = case
     out = tmp_path / "report.json"
-    file_args = [str(files / f"{name}.json")] if name else []
+    path = files / f"{name}.json"
+    # a label that names no file, None or "deep" (a deep potential), runs without one
+    file_args = [str(path)] if path.exists() else []
     code = main([command[0], *file_args, *command[1:], "--out", str(out)])
     report = json.loads(out.read_text())
     selected = {key: report[key] for key in SECTIONS if key in report}

@@ -72,50 +72,72 @@ def test_residual_x1_is_role_swapped_x0(seed):
 def test_residual_block_zero():
     b = BlockMatrix(np.diag([1.0]), np.diag([2.0]), [[0.0]], [[0.0]])
     p = form_pair([[0.0]], [[0.0]])
-    assert not _residual_block(b, p).residual.any()
+    assert _residual_block(b, p) == 0.0
+
+
+def _full_residual(b, p):
+    """The assembled ``A Y - Y A - Y V Y + V``, which the package never forms."""
+    a, v, y = diagonal_part(b), offdiagonal_part(b), p.Y
+    return a @ y - y @ a - y @ v @ y + v
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_residual_block_offdiag_blocks_match(seed):
+    """The off-diagonal blocks of the assembled residual are the H0 and H1
+    graph-equation residuals, whose norms ``residual_block`` reads."""
     rng = np.random.default_rng(seed)
     b = random_block(rng, 2, 3)
     x0 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     x1 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    p = form_pair(x0, x1)
-    rb = _residual_block(b, p).residual
-    np.testing.assert_array_equal(rb[2:, :2], residual_X0(b, x0).residual)
-    np.testing.assert_array_equal(rb[:2, 2:], residual_X1(b, x1).residual)
+    full = _full_residual(b, form_pair(x0, x1))
+    atol = 1e-13 * np.linalg.norm(full)
+    np.testing.assert_allclose(full[2:, :2], residual_X0(b, x0).residual, atol=atol)
+    np.testing.assert_allclose(full[:2, 2:], residual_X1(b, x1).residual, atol=atol)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_residual_block_diag_blocks_vanish(seed):
-    # A Y - Y A, Y V Y and V are all off-diagonal, so the diagonal is exactly 0
+    # A Y - Y A, Y V Y and V are all off-diagonal, so the diagonal is exactly
+    # 0 and the residual's norm is that of its off-diagonal blocks
     rng = np.random.default_rng(50 + seed)
     b = random_block(rng, 3, 3)
     p = form_pair(
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
     )
-    rb = _residual_block(b, p).residual
-    assert np.max(np.abs(rb[:3, :3])) == 0.0
-    assert np.max(np.abs(rb[3:, 3:])) == 0.0
+    full = _full_residual(b, p)
+    assert np.max(np.abs(full[:3, :3])) == 0.0
+    assert np.max(np.abs(full[3:, 3:])) == 0.0
+
+
+def test_residual_block_assembles_no_y(monkeypatch):
+    """The block residual's norm is read off the blocks: Y, of dimension
+    n0 + n1, is not assembled."""
+    from blockdiag.angular import AngularPair
+
+    b = random_case(4, 3, gap=1.0, coupling=0.5, seed=0).block
+    p = spectral_pair(b, 0.0)
+    r0, r1 = residual_X0(b, p.X0), residual_X1(b, p.X1)
+    monkeypatch.setattr(AngularPair, "Y", property(lambda _: pytest.fail("Y assembled")))
+    assert residual_block(b, p, r0, r1) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_residual_block_equals_full_expression(seed):
-    """Blockwise assembly agrees with the assembled quadratic expression."""
+    """The relative norm formed from the norms of R0, R1, X0 and X1 is that
+    of the assembled quadratic expression over the scale of
+    ``RiccatiResidual``: ``(a + norm(V)) (1 + norm_F(Y) / sqrt(dim))^2``."""
     rng = np.random.default_rng(70 + seed)
     b = random_block(rng, 2, 3)
     p = form_pair(
         rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
     )
-    a = diagonal_part(b)
-    v = offdiagonal_part(b)
-    y = p.Y
-    full = a @ y - y @ a - y @ v @ y + v
-    scale = (np.linalg.norm(a, 2) + np.linalg.norm(v, 2)) * (1 + np.linalg.norm(y, 2)) ** 2
-    np.testing.assert_allclose(_residual_block(b, p).residual, full, atol=1e-13 * scale)
+    a, v, root = diagonal_part(b), offdiagonal_part(b), np.sqrt(b.dim)
+    spread = np.linalg.norm(a - np.trace(a) / b.dim * np.eye(b.dim)) / root
+    growth = 1.0 + np.linalg.norm(p.Y) / root
+    expected = np.linalg.norm(_full_residual(b, p)) / ((spread + np.linalg.norm(v, 2)) * growth**2)
+    assert _residual_block(b, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sylvester_scalar():

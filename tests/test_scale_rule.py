@@ -214,7 +214,9 @@ def test_check_of_a_pair_past_the_float_range_fails_its_gates(tmp_path, name, pe
         code = main(["check", str(path), f"--perturb-x0={perturb}", "--out", str(out)])
     report = json.loads(out.read_text())
     assert code == 1, report.get("error")
-    assert not report["flags"]["spectral_identity_ok"]
+    # "nan" or "inf" as text, or a distance over --tol
+    identity = [float(report["residuals"][f"spectral_identity_{side}"]) for side in ("left", "right")]
+    assert not all(d <= 1e-8 for d in identity)
 
 
 def test_the_subnormal_gapped_file_keeps_its_exit_codes(tmp_path):

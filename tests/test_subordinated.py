@@ -1,14 +1,26 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdiag import subordinated
 from blockdiag import (
     BlockMatrix,
+    ProblemFile,
+    SubordinationCheck,
     check_subordination,
     choose_mu,
     random_case,
     run_theorem,
+    save_problem,
 )
+from blockdiag.cli import main
 from blockdiag.errors import HypothesisError, TheoremViolationError
 from blockdiag.spectral import Subspace
 from conftest import containment, diagonal_part, eigvecs, kernel_pieces, kernel_split_dims
@@ -25,7 +37,8 @@ def test_check_subordination_analytic(analytic):
     check = check_subordination(analytic, 1.0)
     assert check.subordinated
     assert check.gap == pytest.approx(2.0)
-    assert check.symmetric_V
+    # the coupling hypothesis is B's own Hermiticity, which run_theorem reads
+    assert analytic.hermitian
 
 
 def test_check_subordination_violated():
@@ -183,6 +196,49 @@ def test_run_theorem_rejects_bad_hypotheses():
     asymmetric = BlockMatrix([-1.0], [1.0], [0.5], [0.2])
     with pytest.raises(HypothesisError):
         run_theorem(asymmetric, mu=0.0)
+
+
+def _nearly_symmetric(seed, n0, n1, coupling, a_scale, rel):
+    """A gapped case with A scaled by ``a_scale`` and ``W0 = W1* + δE``,
+    ``norm_F(E) = 1`` and ``δ = rel norm_F(W1)``."""
+    b = random_case(n0, n1, gap=1.0, coupling=coupling, seed=seed).block
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n1, n0)) + 1j * rng.standard_normal((n1, n0))
+    w0 = b.W1.conj().T + rel * np.linalg.norm(b.W1) * e / np.linalg.norm(e)
+    return BlockMatrix(a_scale * b.A0, a_scale * b.A1, w0, b.W1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n0=st.integers(1, 5),
+    n1=st.integers(1, 5),
+    coupling=st.floats(0.05, 5.0),
+    a_scale=st.sampled_from([1.0, 1e-3]),
+    rel=st.one_of(st.just(0.0), st.floats(-16.0, -6.0).map(lambda e: 10.0**e)),
+)
+def test_the_coupling_hypothesis_is_the_stored_hermiticity(seed, n0, n1, coupling, a_scale, rel):
+    """Hermitian A and a coupling ``W0 = W1* + δE`` with ``δ / norm_F(W1)``
+    from 0 to 1e-6: ``run_theorem`` returns exactly when the stored B is
+    Hermitian and otherwise refuses with its check as the report,
+    ``subordinated`` exits 0 or 2 to match, and ``check`` reports
+    ``symmetric_offdiag`` as ``W0 = W1*`` bitwise of the stored blocks."""
+    b = _nearly_symmetric(seed, n0, n1, coupling, a_scale, rel)
+    try:
+        run_theorem(b)
+    except HypothesisError as exc:
+        assert not b.hermitian and isinstance(exc.report, SubordinationCheck)
+        assert exc.report.subordinated
+    else:
+        assert b.hermitian
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "problem.json", Path(tmp) / "report.json"
+        save_problem(path, ProblemFile(block=b))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["subordinated", str(path)]) == (0 if b.hermitian else 2)
+            main(["check", str(path), "--out", str(out)])
+        flags = json.loads(out.read_text())["flags"]
+    assert flags["symmetric_offdiag"] is np.array_equal(b.W0, b.W1.conj().T)
 
 
 @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])

@@ -325,7 +325,7 @@ def test_extended_identity_tracks_riccati_residual(seed):
     p = _contractive_pair(rng, 2, 2, norm=0.3)
     from blockdiag.riccati import residual_block, residual_X1
 
-    r = residual_block(b, p, residual_X0(b, p.X0), residual_X1(b, p.X1)).rel_norm
+    r = residual_block(b, p, residual_X0(b, p.X0), residual_X1(b, p.X1))
     res = verify_extended_identity(b, p, diagonalize(b, p)[1])
     assert res.identity <= 1e2 * max(r, 1e-15)
     assert res.right_form <= 1e2 * max(r, 1e-15)

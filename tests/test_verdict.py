@@ -2,9 +2,10 @@
 
 Each command runs on a small gapped file (``dirac`` on its smallest grid)
 with its ``run`` wrapped so that one gate at a time reads twice its bound.
-The command must then fail with that gate in ``verdict.decided_by``: exit 2
-for a hypothesis gate, 1 for any other. Unforced, every command passes, and
-the gate that decided is one nearest its bound, the largest value / bound.
+The command must then fail with that gate in ``verdict.decided_by``, exit 1:
+a gate is a residual or a check, and a refused hypothesis is an error, not a
+gate. Unforced, every command passes, and the gate that decided is one
+nearest its bound, the largest value / bound.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import json
 
 import pytest
 
-from blockdiag import cli, random_case, save_problem
+from blockdiag import cli, random_case, run_theorem, save_problem
 from blockdiag.cli import main
 
 ARGV = {
@@ -56,6 +57,7 @@ def test_every_gate_can_decide(tmp_path, monkeypatch, command):
         return
     ratios = {g.name: g.value / g.bound for g in gates}
     assert len(ratios) == len(gates)
+    assert {g.kind for g in gates} <= {"residual", "check"}
     decided = report["verdict"]["decided_by"]
     assert ratios[decided] == max(ratios.values())
     gate = next(g for g in gates if g.name == decided)
@@ -63,7 +65,7 @@ def test_every_gate_can_decide(tmp_path, monkeypatch, command):
 
     for gate in gates:
         code, report, _ = _run(command, original, argv, tmp_path, monkeypatch, gate.name)
-        assert code == (2 if gate.kind == "hypothesis" else 1), gate.name
+        assert code == 1, gate.name
         assert report["verdict"] == {"decided_by": gate.name, "margin": -gate.bound}
         if gate.kind == "residual":
             assert report["residuals"][gate.name] == 2.0 * gate.bound
@@ -71,17 +73,21 @@ def test_every_gate_can_decide(tmp_path, monkeypatch, command):
             assert report["flags"][gate.name] is False
 
 
-def test_a_failed_hypothesis_decides_over_a_larger_failure(tmp_path, monkeypatch):
-    gates = [
-        cli.Gate("far_off", 1.0, 1e-8, "residual"),
-        cli.Gate("subordinated", 1.0, 0.5, "hypothesis"),
-        cli.Gate("holds", 0.0, 0.5, "check"),
-    ]
-    stub = dataclasses.replace(cli.COMMANDS["dirac"], run=lambda *_: gates)
-    monkeypatch.setitem(cli.COMMANDS, "dirac", stub)
-    out = tmp_path / "report.json"
-    assert main(["dirac", "--out", str(out)]) == 2
+def test_subordinated_and_dirac_are_decided_by_a_residual(tmp_path):
+    """No gate of ``subordinated`` or ``dirac`` repeats a residual or cannot
+    fail, so a residual decides: at a ``--tol`` that ``invariance_L`` fails
+    by 1.5x, it decides with margin ``tol - value``, and passing runs name
+    a residual gate."""
+    problem = random_case(6, 6, gap=1.0, coupling=0.5, seed=0)
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    save_problem(path, problem)
+    value = run_theorem(problem.block, mu=problem.mu).invariance_residuals[0]
+    tol = value / 1.5
+    assert main(["subordinated", str(path), "--tol", repr(tol), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    assert report["verdict"] == {"decided_by": "subordinated", "margin": -0.5}
-    assert report["residuals"] == {"far_off": 1.0}
-    assert report["flags"] == {"subordinated": False, "holds": True}
+    assert report["verdict"] == {"decided_by": "invariance_L", "margin": tol - value}
+    assert report["residuals"]["invariance_L"] == value
+    for argv in (["subordinated", str(path)], ["dirac", "--n", "8"]):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        report = json.loads(out.read_text())
+        assert report["verdict"]["decided_by"] in report["residuals"], argv
