@@ -494,9 +494,16 @@ class BlockMatrix:
     def swapped(self) -> "BlockMatrix":
         """Exchange the roles of H0 and H1 (permutation similarity).
 
-        Block spectra already computed carry over, exchanged.
+        The copy shares the read-only blocks, validated and stored at
+        construction, and carries over ``hermitian`` and ``slack``, which a
+        permutation similarity keeps, and the block spectra already
+        computed, exchanged.
         """
-        out = BlockMatrix(A0=self.A1, A1=self.A0, W0=self.W1, W1=self.W0)
+        out = object.__new__(BlockMatrix)
+        out.__dict__.update(
+            A0=self.A1, A1=self.A0, W0=self.W1, W1=self.W0,
+            hermitian=self.hermitian, slack=self.slack,
+        )
         if "eigvalsh_A" in self.__dict__:
             out.__dict__["eigvalsh_A"] = self.eigvalsh_A[::-1]
         return out

@@ -15,6 +15,11 @@ is ``(Theta U Theta* - U) / 2``; for a weak potential the block spectra
 sit on opposite sides of zero and the subordinated pipeline applies,
 recovering the electronic/positronic splitting of the position-space
 operator.
+
+Each momentum multiplier (Theta and ``S = sqrt(-Lap)``) is a twisted 2-d
+circulant in position space, built from one inverse FFT of its symbol.
+``Theta M = S`` for the off-diagonal block ``M`` of ``sigma . k``, read off
+the symbols ``theta(k) (k_x - i k_y) = |k|``, so M itself is never formed.
 """
 
 from __future__ import annotations
@@ -137,14 +142,14 @@ class DiracProblem:
 class DiracOperators:
     """Dense position-space ingredients of ``H = [[U, M], [M*, U]]`` on one
     grid, none larger than ``n^2 x n^2``: the spinor phase ``Theta``, the
-    momentum magnitude ``S = sqrt(-Lap)``, the potential values (the
-    diagonal of U) and the coupling block ``M = F* diag(k_x - i k_y) F``,
-    F the 2-d transform to momenta. H itself is never assembled."""
+    momentum magnitude ``S = sqrt(-Lap)`` and the potential values (the
+    diagonal of U). The coupling block ``M = F* diag(k_x - i k_y) F``, F the
+    2-d transform to momenta, is held only as ``Theta M = S``; H itself is
+    never assembled."""
 
     theta_op: np.ndarray
     sqrt_lap: np.ndarray
     potential_values: np.ndarray
-    coupling: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,16 +209,28 @@ def _overflow_is_input_error(quantity: str):
         ) from exc
 
 
-def _dft_matrix(grid: GridSpec) -> np.ndarray:
-    """Unitary 1-d transform from positions to (possibly shifted) momenta."""
-    k = grid.momenta()
-    x = grid.positions()
-    return np.exp(-1j * np.outer(k, x)) / np.sqrt(grid.n)
+def _twist(d: np.ndarray, n: int) -> np.ndarray:
+    """``(-1)^d exp(i pi d / n)`` per position offset d: the phase the
+    half-integer momentum offset puts on a circulant."""
+    return np.where(d % 2, -1.0, 1.0) * np.exp(1j * np.pi * d / n)
 
 
-def _multiplier(fourier: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Position-space matrix of a momentum multiplier."""
-    return fourier.conj().T @ (symbol[:, None] * fourier)
+def _fourier_multiplier(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
+    """Position-space matrix of a momentum multiplier, from one inverse FFT.
+
+    Its entry at positions ``(a, b), (a', b')`` depends only on the offsets
+    ``d = a - a'``, ``e = b - b'``: it is ``phi(d) phi(e) c[d mod n, e mod n]``
+    with ``c`` the inverse FFT of ``symbol`` (in :meth:`GridSpec.momentum_mesh`
+    order) and ``phi`` the :func:`_twist`.
+    """
+    n = grid.n
+    offsets = np.arange(1 - n, n)
+    c = np.fft.ifft2(symbol.reshape(n, n))[np.ix_(offsets % n, offsets % n)]
+    phi = _twist(offsets, n)
+    kernel = np.outer(phi, phi) * c
+    a = np.arange(n)
+    index = a[:, None] - a[None, :] + (n - 1)  # offset a - a' into ``offsets``
+    return kernel[index[:, None, :, None], index[None, :, None, :]].reshape(n * n, n * n)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -225,17 +242,11 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 def build_operators(problem: DiracProblem) -> DiracOperators:
     """Assemble all dense operators for a problem instance."""
     grid = problem.grid
-    theta_values = problem.theta()
-    f1 = _dft_matrix(grid)
-    fourier = np.kron(f1, f1)
     kx, ky = grid.momentum_mesh()
-    theta_op = _multiplier(fourier, theta_values)
-    sqrt_lap = _hermitize(_multiplier(fourier, np.hypot(kx, ky).astype(np.complex128)))
     return DiracOperators(
-        theta_op=theta_op,
-        sqrt_lap=sqrt_lap,
+        theta_op=_fourier_multiplier(grid, problem.theta()),
+        sqrt_lap=_hermitize(_fourier_multiplier(grid, np.hypot(kx, ky))),
         potential_values=problem.potential.sample(grid),
-        coupling=_multiplier(fourier, (kx - 1j * ky).astype(np.complex128)),
     )
 
 
@@ -267,20 +278,18 @@ def _unitary_operators(problem: DiracProblem) -> tuple[DiracOperators, float]:
 
 @_overflow_is_input_error("spinor-rotated Hamiltonian T H T*")
 def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
-    """``T H T*`` block by block, from ``P = Theta U Theta*`` and ``K = Theta M``.
+    """``T H T*`` block by block, from ``P = Theta U Theta*`` and ``Theta M = S``.
 
     With ``H = [[U, M], [M*, U]]`` the blocks are
-    ``A0, A1 = (P + U +- (K + K*)) / 2`` and ``W0 = W1* = (P - U + K - K*) / 2``;
+    ``A0, A1 = (P + U) / 2 +- S`` and ``W0 = W1* = (P - U) / 2``;
     each diagonal block is exactly Hermitian and ``W1`` is exactly ``W0*``.
     """
     theta = ops.theta_op
     u = np.diag(ops.potential_values)
     p = _hermitize((theta * ops.potential_values) @ theta.conj().T)
-    k = theta @ ops.coupling
-    k_sym = k + k.conj().T
-    w0 = 0.5 * (p - u + (k - k.conj().T))
+    mean, w0 = 0.5 * (p + u), 0.5 * (p - u)
     return BlockMatrix(
-        A0=0.5 * (p + u + k_sym), A1=0.5 * (p + u - k_sym), W0=w0, W1=w0.conj().T
+        A0=mean + ops.sqrt_lap, A1=mean - ops.sqrt_lap, W0=w0, W1=w0.conj().T
     )
 
 

@@ -452,7 +452,6 @@ class SpectralIdentityReport:
     first, for callers that report it.
     """
 
-    ok: bool
     left_distance: float
     right_distance: float
     left_spectrum: np.ndarray = field(repr=False, compare=False)
@@ -529,10 +528,10 @@ def verify_spectral_identity(
 ) -> SpectralIdentityReport:
     """Check spec(B) against the unions of both block-diagonal spectra.
 
-    Both distances are gated at ``tol`` times ``norm(B)``. On
+    Callers gate both distances at ``tol`` times ``norm(B)``. On
     Hermitian B with a skew pair (X0 nonzero) the check
     first tries the certificate of :func:`_spectral_identity_bound`: when
-    it is within the threshold, both distances are that bound and the
+    it is within that threshold, both distances are that bound and the
     left block spectrum is read off the cached eigenvalues. Otherwise all
     four diagonal blocks take ``eigvals``, and both distances are NaN when
     one of them has a non-finite entry. Blocks and distances past the float
@@ -546,7 +545,6 @@ def verify_spectral_identity(
         bound = _spectral_identity_bound(b, p)
         if bound <= threshold:
             return SpectralIdentityReport(
-                ok=True,
                 left_distance=bound,
                 right_distance=bound,
                 left_spectrum=spec_b,
@@ -559,7 +557,6 @@ def verify_spectral_identity(
         left, left_distance = np.full(b.dim, complex(math.nan, math.nan)), math.nan
         right_distance = math.nan
     return SpectralIdentityReport(
-        ok=left_distance <= threshold and right_distance <= threshold,
         left_distance=left_distance,
         right_distance=right_distance,
         left_spectrum=left,

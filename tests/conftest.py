@@ -58,13 +58,26 @@ def offdiagonal_part(b):
     return from_blocks(None, b.W1, b.W0, None)
 
 
-def dirac_hamiltonians(ops):
-    """``(H_free, H)`` of a ``DiracOperators``: ``[[0, M], [M*, 0]]`` and
-    ``[[U, M], [M*, U]]``, assembled from its coupling block M and potential
-    values U, which the package itself never does (independent oracle)."""
-    m = ops.coupling
+def dense_multiplier(grid, symbol):
+    """Position-space matrix ``F* diag(symbol) F`` of a momentum multiplier on
+    a ``dirac.GridSpec``, with F the dense n^2 x n^2 unitary transform from
+    positions to the grid's (half-integer shifted) momenta, in
+    ``momentum_mesh`` order (independent oracle of the FFT route)."""
+    f1 = np.exp(-1j * np.outer(grid.momenta(), grid.positions())) / np.sqrt(grid.n)
+    fourier = np.kron(f1, f1)
+    return fourier.conj().T @ (symbol[:, None] * fourier)
+
+
+def dirac_hamiltonians(problem):
+    """``(H_free, H)`` of a ``DiracProblem``: ``[[0, M], [M*, 0]]`` and
+    ``[[U, M], [M*, U]]``, assembled from the coupling block
+    ``M = dense_multiplier(grid, k_x - i k_y)`` and the potential values U,
+    which the package itself never does (independent oracle)."""
+    kx, ky = problem.grid.momentum_mesh()
+    m = dense_multiplier(problem.grid, kx - 1j * ky)
     h_free = from_blocks(None, m, m.conj().T, None)
-    return h_free, h_free + np.diag(np.concatenate([ops.potential_values] * 2))
+    potential = problem.potential.sample(problem.grid)
+    return h_free, h_free + np.diag(np.concatenate([potential] * 2))
 
 
 def split_report(problem):

@@ -135,3 +135,22 @@ def test_swapped_roundtrip():
     b = random_block(rng, 2, 3)
     back = b.swapped().swapped()
     assert np.array_equal(back.full, b.full)
+
+
+def test_swapped_shares_the_blocks_and_the_flags():
+    """The swapped copy holds the stored blocks themselves, exchanged, with
+    the flags and the block spectra of B; the slack of input stored as its
+    Hermitian part carries over, and two swaps give back equal blocks."""
+    rng = np.random.default_rng(2)
+    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = h + h.conj().T
+    b = BlockMatrix(h[:2, :2], h[2:, 2:], h[2:, :2] * (1 + 1e-14), h[:2, 2:])
+    assert b.hermitian and b.slack > 0.0
+    w0, w1 = b.eigvalsh_A
+    s = b.swapped()
+    assert all(x is y for x, y in zip((s.A0, s.A1, s.W0, s.W1), (b.A1, b.A0, b.W1, b.W0)))
+    assert (s.hermitian, s.slack) == (b.hermitian, b.slack)
+    assert s.eigvalsh_A[0] is w1 and s.eigvalsh_A[1] is w0
+    back = s.swapped()
+    for name in ("A0", "A1", "W0", "W1"):
+        assert np.array_equal(getattr(back, name), getattr(b, name))

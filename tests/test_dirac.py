@@ -21,7 +21,8 @@ from blockdiag.dirac import build_operators, fw_unitarity_residual
 from blockdiag.errors import HypothesisError, StructuralError
 from blockdiag.spectral import Subspace
 from blockdiag.subordinated import check_subordination
-from conftest import containment, dirac_hamiltonians, split_report, staged_eigh_calls
+from conftest import containment, dense_multiplier, dirac_hamiltonians, split_report
+from conftest import staged_eigh_calls
 from blockdiag.transform import match_spectra
 
 _EPS = np.finfo(np.float64).eps
@@ -67,7 +68,7 @@ def test_theta_unimodular():
 
 def test_free_dirac_spectrum_matches_momenta():
     grid = GridSpec(n=4, length=2 * np.pi)
-    h0 = dirac_hamiltonians(build_operators(_problem(n=4)))[0]
+    h0 = dirac_hamiltonians(_problem(n=4))[0]
     assert np.linalg.norm(h0 - h0.conj().T, 2) <= 1e-12
     kx, ky = grid.momentum_mesh()
     magnitudes = np.hypot(kx, ky)
@@ -84,7 +85,7 @@ def test_fw_free_case_block_diagonal():
     problem = _problem(n=4)
     bm = fw_transform(problem)
     ops = build_operators(problem)
-    scale = np.linalg.norm(dirac_hamiltonians(ops)[0], 2)
+    scale = np.linalg.norm(dirac_hamiltonians(problem)[0], 2)
     assert np.linalg.norm(bm.W1, 2) <= 1e-12 * scale
     assert np.linalg.norm(bm.W0, 2) <= 1e-12 * scale
     np.testing.assert_allclose(bm.A0, ops.sqrt_lap, atol=1e-12 * scale)
@@ -103,7 +104,7 @@ def test_fw_constant_potential_commutes():
     assert np.all(problem.potential.sample(problem.grid) == u0)
     bm = fw_transform(problem)
     ops = build_operators(problem)
-    scale = np.linalg.norm(dirac_hamiltonians(ops)[1], 2)
+    scale = np.linalg.norm(dirac_hamiltonians(problem)[1], 2)
     assert np.linalg.norm(bm.W1, 2) <= 1e-12 * scale
     np.testing.assert_allclose(
         bm.A0, ops.sqrt_lap + u0 * np.eye(16), atol=1e-12 * scale
@@ -138,7 +139,7 @@ def test_fw_spectrum_preserved():
     bm = fw_transform(problem)
     ops = build_operators(problem)
     spec_fw = np.linalg.eigvalsh(bm.assemble())
-    spec_h = np.linalg.eigvalsh(dirac_hamiltonians(ops)[1])
+    spec_h = np.linalg.eigvalsh(dirac_hamiltonians(problem)[1])
     scale = max(np.abs(spec_h))
     assert match_spectra(spec_fw, spec_h) <= 1e-9 * scale
 
@@ -350,6 +351,48 @@ def test_build_operators_forms_no_array_larger_than_n2_by_n2(n):
         assert len(shape) <= 2 and max(shape) == n * n, field.name
 
 
+#: Band of the FFT multipliers around the dense oracle, in units of
+#: ``log2(n^2) eps max|s|``: the 2-norm of the difference, the FFT's
+#: rounding and the oracle's, stays below 5 of them for n <= 8.
+_FFT_BAND = 8.0
+
+
+def _multiplier_defects(grid):
+    """2-norm distances, over the band unit of each symbol, of the FFT
+    multipliers of theta, |k| and ``k_x - i k_y`` from the dense oracle, and
+    of ``Theta M`` from S, with Theta and S the package's and M the oracle's."""
+    kx, ky = grid.momentum_mesh()
+    magnitude = np.hypot(kx, ky)
+    unit = np.log2(grid.n**2) * _EPS
+    symbols = (magnitude / (kx - 1j * ky), magnitude, kx - 1j * ky)
+    defects = [
+        np.linalg.norm(dirac._fourier_multiplier(grid, s) - dense_multiplier(grid, s), 2)
+        / (unit * np.max(np.abs(s)))
+        for s in symbols
+    ]
+    ops = build_operators(DiracProblem(grid=grid, potential=ImpurityPotential(amplitude=0.0)))
+    theta_m = ops.theta_op @ dense_multiplier(grid, symbols[2])
+    defects.append(np.linalg.norm(theta_m - ops.sqrt_lap, 2) / (unit * np.max(magnitude)))
+    return defects
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), log_length=st.floats(-2.0, 3.0))
+def test_fft_multipliers_match_the_dense_transform(n, log_length):
+    """Each multiplier from one inverse FFT is the dense ``F* diag(s) F``,
+    and ``Theta M`` is S, within ``8 log2(n^2) eps max|s|`` in the 2-norm."""
+    defects = _multiplier_defects(GridSpec(n=n, length=10.0**log_length))
+    assert max(defects) <= _FFT_BAND, defects
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_fft_multipliers_without_the_twist_leave_the_band(monkeypatch, n):
+    """Negative control: with the phase of the half-integer momentum offset
+    dropped, every multiplier and ``Theta M`` leave the band by far."""
+    monkeypatch.setattr(dirac, "_twist", lambda d, n: np.ones(d.shape))
+    assert min(_multiplier_defects(GridSpec(n=n))) > 1e6 * _FFT_BAND
+
+
 def _complement(x):
     """Orthonormal basis of graph(-X*) over H1, from an independent QR."""
     return from_graph(GraphSubspace(base=GraphBase.H1, X=-x.conj().T)).basis
@@ -363,9 +406,10 @@ def _dense_t(ops):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_blockwise_rotation_matches_dense_products(n):
-    ops = build_operators(_problem(n=n, amplitude=0.05, profile="gaussian", radius=1.0))
+    problem = _problem(n=n, amplitude=0.05, profile="gaussian", radius=1.0)
+    ops = build_operators(problem)
     t = _dense_t(ops)
-    dim, h = t.shape[0], dirac_hamiltonians(ops)[1]
+    dim, h = t.shape[0], dirac_hamiltonians(problem)[1]
     dense = t @ h @ t.conj().T
     dense = 0.5 * (dense + dense.conj().T)
     blockwise = dirac._fw_block_matrix(ops).full
@@ -386,7 +430,7 @@ def _oracle_angles(problem, result):
     points = problem.grid.n**2
     # undo the swap: the pipeline runs the theorem with the negative block first
     perm = np.r_[points : 2 * points, 0:points]
-    w, v = np.linalg.eigh(dirac_hamiltonians(ops)[1])
+    w, v = np.linalg.eigh(dirac_hamiltonians(problem)[1])
     angles = []
     pairs = ((result.theorem.L.basis, w < 0.0), (_complement(result.theorem.X), w > 0.0))
     for basis, mask in pairs:

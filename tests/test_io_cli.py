@@ -500,8 +500,8 @@ def test_cli_riccati_solve_refuses_a_mu_outside_the_ends(tmp_path, capsys, mu):
 @pytest.mark.parametrize("perturb, flag", [("1e-8", True), ("1e-7", False)])
 def test_cli_check_spectral_identity_residuals_follow_their_flag(tmp_path, perturb, flag):
     """At norm(B) < 1 the ``spectral_identity_*`` residuals are distances
-    over norm(B), the scale ``SpectralIdentityReport.ok`` gates at, so the
-    residuals, which ``check`` gates, pass --tol exactly when it holds."""
+    over norm(B), so the residuals, which ``check`` gates, pass --tol exactly
+    when both distances are within ``tol * norm(B)``."""
     from blockdiag import form_pair, spectral_pair, verify_spectral_identity
 
     b = random_case(4, 3, gap=1.0, coupling=0.5, seed=3).block
@@ -517,7 +517,8 @@ def test_cli_check_spectral_identity_residuals_follow_their_flag(tmp_path, pertu
     worst = max(residuals["spectral_identity_left"], residuals["spectral_identity_right"])
     pair = spectral_pair(small, 0.0)
     pair = form_pair(pair.X0 + float(perturb) * np.ones_like(pair.X0), pair.X1)
-    assert verify_spectral_identity(small, pair, 1e-8).ok is flag
+    ident = verify_spectral_identity(small, pair, 1e-8)
+    assert (max(ident.left_distance, ident.right_distance) <= 1e-8 * small.norm) is flag
     assert (worst <= 1e-8) is flag
 
 

@@ -504,20 +504,19 @@ def test_spectral_identity_certificate_keeps_a_nan_block(monkeypatch, block):
     calls.clear()
     measured = verify_spectral_identity(b, pair, tol=1e-8)
     assert measured.left_spectrum is not b.eigvals
-    assert measured.ok
-    assert measured.left_distance <= 1e-8 * b.norm
+    assert max(measured.left_distance, measured.right_distance) <= 1e-8 * b.norm
 
 
 def test_spectral_identity_decoupled():
     b = BlockMatrix(np.diag([1.0, 2.0]), np.diag([5.0]), np.zeros((1, 2)), np.zeros((2, 1)))
     rep = verify_spectral_identity(b, _zero_pair(2, 1), tol=1e-10)
-    assert rep.ok
+    assert max(rep.left_distance, rep.right_distance) <= 1e-10 * b.norm
     assert rep.left_distance == 0.0
 
 
 def test_spectral_identity_analytic(analytic):
     rep = verify_spectral_identity(analytic, SKEW_ANALYTIC, tol=1e-10)
-    assert rep.ok
+    assert max(rep.left_distance, rep.right_distance) <= 1e-10 * analytic.norm
     assert rep.left_distance <= 1e-12
     assert rep.right_distance <= 1e-12
 
@@ -527,13 +526,14 @@ def test_spectral_identity_random_gapped(seed):
     pf = random_case(6, 6, gap=1.0, coupling=0.5, seed=seed)
     result = run_theorem(pf.block, mu=0.0)
     pair = form_pair(result.X, -result.X.conj().T)
-    assert verify_spectral_identity(pf.block, pair, tol=1e-8).ok
+    rep = verify_spectral_identity(pf.block, pair, tol=1e-8)
+    assert max(rep.left_distance, rep.right_distance) <= 1e-8 * pf.block.norm
 
 
 def test_spectral_identity_detects_wrong_pair(analytic):
     wrong = form_pair([[0.3]], [[0.1]])
     rep = verify_spectral_identity(analytic, wrong, tol=1e-8)
-    assert not rep.ok
+    assert max(rep.left_distance, rep.right_distance) > 1e-8 * analytic.norm
 
 
 def test_match_spectra_sorted_pairs():
@@ -583,7 +583,8 @@ def test_non_hermitian_route_end_to_end(seed):
     assert residual_X1(b, pair.X1).rel_norm <= 1e-12
     assert diagonalize(b, pair)[0].offdiag_rel_norm <= 1e-12
     assert diagonalize(b, pair)[1].offdiag_rel_norm <= 1e-12
-    assert verify_spectral_identity(b, pair, tol=1e-8).ok
+    rep = verify_spectral_identity(b, pair, tol=1e-8)
+    assert max(rep.left_distance, rep.right_distance) <= 1e-8 * b.norm
 
 
 def test_zero_offdiag_forces_invariance():
