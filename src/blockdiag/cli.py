@@ -56,6 +56,7 @@ from .io import (
     write_json_atomic,
 )
 from .fixtures import random_case
+from .subordinated import KERNEL_SPLIT_TOL
 
 #: Default pass/fail threshold for relative residuals reported by commands.
 CHECK_TOL = 1e-8
@@ -208,8 +209,7 @@ def _diagonalize(args, report, problem) -> list[Gate]:
         left, right = transform.diagonalize(b, pair)
     # the n0 eigenvalues below mu by real part, which spectral_pair found,
     # lead B's (Re, Im) order and are the spectrum of block 0 of both forms
-    split = {"block0": b.eigvals[: b.n0], "block1": b.eigvals[b.n0 :]}
-    report.spectra.update({side + k: v for side in ("left_", "right_") for k, v in split.items()})
+    report.spectra.update(block0=b.eigvals[: b.n0], block1=b.eigvals[b.n0 :])
     report.flags["reliable"] = left.reliable and right.reliable
     report.certificates["conditioning"] = {"left": left.conditioning, "right": right.conditioning}
     return _residuals(
@@ -261,13 +261,13 @@ def _theorem_gates(report, result: subordinated.TheoremResult, tol) -> list[Gate
         offdiag_right=right.offdiag_rel_norm,
         invariance_L=res_l,
         invariance_L_perp=res_perp,
-    ) + [_holds("kernel_split_ok", result.kernel_split_ok)]
+    ) + [Gate("kernel_split_ok", result.kernel_split_residual, KERNEL_SPLIT_TOL, "check")]
 
 
 def _subordinated(args, report, problem) -> list[Gate]:
     mu = args.mu if args.mu is not None else problem.mu
     with _timed(report.timings, "pipeline"):
-        result = subordinated.run_theorem(problem.block, mu=mu, tol=args.tol)
+        result = subordinated.run_theorem(problem.block, mu=mu)
     names = ("mu", "sup_spec_A0", "inf_spec_A1", "gap")
     report.certificates["subordination"] = _fields(result.check, *names)
     return _theorem_gates(report, result, args.tol)
@@ -309,7 +309,7 @@ def _dirac(args, report, problem) -> list[Gate]:
         ),
     )
     with _timed(report.timings, "pipeline"):
-        result = dirac.run_dirac_pipeline(problem, tol=args.tol)
+        result = dirac.run_dirac_pipeline(problem)
     split = result.split
     report.certificates["subordination"] = _fields(split, *_SPLIT_FIELDS)
     report.spectra.update(
@@ -324,6 +324,7 @@ def _dirac(args, report, problem) -> list[Gate]:
     return _theorem_gates(report, result.theorem, args.tol) + _residuals(
         args.tol,
         fw_unitarity=result.fw_unitarity_residual,
+        momentum_residual=result.momentum_residual,
         split_identity=split.block_identity_residual,
         subspace_angle_minus=result.angle_minus,
         subspace_angle_plus=result.angle_plus,

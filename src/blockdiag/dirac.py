@@ -179,11 +179,18 @@ class DiracSplitReport:
 
 @dataclass(frozen=True)
 class DiracPipelineResult:
-    """Outcome of the full electronic/positronic decomposition run."""
+    """Outcome of the full electronic/positronic decomposition run.
+
+    ``momentum_residual`` ties the rotation's operators to the grid's
+    momenta (:func:`_momentum_residual`); no other residual sees a wrong
+    momentum phase, since a circulant of any unimodular symbol is unitary
+    and commutes with S.
+    """
 
     theorem: TheoremResult
     split: DiracSplitReport
     fw_unitarity_residual: float
+    momentum_residual: float
     angle_minus: float
     angle_plus: float
     h_eigenvalues: np.ndarray
@@ -276,6 +283,24 @@ def _unitary_operators(problem: DiracProblem) -> tuple[DiracOperators, float]:
     return ops, resid
 
 
+def _momentum_residual(problem: DiracProblem, ops: DiracOperators) -> float:
+    """How far Theta and S are from acting as their symbols on the grid.
+
+    On the plane wave e of the grid momentum ``k`` with the two smallest
+    positive components (so ``k_x != +-k_y``), the larger of
+    ``norm(S e - |k| e) / (max|k| norm(e))`` and
+    ``norm(Theta e - theta(k) e) / norm(e)``: two matrix-vector products.
+    """
+    grid, x = problem.grid, problem.grid.positions()
+    kx, ky = grid.momentum_mesh()
+    k = np.hypot(kx, ky)
+    i = (grid.n // 2) * (grid.n + 1) + 1
+    wave = np.outer(np.exp(1j * kx[i] * x), np.exp(1j * ky[i] * x)).ravel()
+    s_defect = np.linalg.norm(ops.sqrt_lap @ wave - k[i] * wave) / np.max(k)
+    theta_defect = np.linalg.norm(ops.theta_op @ wave - problem.theta()[i] * wave)
+    return float(max(s_defect, theta_defect)) / grid.n
+
+
 @_overflow_is_input_error("spinor-rotated Hamiltonian T H T*")
 def _fw_block_matrix(ops: DiracOperators) -> BlockMatrix:
     """``T H T*`` block by block, from ``P = Theta U Theta*`` and ``Theta M = S``.
@@ -349,14 +374,15 @@ def check_subordination_split(
     )
 
 
-def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelineResult:
+def run_dirac_pipeline(problem: DiracProblem) -> DiracPipelineResult:
     """Full decomposition of the impurity Hamiltonian at threshold zero.
 
-    Confirms subordination of the rotated blocks, runs the subordinated
-    pipeline on the block matrix with the negative block first, and
-    certifies upper bounds on the largest angles between the pair of graph
-    subspaces, mapped back through the spinor rotation, and the
-    negative/positive spectral subspaces of the position-space operator.
+    Measures how far Theta and S are from their symbols on one plane wave
+    of the grid, confirms subordination of the rotated blocks, runs the
+    subordinated pipeline on the block matrix with the negative block
+    first, and certifies upper bounds on the largest angles between the
+    pair of graph subspaces, mapped back through the spinor rotation, and
+    the negative/positive spectral subspaces of the position-space operator.
     The bounds come from the theorem's skew-pair frame in the rotated
     coordinates (:func:`~blockdiag.transform.frame_angle_bound`), with no
     product of the full dimension: its slack covers the unitarity defect of
@@ -371,6 +397,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
     below 0.
     """
     ops, unitarity = _unitary_operators(problem)
+    momentum = _momentum_residual(problem, ops)
     bm = _fw_block_matrix(ops)
     swapped = bm.swapped()
     check = check_subordination(swapped, 0.0)
@@ -381,7 +408,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
             f"{report.sup_spec_A1:.6g}, inf spec(A0) = {report.inf_spec_A0:.6g}",
             report=report,
         )
-    theorem = run_theorem(swapped, tol=tol, check=check)
+    theorem = run_theorem(swapped, check=check)
     # T = P V with V unitary and norm(P - I) <= eps: the rotated blocks are
     # within r h of T H T*, which is within eps (2 + eps) h of V H V*, and
     # T* tilts a span by at most eps / (1 - eps) from the one V* gives
@@ -409,6 +436,7 @@ def run_dirac_pipeline(problem: DiracProblem, tol: float = 1e-8) -> DiracPipelin
         theorem=theorem,
         split=report,
         fw_unitarity_residual=unitarity,
+        momentum_residual=momentum,
         angle_minus=angle_minus,
         angle_plus=angle_plus,
         h_eigenvalues=w,

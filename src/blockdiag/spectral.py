@@ -1,11 +1,10 @@
-"""Spectral subspaces, invariant subspaces and null-space bases.
+"""Spectral and invariant subspaces.
 
 An invariant subspace is read off a triangular form ``m = Z T Z*`` that
 the caller has made once (:func:`invariant_subspace`): the form is
 reordered so that the selected eigenvalues lead, and their Schur vectors
 span it. It is gated on the region gap and the invariance residual
-against the matrix's 2-norm, which the caller passes in. Rank decisions
-are SVD-based with a relative tolerance.
+against the matrix's 2-norm, which the caller passes in.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DEFAULT_TOL, frobenius_norm, schur_diagonal
+from .core import frobenius_norm, schur_diagonal
 from .errors import IllPosedRegionError, NumericError, StructuralError
 
 #: Relative gap at or below which an eigenvalue-region selector is ill-posed,
@@ -72,26 +71,6 @@ def eigenvalues(m) -> np.ndarray:
     """Plain general eigenvalue list, sorted by (Re, Im)."""
     w = np.linalg.eigvals(np.asarray(m, dtype=np.complex128))
     return w[np.lexsort((w.imag, w.real))]
-
-
-def null_space_basis(m) -> np.ndarray:
-    """SVD null-space basis of a (possibly rectangular) matrix.
-
-    Singular vectors with ``sigma <= DEFAULT_TOL * sigma_max`` are kept;
-    a zero matrix keeps them all.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
-    # the trailing rows of vh span the null space; U is never needed, and
-    # the thin factorization still returns all of vh when rows >= cols
-    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    # pad: singular values beyond min(rows, cols) are implicitly zero
-    nkeep = int(np.sum(s > DEFAULT_TOL * s[0]))
-    return vh[nkeep:].conj().T
 
 
 def invariant_subspace(

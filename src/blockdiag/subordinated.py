@@ -7,6 +7,11 @@ eigenvectors strictly below ``mu`` together with the part of the kernel of
 a contraction ``X`` over H0, and its orthogonal complement is the graph of
 ``-X*`` over H1. The resulting skew pair block diagonalizes B both ways,
 with the two diagonal forms mutually adjoint.
+
+Under the same hypotheses the kernel of ``B - mu`` splits along H0 and H1:
+a kernel vector ``x0 + x1`` has ``<(A0 - mu) x0, x0> = -<(A1 - mu) x1, x1>``,
+one side at most 0 and the other at least 0, so both vanish. The pipeline
+measures that split on the one kernel basis it builds the subspace from.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from .core import (
     BlockMatrix,
     _extreme_magnitude,
     frobenius_norm,
-    from_blocks,
     relative,
 )
 from .errors import HypothesisError, NotAGraphError, TheoremViolationError
-from .spectral import Subspace, null_space_basis
+from .spectral import REGION_GAP_TOL, Subspace
 from .transform import DiagonalizationResult, diagonalize
 
 #: Relative half-width of the band in which an eigenvalue counts as equal
@@ -63,20 +67,32 @@ class TheoremResult:
     the invariance defects of L and of graph(-X*) (README "Numerics
     notes"); ``graph_distance`` is ``norm_F(Q1 - X Q0)`` of
     ``L = [Q0; Q1]``, the distance of span L from graph(X), which the first
-    of them includes.
+    of them includes. ``kernel_split_residual`` is the distance of the
+    rotated kernel basis from H0 and H1 (:func:`_reducing_subspace`).
     """
 
     L: Subspace
     X: np.ndarray
     norm_X: float
-    kernel_split_ok: bool
-    reduces_ok: bool
+    kernel_split_residual: float
     adjointness_residual: float
     diag_results: tuple[DiagonalizationResult, DiagonalizationResult]
     mu: float
     invariance_residuals: tuple[float, float]
     check: SubordinationCheck
     graph_distance: float
+
+    @property
+    def kernel_split_ok(self) -> bool:
+        """Whether the kernel at mu splits, to :data:`KERNEL_SPLIT_TOL`."""
+        return self.kernel_split_residual <= KERNEL_SPLIT_TOL
+
+    @property
+    def reduces_ok(self) -> bool:
+        """Whether both invariance residuals are within the bound
+        :data:`~blockdiag.spectral.REGION_GAP_TOL` guaranteed of returned
+        invariant subspaces."""
+        return max(self.invariance_residuals) <= REGION_GAP_TOL
 
 
 def check_subordination(b: BlockMatrix, mu: float) -> SubordinationCheck:
@@ -160,63 +176,29 @@ def _eigh_classified(b: BlockMatrix, mu: float):
     return b.staged_eigh.vectors(k), below[:k], ~below[:k]
 
 
-def _kernel_piece(a: np.ndarray, w: np.ndarray, coupling: np.ndarray, mu: float) -> np.ndarray:
-    """Basis of ``Ker(a - mu) ∩ Ker(coupling)``, as :func:`null_space_basis`.
+def _reducing_subspace(b: BlockMatrix, mu: float) -> tuple[Subspace, float]:
+    """Reducing subspace (strictly-below eigenvectors plus kernel ∩ H0) and
+    the kernel split's residual.
 
-    ``w`` is the cached spectrum of ``a``, a Hermitian block (the caller's
-    hypotheses): an empty piece is proved from it, without the SVD. README
-    "Norms by role" (the kernel-split row) and "Numerics notes" give the
-    proof and its slack.
-    """
-    m = np.vstack([a - mu * np.eye(a.shape[0], dtype=np.complex128), coupling])
-    norm_m = frobenius_norm(m)
-    dist = float(np.min(np.abs(w - mu)))
-    slack = KERNEL_PROOF_ROUNDING * m.shape[0] * _EPS * (_extreme_magnitude(w) + norm_m)
-    if dist - slack > DEFAULT_TOL * norm_m:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    return null_space_basis(m)
-
-
-def _kernel_split(b: BlockMatrix, mu: float) -> bool:
-    """Whether the kernel of ``B - mu`` splits along H0 and H1.
-
-    It must be the orthogonal sum of ``Ker(A0 - mu) ∩ Ker(W1*)`` and
-    ``Ker(A1 - mu) ∩ Ker(W1)``, each a stacked-matrix null space
-    (:func:`_kernel_piece`). The split holds when the dimensions add up and
-    the kernel basis K is within :data:`KERNEL_SPLIT_TOL` of the span of
-    the pieces' direct sum D, by the projection residual
-    ``norm_F(K - D D* K)``. The hypotheses are the caller's to check.
-    """
-    v, _, at = _eigh_classified(b, mu)
-    k_basis = v[:, at]
-    w0, w1 = b.eigvalsh_A
-    k0 = _kernel_piece(b.A0, w0, b.W1.conj().T, mu)
-    k1 = _kernel_piece(b.A1, w1, b.W1, mu)
-    if k_basis.shape[1] != k0.shape[1] + k1.shape[1]:
-        return False
-    direct = from_blocks(k0, None, None, k1)
-    return frobenius_norm(k_basis - direct @ (direct.conj().T @ k_basis)) <= KERNEL_SPLIT_TOL
-
-
-def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
-    """Reducing subspace: strictly-below eigenvectors plus kernel ∩ H0.
-
-    The part of the kernel of ``B - mu`` inside H0 is found by rotating the
-    kernel basis (SVD of its H1 components) and keeping the columns whose
-    H1 component is at most ``DEFAULT_TOL``. Anything but dimension n0
-    raises :class:`TheoremViolationError`.
+    The kernel of ``B - mu`` is the band of :func:`_eigh_classified`. Its
+    basis is rotated by the right singular vectors of its H1 rows, so that
+    each rotated column lies along H0 or H1 when the kernel splits; the
+    columns whose H1 component is at most ``DEFAULT_TOL`` are the part
+    inside H0. The residual is ``hypot_j min(norm(u_j[:n0]), norm(u_j[n0:]))``
+    over the rotated columns u_j, each one's distance from the nearer of H0
+    and H1 (0 for an empty kernel). Anything but dimension n0 raises
+    :class:`TheoremViolationError`.
     """
     v, below, at = _eigh_classified(b, mu)
     pieces = [v[:, below]]
     k_basis = v[:, at]
+    split = 0.0
     if k_basis.shape[1] > 0:
-        h1_part = k_basis[b.n0:, :]
-        _, s, wh = np.linalg.svd(h1_part, full_matrices=True)
+        _, _, wh = np.linalg.svd(k_basis[b.n0 :], full_matrices=True)
         rotated = k_basis @ wh.conj().T
-        sigma = np.zeros(k_basis.shape[1])
-        sigma[: s.size] = s
-        keep = sigma <= DEFAULT_TOL
-        pieces.append(rotated[:, keep])
+        norms = [np.linalg.norm(part, axis=0) for part in np.split(rotated, [b.n0])]
+        pieces.append(rotated[:, norms[1] <= DEFAULT_TOL])
+        split = float(np.linalg.norm(np.minimum(*norms)))
     # eigenvectors of B and a unitary rotation inside its mu-eigenspace:
     # orthonormal already, which the Subspace Gram gate checks
     stacked = np.hstack(pieces)
@@ -224,28 +206,28 @@ def _reducing_subspace(b: BlockMatrix, mu: float) -> Subspace:
         raise TheoremViolationError(
             f"reducing subspace has dimension {stacked.shape[1]}, expected n0 = {b.n0}"
         )
-    return Subspace(basis=stacked, n0=b.n0)
+    return Subspace(basis=stacked, n0=b.n0), split
 
 
 def run_theorem(
     b: BlockMatrix,
     mu: float | None = None,
-    tol: float = 1e-8,
     check: SubordinationCheck | None = None,
 ) -> TheoremResult:
     """Full subordinated decomposition with verification of its claims.
 
-    Builds the reducing subspace, extracts the contraction ``X``, forms
-    the skew pair ``(X, -X*)``, verifies the kernel splitting, runs both
-    block diagonalizations, bounds the invariance defects of the subspace
-    and of graph(-X*), and measures the mutual-adjointness defect of the
-    two diagonal forms. The hypotheses are checked once: ``check`` is
-    :func:`check_subordination` of b at mu (:func:`choose_mu` by default),
-    run here unless the caller has run it, and its ``mu`` is the threshold.
-    One eigendecomposition of B serves the kernel split and the reducing
-    subspace, with only the eigenvectors below mu and in its band formed,
-    and nothing of dimension n0 + n1 is formed after it but the block
-    diagonalizations. The skew pair is a contraction, so both take
+    Builds the reducing subspace and measures the kernel split on the same
+    rotated kernel basis, extracts the contraction ``X``, forms the skew
+    pair ``(X, -X*)``, runs both block diagonalizations, bounds the
+    invariance defects of the subspace and of graph(-X*), and measures the
+    mutual-adjointness defect of the two diagonal forms. The hypotheses are
+    checked once: ``check`` is :func:`check_subordination` of b at mu
+    (:func:`choose_mu` by default), run here unless the caller has run it,
+    and its ``mu`` is the threshold. One eigendecomposition of B serves
+    the reducing subspace and the kernel split, with only the eigenvectors
+    below mu and in its band formed; the kernel split takes no SVD but the
+    one of the kernel basis's H1 rows, and nothing of dimension n0 + n1 is
+    formed after it but the block diagonalizations. The skew pair is a contraction, so both take
     the blockwise route, whose Cholesky factors of ``I + X* X`` and
     ``I + X X*`` make the unitary frame ``U = [G0 L0^{-*}, G1 L1^{-*}]``;
     the invariance defects of graph(X) and graph(-X*) are the off-diagonal
@@ -262,8 +244,7 @@ def run_theorem(
         check = check_subordination(b, choose_mu(b) if mu is None else mu)
     _require_hypotheses(b, check)
     mu = check.mu
-    kernel_split_ok = _kernel_split(b, mu)
-    sub = _reducing_subspace(b, mu)
+    sub, split = _reducing_subspace(b, mu)
     try:
         graph = to_graph(sub, GraphBase.H0)
     except NotAGraphError as exc:
@@ -293,8 +274,7 @@ def run_theorem(
         L=sub,
         X=x,
         norm_X=norm_x,
-        kernel_split_ok=kernel_split_ok,
-        reduces_ok=res_l <= tol and res_perp <= tol,
+        kernel_split_residual=split,
         adjointness_residual=relative(adjointness, b.norm),
         diag_results=(left, right),
         mu=mu,

@@ -101,25 +101,60 @@ def eigvecs(b, keep):
     return Subspace(basis=v[:, keep(w, 1e-9 * np.linalg.norm(b.full, 2))])
 
 
-def kernel_pieces(b, mu, piece=None):
+def null_space_basis(m) -> np.ndarray:
+    """SVD null-space basis of a (possibly rectangular) matrix: the right
+    singular vectors with ``sigma <= DEFAULT_TOL * sigma_max`` (all of them
+    for a zero matrix). The kernel split's oracle, not a package route."""
+    from blockdiag.core import DEFAULT_TOL
+
+    m = np.asarray(m, dtype=np.complex128)
+    rows, cols = m.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
+    if rows == 0:
+        return np.eye(cols, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return vh[int(np.sum(s > DEFAULT_TOL * s[0])) :].conj().T
+
+
+def kernel_pieces(b, mu):
     """The kernel split's pieces ``K0 = Ker(A0 - mu) ∩ Ker(W1*)`` and
-    ``K1 = Ker(A1 - mu) ∩ Ker(W1)``, by ``piece`` (default
-    ``subordinated._kernel_piece``, the split's own)."""
+    ``K1 = Ker(A1 - mu) ∩ Ker(W1)``, each the :func:`null_space_basis` of
+    the stacked ``[A_i - mu; W]``."""
+
+    def piece(a, coupling):
+        return null_space_basis(np.vstack([a - mu * np.eye(a.shape[0]), coupling]))
+
+    return piece(b.A0, b.W1.conj().T), piece(b.A1, b.W1)
+
+
+def _band_kernel(b, mu):
+    """Basis of the kernel of ``B - mu`` as the subordinated pipeline bands it."""
     from blockdiag import subordinated
 
-    piece = piece or subordinated._kernel_piece
-    w0, w1 = b.eigvalsh_A
-    return piece(b.A0, w0, b.W1.conj().T, mu), piece(b.A1, w1, b.W1, mu)
+    v, _, at = subordinated._eigh_classified(b, mu)
+    return v[:, at]
 
 
 def kernel_split_dims(b, mu):
-    """``(dim Ker(B - mu), dim K0, dim K1)`` as the kernel split sees them:
-    the eigenvalues of B in the band around mu, and the column counts of
-    :func:`kernel_pieces`."""
-    from blockdiag import subordinated
+    """``(dim Ker(B - mu), dim K0, dim K1)``: the eigenvalues of B in the
+    band around mu, and the column counts of :func:`kernel_pieces`."""
+    return (_band_kernel(b, mu).shape[1], *(k.shape[1] for k in kernel_pieces(b, mu)))
 
-    _, _, at = subordinated._eigh_classified(b, mu)
-    return (int(np.count_nonzero(at)), *(k.shape[1] for k in kernel_pieces(b, mu)))
+
+def kernel_splits(b, mu) -> bool:
+    """Null-space oracle of the kernel split: the dimensions of
+    :func:`kernel_split_dims` add up, and the kernel basis K is within
+    ``KERNEL_SPLIT_TOL`` of the span of the pieces' direct sum D, by the
+    projection residual ``norm_F(K - D D* K)``."""
+    from blockdiag.subordinated import KERNEL_SPLIT_TOL
+
+    k_basis, (k0, k1) = _band_kernel(b, mu), kernel_pieces(b, mu)
+    if k_basis.shape[1] != k0.shape[1] + k1.shape[1]:
+        return False
+    direct = from_blocks(k0, None, None, k1)
+    residual = np.linalg.norm(k_basis - direct @ (direct.conj().T @ k_basis))
+    return bool(residual <= KERNEL_SPLIT_TOL)
 
 
 def containment(inner, outer) -> float:

@@ -23,7 +23,6 @@ from blockdiag import (
     run_theorem,
     solve_newton_X0,
     spectral_pair,
-    subordinated,
     to_graph,
     triangularize,
     verify_resolvent_invariance,
@@ -171,9 +170,9 @@ def test_criterion_4_one_point_intersection(acceptance, one_point):
     # char. polynomial x^2 - x - 3; the angular entry is 1 + lambda_-
     lam_minus, _ = _quadratic_roots(-1.0, -3.0)
     x_entry = 1.0 + lam_minus
-    split_ok = subordinated._kernel_split(one_point, 0.0)
     dims = kernel_split_dims(one_point, 0.0)
     result = run_theorem(one_point, mu=0.0)
+    split_ok = result.kernel_split_ok
     expected_x = np.diag([0.0, x_entry]).astype(complex)
     err_x = np.max(np.abs(result.X - expected_x))
     norm_ok = abs(result.norm_X - abs(x_entry)) <= 1e-10 and result.norm_X <= 1.0
@@ -243,7 +242,7 @@ def test_criterion_6_dirac_demo(acceptance):
             amplitude=0.05 * grid.k_min, profile="disk", radius=grid.length / 8
         ),
     )
-    result = run_dirac_pipeline(problem, tol=1e-8)
+    result = run_dirac_pipeline(problem)
     offdiag = max(d.offdiag_rel_norm for d in result.theorem.diag_results)
     elapsed = time.perf_counter() - start
     ok = (

@@ -280,6 +280,8 @@ def test_pipeline_weak_disk():
     result = run_dirac_pipeline(problem)
     assert result.norm_X < 1.0
     assert result.fw_unitarity_residual <= 1e-10
+    # Theta and S act on a plane wave of the grid's momenta as their symbols
+    assert result.momentum_residual <= 1e-14
     for res in result.theorem.diag_results:
         assert res.offdiag_rel_norm <= 1e-8
     assert result.angle_minus <= 1e-8

@@ -704,9 +704,9 @@ def test_cli_dirac_subordination_failure_exit_2(tmp_path):
 
 #: The fields of a failed theorem verdict, and the gate ``dirac`` decides it by.
 _FAILED_THEOREM = {
-    "kernel_split_ok": ({"kernel_split_ok": False}, "kernel_split_ok"),
+    "kernel_split_ok": ({"kernel_split_residual": 1.0}, "kernel_split_ok"),
     # reduces_ok compares the invariance residuals, which dirac gates
-    "reduces_ok": ({"reduces_ok": False, "invariance_residuals": (1.0, 0.0)}, "invariance_L"),
+    "reduces_ok": ({"invariance_residuals": (1.0, 0.0)}, "invariance_L"),
 }
 
 
@@ -717,8 +717,8 @@ def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
     run = dirac.run_dirac_pipeline
     fields, gate = _FAILED_THEOREM[flag]
 
-    def failing(problem, tol):
-        result = run(problem, tol=tol)
+    def failing(problem):
+        result = run(problem)
         theorem = dataclasses.replace(result.theorem, **fields)
         return dataclasses.replace(result, theorem=theorem)
 
@@ -730,6 +730,22 @@ def test_cli_dirac_gates_the_theorem_flags(tmp_path, monkeypatch, capsys, flag):
     assert report["verdict"]["decided_by"] == gate
     failed = [k for k, v in report["residuals"].items() if not v <= 1e-8]
     assert failed + [k for k, ok in report["flags"].items() if not ok] == [gate]
+
+
+def test_cli_dirac_gates_the_momentum_phase(tmp_path, monkeypatch):
+    """Multipliers built without the phase of the half-integer momentum
+    offset are plain circulants: unitary, and commuting with S, so every
+    other gate passes on the Hamiltonian they rotate; the plane-wave
+    residual fails."""
+    from blockdiag import dirac
+
+    monkeypatch.setattr(dirac, "_twist", lambda d, n: np.ones(np.shape(d)))
+    out = tmp_path / "dirac.json"
+    assert main(["dirac", "--n", "4", "--amplitude", "0.03", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"]["decided_by"] == "momentum_residual"
+    failed = [k for k, v in report["residuals"].items() if not v <= 1e-8]
+    assert failed == ["momentum_residual"] and all(report["flags"].values())
 
 
 def test_cli_contraction_flag_agrees_between_subordinated_and_dirac(

@@ -79,10 +79,8 @@ SHAPES = {
         "flags.reliable",
         "residuals.offdiag_left",
         "residuals.offdiag_right",
-        "spectra.left_block0",
-        "spectra.left_block1",
-        "spectra.right_block0",
-        "spectra.right_block1",
+        "spectra.block0",
+        "spectra.block1",
         "verdict.decided_by",
         "verdict.margin",
     ]),
@@ -161,6 +159,7 @@ SHAPES = {
         "residuals.fw_unitarity",
         "residuals.invariance_L",
         "residuals.invariance_L_perp",
+        "residuals.momentum_residual",
         "residuals.offdiag_left",
         "residuals.offdiag_right",
         "residuals.split_identity",

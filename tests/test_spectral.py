@@ -13,12 +13,8 @@ from blockdiag import (
 )
 from blockdiag.errors import IllPosedRegionError
 from blockdiag.core import schur_diagonal
-from blockdiag.spectral import (
-    Subspace,
-    invariance_residual,
-    null_space_basis,
-)
-from conftest import containment
+from blockdiag.spectral import Subspace, invariance_residual
+from conftest import containment, null_space_basis
 
 
 def _kernel(m, mu=0.0) -> Subspace:

@@ -23,7 +23,14 @@ from blockdiag import (
 from blockdiag.cli import main
 from blockdiag.errors import HypothesisError, TheoremViolationError
 from blockdiag.spectral import Subspace
-from conftest import containment, diagonal_part, eigvecs, kernel_pieces, kernel_split_dims
+from conftest import (
+    containment,
+    diagonal_part,
+    eigvecs,
+    kernel_pieces,
+    kernel_split_dims,
+    kernel_splits,
+)
 
 
 def test_check_subordination_gapped():
@@ -63,12 +70,12 @@ def test_choose_mu_touching(one_point):
 
 def test_kernel_split_decoupled():
     b = BlockMatrix([0.0], [2.0], [0.0], [0.0])
-    assert subordinated._kernel_split(b, 0.0)
+    assert run_theorem(b, mu=0.0).kernel_split_ok
     assert kernel_split_dims(b, 0.0) == (1, 1, 0)
 
 
 def test_kernel_split_one_point(one_point):
-    assert subordinated._kernel_split(one_point, 0.0)
+    assert run_theorem(one_point, mu=0.0).kernel_split_ok
     assert kernel_split_dims(one_point, 0.0) == (2, 1, 1)
     # the kernel of B - mu, from numpy's eigh, is the direct sum of the
     # pieces and lies in the kernel of the diagonal part
@@ -81,7 +88,7 @@ def test_kernel_split_one_point(one_point):
 
 def test_kernel_split_trivial_kernel():
     pf = random_case(4, 4, gap=1.0, coupling=0.3, seed=1)
-    assert subordinated._kernel_split(pf.block, 0.0)
+    assert run_theorem(pf.block, mu=0.0).kernel_split_ok
     assert kernel_split_dims(pf.block, 0.0)[0] == 0
 
 
@@ -89,7 +96,7 @@ def test_kernel_split_trivial_kernel():
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_split_planted(kernel_dim, seed):
     pf = random_case(5, 5, gap=0.0, coupling=0.4, seed=seed, kernel_dim=kernel_dim)
-    assert subordinated._kernel_split(pf.block, 0.0)
+    assert run_theorem(pf.block, mu=0.0).kernel_split_ok
     assert kernel_split_dims(pf.block, 0.0) == (
         kernel_dim, (kernel_dim + 1) // 2, kernel_dim // 2
     )
@@ -102,7 +109,7 @@ def test_kernel_split_planted_at_a_shifted_mu(shift):
     b = random_case(5, 5, gap=0.0, coupling=0.4, seed=0, kernel_dim=2).block
     eye = shift * np.eye(5)
     shifted = BlockMatrix(b.A0 + eye, b.A1 + eye, b.W0, b.W1)
-    assert subordinated._kernel_split(shifted, shift)
+    assert run_theorem(shifted, mu=shift).kernel_split_ok
     assert kernel_split_dims(shifted, shift) == (2, 1, 1)
 
 
@@ -119,8 +126,126 @@ def _refused_before(monkeypatch, step):
 
 
 def test_kernel_split_requires_symmetric_coupling(monkeypatch):
-    # the private step checks no hypotheses; run_theorem checks them first
-    _refused_before(monkeypatch, "_kernel_split")
+    # the kernel band checks no hypotheses; run_theorem checks them first
+    _refused_before(monkeypatch, "_eigh_classified")
+
+
+def _exact_case(seed, n0, n1, kernel_dim, gapped, coupling, shift, k):
+    """A subordinated problem with an exact kernel of ``kernel_dim`` at 0
+    (touching blocks; gapped input has none), shifted to ``mu = shift`` and
+    scaled by ``2^k`` with its mu."""
+    kernel_dim = min(kernel_dim, n0, n1)
+    pf = random_case(
+        n0, n1, gap=float(gapped), coupling=coupling, seed=seed,
+        kernel_dim=0 if gapped else kernel_dim,
+    )
+    b, s = pf.block, 2.0**k
+    eye0, eye1 = shift * np.eye(n0), shift * np.eye(n1)
+    shifted = BlockMatrix(s * (b.A0 + eye0), s * (b.A1 + eye1), s * b.W0, s * b.W1)
+    return shifted, s * shift
+
+
+exact_cases = st.builds(
+    _exact_case,
+    seed=st.integers(0, 2**32 - 1),
+    # at least two rows each, so that the kernel leaves some coupling
+    n0=st.integers(2, 5),
+    n1=st.integers(2, 5),
+    kernel_dim=st.integers(0, 3),
+    gapped=st.booleans(),
+    coupling=st.floats(0.1, 4.0),
+    shift=st.sampled_from([0.0, 3.0, -1e2, 1e4, -1e4]),
+    k=st.integers(-60, 60),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_cases)
+def test_kernel_split_agrees_with_the_null_space_oracle(case):
+    """On exact kernels at mu, touching or gapped, shifted and scaled, the
+    split read off the rotated kernel basis holds, as the two null-space
+    SVDs of ``[A_i - mu; W]`` say it does."""
+    b, mu = case
+    result = run_theorem(b, mu=mu)
+    assert result.kernel_split_ok == kernel_splits(b, mu)
+    assert result.kernel_split_ok
+
+
+def _band_edge_mixed_kernel():
+    """An exactly subordinated problem at mu = 0 whose mu band holds
+    ``[e0; 0]`` and an eigenvector at +1.5e-9 mixed about evenly over H0
+    and H1 (the band is about 2e-9 wide; the eigenvalue -2.5e-9 beside it
+    lies below it)."""
+    w1 = np.zeros((3, 2))
+    w1[1, 0] = np.sqrt(3.75) * 1e-9
+    w1[2, 1] = 0.3
+    return BlockMatrix(np.diag([0.0, -1e-9, -1.0]), np.diag([0.0, 2.0]), w1.T, w1)
+
+
+def test_band_edge_mixed_kernel_fails_the_split(tmp_path):
+    b = _band_edge_mixed_kernel()
+    result = run_theorem(b, mu=0.0)
+    assert not kernel_splits(b, 0.0)
+    assert not result.kernel_split_ok
+    # the mixed vector's weights 1.936 : 2.5 put 0.612 of it on H0
+    assert result.kernel_split_residual == pytest.approx(np.sqrt(0.375), rel=1e-6)
+    assert max(result.invariance_residuals) <= 1e-12
+    path, out = tmp_path / "mixed.json", tmp_path / "mixed.report.json"
+    save_problem(path, ProblemFile(block=b, mu=0.0))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["subordinated", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["flags"] == {"kernel_split_ok": False}
+    assert all(v <= 1e-12 for v in report["residuals"].values())
+    assert report["verdict"] == {
+        "decided_by": "kernel_split_ok",
+        "margin": subordinated.KERNEL_SPLIT_TOL - result.kernel_split_residual,
+    }
+
+
+def _haar(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _both_near(seed):
+    """Both block spectra 1e-11 from mu = 0, eigenvectors off Ker W."""
+    rng = np.random.default_rng(seed)
+    q0, q1 = _haar(rng, 4), _haar(rng, 3)
+    a0 = (q0 * [-1e-11, -0.5, -1.0, -2.0]) @ q0.conj().T
+    a1 = (q1 * [1e-11, 0.5, 1.5]) @ q1.conj().T
+    w1 = 0.5 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    hermitian = [0.5 * (a + a.conj().T) for a in (a0, a1)]
+    return BlockMatrix(*hermitian, w1.conj().T, w1)
+
+
+@pytest.mark.parametrize("case", ["gapped", "kernel", "near", "nearly_hermitian"])
+def test_run_theorem_takes_no_full_height_svd(monkeypatch, case):
+    """No SVD of n0 + n1 rows: the kernel split is read off the one SVD
+    of the kernel basis's n1 x k H1 rows that builds L, and gapped input,
+    with an empty band, takes none of that shape."""
+    if case == "gapped":
+        b = random_case(6, 5, gap=1.0, coupling=0.5, seed=4).block
+    elif case == "kernel":
+        b = random_case(5, 4, gap=0.0, coupling=0.5, seed=1, kernel_dim=2).block
+    elif case == "near":
+        b = _both_near(3)
+    else:
+        gapped = random_case(5, 4, gap=1.0, coupling=0.5, seed=1).block
+        b = BlockMatrix(gapped.A0 + 1e-15j * np.eye(5), gapped.A1, gapped.W0, gapped.W1)
+        assert b.hermitian_A and b.slack > 0.0
+    shapes, svd = [], np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    result = run_theorem(b, mu=0.0)
+    assert result.kernel_split_ok
+    # the kernel basis's H1 rows, then the values-only SVD of X (to_graph)
+    assert shapes == ([(b.n1, 2)] if case == "kernel" else []) + [(b.n1, b.n0)]
 
 
 def test_build_L_requires_symmetric_coupling(monkeypatch):
